@@ -8,7 +8,7 @@
 //! inputs — exactly what the paper prescribes, and practical for the
 //! quadratic/table examples it evaluates.
 
-use sna_hist::{DepositPolicy, Grid, Histogram};
+use sna_hist::{DepositPolicy, Grid, Histogram, MassAccumulator};
 use sna_interval::Interval;
 
 use crate::{NoiseReport, SnaError};
@@ -146,7 +146,7 @@ impl CartesianEngine {
             .collect();
         let full = f(&full_ranges);
         let grid = Grid::over(full, self.out_bins).map_err(SnaError::Hist)?;
-        let mut masses = vec![0.0; grid.n_bins()];
+        let mut acc = MassAccumulator::new(grid);
 
         let mut idx = vec![0usize; inputs.len()];
         let mut ranges = full_ranges.clone();
@@ -157,17 +157,13 @@ impl CartesianEngine {
                 mass *= input.pdf.prob(idx[k]);
             }
             if mass > 0.0 {
-                let out = f(&ranges);
-                match self.deposit {
-                    DepositPolicy::Midpoint => masses[grid.bin_of(out.mid())] += mass,
-                    _ => deposit_uniform_into(&grid, &mut masses, out, mass),
-                }
+                acc.deposit(f(&ranges), mass, self.deposit);
             }
             // Odometer.
             let mut k = 0;
             loop {
                 if k == idx.len() {
-                    let hist = Histogram::from_masses(grid, masses).map_err(SnaError::Hist)?;
+                    let hist = acc.finish().map_err(SnaError::Hist)?;
                     return Ok(NoiseReport::from_histogram(hist));
                 }
                 idx[k] += 1;
@@ -177,30 +173,6 @@ impl CartesianEngine {
                 idx[k] = 0;
                 k += 1;
             }
-        }
-    }
-}
-
-fn deposit_uniform_into(grid: &Grid, masses: &mut [f64], iv: Interval, mass: f64) {
-    let w = iv.width();
-    if w == 0.0 {
-        masses[grid.bin_of(iv.mid())] += mass;
-        return;
-    }
-    let below = (grid.lo() - iv.lo()).max(0.0).min(w);
-    let above = (iv.hi() - grid.hi()).max(0.0).min(w);
-    if below > 0.0 {
-        masses[0] += mass * below / w;
-    }
-    if above > 0.0 {
-        masses[grid.n_bins() - 1] += mass * above / w;
-    }
-    let lo_bin = grid.bin_of(iv.lo());
-    let hi_bin = grid.bin_of(iv.hi());
-    for (i, m) in masses.iter_mut().enumerate().take(hi_bin + 1).skip(lo_bin) {
-        let overlap = grid.bin_interval(i).overlap_len(&iv);
-        if overlap > 0.0 {
-            *m += mass * overlap / w;
         }
     }
 }

@@ -6,7 +6,7 @@
 //! symbols' bins, and each partial result interval deposits the product of
 //! the bin probabilities into the output histogram.
 
-use sna_hist::{DepositPolicy, Grid, Histogram};
+use sna_hist::{DepositPolicy, Grid, Histogram, MassAccumulator};
 use sna_interval::Interval;
 
 use crate::{ExprError, Poly, SymbolTable};
@@ -93,7 +93,7 @@ impl Poly {
             Interval::new(lo, hi).expect("pdf support is a valid interval")
         });
         let grid = Grid::over(full, opts.out_bins).map_err(ExprError::Hist)?;
-        let mut masses = vec![0.0; grid.n_bins()];
+        let mut acc = MassAccumulator::new(grid);
 
         // Odometer enumeration of the Cartesian product.
         let mut idx = vec![0usize; symbols.len()];
@@ -112,16 +112,13 @@ impl Poly {
                         .expect("symbol present in polynomial");
                     ranges[k]
                 });
-                match opts.deposit {
-                    DepositPolicy::Midpoint => masses[grid.bin_of(out.mid())] += mass,
-                    _ => deposit_uniform_into(&grid, &mut masses, out, mass),
-                }
+                acc.deposit(out, mass, opts.deposit);
             }
             // Advance the odometer.
             let mut k = 0;
             loop {
                 if k == idx.len() {
-                    return Histogram::from_masses(grid, masses).map_err(ExprError::Hist);
+                    return acc.finish().map_err(ExprError::Hist);
                 }
                 idx[k] += 1;
                 if idx[k] < pdfs[k].n_bins() {
@@ -130,32 +127,6 @@ impl Poly {
                 idx[k] = 0;
                 k += 1;
             }
-        }
-    }
-}
-
-/// Local uniform deposit (mirrors `sna_hist`'s internal primitive through
-/// the public rebin API would allocate; this inlined version is hot-path).
-fn deposit_uniform_into(grid: &Grid, masses: &mut [f64], iv: Interval, mass: f64) {
-    let w = iv.width();
-    if w == 0.0 {
-        masses[grid.bin_of(iv.mid())] += mass;
-        return;
-    }
-    let below = (grid.lo() - iv.lo()).max(0.0).min(w);
-    let above = (iv.hi() - grid.hi()).max(0.0).min(w);
-    if below > 0.0 {
-        masses[0] += mass * below / w;
-    }
-    if above > 0.0 {
-        masses[grid.n_bins() - 1] += mass * above / w;
-    }
-    let lo_bin = grid.bin_of(iv.lo());
-    let hi_bin = grid.bin_of(iv.hi());
-    for (i, m) in masses.iter_mut().enumerate().take(hi_bin + 1).skip(lo_bin) {
-        let overlap = grid.bin_interval(i).overlap_len(&iv);
-        if overlap > 0.0 {
-            *m += mass * overlap / w;
         }
     }
 }

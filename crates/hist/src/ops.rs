@@ -7,7 +7,7 @@
 
 use sna_interval::Interval;
 
-use crate::histogram::deposit_uniform;
+use crate::kernel::{deposit_sqr, MassAccumulator, Trapezoid};
 use crate::{Grid, HistError, Histogram};
 
 /// How a partial result interval deposits its probability mass into the
@@ -210,24 +210,21 @@ impl Histogram {
                 Grid::over(sup, bins)?
             }
         };
-        let mut masses = vec![0.0; grid.n_bins()];
+        let rhs_bins: Vec<Interval> = rhs.bins().map(|(ib, _)| ib).collect();
+        let mut acc = MassAccumulator::new(grid);
         for (ia, pa) in self.bins() {
             if pa == 0.0 {
                 continue;
             }
-            for (ib, pb) in rhs.bins() {
+            for (&ib, &pb) in rhs_bins.iter().zip(rhs.probs()) {
                 let mass = pa * pb;
                 if mass == 0.0 {
                     continue;
                 }
-                let out = f(ia, ib);
-                match opts.deposit {
-                    DepositPolicy::Midpoint => masses[grid.bin_of(out.mid())] += mass,
-                    _ => deposit_uniform(&grid, &mut masses, out, mass),
-                }
+                acc.deposit(f(ia, ib), mass, opts.deposit);
             }
         }
-        Histogram::from_masses(grid, masses)
+        acc.finish()
     }
 
     /// `self + sign·rhs` with the exact trapezoidal deposit for each bin
@@ -249,24 +246,22 @@ impl Histogram {
                 Grid::over(sup, bins)?
             }
         };
-        let w1 = self.grid().bin_width();
-        let w2 = rhs.grid().bin_width();
-        let mut masses = vec![0.0; grid.n_bins()];
+        let trapezoid = Trapezoid::new(self.grid().bin_width(), rhs.grid().bin_width());
+        let rhs_lo: Vec<f64> = rhs.bins().map(|(ib, _)| ib.scale(sign).lo()).collect();
+        let mut acc = MassAccumulator::new(grid);
         for (ia, pa) in self.bins() {
             if pa == 0.0 {
                 continue;
             }
-            for (ib, pb) in rhs.bins() {
+            for (&ib_lo, &pb) in rhs_lo.iter().zip(rhs.probs()) {
                 let mass = pa * pb;
                 if mass == 0.0 {
                     continue;
                 }
-                let ib = ib.scale(sign);
-                let lo = ia.lo() + ib.lo();
-                deposit_trapezoid(&grid, &mut masses, lo, w1, w2, mass);
+                trapezoid.deposit(&mut acc, ia.lo() + ib_lo, mass);
             }
         }
-        Histogram::from_masses(grid, masses)
+        acc.finish()
     }
 
     // ------------------------------------------------------------------
@@ -345,18 +340,17 @@ impl Histogram {
                 Grid::over(sup, bins)?
             }
         };
-        let mut masses = vec![0.0; grid.n_bins()];
+        let mut acc = MassAccumulator::new(grid);
         for (iv, p) in self.bins() {
             if p == 0.0 {
                 continue;
             }
             match opts.deposit {
-                DepositPolicy::Exact => deposit_sqr(&grid, &mut masses, iv, p),
-                DepositPolicy::Midpoint => masses[grid.bin_of(iv.sqr().mid())] += p,
-                DepositPolicy::Uniform => deposit_uniform(&grid, &mut masses, iv.sqr(), p),
+                DepositPolicy::Exact => deposit_sqr(&mut acc, iv, p),
+                policy => acc.deposit(iv.sqr(), p, policy),
             }
         }
-        Histogram::from_masses(grid, masses)
+        acc.finish()
     }
 
     /// Dependent integer power `xⁿ`.
@@ -424,116 +418,15 @@ impl Histogram {
                 Grid::over(sup, bins)?
             }
         };
-        let mut masses = vec![0.0; grid.n_bins()];
+        let mut acc = MassAccumulator::new(grid);
         for (iv, p) in self.bins() {
             if p == 0.0 {
                 continue;
             }
-            let out = f(iv);
-            match opts.deposit {
-                DepositPolicy::Midpoint => masses[grid.bin_of(out.mid())] += p,
-                _ => deposit_uniform(&grid, &mut masses, out, p),
-            }
+            acc.deposit(f(iv), p, opts.deposit);
         }
-        Histogram::from_masses(grid, masses)
+        acc.finish()
     }
-}
-
-/// Deposits mass through an arbitrary CDF defined on `[lo, hi]` (relative
-/// CDF values: `cdf(lo) = 0`, `cdf(hi) = 1`).
-fn deposit_cdf(
-    grid: &Grid,
-    masses: &mut [f64],
-    lo: f64,
-    hi: f64,
-    mass: f64,
-    cdf: impl Fn(f64) -> f64,
-) {
-    if hi <= lo {
-        masses[grid.bin_of(lo)] += mass;
-        return;
-    }
-    // Mass outside the grid clamps to boundary bins.
-    let glo = grid.lo();
-    let ghi = grid.hi();
-    if lo < glo {
-        masses[0] += mass * cdf(glo.min(hi));
-    }
-    if hi > ghi {
-        masses[grid.n_bins() - 1] += mass * (1.0 - cdf(ghi.max(lo)));
-    }
-    let start = grid.bin_of(lo.max(glo));
-    let end = grid.bin_of(hi.min(ghi));
-    for (i, m) in masses.iter_mut().enumerate().take(end + 1).skip(start) {
-        let edge_lo = grid.bin_lo(i).max(lo);
-        let edge_hi = (grid.bin_lo(i) + grid.bin_width()).min(hi);
-        if edge_hi > edge_lo {
-            *m += mass * (cdf(edge_hi) - cdf(edge_lo));
-        }
-    }
-}
-
-/// Deposits the exact trapezoidal distribution of `U[lo, lo+w1+w2]`
-/// (the sum of two independent uniforms with widths `w1`, `w2`).
-fn deposit_trapezoid(grid: &Grid, masses: &mut [f64], lo: f64, w1: f64, w2: f64, mass: f64) {
-    let m = w1.min(w2);
-    let big = w1.max(w2);
-    let total = w1 + w2;
-    if total <= 0.0 {
-        masses[grid.bin_of(lo)] += mass;
-        return;
-    }
-    let cdf = move |x: f64| -> f64 {
-        let t = (x - lo).clamp(0.0, total);
-        if m == 0.0 {
-            // One operand is (numerically) a point: plain uniform CDF.
-            return t / total;
-        }
-        if t <= m {
-            t * t / (2.0 * w1 * w2)
-        } else if t <= big {
-            (2.0 * t - m) / (2.0 * big)
-        } else {
-            1.0 - (total - t) * (total - t) / (2.0 * w1 * w2)
-        }
-    };
-    deposit_cdf(grid, masses, lo, lo + total, mass, cdf);
-}
-
-/// Deposits the exact push-forward of `x²` for `x` uniform on `iv`.
-fn deposit_sqr(grid: &Grid, masses: &mut [f64], iv: Interval, mass: f64) {
-    let (a, b) = (iv.lo(), iv.hi());
-    let w = b - a;
-    if w <= 0.0 {
-        masses[grid.bin_of(a * a)] += mass;
-        return;
-    }
-    // Split a sign-straddling interval at zero; each side is monotone.
-    if a < 0.0 && b > 0.0 {
-        let left_mass = mass * (-a) / w;
-        let right_mass = mass * b / w;
-        deposit_sqr_monotone(grid, masses, 0.0, -a, left_mass);
-        deposit_sqr_monotone(grid, masses, 0.0, b, right_mass);
-    } else if b <= 0.0 {
-        deposit_sqr_monotone(grid, masses, -b, -a, mass);
-    } else {
-        deposit_sqr_monotone(grid, masses, a, b, mass);
-    }
-}
-
-/// Push-forward of `x²` for `x` uniform on `[a, b]` with `0 <= a < b`:
-/// `P(x² <= v) = (√v - a) / (b - a)`.
-fn deposit_sqr_monotone(grid: &Grid, masses: &mut [f64], a: f64, b: f64, mass: f64) {
-    debug_assert!(0.0 <= a && a <= b);
-    if mass == 0.0 {
-        return;
-    }
-    if b == a {
-        masses[grid.bin_of(a * a)] += mass;
-        return;
-    }
-    let cdf = move |v: f64| -> f64 { ((v.max(0.0).sqrt() - a) / (b - a)).clamp(0.0, 1.0) };
-    deposit_cdf(grid, masses, a * a, b * b, mass, cdf);
 }
 
 #[cfg(test)]
