@@ -9,8 +9,8 @@
 //! the dominant cost, and on the protocol handler end-to-end.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use sna_service::exec::{analyze, AnalyzeEngine, AnalyzeParams};
-use sna_service::CompileCache;
+use sna_service::exec::{analyze_report, AnalyzeEngine, AnalyzeParams};
+use sna_service::{CompileCache, ExecLimits, Handler, Peer, StatsRegistry};
 
 fn diffeq_source() -> String {
     let path = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -37,19 +37,36 @@ fn bench_cold_vs_cached_analyze(c: &mut Criterion) {
         b.iter(|| {
             let cache = CompileCache::new();
             let (entry, _) = cache.get_or_compile(&source).unwrap();
-            std::hint::black_box(analyze(&entry, &params).unwrap())
+            std::hint::black_box(analyze_report(&entry, &params).unwrap())
         })
     });
     let warm = CompileCache::new();
-    warm.get_or_compile(&source).unwrap().0.na_model().unwrap();
+    warm.get_or_compile(&source)
+        .unwrap()
+        .0
+        .session
+        .na_model()
+        .unwrap();
     group.bench_function("cached", |b| {
         b.iter(|| {
             let (entry, lookup) = warm.get_or_compile(&source).unwrap();
             assert!(lookup.is_hit());
-            std::hint::black_box(analyze(&entry, &params).unwrap())
+            std::hint::black_box(analyze_report(&entry, &params).unwrap())
         })
     });
     group.finish();
+}
+
+/// One request through the stdio handler, recording into a throwaway
+/// registry.
+fn handle(cache: &CompileCache, line: &str) -> sna_service::Json {
+    let handler = Handler {
+        cache,
+        stats: &StatsRegistry::new(),
+        limits: ExecLimits::default(),
+        peer: Peer::Trusted,
+    };
+    handler.handle(line)
 }
 
 fn bench_protocol_handler(c: &mut Criterion) {
@@ -62,13 +79,13 @@ fn bench_protocol_handler(c: &mut Criterion) {
     group.bench_function("cold", |b| {
         b.iter(|| {
             let cache = CompileCache::new();
-            std::hint::black_box(sna_service::handle_line(&cache, &line))
+            std::hint::black_box(handle(&cache, &line))
         })
     });
     let warm = CompileCache::new();
-    let _ = sna_service::handle_line(&warm, &line);
+    let _ = handle(&warm, &line);
     group.bench_function("cached", |b| {
-        b.iter(|| std::hint::black_box(sna_service::handle_line(&warm, &line)))
+        b.iter(|| std::hint::black_box(handle(&warm, &line)))
     });
     group.finish();
 }

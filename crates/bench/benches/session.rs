@@ -145,20 +145,20 @@ fn measure_cache(iters: usize) -> CacheNumbers {
         let cache = CompileCache::new();
         let (entry, lookup) = cache.get_or_compile(&source).unwrap();
         assert_eq!(lookup, Lookup::Miss);
-        std::hint::black_box(exec::analyze(&entry, &params).unwrap());
+        std::hint::black_box(exec::analyze_report(&entry, &params).unwrap());
         miss_s += t0.elapsed().as_secs_f64();
     }
 
     let warm = CompileCache::new();
     let (donor, _) = warm.get_or_compile(&fir_source(10_000_000)).unwrap();
-    donor.na_model().unwrap();
+    donor.session.na_model().unwrap();
     let mut hit_s = 0.0;
     for i in 0..iters {
         let source = fir_source(i);
         let t0 = Instant::now();
         let (entry, lookup) = warm.get_or_compile(&source).unwrap();
         assert_eq!(lookup, Lookup::ShapeHit);
-        std::hint::black_box(exec::analyze(&entry, &params).unwrap());
+        std::hint::black_box(exec::analyze_report(&entry, &params).unwrap());
         hit_s += t0.elapsed().as_secs_f64();
     }
 

@@ -219,10 +219,13 @@ pub fn figure1(granularities: &[usize]) -> Result<Vec<(usize, Histogram)>, Error
 pub fn figure3(w: u8, bins: usize) -> Result<Vec<(String, NoiseReport)>, Error> {
     let design = rgb_to_ycrcb();
     let cfg = WlConfig::from_ranges(&design.dfg, &design.input_ranges, w)?;
-    let reports = sna_core::SnaAnalysis::new(&design.dfg, &cfg, &design.input_ranges)
-        .bins(bins)
-        .run()?;
-    Ok(reports)
+    let session = sna_core::Session::new(design.dfg, design.input_ranges)?;
+    let report = session.analyze(&sna_core::AnalysisRequest {
+        words: sna_core::WlChoice::Config(cfg),
+        bins,
+        ..sna_core::AnalysisRequest::default()
+    })?;
+    Ok(report.reports)
 }
 
 // ----------------------------------------------------------------------

@@ -18,10 +18,9 @@ use sna_core::NoiseReport;
 use sna_service::exec::{self, AnalyzeEngine, AnalyzeParams};
 
 use crate::common::{
-    collect_files, open_store, parse_format, parse_jobs, report_human, run_batch, unknown_flag,
-    Args, CliError, Format,
+    collect_files, json_doc, open_store, parse_format, parse_jobs, report_human, run_batch,
+    unknown_flag, Args, CliError, Format,
 };
-use crate::Json;
 
 const USAGE: &str = "sna analyze <file>.sna... [--manifest list.txt] [--jobs N] \
                      [--engine auto|na|dfg|lti|symbolic|cartesian] \
@@ -53,10 +52,7 @@ pub fn run(argv: &[String]) -> Result<String, CliError> {
     }
     let (files, batch) = collect_files(args.files(), manifest.as_deref(), USAGE)?;
     let params = AnalyzeParams { engine, bits, bins };
-    let store = match &store_dir {
-        Some(dir) => Some(open_store(dir)?),
-        None => None,
-    };
+    let store = store_dir.as_deref().map(open_store).transpose()?;
     run_batch(
         "analyze",
         files,
@@ -65,62 +61,34 @@ pub fn run(argv: &[String]) -> Result<String, CliError> {
         format,
         store,
         |path, entry| {
-            let reports = exec::analyze(entry, &params).map_err(CliError::Failed)?;
-            Ok(render(path, engine, bits, bins, format, &reports))
+            let report = exec::analyze_report(entry, &params).map_err(CliError::Failed)?;
+            Ok(match format {
+                Format::Human => human(path, &params, &report.reports),
+                Format::Json => json_doc(
+                    "analyze",
+                    path,
+                    exec::analyze_result(&report, &params, true),
+                ),
+            })
         },
     )
 }
 
-/// One file's output — exactly the historical single-file form.
-fn render(
-    path: &str,
-    engine: AnalyzeEngine,
-    bits: u8,
-    bins: usize,
-    format: Format,
-    reports: &[(String, NoiseReport)],
-) -> String {
-    match format {
-        Format::Human => {
-            let mut out = format!(
-                "{path}: engine {} · {} bits · {} bins\n",
-                engine.name(),
-                bits,
-                bins
-            );
-            if engine == AnalyzeEngine::Cartesian {
-                out.push_str("(value-uncertainty PDF of the outputs, not quantization noise)\n");
-            }
-            for (name, report) in reports {
-                out.push('\n');
-                out.push_str(&report_human(name, report, true));
-            }
-            out
-        }
-        Format::Json => Json::Obj(vec![
-            ("command".into(), Json::str("analyze")),
-            ("file".into(), Json::str(path)),
-            ("engine".into(), Json::str(engine.name())),
-            ("bits".into(), Json::int(bits as usize)),
-            ("bins".into(), Json::int(bins)),
-            (
-                "kind".into(),
-                Json::str(if engine == AnalyzeEngine::Cartesian {
-                    "value-pdf"
-                } else {
-                    "quantization-noise"
-                }),
-            ),
-            (
-                "reports".into(),
-                Json::Arr(
-                    reports
-                        .iter()
-                        .map(|(name, r)| exec::report_json(name, r, true))
-                        .collect(),
-                ),
-            ),
-        ])
-        .to_string(),
+/// One file's terminal output. The header names the *requested* engine
+/// (the JSON document names the one that ran).
+fn human(path: &str, params: &AnalyzeParams, reports: &[(String, NoiseReport)]) -> String {
+    let mut out = format!(
+        "{path}: engine {} · {} bits · {} bins\n",
+        params.engine.name(),
+        params.bits,
+        params.bins
+    );
+    if params.engine == AnalyzeEngine::Cartesian {
+        out.push_str("(value-uncertainty PDF of the outputs, not quantization noise)\n");
     }
+    for (name, report) in reports {
+        out.push('\n');
+        out.push_str(&report_human(name, report, true));
+    }
+    out
 }

@@ -9,7 +9,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use rand::{rngs::StdRng, Rng, SeedableRng};
-use sna_core::NoiseReport;
+use sna_core::{NoiseReport, SimOutput};
 use sna_hist::RenderOptions;
 use sna_lang::{render_all, Lowered};
 use sna_service::{CompileCache, CompiledEntry};
@@ -470,6 +470,50 @@ where
         return Err(CliError::BatchFailed(out));
     }
     Ok(out)
+}
+
+/// A verb's `--format json` document: the server's `result` object for
+/// the same request (rendered by `sna_service::exec`), with `command`
+/// and `file` in front.
+pub fn json_doc(command: &str, path: &str, result: Json) -> String {
+    let Json::Obj(fields) = result else {
+        unreachable!("exec renderers return objects");
+    };
+    let mut doc = vec![
+        ("command".into(), Json::str(command)),
+        ("file".into(), Json::str(path)),
+    ];
+    doc.extend(fields);
+    Json::Obj(doc).to_string()
+}
+
+/// Measured-vs-predicted outputs (of `simulate` and `trace`) in terminal
+/// form: each measured report with its PDF, then the prediction and the
+/// gaps where there are any.
+pub fn outputs_human(outputs: &[SimOutput]) -> String {
+    let rel_suffix =
+        |rel: Option<f64>| rel.map_or(String::new(), |r| format!(" ({:.2}% rel)", r * 100.0));
+    let mut out = String::new();
+    for output in outputs {
+        out.push('\n');
+        out.push_str(&report_human(&output.name, &output.empirical, true));
+        if let Some(predicted) = &output.predicted {
+            out.push_str(&format!(
+                "  predicted mean {:>13.6e} · variance {:>13.6e}\n",
+                predicted.mean, predicted.variance
+            ));
+        }
+        if let (Some(mg), Some(vg)) = (&output.mean_gap, &output.variance_gap) {
+            out.push_str(&format!(
+                "  gap       mean {:>13.6e}{} · variance {:>13.6e}{}\n",
+                mg.abs,
+                rel_suffix(mg.rel),
+                vg.abs,
+                rel_suffix(vg.rel),
+            ));
+        }
+    }
+    out
 }
 
 /// One noise report in terminal form, optionally with the ASCII PDF.

@@ -19,12 +19,12 @@
 
 use sna_hls::SynthesisConstraints;
 use sna_opt::{pareto_explore, Evaluation, ParetoOutcome, ParetoSweepSpec};
-use sna_service::exec::{self, OptimizeParams};
+use sna_service::exec::{self, OptimizeOutcome, OptimizeParams};
 use sna_service::CompileCache;
 
 use crate::common::{
-    collect_files, open_store, parse_format, parse_jobs, run_batch, unknown_flag, Args, CliError,
-    Format,
+    collect_files, json_doc, open_store, parse_format, parse_jobs, run_batch, unknown_flag, Args,
+    CliError, Format,
 };
 use crate::Json;
 
@@ -92,10 +92,7 @@ pub fn run(argv: &[String]) -> Result<String, CliError> {
     exec::validate_method(&params.method)
         .map_err(|e| CliError::Usage(format!("{e}\nusage: {USAGE}")))?;
     let (files, batch) = collect_files(args.files(), manifest.as_deref(), USAGE)?;
-    let store = match &store_dir {
-        Some(dir) => Some(open_store(dir)?),
-        None => None,
-    };
+    let store = store_dir.as_deref().map(open_store).transpose()?;
     run_batch(
         "optimize",
         files,
@@ -106,8 +103,8 @@ pub fn run(argv: &[String]) -> Result<String, CliError> {
         |path, entry| {
             let out = exec::optimize(&entry.session, &params).map_err(CliError::Failed)?;
             Ok(match format {
-                Format::Human => human(path, out.budget, &out.reference, &out.results),
-                Format::Json => json(path, out.budget, &out.reference, &out.results).to_string(),
+                Format::Human => human(path, &out),
+                Format::Json => json_doc("optimize", path, exec::optimize_result(&out)),
             })
         },
     )
@@ -213,12 +210,12 @@ fn eval_human(tag: &str, e: &Evaluation) -> String {
     )
 }
 
-fn human(
-    path: &str,
-    budget: f64,
-    reference: &Evaluation,
-    results: &[(String, Evaluation)],
-) -> String {
+fn human(path: &str, outcome: &OptimizeOutcome) -> String {
+    let OptimizeOutcome {
+        budget,
+        reference,
+        results,
+    } = outcome;
     let mut out = format!("{path}: noise budget {budget:.6e}\n\n");
     out.push_str(&eval_human("reference", reference));
     for (name, e) in results {
@@ -235,22 +232,4 @@ fn human(
         ));
     }
     out
-}
-
-fn json(path: &str, budget: f64, reference: &Evaluation, results: &[(String, Evaluation)]) -> Json {
-    Json::Obj(vec![
-        ("command".into(), Json::str("optimize")),
-        ("file".into(), Json::str(path)),
-        ("budget".into(), Json::Num(budget)),
-        ("reference".into(), exec::eval_json(reference)),
-        (
-            "results".into(),
-            Json::Obj(
-                results
-                    .iter()
-                    .map(|(name, e)| (name.clone(), exec::eval_json(e)))
-                    .collect(),
-            ),
-        ),
-    ])
 }

@@ -4,8 +4,7 @@
 use sna_lang::Lowered;
 use sna_service::exec;
 
-use crate::common::{load, parse_format, unknown_flag, Args, CliError, Format};
-use crate::Json;
+use crate::common::{json_doc, load, parse_format, unknown_flag, Args, CliError, Format};
 
 const USAGE: &str = "sna parse <file>.sna [--dot | --canon] [--format human|json]";
 
@@ -47,7 +46,11 @@ pub fn run(argv: &[String]) -> Result<String, CliError> {
     }
     Ok(match format {
         Format::Human => human(path, &lowered),
-        Format::Json => json(path, &lowered).to_string(),
+        Format::Json => json_doc(
+            "parse",
+            path,
+            exec::parse_result(&lowered.dfg, &lowered.input_ranges),
+        ),
     })
 }
 
@@ -92,14 +95,4 @@ fn human(path: &str, lowered: &Lowered) -> String {
         out.push_str(&format!("  output {name} = node {node}\n"));
     }
     out
-}
-
-fn json(path: &str, lowered: &Lowered) -> Json {
-    let mut fields = vec![
-        ("command".into(), Json::str("parse")),
-        ("file".into(), Json::str(path)),
-        ("ok".into(), Json::Bool(true)),
-    ];
-    fields.extend(exec::parse_facts_json(&lowered.dfg, &lowered.input_ranges));
-    Json::Obj(fields)
 }

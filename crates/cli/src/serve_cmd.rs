@@ -14,7 +14,9 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use sna_service::{CompileCache, Counter, ExecLimits, FaultPlan, ServerConfig, StatsRegistry};
+use sna_service::{
+    CompileCache, Counter, ExecLimits, FaultPlan, Handler, Peer, ServerConfig, StatsRegistry,
+};
 
 use crate::common::{open_store, unknown_flag, Args, CliError};
 
@@ -98,21 +100,18 @@ pub fn run(argv: &[String]) -> Result<String, CliError> {
     match listen {
         None => {
             let cache = new_cache();
-            let stats = StatsRegistry::new();
-            let limits = ExecLimits {
-                request_timeout: config.request_timeout,
-                pre_cancelled: false,
+            let handler = Handler {
+                cache: &cache,
+                stats: &StatsRegistry::new(),
+                limits: ExecLimits {
+                    request_timeout: config.request_timeout,
+                    pre_cancelled: false,
+                },
+                peer: Peer::Trusted,
             };
-            let stdin = std::io::stdin();
-            let stdout = std::io::stdout();
-            let report = sna_service::serve_stats_limited(
-                stdin.lock(),
-                stdout.lock(),
-                &cache,
-                &stats,
-                &limits,
-            )
-            .map_err(|e| CliError::failed(format!("serve failed: {e}")))?;
+            let report = handler
+                .serve(std::io::stdin().lock(), std::io::stdout().lock())
+                .map_err(|e| CliError::failed(format!("serve failed: {e}")))?;
             let cache_stats = cache.stats();
             // The protocol owns stdout; the sign-off goes to stderr.
             eprintln!(

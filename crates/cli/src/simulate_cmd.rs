@@ -18,10 +18,9 @@ use sna_core::SimReport;
 use sna_service::exec::{self, SimulateParams};
 
 use crate::common::{
-    collect_files, open_store, parse_format, parse_jobs, report_human, run_batch, unknown_flag,
-    Args, CliError, Format,
+    collect_files, json_doc, open_store, outputs_human, parse_format, parse_jobs, run_batch,
+    unknown_flag, Args, CliError, Format,
 };
-use crate::Json;
 
 const USAGE: &str = "sna simulate <file>.sna... [--manifest list.txt] [--jobs N] \
                      [--bits N] [--bins N] [--paths N] [--seed N] [--steps N] \
@@ -52,10 +51,7 @@ pub fn run(argv: &[String]) -> Result<String, CliError> {
         }
     }
     let (files, batch) = collect_files(args.files(), manifest.as_deref(), USAGE)?;
-    let store = match &store_dir {
-        Some(dir) => Some(open_store(dir)?),
-        None => None,
-    };
+    let store = store_dir.as_deref().map(open_store).transpose()?;
     run_batch(
         "simulate",
         files,
@@ -65,61 +61,31 @@ pub fn run(argv: &[String]) -> Result<String, CliError> {
         store,
         |path, entry| {
             let report = exec::simulate(entry, &params).map_err(CliError::Failed)?;
-            Ok(render(path, &params, format, &report))
+            Ok(match format {
+                Format::Human => human(path, &params, &report),
+                Format::Json => json_doc(
+                    "simulate",
+                    path,
+                    exec::simulate_result(&report, &params, true),
+                ),
+            })
         },
     )
 }
 
-/// One file's output — exactly the historical single-file form.
-fn render(path: &str, params: &SimulateParams, format: Format, report: &SimReport) -> String {
-    match format {
-        Format::Human => {
-            let mut out = format!(
-                "{path}: simulate · {} bits · {} paths × {} steps ({} warmup) · seed {:#x}\n",
-                params.bits, report.paths, report.steps, report.warmup, report.seed
-            );
-            match report.predicted_by {
-                Some(engine) => out.push_str(&format!(
-                    "predicted by the `{}` engine; gaps are empirical − predicted\n",
-                    engine.name()
-                )),
-                None => out.push_str("no analytic model applies; empirical numbers only\n"),
-            }
-            for output in &report.outputs {
-                out.push('\n');
-                out.push_str(&report_human(&output.name, &output.empirical, true));
-                if let Some(predicted) = &output.predicted {
-                    out.push_str(&format!(
-                        "  predicted mean {:>13.6e} · variance {:>13.6e}\n",
-                        predicted.mean, predicted.variance
-                    ));
-                }
-                if let (Some(mg), Some(vg)) = (&output.mean_gap, &output.variance_gap) {
-                    out.push_str(&format!(
-                        "  gap       mean {:>13.6e}{} · variance {:>13.6e}{}\n",
-                        mg.abs,
-                        rel_suffix(mg.rel),
-                        vg.abs,
-                        rel_suffix(vg.rel),
-                    ));
-                }
-            }
-            out
-        }
-        Format::Json => {
-            let mut fields = vec![
-                ("command".into(), Json::str("simulate")),
-                ("file".into(), Json::str(path)),
-                ("engine".into(), Json::str("simulate")),
-                ("bits".into(), Json::int(params.bits as usize)),
-                ("bins".into(), Json::int(params.bins)),
-            ];
-            fields.extend(exec::simulate_json_fields(report, true));
-            Json::Obj(fields).to_string()
-        }
+/// One file's terminal output.
+fn human(path: &str, params: &SimulateParams, report: &SimReport) -> String {
+    let mut out = format!(
+        "{path}: simulate · {} bits · {} paths × {} steps ({} warmup) · seed {:#x}\n",
+        params.bits, report.paths, report.steps, report.warmup, report.seed
+    );
+    match report.predicted_by {
+        Some(engine) => out.push_str(&format!(
+            "predicted by the `{}` engine; gaps are empirical − predicted\n",
+            engine.name()
+        )),
+        None => out.push_str("no analytic model applies; empirical numbers only\n"),
     }
-}
-
-fn rel_suffix(rel: Option<f64>) -> String {
-    rel.map_or(String::new(), |r| format!(" ({:.2}% rel)", r * 100.0))
+    out.push_str(&outputs_human(&report.outputs));
+    out
 }

@@ -5,8 +5,7 @@ use sna_core::Session;
 use sna_hls::SynthesisConstraints;
 use sna_service::exec;
 
-use crate::common::{load, parse_format, unknown_flag, Args, CliError, Format};
-use crate::Json;
+use crate::common::{json_doc, load, parse_format, unknown_flag, Args, CliError, Format};
 
 const USAGE: &str = "sna synth <file>.sna [--bits N] [--clock NS] [--format human|json]";
 
@@ -50,14 +49,6 @@ pub fn run(argv: &[String]) -> Result<String, CliError> {
             cost.energy_per_sample_pj,
             imp.schedule.n_ops(),
         ),
-        Format::Json => Json::Obj(vec![
-            ("command".into(), Json::str("synth")),
-            ("file".into(), Json::str(path)),
-            ("bits".into(), Json::int(bits as usize)),
-            ("clock_ns".into(), Json::Num(clock)),
-            ("cost".into(), exec::cost_json(cost)),
-            ("scheduled_ops".into(), Json::int(imp.schedule.n_ops())),
-        ])
-        .to_string(),
+        Format::Json => json_doc("synth", path, exec::synth_result(bits, clock, &imp)),
     })
 }

@@ -18,18 +18,15 @@
 //! program fingerprint × trace content), alongside the compile cache's
 //! usual skeleton spill.
 
-use std::sync::Arc;
-
 use sna_core::TraceReport;
 use sna_service::exec::{self, TraceParams};
 use sna_store::{fnv1a_64, Store, WireWriter};
 use sna_trace::TraceLimits;
 
 use crate::common::{
-    collect_files, open_store, parse_format, parse_jobs, report_human, run_batch, unknown_flag,
-    Args, CliError, Format,
+    collect_files, json_doc, open_store, outputs_human, parse_format, parse_jobs, run_batch,
+    unknown_flag, Args, CliError, Format,
 };
-use crate::Json;
 
 const USAGE: &str = "sna trace <fit|replay|report> <file>.sna... --trace data.csv \
                      [--manifest list.txt] [--jobs N] [--bits N] [--bins N] \
@@ -40,35 +37,6 @@ const TRACEFIT_KIND: &str = "tracefit";
 
 /// Version tag leading every `tracefit` payload.
 const TRACEFIT_VERSION: u32 = 1;
-
-/// The three subverbs.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Mode {
-    Fit,
-    Replay,
-    Report,
-}
-
-impl Mode {
-    fn parse(raw: &str) -> Result<Mode, CliError> {
-        match raw {
-            "fit" => Ok(Mode::Fit),
-            "replay" => Ok(Mode::Replay),
-            "report" => Ok(Mode::Report),
-            other => Err(CliError::Usage(format!(
-                "unknown trace mode `{other}` (expected fit, replay or report)\nusage: {USAGE}"
-            ))),
-        }
-    }
-
-    fn name(self) -> &'static str {
-        match self {
-            Mode::Fit => "fit",
-            Mode::Replay => "replay",
-            Mode::Report => "report",
-        }
-    }
-}
 
 /// Runs the subcommand.
 pub fn run(argv: &[String]) -> Result<String, CliError> {
@@ -93,13 +61,17 @@ pub fn run(argv: &[String]) -> Result<String, CliError> {
             other => return Err(unknown_flag(other, USAGE)),
         }
     }
-    let Some((mode_raw, file_args)) = args.files().split_first() else {
+    let Some((&mode, file_args)) = args.files().split_first() else {
         return Err(CliError::Usage(format!(
             "missing <fit|replay|report> mode\nusage: {USAGE}"
         )));
     };
-    let mode = Mode::parse(mode_raw)?;
-    params.predict = mode == Mode::Report;
+    if !matches!(mode, "fit" | "replay" | "report") {
+        return Err(CliError::Usage(format!(
+            "unknown trace mode `{mode}` (expected fit, replay or report)\nusage: {USAGE}"
+        )));
+    }
+    params.predict = mode == "report";
     let Some(trace_path) = trace_path else {
         return Err(CliError::Usage(format!(
             "missing --trace data.csv\nusage: {USAGE}"
@@ -111,10 +83,7 @@ pub fn run(argv: &[String]) -> Result<String, CliError> {
     // The fitted-range spill target: the SAME handle the batch's compile
     // cache spills through — a second handle on the directory would
     // clobber the index entries the other one wrote.
-    let fit_store: Option<Arc<Store>> = match &store_dir {
-        Some(dir) => Some(open_store(dir)?),
-        None => None,
-    };
+    let fit_store = store_dir.as_deref().map(open_store).transpose()?;
     let csv_key = fnv1a_64(csv.as_bytes());
     run_batch(
         "trace",
@@ -132,14 +101,22 @@ pub fn run(argv: &[String]) -> Result<String, CliError> {
             if let Some(store) = &fit_store {
                 spill_fit(store, entry.fingerprint ^ csv_key, &fit);
             }
-            match mode {
-                Mode::Fit => Ok(render_fit(path, &trace, params.bins, format, &fit)),
-                Mode::Replay | Mode::Report => {
-                    let report =
-                        exec::trace_report(entry, &trace, &params).map_err(CliError::Failed)?;
-                    Ok(render(path, mode, &params, format, &report))
-                }
+            if mode == "fit" {
+                return Ok(match format {
+                    Format::Human => fit_human(path, &trace, params.bins, &fit),
+                    Format::Json => json_doc(
+                        "trace",
+                        path,
+                        exec::trace_fit_result(&trace, params.bins, &fit, true),
+                    ),
+                });
             }
+            let report =
+                exec::trace_report(entry, &trace, &params, &budget).map_err(CliError::Failed)?;
+            Ok(match format {
+                Format::Human => human(path, mode, &params, &report),
+                Format::Json => json_doc("trace", path, exec::trace_result(&report, &params, true)),
+            })
         },
     )
 }
@@ -163,115 +140,48 @@ fn spill_fit(store: &Store, key: u64, fit: &[sna_core::TraceInputFit]) {
     let _ = store.put(TRACEFIT_KIND, key, &w.finish());
 }
 
-/// One file's `fit` output.
-fn render_fit(
+/// One file's `fit` output in terminal form.
+fn fit_human(
     path: &str,
     trace: &sna_trace::Trace,
     bins: usize,
-    format: Format,
     fit: &[sna_core::TraceInputFit],
 ) -> String {
-    match format {
-        Format::Human => {
-            let mut out = format!(
-                "{path}: trace fit · {} row(s) · {} skipped · {} bins\n",
-                trace.rows(),
-                trace.skipped(),
-                bins
-            );
-            for f in fit {
-                out.push_str(&format!(
-                    "input `{}`\n  samples   {:>13}\n  mean      {:>13.6e}\n  \
-                     variance  {:>13.6e}\n  range     [{:.6e}, {:.6e}]\n",
-                    f.name,
-                    f.samples,
-                    f.mean,
-                    f.variance,
-                    f.range.lo(),
-                    f.range.hi(),
-                ));
-            }
-            out
-        }
-        Format::Json => {
-            let fields = vec![
-                ("command".into(), Json::str("trace")),
-                ("file".into(), Json::str(path)),
-                ("engine".into(), Json::str("trace")),
-                ("mode".into(), Json::str("fit")),
-                ("bins".into(), Json::int(bins)),
-                ("rows".into(), Json::int(trace.rows())),
-                ("skipped".into(), Json::int(trace.skipped())),
-                ("fit".into(), exec::trace_fit_json(fit, true)),
-            ];
-            Json::Obj(fields).to_string()
-        }
+    let mut out = format!(
+        "{path}: trace fit · {} row(s) · {} skipped · {} bins\n",
+        trace.rows(),
+        trace.skipped(),
+        bins
+    );
+    for f in fit {
+        out.push_str(&format!(
+            "input `{}`\n  samples   {:>13}\n  mean      {:>13.6e}\n  \
+             variance  {:>13.6e}\n  range     [{:.6e}, {:.6e}]\n",
+            f.name,
+            f.samples,
+            f.mean,
+            f.variance,
+            f.range.lo(),
+            f.range.hi(),
+        ));
     }
+    out
 }
 
-/// One file's `replay`/`report` output — the JSON shape matches the
-/// server's `trace` verb field-for-field (plus `command`/`file`).
-fn render(
-    path: &str,
-    mode: Mode,
-    params: &TraceParams,
-    format: Format,
-    report: &TraceReport,
-) -> String {
-    match format {
-        Format::Human => {
-            let mut out = format!(
-                "{path}: trace {} · {} bits · {} row(s) · {} skipped · {} warmup\n",
-                mode.name(),
-                params.bits,
-                report.rows,
-                report.skipped,
-                report.warmup
-            );
-            match report.predicted_by {
-                Some(engine) => out.push_str(&format!(
-                    "predicted by the `{}` engine over the fitted ranges; \
-                     gaps are measured − predicted\n",
-                    engine.name()
-                )),
-                None => out.push_str("measured numbers only (no analytic prediction)\n"),
-            }
-            for output in &report.outputs {
-                out.push('\n');
-                out.push_str(&report_human(&output.name, &output.empirical, true));
-                if let Some(predicted) = &output.predicted {
-                    out.push_str(&format!(
-                        "  predicted mean {:>13.6e} · variance {:>13.6e}\n",
-                        predicted.mean, predicted.variance
-                    ));
-                }
-                if let (Some(mg), Some(vg)) = (&output.mean_gap, &output.variance_gap) {
-                    out.push_str(&format!(
-                        "  gap       mean {:>13.6e}{} · variance {:>13.6e}{}\n",
-                        mg.abs,
-                        rel_suffix(mg.rel),
-                        vg.abs,
-                        rel_suffix(vg.rel),
-                    ));
-                }
-            }
-            out
-        }
-        Format::Json => {
-            let mut fields = vec![
-                ("command".into(), Json::str("trace")),
-                ("file".into(), Json::str(path)),
-                ("engine".into(), Json::str("trace")),
-                ("mode".into(), Json::str(mode.name())),
-                ("bits".into(), Json::int(params.bits as usize)),
-                ("bins".into(), Json::int(params.bins)),
-            ];
-            fields.extend(exec::trace_json_fields(report, true));
-            Json::Obj(fields).to_string()
-        }
+/// One file's `replay`/`report` output in terminal form.
+fn human(path: &str, mode: &str, params: &TraceParams, report: &TraceReport) -> String {
+    let mut out = format!(
+        "{path}: trace {mode} · {} bits · {} row(s) · {} skipped · {} warmup\n",
+        params.bits, report.rows, report.skipped, report.warmup
+    );
+    match report.predicted_by {
+        Some(engine) => out.push_str(&format!(
+            "predicted by the `{}` engine over the fitted ranges; \
+             gaps are measured − predicted\n",
+            engine.name()
+        )),
+        None => out.push_str("measured numbers only (no analytic prediction)\n"),
     }
-}
-
-fn rel_suffix(rel: Option<f64>) -> String {
-    rel.map_or(String::new(), |r| format!(" ({:.2}% rel)", r * 100.0))
+    out.push_str(&outputs_human(&report.outputs));
+    out
 }

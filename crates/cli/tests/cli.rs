@@ -5,6 +5,7 @@
 use std::path::PathBuf;
 
 use sna_cli::{run, CliError};
+use sna_service::{CompileCache, ExecLimits, Handler, Json, Peer, StatsRegistry};
 
 fn argv(parts: &[&str]) -> Vec<String> {
     parts.iter().map(|s| s.to_string()).collect()
@@ -369,4 +370,98 @@ fn serve_rejects_stray_arguments_but_appears_in_help() {
         other => panic!("unexpected {other:?}"),
     }
     assert!(run(&argv(&["help"])).unwrap().contains("serve"));
+}
+
+/// `json` without the members named in `drop` at the top level and
+/// without `elapsed_us` (wall-clock time) at any depth.
+fn without(json: Json, drop: &[&str]) -> Json {
+    match json {
+        Json::Obj(fields) => Json::Obj(
+            fields
+                .into_iter()
+                .filter(|(k, _)| k != "elapsed_us" && !drop.contains(&k.as_str()))
+                .map(|(k, v)| (k, without(v, &[])))
+                .collect(),
+        ),
+        Json::Arr(items) => Json::Arr(items.into_iter().map(|v| without(v, &[])).collect()),
+        other => other,
+    }
+}
+
+#[test]
+fn cli_json_is_the_server_result_on_every_example() {
+    let cache = CompileCache::new();
+    let stats = StatsRegistry::new();
+    let handler = Handler {
+        cache: &cache,
+        stats: &stats,
+        limits: ExecLimits::default(),
+        peer: Peer::Trusted,
+    };
+    let csv = "x\n0.5\n-0.25\n0.75\n-0.5\n0.125\n-0.875\n0.25\n0.0\n";
+    let csv_path = std::env::temp_dir().join("sna-cli-test-server-parity.csv");
+    std::fs::write(&csv_path, csv).unwrap();
+    let csv_path = csv_path.to_string_lossy().into_owned();
+
+    let mut names: Vec<String> = std::fs::read_dir(example(""))
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .filter(|n| n.ends_with(".sna"))
+        .collect();
+    names.sort();
+    assert!(names.len() >= 4, "{names:?}");
+    for name in names {
+        let path = example(&name);
+        let source = std::fs::read_to_string(&path).unwrap();
+        // (CLI argv before the file, CLI flags after it, the request
+        // without its source).
+        let mut cases = vec![
+            (vec!["parse"], vec![], r#"{"cmd":"parse"}"#.to_string()),
+            (vec!["analyze"], vec![], r#"{"cmd":"analyze"}"#.to_string()),
+            (
+                vec!["analyze"],
+                vec!["--engine", "dfg", "--bits", "10"],
+                r#"{"cmd":"analyze","engine":"dfg","bits":10}"#.to_string(),
+            ),
+            (
+                vec!["simulate"],
+                vec!["--paths", "2000", "--seed", "7"],
+                r#"{"cmd":"simulate","paths":2000,"seed":7}"#.to_string(),
+            ),
+            (
+                vec!["optimize"],
+                vec!["--method", "greedy"],
+                r#"{"cmd":"optimize","method":"greedy"}"#.to_string(),
+            ),
+            (vec!["synth"], vec![], r#"{"cmd":"synth"}"#.to_string()),
+        ];
+        if name == "fir.sna" {
+            let trace = Json::str(csv).to_compact();
+            cases.push((
+                vec!["trace", "report"],
+                vec!["--trace", &csv_path],
+                format!(r#"{{"cmd":"trace","mode":"report","trace":{trace}}}"#),
+            ));
+        }
+        for (verb, flags, request) in cases {
+            let cli_args = [&verb[..], &[path.as_str()], &flags, &["--format", "json"]].concat();
+            let Json::Obj(mut request) = Json::parse(&request).unwrap() else {
+                unreachable!("requests are objects");
+            };
+            request.push(("source".into(), Json::str(source.clone())));
+            let response = handler.handle(&Json::Obj(request).to_compact());
+            let response = Json::parse(&response.to_compact()).unwrap();
+            let tag = format!("{name} {verb:?} {flags:?}");
+            let out = run(&argv(&cli_args)).unwrap_or_else(|e| panic!("{tag}: {e}"));
+            let cli = without(Json::parse(&out).unwrap(), &["command", "file"]);
+            let result = response
+                .get("result")
+                .unwrap_or_else(|| panic!("{tag}: {response}"));
+            assert_eq!(
+                cli.to_compact(),
+                without(result.clone(), &[]).to_compact(),
+                "{tag}"
+            );
+        }
+    }
 }

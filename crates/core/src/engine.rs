@@ -27,9 +27,91 @@ use sna_fixp::WlConfig;
 use sna_interval::Interval;
 
 use crate::{
-    Budget, CartesianEngine, DfgEngine, EngineKind, EngineOptions, NoiseReport, Session, SnaError,
+    Budget, CartesianEngine, DfgEngine, EngineOptions, NoiseReport, Session, SnaError,
     SymbolicEngine, SymbolicOptions, UncertainInput,
 };
+
+/// Which analysis engine to run.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
+pub enum EngineKind {
+    /// Choose automatically: LTI for sequential linear graphs, the DFG
+    /// histogram engine otherwise.
+    #[default]
+    Auto,
+    /// Op-by-op histogram propagation ([`crate::DfgEngine`]).
+    Dfg,
+    /// LTI gains + CLT shaping ([`crate::LtiEngine`]); linear graphs only.
+    Lti,
+    /// Polynomial propagation ([`crate::SymbolicEngine`]); combinational
+    /// only.
+    Symbolic,
+    /// Classical NA baseline (moments only, no PDF).
+    Na,
+    /// The paper's Section-4 exact algorithm over the inputs' *value*
+    /// uncertainty ([`crate::CartesianEngine`]); characterizes the output
+    /// PDF rather than quantization noise.
+    Cartesian,
+    /// Vectorized Monte-Carlo simulation over the compiled bytecode
+    /// program ([`crate::SimulateEngine`]): *empirical* per-output error
+    /// statistics rather than a model prediction. Never chosen by
+    /// `Auto`.
+    Simulate,
+}
+
+impl EngineKind {
+    /// Parses the `--engine` / `"engine"` selector.
+    ///
+    /// # Errors
+    ///
+    /// A usage-style message listing the accepted names.
+    pub fn parse(raw: &str) -> Result<Self, String> {
+        Ok(match raw {
+            "auto" => EngineKind::Auto,
+            "na" => EngineKind::Na,
+            "dfg" => EngineKind::Dfg,
+            "lti" => EngineKind::Lti,
+            "symbolic" => EngineKind::Symbolic,
+            "cartesian" => EngineKind::Cartesian,
+            "simulate" => EngineKind::Simulate,
+            other => {
+                return Err(format!(
+                    "unknown engine `{other}` (expected auto, na, dfg, lti, symbolic, cartesian \
+                     or simulate)"
+                ))
+            }
+        })
+    }
+
+    /// The selector's wire/CLI name.
+    #[must_use]
+    pub fn name(self) -> &'static str {
+        match self {
+            EngineKind::Auto => "auto",
+            EngineKind::Na => "na",
+            EngineKind::Dfg => "dfg",
+            EngineKind::Lti => "lti",
+            EngineKind::Symbolic => "symbolic",
+            EngineKind::Cartesian => "cartesian",
+            EngineKind::Simulate => "simulate",
+        }
+    }
+
+    /// The engine implementing this selector — `None` for
+    /// [`EngineKind::Auto`], which must be resolved against a session
+    /// first (see [`Session::resolve_engine`]).
+    #[must_use]
+    pub fn engine(self) -> Option<&'static dyn Engine> {
+        match self {
+            EngineKind::Auto => None,
+            EngineKind::Na => Some(&NA),
+            EngineKind::Lti => Some(&LTI),
+            EngineKind::Dfg => Some(&DFG),
+            EngineKind::Symbolic => Some(&SYMBOLIC),
+            EngineKind::Cartesian => Some(&CARTESIAN),
+            EngineKind::Simulate => Some(&SIMULATE),
+        }
+    }
+}
 
 /// How the word lengths of an analysis are specified.
 #[derive(Clone, Debug)]
@@ -399,27 +481,134 @@ static SYMBOLIC: SymbolicNoiseEngine = SymbolicNoiseEngine;
 static CARTESIAN: CartesianValueEngine = CartesianValueEngine;
 static SIMULATE: SimulateEngine = SimulateEngine;
 
-impl EngineKind {
-    /// The engine implementing this selector — `None` for
-    /// [`EngineKind::Auto`], which must be resolved against a session
-    /// first (see [`Session::resolve_engine`]).
-    #[must_use]
-    pub fn engine(self) -> Option<&'static dyn Engine> {
-        match self {
-            EngineKind::Auto => None,
-            EngineKind::Na => Some(&NA),
-            EngineKind::Lti => Some(&LTI),
-            EngineKind::Dfg => Some(&DFG),
-            EngineKind::Symbolic => Some(&SYMBOLIC),
-            EngineKind::Cartesian => Some(&CARTESIAN),
-            EngineKind::Simulate => Some(&SIMULATE),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::NaModel;
+    use sna_dfg::{Dfg, DfgBuilder};
+
+    fn iv(lo: f64, hi: f64) -> Interval {
+        Interval::new(lo, hi).unwrap()
+    }
+
+    /// One analysis of `dfg` under an explicit configuration through a
+    /// fresh session.
+    fn analyze(
+        dfg: &Dfg,
+        config: &WlConfig,
+        ranges: &[Interval],
+        engine: EngineKind,
+    ) -> Result<Vec<(String, NoiseReport)>, SnaError> {
+        let session = Session::new(dfg.clone(), ranges.to_vec())?;
+        let req = AnalysisRequest {
+            engine,
+            words: WlChoice::Config(config.clone()),
+            ..AnalysisRequest::default()
+        };
+        Ok(session.analyze(&req)?.reports)
+    }
+
+    fn linear_tree() -> Dfg {
+        // A fanout-free tree: every engine's independence assumptions are
+        // exact here, so all four must agree.
+        let mut b = DfgBuilder::new();
+        let x1 = b.input("x1");
+        let x2 = b.input("x2");
+        let t1 = b.mul_const(0.3, x1);
+        let t2 = b.mul_const(0.6, x2);
+        let y = b.add(t1, t2);
+        b.output("y", y);
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn all_engines_agree_on_moments_for_linear_graphs() {
+        let g = linear_tree();
+        let ranges = [iv(-1.0, 1.0), iv(-1.0, 1.0)];
+        let cfg = WlConfig::from_ranges(&g, &ranges, 10).unwrap();
+        let mut variances = Vec::new();
+        for kind in [
+            EngineKind::Dfg,
+            EngineKind::Lti,
+            EngineKind::Symbolic,
+            EngineKind::Na,
+        ] {
+            let r = analyze(&g, &cfg, &ranges, kind).unwrap();
+            variances.push(r[0].1.variance);
+        }
+        let reference = variances[3]; // NA is the analytic baseline here
+        for (i, v) in variances.iter().enumerate() {
+            assert!(
+                (v / reference - 1.0).abs() < 0.25,
+                "engine {i} variance {v} vs reference {reference}"
+            );
+        }
+    }
+
+    #[test]
+    fn auto_prefers_lti_for_sequential_linear() {
+        let mut b = DfgBuilder::new();
+        let x = b.input("x");
+        let fb = b.delay_placeholder();
+        let t = b.mul_const(0.5, fb);
+        let y = b.add(x, t);
+        b.bind_delay(fb, y).unwrap();
+        b.output("y", y);
+        let g = b.build().unwrap();
+        let ranges = [iv(-0.4, 0.4)];
+        let cfg = WlConfig::from_ranges(&g, &ranges, 12).unwrap();
+        let r = analyze(&g, &cfg, &ranges, EngineKind::Auto).unwrap();
+        // PDF attached ⇒ the LTI engine ran (NA would not attach one).
+        assert!(r[0].1.histogram.is_some());
+    }
+
+    #[test]
+    fn auto_falls_back_to_dfg_for_nonlinear_combinational() {
+        let mut b = DfgBuilder::new();
+        let x = b.input("x");
+        let y = b.mul(x, x);
+        b.output("y", y);
+        let g = b.build().unwrap();
+        let ranges = [iv(-1.0, 1.0)];
+        let cfg = WlConfig::from_ranges(&g, &ranges, 10).unwrap();
+        let r = analyze(&g, &cfg, &ranges, EngineKind::Auto).unwrap();
+        assert!(r[0].1.variance > 0.0);
+    }
+
+    #[test]
+    fn auto_rejects_nonlinear_sequential() {
+        let mut b = DfgBuilder::new();
+        let x = b.input("x");
+        let fb = b.delay_placeholder();
+        let sq = b.mul(fb, fb);
+        let scaled = b.mul_const(0.1, sq);
+        let y = b.add(x, scaled);
+        b.bind_delay(fb, y).unwrap();
+        b.output("y", y);
+        let g = b.build().unwrap();
+        let ranges = [iv(-0.5, 0.5)];
+        let cfg = WlConfig::from_ranges(&g, &ranges, 12).unwrap();
+        assert!(matches!(
+            analyze(&g, &cfg, &ranges, EngineKind::Auto),
+            Err(SnaError::SequentialGraph)
+        ));
+    }
+
+    #[test]
+    fn engine_types_are_send_and_sync() {
+        // The service layer shares compiled graphs and models across a
+        // thread pool behind `Arc`s; that is only sound if these stay
+        // `Send + Sync`. A compile-time check, phrased as a test.
+        fn assert_send_sync<T: Send + Sync>() {}
+        assert_send_sync::<Dfg>();
+        assert_send_sync::<WlConfig>();
+        assert_send_sync::<NaModel>();
+        assert_send_sync::<NoiseReport>();
+        assert_send_sync::<crate::LtiEngine>();
+        assert_send_sync::<DfgEngine>();
+        assert_send_sync::<SymbolicEngine>();
+        assert_send_sync::<CartesianEngine>();
+    }
 
     #[test]
     fn every_concrete_kind_has_an_engine_with_matching_identity() {

@@ -56,7 +56,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod analysis;
 mod budget;
 mod cartesian;
 mod dfg_engine;
@@ -71,11 +70,12 @@ mod sources;
 mod symbolic;
 mod trace;
 
-pub use analysis::{EngineKind, SnaAnalysis};
 pub use budget::Budget;
 pub use cartesian::{CartesianEngine, UncertainInput};
 pub use dfg_engine::{DfgEngine, EngineOptions, HistMemo, Uncertain, Value};
-pub use engine::{AnalysisReport, AnalysisRequest, Engine, ReportKind, SimulateEngine, WlChoice};
+pub use engine::{
+    AnalysisReport, AnalysisRequest, Engine, EngineKind, ReportKind, SimulateEngine, WlChoice,
+};
 pub use error::SnaError;
 pub use lti_engine::LtiEngine;
 pub use na::{CoeffKind, CoeffSite, GainPatch, NaModel};

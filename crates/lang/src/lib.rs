@@ -15,7 +15,7 @@
 //!
 //! [`compile`] turns that source into a [`Lowered`] — a validated
 //! [`sna_dfg::Dfg`] plus per-input ranges — ready for every analysis
-//! entry point in the workspace (`SnaAnalysis`, `Optimizer`,
+//! entry point in the workspace (`Session`, `Optimizer`,
 //! `synthesize`, `monte_carlo_error`). The `sna` CLI (crate `sna-cli`)
 //! wraps exactly this pipeline.
 //!

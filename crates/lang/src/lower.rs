@@ -19,8 +19,7 @@ pub const MAX_PROGRAM_INPUTS: usize = 16_384;
 
 /// The product of lowering: a validated graph plus per-input ranges, in
 /// input-declaration order — exactly the pair every analysis entry point
-/// (`Session`, `SnaAnalysis`, `Optimizer`, `synthesize`,
-/// `monte_carlo_error`) takes.
+/// (`Session`, `Optimizer`, `synthesize`, `monte_carlo_error`) takes.
 #[derive(Clone, Debug)]
 pub struct Lowered {
     /// The validated dataflow graph.

@@ -44,7 +44,7 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
-use sna_core::{NaModel, Session};
+use sna_core::Session;
 use sna_lang::{fnv1a_64, Diagnostic, Lowered};
 use sna_store::{Store, WireReader, WireWriter};
 
@@ -78,11 +78,7 @@ impl CompiledEntry {
         let shape_fingerprint = lowered.shape_fingerprint();
         let session = Session::new(lowered.dfg, lowered.input_ranges)
             .expect("lowering guarantees input/range consistency");
-        CompiledEntry {
-            session: Arc::new(session),
-            fingerprint,
-            shape_fingerprint,
-        }
+        Self::from_session(session, fingerprint, shape_fingerprint)
     }
 
     /// Wraps a session produced by coefficient-level reuse.
@@ -92,28 +88,6 @@ impl CompiledEntry {
             fingerprint,
             shape_fingerprint,
         }
-    }
-
-    /// The NA model for this program, built on first use and shared
-    /// afterwards. The build is the expensive one-off (impulse-response
-    /// analysis per potential noise source); evaluation against a
-    /// word-length configuration is `O(#sources)`.
-    ///
-    /// # Errors
-    ///
-    /// The model build's failure, rendered (e.g. the graph is nonlinear);
-    /// the error is cached too, so repeat requests fail fast.
-    pub fn na_model(&self) -> Result<Arc<NaModel>, String> {
-        self.session
-            .na_model()
-            .map_err(|e| format!("cannot build the NA model: {e}"))
-    }
-
-    /// Whether the NA model has been built (hit/miss accounting for
-    /// callers that report model-level caching).
-    #[must_use]
-    pub fn na_model_built(&self) -> bool {
-        self.session.na_model_built()
     }
 }
 
@@ -740,10 +714,10 @@ mod tests {
     fn na_model_is_built_once_and_shared() {
         let cache = CompileCache::new();
         let (entry, _) = cache.get_or_compile(SRC).unwrap();
-        assert!(!entry.na_model_built());
-        let a = entry.na_model().unwrap();
-        assert!(entry.na_model_built());
-        let b = entry.na_model().unwrap();
+        assert!(!entry.session.na_model_built());
+        let a = entry.session.na_model().unwrap();
+        assert!(entry.session.na_model_built());
+        let b = entry.session.na_model().unwrap();
         assert!(Arc::ptr_eq(&a, &b));
     }
 
@@ -751,7 +725,7 @@ mod tests {
     fn nonlinear_graphs_report_a_model_error_without_poisoning_compile() {
         let cache = CompileCache::new();
         let (entry, _) = cache.get_or_compile("input x;\noutput y = x*x;\n").unwrap();
-        assert!(entry.na_model().is_err());
+        assert!(entry.session.na_model().is_err());
         // The compiled graph is still usable for other engines.
         assert!(entry.session.dfg().is_combinational());
     }
@@ -763,7 +737,7 @@ mod tests {
         let (first, l0) = cache.get_or_compile(base).unwrap();
         assert_eq!(l0, Lookup::Miss);
         // Warm the expensive stage so the swap has something to reuse.
-        first.na_model().unwrap();
+        first.session.na_model().unwrap();
 
         let swapped = "input x in [-1, 1];\nlet k = 0.25;\noutput y = k*x;\n";
         let (second, lookup) = cache.get_or_compile(swapped).unwrap();
@@ -772,7 +746,7 @@ mod tests {
         assert_ne!(second.fingerprint, first.fingerprint);
         assert_eq!(second.session.coefficients(), vec![0.25]);
         // The patched model is already in place — no rebuild on use.
-        assert!(second.na_model_built());
+        assert!(second.session.na_model_built());
         let stats = cache.stats();
         assert_eq!(stats.shape_hits, 1, "{stats:?}");
         assert_eq!(stats.hits, 1, "{stats:?}");
@@ -801,7 +775,7 @@ mod tests {
 
         let warm = CompileCache::new();
         let (e0, _) = warm.get_or_compile(base).unwrap();
-        e0.na_model().unwrap();
+        e0.session.na_model().unwrap();
         let (via_shape, lookup) = warm.get_or_compile(&swapped).unwrap();
         assert_eq!(lookup, Lookup::ShapeHit);
 
@@ -817,10 +791,12 @@ mod tests {
             .wl_config(&sna_core::WlChoice::Uniform(12))
             .unwrap();
         let a = via_shape
+            .session
             .na_model()
             .unwrap()
             .evaluate(via_shape.session.dfg(), &cfg_a);
         let b = scratch
+            .session
             .na_model()
             .unwrap()
             .evaluate(scratch.session.dfg(), &cfg_b);
@@ -903,7 +879,7 @@ mod tests {
         });
         let base = "input x in [-1, 1];\nlet k = 0.5;\noutput y = k*x;\n";
         let (donor, _) = cache.get_or_compile(base).unwrap();
-        donor.na_model().unwrap();
+        donor.session.na_model().unwrap();
         // Keep the donor hot through its shape tier only (coefficient
         // respins), while distinct programs churn the rest of the cache.
         for i in 1..=20 {
@@ -988,7 +964,7 @@ mod tests {
         let (entry, lookup) = cache.get_or_compile(source).unwrap();
         assert_eq!(lookup, Lookup::Miss);
         entry.session.node_ranges().unwrap();
-        entry.na_model().unwrap();
+        entry.session.na_model().unwrap();
         let _ = entry.session.vm_program();
         assert!(cache.spill() >= 1);
         entry.fingerprint
@@ -1002,7 +978,7 @@ mod tests {
         let cache = cache_on(&dir);
         let (entry, lookup) = cache.get_or_compile(SRC).unwrap();
         assert_eq!(lookup, Lookup::StoreHit);
-        assert!(entry.na_model_built());
+        assert!(entry.session.na_model_built());
         assert!(entry.session.vm_program_built());
         let stats = entry.session.stats();
         assert_eq!(stats.range_builds, 0, "{stats:?}");
@@ -1026,7 +1002,7 @@ mod tests {
         let (entry, lookup) = cache.get_or_compile(swapped).unwrap();
         assert_eq!(lookup, Lookup::StoreHit);
         assert_eq!(entry.session.coefficients(), vec![0.25]);
-        assert!(entry.na_model_built(), "patched gains ride along");
+        assert!(entry.session.na_model_built(), "patched gains ride along");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1117,8 +1093,8 @@ mod tests {
             let cache = cache_on(&dir);
             let (entry, lookup) = cache.get_or_compile(SRC).unwrap();
             assert_eq!(lookup, Lookup::StoreHit);
-            assert!(!entry.na_model_built());
-            entry.na_model().unwrap();
+            assert!(!entry.session.na_model_built());
+            entry.session.na_model().unwrap();
             assert_eq!(entry.session.stats().na_builds, 1);
             assert!(cache.spill() >= 1);
         }
@@ -1126,7 +1102,7 @@ mod tests {
         let cache = cache_on(&dir);
         let (entry, lookup) = cache.get_or_compile(SRC).unwrap();
         assert_eq!(lookup, Lookup::StoreHit);
-        assert!(entry.na_model_built());
+        assert!(entry.session.na_model_built());
         assert_eq!(entry.session.stats().na_builds, 0);
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -52,10 +52,7 @@ use std::time::{Duration, Instant};
 use crate::cache::CompileCache;
 use crate::fault::{FaultPlan, IoFault, JobFault};
 use crate::pool::{default_jobs, WorkerPool};
-use crate::proto::{
-    self, capacity_error_line, draining_error_line, handle_line_untrusted_stats_limited,
-    internal_error_line, oversize_error_line, ExecLimits,
-};
+use crate::proto::{self, error_line, oversize_error_line, ExecLimits, Handler, Peer};
 use crate::stats::{Counter, StatsRegistry};
 
 /// Thin `libc`-free FFI shim over the POSIX calls the reactor needs:
@@ -558,7 +555,7 @@ fn extract_lines(
         if draining {
             stats.bump(Counter::Requests);
             stats.bump(Counter::Errors);
-            conn.push_direct(draining_error_line(proto::request_id(line)));
+            conn.push_direct(error_line(Some(line), "server draining"));
         } else {
             let seq = conn.next_seq;
             conn.next_seq += 1;
@@ -683,7 +680,7 @@ fn accept_pending(
                     // One best-effort line so the peer learns *why*; a
                     // freshly accepted socket's send buffer is empty, so
                     // the nonblocking write virtually always lands.
-                    let _ = (&stream).write(capacity_error_line().as_bytes());
+                    let _ = (&stream).write(error_line(None, "server at capacity").as_bytes());
                     continue; // drop → close
                 }
                 stats.bump(Counter::Accepted);
@@ -761,7 +758,13 @@ fn run_reactor(
                 stats: &stats,
                 token: job.token,
                 seq: job.seq,
-                fallback: Some(internal_error_line(proto::request_id(&job.line)).into_bytes()),
+                fallback: Some(
+                    error_line(
+                        Some(&job.line),
+                        "internal error: request execution panicked",
+                    )
+                    .into_bytes(),
+                ),
             };
             let mut limits = limits;
             match fault.as_deref().map_or(JobFault::None, FaultPlan::next_job) {
@@ -775,9 +778,13 @@ fn run_reactor(
                     panic!("injected fault: worker panic");
                 }
             }
-            let mut bytes = handle_line_untrusted_stats_limited(&cache, &stats, &limits, &job.line)
-                .to_compact()
-                .into_bytes();
+            let handler = Handler {
+                cache: &cache,
+                stats: &stats,
+                limits,
+                peer: Peer::Untrusted,
+            };
+            let mut bytes = handler.handle(&job.line).to_compact().into_bytes();
             bytes.push(b'\n');
             guard.complete(bytes);
         })

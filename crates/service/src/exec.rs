@@ -1,19 +1,23 @@
-//! Request execution: one function per verb (`parse` is pure shaping and
-//! lives with the protocol; `analyze`, `optimize`, `synth` live here),
-//! shared between the CLI subcommands and the server loop so both front
-//! ends produce identical numbers — and identical JSON — for the same
-//! request.
+//! Request execution, shared between the CLI subcommands and the server
+//! loop so both front ends produce identical numbers — and identical
+//! JSON — for the same request.
 //!
-//! Everything here takes a [`CompiledEntry`] (whose [`Session`] holds
-//! the artifact chain) and plain parameter structs; errors are rendered
+//! Each verb has one runner ([`analyze_report`], [`simulate`],
+//! [`trace_fit`], [`trace_report`], [`optimize`], [`synth`]) and one
+//! renderer of the protocol's `result` object ([`parse_result`],
+//! [`analyze_result`], [`simulate_result`], [`trace_fit_result`],
+//! [`trace_result`], [`optimize_result`], [`synth_result`]). The server
+//! ships a renderer's object as `result`; the CLI's `--format json`
+//! prints the same object with `command` and `file` in front.
+//!
+//! Runners take a [`CompiledEntry`] (whose [`Session`] holds the
+//! artifact chain) and plain parameter structs; errors are rendered
 //! strings, which the CLI wraps in its exit-code-bearing error type and
-//! the server ships in `"error"` fields.  Analysis requests go through
-//! the unified `sna_core::engine` surface — this layer no longer
-//! hand-rolls engine dispatch.
+//! the server ships in `"error"` fields.
 
 use sna_core::{
-    AnalysisReport, AnalysisRequest, Budget, EngineKind, NoiseReport, Session, SimReport,
-    SimRequest, SnaError, WlChoice,
+    AnalysisReport, AnalysisRequest, Budget, EngineKind, Gap, NoiseReport, Session, SimOutput,
+    SimReport, SimRequest, SnaError, TraceInputFit, TraceReport, WlChoice,
 };
 use sna_hls::{synthesize, Implementation, SynthesisConstraints};
 use sna_opt::{AnnealOptions, Evaluation, OptError, Optimizer};
@@ -53,6 +57,14 @@ impl Default for AnalyzeParams {
 /// huge-`bins` request through `sna serve` would otherwise abort the
 /// whole process.
 pub const MAX_BINS: usize = 4096;
+
+/// Rejects a histogram resolution outside `1..=`[`MAX_BINS`].
+fn check_bins(bins: usize) -> Result<(), String> {
+    if bins == 0 || bins > MAX_BINS {
+        return Err(format!("bins must be in 1..={MAX_BINS}, got {bins}"));
+    }
+    Ok(())
+}
 
 /// Renders an analysis failure. Self-describing diagnostics keep their
 /// exact wording; everything else gets the generic prefix. The budget
@@ -97,9 +109,7 @@ pub fn analyze_report_budgeted(
     budget: &Budget,
 ) -> Result<AnalysisReport, String> {
     let AnalyzeParams { engine, bits, bins } = *params;
-    if bins == 0 || bins > MAX_BINS {
-        return Err(format!("bins must be in 1..={MAX_BINS}, got {bins}"));
-    }
+    check_bins(bins)?;
     let req = AnalysisRequest {
         engine,
         words: WlChoice::Uniform(bits),
@@ -113,17 +123,27 @@ pub fn analyze_report_budgeted(
         .map_err(|e| render_analysis_error(&e))
 }
 
-/// [`analyze_report`] reduced to the per-output reports — the historical
-/// shape most callers want.
-///
-/// # Errors
-///
-/// Same as [`analyze_report`].
-pub fn analyze(
-    entry: &CompiledEntry,
-    params: &AnalyzeParams,
-) -> Result<Vec<(String, NoiseReport)>, String> {
-    analyze_report(entry, params).map(|r| r.reports)
+/// The `analyze` result: the engine that actually ran (`auto` resolves
+/// before this point — the provenance of the numbers), the request's
+/// resolution, and one [`report_json`] per output.
+#[must_use]
+pub fn analyze_result(report: &AnalysisReport, params: &AnalyzeParams, include_pdf: bool) -> Json {
+    Json::Obj(vec![
+        ("engine".into(), Json::str(report.engine.name())),
+        ("bits".into(), Json::int(params.bits as usize)),
+        ("bins".into(), Json::int(params.bins)),
+        ("kind".into(), Json::str(report.kind.as_str())),
+        (
+            "reports".into(),
+            Json::Arr(
+                report
+                    .reports
+                    .iter()
+                    .map(|(name, r)| report_json(name, r, include_pdf))
+                    .collect(),
+            ),
+        ),
+    ])
 }
 
 /// Hard ceiling on Monte-Carlo sample paths per request. Simulation
@@ -202,9 +222,7 @@ pub fn simulate_budgeted(
         warmup,
         workers,
     } = *params;
-    if bins == 0 || bins > MAX_BINS {
-        return Err(format!("bins must be in 1..={MAX_BINS}, got {bins}"));
-    }
+    check_bins(bins)?;
     if paths == 0 || paths > MAX_PATHS {
         return Err(format!("paths must be in 1..={MAX_PATHS}, got {paths}"));
     }
@@ -238,61 +256,76 @@ pub fn simulate_budgeted(
     })
 }
 
-/// A [`SimReport`] as JSON fields — the body shared by the CLI's
-/// `simulate --format json` and the server's `simulate` result, so both
-/// front ends are byte-identical.
+/// A [`SimReport`] as JSON fields — the body of [`simulate_result`].
 #[must_use]
 pub fn simulate_json_fields(report: &SimReport, include_pdf: bool) -> Vec<(String, Json)> {
-    let gap_json = |gap: &Option<sna_core::Gap>| match gap {
+    vec![
+        ("paths".into(), Json::int(report.paths)),
+        ("steps".into(), Json::int(report.steps)),
+        ("warmup".into(), Json::int(report.warmup)),
+        ("seed".into(), Json::int(report.seed as usize)),
+        ("predicted_by".into(), engine_or_null(report.predicted_by)),
+        ("elapsed_us".into(), micros(report.elapsed)),
+        (
+            "outputs".into(),
+            outputs_json(&report.outputs, "empirical", include_pdf),
+        ),
+    ]
+}
+
+/// The `simulate` result.
+#[must_use]
+pub fn simulate_result(report: &SimReport, params: &SimulateParams, include_pdf: bool) -> Json {
+    let mut fields = vec![
+        ("engine".into(), Json::str("simulate")),
+        ("bits".into(), Json::int(params.bits as usize)),
+        ("bins".into(), Json::int(params.bins)),
+    ];
+    fields.extend(simulate_json_fields(report, include_pdf));
+    Json::Obj(fields)
+}
+
+fn engine_or_null(kind: Option<EngineKind>) -> Json {
+    kind.map_or(Json::Null, |k| Json::str(k.name()))
+}
+
+fn micros(elapsed: std::time::Duration) -> Json {
+    Json::int(usize::try_from(elapsed.as_micros()).unwrap_or(usize::MAX))
+}
+
+/// Per-output empirical-vs-predicted rows, shared by `simulate` (the
+/// measurement under `empirical`) and `trace` (under `measured`).
+fn outputs_json(outputs: &[SimOutput], empirical_key: &str, include_pdf: bool) -> Json {
+    let gap_json = |gap: &Option<Gap>| match gap {
         Some(g) => Json::Obj(vec![
             ("abs".into(), Json::Num(g.abs)),
             ("rel".into(), g.rel.map_or(Json::Null, Json::Num)),
         ]),
         None => Json::Null,
     };
-    vec![
-        ("paths".into(), Json::int(report.paths)),
-        ("steps".into(), Json::int(report.steps)),
-        ("warmup".into(), Json::int(report.warmup)),
-        ("seed".into(), Json::int(report.seed as usize)),
-        (
-            "predicted_by".into(),
-            report
-                .predicted_by
-                .map_or(Json::Null, |k| Json::str(k.name())),
-        ),
-        (
-            "elapsed_us".into(),
-            Json::int(usize::try_from(report.elapsed.as_micros()).unwrap_or(usize::MAX)),
-        ),
-        (
-            "outputs".into(),
-            Json::Arr(
-                report
-                    .outputs
-                    .iter()
-                    .map(|out| {
-                        Json::Obj(vec![
-                            ("output".into(), Json::str(out.name.clone())),
-                            ("samples".into(), Json::int(out.samples)),
-                            (
-                                "empirical".into(),
-                                report_json(&out.name, &out.empirical, include_pdf),
-                            ),
-                            (
-                                "predicted".into(),
-                                out.predicted
-                                    .as_ref()
-                                    .map_or(Json::Null, |p| report_json(&out.name, p, include_pdf)),
-                            ),
-                            ("mean_gap".into(), gap_json(&out.mean_gap)),
-                            ("variance_gap".into(), gap_json(&out.variance_gap)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ]
+    Json::Arr(
+        outputs
+            .iter()
+            .map(|out| {
+                Json::Obj(vec![
+                    ("output".into(), Json::str(out.name.clone())),
+                    ("samples".into(), Json::int(out.samples)),
+                    (
+                        empirical_key.into(),
+                        report_json(&out.name, &out.empirical, include_pdf),
+                    ),
+                    (
+                        "predicted".into(),
+                        out.predicted
+                            .as_ref()
+                            .map_or(Json::Null, |p| report_json(&out.name, p, include_pdf)),
+                    ),
+                    ("mean_gap".into(), gap_json(&out.mean_gap)),
+                    ("variance_gap".into(), gap_json(&out.variance_gap)),
+                ])
+            })
+            .collect(),
+    )
 }
 
 /// Hard ceiling on bytes of trace CSV ingested per request (same
@@ -378,10 +411,8 @@ pub fn trace_fit(
     session: &Session,
     trace: &Trace,
     bins: usize,
-) -> Result<Vec<sna_core::TraceInputFit>, String> {
-    if bins == 0 || bins > MAX_BINS {
-        return Err(format!("bins must be in 1..={MAX_BINS}, got {bins}"));
-    }
+) -> Result<Vec<TraceInputFit>, String> {
+    check_bins(bins)?;
     session
         .fit_trace(trace, bins)
         .map_err(|e| format!("trace fit failed: {e}"))
@@ -389,7 +420,10 @@ pub fn trace_fit(
 
 /// Replays an ingested trace against a compiled entry — measured
 /// output noise next to the analytic prediction under the fitted
-/// ranges.
+/// ranges. The VM checks the cooperative execution [`Budget`] before
+/// every replay chunk claim, so an overrun request stops within one
+/// chunk's work and renders the structured `deadline exceeded` /
+/// `request cancelled` error.
 ///
 /// # Errors
 ///
@@ -399,24 +433,8 @@ pub fn trace_report(
     entry: &CompiledEntry,
     trace: &Trace,
     params: &TraceParams,
-) -> Result<sna_core::TraceReport, String> {
-    trace_report_budgeted(entry, trace, params, &Budget::unlimited())
-}
-
-/// [`trace_report`] under a cooperative execution [`Budget`]: the VM
-/// checks it before every replay chunk claim, so an overrun request
-/// stops within one chunk's work and renders the structured `deadline
-/// exceeded` / `request cancelled` error.
-///
-/// # Errors
-///
-/// Same as [`trace_report`], plus the budget overruns.
-pub fn trace_report_budgeted(
-    entry: &CompiledEntry,
-    trace: &Trace,
-    params: &TraceParams,
     budget: &Budget,
-) -> Result<sna_core::TraceReport, String> {
+) -> Result<TraceReport, String> {
     let TraceParams {
         bits,
         bins,
@@ -424,9 +442,7 @@ pub fn trace_report_budgeted(
         workers,
         predict,
     } = *params;
-    if bins == 0 || bins > MAX_BINS {
-        return Err(format!("bins must be in 1..={MAX_BINS}, got {bins}"));
-    }
+    check_bins(bins)?;
     if let Some(w) = warmup {
         if w > MAX_STEPS {
             return Err(format!("warmup must be at most {MAX_STEPS}, got {w}"));
@@ -448,10 +464,8 @@ pub fn trace_report_budgeted(
     })
 }
 
-/// Per-input trace fits as a JSON array (the shape shared by the CLI's
-/// `trace --format json` verbs and the server's `trace` result).
-#[must_use]
-pub fn trace_fit_json(fit: &[sna_core::TraceInputFit], include_pdf: bool) -> Json {
+/// Per-input trace fits as a JSON array.
+fn trace_fit_json(fit: &[TraceInputFit], include_pdf: bool) -> Json {
     Json::Arr(
         fit.iter()
             .map(|f| {
@@ -479,61 +493,45 @@ pub fn trace_fit_json(fit: &[sna_core::TraceInputFit], include_pdf: bool) -> Jso
     )
 }
 
-/// A [`sna_core::TraceReport`] as JSON fields — the body shared by the
-/// CLI's `trace replay|report --format json` and the server's `trace`
-/// result, so both front ends are byte-identical.
+/// The `trace` result in `fit` mode.
 #[must_use]
-pub fn trace_json_fields(report: &sna_core::TraceReport, include_pdf: bool) -> Vec<(String, Json)> {
-    let gap_json = |gap: &Option<sna_core::Gap>| match gap {
-        Some(g) => Json::Obj(vec![
-            ("abs".into(), Json::Num(g.abs)),
-            ("rel".into(), g.rel.map_or(Json::Null, Json::Num)),
-        ]),
-        None => Json::Null,
-    };
-    vec![
+pub fn trace_fit_result(
+    trace: &Trace,
+    bins: usize,
+    fit: &[TraceInputFit],
+    include_pdf: bool,
+) -> Json {
+    Json::Obj(vec![
+        ("engine".into(), Json::str("trace")),
+        ("mode".into(), Json::str("fit")),
+        ("bins".into(), Json::int(bins)),
+        ("rows".into(), Json::int(trace.rows())),
+        ("skipped".into(), Json::int(trace.skipped())),
+        ("fit".into(), trace_fit_json(fit, include_pdf)),
+    ])
+}
+
+/// The `trace` result in `replay` / `report` mode (`params.predict`
+/// picks the mode name).
+#[must_use]
+pub fn trace_result(report: &TraceReport, params: &TraceParams, include_pdf: bool) -> Json {
+    let mode = if params.predict { "report" } else { "replay" };
+    Json::Obj(vec![
+        ("engine".into(), Json::str("trace")),
+        ("mode".into(), Json::str(mode)),
+        ("bits".into(), Json::int(params.bits as usize)),
+        ("bins".into(), Json::int(params.bins)),
         ("rows".into(), Json::int(report.rows)),
         ("skipped".into(), Json::int(report.skipped)),
         ("warmup".into(), Json::int(report.warmup)),
-        (
-            "predicted_by".into(),
-            report
-                .predicted_by
-                .map_or(Json::Null, |k| Json::str(k.name())),
-        ),
-        (
-            "elapsed_us".into(),
-            Json::int(usize::try_from(report.elapsed.as_micros()).unwrap_or(usize::MAX)),
-        ),
+        ("predicted_by".into(), engine_or_null(report.predicted_by)),
+        ("elapsed_us".into(), micros(report.elapsed)),
         ("fit".into(), trace_fit_json(&report.fit, false)),
         (
             "outputs".into(),
-            Json::Arr(
-                report
-                    .outputs
-                    .iter()
-                    .map(|out| {
-                        Json::Obj(vec![
-                            ("output".into(), Json::str(out.name.clone())),
-                            ("samples".into(), Json::int(out.samples)),
-                            (
-                                "measured".into(),
-                                report_json(&out.name, &out.empirical, include_pdf),
-                            ),
-                            (
-                                "predicted".into(),
-                                out.predicted
-                                    .as_ref()
-                                    .map_or(Json::Null, |p| report_json(&out.name, p, include_pdf)),
-                            ),
-                            ("mean_gap".into(), gap_json(&out.mean_gap)),
-                            ("variance_gap".into(), gap_json(&out.variance_gap)),
-                        ])
-                    })
-                    .collect(),
-            ),
+            outputs_json(&report.outputs, "measured", include_pdf),
         ),
-    ]
+    ])
 }
 
 /// The word-length search methods (`exhaustive` is opt-in because its
@@ -732,16 +730,40 @@ pub fn synth(session: &Session, bits: u8, clock_ns: f64) -> Result<Implementatio
     synthesize(session.dfg(), &config, &constraints).map_err(|e| format!("synthesis failed: {e}"))
 }
 
-/// The structural facts of a compiled program as JSON fields (the body
-/// both the CLI's `parse --format json` and the server's `parse` result
-/// share).
+/// The `optimize` result.
 #[must_use]
-pub fn parse_facts_json(
-    dfg: &sna_dfg::Dfg,
-    input_ranges: &[sna_interval::Interval],
-) -> Vec<(String, Json)> {
+pub fn optimize_result(out: &OptimizeOutcome) -> Json {
+    Json::Obj(vec![
+        ("budget".into(), Json::Num(out.budget)),
+        ("reference".into(), eval_json(&out.reference)),
+        (
+            "results".into(),
+            Json::Obj(
+                out.results
+                    .iter()
+                    .map(|(name, e)| (name.clone(), eval_json(e)))
+                    .collect(),
+            ),
+        ),
+    ])
+}
+
+/// The `synth` result.
+#[must_use]
+pub fn synth_result(bits: u8, clock_ns: f64, imp: &Implementation) -> Json {
+    Json::Obj(vec![
+        ("bits".into(), Json::int(bits as usize)),
+        ("clock_ns".into(), Json::Num(clock_ns)),
+        ("cost".into(), cost_json(&imp.cost)),
+        ("scheduled_ops".into(), Json::int(imp.schedule.n_ops())),
+    ])
+}
+
+/// The `parse` result: the structural facts of a compiled program.
+#[must_use]
+pub fn parse_result(dfg: &sna_dfg::Dfg, input_ranges: &[sna_interval::Interval]) -> Json {
     let c = dfg.op_counts();
-    vec![
+    Json::Obj(vec![
         (
             "inputs".into(),
             Json::Arr(
@@ -786,11 +808,11 @@ pub fn parse_facts_json(
             "is_combinational".into(),
             Json::Bool(dfg.is_combinational()),
         ),
-    ]
+    ])
 }
 
-/// One noise report as a JSON object (the shape both the CLI's `--format
-/// json` and the server's `result.reports` use).
+/// One noise report as a JSON object (an element of the `analyze`
+/// result's `reports`).
 #[must_use]
 pub fn report_json(name: &str, report: &NoiseReport, include_pdf: bool) -> Json {
     let mut fields = vec![
@@ -836,8 +858,8 @@ pub fn report_json(name: &str, report: &NoiseReport, include_pdf: bool) -> Json 
     Json::Obj(fields)
 }
 
-/// One optimizer evaluation as a JSON object (shape shared by the CLI's
-/// `optimize --format json` and the server's `result`).
+/// One optimizer evaluation as a JSON object (the `optimize` result's
+/// `reference` and `results` entries).
 #[must_use]
 pub fn eval_json(e: &Evaluation) -> Json {
     Json::Obj(vec![
@@ -873,10 +895,9 @@ pub fn eval_json(e: &Evaluation) -> Json {
     ])
 }
 
-/// A synthesis cost report as a JSON object (shape shared by the CLI's
-/// `synth --format json` and the server's `result.cost`).
-#[must_use]
-pub fn cost_json(cost: &sna_hls::CostReport) -> Json {
+/// A synthesis cost report as a JSON object (the `synth` result's
+/// `cost`).
+fn cost_json(cost: &sna_hls::CostReport) -> Json {
     Json::Obj(vec![
         ("area_um2".into(), Json::Num(cost.area_um2)),
         ("fu_area_um2".into(), Json::Num(cost.fu_area_um2)),
@@ -912,9 +933,9 @@ mod tests {
             engine: AnalyzeEngine::Na,
             ..AnalyzeParams::default()
         };
-        let first = analyze(&e, &params).unwrap();
-        assert!(e.na_model_built());
-        let again = analyze(&e, &params).unwrap();
+        let first = analyze_report(&e, &params).unwrap().reports;
+        assert!(e.session.na_model_built());
+        let again = analyze_report(&e, &params).unwrap().reports;
         assert_eq!(first.len(), again.len());
         for ((n1, r1), (n2, r2)) in first.iter().zip(&again) {
             assert_eq!(n1, n2);
@@ -938,9 +959,9 @@ mod tests {
                 bits: 10,
                 bins: 32,
             };
-            let reports =
-                analyze(&comb, &params).unwrap_or_else(|e| panic!("{}: {e}", engine.name()));
-            assert_eq!(reports[0].0, "y");
+            let report =
+                analyze_report(&comb, &params).unwrap_or_else(|e| panic!("{}: {e}", engine.name()));
+            assert_eq!(report.reports[0].0, "y");
         }
     }
 

@@ -17,15 +17,17 @@
 //!   no tokio): the former fans a batch across cores and collects
 //!   results in input order, the latter is the long-lived pool the
 //!   server's event loop executes requests on.
-//! * [`exec`] — one function per verb (`analyze`, `optimize`, `synth`),
-//!   shared by the CLI subcommands and the server so both produce
-//!   identical numbers and identical JSON for the same request.
-//! * [`serve`] / [`spawn_server`] — the line-oriented JSON protocol:
+//! * [`exec`] — one runner and one `result` renderer per verb (parse,
+//!   analyze, simulate, trace, optimize, synth), shared by the CLI
+//!   subcommands and the server so both produce identical numbers and
+//!   identical JSON for the same request.
+//! * [`Handler`] / [`spawn_server`] — the line-oriented JSON protocol:
 //!   one request per line in, one compact JSON response per line out.
-//!   `serve` drives a trusted stdio peer; `spawn_server` runs the
-//!   `poll(2)` event-loop transport for TCP peers, with bounded accept,
-//!   slow-client backpressure, idle timeouts and graceful drain.
-//!   Documented in `crates/service/README.md`.
+//!   [`Handler::serve`] drives a trusted stdio peer; `spawn_server` runs
+//!   the `poll(2)` event-loop transport for TCP peers (its workers call
+//!   [`Handler::handle`]), with bounded accept, slow-client
+//!   backpressure, idle timeouts and graceful drain. Documented in
+//!   `crates/service/README.md`.
 //! * [`StatsRegistry`] — the observability plane: connection-lifecycle
 //!   counters plus log-spaced latency histograms per verb and per
 //!   resolved engine, reported in full by the `stats` verb.
@@ -56,11 +58,7 @@ pub use event_loop::{spawn_server, ServerConfig, ServerHandle};
 pub use fault::{FaultPlan, IoFault, JobFault};
 pub use json::Json;
 pub use pool::{default_jobs, run_ordered, WorkerPool};
-pub use proto::{
-    handle_line, handle_line_stats, handle_line_untrusted, handle_line_untrusted_stats,
-    handle_line_untrusted_stats_limited, serve, serve_stats, serve_stats_limited, ExecLimits,
-    ServeReport, MAX_TIMEOUT_MS,
-};
+pub use proto::{ExecLimits, Handler, Peer, ServeReport, MAX_TIMEOUT_MS};
 pub use stats::{
     bin_hi, bin_lo, Counter, HistogramSnapshot, InFlightGuard, LatencyHistogram, StatsRegistry,
     COUNTERS, ENGINES, N_BINS, VERBS,

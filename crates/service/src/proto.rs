@@ -1,15 +1,17 @@
 //! The line-oriented JSON wire protocol and the serve loop.
 //!
 //! One request per line in, one response per line out (compact JSON, no
-//! interior newlines). The same handler backs `sna serve` on
-//! stdin/stdout, `--listen addr:port` over TCP (the [`crate::event_loop`]
-//! reactor, all connections sharing one [`CompileCache`] and one
-//! [`StatsRegistry`]), and the in-process tests. See
+//! interior newlines). One [`Handler`] backs `sna serve` on stdin/stdout
+//! ([`Handler::serve`]), `--listen addr:port` over TCP (the
+//! [`crate::event_loop`] reactor's workers call [`Handler::handle`], all
+//! connections sharing one [`CompileCache`] and one [`StatsRegistry`]),
+//! and the in-process tests. Each verb's `result` object comes from its
+//! [`exec`] renderer, the same one the CLI prints. See
 //! `crates/service/README.md` for the full request/response schema.
 //!
-//! Malformed input — unparsable JSON, a missing `cmd`, a bad parameter —
-//! answers with an `"ok": false` response on the same line; the server
-//! never dies on bad input.
+//! Malformed input — bytes that are not UTF-8, unparsable JSON, a missing
+//! `cmd`, a bad parameter — answers with an `"ok": false` response on the
+//! same line; the server never dies on bad input.
 //!
 //! Every handled request is recorded in the registry: the `requests` /
 //! `errors` counters plus the verb's latency histogram (and, for
@@ -24,7 +26,9 @@ use sna_core::Budget;
 use sna_lang::render_all;
 
 use crate::cache::{CompileCache, Lookup};
-use crate::exec::{self, AnalyzeEngine, AnalyzeParams, OptimizeParams};
+use crate::exec::{
+    self, AnalyzeEngine, AnalyzeParams, OptimizeParams, SimulateParams, TraceParams,
+};
 use crate::json::Json;
 use crate::stats::{Counter, StatsRegistry};
 
@@ -88,7 +92,7 @@ pub struct ServeReport {
 /// Who is on the other end of the transport — controls which request
 /// fields are honoured.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Peer {
+pub enum Peer {
     /// The operator's own pipe (stdin/stdout): `path` may read files.
     Trusted,
     /// A network client: `path` is refused — a remote peer must not be
@@ -96,137 +100,334 @@ enum Peer {
     Untrusted,
 }
 
-/// Handles one request line from the operator's own transport
-/// (stdin/stdout) and returns the full response document. The `path`
-/// request field is honoured; for network-facing handling use
-/// [`handle_line_untrusted`]. Records into a throwaway registry — use
-/// [`handle_line_stats`] when the caller keeps one.
-#[must_use]
-pub fn handle_line(cache: &CompileCache, line: &str) -> Json {
-    handle(
-        cache,
-        &StatsRegistry::new(),
-        line,
-        Peer::Trusted,
-        &ExecLimits::default(),
-    )
+/// The request handler of one transport: the shared compile cache and
+/// stats registry it answers from, the server's execution limits, and
+/// who the peer is. Everything is borrowed or `Copy`, so an event-loop
+/// worker builds one per job for free.
+#[derive(Clone, Copy)]
+pub struct Handler<'a> {
+    /// The compile cache every request resolves its program through.
+    pub cache: &'a CompileCache,
+    /// Where requests, errors and latencies are recorded.
+    pub stats: &'a StatsRegistry,
+    /// Server-side execution limits (the `--request-timeout` cap).
+    pub limits: ExecLimits,
+    /// Whether `path` / `trace_path` may read server-side files.
+    pub peer: Peer,
 }
 
-/// Like [`handle_line`], but refuses `path` requests — the handler
-/// behind every TCP connection.
-#[must_use]
-pub fn handle_line_untrusted(cache: &CompileCache, line: &str) -> Json {
-    handle(
-        cache,
-        &StatsRegistry::new(),
-        line,
-        Peer::Untrusted,
-        &ExecLimits::default(),
-    )
-}
+impl Handler<'_> {
+    /// Handles one request line and returns the full response document.
+    #[must_use]
+    pub fn handle(&self, line: &str) -> Json {
+        let started = Instant::now();
+        // Received-request count, bumped up front so the `stats` verb's
+        // own response includes itself; its latency histogram entry
+        // (recorded after the response is built) lands one request
+        // behind.
+        self.stats.bump(Counter::Requests);
+        let _in_flight = self.stats.begin_request();
+        let response = self.respond(line, started);
+        if response.get("ok").and_then(Json::as_bool) != Some(true) {
+            self.stats.bump(Counter::Errors);
+            // Budget overruns render as exactly these strings (the exec
+            // layer passes them through verbatim for this
+            // classification).
+            match response.get("error").and_then(Json::as_str) {
+                Some("deadline exceeded") => self.stats.bump(Counter::Timeouts),
+                Some("request cancelled") => self.stats.bump(Counter::Cancelled),
+                _ => {}
+            }
+        }
+        response
+    }
 
-/// [`handle_line`] recording into the caller's [`StatsRegistry`].
-#[must_use]
-pub fn handle_line_stats(cache: &CompileCache, stats: &StatsRegistry, line: &str) -> Json {
-    handle(cache, stats, line, Peer::Trusted, &ExecLimits::default())
-}
-
-/// [`handle_line_untrusted`] recording into the caller's
-/// [`StatsRegistry`].
-#[must_use]
-pub fn handle_line_untrusted_stats(
-    cache: &CompileCache,
-    stats: &StatsRegistry,
-    line: &str,
-) -> Json {
-    handle(cache, stats, line, Peer::Untrusted, &ExecLimits::default())
-}
-
-/// [`handle_line_untrusted_stats`] under the server's [`ExecLimits`] —
-/// the function every event-loop worker runs.
-#[must_use]
-pub fn handle_line_untrusted_stats_limited(
-    cache: &CompileCache,
-    stats: &StatsRegistry,
-    limits: &ExecLimits,
-    line: &str,
-) -> Json {
-    handle(cache, stats, line, Peer::Untrusted, limits)
-}
-
-fn handle(
-    cache: &CompileCache,
-    stats: &StatsRegistry,
-    line: &str,
-    peer: Peer,
-    limits: &ExecLimits,
-) -> Json {
-    let started = Instant::now();
-    // Received-request count, bumped up front so the `stats` verb's own
-    // response includes itself; its latency histogram entry (recorded
-    // after the response is built) lands one request behind.
-    stats.bump(Counter::Requests);
-    let _in_flight = stats.begin_request();
-    let response = handle_inner(cache, stats, line, peer, limits, started);
-    if response.get("ok").and_then(Json::as_bool) != Some(true) {
-        stats.bump(Counter::Errors);
-        // Budget overruns render as exactly these strings (the exec
-        // layer passes them through verbatim for this classification).
-        match response.get("error").and_then(Json::as_str) {
-            Some("deadline exceeded") => stats.bump(Counter::Timeouts),
-            Some("request cancelled") => stats.bump(Counter::Cancelled),
-            _ => {}
+    fn respond(&self, line: &str, started: Instant) -> Json {
+        let doc = match Json::parse(line) {
+            Ok(doc) => doc,
+            Err(e) => return error_response(None, format!("malformed request: {e}")),
+        };
+        let id = doc.get("id").cloned();
+        let Some(cmd) = doc.get("cmd").and_then(Json::as_str) else {
+            return error_response(id, "request needs a string `cmd` field".to_string());
+        };
+        let outcome = self.dispatch(cmd, &doc);
+        let elapsed_us = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
+        self.stats.record_verb(cmd, elapsed_us);
+        match outcome {
+            Ok(Dispatched {
+                result,
+                lookup,
+                engine,
+            }) => {
+                if let Some((engine, engine_us)) = engine {
+                    self.stats.record_engine(engine, engine_us);
+                }
+                let mut fields = Vec::new();
+                if let Some(id) = id {
+                    fields.push(("id".to_string(), id));
+                }
+                fields.push(("ok".to_string(), Json::Bool(true)));
+                fields.push(("cmd".to_string(), Json::str(cmd)));
+                if let Some(lookup) = lookup {
+                    fields.push(("cache".to_string(), Json::str(lookup.as_str())));
+                }
+                fields.push((
+                    "elapsed_us".to_string(),
+                    Json::int(usize::try_from(elapsed_us).unwrap_or(usize::MAX)),
+                ));
+                fields.push(("result".to_string(), result));
+                Json::Obj(fields)
+            }
+            Err(message) => error_response(id, message),
         }
     }
-    response
-}
 
-fn handle_inner(
-    cache: &CompileCache,
-    stats: &StatsRegistry,
-    line: &str,
-    peer: Peer,
-    limits: &ExecLimits,
-    started: Instant,
-) -> Json {
-    let doc = match Json::parse(line) {
-        Ok(doc) => doc,
-        Err(e) => return error_response(None, format!("malformed request: {e}")),
-    };
-    let id = doc.get("id").cloned();
-    let Some(cmd) = doc.get("cmd").and_then(Json::as_str) else {
-        return error_response(id, "request needs a string `cmd` field".to_string());
-    };
-    let outcome = dispatch(cache, stats, cmd, &doc, peer, limits);
-    let elapsed_us = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
-    stats.record_verb(cmd, elapsed_us);
-    match outcome {
+    /// Runs one verb.
+    fn dispatch(&self, cmd: &str, doc: &Json) -> Result<Dispatched, String> {
+        if cmd == "stats" {
+            return Ok(Dispatched {
+                result: self.stats_result(),
+                lookup: None,
+                engine: None,
+            });
+        }
+        if !matches!(
+            cmd,
+            "parse" | "analyze" | "optimize" | "synth" | "simulate" | "trace"
+        ) {
+            return Err(format!(
+                "unknown cmd `{cmd}` (expected parse, analyze, optimize, synth, simulate, trace or stats)"
+            ));
+        }
+
+        let (source, origin) = request_source(doc, self.peer)?;
+        // The execution budget starts here, *before* compilation — a
+        // cached entry makes compilation ~free, but the deadline covers
+        // the whole request either way.
+        let budget = self.limits.request_budget(doc)?;
+        let (entry, lookup) = self
+            .cache
+            .get_or_compile(&source)
+            .map_err(|diags| render_all(&diags, &source, &origin))?;
+
+        // The resolved engine and the time it spent, for the per-engine
+        // latency histograms.
+        let mut engine: Option<(&'static str, u64)> = None;
+        let result = match cmd {
+            "parse" => exec::parse_result(entry.session.dfg(), entry.session.input_ranges()),
+            "analyze" => {
+                let params = AnalyzeParams {
+                    engine: match doc.get("engine").map(|v| field_str(v, "engine")) {
+                        Some(raw) => AnalyzeEngine::parse(raw?)?,
+                        None => AnalyzeEngine::Auto,
+                    },
+                    bits: bounded_usize_field(doc, "bits", 12, 255)? as u8,
+                    bins: usize_field(doc, "bins", 64)?,
+                };
+                let include_pdf = bool_field(doc, "pdf", true)?;
+                let report = exec::analyze_report_budgeted(&entry, &params, &budget)?;
+                engine = Some((report.engine.name(), micros(report.elapsed)));
+                exec::analyze_result(&report, &params, include_pdf)
+            }
+            "simulate" => {
+                let params = SimulateParams {
+                    bits: bounded_usize_field(doc, "bits", 12, 255)? as u8,
+                    bins: usize_field(doc, "bins", 64)?,
+                    // Bounded: paths × steps sizes server-side work, and
+                    // workers fans out threads — an untrusted peer must
+                    // not pick arbitrary values.
+                    paths: bounded_usize_field(doc, "paths", 100_000, exec::MAX_PATHS)?,
+                    seed: usize_field(doc, "seed", 0x5eed_cafe)? as u64,
+                    steps: doc
+                        .get("steps")
+                        .map(|_| bounded_usize_field(doc, "steps", 0, exec::MAX_STEPS))
+                        .transpose()?,
+                    warmup: doc
+                        .get("warmup")
+                        .map(|_| bounded_usize_field(doc, "warmup", 0, exec::MAX_STEPS))
+                        .transpose()?,
+                    workers: bounded_usize_field(doc, "workers", 0, 64)?,
+                };
+                let include_pdf = bool_field(doc, "pdf", true)?;
+                let report = exec::simulate_budgeted(&entry, &params, &budget)?;
+                engine = Some(("simulate", micros(report.elapsed)));
+                exec::simulate_result(&report, &params, include_pdf)
+            }
+            "trace" => {
+                let mode = match doc.get("mode") {
+                    Some(v) => field_str(v, "mode")?,
+                    None => "report",
+                };
+                if !matches!(mode, "fit" | "replay" | "report") {
+                    return Err(format!(
+                        "unknown trace mode `{mode}` (expected fit, replay or report)"
+                    ));
+                }
+                let csv = trace_csv(doc, self.peer)?;
+                // Byte/row caps + budget-checked ingestion: an untrusted
+                // peer must not size the server's memory or stall it
+                // with an endless upload.
+                let trace_limits = sna_trace::TraceLimits {
+                    max_bytes: exec::MAX_TRACE_BYTES,
+                    max_rows: exec::MAX_TRACE_ROWS,
+                };
+                let trace = exec::ingest_trace(&csv, &entry.session, &trace_limits, &budget)?;
+                let include_pdf = bool_field(doc, "pdf", true)?;
+                let bins = usize_field(doc, "bins", 64)?;
+                if mode == "fit" {
+                    let fit = exec::trace_fit(&entry.session, &trace, bins)?;
+                    exec::trace_fit_result(&trace, bins, &fit, include_pdf)
+                } else {
+                    let params = TraceParams {
+                        bits: bounded_usize_field(doc, "bits", 12, 255)? as u8,
+                        bins,
+                        warmup: doc
+                            .get("warmup")
+                            .map(|_| bounded_usize_field(doc, "warmup", 0, exec::MAX_STEPS))
+                            .transpose()?,
+                        workers: bounded_usize_field(doc, "workers", 0, 64)?,
+                        predict: mode == "report",
+                    };
+                    let report = exec::trace_report(&entry, &trace, &params, &budget)?;
+                    engine = Some(("trace", micros(report.elapsed)));
+                    exec::trace_result(&report, &params, include_pdf)
+                }
+            }
+            "optimize" => {
+                let params = OptimizeParams {
+                    method: match doc.get("method") {
+                        Some(v) => field_str(v, "method")?.to_string(),
+                        None => "greedy".to_string(),
+                    },
+                    ref_bits: bounded_usize_field(doc, "ref_bits", 12, 255)? as u8,
+                    budget: match doc.get("budget") {
+                        Some(v) => Some(
+                            v.as_f64()
+                                .ok_or_else(|| "`budget` must be a number".to_string())?,
+                        ),
+                        None => None,
+                    },
+                    start: bounded_usize_field(doc, "start", 16, 255)? as u8,
+                    radius: bounded_usize_field(doc, "radius", 1, 255)? as u8,
+                    // Bounded: these fan out server-side work, so an
+                    // untrusted peer must not pick arbitrary values.
+                    restarts: bounded_usize_field(doc, "restarts", 1, 64)?,
+                    threads: bounded_usize_field(doc, "threads", 0, 64)?,
+                };
+                let out = exec::optimize_budgeted(&entry.session, &params, &budget)?;
+                exec::optimize_result(&out)
+            }
+            "synth" => {
+                let bits = bounded_usize_field(doc, "bits", 12, 255)? as u8;
+                let clock = match doc.get("clock") {
+                    Some(v) => v
+                        .as_f64()
+                        .ok_or_else(|| "`clock` must be a number".to_string())?,
+                    None => sna_hls::SynthesisConstraints::default().clock_ns,
+                };
+                let imp = exec::synth(&entry.session, bits, clock)?;
+                exec::synth_result(bits, clock, &imp)
+            }
+            _ => unreachable!("verbs matched above"),
+        };
         Ok(Dispatched {
             result,
-            lookup,
+            lookup: Some(lookup),
             engine,
-        }) => {
-            if let Some((engine, engine_us)) = engine {
-                stats.record_engine(engine, engine_us);
-            }
-            let mut fields = Vec::new();
-            if let Some(id) = id {
-                fields.push(("id".to_string(), id));
-            }
-            fields.push(("ok".to_string(), Json::Bool(true)));
-            fields.push(("cmd".to_string(), Json::str(cmd)));
-            if let Some(lookup) = lookup {
-                fields.push(("cache".to_string(), Json::str(lookup.as_str())));
-            }
-            fields.push((
-                "elapsed_us".to_string(),
-                Json::int(usize::try_from(elapsed_us).unwrap_or(usize::MAX)),
-            ));
-            fields.push(("result".to_string(), result));
-            Json::Obj(fields)
-        }
-        Err(message) => error_response(id, message),
+        })
     }
+
+    /// The `stats` result: the compile-cache (and store) counters, with
+    /// the registry's counters and histograms merged in beside them.
+    fn stats_result(&self) -> Json {
+        let as_int = |v: u64| Json::int(usize::try_from(v).unwrap_or(usize::MAX));
+        let s = self.cache.stats();
+        let mut fields = vec![(
+            "cache".to_string(),
+            Json::Obj(vec![
+                ("hits".into(), as_int(s.hits)),
+                ("shape_hits".into(), as_int(s.shape_hits)),
+                ("misses".into(), as_int(s.misses)),
+                ("entries".into(), Json::int(s.entries)),
+                ("evictions".into(), as_int(s.evictions)),
+            ]),
+        )];
+        if let Some(store) = self.cache.store() {
+            let s = store.stats();
+            fields.push((
+                "store".into(),
+                Json::Obj(vec![
+                    ("hits".into(), as_int(s.hits)),
+                    ("misses".into(), as_int(s.misses)),
+                    ("writes".into(), as_int(s.writes)),
+                    ("corrupt".into(), as_int(s.corrupt)),
+                    ("objects".into(), Json::int(store.ls().len())),
+                    ("bytes".into(), as_int(store.total_bytes())),
+                ]),
+            ));
+        }
+        if let Json::Obj(registry_fields) = self.stats.to_json() {
+            fields.extend(registry_fields);
+        }
+        Json::Obj(fields)
+    }
+
+    /// Serves the line protocol until EOF: one compact JSON response per
+    /// request line, flushed immediately so pipes and sockets see answers
+    /// without buffering delays. Empty lines are ignored; bytes that are
+    /// not UTF-8 decode lossily and answer as a malformed request. This
+    /// is the stdin/stdout transport behind `sna serve`.
+    ///
+    /// # Errors
+    ///
+    /// Only transport failures (reading the input, writing the output);
+    /// protocol-level problems become `"ok": false` responses.
+    pub fn serve<R: BufRead, W: Write>(
+        &self,
+        mut reader: R,
+        mut writer: W,
+    ) -> io::Result<ServeReport> {
+        let mut report = ServeReport::default();
+        let mut buf = Vec::new();
+        loop {
+            buf.clear();
+            // Cap each line read: without the bound a newline-less stream
+            // accumulates into one unbounded buffer.
+            let n = io::Read::take(&mut reader, MAX_LINE_BYTES).read_until(b'\n', &mut buf)?;
+            if n == 0 {
+                break; // EOF
+            }
+            if !buf.ends_with(b"\n") && n as u64 == MAX_LINE_BYTES {
+                // Oversized request: answer once and hang up — the rest
+                // of the stream is the middle of the same over-long line.
+                report.requests += 1;
+                report.errors += 1;
+                self.stats.bump(Counter::Requests);
+                self.stats.bump(Counter::Errors);
+                writer.write_all(oversize_error_line().as_bytes())?;
+                writer.flush()?;
+                break;
+            }
+            let text = String::from_utf8_lossy(&buf);
+            if text.trim().is_empty() {
+                continue;
+            }
+            let response = self.handle(text.trim_end_matches(['\n', '\r']));
+            report.requests += 1;
+            if response.get("ok").and_then(Json::as_bool) != Some(true) {
+                report.errors += 1;
+            }
+            writer.write_all(response.to_compact().as_bytes())?;
+            writer.write_all(b"\n")?;
+            writer.flush()?;
+        }
+        Ok(report)
+    }
+}
+
+fn micros(elapsed: Duration) -> u64 {
+    u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX)
 }
 
 fn error_response(id: Option<Json>, message: String) -> Json {
@@ -240,300 +441,13 @@ fn error_response(id: Option<Json>, message: String) -> Json {
 }
 
 /// A successful verb run: the `result` payload, the cache outcome when
-/// the verb compiled something, and — for `analyze` — the resolved
-/// engine plus the time the engine itself spent (for the per-engine
-/// latency histograms).
+/// the verb compiled something, and — for the engine-running verbs —
+/// the resolved engine plus the time the engine itself spent (for the
+/// per-engine latency histograms).
 struct Dispatched {
     result: Json,
     lookup: Option<Lookup>,
     engine: Option<(&'static str, u64)>,
-}
-
-impl Dispatched {
-    fn plain(result: Json, lookup: Option<Lookup>) -> Self {
-        Dispatched {
-            result,
-            lookup,
-            engine: None,
-        }
-    }
-}
-
-/// Runs one verb.
-fn dispatch(
-    cache: &CompileCache,
-    stats: &StatsRegistry,
-    cmd: &str,
-    doc: &Json,
-    peer: Peer,
-    limits: &ExecLimits,
-) -> Result<Dispatched, String> {
-    if cmd == "stats" {
-        let s = cache.stats();
-        let cache_counters = Json::Obj(vec![
-            (
-                "hits".into(),
-                Json::int(usize::try_from(s.hits).unwrap_or(usize::MAX)),
-            ),
-            (
-                "shape_hits".into(),
-                Json::int(usize::try_from(s.shape_hits).unwrap_or(usize::MAX)),
-            ),
-            (
-                "misses".into(),
-                Json::int(usize::try_from(s.misses).unwrap_or(usize::MAX)),
-            ),
-            ("entries".into(), Json::int(s.entries)),
-            (
-                "evictions".into(),
-                Json::int(usize::try_from(s.evictions).unwrap_or(usize::MAX)),
-            ),
-        ]);
-        // The registry's own fields (counters / verbs / engines) merge
-        // in beside the cache block.
-        let mut fields = vec![("cache".to_string(), cache_counters)];
-        if let Some(store) = cache.store() {
-            let s = store.stats();
-            let as_int = |v: u64| Json::int(usize::try_from(v).unwrap_or(usize::MAX));
-            fields.push((
-                "store".into(),
-                Json::Obj(vec![
-                    ("hits".into(), as_int(s.hits)),
-                    ("misses".into(), as_int(s.misses)),
-                    ("writes".into(), as_int(s.writes)),
-                    ("corrupt".into(), as_int(s.corrupt)),
-                    ("objects".into(), Json::int(store.ls().len())),
-                    ("bytes".into(), as_int(store.total_bytes())),
-                ]),
-            ));
-        }
-        if let Json::Obj(registry_fields) = stats.to_json() {
-            fields.extend(registry_fields);
-        }
-        return Ok(Dispatched::plain(Json::Obj(fields), None));
-    }
-    if !matches!(
-        cmd,
-        "parse" | "analyze" | "optimize" | "synth" | "simulate" | "trace"
-    ) {
-        return Err(format!(
-            "unknown cmd `{cmd}` (expected parse, analyze, optimize, synth, simulate, trace or stats)"
-        ));
-    }
-
-    let (source, origin) = request_source(doc, peer)?;
-    // The execution budget starts here, *before* compilation — a cached
-    // entry makes compilation ~free, but the deadline covers the whole
-    // request either way.
-    let budget = limits.request_budget(doc)?;
-    let (entry, lookup) = cache
-        .get_or_compile(&source)
-        .map_err(|diags| render_all(&diags, &source, &origin))?;
-
-    let mut engine_used: Option<(&'static str, u64)> = None;
-    let result = match cmd {
-        "parse" => Json::Obj(exec::parse_facts_json(
-            entry.session.dfg(),
-            entry.session.input_ranges(),
-        )),
-        "analyze" => {
-            let params = AnalyzeParams {
-                engine: match doc.get("engine").map(|v| field_str(v, "engine")) {
-                    Some(raw) => AnalyzeEngine::parse(raw?)?,
-                    None => AnalyzeEngine::Auto,
-                },
-                bits: u8_field(doc, "bits", 12)?,
-                bins: usize_field(doc, "bins", 64)?,
-            };
-            let include_pdf = match doc.get("pdf") {
-                Some(v) => v
-                    .as_bool()
-                    .ok_or_else(|| "`pdf` must be a boolean".to_string())?,
-                None => true,
-            };
-            let report = exec::analyze_report_budgeted(&entry, &params, &budget)?;
-            engine_used = Some((
-                report.engine.name(),
-                u64::try_from(report.elapsed.as_micros()).unwrap_or(u64::MAX),
-            ));
-            Json::Obj(vec![
-                // The engine that actually ran (`auto` resolves before
-                // this point) — the provenance of the numbers.
-                ("engine".into(), Json::str(report.engine.name())),
-                ("bits".into(), Json::int(params.bits as usize)),
-                ("bins".into(), Json::int(params.bins)),
-                ("kind".into(), Json::str(report.kind.as_str())),
-                (
-                    "reports".into(),
-                    Json::Arr(
-                        report
-                            .reports
-                            .iter()
-                            .map(|(name, r)| exec::report_json(name, r, include_pdf))
-                            .collect(),
-                    ),
-                ),
-            ])
-        }
-        "simulate" => {
-            let params = exec::SimulateParams {
-                bits: u8_field(doc, "bits", 12)?,
-                bins: usize_field(doc, "bins", 64)?,
-                // Bounded: paths × steps sizes server-side work, and
-                // workers fans out threads — an untrusted peer must not
-                // pick arbitrary values.
-                paths: bounded_usize_field(doc, "paths", 100_000, exec::MAX_PATHS)?,
-                seed: usize_field(doc, "seed", 0x5eed_cafe)? as u64,
-                steps: match doc.get("steps") {
-                    Some(_) => Some(bounded_usize_field(doc, "steps", 64, exec::MAX_STEPS)?),
-                    None => None,
-                },
-                warmup: match doc.get("warmup") {
-                    Some(_) => Some(bounded_usize_field(doc, "warmup", 16, exec::MAX_STEPS)?),
-                    None => None,
-                },
-                workers: bounded_usize_field(doc, "workers", 0, 64)?,
-            };
-            let include_pdf = match doc.get("pdf") {
-                Some(v) => v
-                    .as_bool()
-                    .ok_or_else(|| "`pdf` must be a boolean".to_string())?,
-                None => true,
-            };
-            let report = exec::simulate_budgeted(&entry, &params, &budget)?;
-            engine_used = Some((
-                "simulate",
-                u64::try_from(report.elapsed.as_micros()).unwrap_or(u64::MAX),
-            ));
-            let mut fields = vec![
-                ("engine".into(), Json::str("simulate")),
-                ("bits".into(), Json::int(params.bits as usize)),
-                ("bins".into(), Json::int(params.bins)),
-            ];
-            fields.extend(exec::simulate_json_fields(&report, include_pdf));
-            Json::Obj(fields)
-        }
-        "trace" => {
-            let mode = match doc.get("mode") {
-                Some(v) => field_str(v, "mode")?,
-                None => "report",
-            };
-            if !matches!(mode, "fit" | "replay" | "report") {
-                return Err(format!(
-                    "unknown trace mode `{mode}` (expected fit, replay or report)"
-                ));
-            }
-            let csv = trace_csv(doc, peer)?;
-            // Byte/row caps + budget-checked ingestion: an untrusted
-            // peer must not size the server's memory or stall it with
-            // an endless upload.
-            let trace_limits = sna_trace::TraceLimits {
-                max_bytes: exec::MAX_TRACE_BYTES,
-                max_rows: exec::MAX_TRACE_ROWS,
-            };
-            let trace = exec::ingest_trace(&csv, &entry.session, &trace_limits, &budget)?;
-            let include_pdf = match doc.get("pdf") {
-                Some(v) => v
-                    .as_bool()
-                    .ok_or_else(|| "`pdf` must be a boolean".to_string())?,
-                None => true,
-            };
-            let bins = usize_field(doc, "bins", 64)?;
-            if mode == "fit" {
-                let fit = exec::trace_fit(&entry.session, &trace, bins)?;
-                Json::Obj(vec![
-                    ("engine".into(), Json::str("trace")),
-                    ("mode".into(), Json::str("fit")),
-                    ("bins".into(), Json::int(bins)),
-                    ("rows".into(), Json::int(trace.rows())),
-                    ("skipped".into(), Json::int(trace.skipped())),
-                    ("fit".into(), exec::trace_fit_json(&fit, include_pdf)),
-                ])
-            } else {
-                let params = exec::TraceParams {
-                    bits: u8_field(doc, "bits", 12)?,
-                    bins,
-                    warmup: match doc.get("warmup") {
-                        Some(_) => Some(bounded_usize_field(doc, "warmup", 64, exec::MAX_STEPS)?),
-                        None => None,
-                    },
-                    workers: bounded_usize_field(doc, "workers", 0, 64)?,
-                    predict: mode == "report",
-                };
-                let report = exec::trace_report_budgeted(&entry, &trace, &params, &budget)?;
-                engine_used = Some((
-                    "trace",
-                    u64::try_from(report.elapsed.as_micros()).unwrap_or(u64::MAX),
-                ));
-                let mut fields = vec![
-                    ("engine".into(), Json::str("trace")),
-                    ("mode".into(), Json::str(mode)),
-                    ("bits".into(), Json::int(params.bits as usize)),
-                    ("bins".into(), Json::int(params.bins)),
-                ];
-                fields.extend(exec::trace_json_fields(&report, include_pdf));
-                Json::Obj(fields)
-            }
-        }
-        "optimize" => {
-            let params = OptimizeParams {
-                method: match doc.get("method") {
-                    Some(v) => field_str(v, "method")?.to_string(),
-                    None => "greedy".to_string(),
-                },
-                ref_bits: u8_field(doc, "ref_bits", 12)?,
-                budget: match doc.get("budget") {
-                    Some(v) => Some(
-                        v.as_f64()
-                            .ok_or_else(|| "`budget` must be a number".to_string())?,
-                    ),
-                    None => None,
-                },
-                start: u8_field(doc, "start", 16)?,
-                radius: u8_field(doc, "radius", 1)?,
-                // Bounded: these fan out server-side work, so an untrusted
-                // peer must not pick arbitrary values.
-                restarts: bounded_usize_field(doc, "restarts", 1, 64)?,
-                threads: bounded_usize_field(doc, "threads", 0, 64)?,
-            };
-            let out = exec::optimize_budgeted(&entry.session, &params, &budget)?;
-            Json::Obj(vec![
-                ("budget".into(), Json::Num(out.budget)),
-                ("reference".into(), exec::eval_json(&out.reference)),
-                (
-                    "results".into(),
-                    Json::Obj(
-                        out.results
-                            .iter()
-                            .map(|(name, e)| (name.clone(), exec::eval_json(e)))
-                            .collect(),
-                    ),
-                ),
-            ])
-        }
-        "synth" => {
-            let bits = u8_field(doc, "bits", 12)?;
-            let clock = match doc.get("clock") {
-                Some(v) => v
-                    .as_f64()
-                    .ok_or_else(|| "`clock` must be a number".to_string())?,
-                None => sna_hls::SynthesisConstraints::default().clock_ns,
-            };
-            let imp = exec::synth(&entry.session, bits, clock)?;
-            Json::Obj(vec![
-                ("bits".into(), Json::int(bits as usize)),
-                ("clock_ns".into(), Json::Num(clock)),
-                ("cost".into(), exec::cost_json(&imp.cost)),
-                ("scheduled_ops".into(), Json::int(imp.schedule.n_ops())),
-            ])
-        }
-        _ => unreachable!("verbs matched above"),
-    };
-    Ok(Dispatched {
-        result,
-        lookup: Some(lookup),
-        engine: engine_used,
-    })
 }
 
 /// The program text of a request: inline `source`, or `path` read from
@@ -593,8 +507,8 @@ fn field_str<'a>(value: &'a Json, key: &str) -> Result<&'a str, String> {
         .ok_or_else(|| format!("`{key}` must be a string"))
 }
 
-/// An integer field clamped into `0..=cap` (parallelism knobs: a remote
-/// peer must not spawn unbounded server-side work).
+/// An integer field in `0..=cap` (word lengths, and parallelism knobs: a
+/// remote peer must not spawn unbounded server-side work).
 fn bounded_usize_field(doc: &Json, key: &str, default: usize, cap: usize) -> Result<usize, String> {
     match doc.get(key) {
         None => Ok(default),
@@ -611,19 +525,12 @@ fn bounded_usize_field(doc: &Json, key: &str, default: usize, cap: usize) -> Res
     }
 }
 
-fn u8_field(doc: &Json, key: &str, default: u8) -> Result<u8, String> {
+fn bool_field(doc: &Json, key: &str, default: bool) -> Result<bool, String> {
     match doc.get(key) {
         None => Ok(default),
-        Some(v) => {
-            let n = v
-                .as_f64()
-                .ok_or_else(|| format!("`{key}` must be a number"))?;
-            if n.fract() == 0.0 && (0.0..=255.0).contains(&n) {
-                Ok(n as u8)
-            } else {
-                Err(format!("`{key}` must be an integer in 0..=255"))
-            }
-        }
+        Some(v) => v
+            .as_bool()
+            .ok_or_else(|| format!("`{key}` must be a boolean")),
     }
 }
 
@@ -643,169 +550,34 @@ fn usize_field(doc: &Json, key: &str, default: usize) -> Result<usize, String> {
     }
 }
 
-/// Serves the line protocol until EOF: one compact JSON response per
-/// request line, flushed immediately so pipes and sockets see answers
-/// without buffering delays. Empty lines are ignored. The peer is
-/// trusted (`path` requests read files) — this is the stdin/stdout
-/// transport behind `sna serve`.
-///
-/// # Errors
-///
-/// Only transport failures (reading the input, writing the output);
-/// protocol-level problems become `"ok": false` responses.
-pub fn serve<R: BufRead, W: Write>(
-    reader: R,
-    mut writer: W,
-    cache: &CompileCache,
-) -> io::Result<ServeReport> {
-    serve_peer(
-        reader,
-        &mut writer,
-        cache,
-        &StatsRegistry::new(),
-        Peer::Trusted,
-        &ExecLimits::default(),
-    )
-}
-
-/// [`serve`] recording into the caller's [`StatsRegistry`], so the
-/// `stats` verb reports the session's real counters and histograms.
-///
-/// # Errors
-///
-/// Same as [`serve`].
-pub fn serve_stats<R: BufRead, W: Write>(
-    reader: R,
-    mut writer: W,
-    cache: &CompileCache,
-    stats: &StatsRegistry,
-) -> io::Result<ServeReport> {
-    serve_peer(
-        reader,
-        &mut writer,
-        cache,
-        stats,
-        Peer::Trusted,
-        &ExecLimits::default(),
-    )
-}
-
-/// [`serve_stats`] under the caller's [`ExecLimits`] — the stdio
-/// transport behind `sna serve --request-timeout`.
-///
-/// # Errors
-///
-/// Same as [`serve`].
-pub fn serve_stats_limited<R: BufRead, W: Write>(
-    reader: R,
-    mut writer: W,
-    cache: &CompileCache,
-    stats: &StatsRegistry,
-    limits: &ExecLimits,
-) -> io::Result<ServeReport> {
-    serve_peer(reader, &mut writer, cache, stats, Peer::Trusted, limits)
-}
-
 /// Upper bound on one request line. Real `.sna` sources are kilobytes;
 /// the bound exists so a peer streaming bytes with no newline cannot
 /// grow the line buffer until the process is OOM-killed.
 pub const MAX_LINE_BYTES: u64 = 1 << 20;
 
-fn serve_peer<R: BufRead, W: Write>(
-    mut reader: R,
-    writer: &mut W,
-    cache: &CompileCache,
-    stats: &StatsRegistry,
-    peer: Peer,
-    limits: &ExecLimits,
-) -> io::Result<ServeReport> {
-    let mut report = ServeReport::default();
-    let mut line = String::new();
-    loop {
-        line.clear();
-        // Cap each line read: without the bound a newline-less stream
-        // accumulates into one unbounded String.
-        let n = io::Read::take(&mut reader, MAX_LINE_BYTES).read_line(&mut line)?;
-        if n == 0 {
-            break; // EOF
-        }
-        if !line.ends_with('\n') && n as u64 == MAX_LINE_BYTES {
-            // Oversized request: answer once and hang up — the rest of
-            // the stream is the middle of the same over-long line.
-            let response =
-                error_response(None, format!("request line exceeds {MAX_LINE_BYTES} bytes"));
-            report.requests += 1;
-            report.errors += 1;
-            stats.bump(Counter::Requests);
-            stats.bump(Counter::Errors);
-            writer.write_all(response.to_compact().as_bytes())?;
-            writer.write_all(b"\n")?;
-            writer.flush()?;
-            break;
-        }
-        if line.trim().is_empty() {
-            continue;
-        }
-        let response = handle(
-            cache,
-            stats,
-            line.trim_end_matches(['\n', '\r']),
-            peer,
-            limits,
-        );
-        report.requests += 1;
-        if response.get("ok").and_then(Json::as_bool) != Some(true) {
-            report.errors += 1;
-        }
-        writer.write_all(response.to_compact().as_bytes())?;
-        writer.write_all(b"\n")?;
-        writer.flush()?;
-    }
-    Ok(report)
-}
-
-/// The one-line answer a peer gets when the server is at `--max-conns`
-/// capacity, before its connection is closed (shared by the event loop
-/// and its tests).
-pub(crate) fn capacity_error_line() -> String {
-    let mut line = error_response(None, "server at capacity".to_string()).to_compact();
+/// An error response as one wire line, for the answers the event loop
+/// gives without running a handler: `server at capacity` (before the
+/// connection closes), `server draining` (a request after a graceful
+/// drain began), and the internal error a worker's completion guard
+/// delivers when execution panicked — so the peer always sees a
+/// structured failure, never a silent drop. The `id` of `request`, when
+/// it parses far enough, keeps the answer correlated.
+pub(crate) fn error_line(request: Option<&str>, message: &str) -> String {
+    let id = request
+        .and_then(|line| Json::parse(line).ok())
+        .and_then(|doc| doc.get("id").cloned());
+    let mut line = error_response(id, message.to_string()).to_compact();
     line.push('\n');
     line
 }
 
-/// The one-line answer a request gets when it arrives after a graceful
-/// drain has begun.
-pub(crate) fn draining_error_line(id: Option<Json>) -> String {
-    let mut line = error_response(id, "server draining".to_string()).to_compact();
-    line.push('\n');
-    line
-}
-
-/// The one-line answer for a request line that exceeded
-/// [`MAX_LINE_BYTES`] (the connection closes after it flushes).
+/// The answer to a request line that exceeded [`MAX_LINE_BYTES`] (the
+/// connection closes after it flushes).
 pub(crate) fn oversize_error_line() -> String {
-    let mut line =
-        error_response(None, format!("request line exceeds {MAX_LINE_BYTES} bytes")).to_compact();
-    line.push('\n');
-    line
-}
-
-/// The one-line answer a request gets when its execution panicked in a
-/// worker: the completion guard in the event loop delivers this so the
-/// peer always sees a structured failure, never a silent drop.
-pub(crate) fn internal_error_line(id: Option<Json>) -> String {
-    let mut line =
-        error_response(id, "internal error: request execution panicked".to_string()).to_compact();
-    line.push('\n');
-    line
-}
-
-/// Extracts the `id` of a raw request line if it parses far enough,
-/// so refusal responses (draining) still correlate.
-pub(crate) fn request_id(line: &str) -> Option<Json> {
-    Json::parse(line)
-        .ok()
-        .and_then(|doc| doc.get("id").cloned())
+    error_line(
+        None,
+        &format!("request line exceeds {MAX_LINE_BYTES} bytes"),
+    )
 }
 
 #[cfg(test)]
@@ -813,6 +585,34 @@ mod tests {
     use super::*;
 
     const SRC: &str = "input x in [-1, 1];\\noutput y = 0.5*x;\\n";
+
+    fn handler<'a>(cache: &'a CompileCache, stats: &'a StatsRegistry, peer: Peer) -> Handler<'a> {
+        Handler {
+            cache,
+            stats,
+            limits: ExecLimits::default(),
+            peer,
+        }
+    }
+
+    fn error(response: &Json) -> &str {
+        response
+            .get("error")
+            .and_then(Json::as_str)
+            .unwrap_or_else(|| panic!("not an error response: {response}"))
+    }
+
+    fn handle_line(cache: &CompileCache, line: &str) -> Json {
+        handler(cache, &StatsRegistry::new(), Peer::Trusted).handle(line)
+    }
+
+    fn handle_line_untrusted(cache: &CompileCache, line: &str) -> Json {
+        handler(cache, &StatsRegistry::new(), Peer::Untrusted).handle(line)
+    }
+
+    fn handle_line_stats(cache: &CompileCache, stats: &StatsRegistry, line: &str) -> Json {
+        handler(cache, stats, Peer::Trusted).handle(line)
+    }
 
     fn request(fields: &str) -> String {
         format!("{{{fields}}}")
@@ -838,30 +638,15 @@ mod tests {
         let cache = CompileCache::new();
         let bad = handle_line(&cache, "this is not json");
         assert_eq!(bad.get("ok").unwrap().as_bool(), Some(false));
-        assert!(bad
-            .get("error")
-            .unwrap()
-            .as_str()
-            .unwrap()
-            .contains("malformed"));
+        assert!(error(&bad).contains("malformed"));
 
         let unknown = handle_line(&cache, r#"{"id": 9, "cmd": "frobnicate", "source": "x"}"#);
         assert_eq!(unknown.get("ok").unwrap().as_bool(), Some(false));
         assert_eq!(unknown.get("id").unwrap().as_f64(), Some(9.0));
-        assert!(unknown
-            .get("error")
-            .unwrap()
-            .as_str()
-            .unwrap()
-            .contains("unknown cmd"));
+        assert!(error(&unknown).contains("unknown cmd"));
 
         let no_source = handle_line(&cache, r#"{"cmd": "parse"}"#);
-        assert!(no_source
-            .get("error")
-            .unwrap()
-            .as_str()
-            .unwrap()
-            .contains("`source`"));
+        assert!(error(&no_source).contains("`source`"));
     }
 
     #[test]
@@ -872,8 +657,8 @@ mod tests {
             r#"{"cmd": "parse", "source": "input x;\ny = ;\noutput y;\n"}"#,
         );
         assert_eq!(resp.get("ok").unwrap().as_bool(), Some(false));
-        let error = resp.get("error").unwrap().as_str().unwrap();
-        assert!(error.contains("expected an expression"), "{error}");
+        let message = error(&resp);
+        assert!(message.contains("expected an expression"), "{message}");
     }
 
     #[test]
@@ -945,14 +730,7 @@ mod tests {
             )),
         );
         assert_eq!(resp.get("ok").unwrap().as_bool(), Some(false));
-        assert!(
-            resp.get("error")
-                .unwrap()
-                .as_str()
-                .unwrap()
-                .contains("bins"),
-            "{resp}"
-        );
+        assert!(error(&resp).contains("bins"), "{resp}");
         // A zero is equally out of range.
         let resp = handle_line(
             &cache,
@@ -971,14 +749,7 @@ mod tests {
         let deep_json = "[".repeat(200_000);
         let resp = handle_line_untrusted(&cache, &deep_json);
         assert_eq!(resp.get("ok").unwrap().as_bool(), Some(false));
-        assert!(
-            resp.get("error")
-                .unwrap()
-                .as_str()
-                .unwrap()
-                .contains("nesting"),
-            "{resp}"
-        );
+        assert!(error(&resp).contains("nesting"), "{resp}");
         // Same for a deeply nested `.sna` expression inside a valid
         // request: a compile diagnostic, not a crash.
         let line = format!(
@@ -987,14 +758,7 @@ mod tests {
         );
         let resp = handle_line_untrusted(&cache, &line);
         assert_eq!(resp.get("ok").unwrap().as_bool(), Some(false));
-        assert!(
-            resp.get("error")
-                .unwrap()
-                .as_str()
-                .unwrap()
-                .contains("nesting"),
-            "{resp}"
-        );
+        assert!(error(&resp).contains("nesting"), "{resp}");
     }
 
     #[test]
@@ -1003,14 +767,7 @@ mod tests {
         let line = r#"{"cmd": "parse", "path": "/etc/hostname"}"#;
         let resp = handle_line_untrusted(&cache, line);
         assert_eq!(resp.get("ok").unwrap().as_bool(), Some(false));
-        assert!(
-            resp.get("error")
-                .unwrap()
-                .as_str()
-                .unwrap()
-                .contains("not available over TCP"),
-            "{resp}"
-        );
+        assert!(error(&resp).contains("not available over TCP"), "{resp}");
         // Inline source still works for the same peer.
         let ok = handle_line_untrusted(
             &cache,
@@ -1028,12 +785,7 @@ mod tests {
                 r#""cmd": "analyze", "source": "{SRC}", "bits": 4096"#
             )),
         );
-        assert!(resp
-            .get("error")
-            .unwrap()
-            .as_str()
-            .unwrap()
-            .contains("0..=255"));
+        assert!(error(&resp).contains("0..=255"));
         let resp = handle_line(
             &cache,
             &request(&format!(
@@ -1041,12 +793,7 @@ mod tests {
             )),
         );
         assert_eq!(resp.get("ok").unwrap().as_bool(), Some(false));
-        assert!(resp
-            .get("error")
-            .unwrap()
-            .as_str()
-            .unwrap()
-            .contains("unknown engine"));
+        assert!(error(&resp).contains("unknown engine"));
     }
 
     const CSV: &str = "x\\n0.9\\n-0.9\\n0.45\\n-0.45\\n0.1\\n-0.7\\n0.3\\n-0.2\\n";
@@ -1126,34 +873,19 @@ mod tests {
                 r#""cmd": "trace", "source": "{SRC}", "trace": "{CSV}", "mode": "warp""#
             )),
         );
-        assert!(bad_mode
-            .get("error")
-            .unwrap()
-            .as_str()
-            .unwrap()
-            .contains("unknown trace mode"));
+        assert!(error(&bad_mode).contains("unknown trace mode"));
         let no_trace = handle_line(
             &cache,
             &request(&format!(r#""cmd": "trace", "source": "{SRC}""#)),
         );
-        assert!(no_trace
-            .get("error")
-            .unwrap()
-            .as_str()
-            .unwrap()
-            .contains("`trace`"));
+        assert!(error(&no_trace).contains("`trace`"));
         let bad_column = handle_line(
             &cache,
             &request(&format!(
                 r#""cmd": "trace", "source": "{SRC}", "trace": "z\\n1\\n""#
             )),
         );
-        assert!(bad_column
-            .get("error")
-            .unwrap()
-            .as_str()
-            .unwrap()
-            .contains("no column for input"));
+        assert!(error(&bad_column).contains("no column for input"));
     }
 
     #[test]
@@ -1164,12 +896,7 @@ mod tests {
         ));
         let resp = handle_line_untrusted(&cache, &line);
         assert_eq!(resp.get("ok").unwrap().as_bool(), Some(false));
-        assert!(resp
-            .get("error")
-            .unwrap()
-            .as_str()
-            .unwrap()
-            .contains("not available over TCP"));
+        assert!(error(&resp).contains("not available over TCP"));
         // The same request with the CSV inline works for that peer.
         let ok = handle_line_untrusted(
             &cache,
@@ -1194,14 +921,6 @@ mod tests {
             )),
         );
         assert_eq!(resp.get("ok").unwrap().as_bool(), Some(false));
-        assert!(
-            resp.get("error")
-                .unwrap()
-                .as_str()
-                .unwrap()
-                .contains("row cap"),
-            "{}",
-            resp.get("error").unwrap()
-        );
+        assert!(error(&resp).contains("row cap"), "{resp}");
     }
 }

@@ -80,7 +80,7 @@ fn concurrent_coefficient_swaps_ride_the_shape_tier() {
     let cache = CompileCache::new();
     let base = "input x in [-1, 1];\nlet k = 0.5;\noutput y = k*x;\n";
     let (donor, _) = cache.get_or_compile(base).unwrap();
-    donor.na_model().unwrap();
+    donor.session.na_model().unwrap();
 
     let variant = |k: usize| format!("input x in [-1, 1];\nlet k = 0.5{k};\noutput y = k*x;\n");
     let donor_shape = donor.shape_fingerprint;
@@ -93,7 +93,7 @@ fn concurrent_coefficient_swaps_ride_the_shape_tier() {
                     let (entry, lookup) = cache.get_or_compile(&variant((t + i) % 4 + 1)).unwrap();
                     assert!(lookup.is_hit(), "coefficient variants never fully compile");
                     assert_eq!(entry.shape_fingerprint, donor_shape);
-                    assert!(entry.na_model_built() || entry.na_model().is_ok());
+                    assert!(entry.session.na_model_built() || entry.session.na_model().is_ok());
                 }
             });
         }
@@ -122,7 +122,7 @@ fn hot_shape_tier_entries_survive_concurrent_eviction_pressure() {
     });
     let base = "input x in [-1, 1];\nlet k = 0.5;\noutput y = k*x;\n";
     let (donor, _) = cache.get_or_compile(base).unwrap();
-    donor.na_model().unwrap();
+    donor.session.na_model().unwrap();
     let donor_shape = donor.shape_fingerprint;
 
     for round in 0..ROUNDS {
@@ -180,7 +180,7 @@ fn concurrent_na_model_builds_converge_to_one_shared_model() {
         let handles: Vec<_> = (0..8)
             .map(|_| {
                 let entry = entry.clone();
-                scope.spawn(move || entry.na_model().unwrap())
+                scope.spawn(move || entry.session.na_model().unwrap())
             })
             .collect();
         handles.into_iter().map(|h| h.join().unwrap()).collect()

@@ -185,10 +185,12 @@ fn sugared_analyze_json_is_byte_identical_to_the_desugared_twin_on_every_engine(
         // Genuinely different programs (different canonical forms) …
         assert_ne!(sugar.fingerprint, plain.fingerprint, "{file}");
         for engine in engines {
-            let a = exec::analyze(&sugar, &AnalyzeParams { engine, bits, bins })
-                .unwrap_or_else(|e| panic!("{file} {}: {e}", engine.name()));
-            let b = exec::analyze(&plain, &AnalyzeParams { engine, bits, bins })
-                .unwrap_or_else(|e| panic!("{file} twin {}: {e}", engine.name()));
+            let a = exec::analyze_report(&sugar, &AnalyzeParams { engine, bits, bins })
+                .unwrap_or_else(|e| panic!("{file} {}: {e}", engine.name()))
+                .reports;
+            let b = exec::analyze_report(&plain, &AnalyzeParams { engine, bits, bins })
+                .unwrap_or_else(|e| panic!("{file} twin {}: {e}", engine.name()))
+                .reports;
             // … whose analysis output agrees to the byte.
             assert_eq!(
                 render(&a),

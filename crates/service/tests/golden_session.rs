@@ -185,8 +185,9 @@ fn every_engine_is_byte_identical_to_the_pre_redesign_path_on_all_examples() {
         let (entry, _) = cache.get_or_compile(&source).unwrap();
         let lowered = sna_lang::compile(&source).unwrap();
         for engine in engines {
-            let new_path = exec::analyze(&entry, &AnalyzeParams { engine, bits, bins })
-                .unwrap_or_else(|e| panic!("{file} {}: {e}", engine.name()));
+            let new_path = exec::analyze_report(&entry, &AnalyzeParams { engine, bits, bins })
+                .unwrap_or_else(|e| panic!("{file} {}: {e}", engine.name()))
+                .reports;
             let old_path = reference_analyze(&lowered, engine, bits, bins);
             assert_eq!(
                 render(&new_path),
@@ -225,7 +226,7 @@ fn repeated_requests_reuse_the_session_artifacts() {
     let cache = CompileCache::new();
     let (entry, _) = cache.get_or_compile(&example("fir.sna")).unwrap();
     for engine in [EngineKind::Na, EngineKind::Lti, EngineKind::Auto] {
-        exec::analyze(
+        exec::analyze_report(
             &entry,
             &AnalyzeParams {
                 engine,

@@ -1,7 +1,8 @@
 //! Protocol round-trips: a scripted client feeds request lines through
-//! [`sna_service::serve`] exactly as `sna serve` does over stdin/stdout
-//! (the CLI passes locked stdio to this same function), and over a real
-//! TCP socket via the event-loop transport ([`sna_service::spawn_server`]).
+//! [`sna_service::Handler::serve`] exactly as `sna serve` does over
+//! stdin/stdout (the CLI passes locked stdio to this same method), and
+//! over a real TCP socket via the event-loop transport
+//! ([`sna_service::spawn_server`]).
 //! Every response line must parse as JSON; malformed requests must answer
 //! with an error instead of killing the server. The transport-specific
 //! behaviours (backpressure, drain, idle eviction, capacity) live in
@@ -10,15 +11,29 @@
 use std::io::{BufRead, BufReader, Cursor, Write};
 use std::sync::Arc;
 
-use sna_service::{serve, spawn_server, CompileCache, Json, ServerConfig, StatsRegistry};
+use sna_service::{
+    spawn_server, CompileCache, ExecLimits, Handler, Json, Peer, ServeReport, ServerConfig,
+    StatsRegistry,
+};
 
 const SRC: &str = r"input x in [-1, 1];\ny = 0.5*x;\noutput y;\n";
 
-fn run_session(lines: &[String]) -> (Vec<Json>, sna_service::ServeReport) {
+/// The stdio transport of `sna serve`, over in-memory pipes.
+fn serve(input: impl BufRead, output: &mut Vec<u8>, cache: &CompileCache) -> ServeReport {
+    let handler = Handler {
+        cache,
+        stats: &StatsRegistry::new(),
+        limits: ExecLimits::default(),
+        peer: Peer::Trusted,
+    };
+    handler.serve(input, output).unwrap()
+}
+
+fn run_session(lines: &[String]) -> (Vec<Json>, ServeReport) {
     let input = lines.join("\n") + "\n";
     let cache = CompileCache::new();
     let mut output = Vec::new();
-    let report = serve(Cursor::new(input.into_bytes()), &mut output, &cache).unwrap();
+    let report = serve(Cursor::new(input.into_bytes()), &mut output, &cache);
     let text = String::from_utf8(output).unwrap();
     let responses = text
         .lines()
@@ -197,9 +212,39 @@ fn empty_lines_are_ignored_not_answered() {
     let cache = CompileCache::new();
     let mut output = Vec::new();
     let input = "\n\n{\"cmd\": \"stats\"}\n   \n".to_string();
-    let report = serve(Cursor::new(input.into_bytes()), &mut output, &cache).unwrap();
+    let report = serve(Cursor::new(input.into_bytes()), &mut output, &cache);
     assert_eq!(report.requests, 1);
     assert_eq!(String::from_utf8(output).unwrap().lines().count(), 1);
+}
+
+#[test]
+fn non_utf8_lines_answer_as_malformed_and_the_server_keeps_serving() {
+    let cache = CompileCache::new();
+    let mut output = Vec::new();
+    let mut input = b"{\"cmd\":\"stats\"}\n\xff\xfe\n".to_vec();
+    input.extend_from_slice(br#"{"id":2,"cmd":"parse","source":"input x;\noutput y = x;\n"}"#);
+    input.push(b'\n');
+    let report = serve(Cursor::new(input), &mut output, &cache);
+    assert_eq!(
+        report,
+        ServeReport {
+            requests: 3,
+            errors: 1
+        }
+    );
+    let text = String::from_utf8(output).unwrap();
+    let responses: Vec<Json> = text.lines().map(|l| Json::parse(l).unwrap()).collect();
+    assert_eq!(responses.len(), 3, "{text}");
+    let ok = |r: &Json| r.get("ok").and_then(Json::as_bool);
+    assert_eq!(ok(&responses[0]), Some(true));
+    assert_eq!(ok(&responses[1]), Some(false));
+    assert!(responses[1]
+        .get("error")
+        .and_then(Json::as_str)
+        .unwrap()
+        .contains("malformed request"));
+    assert_eq!(ok(&responses[2]), Some(true));
+    assert_eq!(responses[2].get("id").and_then(Json::as_f64), Some(2.0));
 }
 
 #[test]
@@ -208,7 +253,7 @@ fn oversized_request_lines_get_one_error_then_hangup_not_oom() {
     let mut output = Vec::new();
     // 2 MiB of bytes with no newline: past the 1 MiB line bound.
     let input = vec![b'a'; 2 << 20];
-    let report = serve(Cursor::new(input), &mut output, &cache).unwrap();
+    let report = serve(Cursor::new(input), &mut output, &cache);
     assert_eq!(report.requests, 1);
     assert_eq!(report.errors, 1);
     let text = String::from_utf8(output).unwrap();

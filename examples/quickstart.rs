@@ -3,7 +3,7 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
-use sna::core::{EngineKind, SnaAnalysis};
+use sna::core::{AnalysisRequest, EngineKind, Session, WlChoice};
 use sna::dfg::DfgBuilder;
 use sna::fixp::WlConfig;
 use sna::hist::RenderOptions;
@@ -24,6 +24,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let dfg = b.build()?;
 
     let ranges = vec![Interval::new(-1.0, 1.0)?; 3];
+    let session = Session::new(dfg.clone(), ranges.clone())?;
+    let analyze = |cfg: WlConfig| {
+        session.analyze(&AnalysisRequest {
+            engine: EngineKind::Auto,
+            words: WlChoice::Config(cfg),
+            bins: 128,
+            ..AnalysisRequest::default()
+        })
+    };
 
     println!("datapath: y = 0.3·x1 + 0.6·x2 − 0.1·x3, inputs ∈ [-1, 1]\n");
     println!(
@@ -33,10 +42,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("{}", "-".repeat(64));
     for w in [8u8, 12, 16] {
         let cfg = WlConfig::from_ranges(&dfg, &ranges, w)?;
-        let reports = SnaAnalysis::new(&dfg, &cfg, &ranges)
-            .engine(EngineKind::Auto)
-            .bins(128)
-            .run()?;
+        let reports = analyze(cfg)?.reports;
         let r = &reports[0].1;
         println!(
             "{w:>4} | {:>12.3e} | {:>12.3e} | [{:>10.3e}, {:>10.3e}]",
@@ -49,7 +55,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Show the full error PDF at W = 8.
     let cfg = WlConfig::from_ranges(&dfg, &ranges, 8)?;
-    let reports = SnaAnalysis::new(&dfg, &cfg, &ranges).bins(128).run()?;
+    let reports = analyze(cfg)?.reports;
     if let Some(pdf) = &reports[0].1.histogram {
         println!("\nerror PDF at W = 8:\n");
         print!(

@@ -3,7 +3,7 @@
 //!
 //! Run with: `cargo run --release --example rgb_converter`
 
-use sna::core::{EngineKind, SnaAnalysis};
+use sna::core::{AnalysisRequest, EngineKind, Session, WlChoice};
 use sna::designs::rgb_to_ycrcb;
 use sna::fixp::WlConfig;
 use sna::hist::RenderOptions;
@@ -14,10 +14,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let w = 12;
     let cfg = WlConfig::from_ranges(&design.dfg, &design.input_ranges, w)?;
-    let reports = SnaAnalysis::new(&design.dfg, &cfg, &design.input_ranges)
-        .engine(EngineKind::Auto)
-        .bins(64)
-        .run()?;
+    let session = Session::new(design.dfg, design.input_ranges)?;
+    let reports = session
+        .analyze(&AnalysisRequest {
+            engine: EngineKind::Auto,
+            words: WlChoice::Config(cfg),
+            bins: 64,
+            ..AnalysisRequest::default()
+        })?
+        .reports;
 
     for (name, r) in &reports {
         println!(

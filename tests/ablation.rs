@@ -117,11 +117,16 @@ fn transient_noise_via_unrolling_converges_to_steady_state() {
 
     // Steady state from the LTI engine.
     let cfg = WlConfig::from_ranges(&g, &ranges, 12).unwrap();
-    let steady = sna::core::SnaAnalysis::new(&g, &cfg, &ranges)
-        .engine(sna::core::EngineKind::Lti)
-        .bins(64)
-        .run()
-        .unwrap()[0]
+    let session = sna::core::Session::new(g.clone(), ranges).unwrap();
+    let steady = session
+        .analyze(&sna::core::AnalysisRequest {
+            engine: sna::core::EngineKind::Lti,
+            words: sna::core::WlChoice::Config(cfg),
+            bins: 64,
+            ..sna::core::AnalysisRequest::default()
+        })
+        .unwrap()
+        .reports[0]
         .1
         .variance;
 

@@ -2,12 +2,29 @@
 //! construction through noise analysis, bit-true validation, synthesis
 //! and word-length optimization.
 
-use sna::core::{EngineKind, SnaAnalysis};
+use sna::core::{AnalysisRequest, EngineKind, NoiseReport, Session, WlChoice};
 use sna::designs::{fir, rgb_to_ycrcb, Design};
 use sna::fixp::{monte_carlo_error, MonteCarloOptions, WlConfig};
 use sna::hls::{synthesize, SynthesisConstraints};
 use sna::interval::Interval;
 use sna::opt::Optimizer;
+
+/// One analysis of `design` under `cfg` through a fresh session.
+fn analyze(
+    design: &Design,
+    cfg: &WlConfig,
+    engine: EngineKind,
+    bins: usize,
+) -> Vec<(String, NoiseReport)> {
+    let session = Session::new(design.dfg.clone(), design.input_ranges.clone()).unwrap();
+    let req = AnalysisRequest {
+        engine,
+        words: WlChoice::Config(cfg.clone()),
+        bins,
+        ..AnalysisRequest::default()
+    };
+    session.analyze(&req).unwrap().reports
+}
 
 /// Every analysis engine's prediction must be consistent with bit-true
 /// Monte-Carlo simulation on a real design (the RGB converter).
@@ -15,11 +32,7 @@ use sna::opt::Optimizer;
 fn sna_prediction_covers_bit_true_simulation_on_rgb() {
     let design = rgb_to_ycrcb();
     let cfg = WlConfig::from_ranges(&design.dfg, &design.input_ranges, 10).unwrap();
-    let predicted = SnaAnalysis::new(&design.dfg, &cfg, &design.input_ranges)
-        .engine(EngineKind::Auto)
-        .bins(96)
-        .run()
-        .unwrap();
+    let predicted = analyze(&design, &cfg, EngineKind::Auto, 96);
     let measured = monte_carlo_error(
         &design.dfg,
         &cfg,
@@ -53,15 +66,8 @@ fn sna_prediction_covers_bit_true_simulation_on_rgb() {
 fn symbolic_and_na_agree_on_rgb() {
     let design = rgb_to_ycrcb();
     let cfg = WlConfig::from_ranges(&design.dfg, &design.input_ranges, 12).unwrap();
-    let symbolic = SnaAnalysis::new(&design.dfg, &cfg, &design.input_ranges)
-        .engine(EngineKind::Symbolic)
-        .bins(32)
-        .run()
-        .unwrap();
-    let na = SnaAnalysis::new(&design.dfg, &cfg, &design.input_ranges)
-        .engine(EngineKind::Na)
-        .run()
-        .unwrap();
+    let symbolic = analyze(&design, &cfg, EngineKind::Symbolic, 32);
+    let na = analyze(&design, &cfg, EngineKind::Na, 64);
     for ((n1, s), (n2, a)) in symbolic.iter().zip(na.iter()) {
         assert_eq!(n1, n2);
         let ratio = s.variance / a.variance;
@@ -175,11 +181,7 @@ fn quadratic_story_through_facade() {
 fn design1_bounds_hold_in_simulation() {
     let design = sna::designs::diff_eq18();
     let cfg = WlConfig::from_ranges(&design.dfg, &design.input_ranges, 14).unwrap();
-    let predicted = SnaAnalysis::new(&design.dfg, &cfg, &design.input_ranges)
-        .engine(EngineKind::Lti)
-        .bins(64)
-        .run()
-        .unwrap();
+    let predicted = analyze(&design, &cfg, EngineKind::Lti, 64);
     let measured = monte_carlo_error(
         &design.dfg,
         &cfg,
