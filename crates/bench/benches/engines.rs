@@ -5,7 +5,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sna_bench::{quadratic_fn, quadratic_inputs};
-use sna_core::{CartesianEngine, DfgEngine, EngineOptions, NaModel};
+use sna_core::{Budget, CartesianEngine, DfgEngine, EngineOptions, NaModel};
 use sna_dfg::LtiOptions;
 use sna_fixp::WlConfig;
 
@@ -16,7 +16,13 @@ fn bench_cartesian_quadratic(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(g), &g, |bench, &g| {
             let inputs = quadratic_inputs(g).unwrap();
             let engine = CartesianEngine::new(128);
-            bench.iter(|| std::hint::black_box(engine.analyze(&inputs, quadratic_fn).unwrap()))
+            bench.iter(|| {
+                std::hint::black_box(
+                    engine
+                        .analyze(&inputs, quadratic_fn, &Budget::unlimited())
+                        .unwrap(),
+                )
+            })
         });
     }
     group.finish();
@@ -33,7 +39,12 @@ fn bench_dfg_engine_rgb(c: &mut Criterion) {
             bench.iter(|| {
                 std::hint::black_box(
                     engine
-                        .analyze(&design.dfg, &cfg, &design.input_ranges)
+                        .analyze(
+                            &design.dfg,
+                            &cfg,
+                            &design.input_ranges,
+                            &Budget::unlimited(),
+                        )
                         .unwrap(),
                 )
             })

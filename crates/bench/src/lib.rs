@@ -15,7 +15,7 @@
 
 use std::fmt::Write as _;
 
-use sna_core::{CartesianEngine, NoiseReport, UncertainInput};
+use sna_core::{Budget, CartesianEngine, NoiseReport, UncertainInput};
 use sna_designs::{quadratic_reference, rgb_to_ycrcb, Design};
 use sna_fixp::WlConfig;
 use sna_hist::{DepositPolicy, Histogram};
@@ -88,8 +88,11 @@ pub fn table1(sna_granularity: usize) -> Result<Table1, Error> {
     let x2 = xa.mul(&xa.clone(), &ctx);
     let y = fa.mul(&x2, &ctx) + fb.mul(&xa, &ctx) + fc;
 
-    let report =
-        CartesianEngine::new(256).analyze(&quadratic_inputs(sna_granularity)?, quadratic_fn)?;
+    let report = CartesianEngine::new(256).analyze(
+        &quadratic_inputs(sna_granularity)?,
+        quadratic_fn,
+        &Budget::unlimited(),
+    )?;
     Ok(Table1 {
         ia,
         aa_center: y.center(),
@@ -142,10 +145,14 @@ pub fn table2(granularities: &[usize], samples: usize) -> Result<Table2, Error> 
     const CENTRE: f64 = 6.5;
     let mut rows = Vec::new();
     for &g in granularities {
-        let outer = CartesianEngine::new(256).analyze(&quadratic_inputs(g)?, quadratic_fn)?;
+        let outer = CartesianEngine::new(256).analyze(
+            &quadratic_inputs(g)?,
+            quadratic_fn,
+            &Budget::unlimited(),
+        )?;
         let inner = CartesianEngine::new(256)
             .with_deposit(DepositPolicy::Midpoint)
-            .analyze(&quadratic_inputs(g)?, quadratic_fn)?;
+            .analyze(&quadratic_inputs(g)?, quadratic_fn, &Budget::unlimited())?;
         rows.push(Table2Row {
             g,
             mean: outer.mean - CENTRE,
@@ -203,7 +210,11 @@ pub fn table2(granularities: &[usize], samples: usize) -> Result<Table2, Error> 
 pub fn figure1(granularities: &[usize]) -> Result<Vec<(usize, Histogram)>, Error> {
     let mut out = Vec::new();
     for &g in granularities {
-        let report = CartesianEngine::new(64).analyze(&quadratic_inputs(g)?, quadratic_fn)?;
+        let report = CartesianEngine::new(64).analyze(
+            &quadratic_inputs(g)?,
+            quadratic_fn,
+            &Budget::unlimited(),
+        )?;
         let hist = report.histogram.expect("cartesian engine returns a PDF");
         out.push((g, hist));
     }

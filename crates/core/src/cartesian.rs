@@ -8,10 +8,17 @@
 //! inputs — exactly what the paper prescribes, and practical for the
 //! quadratic/table examples it evaluates.
 
+use std::cell::RefCell;
+use std::collections::HashMap;
+
+use sna_dfg::{Dfg, RangeOptions};
 use sna_hist::{DepositPolicy, Grid, Histogram, MassAccumulator};
 use sna_interval::Interval;
 
-use crate::{NoiseReport, SnaError};
+use crate::{Budget, NoiseReport, SnaError};
+
+/// Sub-boxes the Section-4 sweep evaluates between budget checks.
+const BUDGET_STRIDE: usize = 1024;
 
 /// One uncertain input of a [`CartesianEngine`] analysis.
 #[derive(Clone, Debug)]
@@ -59,7 +66,7 @@ impl UncertainInput {
 /// The paper's quadratic `y = a·x² + b·x + c`:
 ///
 /// ```
-/// use sna_core::{CartesianEngine, UncertainInput};
+/// use sna_core::{Budget, CartesianEngine, UncertainInput};
 ///
 /// # fn main() -> Result<(), sna_core::SnaError> {
 /// let g = 16; // bins per symbol
@@ -70,7 +77,11 @@ impl UncertainInput {
 ///     UncertainInput::uniform("c", 6.0, 7.0, g)?,
 /// ];
 /// let engine = CartesianEngine::new(128);
-/// let report = engine.analyze(&inputs, |v| v[1] * v[0].sqr() + v[2] * v[0] + v[3])?;
+/// let report = engine.analyze(
+///     &inputs,
+///     |v| v[1] * v[0].sqr() + v[2] * v[0] + v[3],
+///     &Budget::unlimited(),
+/// )?;
 /// // Converges toward the true range [5, 23] as g grows.
 /// assert!(report.support.0 >= -0.1 && report.support.1 <= 23.1);
 /// # Ok(())
@@ -114,16 +125,22 @@ impl CartesianEngine {
     /// must be inclusion-isotonic — every composition of
     /// [`Interval`] primitives is.
     ///
+    /// The sweep checks `budget` every 1024 sub-boxes, starting with the
+    /// first.
+    ///
     /// # Errors
     ///
     /// * [`SnaError::Expr`] ([`sna_expr::ExprError::TooManyCombinations`])
-    ///   when the bin product exceeds the budget;
+    ///   when the bin product exceeds the combination budget;
     /// * [`SnaError::Hist`] when the output histogram cannot be built
-    ///   (degenerate support).
+    ///   (degenerate support);
+    /// * [`SnaError::DeadlineExceeded`] / [`SnaError::Cancelled`] when
+    ///   `budget` runs out mid-sweep.
     pub fn analyze(
         &self,
         inputs: &[UncertainInput],
         f: impl Fn(&[Interval]) -> Interval,
+        budget: &Budget,
     ) -> Result<NoiseReport, SnaError> {
         let mut combos: u128 = 1;
         for i in inputs {
@@ -148,9 +165,15 @@ impl CartesianEngine {
         let grid = Grid::over(full, self.out_bins).map_err(SnaError::Hist)?;
         let mut acc = MassAccumulator::new(grid);
 
+        let limited = !budget.is_unlimited();
+        let mut visited: usize = 0;
         let mut idx = vec![0usize; inputs.len()];
         let mut ranges = full_ranges.clone();
         loop {
+            if limited && visited.is_multiple_of(BUDGET_STRIDE) {
+                budget.check()?;
+            }
+            visited += 1;
             let mut mass = 1.0;
             for (k, input) in inputs.iter().enumerate() {
                 ranges[k] = input.pdf.grid().bin_interval(idx[k]);
@@ -177,6 +200,89 @@ impl CartesianEngine {
     }
 }
 
+/// The Section-4 algorithm over a combinational graph's *value*
+/// uncertainty: every input uniform over its declared range with `bins`
+/// bins, each output's PDF swept over the inputs' Cartesian product.
+/// Word lengths play no part.
+///
+/// # Errors
+///
+/// [`SnaError::CombinationalOnly`] for sequential graphs,
+/// [`SnaError::InvalidInput`] for an input range no histogram can
+/// cover, range-analysis failures over the full input box, and
+/// [`CartesianEngine::analyze`]'s failures.
+pub(crate) fn value_pdfs(
+    dfg: &Dfg,
+    input_ranges: &[Interval],
+    bins: usize,
+    budget: &Budget,
+) -> Result<Vec<(String, NoiseReport)>, SnaError> {
+    if !dfg.is_combinational() {
+        return Err(SnaError::CombinationalOnly {
+            engine: "cartesian",
+        });
+    }
+    let inputs: Vec<UncertainInput> = dfg
+        .input_names()
+        .iter()
+        .zip(input_ranges)
+        .map(|(name, range)| {
+            UncertainInput::uniform(name.clone(), range.lo(), range.hi(), bins).map_err(|e| {
+                SnaError::InvalidInput {
+                    name: name.clone(),
+                    message: e.to_string(),
+                }
+            })
+        })
+        .collect::<Result<_, _>>()?;
+    // Fail early (and only once) if interval evaluation cannot cover
+    // the full input box — sub-boxes are subsets, so they inherit
+    // success.
+    dfg.output_ranges(input_ranges, &RangeOptions::default())?;
+
+    let engine = CartesianEngine::new(bins.max(2) * 2);
+    // The engine sweeps every input sub-box once *per analyzed output*,
+    // and each interval evaluation computes all outputs at once.
+    // Memoize the per-sub-box output vector (bounded) so multi-output
+    // datapaths pay for one sweep's worth of interval evaluations, not k.
+    const MEMO_CAP: usize = 1 << 20;
+    let multi_output = dfg.outputs().len() > 1;
+    let memo: RefCell<HashMap<Vec<u64>, Vec<Interval>>> = RefCell::new(HashMap::new());
+    let eval_outputs = |ranges: &[Interval]| -> Vec<Interval> {
+        let compute = || {
+            dfg.output_ranges(ranges, &RangeOptions::default())
+                .expect("sub-box of a checked input box evaluates")
+                .into_iter()
+                .map(|(_, iv)| iv)
+                .collect::<Vec<_>>()
+        };
+        if !multi_output {
+            return compute();
+        }
+        let key: Vec<u64> = ranges
+            .iter()
+            .flat_map(|r| [r.lo().to_bits(), r.hi().to_bits()])
+            .collect();
+        if let Some(cached) = memo.borrow().get(&key) {
+            return cached.clone();
+        }
+        let value = compute();
+        let mut memo = memo.borrow_mut();
+        if memo.len() < MEMO_CAP {
+            memo.insert(key, value.clone());
+        }
+        value
+    };
+    dfg.outputs()
+        .iter()
+        .enumerate()
+        .map(|(k, (name, _))| {
+            let report = engine.analyze(&inputs, |ranges| eval_outputs(ranges)[k], budget)?;
+            Ok((name.clone(), report))
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -201,7 +307,7 @@ mod tests {
         let mut widths = Vec::new();
         for g in [2usize, 4, 8, 16] {
             let report = CartesianEngine::new(64)
-                .analyze(&quadratic_inputs(g), quadratic)
+                .analyze(&quadratic_inputs(g), quadratic, &Budget::unlimited())
                 .unwrap();
             // Bounds always enclose the true range.
             assert!(
@@ -228,7 +334,7 @@ mod tests {
         // E[y] = E[a]E[x²] + E[b]E[x] + E[c] = 9.5/3 + 6.5.
         // Var(y) = 16.5667 (see the paper's "Actual Values" row).
         let report = CartesianEngine::new(128)
-            .analyze(&quadratic_inputs(32), quadratic)
+            .analyze(&quadratic_inputs(32), quadratic, &Budget::unlimited())
             .unwrap();
         let expected_mean = 9.5 / 3.0 + 6.5;
         assert!(
@@ -247,7 +353,7 @@ mod tests {
     fn sna_is_tighter_than_affine_on_the_quadratic() {
         // AA yields [-10, 23]; SNA support at g>=8 must beat its width 33.
         let report = CartesianEngine::new(64)
-            .analyze(&quadratic_inputs(8), quadratic)
+            .analyze(&quadratic_inputs(8), quadratic, &Budget::unlimited())
             .unwrap();
         let width = report.support.1 - report.support.0;
         assert!(width < 33.0 - 5.0, "width {width}");
@@ -258,7 +364,7 @@ mod tests {
         let inputs = quadratic_inputs(64);
         let err = CartesianEngine::new(64)
             .with_max_combinations(1000)
-            .analyze(&inputs, quadratic)
+            .analyze(&inputs, quadratic, &Budget::unlimited())
             .unwrap_err();
         assert!(matches!(err, SnaError::Expr(_)));
     }
@@ -266,11 +372,11 @@ mod tests {
     #[test]
     fn midpoint_deposit_gives_inner_bounds() {
         let outer = CartesianEngine::new(64)
-            .analyze(&quadratic_inputs(8), quadratic)
+            .analyze(&quadratic_inputs(8), quadratic, &Budget::unlimited())
             .unwrap();
         let inner = CartesianEngine::new(64)
             .with_deposit(DepositPolicy::Midpoint)
-            .analyze(&quadratic_inputs(8), quadratic)
+            .analyze(&quadratic_inputs(8), quadratic, &Budget::unlimited())
             .unwrap();
         assert!(inner.support.0 >= outer.support.0 - 1e-9);
         assert!(inner.support.1 <= outer.support.1 + 1e-9);
@@ -285,10 +391,10 @@ mod tests {
         let mut inputs = quadratic_inputs(g);
         inputs[0] = tri;
         let report = CartesianEngine::new(64)
-            .analyze(&inputs, quadratic)
+            .analyze(&inputs, quadratic, &Budget::unlimited())
             .unwrap();
         let uniform_report = CartesianEngine::new(64)
-            .analyze(&quadratic_inputs(g), quadratic)
+            .analyze(&quadratic_inputs(g), quadratic, &Budget::unlimited())
             .unwrap();
         // x² smaller in expectation ⇒ smaller mean.
         assert!(report.mean < uniform_report.mean);
@@ -297,7 +403,9 @@ mod tests {
     #[test]
     fn single_input_identity() {
         let inputs = vec![UncertainInput::uniform("x", 2.0, 4.0, 32).unwrap()];
-        let report = CartesianEngine::new(32).analyze(&inputs, |v| v[0]).unwrap();
+        let report = CartesianEngine::new(32)
+            .analyze(&inputs, |v| v[0], &Budget::unlimited())
+            .unwrap();
         assert!((report.mean - 3.0).abs() < 1e-9);
         assert!((report.variance - 4.0 / 12.0).abs() < 1e-9);
         assert_eq!(report.support, (2.0, 4.0));

@@ -318,37 +318,26 @@ impl DfgEngine {
     /// Propagates value and error distributions through `dfg` under
     /// `config`, returning `(output name, error report)` pairs.
     ///
+    /// The propagation checks `budget` between node steps (each is
+    /// `O(bins²)`, so the check overhead is noise) and fails with
+    /// [`SnaError::DeadlineExceeded`] / [`SnaError::Cancelled`] instead
+    /// of finishing the sweep; pass [`Budget::unlimited`] to run to
+    /// completion.
+    ///
     /// # Errors
     ///
     /// * [`SnaError::SequentialGraph`] for graphs with delays;
     /// * [`SnaError::Dfg`] for input-count mismatches;
-    /// * histogram failures (e.g. division by a zero-straddling signal).
+    /// * histogram failures (e.g. division by a zero-straddling signal);
+    /// * budget overruns.
     pub fn analyze(
-        &self,
-        dfg: &Dfg,
-        config: &WlConfig,
-        input_ranges: &[Interval],
-    ) -> Result<Vec<(String, NoiseReport)>, SnaError> {
-        self.analyze_budgeted(dfg, config, input_ranges, &Budget::unlimited())
-    }
-
-    /// [`DfgEngine::analyze`] under a cooperative [`Budget`]: the
-    /// propagation checks the budget between node steps (each is
-    /// `O(bins²)`, so the check overhead is noise) and fails with
-    /// [`SnaError::DeadlineExceeded`] / [`SnaError::Cancelled`] instead
-    /// of finishing the sweep.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`DfgEngine::analyze`], plus budget overruns.
-    pub fn analyze_budgeted(
         &self,
         dfg: &Dfg,
         config: &WlConfig,
         input_ranges: &[Interval],
         budget: &Budget,
     ) -> Result<Vec<(String, NoiseReport)>, SnaError> {
-        let states = self.propagate_budgeted(dfg, config, input_ranges, budget)?;
+        let states = self.propagate(dfg, config, input_ranges, budget)?;
         Ok(dfg
             .outputs()
             .iter()
@@ -364,27 +353,12 @@ impl DfgEngine {
     }
 
     /// Full per-node propagation (exposed for inspection and for engines
-    /// built on top).
+    /// built on top), checking `budget` once per topo-order node step.
     ///
     /// # Errors
     ///
     /// Same as [`DfgEngine::analyze`].
     pub fn propagate(
-        &self,
-        dfg: &Dfg,
-        config: &WlConfig,
-        input_ranges: &[Interval],
-    ) -> Result<Vec<Uncertain>, SnaError> {
-        self.propagate_budgeted(dfg, config, input_ranges, &Budget::unlimited())
-    }
-
-    /// [`DfgEngine::propagate`] under a cooperative [`Budget`], checked
-    /// once per topo-order node step.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`DfgEngine::propagate`], plus budget overruns.
-    pub fn propagate_budgeted(
         &self,
         dfg: &Dfg,
         config: &WlConfig,
@@ -565,7 +539,7 @@ mod tests {
         let ranges = [iv(-1.0, 1.0), iv(-1.0, 1.0)];
         let cfg = WlConfig::from_ranges(&g, &ranges, 10).unwrap();
         let predicted = &DfgEngine::new(EngineOptions::default().with_bins(128))
-            .analyze(&g, &cfg, &ranges)
+            .analyze(&g, &cfg, &ranges, &Budget::unlimited())
             .unwrap()[0]
             .1;
         let measured = &monte_carlo_error(
@@ -602,7 +576,10 @@ mod tests {
         let ranges = [iv(-1.0, 1.0), iv(-1.0, 1.0)];
         let mut cfg = WlConfig::from_ranges(&g, &ranges, 10).unwrap();
         cfg.set_rounding_all(Rounding::Truncate);
-        let r = &DfgEngine::default().analyze(&g, &cfg, &ranges).unwrap()[0].1;
+        let r = &DfgEngine::default()
+            .analyze(&g, &cfg, &ranges, &Budget::unlimited())
+            .unwrap()[0]
+            .1;
         assert!(
             r.mean < 0.0,
             "truncation bias should be negative: {}",
@@ -621,7 +598,9 @@ mod tests {
         let g = b.build().unwrap();
         let ranges = [iv(1.0, 1.0)]; // point input
         let cfg = WlConfig::from_ranges(&g, &[iv(-2.0, 2.0)], 8).unwrap();
-        let states = DfgEngine::default().propagate(&g, &cfg, &ranges).unwrap();
+        let states = DfgEngine::default()
+            .propagate(&g, &cfg, &ranges, &Budget::unlimited())
+            .unwrap();
         // Find the constant node and check its error is Const.
         let const_id = g
             .nodes()
@@ -648,8 +627,14 @@ mod tests {
         let wide = [iv(-4.0, 4.0), iv(-4.0, 4.0)];
         let cfg_n = WlConfig::from_ranges(&g, &narrow, 12).unwrap();
         let cfg_w = WlConfig::from_ranges(&g, &wide, 12).unwrap();
-        let rn = &DfgEngine::default().analyze(&g, &cfg_n, &narrow).unwrap()[0].1;
-        let rw = &DfgEngine::default().analyze(&g, &cfg_w, &wide).unwrap()[0].1;
+        let rn = &DfgEngine::default()
+            .analyze(&g, &cfg_n, &narrow, &Budget::unlimited())
+            .unwrap()[0]
+            .1;
+        let rw = &DfgEngine::default()
+            .analyze(&g, &cfg_w, &wide, &Budget::unlimited())
+            .unwrap()[0]
+            .1;
         assert!(rw.variance > rn.variance);
     }
 
@@ -668,7 +653,7 @@ mod tests {
             Overflow::Saturate,
         );
         assert!(matches!(
-            DfgEngine::default().analyze(&g, &cfg, &[iv(-1.0, 1.0)]),
+            DfgEngine::default().analyze(&g, &cfg, &[iv(-1.0, 1.0)], &Budget::unlimited()),
             Err(SnaError::SequentialGraph)
         ));
     }
@@ -686,7 +671,10 @@ mod tests {
         let ranges = [iv(-1.0, 1.0), iv(-1.0, 1.0)];
         let fmt = Format::new(12, 9).unwrap();
         let cfg = WlConfig::uniform(&g, fmt, Rounding::Nearest, Overflow::Saturate);
-        let r = &DfgEngine::default().analyze(&g, &cfg, &ranges).unwrap()[0].1;
+        let r = &DfgEngine::default()
+            .analyze(&g, &cfg, &ranges, &Budget::unlimited())
+            .unwrap()[0]
+            .1;
         let q = fmt.resolution();
         let expected = 2.0 * q * q / 12.0;
         assert!(
@@ -731,7 +719,10 @@ mod tests {
         let mut powers = Vec::new();
         for w in [16u8, 12, 8] {
             let cfg = WlConfig::from_ranges(&g, &ranges, w).unwrap();
-            let r = &DfgEngine::default().analyze(&g, &cfg, &ranges).unwrap()[0].1;
+            let r = &DfgEngine::default()
+                .analyze(&g, &cfg, &ranges, &Budget::unlimited())
+                .unwrap()[0]
+                .1;
             powers.push(r.power);
         }
         assert!(powers[0] < powers[1] && powers[1] < powers[2]);

@@ -1,35 +1,31 @@
-//! The unified engine surface: one trait implemented by all six
-//! engines, one structured request, one structured report.
+//! The unified analysis surface: one structured request, one structured
+//! report, and the engine selector that [`Session::analyze`](crate::Session::analyze) dispatches
+//! on.
 //!
-//! Historically each engine had a bespoke entry point (`DfgEngine::analyze`
-//! takes `(dfg, config, ranges)`, `LtiEngine` wants a two-phase
-//! build/analyze, `NaModel` another shape again) and every consumer —
-//! the CLI, the server, the optimizer — re-implemented engine selection
-//! and artifact plumbing.  This module is the single seam instead:
+//! Each engine keeps its own entry point (`DfgEngine::analyze` takes
+//! `(dfg, config, ranges, budget)`, `LtiEngine` wraps a gain model, the
+//! NA baseline is a `NaModel`), but no consumer — the CLI, the server,
+//! the optimizer — calls them to answer a request. They all go through
+//! [`Session::analyze`](crate::Session::analyze), which speaks:
 //!
-//! * [`Engine`] — the trait: `run(&Session, &AnalysisRequest)`;
 //! * [`AnalysisRequest`] — engine choice (or [`EngineKind::Auto`]), word
-//!   lengths ([`WlChoice`]), histogram resolution, per-output options;
+//!   lengths ([`WlChoice`]), histogram resolution, per-output options
+//!   and the cooperative [`Budget`];
 //! * [`AnalysisReport`] — per-output [`NoiseReport`]s plus engine
 //!   provenance (which engine actually ran after `Auto` resolution) and
 //!   wall-clock timing.
 //!
-//! Engines read every compiled artifact (node ranges, the NA gain model,
-//! the per-sample combinational view) from the shared [`Session`], so
-//! repeated requests against one compiled program never re-derive them.
+//! The dispatch is one `match` on the resolved [`EngineKind`]. Every
+//! arm reads the compiled artifacts (node ranges, the NA gain model, the
+//! per-sample combinational view) from the shared [`Session`](crate::Session), so
+//! repeated requests against one compiled program never re-derive them,
+//! and every arm hands the request's budget to its engine.
 
-use std::cell::RefCell;
-use std::collections::HashMap;
 use std::time::Duration;
 
-use sna_dfg::RangeOptions;
 use sna_fixp::WlConfig;
-use sna_interval::Interval;
 
-use crate::{
-    Budget, CartesianEngine, DfgEngine, EngineOptions, NoiseReport, Session, SnaError,
-    SymbolicEngine, SymbolicOptions, UncertainInput,
-};
+use crate::{Budget, NoiseReport};
 
 /// Which analysis engine to run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
@@ -52,7 +48,7 @@ pub enum EngineKind {
     /// PDF rather than quantization noise.
     Cartesian,
     /// Vectorized Monte-Carlo simulation over the compiled bytecode
-    /// program ([`crate::SimulateEngine`]): *empirical* per-output error
+    /// program ([`crate::Session::simulate`]): *empirical* per-output error
     /// statistics rather than a model prediction. Never chosen by
     /// `Auto`.
     Simulate,
@@ -93,22 +89,6 @@ impl EngineKind {
             EngineKind::Symbolic => "symbolic",
             EngineKind::Cartesian => "cartesian",
             EngineKind::Simulate => "simulate",
-        }
-    }
-
-    /// The engine implementing this selector — `None` for
-    /// [`EngineKind::Auto`], which must be resolved against a session
-    /// first (see [`Session::resolve_engine`]).
-    #[must_use]
-    pub fn engine(self) -> Option<&'static dyn Engine> {
-        match self {
-            EngineKind::Auto => None,
-            EngineKind::Na => Some(&NA),
-            EngineKind::Lti => Some(&LTI),
-            EngineKind::Dfg => Some(&DFG),
-            EngineKind::Symbolic => Some(&SYMBOLIC),
-            EngineKind::Cartesian => Some(&CARTESIAN),
-            EngineKind::Simulate => Some(&SIMULATE),
         }
     }
 }
@@ -155,8 +135,8 @@ pub struct AnalysisRequest {
     /// reports. Moments and bounds are always present.
     pub include_pdf: bool,
     /// Cooperative execution budget: engines check it at cheap loop
-    /// checkpoints and fail with [`SnaError::DeadlineExceeded`] /
-    /// [`SnaError::Cancelled`] instead of running to completion.
+    /// checkpoints and fail with [`crate::SnaError::DeadlineExceeded`] /
+    /// [`crate::SnaError::Cancelled`] instead of running to completion.
     /// Defaults to unlimited.
     pub budget: Budget,
 }
@@ -207,285 +187,12 @@ pub struct AnalysisReport {
     pub elapsed: Duration,
 }
 
-/// The one trait all six engines implement.
-///
-/// Engines are stateless unit values; everything long-lived (ranges,
-/// gain models, views, memos) lives in the [`Session`], so one session
-/// can serve any engine — and any sequence of requests — without
-/// recompiling.
-pub trait Engine: Send + Sync {
-    /// The engine's selector.
-    fn kind(&self) -> EngineKind;
-
-    /// The engine's wire/CLI name.
-    fn name(&self) -> &'static str {
-        self.kind().name()
-    }
-
-    /// What this engine's reports mean.
-    fn report_kind(&self) -> ReportKind {
-        ReportKind::QuantizationNoise
-    }
-
-    /// Runs the engine against a compiled session.
-    ///
-    /// # Errors
-    ///
-    /// Engine-specific failures; see each implementation.
-    fn run(
-        &self,
-        session: &Session,
-        req: &AnalysisRequest,
-    ) -> Result<Vec<(String, NoiseReport)>, SnaError>;
-}
-
-/// Classical NA baseline: moments only, evaluated off the session's
-/// cached gain model.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NaEngine;
-
-impl Engine for NaEngine {
-    fn kind(&self) -> EngineKind {
-        EngineKind::Na
-    }
-
-    fn run(
-        &self,
-        session: &Session,
-        req: &AnalysisRequest,
-    ) -> Result<Vec<(String, NoiseReport)>, SnaError> {
-        let model = session.na_model()?;
-        let config = session.wl_config(&req.words)?;
-        Ok(model.evaluate(session.dfg(), &config))
-    }
-}
-
-/// LTI gains + CLT shaping, off the session's cached gain model.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct LtiNoiseEngine;
-
-impl Engine for LtiNoiseEngine {
-    fn kind(&self) -> EngineKind {
-        EngineKind::Lti
-    }
-
-    fn run(
-        &self,
-        session: &Session,
-        req: &AnalysisRequest,
-    ) -> Result<Vec<(String, NoiseReport)>, SnaError> {
-        let engine = session.lti_engine(req.bins)?;
-        let config = session.wl_config(&req.words)?;
-        engine.analyze(session.dfg(), &config)
-    }
-}
-
-/// Op-by-op histogram propagation; sequential graphs are analyzed
-/// through the session's cached per-sample combinational view.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct DfgNoiseEngine;
-
-impl Engine for DfgNoiseEngine {
-    fn kind(&self) -> EngineKind {
-        EngineKind::Dfg
-    }
-
-    fn run(
-        &self,
-        session: &Session,
-        req: &AnalysisRequest,
-    ) -> Result<Vec<(String, NoiseReport)>, SnaError> {
-        let engine = DfgEngine::new(EngineOptions::default().with_bins(req.bins));
-        if session.dfg().is_combinational() {
-            let config = session.wl_config(&req.words)?;
-            return engine.analyze_budgeted(
-                session.dfg(),
-                &config,
-                session.input_ranges(),
-                &req.budget,
-            );
-        }
-        // Per-sample view: delays become state inputs whose ranges come
-        // from range analysis of the original graph.
-        let (ps, config) = session.per_sample_config(&req.words)?;
-        engine.analyze_budgeted(&ps.view, &config, &ps.ranges, &req.budget)
-    }
-}
-
-/// Polynomial propagation; sequential graphs go through the per-sample
-/// view like [`DfgNoiseEngine`].
-#[derive(Clone, Copy, Debug, Default)]
-pub struct SymbolicNoiseEngine;
-
-impl Engine for SymbolicNoiseEngine {
-    fn kind(&self) -> EngineKind {
-        EngineKind::Symbolic
-    }
-
-    fn run(
-        &self,
-        session: &Session,
-        req: &AnalysisRequest,
-    ) -> Result<Vec<(String, NoiseReport)>, SnaError> {
-        let engine = SymbolicEngine::new(SymbolicOptions {
-            symbol_bins: req.bins,
-            out_bins: req.bins * 2,
-            ..Default::default()
-        });
-        if session.dfg().is_combinational() {
-            let config = session.wl_config(&req.words)?;
-            let res = engine.analyze(session.dfg(), &config, session.input_ranges())?;
-            return Ok(res.reports);
-        }
-        let (ps, config) = session.per_sample_config(&req.words)?;
-        Ok(engine.analyze(&ps.view, &config, &ps.ranges)?.reports)
-    }
-}
-
-/// The paper's Section-4 exact algorithm over the inputs' *value*
-/// uncertainty — it characterizes the output PDF rather than
-/// quantization noise, and ignores word lengths entirely.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct CartesianValueEngine;
-
-impl Engine for CartesianValueEngine {
-    fn kind(&self) -> EngineKind {
-        EngineKind::Cartesian
-    }
-
-    fn report_kind(&self) -> ReportKind {
-        ReportKind::ValuePdf
-    }
-
-    fn run(
-        &self,
-        session: &Session,
-        req: &AnalysisRequest,
-    ) -> Result<Vec<(String, NoiseReport)>, SnaError> {
-        let dfg = session.dfg();
-        let input_ranges = session.input_ranges();
-        let bins = req.bins;
-        if !dfg.is_combinational() {
-            return Err(SnaError::CombinationalOnly {
-                engine: "cartesian",
-            });
-        }
-        let inputs: Vec<UncertainInput> = dfg
-            .input_names()
-            .iter()
-            .zip(input_ranges)
-            .map(|(name, range)| {
-                UncertainInput::uniform(name.clone(), range.lo(), range.hi(), bins).map_err(|e| {
-                    SnaError::InvalidInput {
-                        name: name.clone(),
-                        message: e.to_string(),
-                    }
-                })
-            })
-            .collect::<Result<_, _>>()?;
-        // Fail early (and only once) if interval evaluation cannot cover
-        // the full input box — sub-boxes are subsets, so they inherit
-        // success.
-        dfg.output_ranges(input_ranges, &RangeOptions::default())?;
-
-        let engine = CartesianEngine::new(bins.max(2) * 2);
-        // The engine sweeps every input sub-box once *per analyzed
-        // output*, and each interval evaluation computes all outputs at
-        // once. Memoize the per-sub-box output vector (bounded) so
-        // multi-output datapaths pay for one sweep's worth of interval
-        // evaluations, not k.
-        const MEMO_CAP: usize = 1 << 20;
-        let multi_output = dfg.outputs().len() > 1;
-        let memo: RefCell<HashMap<Vec<u64>, Vec<Interval>>> = RefCell::new(HashMap::new());
-        let eval_outputs = |ranges: &[Interval]| -> Vec<Interval> {
-            let compute = || {
-                dfg.output_ranges(ranges, &RangeOptions::default())
-                    .expect("sub-box of a checked input box evaluates")
-                    .into_iter()
-                    .map(|(_, iv)| iv)
-                    .collect::<Vec<_>>()
-            };
-            if !multi_output {
-                return compute();
-            }
-            let key: Vec<u64> = ranges
-                .iter()
-                .flat_map(|r| [r.lo().to_bits(), r.hi().to_bits()])
-                .collect();
-            if let Some(cached) = memo.borrow().get(&key) {
-                return cached.clone();
-            }
-            let value = compute();
-            let mut memo = memo.borrow_mut();
-            if memo.len() < MEMO_CAP {
-                memo.insert(key, value.clone());
-            }
-            value
-        };
-        dfg.outputs()
-            .iter()
-            .enumerate()
-            .map(|(k, (name, _))| {
-                let report = engine.analyze(&inputs, |ranges| eval_outputs(ranges)[k])?;
-                Ok((name.clone(), report))
-            })
-            .collect()
-    }
-}
-
-/// Vectorized Monte-Carlo simulation over the session's compiled
-/// bytecode program: *empirical* per-output error statistics
-/// (`quantized − exact` samples), not a model prediction.  The full
-/// empirical-vs-predicted comparison lives in
-/// [`Session::simulate`](crate::Session::simulate); this engine adapts
-/// it to the uniform request/report shape so the CLI, server, and batch
-/// paths get simulation through the same seam as every other engine.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct SimulateEngine;
-
-impl Engine for SimulateEngine {
-    fn kind(&self) -> EngineKind {
-        EngineKind::Simulate
-    }
-
-    fn run(
-        &self,
-        session: &Session,
-        req: &AnalysisRequest,
-    ) -> Result<Vec<(String, NoiseReport)>, SnaError> {
-        let sim_req = crate::SimRequest {
-            words: req.words.clone(),
-            bins: req.bins,
-            budget: req.budget.clone(),
-            ..crate::SimRequest::default()
-        };
-        let report = session.simulate(&sim_req)?;
-        Ok(report
-            .outputs
-            .into_iter()
-            .map(|out| {
-                let mut empirical = out.empirical;
-                if !req.include_pdf {
-                    empirical.histogram = None;
-                }
-                (out.name, empirical)
-            })
-            .collect())
-    }
-}
-
-static NA: NaEngine = NaEngine;
-static LTI: LtiNoiseEngine = LtiNoiseEngine;
-static DFG: DfgNoiseEngine = DfgNoiseEngine;
-static SYMBOLIC: SymbolicNoiseEngine = SymbolicNoiseEngine;
-static CARTESIAN: CartesianValueEngine = CartesianValueEngine;
-static SIMULATE: SimulateEngine = SimulateEngine;
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::NaModel;
+    use crate::{CartesianEngine, DfgEngine, NaModel, Session, SnaError, SymbolicEngine};
     use sna_dfg::{Dfg, DfgBuilder};
+    use sna_interval::Interval;
 
     fn iv(lo: f64, hi: f64) -> Interval {
         Interval::new(lo, hi).unwrap()
@@ -611,7 +318,11 @@ mod tests {
     }
 
     #[test]
-    fn every_concrete_kind_has_an_engine_with_matching_identity() {
+    fn analyze_reports_the_dispatched_kind_and_its_report_kind() {
+        // `linear_tree` is linear and combinational, so every concrete
+        // engine applies to it.
+        let g = linear_tree();
+        let session = Session::new(g, vec![iv(-1.0, 1.0), iv(-1.0, 1.0)]).unwrap();
         for kind in [
             EngineKind::Na,
             EngineKind::Lti,
@@ -620,17 +331,33 @@ mod tests {
             EngineKind::Cartesian,
             EngineKind::Simulate,
         ] {
-            let engine = kind.engine().expect("concrete kind");
-            assert_eq!(engine.kind(), kind);
-            assert_eq!(engine.name(), kind.name());
+            let report = session
+                .analyze(&AnalysisRequest {
+                    engine: kind,
+                    words: WlChoice::Uniform(10),
+                    ..AnalysisRequest::default()
+                })
+                .unwrap();
+            assert_eq!(report.engine, kind);
+            let expected = if kind == EngineKind::Cartesian {
+                ReportKind::ValuePdf
+            } else {
+                ReportKind::QuantizationNoise
+            };
+            assert_eq!(report.kind, expected, "{}", kind.name());
+            assert_eq!(report.reports[0].0, "y");
         }
-        assert!(EngineKind::Auto.engine().is_none());
-    }
-
-    #[test]
-    fn report_kinds_separate_value_pdf_from_noise() {
-        assert_eq!(CartesianValueEngine.report_kind(), ReportKind::ValuePdf);
-        assert_eq!(NaEngine.report_kind(), ReportKind::QuantizationNoise);
+        for kind in [
+            EngineKind::Auto,
+            EngineKind::Na,
+            EngineKind::Lti,
+            EngineKind::Dfg,
+            EngineKind::Symbolic,
+            EngineKind::Cartesian,
+            EngineKind::Simulate,
+        ] {
+            assert_eq!(EngineKind::parse(kind.name()), Ok(kind));
+        }
         assert_eq!(ReportKind::ValuePdf.as_str(), "value-pdf");
         assert_eq!(ReportKind::QuantizationNoise.as_str(), "quantization-noise");
     }

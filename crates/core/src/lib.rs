@@ -10,24 +10,31 @@
 //! LTI + white-noise assumptions) — into one mechanism that yields bounds
 //! *and* full output PDFs without restrictive statistical assumptions.
 //!
-//! Four engines cover the practical trade-off space:
+//! Six engines cover the practical trade-off space. Each is one
+//! [`EngineKind`] that [`Session::analyze`] dispatches on, and each
+//! takes the request's cooperative [`Budget`]:
 //!
-//! | engine | inputs | cost | produces |
-//! |---|---|---|---|
-//! | [`CartesianEngine`] | closed-form expression | exponential in #symbols | exact Section-4 algorithm |
-//! | [`DfgEngine`] | combinational [`sna_dfg::Dfg`] | per-op `O(bins²)` | value + error histograms per node |
-//! | [`LtiEngine`] | linear (incl. feedback) DFG | gains once, then `O(#sources)` | moments exact, PDF by CLT + convolution |
-//! | [`SymbolicEngine`] | combinational polynomial DFG | term growth bounded | Eq.(1) polynomials; exact moments |
+//! | [`EngineKind`] | engine | inputs | cost | produces |
+//! |---|---|---|---|---|
+//! | `Na` | [`NaModel`] | linear (incl. feedback) DFG | gains once, then `O(#sources)` | exact moments, no PDF |
+//! | `Lti` | [`LtiEngine`] | linear (incl. feedback) DFG | gains once, then `O(#sources · bins²)` | moments exact, PDF by CLT + convolution |
+//! | `Dfg` | [`DfgEngine`] | combinational [`sna_dfg::Dfg`] (or a per-sample view) | per-op `O(bins²)` | value + error histograms per node |
+//! | `Symbolic` | [`SymbolicEngine`] | combinational polynomial DFG (or a per-sample view) | term growth bounded | Eq.(1) polynomials; exact moments |
+//! | `Cartesian` | [`CartesianEngine`] | combinational DFG or closed-form expression | `bins^#inputs` | exact Section-4 value PDF |
+//! | `Simulate` | [`Session::simulate`] on the `sna_vm` bytecode | any DFG | `paths × steps` | empirical error statistics |
 //!
-//! The classical NA baseline ([`NaModel`]) and the shared noise-source
-//! model ([`NoiseSource`], [`noise_sources`]) live here too.
+//! `EngineKind::Auto` picks LTI for linear graphs and the DFG engine for
+//! nonlinear combinational ones.
+//!
+//! The shared noise-source model ([`NoiseSource`], [`noise_sources`])
+//! lives here too.
 //!
 //! # Example
 //!
 //! Analyze the rounding noise of `y = 0.3·x₁ + 0.6·x₂` at 8 bits:
 //!
 //! ```
-//! use sna_core::{DfgEngine, EngineOptions};
+//! use sna_core::{Budget, DfgEngine, EngineOptions};
 //! use sna_dfg::DfgBuilder;
 //! use sna_fixp::WlConfig;
 //! use sna_interval::Interval;
@@ -45,7 +52,7 @@
 //! let ranges = [Interval::new(-1.0, 1.0)?, Interval::new(-1.0, 1.0)?];
 //! let cfg = WlConfig::from_ranges(&dfg, &ranges, 8)?;
 //! let reports = DfgEngine::new(EngineOptions::default())
-//!     .analyze(&dfg, &cfg, &ranges)?;
+//!     .analyze(&dfg, &cfg, &ranges, &Budget::unlimited())?;
 //! let y_noise = &reports[0].1;
 //! assert!(y_noise.variance > 0.0);
 //! assert!(y_noise.support.0 < 0.0 && y_noise.support.1 > 0.0);
@@ -73,9 +80,7 @@ mod trace;
 pub use budget::Budget;
 pub use cartesian::{CartesianEngine, UncertainInput};
 pub use dfg_engine::{DfgEngine, EngineOptions, HistMemo, Uncertain, Value};
-pub use engine::{
-    AnalysisReport, AnalysisRequest, Engine, EngineKind, ReportKind, SimulateEngine, WlChoice,
-};
+pub use engine::{AnalysisReport, AnalysisRequest, EngineKind, ReportKind, WlChoice};
 pub use error::SnaError;
 pub use lti_engine::LtiEngine;
 pub use na::{CoeffKind, CoeffSite, GainPatch, NaModel};

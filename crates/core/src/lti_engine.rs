@@ -22,7 +22,7 @@ use sna_hist::Histogram;
 use sna_interval::Interval;
 
 use crate::sources::NoiseSource;
-use crate::{NaModel, NoiseReport, SnaError};
+use crate::{Budget, NaModel, NoiseReport, SnaError};
 
 /// SNA engine for linear (possibly sequential) datapaths.
 #[derive(Clone, Debug)]
@@ -65,17 +65,24 @@ impl LtiEngine {
 
     /// Analyzes output noise under `config`: exact moments + shaped PDF.
     ///
+    /// Shaping and convolving one (source, output) contribution costs
+    /// `O(bins²)`; `budget` is checked before each such step.
+    ///
     /// # Errors
     ///
-    /// Histogram construction failures are propagated.
+    /// Histogram construction failures are propagated, and budget
+    /// overruns surface as [`SnaError::DeadlineExceeded`] /
+    /// [`SnaError::Cancelled`].
     pub fn analyze(
         &self,
         dfg: &Dfg,
         config: &WlConfig,
+        budget: &Budget,
     ) -> Result<Vec<(String, NoiseReport)>, SnaError> {
         let moments = self.model.evaluate(dfg, config);
         let n_out = moments.len();
         let mut pdfs: Vec<Option<Histogram>> = vec![None; n_out];
+        let limited = !budget.is_unlimited();
 
         for src in self.model.shaped_sources(dfg, config) {
             let g = self
@@ -85,6 +92,9 @@ impl LtiEngine {
             for (pdf, &og) in pdfs.iter_mut().zip(g.per_output.iter()) {
                 if og.l1 == 0.0 {
                     continue; // source does not reach this output
+                }
+                if limited {
+                    budget.check()?;
                 }
                 let contribution = shape_contribution(&src, og, self.bins)?;
                 *pdf = Some(match pdf.take() {
@@ -183,7 +193,7 @@ mod tests {
         let ranges = [iv(-0.4, 0.4)];
         let cfg = WlConfig::from_ranges(&g, &ranges, 12).unwrap();
         let engine = LtiEngine::build(&g, &ranges, &LtiOptions::default(), 128).unwrap();
-        let predicted = &engine.analyze(&g, &cfg).unwrap()[0].1;
+        let predicted = &engine.analyze(&g, &cfg, &Budget::unlimited()).unwrap()[0].1;
         let measured = &monte_carlo_error(
             &g,
             &cfg,
@@ -217,7 +227,7 @@ mod tests {
         let ranges = [iv(-0.05, 0.05)];
         let cfg = WlConfig::from_ranges(&g, &ranges, 12).unwrap();
         let engine = LtiEngine::build(&g, &ranges, &LtiOptions::default(), 128).unwrap();
-        let r = &engine.analyze(&g, &cfg).unwrap()[0].1;
+        let r = &engine.analyze(&g, &cfg, &Budget::unlimited()).unwrap()[0].1;
         let pdf = r.histogram.as_ref().unwrap();
         // Center denser than two-sigma points.
         let mid = pdf.density(r.mean);
@@ -235,7 +245,7 @@ mod tests {
         let ranges = [iv(-1.0, 1.0)];
         let cfg = WlConfig::from_ranges(&g, &ranges, 10).unwrap();
         let engine = LtiEngine::build(&g, &ranges, &LtiOptions::default(), 64).unwrap();
-        let r = &engine.analyze(&g, &cfg).unwrap()[0].1;
+        let r = &engine.analyze(&g, &cfg, &Budget::unlimited()).unwrap()[0].1;
         let pdf = r.histogram.as_ref().unwrap();
         assert!(r.support.0 < 0.0 && r.support.1 > 0.0);
         assert!((pdf.total_mass() - 1.0).abs() < 1e-9);
@@ -248,7 +258,7 @@ mod tests {
         let cfg = WlConfig::from_ranges(&g, &ranges, 14).unwrap();
         let engine = LtiEngine::build(&g, &ranges, &LtiOptions::default(), 64).unwrap();
         let na = engine.model().evaluate(&g, &cfg);
-        let sna = engine.analyze(&g, &cfg).unwrap();
+        let sna = engine.analyze(&g, &cfg, &Budget::unlimited()).unwrap();
         assert_eq!(na[0].1.mean, sna[0].1.mean);
         assert_eq!(na[0].1.variance, sna[0].1.variance);
         assert_eq!(na[0].1.support, sna[0].1.support);
@@ -260,7 +270,7 @@ mod tests {
         let ranges = [iv(-0.3, 0.3)];
         let cfg = WlConfig::from_ranges(&g, &ranges, 10).unwrap();
         let engine = LtiEngine::build(&g, &ranges, &LtiOptions::default(), 128).unwrap();
-        let r = &engine.analyze(&g, &cfg).unwrap()[0].1;
+        let r = &engine.analyze(&g, &cfg, &Budget::unlimited()).unwrap()[0].1;
         let pdf = r.histogram.as_ref().unwrap();
         let (plo, phi) = pdf.support();
         // The convolved PDF may not exceed the analytic worst case by more

@@ -38,8 +38,11 @@ use sna_dfg::{Dfg, DfgError, LtiOptions, NodeId, Op, RangeOptions};
 use sna_fixp::WlConfig;
 use sna_interval::Interval;
 
-use crate::engine::{AnalysisReport, AnalysisRequest, WlChoice};
-use crate::{EngineKind, HistMemo, LtiEngine, NaModel, SnaError};
+use crate::engine::{AnalysisReport, AnalysisRequest, ReportKind, WlChoice};
+use crate::{
+    DfgEngine, EngineKind, EngineOptions, HistMemo, LtiEngine, NaModel, SimRequest, SnaError,
+    SymbolicEngine, SymbolicOptions,
+};
 
 /// How the node-range stage was computed (needed to patch it the same
 /// way).
@@ -412,9 +415,11 @@ impl Session {
         }
     }
 
-    /// Runs one analysis request through the [`crate::engine::Engine`]
-    /// trait, resolving `Auto`, and wraps the result with provenance and
-    /// timing.
+    /// Runs one analysis request: resolves `Auto`, dispatches on the
+    /// resolved [`EngineKind`] to that engine's one entry point (handing
+    /// it the request's budget), and wraps the result with provenance
+    /// and timing. Sequential graphs reach the per-node DFG and symbolic
+    /// engines through the cached per-sample view.
     ///
     /// # Example
     ///
@@ -459,8 +464,49 @@ impl Session {
         // check at their own checkpoints).
         req.budget.check()?;
         let kind = self.resolve_engine(req.engine)?;
-        let engine = kind.engine().expect("resolved kinds are concrete");
-        let mut reports = engine.run(self, req)?;
+        let budget = &req.budget;
+        let mut reports = match kind {
+            EngineKind::Auto => unreachable!("resolve_engine returns a concrete kind"),
+            EngineKind::Na => {
+                let model = self.na_model()?;
+                model.evaluate(self.dfg(), &self.wl_config(&req.words)?)
+            }
+            EngineKind::Lti => {
+                let engine = self.lti_engine(req.bins)?;
+                engine.analyze(self.dfg(), &self.wl_config(&req.words)?, budget)?
+            }
+            EngineKind::Dfg => {
+                let engine = DfgEngine::new(EngineOptions::default().with_bins(req.bins));
+                self.on_combinational_target(&req.words, |dfg, config, ranges| {
+                    engine.analyze(dfg, config, ranges, budget)
+                })?
+            }
+            EngineKind::Symbolic => {
+                let engine = SymbolicEngine::new(SymbolicOptions {
+                    symbol_bins: req.bins,
+                    out_bins: req.bins * 2,
+                    ..Default::default()
+                });
+                self.on_combinational_target(&req.words, |dfg, config, ranges| {
+                    Ok(engine.analyze(dfg, config, ranges, budget)?.reports)
+                })?
+            }
+            EngineKind::Cartesian => {
+                crate::cartesian::value_pdfs(self.dfg(), self.input_ranges(), req.bins, budget)?
+            }
+            EngineKind::Simulate => {
+                let sim = self.simulate(&SimRequest {
+                    words: req.words.clone(),
+                    bins: req.bins,
+                    budget: budget.clone(),
+                    ..SimRequest::default()
+                })?;
+                sim.outputs
+                    .into_iter()
+                    .map(|out| (out.name, out.empirical))
+                    .collect()
+            }
+        };
         if !req.include_pdf {
             for (_, report) in &mut reports {
                 report.histogram = None;
@@ -468,10 +514,31 @@ impl Session {
         }
         Ok(AnalysisReport {
             engine: kind,
-            kind: engine.report_kind(),
+            kind: if kind == EngineKind::Cartesian {
+                ReportKind::ValuePdf
+            } else {
+                ReportKind::QuantizationNoise
+            },
             reports,
             elapsed: started.elapsed(),
         })
+    }
+
+    /// Runs a per-node combinational engine on this graph: directly on a
+    /// combinational graph under `words`, or on the per-sample view of a
+    /// sequential one (delays become state inputs ranged by range
+    /// analysis; see [`Session::per_sample_config`]). `run` receives the
+    /// graph, its word-length configuration and its input ranges.
+    fn on_combinational_target<T>(
+        &self,
+        words: &WlChoice,
+        run: impl FnOnce(&Dfg, &WlConfig, &[Interval]) -> Result<T, SnaError>,
+    ) -> Result<T, SnaError> {
+        if self.dfg.is_combinational() {
+            return run(&self.dfg, &self.wl_config(words)?, &self.input_ranges);
+        }
+        let (ps, config) = self.per_sample_config(words)?;
+        run(&ps.view, &config, &ps.ranges)
     }
 
     // ------------------------------------------------------------------

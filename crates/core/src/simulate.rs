@@ -17,7 +17,7 @@ use std::time::{Duration, Instant};
 
 use sna_dfg::DfgError;
 use sna_fixp::FixpError;
-use sna_vm::{Executable, SimOptions, VmError};
+use sna_vm::{Executable, OutputStats, SimOptions, VmError};
 
 use crate::engine::{AnalysisRequest, WlChoice};
 use crate::{Budget, EngineKind, NoiseReport, Session, SnaError};
@@ -133,6 +133,64 @@ pub(crate) fn vm_err(e: VmError, budget: &Budget) -> SnaError {
     }
 }
 
+/// The cancellation check the VM drivers poll before every chunk claim:
+/// free for an unlimited budget, a [`Budget::check`] otherwise.
+pub(crate) fn cancel_check(budget: &Budget) -> impl Fn() -> bool + Sync + '_ {
+    move || !budget.is_unlimited() && budget.check().is_err()
+}
+
+/// Pairs measured per-output error statistics with the best-effort
+/// `Auto` prediction of `model` (skipped when `None`), one [`SimOutput`]
+/// per output with exact sample moments and empirical-vs-predicted
+/// [`Gap`]s. `Auto` resolution rejects nonlinear sequential graphs, and
+/// any other model failure also just leaves the prediction empty.
+pub(crate) fn measured_vs_predicted(
+    stats: Vec<OutputStats>,
+    model: Option<&Session>,
+    words: &WlChoice,
+    bins: usize,
+    budget: &Budget,
+) -> (Vec<SimOutput>, Option<EngineKind>) {
+    let prediction = model.and_then(|session| {
+        session
+            .analyze(&AnalysisRequest {
+                engine: EngineKind::Auto,
+                words: words.clone(),
+                bins,
+                include_pdf: true,
+                budget: budget.clone(),
+            })
+            .ok()
+    });
+    let outputs = stats
+        .into_iter()
+        .enumerate()
+        .map(|(k, s)| {
+            let mut empirical = NoiseReport::from_histogram(s.histogram);
+            // The histogram's moments are bin-resolution approximations;
+            // keep the exact sample statistics.
+            empirical.mean = s.mean;
+            empirical.variance = s.variance;
+            empirical.power = s.power;
+            empirical.support = (s.min, s.max);
+            let predicted = prediction.as_ref().map(|p| p.reports[k].1.clone());
+            let mean_gap = predicted.as_ref().map(|p| Gap::between(s.mean, p.mean));
+            let variance_gap = predicted
+                .as_ref()
+                .map(|p| Gap::between(s.variance, p.variance));
+            SimOutput {
+                name: s.name,
+                empirical,
+                samples: s.samples,
+                predicted,
+                mean_gap,
+                variance_gap,
+            }
+        })
+        .collect();
+    (outputs, prediction.map(|p| p.engine))
+}
+
 impl Session {
     /// Runs a Monte-Carlo simulation over the compiled bytecode program
     /// and pairs the empirical per-output statistics with the analytic
@@ -169,53 +227,11 @@ impl Session {
             bins: req.bins,
         };
         let started = Instant::now();
-        let budget = &req.budget;
-        let cancelled = || !budget.is_unlimited() && budget.check().is_err();
-        let stats = sna_vm::simulate_with(&exe, self.input_ranges(), &opts, &cancelled)
-            .map_err(|e| vm_err(e, budget))?;
+        let stats = sna_vm::simulate(&exe, self.input_ranges(), &opts, &cancel_check(&req.budget))
+            .map_err(|e| vm_err(e, &req.budget))?;
         let elapsed = started.elapsed();
-
-        // Best-effort analytic prediction through the normal engine
-        // path; `Auto` resolution rejects nonlinear sequential graphs,
-        // and any other model failure also just leaves the comparison
-        // column empty.
-        let prediction = self
-            .analyze(&AnalysisRequest {
-                engine: EngineKind::Auto,
-                words: req.words.clone(),
-                bins: req.bins,
-                include_pdf: true,
-                budget: req.budget.clone(),
-            })
-            .ok();
-        let predicted_by = prediction.as_ref().map(|p| p.engine);
-
-        let outputs = stats
-            .into_iter()
-            .enumerate()
-            .map(|(k, s)| {
-                let mut empirical = NoiseReport::from_histogram(s.histogram);
-                // The histogram's moments are bin-resolution
-                // approximations; keep the exact sample statistics.
-                empirical.mean = s.mean;
-                empirical.variance = s.variance;
-                empirical.power = s.power;
-                empirical.support = (s.min, s.max);
-                let predicted = prediction.as_ref().map(|p| p.reports[k].1.clone());
-                let mean_gap = predicted.as_ref().map(|p| Gap::between(s.mean, p.mean));
-                let variance_gap = predicted
-                    .as_ref()
-                    .map(|p| Gap::between(s.variance, p.variance));
-                SimOutput {
-                    name: s.name,
-                    empirical,
-                    samples: s.samples,
-                    predicted,
-                    mean_gap,
-                    variance_gap,
-                }
-            })
-            .collect();
+        let (outputs, predicted_by) =
+            measured_vs_predicted(stats, Some(self), &req.words, req.bins, &req.budget);
 
         Ok(SimReport {
             outputs,

@@ -23,7 +23,7 @@ use sna_hist::{DepositPolicy, Histogram, OpOptions};
 use sna_interval::Interval;
 
 use crate::sources::{IntroducesNoise, NoiseSource};
-use crate::{NoiseReport, SnaError};
+use crate::{Budget, NoiseReport, SnaError};
 
 /// Options for [`SymbolicEngine`].
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -89,19 +89,23 @@ impl SymbolicEngine {
         SymbolicEngine { opts }
     }
 
-    /// Runs the symbolic propagation.
+    /// Runs the symbolic propagation, checking `budget` once per
+    /// topo-order node and once per output-polynomial term convolved
+    /// into the PDF.
     ///
     /// # Errors
     ///
     /// * [`SnaError::SequentialGraph`] for graphs with delays;
     /// * [`SnaError::UnsupportedOp`] for division by a signal-dependent
     ///   divisor (use [`crate::DfgEngine`] there);
-    /// * input-count and histogram failures as usual.
+    /// * input-count and histogram failures as usual;
+    /// * budget overruns.
     pub fn analyze(
         &self,
         dfg: &Dfg,
         config: &WlConfig,
         input_ranges: &[Interval],
+        budget: &Budget,
     ) -> Result<SymbolicResult, SnaError> {
         if !dfg.is_combinational() {
             return Err(SnaError::SequentialGraph);
@@ -117,8 +121,12 @@ impl SymbolicEngine {
         let mut errors: Vec<Poly> = vec![Poly::zero(); dfg.len()];
         // Noise symbols (as opposed to input-uncertainty symbols).
         let mut is_noise = Vec::<SymbolId>::new();
+        let limited = !budget.is_unlimited();
 
         for &id in dfg.topo_order() {
+            if limited {
+                budget.check()?;
+            }
             let node = dfg.node(id);
             let q = config.quantizer(id);
             let (value, mut error) = match node.op() {
@@ -203,7 +211,7 @@ impl SymbolicEngine {
             let mean = err.mean(&table);
             let variance = err.variance(&table);
             let bounds = err.eval_interval(|_| Interval::UNIT);
-            let pdf = self.convolve_pdf(&err, &table)?;
+            let pdf = self.convolve_pdf(&err, &table, budget)?;
             let mut report = match pdf {
                 Some(h) => {
                     let mut r = NoiseReport::from_histogram(h);
@@ -255,6 +263,7 @@ impl SymbolicEngine {
         &self,
         poly: &Poly,
         table: &SymbolTable,
+        budget: &Budget,
     ) -> Result<Option<Histogram>, SnaError> {
         let opts = OpOptions::default()
             .with_out_bins(self.opts.out_bins)
@@ -262,7 +271,11 @@ impl SymbolicEngine {
         let mul_opts = OpOptions::default().with_out_bins(self.opts.out_bins);
         let mut acc: Option<Histogram> = None;
         let mut constant = 0.0;
+        let limited = !budget.is_unlimited();
         for (mono, coeff) in poly.terms() {
+            if limited {
+                budget.check()?;
+            }
             if mono.is_one() {
                 constant += coeff;
                 continue;
@@ -325,7 +338,7 @@ mod tests {
         let ranges = [iv(-1.0, 1.0), iv(-1.0, 1.0)];
         let cfg = WlConfig::from_ranges(&g, &ranges, 10).unwrap();
         let res = SymbolicEngine::default()
-            .analyze(&g, &cfg, &ranges)
+            .analyze(&g, &cfg, &ranges, &Budget::unlimited())
             .unwrap();
         let err = &res.error_polys[0];
         assert!(err.degree() <= 2, "error poly degree {}", err.degree());
@@ -341,7 +354,7 @@ mod tests {
         let ranges = [iv(-1.0, 1.0), iv(-1.0, 1.0)];
         let cfg = WlConfig::from_ranges(&g, &ranges, 10).unwrap();
         let res = SymbolicEngine::default()
-            .analyze(&g, &cfg, &ranges)
+            .analyze(&g, &cfg, &ranges, &Budget::unlimited())
             .unwrap();
         let predicted = &res.reports[0].1;
         let measured = &monte_carlo_error(
@@ -367,7 +380,7 @@ mod tests {
         let mut cfg = WlConfig::from_ranges(&g, &ranges, 10).unwrap();
         cfg.set_rounding_all(Rounding::Truncate);
         let res = SymbolicEngine::default()
-            .analyze(&g, &cfg, &ranges)
+            .analyze(&g, &cfg, &ranges, &Budget::unlimited())
             .unwrap();
         assert!(res.reports[0].1.mean < 0.0);
     }
@@ -384,7 +397,7 @@ mod tests {
         let ranges = [iv(-1.0, 1.0)];
         let cfg = WlConfig::from_ranges(&g, &ranges, 10).unwrap();
         let res = SymbolicEngine::default()
-            .analyze(&g, &cfg, &ranges)
+            .analyze(&g, &cfg, &ranges, &Budget::unlimited())
             .unwrap();
         let predicted = &res.reports[0].1;
         let measured = &monte_carlo_error(
@@ -416,13 +429,13 @@ mod tests {
             max_degree: 2,
             ..Default::default()
         })
-        .analyze(&g, &cfg, &ranges)
+        .analyze(&g, &cfg, &ranges, &Budget::unlimited())
         .unwrap();
         let loose = SymbolicEngine::new(SymbolicOptions {
             max_degree: 8,
             ..Default::default()
         })
-        .analyze(&g, &cfg, &ranges)
+        .analyze(&g, &cfg, &ranges, &Budget::unlimited())
         .unwrap();
         // Capped value poly has low degree.
         assert!(capped.value_polys[0].degree() <= 2);
@@ -443,7 +456,7 @@ mod tests {
         let ranges = [iv(-1.0, 1.0)];
         let cfg = WlConfig::from_ranges(&g, &ranges, 10).unwrap();
         let res = SymbolicEngine::default()
-            .analyze(&g, &cfg, &ranges)
+            .analyze(&g, &cfg, &ranges, &Budget::unlimited())
             .unwrap();
         assert!(res.reports[0].1.variance > 0.0);
     }
@@ -459,7 +472,7 @@ mod tests {
         let ranges = [iv(0.0, 1.0), iv(1.0, 2.0)];
         let cfg = WlConfig::from_ranges(&g, &ranges, 10).unwrap();
         assert!(matches!(
-            SymbolicEngine::default().analyze(&g, &cfg, &ranges),
+            SymbolicEngine::default().analyze(&g, &cfg, &ranges, &Budget::unlimited()),
             Err(SnaError::UnsupportedOp { .. })
         ));
     }
@@ -474,7 +487,7 @@ mod tests {
             out_bins: 64,
             ..Default::default()
         })
-        .analyze(&g, &cfg, &ranges)
+        .analyze(&g, &cfg, &ranges, &Budget::unlimited())
         .unwrap();
         let conv = res.reports[0].1.histogram.as_ref().unwrap();
         let exact = res

@@ -23,9 +23,9 @@ use sna_interval::Interval;
 use sna_trace::Trace;
 use sna_vm::{Executable, ReplayOptions};
 
-use crate::engine::{AnalysisRequest, WlChoice};
-use crate::simulate::{vm_err, Gap, SimOutput};
-use crate::{Budget, EngineKind, NoiseReport, Session, SnaError};
+use crate::engine::WlChoice;
+use crate::simulate::{cancel_check, measured_vs_predicted, vm_err, SimOutput};
+use crate::{Budget, EngineKind, Session, SnaError};
 
 /// Rows collected per lane segment when replaying a sequential design
 /// (combinational designs map rows straight onto lanes).
@@ -159,23 +159,6 @@ impl Session {
             .collect()
     }
 
-    /// A session over the same graph with the trace's *fitted* ranges
-    /// in place of the declared ones — every engine downstream
-    /// (ranges, word-length scaling, NA, histograms) then reasons
-    /// about the measured signal.
-    ///
-    /// # Errors
-    ///
-    /// As [`Session::fit_trace`], plus session-construction failures
-    /// on degenerate fitted ranges.
-    pub fn empirical(&self, trace: &Trace) -> Result<Session, SnaError> {
-        let fit = self.fit_trace(trace, 64)?;
-        Session::new(
-            self.dfg().clone(),
-            fit.into_iter().map(|f| f.range).collect(),
-        )
-    }
-
     /// Replays a recorded trace through the compiled bytecode program
     /// and pairs the *measured* per-output error statistics with the
     /// analytic model's prediction under the fitted (not declared)
@@ -211,57 +194,17 @@ impl Session {
             bins: req.bins,
         };
         let started = Instant::now();
-        let budget = &req.budget;
-        let cancelled = || !budget.is_unlimited() && budget.check().is_err();
-        let stats = sna_vm::replay_with(&exe, trace.columns(), &opts, &cancelled)
-            .map_err(|e| vm_err(e, budget))?;
+        let stats = sna_vm::replay(&exe, trace.columns(), &opts, &cancel_check(&req.budget))
+            .map_err(|e| vm_err(e, &req.budget))?;
         let elapsed = started.elapsed();
-
-        // Best-effort analytic prediction through the normal engine
-        // path, under the *fitted* ranges; `Auto` resolution rejects
-        // nonlinear sequential graphs, and any other model failure
-        // just leaves the comparison column empty.
-        let prediction = if req.predict {
-            empirical
-                .analyze(&AnalysisRequest {
-                    engine: EngineKind::Auto,
-                    words: req.words.clone(),
-                    bins: req.bins,
-                    include_pdf: true,
-                    budget: req.budget.clone(),
-                })
-                .ok()
-        } else {
-            None
-        };
-        let predicted_by = prediction.as_ref().map(|p| p.engine);
-
-        let outputs = stats
-            .into_iter()
-            .enumerate()
-            .map(|(k, s)| {
-                let mut empirical = NoiseReport::from_histogram(s.histogram);
-                // The histogram's moments are bin-resolution
-                // approximations; keep the exact sample statistics.
-                empirical.mean = s.mean;
-                empirical.variance = s.variance;
-                empirical.power = s.power;
-                empirical.support = (s.min, s.max);
-                let predicted = prediction.as_ref().map(|p| p.reports[k].1.clone());
-                let mean_gap = predicted.as_ref().map(|p| Gap::between(s.mean, p.mean));
-                let variance_gap = predicted
-                    .as_ref()
-                    .map(|p| Gap::between(s.variance, p.variance));
-                SimOutput {
-                    name: s.name,
-                    empirical,
-                    samples: s.samples,
-                    predicted,
-                    mean_gap,
-                    variance_gap,
-                }
-            })
-            .collect();
+        // The prediction runs under the *fitted* ranges.
+        let (outputs, predicted_by) = measured_vs_predicted(
+            stats,
+            req.predict.then_some(&empirical),
+            &req.words,
+            req.bins,
+            &req.budget,
+        );
 
         Ok(TraceReport {
             fit,
@@ -324,8 +267,6 @@ mod tests {
         assert_eq!(fit.len(), 2);
         assert!(fit[0].range.lo() > -1.0 && fit[0].range.hi() < 1.0);
         assert_eq!(fit[0].samples, 4000);
-        let empirical = session.empirical(&trace).unwrap();
-        assert!(empirical.input_ranges()[0].hi() < 1.0);
     }
 
     #[test]

@@ -1,12 +1,23 @@
-//! Regression coverage for the `MAX_RESPONSE_FLOATS` storage budget
-//! (ROADMAP follow-on): a model too large to keep all impulse-response
-//! sequences must still patch correctly through
-//! `Session::with_coefficients` — the budgeted-out sources fall back to
-//! forward simulation, and the patched analysis agrees with a
-//! from-scratch compile within 1e-12.
+//! Regression coverage for the two budgets an analysis answers to.
+//!
+//! * The `MAX_RESPONSE_FLOATS` storage budget: a model too large to
+//!   keep all impulse-response sequences must still patch correctly
+//!   through `Session::with_coefficients` — the budgeted-out sources
+//!   fall back to forward simulation, and the patched analysis agrees
+//!   with a from-scratch compile within 1e-12.
+//! * The cooperative execution [`Budget`]: every histogram engine's one
+//!   entry point stops at its own checkpoints. The engines are called
+//!   directly, so `Session::analyze`'s pre-flight check cannot be what
+//!   stops them.
 
-use sna_core::{AnalysisRequest, EngineKind, NaModel, Session, WlChoice};
-use sna_dfg::DfgBuilder;
+use std::time::Duration;
+
+use sna_core::{
+    AnalysisRequest, Budget, CartesianEngine, DfgEngine, EngineKind, EngineOptions, LtiEngine,
+    NaModel, Session, SnaError, SymbolicEngine, UncertainInput, WlChoice,
+};
+use sna_dfg::{DfgBuilder, LtiOptions};
+use sna_fixp::WlConfig;
 use sna_interval::Interval;
 
 /// A tapped-delay-line with enough (source × output) response mass to
@@ -92,6 +103,72 @@ fn budgeted_fallback_patch_matches_a_from_scratch_compile() {
             "{n1}: mean {} vs {}",
             ra.mean,
             rb.mean
+        );
+    }
+}
+
+/// Runs the four histogram engines' `analyze` under `budget` on
+/// `y = 0.3·x₁ + 0.6·x₂` (linear and combinational, so every engine
+/// applies) and returns each engine's outcome, in the order LTI, DFG,
+/// symbolic, Cartesian.
+fn each_engine_under(budget: &Budget) -> Vec<(&'static str, Result<(), SnaError>)> {
+    let mut b = DfgBuilder::new();
+    let x1 = b.input("x1");
+    let x2 = b.input("x2");
+    let t1 = b.mul_const(0.3, x1);
+    let t2 = b.mul_const(0.6, x2);
+    let y = b.add(t1, t2);
+    b.output("y", y);
+    let g = b.build().unwrap();
+    let ranges = vec![Interval::new(-1.0, 1.0).unwrap(); 2];
+    let cfg = WlConfig::from_ranges(&g, &ranges, 10).unwrap();
+    let inputs = vec![
+        UncertainInput::uniform("x1", -1.0, 1.0, 16).unwrap(),
+        UncertainInput::uniform("x2", -1.0, 1.0, 16).unwrap(),
+    ];
+    let lti = LtiEngine::build(&g, &ranges, &LtiOptions::default(), 64).unwrap();
+    vec![
+        ("lti", lti.analyze(&g, &cfg, budget).map(drop)),
+        (
+            "dfg",
+            DfgEngine::new(EngineOptions::default())
+                .analyze(&g, &cfg, &ranges, budget)
+                .map(drop),
+        ),
+        (
+            "symbolic",
+            SymbolicEngine::default()
+                .analyze(&g, &cfg, &ranges, budget)
+                .map(drop),
+        ),
+        (
+            "cartesian",
+            CartesianEngine::new(64)
+                .analyze(
+                    &inputs,
+                    |v| v[0] * Interval::point(0.3) + v[1] * Interval::point(0.6),
+                    budget,
+                )
+                .map(drop),
+        ),
+    ]
+}
+
+#[test]
+fn every_engine_stops_at_its_own_checkpoints() {
+    for (engine, outcome) in each_engine_under(&Budget::unlimited()) {
+        assert!(outcome.is_ok(), "{engine}: {outcome:?}");
+    }
+    for (engine, outcome) in each_engine_under(&Budget::pre_cancelled()) {
+        assert!(
+            matches!(outcome, Err(SnaError::Cancelled)),
+            "{engine}: {outcome:?}"
+        );
+    }
+    for (engine, outcome) in each_engine_under(&Budget::with_timeout(Duration::ZERO)) {
+        assert!(
+            matches!(outcome, Err(SnaError::DeadlineExceeded)),
+            "{engine}: {outcome:?}"
         );
     }
 }

@@ -488,22 +488,22 @@ struct HistUndo {
 }
 
 impl<'a> HistEval<'a> {
+    /// An evaluator at `w`, starting from one full propagation under
+    /// the optimizer's execution budget.
     fn new(
-        dfg: &'a Dfg,
-        input_ranges: &'a [Interval],
+        opt: &Optimizer<'a>,
         shared: &'a HistShared,
         memo: Arc<HistMemo>,
         table: QuantTable,
-        node_ranges: &[Interval],
         w: Vec<u8>,
     ) -> Result<Self, OptError> {
-        let cfg = WlConfig::from_precomputed_ranges(node_ranges, &w)?;
+        let cfg = WlConfig::from_precomputed_ranges(&opt.node_ranges, &w)?;
         let engine = DfgEngine::new(EngineOptions::default().with_bins(shared.bins));
-        let states = engine.propagate(dfg, &cfg, input_ranges)?;
+        let states = engine.propagate(opt.dfg, &cfg, opt.input_ranges, &opt.exec_budget)?;
         let mut ev = HistEval {
             engine,
-            dfg,
-            input_ranges,
+            dfg: opt.dfg,
+            input_ranges: opt.input_ranges,
             shared,
             table,
             w,
@@ -678,12 +678,10 @@ impl<'a> NoiseEval<'a> {
             (EvalShared::Hist { bins, memo, shared }, _) => {
                 let shared = shared.get_or_init(|| HistShared::build(opt.dfg, *bins));
                 Backend::Hist(HistEval::new(
-                    opt.dfg,
-                    opt.input_ranges,
+                    opt,
                     shared,
                     Arc::clone(memo),
                     table,
-                    &opt.node_ranges,
                     w.to_vec(),
                 )?)
             }

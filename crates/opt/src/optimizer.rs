@@ -406,6 +406,7 @@ impl<'a> Optimizer<'a> {
                     self.dfg,
                     cfg,
                     self.input_ranges,
+                    &self.exec_budget,
                 )?;
                 Ok(reports.iter().map(|(_, r)| r.power).sum())
             }

@@ -11,7 +11,7 @@
 use std::path::PathBuf;
 
 use sna_core::{
-    CartesianEngine, DfgEngine, EngineKind, EngineOptions, LtiEngine, NaModel, NoiseReport,
+    Budget, CartesianEngine, DfgEngine, EngineKind, EngineOptions, LtiEngine, NaModel, NoiseReport,
     SymbolicEngine, SymbolicOptions, UncertainInput,
 };
 use sna_dfg::{Dfg, LtiOptions, RangeOptions};
@@ -74,13 +74,17 @@ fn reference_cartesian(lowered: &Lowered, bins: usize) -> Vec<(String, NoiseRepo
         .enumerate()
         .map(|(k, (name, _))| {
             let report = engine
-                .analyze(&inputs, |ranges| {
-                    lowered
-                        .dfg
-                        .output_ranges(ranges, &RangeOptions::default())
-                        .expect("interval evaluation succeeds")[k]
-                        .1
-                })
+                .analyze(
+                    &inputs,
+                    |ranges| {
+                        lowered
+                            .dfg
+                            .output_ranges(ranges, &RangeOptions::default())
+                            .expect("interval evaluation succeeds")[k]
+                            .1
+                    },
+                    &Budget::unlimited(),
+                )
                 .unwrap();
             (name.clone(), report)
         })
@@ -107,12 +111,12 @@ fn reference_analyze(
             if dfg.is_linear() {
                 LtiEngine::build(dfg, ranges, &LtiOptions::default(), bins)
                     .unwrap()
-                    .analyze(dfg, &config)
+                    .analyze(dfg, &config, &Budget::unlimited())
                     .unwrap()
             } else {
                 assert!(dfg.is_combinational());
                 DfgEngine::new(EngineOptions::default().with_bins(bins))
-                    .analyze(dfg, &config, ranges)
+                    .analyze(dfg, &config, ranges, &Budget::unlimited())
                     .unwrap()
             }
         }
@@ -120,14 +124,14 @@ fn reference_analyze(
             let config = WlConfig::from_ranges(dfg, ranges, bits).unwrap();
             LtiEngine::build(dfg, ranges, &LtiOptions::default(), bins)
                 .unwrap()
-                .analyze(dfg, &config)
+                .analyze(dfg, &config, &Budget::unlimited())
                 .unwrap()
         }
         EngineKind::Dfg => {
             let (view, vranges) = reference_view(lowered);
             let config = WlConfig::from_ranges(&view, &vranges, bits).unwrap();
             DfgEngine::new(EngineOptions::default().with_bins(bins))
-                .analyze(&view, &config, &vranges)
+                .analyze(&view, &config, &vranges, &Budget::unlimited())
                 .unwrap()
         }
         EngineKind::Symbolic => {
@@ -138,7 +142,7 @@ fn reference_analyze(
                 out_bins: bins * 2,
                 ..Default::default()
             })
-            .analyze(&view, &config, &vranges)
+            .analyze(&view, &config, &vranges, &Budget::unlimited())
             .unwrap()
             .reports
         }

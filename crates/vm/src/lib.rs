@@ -34,8 +34,8 @@ mod wire;
 
 pub use exec::{Executable, VmState};
 pub use program::{Inst, OpCode, Program, Reg};
-pub use replay::{replay, replay_with, ReplayOptions};
-pub use simulate::{simulate, simulate_with, OutputStats, SimOptions};
+pub use replay::{replay, ReplayOptions};
+pub use simulate::{simulate, OutputStats, SimOptions};
 
 use sna_dfg::NodeId;
 use sna_hist::HistError;
@@ -61,7 +61,7 @@ pub enum VmError {
     /// Building the empirical error histogram failed.
     Histogram(HistError),
     /// The simulation was stopped by its caller's cancellation check
-    /// before every chunk completed (see [`simulate_with`]).
+    /// before every chunk completed (see [`simulate`]).
     Cancelled,
 }
 

@@ -62,6 +62,10 @@ impl Default for ReplayOptions {
 /// `columns[j]` holds input `j`'s recorded samples; all columns must
 /// be the same length (the row count).
 ///
+/// `cancelled` is consulted before every chunk claim exactly like
+/// [`crate::simulate`]'s check; one that never fires (`&|| false`)
+/// leaves the result bit-identical to an uninterrupted replay.
+///
 /// # Errors
 ///
 /// * [`VmError::InputArity`] on a column/input count mismatch or
@@ -69,24 +73,9 @@ impl Default for ReplayOptions {
 /// * [`VmError::NoSamples`] when the trace has no rows (or the design
 ///   has no inputs to drive);
 /// * [`VmError::DivisionByZero`] propagated from any lane;
-/// * [`VmError::Histogram`] if collected errors are non-finite.
+/// * [`VmError::Histogram`] if collected errors are non-finite;
+/// * [`VmError::Cancelled`] when the check fires.
 pub fn replay(
-    exe: &Executable,
-    columns: &[Vec<f64>],
-    opts: &ReplayOptions,
-) -> Result<Vec<OutputStats>, VmError> {
-    replay_with(exe, columns, opts, &|| false)
-}
-
-/// [`replay`] with a cooperative cancellation check, consulted before
-/// every chunk claim exactly like [`crate::simulate_with`]. A check
-/// that never fires leaves the result bit-identical to [`replay`].
-///
-/// # Errors
-///
-/// [`VmError::Cancelled`] when the check fires; otherwise as
-/// [`replay`].
-pub fn replay_with(
     exe: &Executable,
     columns: &[Vec<f64>],
     opts: &ReplayOptions,
@@ -114,14 +103,6 @@ pub fn replay_with(
     let n_out = exe.output_names().len();
     let n_segments = rows.div_ceil(seg);
     let n_chunks = n_segments.div_ceil(CHUNK_LANES);
-    let workers = if opts.workers == 0 {
-        std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1)
-    } else {
-        opts.workers
-    }
-    .clamp(1, n_chunks);
 
     let run_chunk = |i: usize| -> Result<ChunkSamples, VmError> {
         let seg_first = i * CHUNK_LANES;
@@ -169,7 +150,7 @@ pub fn replay_with(
             .collect())
     };
 
-    let chunks = run_chunks(n_chunks, workers, cancelled, &run_chunk);
+    let chunks = run_chunks(n_chunks, opts.workers, cancelled, &run_chunk);
     merge_stats(exe, n_out, chunks, opts.bins)
 }
 
@@ -231,7 +212,7 @@ mod tests {
             workers: 1,
             bins: 32,
         };
-        let stats = replay(&exe, &cols, &opts).unwrap();
+        let stats = replay(&exe, &cols, &opts, &|| false).unwrap();
         assert_eq!(stats[0].samples, 1000);
         assert!(stats[0].variance >= 0.0);
     }
@@ -246,10 +227,10 @@ mod tests {
             workers: 1,
             bins: 32,
         };
-        let base = replay(&exe, &cols, &opts).unwrap();
+        let base = replay(&exe, &cols, &opts, &|| false).unwrap();
         assert_eq!(base[0].samples, 40_000);
         for workers in [2, 4, 8] {
-            let alt = replay(&exe, &cols, &ReplayOptions { workers, ..opts }).unwrap();
+            let alt = replay(&exe, &cols, &ReplayOptions { workers, ..opts }, &|| false).unwrap();
             for (a, b) in base.iter().zip(&alt) {
                 assert_eq!(a.mean.to_bits(), b.mean.to_bits());
                 assert_eq!(a.variance.to_bits(), b.variance.to_bits());
@@ -274,6 +255,7 @@ mod tests {
                 workers: 1,
                 bins: 32,
             },
+            &|| false,
         )
         .unwrap();
         // Segmented with warmup ≥ the FIR's two-delay memory.
@@ -286,6 +268,7 @@ mod tests {
                 workers: 1,
                 bins: 32,
             },
+            &|| false,
         )
         .unwrap();
         assert_eq!(continuous[0].samples, segmented[0].samples);
@@ -305,18 +288,18 @@ mod tests {
         let exe = comb_exe();
         let opts = ReplayOptions::default();
         assert!(matches!(
-            replay(&exe, &[vec![1.0]], &opts),
+            replay(&exe, &[vec![1.0]], &opts, &|| false),
             Err(VmError::InputArity {
                 expected: 2,
                 got: 1
             })
         ));
         assert!(matches!(
-            replay(&exe, &[vec![1.0, 2.0], vec![1.0]], &opts),
+            replay(&exe, &[vec![1.0, 2.0], vec![1.0]], &opts, &|| false),
             Err(VmError::InputArity { .. })
         ));
         assert!(matches!(
-            replay(&exe, &[vec![], vec![]], &opts),
+            replay(&exe, &[vec![], vec![]], &opts, &|| false),
             Err(VmError::NoSamples)
         ));
     }
@@ -334,12 +317,18 @@ mod tests {
         for workers in [1, 4] {
             let opts = ReplayOptions { workers, ..opts };
             assert!(matches!(
-                replay_with(&exe, &cols, &opts, &|| true),
+                replay(&exe, &cols, &opts, &|| true),
                 Err(VmError::Cancelled)
             ));
         }
-        let a = replay(&exe, &cols, &opts).unwrap();
-        let b = replay_with(&exe, &cols, &opts, &|| false).unwrap();
+        let polls = std::sync::atomic::AtomicUsize::new(0);
+        let a = replay(&exe, &cols, &opts, &|| false).unwrap();
+        let b = replay(&exe, &cols, &opts, &|| {
+            polls.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            false
+        })
+        .unwrap();
+        assert!(polls.into_inner() >= 1);
         assert_eq!(a[0].mean.to_bits(), b[0].mean.to_bits());
     }
 }

@@ -97,35 +97,24 @@ pub(crate) type ChunkSamples = Vec<Vec<f64>>;
 /// collects `quantized − exact` per output from step `opts.warmup`
 /// onward.
 ///
+/// `cancelled` is a cooperative cancellation check, consulted before
+/// every chunk claim (a chunk is the smallest unit of work — at most
+/// 512 lanes × `steps` instruction sweeps). When it returns `true` the
+/// remaining chunks are abandoned and the call fails with
+/// [`VmError::Cancelled`]; chunks already computed are discarded. The
+/// check must be cheap (an atomic load, a deadline comparison): with
+/// many workers it runs once per chunk per worker. A check that never
+/// fires (`&|| false`) leaves the result bit-identical to an
+/// uninterrupted run.
+///
 /// # Errors
 ///
 /// * [`VmError::NoSamples`] when `paths == 0` or `steps <= warmup`;
 /// * [`VmError::InputArity`] on a range/input count mismatch;
 /// * [`VmError::DivisionByZero`] propagated from any lane;
-/// * [`VmError::Histogram`] if collected errors are non-finite.
+/// * [`VmError::Histogram`] if collected errors are non-finite;
+/// * [`VmError::Cancelled`] when the check fires.
 pub fn simulate(
-    exe: &Executable,
-    input_ranges: &[Interval],
-    opts: &SimOptions,
-) -> Result<Vec<OutputStats>, VmError> {
-    simulate_with(exe, input_ranges, opts, &|| false)
-}
-
-/// [`simulate`] with a cooperative cancellation check, consulted before
-/// every chunk claim (a chunk is the smallest unit of work — at most
-/// 512 lanes × `steps` instruction sweeps).  When `cancelled` returns
-/// `true` the remaining chunks are abandoned and the call fails with
-/// [`VmError::Cancelled`]; chunks already computed are discarded.
-///
-/// The check must be cheap (an atomic load, a deadline comparison): with
-/// many workers it runs once per chunk per worker.  A check that never
-/// fires leaves the result bit-identical to [`simulate`].
-///
-/// # Errors
-///
-/// [`VmError::Cancelled`] when the check fires; otherwise as
-/// [`simulate`].
-pub fn simulate_with(
     exe: &Executable,
     input_ranges: &[Interval],
     opts: &SimOptions,
@@ -142,14 +131,6 @@ pub fn simulate_with(
     }
     let n_out = exe.output_names().len();
     let n_chunks = opts.paths.div_ceil(CHUNK_LANES);
-    let workers = if opts.workers == 0 {
-        std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1)
-    } else {
-        opts.workers
-    }
-    .clamp(1, n_chunks);
 
     let run_chunk = |i: usize| -> Result<ChunkSamples, VmError> {
         let lanes = (opts.paths - i * CHUNK_LANES).min(CHUNK_LANES);
@@ -183,22 +164,31 @@ pub fn simulate_with(
         Ok(samples)
     };
 
-    let chunks = run_chunks(n_chunks, workers, cancelled, &run_chunk);
+    let chunks = run_chunks(n_chunks, opts.workers, cancelled, &run_chunk);
     merge_stats(exe, n_out, chunks, opts.bins)
 }
 
-/// Deterministic fan-out shared by [`simulate_with`] and the trace
-/// replay driver: workers steal chunk indices from a cursor; results
-/// are reassembled in chunk order before merging.  The cancellation
-/// check gates every chunk claim; a chunk abandoned to cancellation
-/// leaves its slot empty, which the caller's merge reads as
-/// `Cancelled` (never a panic).
+/// Deterministic fan-out shared by [`simulate`] and the trace replay
+/// driver: workers steal chunk indices from a cursor; results are
+/// reassembled in chunk order before merging. `workers == 0` means
+/// available hardware parallelism, and no more workers than chunks
+/// ever run. The cancellation check gates every chunk claim; a chunk
+/// abandoned to cancellation leaves its slot empty, which the caller's
+/// merge reads as `Cancelled` (never a panic).
 pub(crate) fn run_chunks(
     n_chunks: usize,
     workers: usize,
     cancelled: &(dyn Fn() -> bool + Sync),
     run_chunk: &(dyn Fn(usize) -> Result<ChunkSamples, VmError> + Sync),
 ) -> Vec<Result<ChunkSamples, VmError>> {
+    let workers = if workers == 0 {
+        std::thread::available_parallelism()
+            .map(std::num::NonZeroUsize::get)
+            .unwrap_or(1)
+    } else {
+        workers
+    }
+    .clamp(1, n_chunks);
     if workers == 1 {
         (0..n_chunks)
             .map(|i| {
@@ -317,9 +307,9 @@ mod tests {
             workers: 1,
             ..SimOptions::default()
         };
-        let base = simulate(&exe, &ranges, &opts).unwrap();
+        let base = simulate(&exe, &ranges, &opts, &|| false).unwrap();
         for workers in [2, 4, 8] {
-            let alt = simulate(&exe, &ranges, &SimOptions { workers, ..opts }).unwrap();
+            let alt = simulate(&exe, &ranges, &SimOptions { workers, ..opts }, &|| false).unwrap();
             for (a, b) in base.iter().zip(&alt) {
                 assert_eq!(a.mean.to_bits(), b.mean.to_bits());
                 assert_eq!(a.variance.to_bits(), b.variance.to_bits());
@@ -339,10 +329,10 @@ mod tests {
             warmup: 0,
             ..SimOptions::default()
         };
-        let a = simulate(&exe, &ranges, &opts).unwrap();
-        let b = simulate(&exe, &ranges, &opts).unwrap();
+        let a = simulate(&exe, &ranges, &opts, &|| false).unwrap();
+        let b = simulate(&exe, &ranges, &opts, &|| false).unwrap();
         assert_eq!(a[0].mean.to_bits(), b[0].mean.to_bits());
-        let c = simulate(&exe, &ranges, &SimOptions { seed: 1, ..opts }).unwrap();
+        let c = simulate(&exe, &ranges, &SimOptions { seed: 1, ..opts }, &|| false).unwrap();
         assert_ne!(a[0].mean.to_bits(), c[0].mean.to_bits());
     }
 
@@ -360,13 +350,20 @@ mod tests {
         for workers in [1, 4] {
             let opts = SimOptions { workers, ..opts };
             assert!(matches!(
-                simulate_with(&exe, &ranges, &opts, &|| true),
+                simulate(&exe, &ranges, &opts, &|| true),
                 Err(VmError::Cancelled)
             ));
         }
-        // A check that never fires leaves the report bit-identical.
-        let a = simulate(&exe, &ranges, &opts).unwrap();
-        let b = simulate_with(&exe, &ranges, &opts, &|| false).unwrap();
+        // A check that is polled but never fires leaves the report
+        // bit-identical.
+        let polls = std::sync::atomic::AtomicUsize::new(0);
+        let a = simulate(&exe, &ranges, &opts, &|| false).unwrap();
+        let b = simulate(&exe, &ranges, &opts, &|| {
+            polls.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            false
+        })
+        .unwrap();
+        assert!(polls.into_inner() >= 1);
         assert_eq!(a[0].mean.to_bits(), b[0].mean.to_bits());
         assert_eq!(a[0].variance.to_bits(), b[0].variance.to_bits());
     }
@@ -379,7 +376,7 @@ mod tests {
             ..SimOptions::default()
         };
         assert!(matches!(
-            simulate(&exe, &ranges, &opts),
+            simulate(&exe, &ranges, &opts, &|| false),
             Err(VmError::NoSamples)
         ));
         let opts = SimOptions {
@@ -388,11 +385,11 @@ mod tests {
             ..SimOptions::default()
         };
         assert!(matches!(
-            simulate(&exe, &ranges, &opts),
+            simulate(&exe, &ranges, &opts, &|| false),
             Err(VmError::NoSamples)
         ));
         assert!(matches!(
-            simulate(&exe, &ranges[..1], &SimOptions::default()),
+            simulate(&exe, &ranges[..1], &SimOptions::default(), &|| false),
             Err(VmError::InputArity {
                 expected: 2,
                 got: 1

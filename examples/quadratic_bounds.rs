@@ -3,7 +3,7 @@
 //!
 //! Run with: `cargo run --release --example quadratic_bounds`
 
-use sna::core::{CartesianEngine, UncertainInput};
+use sna::core::{Budget, CartesianEngine, UncertainInput};
 use sna::interval::{AffineContext, Interval};
 
 fn quadratic(v: &[Interval]) -> Interval {
@@ -54,7 +54,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     println!("{}", "-".repeat(52));
     for g in [2usize, 4, 8, 16, 32, 64] {
-        let report = CartesianEngine::new(256).analyze(&inputs(g)?, quadratic)?;
+        let report =
+            CartesianEngine::new(256).analyze(&inputs(g)?, quadratic, &Budget::unlimited())?;
         println!(
             "{g:>4} | {:>9.4} | {:>9.4} | {:>9.4} | {:>9.4}",
             report.mean - 6.5, // error around the AA centre, as in Table 2

@@ -5,7 +5,7 @@
 //! * granularity vs accuracy of the Cartesian engine;
 //! * time-unrolling as an alternative route to sequential-noise analysis.
 
-use sna::core::{CartesianEngine, SymbolicEngine, SymbolicOptions, UncertainInput};
+use sna::core::{Budget, CartesianEngine, SymbolicEngine, SymbolicOptions, UncertainInput};
 use sna::dfg::DfgBuilder;
 use sna::fixp::WlConfig;
 use sna::hist::{DepositPolicy, Histogram};
@@ -57,7 +57,7 @@ fn deposit_policy_ablation_on_the_quadratic() {
     for policy in [DepositPolicy::Uniform, DepositPolicy::Midpoint] {
         let report = CartesianEngine::new(64)
             .with_deposit(policy)
-            .analyze(&quadratic_inputs(16), quadratic)
+            .analyze(&quadratic_inputs(16), quadratic, &Budget::unlimited())
             .unwrap();
         let pdf = report.histogram.unwrap();
         distances.push((policy, pdf.kolmogorov_distance(&reference)));
@@ -70,11 +70,11 @@ fn deposit_policy_ablation_on_the_quadratic() {
     // does not: checked in the bench harness tests; here we check the
     // ordering of spread (midpoint under-disperses).
     let outer = CartesianEngine::new(64)
-        .analyze(&quadratic_inputs(16), quadratic)
+        .analyze(&quadratic_inputs(16), quadratic, &Budget::unlimited())
         .unwrap();
     let inner = CartesianEngine::new(64)
         .with_deposit(DepositPolicy::Midpoint)
-        .analyze(&quadratic_inputs(16), quadratic)
+        .analyze(&quadratic_inputs(16), quadratic, &Budget::unlimited())
         .unwrap();
     assert!(inner.variance <= outer.variance);
 }
@@ -88,7 +88,7 @@ fn granularity_accuracy_tradeoff() {
     let mut last = f64::INFINITY;
     for g in [4usize, 8, 16, 32] {
         let report = CartesianEngine::new(64)
-            .analyze(&quadratic_inputs(g), quadratic)
+            .analyze(&quadratic_inputs(g), quadratic, &Budget::unlimited())
             .unwrap();
         let d = report.histogram.unwrap().kolmogorov_distance(&reference);
         assert!(
@@ -140,7 +140,7 @@ fn transient_noise_via_unrolling_converges_to_steady_state() {
         out_bins: 64,
         ..Default::default()
     })
-    .analyze(&unrolled, &ucfg, &uranges)
+    .analyze(&unrolled, &ucfg, &uranges, &Budget::unlimited())
     .unwrap();
 
     // Variance grows monotonically step over step…

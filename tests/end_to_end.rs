@@ -166,7 +166,11 @@ fn quadratic_story_through_facade() {
         UncertainInput::uniform("c", 6.0, 7.0, 16).unwrap(),
     ];
     let report = CartesianEngine::new(128)
-        .analyze(&inputs, |v| v[1] * v[0].sqr() + v[2] * v[0] + v[3])
+        .analyze(
+            &inputs,
+            |v| v[1] * v[0].sqr() + v[2] * v[0] + v[3],
+            &sna::core::Budget::unlimited(),
+        )
         .unwrap();
     // SNA is strictly tighter than AA ([-10, 23]) and encloses [5, 23].
     assert!(report.support.0 > -10.0 && report.support.0 <= 5.0);
