@@ -317,46 +317,59 @@ mod tests {
         assert_send_sync::<CartesianEngine>();
     }
 
+    /// The six concrete kinds; `linear_tree` is linear and combinational,
+    /// so every one of them applies to it.
+    const CONCRETE: [EngineKind; 6] = [
+        EngineKind::Na,
+        EngineKind::Lti,
+        EngineKind::Dfg,
+        EngineKind::Symbolic,
+        EngineKind::Cartesian,
+        EngineKind::Simulate,
+    ];
+
+    fn analyze_uniform(session: &Session, kind: EngineKind) -> AnalysisReport {
+        session
+            .analyze(&AnalysisRequest {
+                engine: kind,
+                words: WlChoice::Uniform(10),
+                ..AnalysisRequest::default()
+            })
+            .unwrap()
+    }
+
     #[test]
-    fn analyze_reports_the_dispatched_kind_and_its_report_kind() {
-        // `linear_tree` is linear and combinational, so every concrete
-        // engine applies to it.
-        let g = linear_tree();
-        let session = Session::new(g, vec![iv(-1.0, 1.0), iv(-1.0, 1.0)]).unwrap();
-        for kind in [
-            EngineKind::Na,
-            EngineKind::Lti,
-            EngineKind::Dfg,
-            EngineKind::Symbolic,
-            EngineKind::Cartesian,
-            EngineKind::Simulate,
-        ] {
-            let report = session
-                .analyze(&AnalysisRequest {
-                    engine: kind,
-                    words: WlChoice::Uniform(10),
-                    ..AnalysisRequest::default()
-                })
-                .unwrap();
+    fn every_concrete_kind_has_an_engine_with_matching_identity() {
+        let session = Session::new(linear_tree(), vec![iv(-1.0, 1.0), iv(-1.0, 1.0)]).unwrap();
+        for kind in CONCRETE {
+            let report = analyze_uniform(&session, kind);
             assert_eq!(report.engine, kind);
+            assert_eq!(report.engine.name(), kind.name());
+            assert_eq!(report.reports[0].0, "y");
+        }
+        // `Auto` is not an engine of its own: it resolves to a concrete one.
+        let auto = analyze_uniform(&session, EngineKind::Auto);
+        assert!(CONCRETE.contains(&auto.engine), "{:?}", auto.engine);
+        for kind in CONCRETE.into_iter().chain([EngineKind::Auto]) {
+            assert_eq!(EngineKind::parse(kind.name()), Ok(kind));
+        }
+    }
+
+    #[test]
+    fn report_kinds_separate_value_pdf_from_noise() {
+        let session = Session::new(linear_tree(), vec![iv(-1.0, 1.0), iv(-1.0, 1.0)]).unwrap();
+        for kind in CONCRETE {
             let expected = if kind == EngineKind::Cartesian {
                 ReportKind::ValuePdf
             } else {
                 ReportKind::QuantizationNoise
             };
-            assert_eq!(report.kind, expected, "{}", kind.name());
-            assert_eq!(report.reports[0].0, "y");
-        }
-        for kind in [
-            EngineKind::Auto,
-            EngineKind::Na,
-            EngineKind::Lti,
-            EngineKind::Dfg,
-            EngineKind::Symbolic,
-            EngineKind::Cartesian,
-            EngineKind::Simulate,
-        ] {
-            assert_eq!(EngineKind::parse(kind.name()), Ok(kind));
+            assert_eq!(
+                analyze_uniform(&session, kind).kind,
+                expected,
+                "{}",
+                kind.name()
+            );
         }
         assert_eq!(ReportKind::ValuePdf.as_str(), "value-pdf");
         assert_eq!(ReportKind::QuantizationNoise.as_str(), "quantization-noise");
