@@ -33,7 +33,7 @@ pub fn run(argv: &[String]) -> Result<String, CliError> {
     let mut engine = AnalyzeEngine::Auto;
     let mut bits: u8 = 12;
     let mut bins: usize = 64;
-    let mut jobs: usize = sna_service::default_jobs();
+    let mut jobs: usize = sna_vm::default_workers();
     let mut manifest: Option<String> = None;
     let mut store_dir: Option<String> = None;
     while let Some(flag) = args.next_flag() {

@@ -343,8 +343,9 @@ where
     let n_files = files.len();
     let fault = parse_batch_fault();
     let retries = AtomicU64::new(0);
-    let outcomes: Vec<(String, Result<String, CliError>, f64)> =
-        sna_service::run_ordered(files, jobs, |index, path| {
+    let outcomes: Vec<(&str, Result<String, CliError>, f64)> =
+        sna_vm::run_ordered(n_files, jobs, |index| {
+            let path = files[index].as_str();
             let job_started = Instant::now();
             let mut attempt = 0u32;
             let result = loop {
@@ -354,13 +355,13 @@ where
                         "cannot read `{path}`: injected transient fault"
                     )))
                 } else {
-                    load_cached(&cache, &path).and_then(|entry| per_file(&path, &entry))
+                    load_cached(&cache, path).and_then(|entry| per_file(path, &entry))
                 };
                 match result {
                     Err(ref e) if batch && attempt + 1 < BATCH_ATTEMPTS && is_transient(e) => {
                         attempt += 1;
                         retries.fetch_add(1, Ordering::Relaxed);
-                        backoff_sleep(&path, attempt);
+                        backoff_sleep(path, attempt);
                     }
                     other => break other,
                 }
@@ -401,7 +402,7 @@ where
                     // counting positions against the input list.
                     let doc = Json::Obj(vec![
                         ("command".into(), Json::str(command)),
-                        ("file".into(), Json::str(path.clone())),
+                        ("file".into(), Json::str(*path)),
                         ("error".into(), Json::str(e.to_string())),
                     ]);
                     out.push_str(&doc.to_string());

@@ -39,7 +39,7 @@ pub fn run(argv: &[String]) -> Result<String, CliError> {
     let mut args = Args::new_multi(argv);
     let mut format = Format::Human;
     let mut params = OptimizeParams::default();
-    let mut jobs: usize = sna_service::default_jobs();
+    let mut jobs: usize = sna_vm::default_workers();
     let mut manifest: Option<String> = None;
     let mut store_dir: Option<String> = None;
     let mut pareto = false;

@@ -465,3 +465,27 @@ fn cli_json_is_the_server_result_on_every_example() {
         }
     }
 }
+
+#[test]
+fn huge_worker_counts_are_clamped_without_changing_the_output() {
+    // 20000 paths are 40 lane chunks; asking for 100000 workers must run
+    // on at most 64 threads and report the same bytes as one worker.
+    let fir = example("fir.sna");
+    let simulate = |workers: &str| {
+        let out = run(&argv(&[
+            "simulate",
+            &fir,
+            "--paths",
+            "20000",
+            "--seed",
+            "7",
+            "--workers",
+            workers,
+            "--format",
+            "json",
+        ]))
+        .unwrap();
+        without(Json::parse(&out).unwrap(), &[]).to_compact()
+    };
+    assert_eq!(simulate("100000"), simulate("1"));
+}

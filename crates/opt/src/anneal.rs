@@ -6,19 +6,18 @@
 //! valid design.  The objective is the cost proxy; the best-ever point is
 //! synthesized for real at the end.  Every proposal is a
 //! single-coordinate [`crate::NoiseEval`] move — O(1) on linear graphs —
-//! and independent restarts fan out across std threads.
+//! and independent restarts fan out through [`sna_vm::run_ordered`].
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::optimizer::default_threads;
 use crate::{Evaluation, OptError, Optimizer};
 
 /// A finished walk: best-ever proxy cost and its width vector.
 type WalkResult = Result<(f64, Vec<u8>), OptError>;
 
 /// A worker's best walk, tagged with its restart index for tie-breaking.
-type PartialBest = Result<Option<(f64, u64, Vec<u8>)>, OptError>;
+type PartialBest = Result<Option<(f64, usize, Vec<u8>)>, OptError>;
 
 /// Annealing schedule parameters.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -36,9 +35,10 @@ pub struct AnnealOptions {
     /// wins, so the outcome does not depend on the worker count.
     pub restarts: usize,
     /// Worker-thread cap for the parallel restarts; `0` means available
-    /// parallelism. The result is identical for every value (the merge
-    /// is worker-count independent) — this only bounds concurrency,
-    /// e.g. for a server enforcing a client-supplied `threads` knob.
+    /// parallelism, and at most [`sna_vm::MAX_WORKERS`] run. The result
+    /// is identical for every value (the merge is worker-count
+    /// independent) — this only bounds concurrency, e.g. for a server
+    /// enforcing a client-supplied `threads` knob.
     pub threads: usize,
 }
 
@@ -70,58 +70,36 @@ impl Optimizer<'_> {
         opts: &AnnealOptions,
     ) -> Result<Evaluation, OptError> {
         let restarts = opts.restarts.max(1);
-        let best = if restarts == 1 {
-            self.anneal_walk(budget, start_w, opts, 0)?
-        } else {
-            // Every walk costs the same iteration count, so static
-            // striding (worker `t` runs restarts `t, t+workers, …`)
-            // partitions the work evenly with no shared state; partial
-            // bests merge by `(cost, restart index)`, making the winner
-            // independent of worker count and scheduling.
-            let cap = if opts.threads == 0 {
-                default_threads()
-            } else {
-                opts.threads
-            };
-            let workers = restarts.min(cap.max(1));
-            let partials: Vec<PartialBest> = std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|t| {
-                        scope.spawn(move || {
-                            let mut best: Option<(f64, u64, Vec<u8>)> = None;
-                            let mut r = t as u64;
-                            while (r as usize) < restarts {
-                                let (cost, w) = self.anneal_walk(budget, start_w, opts, r)?;
-                                if best.as_ref().map(|(c, _, _)| cost < *c).unwrap_or(true) {
-                                    best = Some((cost, r, w));
-                                }
-                                r += workers as u64;
-                            }
-                            Ok(best)
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("anneal worker panicked"))
-                    .collect()
-            });
-            let mut best: Option<(f64, u64, Vec<u8>)> = None;
-            for partial in partials {
-                if let Some((cost, r, w)) = partial? {
-                    let better = best
-                        .as_ref()
-                        .map(|(c, br, _)| cost < *c || (cost == *c && r < *br))
-                        .unwrap_or(true);
-                    if better {
-                        best = Some((cost, r, w));
-                    }
+        // Every walk costs the same iteration count, so static striding
+        // (job `t` runs restarts `t, t+workers, …`) partitions the work
+        // evenly, one job per worker, and keeps memory bounded by the
+        // worker count; partial bests merge by `(cost, restart index)`,
+        // making the winner independent of worker count and scheduling.
+        let workers = sna_vm::worker_count(restarts, opts.threads);
+        let partials: Vec<PartialBest> = sna_vm::run_ordered(workers, workers, |t| {
+            let mut best: Option<(f64, usize, Vec<u8>)> = None;
+            for r in (t..restarts).step_by(workers) {
+                let (cost, w) = self.anneal_walk(budget, start_w, opts, r as u64)?;
+                if best.as_ref().map(|(c, _, _)| cost < *c).unwrap_or(true) {
+                    best = Some((cost, r, w));
                 }
             }
-            let (cost, _, w) = best.expect("restarts >= 1");
-            (cost, w)
-        };
-        self.evaluate(best.1)
+            Ok(best)
+        });
+        let mut best: Option<(f64, usize, Vec<u8>)> = None;
+        for partial in partials {
+            if let Some((cost, r, w)) = partial? {
+                let better = best
+                    .as_ref()
+                    .map(|(c, br, _)| cost < *c || (cost == *c && r < *br))
+                    .unwrap_or(true);
+                if better {
+                    best = Some((cost, r, w));
+                }
+            }
+        }
+        let (_, _, w) = best.expect("restarts >= 1");
+        self.evaluate(w)
     }
 
     /// One annealing walk with seed `opts.seed + restart`, returning the

@@ -24,8 +24,10 @@
 //! histogram re-propagation with memoization on the nonlinear fallback
 //! (see the [`eval`](NoiseEval) module docs for the complexity model).
 //! Implementation costs use a per-node proxy for move ranking and the
-//! real HLS flow for reported numbers.  Exhaustive odometer chunks and
-//! annealing restarts fan out across std threads.
+//! real HLS flow for reported numbers.  Exhaustive odometer chunks,
+//! annealing restarts and Pareto sweep candidates fan out through
+//! [`sna_vm::run_ordered`], so every result is identical for any thread
+//! count.
 //!
 //! # Example
 //!

@@ -9,14 +9,6 @@ use sna_interval::Interval;
 use crate::eval::{EvalShared, NaShared, NoiseEval};
 use crate::OptError;
 
-/// Default worker count for the parallel searches: available hardware
-/// parallelism with a fallback of 1.
-pub(crate) fn default_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
-}
-
 /// How candidate noise is evaluated inside the search loops.
 ///
 /// Linear graphs (with or without feedback) use the precomputed
@@ -555,28 +547,12 @@ impl<'a> Optimizer<'a> {
     }
 
     /// Exhaustive search over `w0 ± radius` per node (proxy-ranked,
-    /// real-synthesis result).  Only for small graphs.  Candidates are
-    /// evaluated across all available threads; see
-    /// [`Optimizer::exhaustive_threaded`].
+    /// real-synthesis result).  Only for small graphs.
     ///
-    /// # Errors
-    ///
-    /// [`OptError::SearchSpaceTooLarge`] when the candidate count exceeds
-    /// `cap`; [`OptError::Infeasible`] when nothing meets the budget.
-    pub fn exhaustive(
-        &self,
-        budget: f64,
-        w0: u8,
-        radius: u8,
-        cap: u128,
-    ) -> Result<Evaluation, OptError> {
-        self.exhaustive_threaded(budget, w0, radius, cap, default_threads())
-    }
-
-    /// [`Optimizer::exhaustive`] with an explicit worker count.
-    ///
-    /// The odometer's candidate space is split into `threads` contiguous
-    /// chunks of linear indices; each worker walks its chunk with an
+    /// The odometer's candidate space is split into one contiguous chunk
+    /// of linear indices per worker (`threads == 0` means available
+    /// parallelism; see [`sna_vm::worker_count`]), and the chunks run as
+    /// [`sna_vm::run_ordered`] jobs.  Each chunk is walked with an
     /// incremental [`NoiseEval`] (odometer steps amortize to O(1)
     /// coordinate moves per candidate) and reports its best feasible
     /// `(proxy, index, widths)`.  The merge prefers lower proxy cost and
@@ -586,8 +562,9 @@ impl<'a> Optimizer<'a> {
     ///
     /// # Errors
     ///
-    /// Same as [`Optimizer::exhaustive`].
-    pub fn exhaustive_threaded(
+    /// [`OptError::SearchSpaceTooLarge`] when the candidate count exceeds
+    /// `cap`; [`OptError::Infeasible`] when nothing meets the budget.
+    pub fn exhaustive(
         &self,
         budget: f64,
         w0: u8,
@@ -609,7 +586,8 @@ impl<'a> Optimizer<'a> {
         if candidates > cap {
             return Err(OptError::SearchSpaceTooLarge { candidates, cap });
         }
-        let workers = threads.clamp(1, 64).min(candidates.max(1) as usize);
+        let workers =
+            sna_vm::worker_count(usize::try_from(candidates).unwrap_or(usize::MAX), threads);
         let levels = &levels;
         // Decodes a linear candidate index into per-node level indices
         // (coordinate 0 is the fastest-cycling digit, as in the serial
@@ -678,35 +656,22 @@ impl<'a> Optimizer<'a> {
                 }
             }
         };
-        let merged: Result<Best, OptError> = if workers == 1 {
-            run_chunk(0, candidates)
-        } else {
-            // Mirrors `sna_service::run_ordered`: scoped std threads, the
-            // results merged deterministically in chunk order.
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|t| {
-                        let (lo, hi) = chunk(t);
-                        scope.spawn(move || run_chunk(lo, hi))
-                    })
-                    .collect();
-                let mut best: Best = None;
-                for h in handles {
-                    let partial = h.join().expect("exhaustive worker panicked")?;
-                    if let Some((proxy, c, w)) = partial {
-                        let better = best
-                            .as_ref()
-                            .map(|(bp, bc, _)| proxy < *bp || (proxy == *bp && c < *bc))
-                            .unwrap_or(true);
-                        if better {
-                            best = Some((proxy, c, w));
-                        }
-                    }
+        let mut merged: Best = None;
+        for partial in sna_vm::run_ordered(workers, workers, |t| {
+            let (lo, hi) = chunk(t);
+            run_chunk(lo, hi)
+        }) {
+            if let Some((proxy, c, w)) = partial? {
+                let better = merged
+                    .as_ref()
+                    .map(|(bp, bc, _)| proxy < *bp || (proxy == *bp && c < *bc))
+                    .unwrap_or(true);
+                if better {
+                    merged = Some((proxy, c, w));
                 }
-                Ok(best)
-            })
-        };
-        let (_, _, w) = merged?.ok_or(OptError::Infeasible {
+            }
+        }
+        let (_, _, w) = merged.ok_or(OptError::Infeasible {
             budget,
             best_noise: f64::INFINITY,
         })?;
@@ -849,7 +814,7 @@ mod tests {
         let opt = Optimizer::new(&g, &r, SynthesisConstraints::default()).unwrap();
         let fixed = opt.uniform(10).unwrap();
         let best = opt
-            .exhaustive(fixed.noise_power, 10, 1, 10_000_000)
+            .exhaustive(fixed.noise_power, 10, 1, 10_000_000, 0)
             .unwrap();
         assert!(best.noise_power <= fixed.noise_power * (1.0 + 1e-12));
         let fixed_proxy = opt.proxy_cost(&fixed.word_lengths);
@@ -862,7 +827,7 @@ mod tests {
         let (g, r) = small_design();
         let opt = Optimizer::new(&g, &r, SynthesisConstraints::default()).unwrap();
         assert!(matches!(
-            opt.exhaustive(1.0, 10, 4, 10),
+            opt.exhaustive(1.0, 10, 4, 10, 0),
             Err(OptError::SearchSpaceTooLarge { .. })
         ));
     }
@@ -994,7 +959,7 @@ mod tests {
                 "expected a cancellation"
             );
         };
-        cancelled(opt.exhaustive(fixed.noise_power, 10, 1, 10_000_000));
+        cancelled(opt.exhaustive(fixed.noise_power, 10, 1, 10_000_000, 0));
         cancelled(opt.group_greedy(fixed.noise_power, 18));
         cancelled(opt.anneal(fixed.noise_power, 14, &AnnealOptions::default()));
     }
@@ -1007,7 +972,7 @@ mod tests {
         let opt = Optimizer::new(&g, &r, SynthesisConstraints::default())
             .unwrap()
             .with_exec_budget(Budget::with_timeout(std::time::Duration::ZERO));
-        match opt.exhaustive(fixed.noise_power, 10, 1, 10_000_000) {
+        match opt.exhaustive(fixed.noise_power, 10, 1, 10_000_000, 0) {
             Err(OptError::Sna(e)) => {
                 assert_eq!(e.to_string(), "deadline exceeded");
             }
@@ -1021,13 +986,13 @@ mod tests {
         let plain = Optimizer::new(&g, &r, SynthesisConstraints::default()).unwrap();
         let fixed = plain.uniform(10).unwrap();
         let best = plain
-            .exhaustive(fixed.noise_power, 10, 1, 10_000_000)
+            .exhaustive(fixed.noise_power, 10, 1, 10_000_000, 0)
             .unwrap();
         let budgeted = Optimizer::new(&g, &r, SynthesisConstraints::default())
             .unwrap()
             .with_exec_budget(Budget::with_timeout(std::time::Duration::from_secs(3600)));
         let best_b = budgeted
-            .exhaustive(fixed.noise_power, 10, 1, 10_000_000)
+            .exhaustive(fixed.noise_power, 10, 1, 10_000_000, 0)
             .unwrap();
         assert_eq!(best.word_lengths, best_b.word_lengths);
         assert_eq!(best.noise_power.to_bits(), best_b.noise_power.to_bits());

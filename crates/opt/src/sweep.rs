@@ -11,8 +11,9 @@
 //!
 //! * candidates are processed in **blocks** of
 //!   [`ParetoSweepSpec::checkpoint_every`]; inside a block they fan out
-//!   over scoped threads, but results are merged in candidate order, so
-//!   the frontier after each block is independent of the thread count;
+//!   through [`sna_vm::run_ordered`], which returns results in candidate
+//!   order, so the frontier after each block is independent of the
+//!   thread count;
 //! * after each block the cursor and the frontier's word-length vectors
 //!   are checkpointed to a [`sna_store::Store`] (kind
 //!   [`CKPT_KIND`]), keyed by a hash of the full sweep identity —
@@ -107,8 +108,9 @@ pub struct ParetoSweepSpec {
     pub noise_points: usize,
     /// Candidates per checkpointed block.
     pub checkpoint_every: usize,
-    /// Worker threads per block (`0` = available parallelism).  Not
-    /// part of the result: any thread count produces the same frontier.
+    /// Worker threads per block (`0` = available parallelism, at most
+    /// [`sna_vm::MAX_WORKERS`]).  Not part of the result: any thread
+    /// count produces the same frontier.
     pub threads: usize,
 }
 
@@ -369,45 +371,13 @@ pub fn pareto_explore(
 
     let resumed_at = cursor;
     let mut checkpoints = 0usize;
-    let workers_for = |n: usize| -> usize {
-        let t = if spec.threads == 0 {
-            crate::optimizer::default_threads()
-        } else {
-            spec.threads
-        };
-        t.clamp(1, 64).min(n.max(1))
-    };
 
     while cursor < total {
         let hi = (cursor + spec.checkpoint_every).min(total);
-        let workers = workers_for(hi - cursor);
-        // Fan the block out, merge in candidate order (chunks are
-        // contiguous, so concatenating chunk results preserves it).
-        let block: Vec<Option<Evaluation>> = if workers == 1 {
-            (cursor..hi)
-                .map(run_candidate)
-                .collect::<Result<_, OptError>>()?
-        } else {
-            let span = hi - cursor;
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|t| {
-                        let lo_t = cursor + span * t / workers;
-                        let hi_t = cursor + span * (t + 1) / workers;
-                        scope.spawn(move || {
-                            (lo_t..hi_t)
-                                .map(run_candidate)
-                                .collect::<Result<Vec<_>, OptError>>()
-                        })
-                    })
-                    .collect();
-                let mut merged = Vec::with_capacity(span);
-                for h in handles {
-                    merged.extend(h.join().expect("sweep worker panicked")?);
-                }
-                Ok::<_, OptError>(merged)
-            })?
-        };
+        // Fan the block out; results come back in candidate order.
+        let block = sna_vm::run_ordered(hi - cursor, spec.threads, |j| run_candidate(cursor + j))
+            .into_iter()
+            .collect::<Result<Vec<_>, OptError>>()?;
         for (c, eval) in (cursor..hi).zip(block) {
             if let Some(e) = eval {
                 frontier.push((objective_of(c).tag(), e));

@@ -118,11 +118,11 @@ fn parallel_exhaustive_matches_serial_winner() {
     let opt = Optimizer::new(&g, &r, SynthesisConstraints::default()).unwrap();
     let fixed = opt.uniform(10).unwrap();
     let serial = opt
-        .exhaustive_threaded(fixed.noise_power, 10, 2, 10_000_000, 1)
+        .exhaustive(fixed.noise_power, 10, 2, 10_000_000, 1)
         .unwrap();
     for threads in [2, 3, 4, 8] {
         let parallel = opt
-            .exhaustive_threaded(fixed.noise_power, 10, 2, 10_000_000, threads)
+            .exhaustive(fixed.noise_power, 10, 2, 10_000_000, threads)
             .unwrap();
         assert_eq!(
             serial.word_lengths, parallel.word_lengths,
@@ -137,10 +137,10 @@ fn exhaustive_default_entry_point_agrees_with_serial() {
     let opt = Optimizer::new(&g, &r, SynthesisConstraints::default()).unwrap();
     let fixed = opt.uniform(10).unwrap();
     let serial = opt
-        .exhaustive_threaded(fixed.noise_power, 10, 1, 10_000_000, 1)
+        .exhaustive(fixed.noise_power, 10, 1, 10_000_000, 1)
         .unwrap();
     let auto = opt
-        .exhaustive(fixed.noise_power, 10, 1, 10_000_000)
+        .exhaustive(fixed.noise_power, 10, 1, 10_000_000, 0)
         .unwrap();
     assert_eq!(serial.word_lengths, auto.word_lengths);
 }

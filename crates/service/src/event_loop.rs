@@ -51,7 +51,7 @@ use std::time::{Duration, Instant};
 
 use crate::cache::CompileCache;
 use crate::fault::{FaultPlan, IoFault, JobFault};
-use crate::pool::{default_jobs, WorkerPool};
+use crate::pool::WorkerPool;
 use crate::proto::{self, error_line, oversize_error_line, ExecLimits, Handler, Peer};
 use crate::stats::{Counter, StatsRegistry};
 
@@ -734,7 +734,7 @@ fn run_reactor(
 ) -> io::Result<()> {
     let completions: CompletionQueue = Arc::default();
     let workers = if cfg.workers == 0 {
-        default_jobs()
+        sna_vm::default_workers()
     } else {
         cfg.workers
     };

@@ -81,9 +81,9 @@ fn render_analysis_error(e: &SnaError) -> String {
     }
 }
 
-/// Runs an analysis request against a compiled entry through the unified
-/// `Session`/`Engine` surface, returning the full structured report
-/// (provenance + timing included).
+/// Runs an analysis request against a compiled entry through
+/// [`Session::analyze`](sna_core::Session::analyze), returning the full
+/// structured report (provenance + timing included).
 ///
 /// # Errors
 ///
@@ -681,20 +681,13 @@ pub fn optimize_budgeted(
                 },
             ),
             "group-greedy" => optimizer.group_greedy(budget, params.start),
-            "exhaustive" => {
-                let threads = if params.threads == 0 {
-                    crate::default_jobs()
-                } else {
-                    params.threads
-                };
-                optimizer.exhaustive_threaded(
-                    budget,
-                    params.ref_bits,
-                    params.radius,
-                    2_000_000,
-                    threads,
-                )
-            }
+            "exhaustive" => optimizer.exhaustive(
+                budget,
+                params.ref_bits,
+                params.radius,
+                2_000_000,
+                params.threads,
+            ),
             _ => unreachable!("validated above"),
         };
         r.map_err(|e| render_opt_error(name, &e))

@@ -12,11 +12,11 @@
 //!   `sna-lang` for spelling-insensitive aliasing; entries share the
 //!   lowered [`Dfg`](sna_dfg::Dfg) and the lazily built
 //!   [`NaModel`](sna_core::NaModel) behind `Arc`s.
-//! * [`run_ordered`] / [`WorkerPool`] — std-only worker pools
-//!   (`std::thread` + channels; the build environment has no network, so
-//!   no tokio): the former fans a batch across cores and collects
-//!   results in input order, the latter is the long-lived pool the
-//!   server's event loop executes requests on.
+//! * [`WorkerPool`] — the std-only (`std::thread` + channels; the
+//!   build environment has no network, so no tokio), panic-isolated,
+//!   long-lived pool the server's event loop executes requests on.
+//!   One-shot fan-outs such as a CLI batch use [`sna_vm::run_ordered`],
+//!   which collects results in input order.
 //! * [`exec`] — one runner and one `result` renderer per verb (parse,
 //!   analyze, simulate, trace, optimize, synth), shared by the CLI
 //!   subcommands and the server so both produce identical numbers and
@@ -57,7 +57,7 @@ pub use cache::{
 pub use event_loop::{spawn_server, ServerConfig, ServerHandle};
 pub use fault::{FaultPlan, IoFault, JobFault};
 pub use json::Json;
-pub use pool::{default_jobs, run_ordered, WorkerPool};
+pub use pool::WorkerPool;
 pub use proto::{ExecLimits, Handler, Peer, ServeReport, MAX_TIMEOUT_MS};
 pub use stats::{
     bin_hi, bin_lo, Counter, HistogramSnapshot, InFlightGuard, LatencyHistogram, StatsRegistry,

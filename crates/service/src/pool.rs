@@ -1,92 +1,22 @@
-//! A std-only fan-out worker pool with deterministic, input-ordered
-//! result collection.
+//! The server's long-lived, panic-isolated worker pool.
 //!
 //! The build environment has no network and therefore no tokio; plain
-//! `std::thread` + channels cover the whole requirement. Workers pull job
-//! indices from a shared atomic cursor (cheap dynamic load balancing —
-//! a slow file does not stall its neighbours) and send `(index, result)`
-//! pairs back over an mpsc channel; the caller reassembles them in input
-//! order, so batch output is byte-stable regardless of scheduling.
+//! `std::thread` + channels cover the whole requirement. One-shot
+//! fan-outs (batch files, Monte-Carlo chunks, optimizer searches) go
+//! through [`sna_vm::run_ordered`] instead.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 
-/// The default worker count: available hardware parallelism, with a
-/// fallback of 1 when the platform cannot report it.
-#[must_use]
-pub fn default_jobs() -> usize {
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
-}
-
-/// Runs `f(index, job)` for every job on up to `n_threads` workers and
-/// returns the results in input order.
-///
-/// `n_threads` is clamped to `[1, jobs.len()]`; with one worker (or one
-/// job) everything runs on a single spawned thread, which keeps the
-/// execution path identical in shape whatever the parallelism. Panics in
-/// `f` propagate out of the scope, so a poisoned job does not silently
-/// drop its result.
-pub fn run_ordered<J, R, F>(jobs: Vec<J>, n_threads: usize, f: F) -> Vec<R>
-where
-    J: Send,
-    R: Send,
-    F: Fn(usize, J) -> R + Sync,
-{
-    let total = jobs.len();
-    if total == 0 {
-        return Vec::new();
-    }
-    let workers = n_threads.clamp(1, total);
-    // Jobs live in per-slot `Mutex<Option<J>>`s so any worker can take
-    // ownership of any job by index without unsafe code.
-    let slots: Vec<Mutex<Option<J>>> = jobs.into_iter().map(|j| Mutex::new(Some(j))).collect();
-    let cursor = AtomicUsize::new(0);
-    let (tx, rx) = mpsc::channel::<(usize, R)>();
-
-    let slots = &slots;
-    let cursor = &cursor;
-    let f = &f;
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            let tx = tx.clone();
-            scope.spawn(move || loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= total {
-                    break;
-                }
-                let job = slots[i]
-                    .lock()
-                    .expect("job slot lock")
-                    .take()
-                    .expect("each index is claimed once");
-                // A send can only fail if the receiver is gone, which
-                // means the scope is already unwinding from a panic.
-                let _ = tx.send((i, f(i, job)));
-            });
-        }
-        drop(tx);
-
-        let mut out: Vec<Option<R>> = (0..total).map(|_| None).collect();
-        for (i, result) in rx {
-            out[i] = Some(result);
-        }
-        out.into_iter()
-            .map(|r| r.expect("every job reported"))
-            .collect()
-    })
-}
-
-/// The long-lived sibling of [`run_ordered`]: a fixed set of worker
-/// threads draining one shared job channel for the lifetime of the
-/// pool. This is what the server's event loop hands request execution
+/// The long-lived sibling of [`sna_vm::run_ordered`]: a fixed set of
+/// worker threads draining one shared job channel for the lifetime of
+/// the pool. This is what the server's event loop hands request execution
 /// to — the reactor thread only frames I/O, workers run the verbs.
 ///
-/// Jobs are `FnOnce` units pulled from a `Mutex<Receiver>` (the same
-/// no-tokio constraint as [`run_ordered`]: plain threads + channels).
+/// Jobs are `FnOnce` units pulled from a `Mutex<Receiver>` (plain
+/// threads + channels, no async runtime).
 /// Dropping the pool closes the channel and joins every worker, so
 /// shutdown is deterministic — no detached threads survive the owner.
 ///
@@ -178,43 +108,44 @@ impl<J: Send + 'static> Drop for WorkerPool<J> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sna_vm::{default_workers, run_ordered};
+    use std::sync::atomic::AtomicUsize;
 
     #[test]
     fn results_come_back_in_input_order() {
         // Reverse sleep times so completion order is the reverse of input
         // order; collection must still be input-ordered.
         let jobs: Vec<u64> = (0..8).rev().collect();
-        let out = run_ordered(jobs.clone(), 4, |_, ms| {
-            std::thread::sleep(std::time::Duration::from_millis(ms));
-            ms
+        let out = run_ordered(jobs.len(), 4, |i| {
+            std::thread::sleep(std::time::Duration::from_millis(jobs[i]));
+            jobs[i]
         });
         assert_eq!(out, jobs);
     }
 
     #[test]
     fn one_thread_and_empty_inputs_work() {
-        assert_eq!(
-            run_ordered(Vec::<u32>::new(), 4, |_, j| j),
-            Vec::<u32>::new()
-        );
-        assert_eq!(run_ordered(vec![1, 2, 3], 1, |i, j| (i, j)).len(), 3);
+        assert_eq!(run_ordered(0, 4, |i| i), Vec::<usize>::new());
+        assert_eq!(run_ordered(3, 1, |i| (i, i + 1)).len(), 3);
         // More threads than jobs clamps quietly.
-        assert_eq!(run_ordered(vec![5], 64, |_, j| j * 2), vec![10]);
+        assert_eq!(run_ordered(1, 64, |i| (i + 5) * 2), vec![10]);
     }
 
     #[test]
     fn every_index_is_seen_exactly_once() {
         let n = 100;
-        let out = run_ordered((0..n).collect::<Vec<_>>(), 8, |i, j| {
-            assert_eq!(i, j);
+        let seen: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
+        let out = run_ordered(n, 8, |i| {
+            seen[i].fetch_add(1, Ordering::Relaxed);
             i
         });
         assert_eq!(out, (0..n).collect::<Vec<_>>());
+        assert!(seen.iter().all(|s| s.load(Ordering::Relaxed) == 1));
     }
 
     #[test]
     fn default_jobs_is_positive() {
-        assert!(default_jobs() >= 1);
+        assert!(default_workers() >= 1);
     }
 
     #[test]

@@ -247,7 +247,7 @@ impl Handler<'_> {
                         .get("warmup")
                         .map(|_| bounded_usize_field(doc, "warmup", 0, exec::MAX_STEPS))
                         .transpose()?,
-                    workers: bounded_usize_field(doc, "workers", 0, 64)?,
+                    workers: bounded_usize_field(doc, "workers", 0, sna_vm::MAX_WORKERS)?,
                 };
                 let include_pdf = bool_field(doc, "pdf", true)?;
                 let report = exec::simulate_budgeted(&entry, &params, &budget)?;
@@ -286,7 +286,7 @@ impl Handler<'_> {
                             .get("warmup")
                             .map(|_| bounded_usize_field(doc, "warmup", 0, exec::MAX_STEPS))
                             .transpose()?,
-                        workers: bounded_usize_field(doc, "workers", 0, 64)?,
+                        workers: bounded_usize_field(doc, "workers", 0, sna_vm::MAX_WORKERS)?,
                         predict: mode == "report",
                     };
                     let report = exec::trace_report(&entry, &trace, &params, &budget)?;
@@ -313,7 +313,7 @@ impl Handler<'_> {
                     // Bounded: these fan out server-side work, so an
                     // untrusted peer must not pick arbitrary values.
                     restarts: bounded_usize_field(doc, "restarts", 1, 64)?,
-                    threads: bounded_usize_field(doc, "threads", 0, 64)?,
+                    threads: bounded_usize_field(doc, "threads", 0, sna_vm::MAX_WORKERS)?,
                 };
                 let out = exec::optimize_budgeted(&entry.session, &params, &budget)?;
                 exec::optimize_result(&out)

@@ -20,6 +20,11 @@
 //! * [`simulate`] — a deterministic chunked Monte-Carlo driver whose
 //!   output is independent of the worker count.
 //!
+//! [`run_ordered`] is the workspace's one parallel loop: it runs `n`
+//! indexed jobs on at most [`MAX_WORKERS`] threads and returns their
+//! results in index order. The VM drivers, the word-length optimizers
+//! and the CLI batch runner all fan out through it.
+//!
 //! See `crates/vm/README.md` for the bytecode format, SoA layout, and
 //! determinism scheme.
 
@@ -27,12 +32,14 @@
 #![warn(missing_docs)]
 
 mod exec;
+mod fanout;
 mod program;
 mod replay;
 mod simulate;
 mod wire;
 
 pub use exec::{Executable, VmState};
+pub use fanout::{default_workers, run_ordered, worker_count, MAX_WORKERS};
 pub use program::{Inst, OpCode, Program, Reg};
 pub use replay::{replay, ReplayOptions};
 pub use simulate::{simulate, OutputStats, SimOptions};

@@ -20,14 +20,14 @@
 //! # Determinism contract
 //!
 //! Segments are grouped into fixed-size chunks and fanned out through
-//! the same atomic-cursor pool as [`crate::simulate`], with results
+//! [`crate::run_ordered`], like [`crate::simulate`], with results
 //! merged in chunk-index order. There is no RNG anywhere: the collected
 //! error sequence is the trace's row order, and the report is a pure
 //! function of `(program, trace, options)` — the worker count never
 //! changes a single bit.
 
 use crate::exec::Executable;
-use crate::simulate::{merge_stats, run_chunks, ChunkSamples, OutputStats, CHUNK_LANES};
+use crate::simulate::{merge_stats, ChunkSamples, OutputStats, CHUNK_LANES};
 use crate::VmError;
 
 /// Options for [`replay`].
@@ -38,7 +38,8 @@ pub struct ReplayOptions {
     pub seg: usize,
     /// Overlap rows replayed before each segment to warm delay state.
     pub warmup: usize,
-    /// Worker threads; 0 means available hardware parallelism.
+    /// Worker threads; 0 means available hardware parallelism, and at
+    /// most [`MAX_WORKERS`](crate::MAX_WORKERS) run.
     pub workers: usize,
     /// Bins of the empirical per-output error histogram.
     pub bins: usize,
@@ -62,7 +63,7 @@ impl Default for ReplayOptions {
 /// `columns[j]` holds input `j`'s recorded samples; all columns must
 /// be the same length (the row count).
 ///
-/// `cancelled` is consulted before every chunk claim exactly like
+/// `cancelled` is consulted before every chunk exactly like
 /// [`crate::simulate`]'s check; one that never fires (`&|| false`)
 /// leaves the result bit-identical to an uninterrupted replay.
 ///
@@ -150,7 +151,13 @@ pub fn replay(
             .collect())
     };
 
-    let chunks = run_chunks(n_chunks, opts.workers, cancelled, &run_chunk);
+    let chunks = crate::run_ordered(n_chunks, opts.workers, |i| {
+        if cancelled() {
+            Err(VmError::Cancelled)
+        } else {
+            run_chunk(i)
+        }
+    });
     merge_stats(exe, n_out, chunks, opts.bins)
 }
 

@@ -5,10 +5,10 @@
 //!
 //! The lane population is split into fixed-size *chunks*; chunk `i`
 //! seeds its own `StdRng` from
-//! `seed + (i+1) · 0x9E3779B97F4A7C15` (wrapping), and workers pull
-//! chunk indices from an atomic cursor exactly like the service's
-//! `run_ordered` pool.  Results are merged in chunk-index order, so the
-//! output is a pure function of `(program, ranges, options)` — the
+//! `seed + (i+1) · 0x9E3779B97F4A7C15` (wrapping), and the chunks fan
+//! out through [`crate::run_ordered`], whose workers pull chunk indices
+//! from an atomic cursor.  Results are merged in chunk-index order, so
+//! the output is a pure function of `(program, ranges, options)` — the
 //! worker count only changes wall-clock time, never a single bit of the
 //! report.  This is asserted across 1/4/8 workers in the core test
 //! suite.
@@ -43,7 +43,8 @@ pub struct SimOptions {
     pub steps: usize,
     /// Leading steps discarded from each path before collecting errors.
     pub warmup: usize,
-    /// Worker threads; 0 means available hardware parallelism.
+    /// Worker threads; 0 means available hardware parallelism, and at
+    /// most [`MAX_WORKERS`](crate::MAX_WORKERS) run.
     pub workers: usize,
     /// Bins of the empirical per-output error histogram.
     pub bins: usize,
@@ -98,13 +99,13 @@ pub(crate) type ChunkSamples = Vec<Vec<f64>>;
 /// onward.
 ///
 /// `cancelled` is a cooperative cancellation check, consulted before
-/// every chunk claim (a chunk is the smallest unit of work — at most
-/// 512 lanes × `steps` instruction sweeps). When it returns `true` the
-/// remaining chunks are abandoned and the call fails with
+/// every chunk (a chunk is the smallest unit of work — at most 512
+/// lanes × `steps` instruction sweeps). Once it returns `true` the
+/// remaining chunks are skipped and the call fails with
 /// [`VmError::Cancelled`]; chunks already computed are discarded. The
-/// check must be cheap (an atomic load, a deadline comparison): with
-/// many workers it runs once per chunk per worker. A check that never
-/// fires (`&|| false`) leaves the result bit-identical to an
+/// check must be cheap (an atomic load, a deadline comparison): it runs
+/// once per chunk, on whichever worker claims the chunk. A check that
+/// never fires (`&|| false`) leaves the result bit-identical to an
 /// uninterrupted run.
 ///
 /// # Errors
@@ -164,68 +165,14 @@ pub fn simulate(
         Ok(samples)
     };
 
-    let chunks = run_chunks(n_chunks, opts.workers, cancelled, &run_chunk);
+    let chunks = crate::run_ordered(n_chunks, opts.workers, |i| {
+        if cancelled() {
+            Err(VmError::Cancelled)
+        } else {
+            run_chunk(i)
+        }
+    });
     merge_stats(exe, n_out, chunks, opts.bins)
-}
-
-/// Deterministic fan-out shared by [`simulate`] and the trace replay
-/// driver: workers steal chunk indices from a cursor; results are
-/// reassembled in chunk order before merging. `workers == 0` means
-/// available hardware parallelism, and no more workers than chunks
-/// ever run. The cancellation check gates every chunk claim; a chunk
-/// abandoned to cancellation leaves its slot empty, which the caller's
-/// merge reads as `Cancelled` (never a panic).
-pub(crate) fn run_chunks(
-    n_chunks: usize,
-    workers: usize,
-    cancelled: &(dyn Fn() -> bool + Sync),
-    run_chunk: &(dyn Fn(usize) -> Result<ChunkSamples, VmError> + Sync),
-) -> Vec<Result<ChunkSamples, VmError>> {
-    let workers = if workers == 0 {
-        std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1)
-    } else {
-        workers
-    }
-    .clamp(1, n_chunks);
-    if workers == 1 {
-        (0..n_chunks)
-            .map(|i| {
-                if cancelled() {
-                    Err(VmError::Cancelled)
-                } else {
-                    run_chunk(i)
-                }
-            })
-            .collect()
-    } else {
-        let cursor = std::sync::atomic::AtomicUsize::new(0);
-        let results: Vec<std::sync::Mutex<Option<Result<ChunkSamples, VmError>>>> =
-            (0..n_chunks).map(|_| std::sync::Mutex::new(None)).collect();
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    if cancelled() {
-                        break;
-                    }
-                    let i = cursor.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    if i >= n_chunks {
-                        break;
-                    }
-                    *results[i].lock().expect("chunk slot lock") = Some(run_chunk(i));
-                });
-            }
-        });
-        results
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .expect("chunk slot lock")
-                    .unwrap_or(Err(VmError::Cancelled))
-            })
-            .collect()
-    }
 }
 
 /// Merges chunk results in chunk-index order — the sample sequence
