@@ -18,9 +18,15 @@
 use std::time::Instant;
 
 use criterion::{criterion_group, Criterion};
+use sna_core::Session;
 use sna_designs::{fir, quadratic, Design};
 use sna_hls::SynthesisConstraints;
 use sna_opt::Optimizer;
+
+/// A compiled session over one design.
+fn session_of(design: &Design) -> Session {
+    Session::new(design.dfg.clone(), design.input_ranges.clone()).expect("session opens")
+}
 
 /// Deterministic move sequence: `(node, width)` pairs from an LCG.
 fn move_sequence(opt: &Optimizer<'_>, n_nodes: usize, len: usize) -> Vec<(usize, u8)> {
@@ -51,12 +57,8 @@ struct Throughput {
 /// Measures candidates/sec for both modes on one design and checks the
 /// incremental results match the from-scratch reference within 1e-12.
 fn measure(design: &Design, n_inc: usize, n_scr: usize, n_check: usize) -> Throughput {
-    let opt = Optimizer::new(
-        &design.dfg,
-        &design.input_ranges,
-        SynthesisConstraints::default(),
-    )
-    .expect("optimizer builds");
+    let session = session_of(design);
+    let opt = Optimizer::new(&session, SynthesisConstraints::default()).expect("optimizer builds");
     let n_nodes = design.dfg.len();
     let start: Vec<u8> = opt.min_word_lengths().iter().map(|&m| m.max(16)).collect();
     let seq = move_sequence(&opt, n_nodes, n_inc.max(n_scr).max(n_check));
@@ -106,12 +108,8 @@ fn measure(design: &Design, n_inc: usize, n_scr: usize, n_check: usize) -> Throu
 
 fn bench_na_candidate(c: &mut Criterion) {
     let design = fir(25);
-    let opt = Optimizer::new(
-        &design.dfg,
-        &design.input_ranges,
-        SynthesisConstraints::default(),
-    )
-    .expect("optimizer builds");
+    let session = session_of(&design);
+    let opt = Optimizer::new(&session, SynthesisConstraints::default()).expect("optimizer builds");
     let start: Vec<u8> = opt.min_word_lengths().iter().map(|&m| m.max(16)).collect();
     let seq = move_sequence(&opt, design.dfg.len(), 4096);
 
@@ -143,12 +141,8 @@ fn bench_na_candidate(c: &mut Criterion) {
 
 fn bench_hist_candidate(c: &mut Criterion) {
     let design = quadratic();
-    let opt = Optimizer::new(
-        &design.dfg,
-        &design.input_ranges,
-        SynthesisConstraints::default(),
-    )
-    .expect("optimizer builds");
+    let session = session_of(&design);
+    let opt = Optimizer::new(&session, SynthesisConstraints::default()).expect("optimizer builds");
     assert!(opt.na_model().is_none(), "quadratic uses the hist fallback");
     let start: Vec<u8> = opt.min_word_lengths().iter().map(|&m| m.max(16)).collect();
     let seq = move_sequence(&opt, design.dfg.len(), 512);

@@ -155,7 +155,7 @@ fn main() {
 
     let design = fir(7);
     let session = Session::new(design.dfg, design.input_ranges).expect("session opens");
-    let template = Optimizer::from_session(&session, SynthesisConstraints::default())
+    let template = Optimizer::new(&session, SynthesisConstraints::default())
         .expect("optimizer builds")
         .uniform(10)
         .expect("uniform evaluation");

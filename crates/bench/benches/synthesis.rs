@@ -2,6 +2,7 @@
 //! optimization runs on the paper's designs.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use sna_core::Session;
 use sna_fixp::WlConfig;
 use sna_hls::{synthesize, SynthesisConstraints};
 use sna_opt::Optimizer;
@@ -35,12 +36,9 @@ fn bench_optimize_fir(c: &mut Criterion) {
             BenchmarkId::new("greedy_fir", taps),
             &design,
             |bench, design| {
-                let opt = Optimizer::new(
-                    &design.dfg,
-                    &design.input_ranges,
-                    SynthesisConstraints::default(),
-                )
-                .unwrap();
+                let session =
+                    Session::new(design.dfg.clone(), design.input_ranges.clone()).unwrap();
+                let opt = Optimizer::new(&session, SynthesisConstraints::default()).unwrap();
                 let budget = opt.uniform(10).unwrap().noise_power;
                 bench.iter(|| std::hint::black_box(opt.greedy(budget, 16).unwrap()))
             },

@@ -15,7 +15,7 @@
 
 use std::fmt::Write as _;
 
-use sna_core::{Budget, CartesianEngine, NoiseReport, UncertainInput};
+use sna_core::{Budget, CartesianEngine, NoiseReport, Session, UncertainInput};
 use sna_designs::{quadratic_reference, rgb_to_ycrcb, Design};
 use sna_fixp::WlConfig;
 use sna_hist::{DepositPolicy, Histogram};
@@ -299,7 +299,8 @@ pub fn design_table_with(
     word_lengths: &[u8],
     constraints: SynthesisConstraints,
 ) -> Result<Vec<DesignRow>, Error> {
-    let opt = Optimizer::new(&design.dfg, &design.input_ranges, constraints)?;
+    let session = Session::new(design.dfg.clone(), design.input_ranges.clone())?;
+    let opt = Optimizer::new(&session, constraints)?;
     let mut rows = Vec::new();
     for &w in word_lengths {
         let fixed = opt.uniform(w)?;

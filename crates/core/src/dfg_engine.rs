@@ -198,20 +198,10 @@ impl HistMemo {
         Self::default()
     }
 
-    /// The memoized state for a `(bins, node, upstream widths)` key, if
-    /// present.
-    #[must_use]
-    pub fn get(&self, bins: u32, node: u32, widths: &[u8]) -> Option<Uncertain> {
-        self.map
-            .read()
-            .expect("memo lock")
-            .get(&(bins, node, widths.to_vec()))
-            .cloned()
-    }
-
-    /// Hot-path lookup: consumes the already-built widths key and, on a
-    /// miss, hands it back so the caller can [`HistMemo::insert_key`]
-    /// without a second allocation.
+    /// The memoized state for a `(bins, node, upstream widths)` key.
+    /// Consumes the already-built widths key and, on a miss, hands it
+    /// back so the caller can [`HistMemo::insert_key`] without a second
+    /// allocation.
     ///
     /// # Errors
     ///
@@ -224,14 +214,9 @@ impl HistMemo {
         }
     }
 
-    /// Records a computed state (first writer wins; the cap triggers a
+    /// Records a computed state under a key handed back by
+    /// [`HistMemo::lookup`] (first writer wins; the cap triggers a
     /// clear-all sweep before insertion).
-    pub fn insert(&self, bins: u32, node: u32, widths: Vec<u8>, state: Uncertain) {
-        self.insert_key((bins, node, widths), state);
-    }
-
-    /// [`HistMemo::insert`] for a key handed back by
-    /// [`HistMemo::lookup`].
     pub fn insert_key(&self, key: MemoKey, state: Uncertain) {
         let mut map = self.map.write().expect("memo lock");
         if map.len() >= HIST_MEMO_CAP {

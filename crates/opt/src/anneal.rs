@@ -11,6 +11,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use crate::optimizer::MAX_WIDTH;
 use crate::{Evaluation, OptError, Optimizer};
 
 /// A finished walk: best-ever proxy cost and its width vector.
@@ -139,7 +140,7 @@ impl Optimizer<'_> {
             let new = if down {
                 old.saturating_sub(1).max(self.min_w[i])
             } else {
-                (old + 1).min(self.bounds.max)
+                (old + 1).min(MAX_WIDTH)
             };
             if new == old {
                 temp *= opts.cooling;
@@ -175,11 +176,12 @@ impl Optimizer<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sna_core::Session;
     use sna_dfg::DfgBuilder;
     use sna_hls::SynthesisConstraints;
     use sna_interval::Interval;
 
-    fn setup() -> (sna_dfg::Dfg, Vec<Interval>) {
+    fn setup() -> Session {
         let mut b = DfgBuilder::new();
         let x1 = b.input("x1");
         let x2 = b.input("x2");
@@ -187,19 +189,20 @@ mod tests {
         let t2 = b.mul_const(0.02, x2);
         let y = b.add(t1, t2);
         b.output("y", y);
-        (
+        Session::new(
             b.build().unwrap(),
             vec![
                 Interval::new(-1.0, 1.0).unwrap(),
                 Interval::new(-1.0, 1.0).unwrap(),
             ],
         )
+        .unwrap()
     }
 
     #[test]
     fn anneal_meets_budget_and_improves_on_start() {
-        let (g, r) = setup();
-        let opt = Optimizer::new(&g, &r, SynthesisConstraints::default()).unwrap();
+        let s = setup();
+        let opt = Optimizer::new(&s, SynthesisConstraints::default()).unwrap();
         let fixed = opt.uniform(12).unwrap();
         let annealed = opt
             .anneal(
@@ -218,8 +221,8 @@ mod tests {
 
     #[test]
     fn anneal_is_deterministic_per_seed() {
-        let (g, r) = setup();
-        let opt = Optimizer::new(&g, &r, SynthesisConstraints::default()).unwrap();
+        let s = setup();
+        let opt = Optimizer::new(&s, SynthesisConstraints::default()).unwrap();
         let fixed = opt.uniform(10).unwrap();
         let opts = AnnealOptions {
             iterations: 800,
@@ -246,8 +249,8 @@ mod tests {
 
     #[test]
     fn parallel_restarts_match_the_best_serial_restart() {
-        let (g, r) = setup();
-        let opt = Optimizer::new(&g, &r, SynthesisConstraints::default()).unwrap();
+        let s = setup();
+        let opt = Optimizer::new(&s, SynthesisConstraints::default()).unwrap();
         let fixed = opt.uniform(10).unwrap();
         let multi = AnnealOptions {
             iterations: 500,
@@ -280,8 +283,8 @@ mod tests {
 
     #[test]
     fn infeasible_start_is_rejected() {
-        let (g, r) = setup();
-        let opt = Optimizer::new(&g, &r, SynthesisConstraints::default()).unwrap();
+        let s = setup();
+        let opt = Optimizer::new(&s, SynthesisConstraints::default()).unwrap();
         assert!(opt.anneal(1e-300, 12, &AnnealOptions::default()).is_err());
     }
 }

@@ -26,8 +26,7 @@
 //!   ([`sna_dfg::Dfg::downstream_cone`]), reusing every histogram outside
 //!   the cone.  Recomputed states are additionally memoized per
 //!   `(bins, node, upstream widths)` in a **shared concurrent**
-//!   [`HistMemo`] owned by the optimizer (or, through
-//!   `Optimizer::from_session`, by the compiled session), so neighbouring
+//!   [`HistMemo`] owned by the compiled session, so neighbouring
 //!   candidates in greedy/annealing walks (probe, undo, re-probe) hit the
 //!   memo instead of redoing `O(bins²)` convolutions — including across
 //!   the per-thread evaluators of parallel searches and across successive
@@ -39,16 +38,20 @@
 //! pre-move state exactly (saved contributions / saved cone states), which
 //! is the probe-shaped access pattern of every optimizer in this crate.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use sna_core::{
-    CoeffSite, DfgEngine, EngineOptions, HistMemo, NaModel, NoiseSource, Uncertain, Value,
+    CoeffSite, DfgEngine, EngineOptions, HistMemo, NaModel, NoiseSource, Session, Uncertain, Value,
 };
 use sna_dfg::{Dfg, NodeId, Op};
 use sna_fixp::{Format, Overflow, Quantizer, Rounding, WlConfig};
 use sna_interval::Interval;
 
+use crate::optimizer::MAX_WIDTH;
 use crate::{OptError, Optimizer};
+
+/// Histogram resolution per operation on the nonlinear fallback.
+pub(crate) const HIST_BINS: usize = 64;
 
 /// Moves between full rebuilds of the NA running totals (drift control).
 const REBUILD_PERIOD: u32 = 1024;
@@ -57,27 +60,62 @@ const REBUILD_PERIOD: u32 = 1024;
 // Shared precomputed structure (built once per Optimizer)
 // ----------------------------------------------------------------------
 
-/// Backend-specific structure shared by every evaluator (and every
-/// search thread) derived from one [`Optimizer`].
+/// How candidate noise is evaluated inside the search loops, together
+/// with the structure every evaluator (and every search thread) derived
+/// from one [`Optimizer`] shares.
 #[derive(Debug)]
-pub(crate) enum EvalShared {
-    /// Linear graphs: consumer lists + coefficient-site grouping (cheap,
-    /// built eagerly in [`Optimizer::new`]).
-    Na(NaShared),
-    /// Nonlinear combinational graphs: downstream cones + upstream sets.
-    /// Cone extraction is `O(#nodes²)` time and memory, so it is built
-    /// lazily on the first [`Optimizer::evaluator`] call — paths that
-    /// never search (e.g. `uniform`) skip it entirely.
-    Hist {
-        /// Histogram resolution.
-        bins: usize,
-        /// The concurrent state memo every evaluator shares — session- or
-        /// optimizer-owned, so parallel searches (and repeated searches
-        /// over one compiled program) hit each other's entries.
-        memo: Arc<HistMemo>,
-        /// The cone structure, built on first use (thread-safe).
-        shared: std::sync::OnceLock<HistShared>,
+pub(crate) enum NoiseBackend {
+    /// Linear graphs (with or without feedback): the session's
+    /// precomputed [`NaModel`] — `O(#nodes)` per from-scratch candidate —
+    /// plus consumer lists and coefficient-site grouping (cheap, built
+    /// eagerly).
+    Na {
+        /// The session's NA moment model, shared without cloning.
+        model: Arc<NaModel>,
+        /// Consumer lists and coefficient-site grouping.
+        shared: NaShared,
     },
+    /// Nonlinear *combinational* graphs: per-candidate [`DfgEngine`]
+    /// histogram propagation at [`HIST_BINS`] — slower but
+    /// assumption-free, the paper's "SNA inside the optimization loop"
+    /// configuration.
+    Hist {
+        /// The session's concurrent state memo, so parallel searches (and
+        /// repeated searches over one compiled program) hit each other's
+        /// entries.
+        memo: Arc<HistMemo>,
+        /// Downstream cones + upstream sets.  Cone extraction is
+        /// `O(#nodes²)` time and memory, so it is built lazily on the
+        /// first [`Optimizer::evaluator`] call — paths that never search
+        /// (e.g. `uniform`) skip it entirely.
+        shared: OnceLock<HistShared>,
+    },
+}
+
+impl NoiseBackend {
+    /// The backend for a session's graph: NA for linear graphs,
+    /// histograms for nonlinear combinational ones.
+    ///
+    /// # Errors
+    ///
+    /// The NA model's failure on everything else (nonlinear *sequential*
+    /// graphs, unstable feedback, range failures).
+    pub(crate) fn for_session(session: &Session) -> Result<Self, OptError> {
+        let dfg = session.dfg();
+        match session.na_model() {
+            Ok(model) => Ok(NoiseBackend::Na {
+                shared: NaShared::build(dfg, &model),
+                model,
+            }),
+            // The histogram engine needs no linearity but cannot cross
+            // delays; sequential nonlinear graphs keep the error.
+            Err(_) if !dfg.is_linear() && dfg.is_combinational() => Ok(NoiseBackend::Hist {
+                memo: Arc::clone(session.hist_memo()),
+                shared: OnceLock::new(),
+            }),
+            Err(e) => Err(e.into()),
+        }
+    }
 }
 
 /// NA-backend invariants: who consumes whom, and which coefficient sites
@@ -91,7 +129,7 @@ pub(crate) struct NaShared {
 }
 
 impl NaShared {
-    pub(crate) fn build(dfg: &Dfg, model: &NaModel) -> Self {
+    fn build(dfg: &Dfg, model: &NaModel) -> Self {
         let n = dfg.len();
         let mut consumers: Vec<Vec<u32>> = vec![Vec::new(); n];
         for (id, node) in dfg.nodes() {
@@ -122,12 +160,10 @@ pub(crate) struct HistShared {
     /// `upstream[i]` = sorted node indices whose width the state of `i`
     /// depends on (its upstream cone, `i` included).
     upstream: Vec<Vec<u32>>,
-    /// Histogram resolution.
-    bins: usize,
 }
 
 impl HistShared {
-    pub(crate) fn build(dfg: &Dfg, bins: usize) -> Self {
+    fn build(dfg: &Dfg) -> Self {
         let n = dfg.len();
         let cones: Vec<Vec<NodeId>> = (0..n)
             .map(|i| dfg.downstream_cone(NodeId::from_index(i)))
@@ -140,11 +176,7 @@ impl HistShared {
             }
         }
         // Pushed in ascending `m`, so each list is already sorted.
-        HistShared {
-            cones,
-            upstream,
-            bins,
-        }
+        HistShared { cones, upstream }
     }
 }
 
@@ -471,11 +503,11 @@ struct HistEval<'a> {
     states: Vec<Uncertain>,
     power: f64,
     undo: Option<HistUndo>,
-    /// The shared concurrent memo (session- or optimizer-owned): every
-    /// evaluator derived from the same optimizer — including the
-    /// per-thread evaluators of parallel searches — reads and feeds one
-    /// map, so neighbouring candidates hit across threads.
-    memo: Arc<HistMemo>,
+    /// The session's concurrent memo: every evaluator derived from the
+    /// same optimizer — including the per-thread evaluators of parallel
+    /// searches — reads and feeds one map, so neighbouring candidates
+    /// hit across threads.
+    memo: &'a HistMemo,
 }
 
 #[derive(Debug)]
@@ -493,12 +525,12 @@ impl<'a> HistEval<'a> {
     fn new(
         opt: &Optimizer<'a>,
         shared: &'a HistShared,
-        memo: Arc<HistMemo>,
+        memo: &'a HistMemo,
         table: QuantTable,
         w: Vec<u8>,
     ) -> Result<Self, OptError> {
         let cfg = WlConfig::from_precomputed_ranges(&opt.node_ranges, &w)?;
-        let engine = DfgEngine::new(EngineOptions::default().with_bins(shared.bins));
+        let engine = DfgEngine::new(EngineOptions::default().with_bins(HIST_BINS));
         let states = engine.propagate(opt.dfg, &cfg, opt.input_ranges, &opt.exec_budget)?;
         let mut ev = HistEval {
             engine,
@@ -518,7 +550,7 @@ impl<'a> HistEval<'a> {
         // the start point already reuse them — one bulk insertion (first
         // writer wins when several thread evaluators start at the same
         // point, so the duplicates cost one lock acquisition, not n).
-        let bins = ev.shared.bins as u32;
+        let bins = HIST_BINS as u32;
         ev.memo.insert_many(ev.dfg.nodes().map(|(id, _)| {
             (
                 (bins, id.index() as u32, ev.memo_widths(id.index())),
@@ -561,7 +593,7 @@ impl<'a> HistEval<'a> {
         self.cfg
             .set_quantizer(NodeId::from_index(i), *self.table.quantizer(i, w))
             .map_err(OptError::Fixp)?;
-        let bins = self.shared.bins as u32;
+        let bins = HIST_BINS as u32;
         for &node in cone {
             let widths = self.memo_widths(node.index());
             let state = match self.memo.lookup(bins, node.index() as u32, widths) {
@@ -657,7 +689,7 @@ enum Backend<'a> {
 
 impl<'a> NoiseEval<'a> {
     pub(crate) fn from_optimizer(opt: &'a Optimizer<'a>, w: &[u8]) -> Result<Self, OptError> {
-        let table = QuantTable::build(&opt.node_ranges, &opt.min_w, opt.bounds.max)?;
+        let table = QuantTable::build(&opt.node_ranges, &opt.min_w, MAX_WIDTH)?;
         if w.len() != opt.dfg.len() {
             return Err(OptError::WrongWidthCount {
                 expected: opt.dfg.len(),
@@ -671,21 +703,14 @@ impl<'a> NoiseEval<'a> {
         {
             return Err(OptError::InvalidMove { node, width });
         }
-        let backend = match (&opt.eval_shared, opt.na_model()) {
-            (EvalShared::Na(shared), Some(model)) => {
+        let backend = match &opt.backend {
+            NoiseBackend::Na { model, shared } => {
                 Backend::Na(NaEval::new(opt.dfg, model, shared, table, w.to_vec()))
             }
-            (EvalShared::Hist { bins, memo, shared }, _) => {
-                let shared = shared.get_or_init(|| HistShared::build(opt.dfg, *bins));
-                Backend::Hist(HistEval::new(
-                    opt,
-                    shared,
-                    Arc::clone(memo),
-                    table,
-                    w.to_vec(),
-                )?)
+            NoiseBackend::Hist { memo, shared } => {
+                let shared = shared.get_or_init(|| HistShared::build(opt.dfg));
+                Backend::Hist(HistEval::new(opt, shared, memo, table, w.to_vec())?)
             }
-            (EvalShared::Na(_), None) => unreachable!("NA shared structure implies an NA model"),
         };
         Ok(NoiseEval { backend })
     }
@@ -714,7 +739,7 @@ impl<'a> NoiseEval<'a> {
     /// # Errors
     ///
     /// [`OptError::InvalidMove`] for a node index outside the graph or a
-    /// width outside the optimizer's `[min_w, bounds.max]` search range
+    /// width outside the optimizer's `[min_w, 40]` search range
     /// (the position is unchanged); histogram-propagation failures are
     /// propagated (the evaluator rolls back to its pre-move state
     /// first). Within the search range the NA backend cannot fail.

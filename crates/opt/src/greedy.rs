@@ -6,6 +6,7 @@
 //! emerge naturally: bits survive only where the noise transfer gain makes
 //! them worth their area.
 
+use crate::optimizer::{MAX_WIDTH, MIN_WIDTH};
 use crate::{Evaluation, NoiseEval, OptError, Optimizer};
 
 impl Optimizer<'_> {
@@ -114,7 +115,7 @@ impl Optimizer<'_> {
         for _ in 0..max_rounds {
             let current = self.proxy_cost_with(w, &mut scratch);
             // j candidates: most noise headroom freed per +1 bit.
-            let mut js: Vec<usize> = (0..n).filter(|&j| w[j] < self.bounds.max).collect();
+            let mut js: Vec<usize> = (0..n).filter(|&j| w[j] < MAX_WIDTH).collect();
             js.sort_by(|&a, &b| {
                 let ha = sens[a] * 4f64.powi(-(w[a] as i32));
                 let hb = sens[b] * 4f64.powi(-(w[b] as i32));
@@ -183,7 +184,7 @@ impl Optimizer<'_> {
     /// exists at or below `start_w`.
     fn best_feasible_uniform(&self, budget: f64, start_w: u8) -> Result<Option<Vec<u8>>, OptError> {
         let mut best = None;
-        for w in (self.bounds.min..=start_w).rev() {
+        for w in (MIN_WIDTH..=start_w).rev() {
             let v = self.uniform_vector(w);
             if self.noise_of(&v)? <= budget {
                 best = Some(v);
@@ -198,7 +199,8 @@ impl Optimizer<'_> {
 #[cfg(test)]
 mod tests {
     use crate::Optimizer;
-    use sna_dfg::{Dfg, DfgBuilder};
+    use sna_core::Session;
+    use sna_dfg::DfgBuilder;
     use sna_hls::SynthesisConstraints;
     use sna_interval::Interval;
 
@@ -209,7 +211,7 @@ mod tests {
     /// A design with wildly different path gains: noise through `hot` is
     /// amplified ×64, noise through `cold` is attenuated ×1/64 — exactly
     /// the situation where mixed word lengths beat uniform ones.
-    fn skewed_design() -> (Dfg, Vec<Interval>) {
+    fn skewed_design() -> Session {
         let mut b = DfgBuilder::new();
         let x1 = b.input("x1");
         let x2 = b.input("x2");
@@ -219,13 +221,13 @@ mod tests {
         let cold2 = b.mul_const(0.01, cold);
         let y = b.add(hot2, cold2);
         b.output("y", y);
-        (b.build().unwrap(), vec![iv(-1.0, 1.0), iv(-1.0, 1.0)])
+        Session::new(b.build().unwrap(), vec![iv(-1.0, 1.0), iv(-1.0, 1.0)]).unwrap()
     }
 
     #[test]
     fn greedy_meets_budget_and_beats_uniform_proxy() {
-        let (g, r) = skewed_design();
-        let opt = Optimizer::new(&g, &r, SynthesisConstraints::default()).unwrap();
+        let s = skewed_design();
+        let opt = Optimizer::new(&s, SynthesisConstraints::default()).unwrap();
         let fixed = opt.uniform(12).unwrap();
         let tuned = opt.greedy(fixed.noise_power, 20).unwrap();
         assert!(tuned.noise_power <= fixed.noise_power * (1.0 + 1e-12));
@@ -243,8 +245,8 @@ mod tests {
         // With headroom above the uniform reference, the result must be at
         // least as cheap as every feasible uniform configuration (mixing is
         // design-dependent; see the FIR-like test below for that).
-        let (g, r) = skewed_design();
-        let opt = Optimizer::new(&g, &r, SynthesisConstraints::default()).unwrap();
+        let s = skewed_design();
+        let opt = Optimizer::new(&s, SynthesisConstraints::default()).unwrap();
         let fixed = opt.uniform(12).unwrap();
         let budget = 4.0 * fixed.noise_power;
         let tuned = opt.greedy(budget, 20).unwrap();
@@ -269,9 +271,8 @@ mod tests {
         let loud = b.add(x3, x4);
         let y = b.add(attenuated, loud);
         b.output("y", y);
-        let g = b.build().unwrap();
-        let r = vec![iv(-1.0, 1.0); 4];
-        let opt = Optimizer::new(&g, &r, SynthesisConstraints::default()).unwrap();
+        let s = Session::new(b.build().unwrap(), vec![iv(-1.0, 1.0); 4]).unwrap();
+        let opt = Optimizer::new(&s, SynthesisConstraints::default()).unwrap();
         let fixed = opt.uniform(12).unwrap();
         let tuned = opt.greedy(fixed.noise_power, 20).unwrap();
         assert!(tuned.noise_power <= fixed.noise_power * (1.0 + 1e-12));
@@ -295,15 +296,15 @@ mod tests {
 
     #[test]
     fn infeasible_start_is_reported() {
-        let (g, r) = skewed_design();
-        let opt = Optimizer::new(&g, &r, SynthesisConstraints::default()).unwrap();
+        let s = skewed_design();
+        let opt = Optimizer::new(&s, SynthesisConstraints::default()).unwrap();
         assert!(opt.greedy(1e-300, 20).is_err());
     }
 
     #[test]
     fn looser_budget_gives_cheaper_designs() {
-        let (g, r) = skewed_design();
-        let opt = Optimizer::new(&g, &r, SynthesisConstraints::default()).unwrap();
+        let s = skewed_design();
+        let opt = Optimizer::new(&s, SynthesisConstraints::default()).unwrap();
         let tight = opt.uniform(16).unwrap().noise_power;
         let loose = opt.uniform(8).unwrap().noise_power;
         let a = opt.greedy(tight, 20).unwrap();

@@ -7,7 +7,9 @@
 //! staying at or below a budget — typically the noise of the uniform-WL
 //! reference design, exactly how the paper's tables are set up.
 //!
-//! Five optimizers share one [`Optimizer`] facade:
+//! Five optimizers share one [`Optimizer`] facade, built with
+//! [`Optimizer::new`] on top of a compiled [`sna_core::Session`] so the
+//! searches reuse its NA model, node ranges and histogram memo:
 //!
 //! | method | strategy | role |
 //! |---|---|---|
@@ -32,6 +34,7 @@
 //! # Example
 //!
 //! ```
+//! use sna_core::Session;
 //! use sna_dfg::DfgBuilder;
 //! use sna_hls::SynthesisConstraints;
 //! use sna_interval::Interval;
@@ -43,10 +46,9 @@
 //! let t = b.mul_const(0.25, x);
 //! let y = b.add(t, x);
 //! b.output("y", y);
-//! let dfg = b.build()?;
-//! let ranges = vec![Interval::new(-1.0, 1.0)?];
+//! let session = Session::new(b.build()?, vec![Interval::new(-1.0, 1.0)?])?;
 //!
-//! let opt = Optimizer::new(&dfg, &ranges, SynthesisConstraints::default())?;
+//! let opt = Optimizer::new(&session, SynthesisConstraints::default())?;
 //! let fixed = opt.uniform(12)?;
 //! let tuned = opt.greedy(fixed.noise_power, 16)?;
 //! assert!(tuned.noise_power <= fixed.noise_power * (1.0 + 1e-9));
@@ -69,7 +71,7 @@ mod waterfill;
 pub use anneal::AnnealOptions;
 pub use error::OptError;
 pub use eval::NoiseEval;
-pub use optimizer::{CostWeights, Evaluation, Optimizer, WlBounds};
+pub use optimizer::{CostWeights, Evaluation, Optimizer};
 pub use pareto::pareto_front;
 pub use sweep::{
     pareto_explore, FrontPoint, ParetoOutcome, ParetoSweepSpec, SweepObjective, CKPT_KIND,

@@ -1,32 +1,20 @@
 use std::sync::Arc;
 
-use sna_core::{Budget, DfgEngine, EngineOptions, HistMemo, NaModel, Session};
-use sna_dfg::{Dfg, LtiOptions, RangeOptions};
+use sna_core::{Budget, DfgEngine, EngineOptions, NaModel, Session};
+use sna_dfg::Dfg;
 use sna_fixp::WlConfig;
 use sna_hls::{synthesize, CostReport, FuKind, SynthesisConstraints};
 use sna_interval::Interval;
 
-use crate::eval::{EvalShared, NaShared, NoiseEval};
+use crate::eval::{NoiseBackend, NoiseEval, HIST_BINS};
 use crate::OptError;
 
-/// How candidate noise is evaluated inside the search loops.
-///
-/// Linear graphs (with or without feedback) use the precomputed
-/// [`NaModel`] — `O(#nodes)` per candidate. Nonlinear *combinational*
-/// graphs fall back to the histogram-propagation [`DfgEngine`], which is
-/// slower per candidate but assumption-free — this is the paper's "SNA
-/// inside the optimization loop" configuration.
-#[derive(Debug)]
-enum NoiseModel {
-    /// Precomputed LTI moment model (linear graphs) — `Arc`-shared so a
-    /// [`Session`]'s cached model is reused without cloning the gains.
-    Na(Arc<NaModel>),
-    /// Per-candidate histogram propagation (nonlinear combinational).
-    Hist {
-        /// Histogram resolution per operation.
-        bins: usize,
-    },
-}
+/// Smallest word length any search assigns (per node, raised further by
+/// the node's integer-part requirement).
+pub(crate) const MIN_WIDTH: u8 = 4;
+
+/// Largest word length any search assigns.
+pub(crate) const MAX_WIDTH: u8 = 40;
 
 /// Weights of the multi-objective cost `wa·area + wp·power + wl·latency`.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -49,22 +37,6 @@ impl Default for CostWeights {
     }
 }
 
-/// Word-length search bounds (per node, clamped from below by the node's
-/// integer-part requirement).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct WlBounds {
-    /// Smallest allowed word length.
-    pub min: u8,
-    /// Largest allowed word length.
-    pub max: u8,
-}
-
-impl Default for WlBounds {
-    fn default() -> Self {
-        WlBounds { min: 4, max: 40 }
-    }
-}
-
 /// A fully evaluated word-length configuration.
 #[derive(Clone, Debug)]
 pub struct Evaluation {
@@ -80,23 +52,23 @@ pub struct Evaluation {
     pub weighted_cost: f64,
 }
 
-/// The shared optimization context: prebuilt noise model, node ranges and
-/// cost proxy; individual algorithms live in sibling modules.
+/// The shared optimization context over one compiled [`Session`]: noise
+/// backend, node ranges and cost proxy; individual algorithms live in
+/// sibling modules.
 #[derive(Debug)]
 pub struct Optimizer<'a> {
     pub(crate) dfg: &'a Dfg,
     pub(crate) constraints: SynthesisConstraints,
     pub(crate) weights: CostWeights,
-    pub(crate) bounds: WlBounds,
-    model: NoiseModel,
+    /// The noise model (or histogram memo) plus the structure every
+    /// incremental evaluator shares.
+    pub(crate) backend: NoiseBackend,
     pub(crate) input_ranges: &'a [Interval],
-    pub(crate) node_ranges: Vec<Interval>,
+    pub(crate) node_ranges: Arc<Vec<Interval>>,
     /// Per-node lower bound: integer part must fit.
     pub(crate) min_w: Vec<u8>,
     /// Per-node integer bits implied by the value range.
     pub(crate) int_bits: Vec<u8>,
-    /// Precomputed structure shared by every incremental evaluator.
-    pub(crate) eval_shared: EvalShared,
     /// Per-`FuKind` node partition + register/energy inventory for the
     /// cost proxy, computed once instead of per call.
     proxy_static: ProxyStatic,
@@ -142,10 +114,12 @@ pub(crate) struct ProxyScratch {
 }
 
 impl<'a> Optimizer<'a> {
-    /// Builds the context: range analysis, noise model, per-node minimum
-    /// widths.
+    /// Builds the context on top of a compiled [`Session`]: the noise
+    /// model, node ranges and histogram memo come from the session's
+    /// shared artifact chain instead of being rebuilt, so "compile once,
+    /// then optimize" pays the impulse-response analysis exactly once.
     ///
-    /// Linear graphs get the fast precomputed [`NaModel`]; nonlinear
+    /// Linear graphs use the session's [`NaModel`]; nonlinear
     /// *combinational* graphs fall back to per-candidate [`DfgEngine`]
     /// histogram propagation (see [`Optimizer::na_model`]).
     ///
@@ -153,86 +127,17 @@ impl<'a> Optimizer<'a> {
     ///
     /// Propagates noise-model failures (nonlinear *sequential* graphs,
     /// unstable feedback, range failures).
-    pub fn new(
-        dfg: &'a Dfg,
-        input_ranges: &'a [Interval],
-        constraints: SynthesisConstraints,
-    ) -> Result<Self, OptError> {
-        let model = match NaModel::build(dfg, input_ranges, &LtiOptions::default()) {
-            Ok(model) => NoiseModel::Na(Arc::new(model)),
-            // The histogram engine needs no linearity but cannot cross
-            // delays; sequential nonlinear graphs keep the error.
-            Err(_) if !dfg.is_linear() && dfg.is_combinational() => NoiseModel::Hist { bins: 64 },
-            Err(e) => return Err(e.into()),
-        };
-        let node_ranges = dfg
-            .ranges_auto(
-                input_ranges,
-                &RangeOptions::default(),
-                &LtiOptions::default(),
-            )
-            .map_err(|e| OptError::Sna(sna_core::SnaError::Dfg(e)))?;
-        Self::assemble(
-            dfg,
-            input_ranges,
-            node_ranges,
-            model,
-            Arc::new(HistMemo::new()),
-            constraints,
-        )
-    }
-
-    /// Builds the context *on top of a compiled [`Session`]*: the noise
-    /// model, node ranges and histogram memo come from the session's
-    /// shared artifact chain instead of being rebuilt — the wiring the
-    /// service and CLI use so "compile once, then optimize" pays the
-    /// impulse-response analysis exactly once.
-    ///
-    /// Results are identical to [`Optimizer::new`] over the same graph
-    /// and ranges (the session computes the same artifacts).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Optimizer::new`].
-    pub fn from_session(
-        session: &'a Session,
-        constraints: SynthesisConstraints,
-    ) -> Result<Self, OptError> {
+    pub fn new(session: &'a Session, constraints: SynthesisConstraints) -> Result<Self, OptError> {
         let dfg = session.dfg();
-        let model = match session.na_model() {
-            Ok(model) => NoiseModel::Na(model),
-            Err(_) if !dfg.is_linear() && dfg.is_combinational() => NoiseModel::Hist { bins: 64 },
-            Err(e) => return Err(e.into()),
-        };
-        let node_ranges = (*session.node_ranges().map_err(OptError::Sna)?).clone();
-        Self::assemble(
-            dfg,
-            session.input_ranges(),
-            node_ranges,
-            model,
-            Arc::clone(session.hist_memo()),
-            constraints,
-        )
-    }
-
-    /// Shared tail of the constructors: per-node bounds, evaluator
-    /// structure, cost-proxy partition.
-    fn assemble(
-        dfg: &'a Dfg,
-        input_ranges: &'a [Interval],
-        node_ranges: Vec<Interval>,
-        model: NoiseModel,
-        hist_memo: Arc<HistMemo>,
-        constraints: SynthesisConstraints,
-    ) -> Result<Self, OptError> {
-        let bounds = WlBounds::default();
+        let backend = NoiseBackend::for_session(session)?;
+        let node_ranges = session.node_ranges()?;
         let min_w = node_ranges
             .iter()
             .map(|&r| {
-                (2..=bounds.max)
+                (2..=MAX_WIDTH)
                     .find(|&w| sna_fixp::Format::from_range(r, w).is_ok())
-                    .unwrap_or(bounds.max)
-                    .max(bounds.min)
+                    .unwrap_or(MAX_WIDTH)
+                    .max(MIN_WIDTH)
             })
             .collect();
         let int_bits = node_ranges
@@ -243,25 +148,15 @@ impl<'a> Optimizer<'a> {
                     .unwrap_or(sna_fixp::MAX_WORD_LENGTH - 1)
             })
             .collect();
-        let eval_shared = match &model {
-            NoiseModel::Na(m) => EvalShared::Na(NaShared::build(dfg, m)),
-            NoiseModel::Hist { bins } => EvalShared::Hist {
-                bins: *bins,
-                memo: hist_memo,
-                shared: std::sync::OnceLock::new(),
-            },
-        };
         Ok(Optimizer {
             dfg,
             constraints,
             weights: CostWeights::default(),
-            bounds,
-            model,
-            input_ranges,
+            backend,
+            input_ranges: session.input_ranges(),
             node_ranges,
             min_w,
             int_bits,
-            eval_shared,
             proxy_static: ProxyStatic::build(dfg),
             exec_budget: Budget::unlimited(),
         })
@@ -290,8 +185,8 @@ impl<'a> Optimizer<'a> {
                 .unwrap_or(0);
             let target = needed_frac + 1 + self.int_bits[id.index()];
             w[id.index()] = w[id.index()]
-                .max(target.min(self.bounds.max))
-                .clamp(self.min_w[id.index()], self.bounds.max);
+                .max(target.min(MAX_WIDTH))
+                .clamp(self.min_w[id.index()], MAX_WIDTH);
         }
         // Delay nodes are excluded from the combinational topo order; fix
         // them afterwards (their arg is computed by then).
@@ -302,8 +197,8 @@ impl<'a> Optimizer<'a> {
                 .saturating_sub(self.int_bits[a.index()]);
             let target = frac + 1 + self.int_bits[d.index()];
             w[d.index()] = w[d.index()]
-                .max(target.min(self.bounds.max))
-                .clamp(self.min_w[d.index()], self.bounds.max);
+                .max(target.min(MAX_WIDTH))
+                .clamp(self.min_w[d.index()], MAX_WIDTH);
         }
     }
 
@@ -329,29 +224,12 @@ impl<'a> Optimizer<'a> {
         self
     }
 
-    /// Overrides the word-length bounds (minimums are still clamped by the
-    /// per-node integer-part requirement).
-    pub fn with_bounds(mut self, bounds: WlBounds) -> Result<Self, OptError> {
-        self.bounds = bounds;
-        self.min_w = self
-            .node_ranges
-            .iter()
-            .map(|&r| {
-                (2..=bounds.max)
-                    .find(|&w| sna_fixp::Format::from_range(r, w).is_ok())
-                    .unwrap_or(bounds.max)
-                    .max(bounds.min)
-            })
-            .collect();
-        Ok(self)
-    }
-
     /// The prebuilt NA moment model, when the graph is linear; `None`
     /// when the histogram fallback is in use.
     pub fn na_model(&self) -> Option<&NaModel> {
-        match &self.model {
-            NoiseModel::Na(model) => Some(model),
-            NoiseModel::Hist { .. } => None,
+        match &self.backend {
+            NoiseBackend::Na { model, .. } => Some(model),
+            NoiseBackend::Hist { .. } => None,
         }
     }
 
@@ -391,15 +269,11 @@ impl<'a> Optimizer<'a> {
 
     /// Total output noise power of a configuration under the active model.
     fn noise_of_config(&self, cfg: &WlConfig) -> Result<f64, OptError> {
-        match &self.model {
-            NoiseModel::Na(model) => Ok(model.total_power(self.dfg, cfg)),
-            NoiseModel::Hist { bins } => {
-                let reports = DfgEngine::new(EngineOptions::default().with_bins(*bins)).analyze(
-                    self.dfg,
-                    cfg,
-                    self.input_ranges,
-                    &self.exec_budget,
-                )?;
+        match &self.backend {
+            NoiseBackend::Na { model, .. } => Ok(model.total_power(self.dfg, cfg)),
+            NoiseBackend::Hist { .. } => {
+                let reports = DfgEngine::new(EngineOptions::default().with_bins(HIST_BINS))
+                    .analyze(self.dfg, cfg, self.input_ranges, &self.exec_budget)?;
                 Ok(reports.iter().map(|(_, r)| r.power).sum())
             }
         }
@@ -525,10 +399,7 @@ impl<'a> Optimizer<'a> {
 
     /// Clamps a uniform target to each node's feasible minimum.
     pub(crate) fn uniform_vector(&self, w: u8) -> Vec<u8> {
-        self.min_w
-            .iter()
-            .map(|&m| w.clamp(m, self.bounds.max))
-            .collect()
+        self.min_w.iter().map(|&m| w.clamp(m, MAX_WIDTH)).collect()
     }
 
     // ------------------------------------------------------------------
@@ -578,7 +449,7 @@ impl<'a> Optimizer<'a> {
             .enumerate()
             .map(|(i, &b)| {
                 let lo = b.saturating_sub(radius).max(self.min_w[i]);
-                let hi = (b + radius).min(self.bounds.max);
+                let hi = b.saturating_add(radius).min(MAX_WIDTH);
                 (lo..=hi).collect()
             })
             .collect();
@@ -700,12 +571,12 @@ impl<'a> Optimizer<'a> {
         };
         let groups: Vec<usize> = self.dfg.nodes().map(|(_, n)| group_of(n.op())).collect();
         let n_groups = 6;
-        let mut gw = vec![start_w.min(self.bounds.max); n_groups];
+        let mut gw = vec![start_w.min(MAX_WIDTH); n_groups];
         let expand = |gw: &[u8], this: &Self| -> Vec<u8> {
             groups
                 .iter()
                 .enumerate()
-                .map(|(i, &g)| gw[g].clamp(this.min_w[i], this.bounds.max))
+                .map(|(i, &g)| gw[g].clamp(this.min_w[i], MAX_WIDTH))
                 .collect()
         };
         let mut w = expand(&gw, self);
@@ -771,13 +642,13 @@ impl<'a> Optimizer<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sna_dfg::DfgBuilder;
+    use sna_dfg::{DfgBuilder, LtiOptions};
 
     fn iv(lo: f64, hi: f64) -> Interval {
         Interval::new(lo, hi).unwrap()
     }
 
-    fn small_design() -> (Dfg, Vec<Interval>) {
+    fn small_session() -> Session {
         // y = 0.3·x1 + 0.6·x2 + 0.05·x3
         let mut b = DfgBuilder::new();
         let x1 = b.input("x1");
@@ -789,16 +660,21 @@ mod tests {
         let s1 = b.add(t1, t2);
         let y = b.add(s1, t3);
         b.output("y", y);
-        (
+        Session::new(
             b.build().unwrap(),
             vec![iv(-1.0, 1.0), iv(-1.0, 1.0), iv(-1.0, 1.0)],
         )
+        .unwrap()
+    }
+
+    fn optimizer(session: &Session) -> Optimizer<'_> {
+        Optimizer::new(session, SynthesisConstraints::default()).unwrap()
     }
 
     #[test]
     fn uniform_reference_is_feasible_and_monotone() {
-        let (g, r) = small_design();
-        let opt = Optimizer::new(&g, &r, SynthesisConstraints::default()).unwrap();
+        let s = small_session();
+        let opt = optimizer(&s);
         let e8 = opt.uniform(8).unwrap();
         let e16 = opt.uniform(16).unwrap();
         assert!(e16.noise_power < e8.noise_power);
@@ -810,8 +686,8 @@ mod tests {
 
     #[test]
     fn exhaustive_beats_or_matches_uniform() {
-        let (g, r) = small_design();
-        let opt = Optimizer::new(&g, &r, SynthesisConstraints::default()).unwrap();
+        let s = small_session();
+        let opt = optimizer(&s);
         let fixed = opt.uniform(10).unwrap();
         let best = opt
             .exhaustive(fixed.noise_power, 10, 1, 10_000_000, 0)
@@ -824,8 +700,8 @@ mod tests {
 
     #[test]
     fn exhaustive_respects_cap() {
-        let (g, r) = small_design();
-        let opt = Optimizer::new(&g, &r, SynthesisConstraints::default()).unwrap();
+        let s = small_session();
+        let opt = optimizer(&s);
         assert!(matches!(
             opt.exhaustive(1.0, 10, 4, 10, 0),
             Err(OptError::SearchSpaceTooLarge { .. })
@@ -833,9 +709,24 @@ mod tests {
     }
 
     #[test]
+    fn exhaustive_at_radius_255_reports_the_cap_instead_of_panicking() {
+        // `w0 + radius` saturates at the width ceiling, so every node keeps
+        // a non-empty level list and the count hits the cap guard.
+        let s = small_session();
+        let opt = optimizer(&s);
+        match opt.exhaustive(1.0, 4, 255, 2_000_000, 0) {
+            Err(OptError::SearchSpaceTooLarge { candidates, cap }) => {
+                assert_eq!(cap, 2_000_000);
+                assert!(candidates > cap);
+            }
+            other => panic!("expected the cap error, got {other:?}"),
+        }
+    }
+
+    #[test]
     fn group_greedy_meets_budget() {
-        let (g, r) = small_design();
-        let opt = Optimizer::new(&g, &r, SynthesisConstraints::default()).unwrap();
+        let s = small_session();
+        let opt = optimizer(&s);
         let fixed = opt.uniform(10).unwrap();
         let grouped = opt.group_greedy(fixed.noise_power, 18).unwrap();
         assert!(grouped.noise_power <= fixed.noise_power * (1.0 + 1e-12));
@@ -843,8 +734,8 @@ mod tests {
 
     #[test]
     fn infeasible_budget_is_reported() {
-        let (g, r) = small_design();
-        let opt = Optimizer::new(&g, &r, SynthesisConstraints::default()).unwrap();
+        let s = small_session();
+        let opt = optimizer(&s);
         assert!(matches!(
             opt.group_greedy(1e-300, 12),
             Err(OptError::Infeasible { .. })
@@ -861,9 +752,8 @@ mod tests {
         let t = b.mul_const(0.5, x);
         let y = b.add(sq, t);
         b.output("y", y);
-        let g = b.build().unwrap();
-        let r = vec![iv(-1.0, 1.0)];
-        let opt = Optimizer::new(&g, &r, SynthesisConstraints::default()).unwrap();
+        let s = Session::new(b.build().unwrap(), vec![iv(-1.0, 1.0)]).unwrap();
+        let opt = optimizer(&s);
         assert!(opt.na_model().is_none());
         let fixed = opt.uniform(10).unwrap();
         assert!(fixed.noise_power > 0.0);
@@ -884,32 +774,31 @@ mod tests {
         let y = b.add(x, scaled);
         b.bind_delay(fb, y).unwrap();
         b.output("y", y);
-        let g = b.build().unwrap();
-        let r = vec![iv(-0.5, 0.5)];
-        assert!(Optimizer::new(&g, &r, SynthesisConstraints::default()).is_err());
+        let s = Session::new(b.build().unwrap(), vec![iv(-0.5, 0.5)]).unwrap();
+        assert!(Optimizer::new(&s, SynthesisConstraints::default()).is_err());
     }
 
     #[test]
     fn from_session_matches_standalone_construction() {
-        let (g, r) = small_design();
-        let session = Session::new(g.clone(), r.clone()).unwrap();
-        let shared = Optimizer::from_session(&session, SynthesisConstraints::default()).unwrap();
-        let standalone = Optimizer::new(&g, &r, SynthesisConstraints::default()).unwrap();
-        // The session's model is reused, not rebuilt.
-        assert_eq!(session.stats().na_builds, 1);
-        let w = shared.uniform_vector(10);
+        let s = small_session();
+        let opt = optimizer(&s);
+        // Reference: a model built from scratch over the same graph.
+        let scratch = NaModel::build(s.dfg(), s.input_ranges(), &LtiOptions::default()).unwrap();
+        let reference = |w: &[u8]| {
+            let cfg = WlConfig::from_precomputed_ranges(&opt.node_ranges, w).unwrap();
+            scratch.total_power(s.dfg(), &cfg)
+        };
+        let w = opt.uniform_vector(10);
+        assert_eq!(opt.noise_of(&w).unwrap().to_bits(), reference(&w).to_bits());
+        let tuned = opt
+            .greedy(opt.uniform(10).unwrap().noise_power, 14)
+            .unwrap();
         assert_eq!(
-            shared.noise_of(&w).unwrap().to_bits(),
-            standalone.noise_of(&w).unwrap().to_bits()
+            tuned.noise_power.to_bits(),
+            reference(&tuned.word_lengths).to_bits()
         );
-        let a = shared
-            .greedy(shared.uniform(10).unwrap().noise_power, 14)
-            .unwrap();
-        let b = standalone
-            .greedy(standalone.uniform(10).unwrap().noise_power, 14)
-            .unwrap();
-        assert_eq!(a.word_lengths, b.word_lengths);
-        assert_eq!(a.noise_power.to_bits(), b.noise_power.to_bits());
+        // The session's model is reused, not rebuilt.
+        assert_eq!(s.stats().na_builds, 1);
     }
 
     #[test]
@@ -919,10 +808,8 @@ mod tests {
         let x = b.input("x");
         let sq = b.mul(x, x);
         b.output("y", sq);
-        let g = b.build().unwrap();
-        let r = vec![iv(-1.0, 1.0)];
-        let session = Session::new(g, r).unwrap();
-        let opt = Optimizer::from_session(&session, SynthesisConstraints::default()).unwrap();
+        let session = Session::new(b.build().unwrap(), vec![iv(-1.0, 1.0)]).unwrap();
+        let opt = optimizer(&session);
         assert!(opt.na_model().is_none());
         let start = opt.uniform_vector(12);
 
@@ -947,12 +834,9 @@ mod tests {
     #[test]
     fn pre_cancelled_exec_budget_stops_every_search() {
         use crate::AnnealOptions;
-        let (g, r) = small_design();
-        let plain = Optimizer::new(&g, &r, SynthesisConstraints::default()).unwrap();
-        let fixed = plain.uniform(10).unwrap();
-        let opt = Optimizer::new(&g, &r, SynthesisConstraints::default())
-            .unwrap()
-            .with_exec_budget(Budget::pre_cancelled());
+        let s = small_session();
+        let fixed = optimizer(&s).uniform(10).unwrap();
+        let opt = optimizer(&s).with_exec_budget(Budget::pre_cancelled());
         let cancelled = |res: Result<Evaluation, OptError>| {
             assert!(
                 matches!(res, Err(OptError::Sna(sna_core::SnaError::Cancelled))),
@@ -966,12 +850,9 @@ mod tests {
 
     #[test]
     fn overrun_deadline_surfaces_as_deadline_exceeded() {
-        let (g, r) = small_design();
-        let plain = Optimizer::new(&g, &r, SynthesisConstraints::default()).unwrap();
-        let fixed = plain.uniform(10).unwrap();
-        let opt = Optimizer::new(&g, &r, SynthesisConstraints::default())
-            .unwrap()
-            .with_exec_budget(Budget::with_timeout(std::time::Duration::ZERO));
+        let s = small_session();
+        let fixed = optimizer(&s).uniform(10).unwrap();
+        let opt = optimizer(&s).with_exec_budget(Budget::with_timeout(std::time::Duration::ZERO));
         match opt.exhaustive(fixed.noise_power, 10, 1, 10_000_000, 0) {
             Err(OptError::Sna(e)) => {
                 assert_eq!(e.to_string(), "deadline exceeded");
@@ -982,14 +863,13 @@ mod tests {
 
     #[test]
     fn generous_exec_budget_is_bit_identical_to_unlimited() {
-        let (g, r) = small_design();
-        let plain = Optimizer::new(&g, &r, SynthesisConstraints::default()).unwrap();
+        let s = small_session();
+        let plain = optimizer(&s);
         let fixed = plain.uniform(10).unwrap();
         let best = plain
             .exhaustive(fixed.noise_power, 10, 1, 10_000_000, 0)
             .unwrap();
-        let budgeted = Optimizer::new(&g, &r, SynthesisConstraints::default())
-            .unwrap()
+        let budgeted = optimizer(&s)
             .with_exec_budget(Budget::with_timeout(std::time::Duration::from_secs(3600)));
         let best_b = budgeted
             .exhaustive(fixed.noise_power, 10, 1, 10_000_000, 0)
@@ -1000,8 +880,8 @@ mod tests {
 
     #[test]
     fn min_word_lengths_fit_ranges() {
-        let (g, r) = small_design();
-        let opt = Optimizer::new(&g, &r, SynthesisConstraints::default()).unwrap();
+        let s = small_session();
+        let opt = optimizer(&s);
         for (i, &m) in opt.min_word_lengths().iter().enumerate() {
             assert!(
                 sna_fixp::Format::from_range(opt.node_ranges[i], m).is_ok(),

@@ -103,25 +103,26 @@ impl Optimizer<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sna_core::Session;
     use sna_dfg::DfgBuilder;
     use sna_hls::SynthesisConstraints;
     use sna_interval::Interval;
 
-    fn setup() -> (sna_dfg::Dfg, Vec<Interval>) {
+    fn setup() -> Session {
         let mut b = DfgBuilder::new();
         let x = b.input("x");
         let t = b.mul_const(0.6, x);
         let y = b.add(t, x);
         b.output("y", y);
-        (b.build().unwrap(), vec![Interval::new(-1.0, 1.0).unwrap()])
+        Session::new(b.build().unwrap(), vec![Interval::new(-1.0, 1.0).unwrap()]).unwrap()
     }
 
     #[test]
     fn uniform_sweep_is_its_own_pareto_front() {
         // For a uniform sweep, noise strictly decreases with w and cost
         // strictly increases, so no point dominates another.
-        let (g, r) = setup();
-        let opt = Optimizer::new(&g, &r, SynthesisConstraints::default()).unwrap();
+        let s = setup();
+        let opt = Optimizer::new(&s, SynthesisConstraints::default()).unwrap();
         let front = opt.pareto_sweep(6..=14).unwrap();
         assert_eq!(front.len(), 9);
         // Sorted by construction: noise decreasing, area nondecreasing.
@@ -133,8 +134,8 @@ mod tests {
 
     #[test]
     fn dominated_points_are_filtered() {
-        let (g, r) = setup();
-        let opt = Optimizer::new(&g, &r, SynthesisConstraints::default()).unwrap();
+        let s = setup();
+        let opt = Optimizer::new(&s, SynthesisConstraints::default()).unwrap();
         let a = opt.uniform(8).unwrap();
         let b = opt.uniform(12).unwrap();
         // Fabricate a point strictly worse than `a` in noise with `a`'s
@@ -152,8 +153,8 @@ mod tests {
 
     #[test]
     fn front_is_order_independent_and_collapses_duplicates() {
-        let (g, r) = setup();
-        let opt = Optimizer::new(&g, &r, SynthesisConstraints::default()).unwrap();
+        let s = setup();
+        let opt = Optimizer::new(&s, SynthesisConstraints::default()).unwrap();
         let evals: Vec<Evaluation> = (6..=14).map(|w| opt.uniform(w).unwrap()).collect();
         let forward = pareto_front(evals.clone());
         let mut reversed: Vec<Evaluation> = evals.iter().rev().cloned().collect();
@@ -181,8 +182,8 @@ mod tests {
 
     #[test]
     fn domination_is_irreflexive_and_needs_strictness() {
-        let (g, r) = setup();
-        let opt = Optimizer::new(&g, &r, SynthesisConstraints::default()).unwrap();
+        let s = setup();
+        let opt = Optimizer::new(&s, SynthesisConstraints::default()).unwrap();
         let a = opt.uniform(10).unwrap();
         assert!(!dominates(&a, &a));
         let twin = a.clone();

@@ -282,9 +282,7 @@ pub fn pareto_explore(
     }
     let mut optimizers = Vec::with_capacity(SweepObjective::ALL.len());
     for obj in SweepObjective::ALL {
-        optimizers.push(
-            Optimizer::from_session(session, constraints.clone())?.with_weights(obj.weights()),
-        );
+        optimizers.push(Optimizer::new(session, constraints.clone())?.with_weights(obj.weights()));
     }
     let optimizers = &optimizers;
 
@@ -529,7 +527,7 @@ mod tests {
             let opts: Vec<Optimizer> = SweepObjective::ALL
                 .iter()
                 .map(|o| {
-                    Optimizer::from_session(&s, constraints.clone())
+                    Optimizer::new(&s, constraints.clone())
                         .unwrap()
                         .with_weights(o.weights())
                 })

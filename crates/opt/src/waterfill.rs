@@ -13,6 +13,7 @@
 //! with `λ` found by bisection.  After integer rounding, a repair pass
 //! adds bits where they buy the most noise until the budget holds.
 
+use crate::optimizer::MAX_WIDTH;
 use crate::{Evaluation, OptError, Optimizer};
 
 impl Optimizer<'_> {
@@ -26,7 +27,7 @@ impl Optimizer<'_> {
         let n = self.dfg.len();
         // Sensitivities cᵢ measured empirically from the model: noise
         // delta when node i moves from wide to wide-1 ≈ (3/4)·cᵢ·4^(−w).
-        let wide = self.uniform_vector(self.bounds.max);
+        let wide = self.uniform_vector(MAX_WIDTH);
         let mut ev = self.evaluator(&wide)?;
         let base_noise = ev.power();
         if base_noise > budget {
@@ -64,10 +65,10 @@ impl Optimizer<'_> {
                         // (adders — fixed below) or a constant whose
                         // rounding error is not a smooth function of width
                         // — keep it wide, the final trim pass shrinks it.
-                        return this.bounds.max;
+                        return MAX_WIDTH;
                     }
                     let ideal = lambda_log4 + ((4f64.ln()) * c[i] / s[i]).log(4.0);
-                    (ideal.ceil().clamp(0.0, 64.0) as u8).clamp(this.min_w[i], this.bounds.max)
+                    (ideal.ceil().clamp(0.0, 64.0) as u8).clamp(this.min_w[i], MAX_WIDTH)
                 })
                 .collect();
             // Zero-sensitivity exact ops (adders etc.) must keep all
@@ -103,7 +104,7 @@ impl Optimizer<'_> {
         while noise > budget {
             let mut best: Option<(f64, usize)> = None;
             for i in 0..n {
-                if w[i] >= self.bounds.max {
+                if w[i] >= MAX_WIDTH {
                     continue;
                 }
                 let dn = noise - ev.probe(i, w[i] + 1)?;
@@ -161,6 +162,7 @@ impl Optimizer<'_> {
 #[cfg(test)]
 mod tests {
     use crate::Optimizer;
+    use sna_core::Session;
     use sna_dfg::DfgBuilder;
     use sna_hls::SynthesisConstraints;
     use sna_interval::Interval;
@@ -174,12 +176,12 @@ mod tests {
         let t2 = b.mul_const(0.01, x2);
         let y = b.add(t1, t2);
         b.output("y", y);
-        let g = b.build().unwrap();
         let r = vec![
             Interval::new(-1.0, 1.0).unwrap(),
             Interval::new(-1.0, 1.0).unwrap(),
         ];
-        let opt = Optimizer::new(&g, &r, SynthesisConstraints::default()).unwrap();
+        let s = Session::new(b.build().unwrap(), r).unwrap();
+        let opt = Optimizer::new(&s, SynthesisConstraints::default()).unwrap();
         let fixed = opt.uniform(12).unwrap();
         let wf = opt.waterfill(fixed.noise_power).unwrap();
         assert!(wf.noise_power <= fixed.noise_power * (1.0 + 1e-12));
@@ -196,9 +198,9 @@ mod tests {
         let x = b.input("x");
         let y = b.mul_const(0.5, x);
         b.output("y", y);
-        let g = b.build().unwrap();
         let r = vec![Interval::new(-1.0, 1.0).unwrap()];
-        let opt = Optimizer::new(&g, &r, SynthesisConstraints::default()).unwrap();
+        let s = Session::new(b.build().unwrap(), r).unwrap();
+        let opt = Optimizer::new(&s, SynthesisConstraints::default()).unwrap();
         let loose = opt.uniform(6).unwrap();
         let wf = opt.waterfill(loose.noise_power).unwrap();
         assert!(wf.word_lengths.iter().all(|&w| w < 20));

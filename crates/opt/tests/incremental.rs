@@ -11,8 +11,9 @@
 //!   scheduling-independent.
 
 use proptest::prelude::*;
-use sna_designs::{diff_eq, fir, quadratic};
-use sna_dfg::{Dfg, DfgBuilder};
+use sna_core::Session;
+use sna_designs::{diff_eq, fir, quadratic, Design};
+use sna_dfg::DfgBuilder;
 use sna_hls::SynthesisConstraints;
 use sna_interval::Interval;
 use sna_opt::Optimizer;
@@ -30,10 +31,11 @@ fn moves_strategy(len: usize) -> impl Strategy<Value = Vec<Move>> {
 /// Applies `moves` through an incremental evaluator, checking after every
 /// set/undo that the running power matches a from-scratch evaluation of
 /// the same width vector within 1e-12 relative.
-fn check_equivalence(dfg: &Dfg, ranges: &[Interval], moves: &[Move]) {
-    let opt = Optimizer::new(dfg, ranges, SynthesisConstraints::default()).unwrap();
+fn check_equivalence(d: Design, moves: &[Move]) {
+    let session = session_of(d);
+    let opt = Optimizer::new(&session, SynthesisConstraints::default()).unwrap();
     let min_w = opt.min_word_lengths().to_vec();
-    let n = dfg.len();
+    let n = session.dfg().len();
     let max_w = 40u8;
     let mut w: Vec<u8> = min_w.iter().map(|&m| m.max(12)).collect();
     let mut ev = opt.evaluator(&w).unwrap();
@@ -67,14 +69,14 @@ proptest! {
     #[test]
     fn na_incremental_matches_scratch_on_fir(moves in moves_strategy(40)) {
         let d = fir(8);
-        check_equivalence(&d.dfg, &d.input_ranges, &moves);
+        check_equivalence(d, &moves);
     }
 
     #[test]
     fn na_incremental_matches_scratch_on_diffeq(moves in moves_strategy(40)) {
         // Feedback: impulse-gain model with delays.
         let d = diff_eq(4);
-        check_equivalence(&d.dfg, &d.input_ranges, &moves);
+        check_equivalence(d, &moves);
     }
 
     #[test]
@@ -82,7 +84,7 @@ proptest! {
         // Nonlinear combinational: the histogram fallback with
         // cone-limited re-propagation.
         let d = quadratic();
-        check_equivalence(&d.dfg, &d.input_ranges, &moves);
+        check_equivalence(d, &moves);
     }
 }
 
@@ -90,12 +92,16 @@ proptest! {
 fn hist_evaluator_is_used_for_the_quadratic() {
     // Guard that the histogram property above actually exercises the
     // fallback path, not the NA model.
-    let d = quadratic();
-    let opt = Optimizer::new(&d.dfg, &d.input_ranges, SynthesisConstraints::default()).unwrap();
+    let session = session_of(quadratic());
+    let opt = Optimizer::new(&session, SynthesisConstraints::default()).unwrap();
     assert!(opt.na_model().is_none());
 }
 
-fn skewed_design() -> (Dfg, Vec<Interval>) {
+fn session_of(d: Design) -> Session {
+    Session::new(d.dfg, d.input_ranges).unwrap()
+}
+
+fn skewed_design() -> Session {
     let mut b = DfgBuilder::new();
     let x1 = b.input("x1");
     let x2 = b.input("x2");
@@ -103,19 +109,20 @@ fn skewed_design() -> (Dfg, Vec<Interval>) {
     let t2 = b.mul_const(0.01, x2);
     let y = b.add(t1, t2);
     b.output("y", y);
-    (
+    Session::new(
         b.build().unwrap(),
         vec![
             Interval::new(-1.0, 1.0).unwrap(),
             Interval::new(-1.0, 1.0).unwrap(),
         ],
     )
+    .unwrap()
 }
 
 #[test]
 fn parallel_exhaustive_matches_serial_winner() {
-    let (g, r) = skewed_design();
-    let opt = Optimizer::new(&g, &r, SynthesisConstraints::default()).unwrap();
+    let s = skewed_design();
+    let opt = Optimizer::new(&s, SynthesisConstraints::default()).unwrap();
     let fixed = opt.uniform(10).unwrap();
     let serial = opt
         .exhaustive(fixed.noise_power, 10, 2, 10_000_000, 1)
@@ -133,8 +140,8 @@ fn parallel_exhaustive_matches_serial_winner() {
 
 #[test]
 fn exhaustive_default_entry_point_agrees_with_serial() {
-    let (g, r) = skewed_design();
-    let opt = Optimizer::new(&g, &r, SynthesisConstraints::default()).unwrap();
+    let s = skewed_design();
+    let opt = Optimizer::new(&s, SynthesisConstraints::default()).unwrap();
     let fixed = opt.uniform(10).unwrap();
     let serial = opt
         .exhaustive(fixed.noise_power, 10, 1, 10_000_000, 1)
@@ -147,8 +154,8 @@ fn exhaustive_default_entry_point_agrees_with_serial() {
 
 #[test]
 fn out_of_range_moves_error_instead_of_panicking() {
-    let (g, r) = skewed_design();
-    let opt = Optimizer::new(&g, &r, SynthesisConstraints::default()).unwrap();
+    let s = skewed_design();
+    let opt = Optimizer::new(&s, SynthesisConstraints::default()).unwrap();
     let start: Vec<u8> = opt.min_word_lengths().to_vec();
     let mut ev = opt.evaluator(&start).unwrap();
     let before = ev.power();
@@ -156,7 +163,7 @@ fn out_of_range_moves_error_instead_of_panicking() {
     // all must report an error and leave the evaluator untouched.
     assert!(ev.set(0, 45).is_err());
     assert!(ev.set(0, start[0].wrapping_sub(1)).is_err());
-    assert!(ev.set(g.len(), 12).is_err());
+    assert!(ev.set(s.dfg().len(), 12).is_err());
     assert_eq!(ev.power(), before);
     assert_eq!(ev.widths(), &start[..]);
     // A bad initial vector errors at construction.

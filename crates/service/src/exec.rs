@@ -609,11 +609,11 @@ pub struct OptimizeOutcome {
 
 /// Runs a word-length optimization request.
 ///
-/// The optimizer is built *on top of the session*: the NA gain model,
-/// node ranges and histogram memo come from the shared artifact chain,
-/// so a server (or batch) that analyzed a program first never rebuilds
-/// them to optimize it — and repeated optimize requests share the
-/// nonlinear searches' histogram memo.
+/// The optimizer is built with [`Optimizer::new`] *on top of the
+/// session*: the NA gain model, node ranges and histogram memo come
+/// from the shared artifact chain, so a server (or batch) that analyzed
+/// a program first never rebuilds them to optimize it — and repeated
+/// optimize requests share the nonlinear searches' histogram memo.
 ///
 /// # Errors
 ///
@@ -652,7 +652,7 @@ pub fn optimize_budgeted(
     // Pre-flight: the reference synthesis below is not checkpointed, so
     // an already-overrun budget must fail before paying for it.
     exec_budget.check().map_err(|e| e.to_string())?;
-    let optimizer = Optimizer::from_session(session, SynthesisConstraints::default())
+    let optimizer = Optimizer::new(session, SynthesisConstraints::default())
         .map_err(|e| format!("cannot build the optimizer: {e}"))?
         .with_exec_budget(exec_budget.clone());
 

@@ -248,6 +248,25 @@ fn non_utf8_lines_answer_as_malformed_and_the_server_keeps_serving() {
 }
 
 #[test]
+fn exhaustive_radius_255_answers_the_cap_error_and_the_server_keeps_serving() {
+    let lines = vec![
+        r#"{"id":1,"cmd":"optimize","source":"input x in [-1, 1];\ny = 0.5*x + 0.25*x;\noutput y;\n","method":"exhaustive","ref_bits":4,"radius":255}"#.to_string(),
+        r#"{"id":2,"cmd":"stats"}"#.to_string(),
+    ];
+    let (responses, report) = run_session(&lines);
+    assert_eq!(responses.len(), 2);
+    assert_eq!(report.errors, 1);
+    assert_eq!(responses[0].get("ok").and_then(Json::as_bool), Some(false));
+    let error = responses[0].get("error").and_then(Json::as_str).unwrap();
+    assert!(error.contains("exceeds cap 2000000"), "{error}");
+    assert_eq!(responses[1].get("ok").and_then(Json::as_bool), Some(true));
+    assert!(responses[1]
+        .get("result")
+        .and_then(|r| r.get("counters"))
+        .is_some());
+}
+
+#[test]
 fn oversized_request_lines_get_one_error_then_hangup_not_oom() {
     let cache = CompileCache::new();
     let mut output = Vec::new();

@@ -4,6 +4,7 @@
 //!
 //! Run with: `cargo run --release --example design_space`
 
+use sna::core::Session;
 use sna::designs::rgb_to_ycrcb;
 use sna::hls::SynthesisConstraints;
 use sna::opt::Optimizer;
@@ -12,11 +13,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let design = rgb_to_ycrcb();
     println!("{} — uniform word-length sweep\n", design.description);
 
-    let opt = Optimizer::new(
-        &design.dfg,
-        &design.input_ranges,
-        SynthesisConstraints::default(),
-    )?;
+    let session = Session::new(design.dfg.clone(), design.input_ranges.clone())?;
+    let opt = Optimizer::new(&session, SynthesisConstraints::default())?;
     let front = opt.pareto_sweep(6..=20)?;
 
     println!(

@@ -5,7 +5,7 @@
 //!
 //! Run with: `cargo run --release --example fir_noise_budget`
 
-use sna::core::NaModel;
+use sna::core::{NaModel, Session};
 use sna::designs::fir;
 use sna::dfg::LtiOptions;
 use sna::fixp::{monte_carlo_error, MonteCarloOptions, WlConfig};
@@ -56,11 +56,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Recover cost with mixed word lengths at the same noise budget.
-    let opt = Optimizer::new(
-        &design.dfg,
-        &design.input_ranges,
-        SynthesisConstraints::default(),
-    )?;
+    let session = Session::new(design.dfg.clone(), design.input_ranges.clone())?;
+    let opt = Optimizer::new(&session, SynthesisConstraints::default())?;
     let fixed = opt.uniform(w)?;
     let tuned = opt.waterfill(fixed.noise_power)?;
     println!(

@@ -3,6 +3,7 @@
 //!
 //! Run with: `cargo run --release --example wordlength_opt`
 
+use sna::core::Session;
 use sna::designs::fir25;
 use sna::hls::SynthesisConstraints;
 use sna::opt::Optimizer;
@@ -11,11 +12,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let design = fir25();
     println!("{}\n", design.description);
 
-    let opt = Optimizer::new(
-        &design.dfg,
-        &design.input_ranges,
-        SynthesisConstraints::default(),
-    )?;
+    let session = Session::new(design.dfg.clone(), design.input_ranges.clone())?;
+    let opt = Optimizer::new(&session, SynthesisConstraints::default())?;
 
     let w = 12;
     let fixed = opt.uniform(w)?;

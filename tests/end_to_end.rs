@@ -90,12 +90,10 @@ fn paper_suite_full_pipeline() {
         let imp = synthesize(&design.dfg, &cfg, &SynthesisConstraints::default())
             .unwrap_or_else(|e| panic!("{}: {e}", design.name));
         assert!(imp.cost.area_um2 > 0.0);
-        let opt = Optimizer::new(
-            &design.dfg,
-            &design.input_ranges,
-            SynthesisConstraints::default(),
-        )
-        .unwrap_or_else(|e| panic!("{}: {e}", design.name));
+        let session = Session::new(design.dfg.clone(), design.input_ranges.clone())
+            .unwrap_or_else(|e| panic!("{}: {e}", design.name));
+        let opt = Optimizer::new(&session, SynthesisConstraints::default())
+            .unwrap_or_else(|e| panic!("{}: {e}", design.name));
         let fixed = opt.uniform(10).unwrap();
         assert!(fixed.noise_power > 0.0, "{}", design.name);
     }
@@ -106,12 +104,8 @@ fn paper_suite_full_pipeline() {
 #[test]
 fn noise_scales_with_wordlength_on_the_suite() {
     for design in Design::paper_suite() {
-        let opt = Optimizer::new(
-            &design.dfg,
-            &design.input_ranges,
-            SynthesisConstraints::default(),
-        )
-        .unwrap();
+        let session = Session::new(design.dfg.clone(), design.input_ranges.clone()).unwrap();
+        let opt = Optimizer::new(&session, SynthesisConstraints::default()).unwrap();
         let n8 = opt.uniform(8).unwrap().noise_power;
         let n16 = opt.uniform(16).unwrap().noise_power;
         let factor = n8 / n16;
@@ -128,12 +122,8 @@ fn noise_scales_with_wordlength_on_the_suite() {
 #[test]
 fn optimization_never_regresses_weighted_cost() {
     let design = fir(9);
-    let opt = Optimizer::new(
-        &design.dfg,
-        &design.input_ranges,
-        SynthesisConstraints::default(),
-    )
-    .unwrap();
+    let session = Session::new(design.dfg.clone(), design.input_ranges.clone()).unwrap();
+    let opt = Optimizer::new(&session, SynthesisConstraints::default()).unwrap();
     for w in [8u8, 12] {
         let fixed = opt.uniform(w).unwrap();
         let tuned = opt.greedy(fixed.noise_power, w + 6).unwrap();
