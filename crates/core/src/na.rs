@@ -5,7 +5,8 @@
 //! noise source with a uniform PDF and propagates only *moments* through
 //! precomputed LTI gains (Section 3, first category).  The gains depend
 //! only on the datapath's constant coefficients — not on word lengths — so
-//! [`NaModel::build`] runs the impulse-response analysis once and
+//! [`NaModel::build`] runs one shared impulse analysis over every source
+//! ([`ImpulseAnalysis`]) and
 //! [`NaModel::evaluate`] is `O(#sources)` per word-length configuration.
 //! That asymmetry is what makes noise-constrained word-length search
 //! practical.
@@ -21,7 +22,9 @@
 //!   mean `ec·mid(x)` and half-width `|ec|·rad(x)` injected at the
 //!   multiplier's site.
 
-use sna_dfg::{Dfg, ImpulseGains, LtiOptions, NodeId, Op, OutputGain, RangeOptions};
+use sna_dfg::{
+    Dfg, ImpulseAnalysis, ImpulseGains, LtiOptions, NodeId, Op, OutputGain, RangeOptions,
+};
 use sna_fixp::WlConfig;
 use sna_interval::Interval;
 
@@ -113,6 +116,14 @@ const MAX_RESPONSE_FLOATS: usize = 1 << 18;
 
 /// Precomputed noise-transfer gains for every potential noise source of a
 /// linear datapath, plus the coefficient-site inventory.
+///
+/// The gains come from one [`ImpulseAnalysis`] per build: the zero-input
+/// baseline is simulated once, each source's impulse is followed only
+/// through the nodes it moves off that baseline, and sources whose
+/// impulses reach the same single-register state share one recorded
+/// continuation.  The result is bit for bit what one dense
+/// [`Dfg::impulse_response`] per source gives; that reference stays the
+/// oracle the tests compare against.
 #[derive(Clone, Debug)]
 pub struct NaModel {
     /// `gains[i]` = impulse gains from node `i`, for analyzed nodes.
@@ -158,13 +169,13 @@ impl NaModel {
         node_ranges: &[Interval],
         opts: &LtiOptions,
     ) -> Result<Self, SnaError> {
-        dfg.require_linear()?;
+        let mut analysis = ImpulseAnalysis::new(dfg, opts)?;
         let mut gains = Vec::with_capacity(dfg.len());
         let mut responses = Vec::with_capacity(dfg.len());
         let mut stored_floats = 0usize;
         for (id, node) in dfg.nodes() {
             if Self::analyzed(node.op()) {
-                let (g, seqs) = dfg.impulse_response(id, opts)?;
+                let (g, seqs) = analysis.response(id)?;
                 gains.push(Some(g));
                 let floats: usize = seqs.iter().map(Vec::len).sum();
                 if stored_floats + floats <= MAX_RESPONSE_FLOATS {
@@ -251,7 +262,8 @@ impl NaModel {
     ///    dominant case (the delay chain feeding a retuned tap).
     /// 2. **Forward simulation** — everything else (the changed constant
     ///    itself, signal-dependent consumer weights, missing sequences,
-    ///    cyclic dirty regions) re-runs the impulse analysis.
+    ///    cyclic dirty regions) re-runs the impulse analysis, one
+    ///    [`ImpulseAnalysis`] shared by all of them.
     ///
     /// `dfg` must have the same shape as the original graph (same nodes,
     /// edges, outputs) with only `Const` values differing, and `dirty`
@@ -391,13 +403,19 @@ impl NaModel {
             }
         }
 
-        // Whatever the recurrence could not reach re-simulates.
+        // Whatever the recurrence could not reach re-simulates, through
+        // one analysis shared by those sources.
+        let mut analysis = None;
         for i in 0..n {
             if !analyzed[i] {
                 continue;
             }
             if gains[i].is_none() {
-                let (g, seqs) = dfg.impulse_response(NodeId::from_index(i), opts)?;
+                if analysis.is_none() {
+                    analysis = Some(ImpulseAnalysis::new(dfg, opts)?);
+                }
+                let analysis = analysis.as_mut().expect("just built");
+                let (g, seqs) = analysis.response(NodeId::from_index(i))?;
                 gains[i] = Some(g);
                 store(&mut responses[i], seqs, &mut stored_floats);
                 patch.rebuilt += 1;
@@ -1057,6 +1075,197 @@ mod tests {
         let g = b.build().unwrap();
         let model = NaModel::build(&g, &[iv(-1.0, 1.0)], &LtiOptions::default()).unwrap();
         assert_eq!(model.gains_from(x).unwrap().per_output[0].l1, 4.0);
+    }
+
+    /// The per-source loop `build_with_ranges` ran before the shared
+    /// analysis: one dense [`Dfg::impulse_response`] per analyzed node.
+    fn reference_build(
+        dfg: &Dfg,
+        node_ranges: &[Interval],
+        opts: &LtiOptions,
+    ) -> Result<NaModel, SnaError> {
+        dfg.require_linear()?;
+        let mut gains = Vec::with_capacity(dfg.len());
+        let mut responses = Vec::with_capacity(dfg.len());
+        let mut stored_floats = 0usize;
+        for (id, node) in dfg.nodes() {
+            if NaModel::analyzed(node.op()) {
+                let (g, seqs) = dfg.impulse_response(id, opts)?;
+                gains.push(Some(g));
+                let floats: usize = seqs.iter().map(Vec::len).sum();
+                if stored_floats + floats <= MAX_RESPONSE_FLOATS {
+                    stored_floats += floats;
+                    responses.push(Some(seqs));
+                } else {
+                    responses.push(None);
+                }
+            } else {
+                gains.push(None);
+                responses.push(None);
+            }
+        }
+        Ok(NaModel {
+            gains,
+            responses,
+            output_names: dfg.outputs().iter().map(|(n, _)| n.clone()).collect(),
+            coeff_sites: NaModel::collect_coeff_sites(dfg, node_ranges),
+        })
+    }
+
+    /// Every shipped `examples/*.sna`, by file name.
+    fn examples() -> Vec<(String, String)> {
+        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples");
+        let mut out: Vec<(String, String)> = std::fs::read_dir(&dir)
+            .expect("examples directory")
+            .filter_map(|entry| {
+                let path = entry.expect("directory entry").path();
+                (path.extension().is_some_and(|e| e == "sna")).then(|| {
+                    let name = path
+                        .file_name()
+                        .expect("file")
+                        .to_string_lossy()
+                        .into_owned();
+                    (
+                        name,
+                        std::fs::read_to_string(&path).expect("readable example"),
+                    )
+                })
+            })
+            .collect();
+        out.sort();
+        assert!(out.len() >= 7, "expected the full example set, got {out:?}");
+        out
+    }
+
+    /// One design per family of the e2e cold-sweep workload: a FIR with
+    /// gaps in its taps, a biquad cascade with `range` overrides and a
+    /// three-layer matrix-vector bank.
+    fn cold_sweep_designs() -> Vec<(String, String)> {
+        let mut fir = String::from("input x in [-1, 1];\n");
+        let mut terms = Vec::new();
+        let mut delay = 1;
+        for i in 0..24 {
+            let c = 0.02 + f64::from((i * 37) % 17) / 170.0;
+            fir.push_str(&format!("let c{i} = {c:.6};\n"));
+            terms.push(format!("c{i}*x[n-{delay}]"));
+            delay += 1 + i % 2;
+        }
+        fir.push_str(&format!("output y = {};\n", terms.join(" + ")));
+
+        let mut biquad = String::from("input x in [-0.5, 0.5];\n");
+        let mut src = "x".to_string();
+        for (s, (radius, angle, bound)) in
+            [(0.5f64, 0.7f64, 2.5), (0.75, 1.9, 3.0), (0.35, 2.4, 1.75)]
+                .into_iter()
+                .enumerate()
+        {
+            let (a1, a2) = (2.0 * radius * angle.cos(), -radius * radius);
+            biquad.push_str(&format!(
+                "acc{s} = 0.2*{src} + 0.1*{src}[n-1] + 0.15*{src}[n-2] + {a1:.6}*y{s}[n-1] \
+                 + {a2:.6}*y{s}[n-2] range [-{bound}, {bound}];\ny{s} = acc{s};\n"
+            ));
+            src = format!("y{s}");
+        }
+        biquad.push_str(&format!("output out = {src};\n"));
+
+        let mut bank = String::from("input v[8] in [-1, 1];\n");
+        let mut prev: Vec<String> = (0..8).map(|i| format!("v[{i}]")).collect();
+        for l in 0..3 {
+            let mut names = Vec::new();
+            for j in 0..4 {
+                let terms: Vec<String> = (0..prev.len())
+                    .filter(|i| (i + j + l) % 4 != 0)
+                    .map(|i| format!("{:.6}*{}", 0.1 + 0.05 * (i + j) as f64, prev[i]))
+                    .collect();
+                bank.push_str(&format!("h{l}_{j} = {};\n", terms.join(" + ")));
+                names.push(format!("h{l}_{j}"));
+            }
+            prev = names;
+        }
+        for (j, name) in prev.iter().enumerate() {
+            bank.push_str(&format!("output o{j} = {name};\n"));
+        }
+        vec![
+            ("gapped fir".into(), fir),
+            ("biquad cascade".into(), biquad),
+            ("matrix-vector bank".into(), bank),
+        ]
+    }
+
+    fn lower(name: &str, source: &str) -> sna_lang::Lowered {
+        sna_lang::compile(source).unwrap_or_else(|e| panic!("{name}: {e:?}"))
+    }
+
+    #[test]
+    fn shared_analysis_matches_impulse_response_bit_for_bit() {
+        let mut designs = examples();
+        designs.extend(cold_sweep_designs());
+        // Its output difference is `inf − inf`: no source ever settles.
+        designs.push((
+            "overflowing constant".into(),
+            "input x;\nlet c = 1e308;\noutput y = c*10 + x[n-2];\n".into(),
+        ));
+        let opts = LtiOptions::default();
+        for (name, source) in designs {
+            let dfg = lower(&name, &source).dfg;
+            let mut analysis = ImpulseAnalysis::new(&dfg, &opts);
+            for (id, _) in dfg.nodes() {
+                let dense = dfg.impulse_response(id, &opts);
+                let shared = match &mut analysis {
+                    Ok(a) => a.response(id),
+                    Err(e) => Err(e.clone()),
+                };
+                match (dense, shared) {
+                    (Ok((dg, ds)), Ok((sg, ss))) => {
+                        let bits = |g: &ImpulseGains| -> Vec<[u64; 3]> {
+                            g.per_output
+                                .iter()
+                                .map(|o| [o.l1.to_bits(), o.l2_squared.to_bits(), o.dc.to_bits()])
+                                .collect()
+                        };
+                        assert_eq!(dg.source, sg.source);
+                        assert_eq!(bits(&dg), bits(&sg), "{name}: gains from {id}");
+                        let bits = |seqs: &[Vec<f64>]| -> Vec<Vec<u64>> {
+                            seqs.iter()
+                                .map(|s| s.iter().map(|v| v.to_bits()).collect())
+                                .collect()
+                        };
+                        assert_eq!(bits(&ds), bits(&ss), "{name}: sequences from {id}");
+                    }
+                    (Err(d), Err(s)) => assert_eq!(d, s, "{name}: error from {id}"),
+                    (d, s) => panic!("{name}, node {id}: reference {d:?}, shared {s:?}"),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn shared_analysis_builds_the_reference_model_byte_for_byte() {
+        let mut designs: Vec<(String, String)> = examples()
+            .into_iter()
+            .filter(|(name, source)| lower(name, source).dfg.is_linear())
+            .collect();
+        designs.extend(cold_sweep_designs());
+        // A slow pole: its sequences overrun `MAX_RESPONSE_FLOATS`.
+        designs.push((
+            "slow pole".into(),
+            "input x in [-1, 1];\ns = x + 0.9995*s[n-1];\noutput y = 0.5*s + 0.25*s[n-1];\noutput z = s;\n"
+                .into(),
+        ));
+        let opts = LtiOptions::default();
+        for (name, source) in &designs {
+            let lowered = lower(name, source);
+            let dfg = &lowered.dfg;
+            let ranges = dfg
+                .ranges_auto(&lowered.input_ranges, &RangeOptions::default(), &opts)
+                .unwrap();
+            let model = NaModel::build_with_ranges(dfg, &ranges, &opts).unwrap();
+            let reference = reference_build(dfg, &ranges, &opts).unwrap();
+            assert!(model.to_wire() == reference.to_wire(), "{name}");
+            if name == "slow pole" {
+                assert!(model.budgeted_out_sources() > 0, "the cut-off is exercised");
+            }
+        }
     }
 
     /// A FIR whose only taps sit at delays 6 and 16.

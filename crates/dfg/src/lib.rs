@@ -16,7 +16,9 @@
 //!   delays) in the [`Dfg::ranges_interval`] family;
 //! * LTI analysis ([`Dfg::impulse_gains`]) computing per-source L1/L2/DC
 //!   gains to every output — the error-transfer machinery for linear
-//!   datapaths with feedback (the paper's Designs I–IV are all linear).
+//!   datapaths with feedback (the paper's Designs I–IV are all linear);
+//!   [`ImpulseAnalysis`] answers every source of one graph in one shared
+//!   pass.
 //!
 //! # Example
 //!
@@ -61,5 +63,5 @@ pub use builder::DfgBuilder;
 pub use error::DfgError;
 pub use eval::Simulator;
 pub use graph::{Dfg, Node, NodeId, Op, OpCounts};
-pub use lti::{ImpulseGains, LtiOptions, OutputGain};
+pub use lti::{ImpulseAnalysis, ImpulseGains, LtiOptions, OutputGain};
 pub use range::RangeOptions;
