@@ -111,8 +111,8 @@ pub fn run(argv: &[String]) -> Result<String, CliError> {
                     ),
                 });
             }
-            let report =
-                exec::trace_report(entry, &trace, &params, &budget).map_err(CliError::Failed)?;
+            let report = exec::trace_report(entry, &trace, &params, &budget, true)
+                .map_err(CliError::Failed)?;
             Ok(match format {
                 Format::Human => human(path, mode, &params, &report),
                 Format::Json => json_doc("trace", path, exec::trace_result(&report, &params, true)),

@@ -130,9 +130,14 @@ pub struct AnalysisRequest {
     pub words: WlChoice,
     /// Histogram resolution (the paper's granularity knob).
     pub bins: usize,
-    /// Whether reports keep their full PDF (engines that produce one);
-    /// with `false` the histograms are dropped from the returned
-    /// reports. Moments and bounds are always present.
+    /// Whether reports keep their full PDF (engines that produce one).
+    /// With `false` the reports carry no histograms, and the engines
+    /// that can skip the PDF work do: LTI answers from the NA gain
+    /// model's moments without shaping, symbolic skips its term
+    /// convolution, and simulate skips its prediction's PDF. DFG and
+    /// Cartesian derive their moments from their histograms and still
+    /// build them. Moments and bounds are always present and do not
+    /// depend on this flag.
     pub include_pdf: bool,
     /// Cooperative execution budget: engines check it at cheap loop
     /// checkpoints and fail with [`crate::SnaError::DeadlineExceeded`] /

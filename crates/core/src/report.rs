@@ -76,14 +76,25 @@ impl NoiseReport {
         assert!((0.0..=1.0).contains(&coverage), "coverage in [0, 1]");
         match &self.histogram {
             Some(h) => h.credible_interval(coverage),
-            None => {
-                // Chebyshev: P(|X−μ| ≥ kσ) ≤ 1/k².
-                let k = (1.0 / (1.0 - coverage).max(1e-12)).sqrt();
-                let lo = (self.mean - k * self.std_dev()).max(self.support.0);
-                let hi = (self.mean + k * self.std_dev()).min(self.support.1);
-                (lo, hi)
-            }
+            None => self.chebyshev_interval(coverage),
         }
+    }
+
+    /// Central interval holding at least `coverage` probability from the
+    /// moments and support alone, whether or not a PDF is attached:
+    /// ±k·σ around the mean with `k = 1/√(1 − coverage)` (Chebyshev),
+    /// clipped to the support.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `coverage` is outside `[0, 1]`.
+    pub fn chebyshev_interval(&self, coverage: f64) -> (f64, f64) {
+        assert!((0.0..=1.0).contains(&coverage), "coverage in [0, 1]");
+        // Chebyshev: P(|X−μ| ≥ kσ) ≤ 1/k².
+        let k = (1.0 / (1.0 - coverage).max(1e-12)).sqrt();
+        let lo = (self.mean - k * self.std_dev()).max(self.support.0);
+        let hi = (self.mean + k * self.std_dev()).min(self.support.1);
+        (lo, hi)
     }
 
     /// Signal-to-quantization-noise ratio in dB for a signal of the given
@@ -145,6 +156,21 @@ mod tests {
         let (clo, chi) = no_pdf.credible_interval(0.95);
         // Chebyshev is conservative: wider than the Gaussian interval.
         assert!(clo <= lo + 0.5 && chi >= hi - 0.5);
+    }
+
+    #[test]
+    fn chebyshev_interval_ignores_an_attached_pdf() {
+        let with_pdf = NoiseReport::from_histogram(Histogram::gaussian(0.1, 0.5, 128).unwrap());
+        let mut moments_only = with_pdf.clone();
+        moments_only.histogram = None;
+        assert_eq!(
+            with_pdf.chebyshev_interval(0.95),
+            moments_only.credible_interval(0.95)
+        );
+        assert_ne!(
+            with_pdf.chebyshev_interval(0.95),
+            with_pdf.credible_interval(0.95)
+        );
     }
 
     #[test]

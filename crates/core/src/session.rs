@@ -467,13 +467,16 @@ impl Session {
         let budget = &req.budget;
         let mut reports = match kind {
             EngineKind::Auto => unreachable!("resolve_engine returns a concrete kind"),
-            EngineKind::Na => {
-                let model = self.na_model()?;
-                model.evaluate(self.dfg(), &self.wl_config(&req.words)?)
-            }
-            EngineKind::Lti => {
+            EngineKind::Lti if req.include_pdf => {
                 let engine = self.lti_engine(req.bins)?;
                 engine.analyze(self.dfg(), &self.wl_config(&req.words)?, budget)?
+            }
+            // Without a PDF, LTI's answer is the gain model's moments:
+            // `LtiEngine::analyze` takes them from the same `evaluate`
+            // and only adds the shaped histograms.
+            EngineKind::Na | EngineKind::Lti => {
+                let model = self.na_model()?;
+                model.evaluate(self.dfg(), &self.wl_config(&req.words)?)
             }
             EngineKind::Dfg => {
                 let engine = DfgEngine::new(EngineOptions::default().with_bins(req.bins));
@@ -485,6 +488,7 @@ impl Session {
                 let engine = SymbolicEngine::new(SymbolicOptions {
                     symbol_bins: req.bins,
                     out_bins: req.bins * 2,
+                    pdf: req.include_pdf,
                     ..Default::default()
                 });
                 self.on_combinational_target(&req.words, |dfg, config, ranges| {
@@ -498,6 +502,7 @@ impl Session {
                 let sim = self.simulate(&SimRequest {
                     words: req.words.clone(),
                     bins: req.bins,
+                    include_pdf: req.include_pdf,
                     budget: budget.clone(),
                     ..SimRequest::default()
                 })?;

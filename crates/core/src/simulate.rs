@@ -42,6 +42,10 @@ pub struct SimRequest {
     pub workers: usize,
     /// Bins of the empirical error histogram.
     pub bins: usize,
+    /// Whether the analytic prediction keeps its PDF (see
+    /// [`AnalysisRequest::include_pdf`]); its moments do not depend on
+    /// it.
+    pub include_pdf: bool,
     /// Cooperative execution budget, checked before every simulation
     /// chunk. Defaults to unlimited; a budget that never fires leaves
     /// the report bit-identical.
@@ -58,6 +62,7 @@ impl Default for SimRequest {
             warmup: None,
             workers: 0,
             bins: 64,
+            include_pdf: true,
             budget: Budget::unlimited(),
         }
     }
@@ -149,6 +154,7 @@ pub(crate) fn measured_vs_predicted(
     model: Option<&Session>,
     words: &WlChoice,
     bins: usize,
+    include_pdf: bool,
     budget: &Budget,
 ) -> (Vec<SimOutput>, Option<EngineKind>) {
     let prediction = model.and_then(|session| {
@@ -157,7 +163,7 @@ pub(crate) fn measured_vs_predicted(
                 engine: EngineKind::Auto,
                 words: words.clone(),
                 bins,
-                include_pdf: true,
+                include_pdf,
                 budget: budget.clone(),
             })
             .ok()
@@ -230,8 +236,14 @@ impl Session {
         let stats = sna_vm::simulate(&exe, self.input_ranges(), &opts, &cancel_check(&req.budget))
             .map_err(|e| vm_err(e, &req.budget))?;
         let elapsed = started.elapsed();
-        let (outputs, predicted_by) =
-            measured_vs_predicted(stats, Some(self), &req.words, req.bins, &req.budget);
+        let (outputs, predicted_by) = measured_vs_predicted(
+            stats,
+            Some(self),
+            &req.words,
+            req.bins,
+            req.include_pdf,
+            &req.budget,
+        );
 
         Ok(SimReport {
             outputs,

@@ -36,6 +36,10 @@ pub struct SymbolicOptions {
     pub max_degree: u32,
     /// Combination budget if exact Cartesian PDF evaluation is requested.
     pub max_combinations: u128,
+    /// Whether to build the output PDFs. Without them the reports carry
+    /// the same exact moments and interval-hull support and no
+    /// histogram, and the per-term convolution is skipped.
+    pub pdf: bool,
 }
 
 impl Default for SymbolicOptions {
@@ -45,6 +49,7 @@ impl Default for SymbolicOptions {
             out_bins: 128,
             max_degree: 3,
             max_combinations: 50_000_000,
+            pdf: true,
         }
     }
 }
@@ -53,7 +58,7 @@ impl Default for SymbolicOptions {
 #[derive(Clone, Debug)]
 pub struct SymbolicResult {
     /// Per output: `(name, report)` with exact moments, guaranteed bounds
-    /// and a convolution-built PDF.
+    /// and (with [`SymbolicOptions::pdf`]) a convolution-built PDF.
     pub reports: Vec<(String, NoiseReport)>,
     /// The symbol registry (inspect PDFs, names, moments).
     pub table: SymbolTable,
@@ -211,7 +216,11 @@ impl SymbolicEngine {
             let mean = err.mean(&table);
             let variance = err.variance(&table);
             let bounds = err.eval_interval(|_| Interval::UNIT);
-            let pdf = self.convolve_pdf(&err, &table, budget)?;
+            let pdf = if self.opts.pdf {
+                self.convolve_pdf(&err, &table, budget)?
+            } else {
+                None
+            };
             let mut report = match pdf {
                 Some(h) => {
                     let mut r = NoiseReport::from_histogram(h);

@@ -52,6 +52,10 @@ pub struct TraceRequest {
     /// (the `replay` verb) reports measured numbers only and skips the
     /// engine pass entirely.
     pub predict: bool,
+    /// Whether the analytic prediction keeps its PDF (see
+    /// [`crate::AnalysisRequest::include_pdf`]); its moments do not
+    /// depend on it.
+    pub include_pdf: bool,
     /// Cooperative execution budget, checked before every replay
     /// chunk. A budget that never fires leaves the report
     /// bit-identical.
@@ -66,6 +70,7 @@ impl Default for TraceRequest {
             warmup: None,
             workers: 0,
             predict: true,
+            include_pdf: true,
             budget: Budget::unlimited(),
         }
     }
@@ -203,6 +208,7 @@ impl Session {
             req.predict.then_some(&empirical),
             &req.words,
             req.bins,
+            req.include_pdf,
             &req.budget,
         );
 

@@ -93,12 +93,15 @@ pub fn analyze_report(
     entry: &CompiledEntry,
     params: &AnalyzeParams,
 ) -> Result<AnalysisReport, String> {
-    analyze_report_budgeted(entry, params, &Budget::unlimited())
+    analyze_report_budgeted(entry, params, &Budget::unlimited(), true)
 }
 
 /// [`analyze_report`] under a cooperative execution [`Budget`]: an
 /// overrun stops the engine at its next checkpoint and renders the
-/// structured `deadline exceeded` / `request cancelled` error.
+/// structured `deadline exceeded` / `request cancelled` error. With
+/// `include_pdf` false the engines skip the PDF work they can (see
+/// [`AnalysisRequest::include_pdf`]) and the reports carry no
+/// histograms.
 ///
 /// # Errors
 ///
@@ -107,6 +110,7 @@ pub fn analyze_report_budgeted(
     entry: &CompiledEntry,
     params: &AnalyzeParams,
     budget: &Budget,
+    include_pdf: bool,
 ) -> Result<AnalysisReport, String> {
     let AnalyzeParams { engine, bits, bins } = *params;
     check_bins(bins)?;
@@ -114,7 +118,7 @@ pub fn analyze_report_budgeted(
         engine,
         words: WlChoice::Uniform(bits),
         bins,
-        include_pdf: true,
+        include_pdf,
         budget: budget.clone(),
     };
     entry
@@ -197,13 +201,14 @@ impl Default for SimulateParams {
 /// Configuration and simulation failures, rendered; `bins`, `paths`,
 /// and `steps` outside their ceilings are rejected up front.
 pub fn simulate(entry: &CompiledEntry, params: &SimulateParams) -> Result<SimReport, String> {
-    simulate_budgeted(entry, params, &Budget::unlimited())
+    simulate_budgeted(entry, params, &Budget::unlimited(), true)
 }
 
 /// [`simulate`] under a cooperative execution [`Budget`]: the VM checks
 /// it before every Monte-Carlo chunk claim, so an overrun request stops
 /// within one chunk's work and renders the structured `deadline
-/// exceeded` / `request cancelled` error.
+/// exceeded` / `request cancelled` error. `include_pdf` is passed to
+/// the analytic prediction (see [`SimRequest::include_pdf`]).
 ///
 /// # Errors
 ///
@@ -212,6 +217,7 @@ pub fn simulate_budgeted(
     entry: &CompiledEntry,
     params: &SimulateParams,
     budget: &Budget,
+    include_pdf: bool,
 ) -> Result<SimReport, String> {
     let SimulateParams {
         bits,
@@ -246,6 +252,7 @@ pub fn simulate_budgeted(
         warmup,
         workers,
         bins,
+        include_pdf,
         budget: budget.clone(),
     };
     entry.session.simulate(&req).map_err(|e| match e {
@@ -423,7 +430,8 @@ pub fn trace_fit(
 /// ranges. The VM checks the cooperative execution [`Budget`] before
 /// every replay chunk claim, so an overrun request stops within one
 /// chunk's work and renders the structured `deadline exceeded` /
-/// `request cancelled` error.
+/// `request cancelled` error. `include_pdf` is passed to the analytic
+/// prediction (see [`sna_core::TraceRequest::include_pdf`]).
 ///
 /// # Errors
 ///
@@ -434,6 +442,7 @@ pub fn trace_report(
     trace: &Trace,
     params: &TraceParams,
     budget: &Budget,
+    include_pdf: bool,
 ) -> Result<TraceReport, String> {
     let TraceParams {
         bits,
@@ -454,6 +463,7 @@ pub fn trace_report(
         warmup,
         workers,
         predict,
+        include_pdf,
         budget: budget.clone(),
     };
     entry.session.trace(trace, &req).map_err(|e| match e {
@@ -806,6 +816,13 @@ pub fn parse_result(dfg: &sna_dfg::Dfg, input_ranges: &[sna_interval::Interval])
 
 /// One noise report as a JSON object (an element of the `analyze`
 /// result's `reports`).
+///
+/// With `include_pdf`, `credible95` comes from the PDF when the report
+/// carries one and `histogram` holds its bins, range and masses.
+/// Without it the object is rendered from the moments and support
+/// alone, whether or not a histogram exists: `credible95` is the
+/// Chebyshev interval ([`NoiseReport::chebyshev_interval`]) and
+/// `histogram` is `null`.
 #[must_use]
 pub fn report_json(name: &str, report: &NoiseReport, include_pdf: bool) -> Json {
     let mut fields = vec![
@@ -819,35 +836,25 @@ pub fn report_json(name: &str, report: &NoiseReport, include_pdf: bool) -> Json 
             Json::pair(report.support.0, report.support.1),
         ),
     ];
-    let (lo95, hi95) = report.credible_interval(0.95);
+    let (lo95, hi95) = if include_pdf {
+        report.credible_interval(0.95)
+    } else {
+        report.chebyshev_interval(0.95)
+    };
     fields.push(("credible95".to_string(), Json::pair(lo95, hi95)));
-    match &report.histogram {
-        Some(h) if include_pdf => {
-            fields.push((
-                "histogram".to_string(),
-                Json::Obj(vec![
-                    ("bins".to_string(), Json::int(h.n_bins())),
-                    ("lo".to_string(), Json::Num(h.grid().lo())),
-                    ("hi".to_string(), Json::Num(h.grid().hi())),
-                    (
-                        "masses".to_string(),
-                        Json::Arr(h.probs().iter().map(|&m| Json::Num(m)).collect()),
-                    ),
-                ]),
-            ));
-        }
-        Some(h) => {
-            fields.push((
-                "histogram".to_string(),
-                Json::Obj(vec![
-                    ("bins".to_string(), Json::int(h.n_bins())),
-                    ("lo".to_string(), Json::Num(h.grid().lo())),
-                    ("hi".to_string(), Json::Num(h.grid().hi())),
-                ]),
-            ));
-        }
-        None => fields.push(("histogram".to_string(), Json::Null)),
-    }
+    let histogram = match &report.histogram {
+        Some(h) if include_pdf => Json::Obj(vec![
+            ("bins".to_string(), Json::int(h.n_bins())),
+            ("lo".to_string(), Json::Num(h.grid().lo())),
+            ("hi".to_string(), Json::Num(h.grid().hi())),
+            (
+                "masses".to_string(),
+                Json::Arr(h.probs().iter().map(|&m| Json::Num(m)).collect()),
+            ),
+        ]),
+        _ => Json::Null,
+    };
+    fields.push(("histogram".to_string(), histogram));
     Json::Obj(fields)
 }
 
@@ -955,6 +962,36 @@ mod tests {
             let report =
                 analyze_report(&comb, &params).unwrap_or_else(|e| panic!("{}: {e}", engine.name()));
             assert_eq!(report.reports[0].0, "y");
+        }
+    }
+
+    #[test]
+    fn report_json_without_pdf_ignores_an_attached_histogram() {
+        // A reference built with histograms and rendered with `pdf:false`
+        // must equal the moments-only answer the server computes.
+        let e = entry("input x in [-1, 1];\noutput y = 0.5*x + 0.25*x;\n");
+        for engine in [
+            AnalyzeEngine::Lti,
+            AnalyzeEngine::Dfg,
+            AnalyzeEngine::Symbolic,
+        ] {
+            let params = AnalyzeParams {
+                engine,
+                bits: 8,
+                bins: 32,
+            };
+            let with = analyze_report(&e, &params).unwrap().reports;
+            let without = analyze_report_budgeted(&e, &params, &Budget::unlimited(), false)
+                .unwrap()
+                .reports;
+            for ((name, a), (_, b)) in with.iter().zip(&without) {
+                assert!(a.histogram.is_some() && b.histogram.is_none());
+                let rendered = report_json(name, a, false);
+                assert_eq!(rendered, report_json(name, b, false), "{}", engine.name());
+                assert_eq!(rendered.get("histogram"), Some(&Json::Null));
+                let (lo, hi) = a.chebyshev_interval(0.95);
+                assert_eq!(rendered.get("credible95"), Some(&Json::pair(lo, hi)));
+            }
         }
     }
 

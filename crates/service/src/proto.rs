@@ -226,7 +226,7 @@ impl Handler<'_> {
                     bins: usize_field(doc, "bins", 64)?,
                 };
                 let include_pdf = bool_field(doc, "pdf", true)?;
-                let report = exec::analyze_report_budgeted(&entry, &params, &budget)?;
+                let report = exec::analyze_report_budgeted(&entry, &params, &budget, include_pdf)?;
                 engine = Some((report.engine.name(), micros(report.elapsed)));
                 exec::analyze_result(&report, &params, include_pdf)
             }
@@ -250,7 +250,7 @@ impl Handler<'_> {
                     workers: bounded_usize_field(doc, "workers", 0, sna_vm::MAX_WORKERS)?,
                 };
                 let include_pdf = bool_field(doc, "pdf", true)?;
-                let report = exec::simulate_budgeted(&entry, &params, &budget)?;
+                let report = exec::simulate_budgeted(&entry, &params, &budget, include_pdf)?;
                 engine = Some(("simulate", micros(report.elapsed)));
                 exec::simulate_result(&report, &params, include_pdf)
             }
@@ -289,7 +289,7 @@ impl Handler<'_> {
                         workers: bounded_usize_field(doc, "workers", 0, sna_vm::MAX_WORKERS)?,
                         predict: mode == "report",
                     };
-                    let report = exec::trace_report(&entry, &trace, &params, &budget)?;
+                    let report = exec::trace_report(&entry, &trace, &params, &budget, include_pdf)?;
                     engine = Some(("trace", micros(report.elapsed)));
                     exec::trace_result(&report, &params, include_pdf)
                 }

@@ -364,3 +364,269 @@ fn tcp_round_trip_shares_the_cache_across_connections() {
     );
     assert_eq!(cache.stats().entries, 1);
 }
+
+/// The shipped examples with each applicable analyze engine and the
+/// two word lengths the warm-mix benchmark sends them at.
+const EXAMPLES: [(&str, &[&str], [usize; 2]); 7] = [
+    ("biquad", &["auto", "na", "lti", "dfg", "symbolic"], [8, 12]),
+    ("diffeq", &["auto", "na", "lti", "dfg", "symbolic"], [8, 12]),
+    ("fir", &["auto", "na", "lti", "dfg", "symbolic"], [8, 12]),
+    (
+        "fir_taps",
+        &["auto", "na", "lti", "dfg", "symbolic"],
+        [8, 12],
+    ),
+    (
+        "quadratic",
+        &["auto", "dfg", "symbolic", "cartesian"],
+        [8, 12],
+    ),
+    // The constant 128 needs more than 8 bits.
+    (
+        "rgb",
+        &["auto", "na", "lti", "dfg", "symbolic", "cartesian"],
+        [12, 16],
+    ),
+    (
+        "vec_dot",
+        &["auto", "na", "lti", "dfg", "symbolic", "cartesian"],
+        [8, 12],
+    ),
+];
+
+fn example_source(stem: &str) -> String {
+    let path = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("../../examples")
+        .join(format!("{stem}.sna"));
+    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()))
+}
+
+/// `json` with every `elapsed_us` member removed.
+fn without_elapsed(json: &Json) -> Json {
+    match json {
+        Json::Obj(fields) => Json::Obj(
+            fields
+                .iter()
+                .filter(|(k, _)| k != "elapsed_us")
+                .map(|(k, v)| (k.clone(), without_elapsed(v)))
+                .collect(),
+        ),
+        Json::Arr(items) => Json::Arr(items.iter().map(without_elapsed).collect()),
+        other => other.clone(),
+    }
+}
+
+/// A `pdf:true` report object as `pdf:false` renders it: `credible95`
+/// is the Chebyshev interval of the moments, clipped to the support,
+/// and `histogram` is `null`. `null` (no prediction) stays `null`.
+fn moments_only(report: &Json) -> Json {
+    let Json::Obj(fields) = report else {
+        return report.clone();
+    };
+    let num = |key: &str| report.get(key).and_then(Json::as_f64).unwrap();
+    let support = |i: usize| match report.get("support") {
+        Some(Json::Arr(pair)) => pair[i].as_f64().unwrap(),
+        other => panic!("support must be a pair, got {other:?}"),
+    };
+    let k = (1.0 / (1.0 - 0.95_f64)).sqrt();
+    let (mean, sd) = (num("mean"), num("variance").sqrt());
+    let lo = (mean - k * sd).max(support(0));
+    let hi = (mean + k * sd).min(support(1));
+    Json::Obj(
+        fields
+            .iter()
+            .map(|(key, v)| {
+                let v = match key.as_str() {
+                    "credible95" => Json::Arr(vec![Json::Num(lo), Json::Num(hi)]),
+                    "histogram" => Json::Null,
+                    _ => v.clone(),
+                };
+                (key.clone(), v)
+            })
+            .collect(),
+    )
+}
+
+/// The `result` of a `pdf:true` response as the `pdf:false` request
+/// must answer it: every report object rendered from moments alone.
+fn expected_without_pdf(cmd: &str, result: &Json) -> Json {
+    let Json::Obj(fields) = without_elapsed(result) else {
+        panic!("result must be an object: {result}");
+    };
+    let measured = if cmd == "trace" {
+        "measured"
+    } else {
+        "empirical"
+    };
+    Json::Obj(
+        fields
+            .into_iter()
+            .map(|(key, v)| match (key.as_str(), v) {
+                ("reports", Json::Arr(reports)) => {
+                    (key, Json::Arr(reports.iter().map(moments_only).collect()))
+                }
+                ("outputs", Json::Arr(outputs)) => {
+                    let outputs = outputs
+                        .into_iter()
+                        .map(|out| {
+                            let Json::Obj(members) = out else {
+                                panic!("output rows are objects");
+                            };
+                            Json::Obj(
+                                members
+                                    .into_iter()
+                                    .map(|(k, v)| {
+                                        let v = if k == measured || k == "predicted" {
+                                            moments_only(&v)
+                                        } else {
+                                            v
+                                        };
+                                        (k, v)
+                                    })
+                                    .collect(),
+                            )
+                        })
+                        .collect();
+                    (key, Json::Arr(outputs))
+                }
+                (_, v) => (key, v),
+            })
+            .collect(),
+    )
+}
+
+/// A deterministic CSV trace of `columns`, each drawn inside `[-0.9, 0.9]`
+/// around `offset`.
+fn trace_csv(columns: &[(&str, f64)], rows: usize) -> String {
+    let mut state = 0x2545_f491_4f6c_dd1d_u64;
+    let mut csv = columns
+        .iter()
+        .map(|(name, _)| *name)
+        .collect::<Vec<_>>()
+        .join(",");
+    csv.push('\n');
+    for _ in 0..rows {
+        let row: Vec<String> = columns
+            .iter()
+            .map(|&(_, offset)| {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                let unit = (state >> 11) as f64 / (1u64 << 53) as f64;
+                format!("{:.6}", offset + 1.8 * unit - 0.9)
+            })
+            .collect();
+        csv.push_str(&row.join(","));
+        csv.push('\n');
+    }
+    csv
+}
+
+#[test]
+fn pdf_false_renders_the_pdf_true_result_from_moments_on_every_example() {
+    // Each request goes out twice, `pdf:true` then `pdf:false`.
+    let mut requests: Vec<(String, Vec<(&str, Json)>)> = Vec::new();
+    for (stem, engines, bits) in EXAMPLES {
+        let source = example_source(stem);
+        for engine in engines {
+            for b in bits {
+                let mut fields = vec![
+                    ("cmd", Json::str("analyze")),
+                    ("source", Json::str(source.clone())),
+                    ("engine", Json::str(*engine)),
+                    ("bits", Json::int(b)),
+                ];
+                if *engine == "cartesian" {
+                    fields.push(("bins", Json::int(16)));
+                }
+                requests.push((format!("{stem} {engine} {b}"), fields));
+            }
+        }
+        for b in bits {
+            requests.push((
+                format!("{stem} simulate {b}"),
+                vec![
+                    ("cmd", Json::str("simulate")),
+                    ("source", Json::str(source.clone())),
+                    ("bits", Json::int(b)),
+                    ("paths", Json::int(2048)),
+                    ("seed", Json::int(7)),
+                    ("workers", Json::int(1)),
+                ],
+            ));
+        }
+    }
+    // Trace reports with an LTI (fir, diffeq) and a DFG (quadratic)
+    // prediction.
+    for (stem, columns) in [
+        ("fir", vec![("x", 0.0)]),
+        ("diffeq", vec![("x", 0.0)]),
+        (
+            "quadratic",
+            vec![("x", 0.0), ("a", 9.5), ("b", -5.0), ("c", 6.5)],
+        ),
+    ] {
+        requests.push((
+            format!("{stem} trace"),
+            vec![
+                ("cmd", Json::str("trace")),
+                ("source", Json::str(example_source(stem))),
+                ("trace", Json::str(trace_csv(&columns, 1500))),
+                ("workers", Json::int(1)),
+            ],
+        ));
+    }
+
+    let lines: Vec<String> = requests
+        .iter()
+        .flat_map(|(_, fields)| {
+            [true, false].map(|pdf| {
+                let mut members: Vec<(String, Json)> = fields
+                    .iter()
+                    .map(|(k, v)| (k.to_string(), v.clone()))
+                    .collect();
+                members.push(("pdf".into(), Json::Bool(pdf)));
+                Json::Obj(members).to_compact()
+            })
+        })
+        .collect();
+    let (responses, report) = run_session(&lines);
+    assert_eq!(report.errors, 0);
+    assert_eq!(responses.len(), lines.len());
+
+    let mut without_pdf: std::collections::HashMap<String, Json> = Default::default();
+    for ((label, fields), pair) in requests.iter().zip(responses.chunks(2)) {
+        let cmd = fields[0].1.as_str().unwrap();
+        let result = |resp: &Json| {
+            assert_eq!(
+                resp.get("ok").and_then(Json::as_bool),
+                Some(true),
+                "{label}: {resp}"
+            );
+            resp.get("result").unwrap().clone()
+        };
+        let (with, without) = (result(&pair[0]), result(&pair[1]));
+        assert_eq!(
+            without_elapsed(&without),
+            expected_without_pdf(cmd, &with),
+            "{label}: pdf:false is not the pdf:true result rendered from moments"
+        );
+        without_pdf.insert(label.clone(), without);
+    }
+
+    // LTI without a PDF is the NA answer, byte for byte.
+    for (stem, engines, bits) in EXAMPLES {
+        if !engines.contains(&"lti") {
+            continue;
+        }
+        for b in bits {
+            let reports = |engine: &str| {
+                without_pdf[&format!("{stem} {engine} {b}")]
+                    .get("reports")
+                    .unwrap()
+                    .to_compact()
+            };
+            assert_eq!(reports("lti"), reports("na"), "{stem} at {b} bits");
+        }
+    }
+}

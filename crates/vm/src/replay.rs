@@ -158,7 +158,7 @@ pub fn replay(
             run_chunk(i)
         }
     });
-    merge_stats(exe, n_out, chunks, opts.bins)
+    merge_stats(exe, chunks, opts.bins)
 }
 
 #[cfg(test)]

@@ -172,44 +172,44 @@ pub fn simulate(
             run_chunk(i)
         }
     });
-    merge_stats(exe, n_out, chunks, opts.bins)
+    merge_stats(exe, chunks, opts.bins)
 }
 
-/// Merges chunk results in chunk-index order — the sample sequence
-/// (and therefore every statistic) is identical for any worker count —
-/// and reduces them to per-output statistics.
+/// Reduces chunk results to per-output statistics, reading every
+/// output's samples chunk by chunk in chunk-index order — the sample
+/// sequence (and therefore every statistic, summation order included)
+/// is identical for any worker count, and no merged copy is made.
 pub(crate) fn merge_stats(
     exe: &Executable,
-    n_out: usize,
     chunks: Vec<Result<ChunkSamples, VmError>>,
     bins: usize,
 ) -> Result<Vec<OutputStats>, VmError> {
-    let mut merged: Vec<Vec<f64>> = vec![Vec::new(); n_out];
-    for chunk in chunks {
-        let chunk = chunk?;
-        for (into, from) in merged.iter_mut().zip(chunk) {
-            into.extend(from);
-        }
-    }
-
+    let chunks = chunks.into_iter().collect::<Result<Vec<_>, _>>()?;
     exe.output_names()
         .iter()
-        .zip(&merged)
-        .map(|(name, samples)| stats_of(name, samples, bins))
+        .enumerate()
+        .map(|(k, name)| {
+            let slices: Vec<&[f64]> = chunks.iter().map(|c| c[k].as_slice()).collect();
+            stats_of(name, &slices, bins)
+        })
         .collect()
 }
 
-fn stats_of(name: &str, samples: &[f64], bins: usize) -> Result<OutputStats, VmError> {
-    if samples.is_empty() {
+/// One output's statistics over its samples, stored in `slices` and
+/// read in order.
+fn stats_of(name: &str, slices: &[&[f64]], bins: usize) -> Result<OutputStats, VmError> {
+    let samples = || slices.iter().flat_map(|s| s.iter());
+    let count: usize = slices.iter().map(|s| s.len()).sum();
+    if count == 0 {
         return Err(VmError::NoSamples);
     }
-    let n = samples.len() as f64;
-    let mean = samples.iter().sum::<f64>() / n;
-    let variance = samples.iter().map(|e| (e - mean) * (e - mean)).sum::<f64>() / n;
-    let power = samples.iter().map(|e| e * e).sum::<f64>() / n;
-    let min = samples.iter().copied().fold(f64::INFINITY, f64::min);
-    let max = samples.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-    let histogram = Histogram::from_samples(samples.iter().copied(), bins)?;
+    let n = count as f64;
+    let mean = samples().sum::<f64>() / n;
+    let variance = samples().map(|e| (e - mean) * (e - mean)).sum::<f64>() / n;
+    let power = samples().map(|e| e * e).sum::<f64>() / n;
+    let min = samples().copied().fold(f64::INFINITY, f64::min);
+    let max = samples().copied().fold(f64::NEG_INFINITY, f64::max);
+    let histogram = Histogram::from_sample_slices(slices, bins)?;
     Ok(OutputStats {
         name: name.to_string(),
         mean,
@@ -217,7 +217,7 @@ fn stats_of(name: &str, samples: &[f64], bins: usize) -> Result<OutputStats, VmE
         min,
         max,
         power,
-        samples: samples.len(),
+        samples: count,
         histogram,
     })
 }
