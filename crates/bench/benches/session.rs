@@ -52,7 +52,6 @@ struct SessionNumbers {
     speedup: f64,
     max_rel_err: f64,
     gains_rebuilt: u64,
-    gains_derived: u64,
     gains_reused: u64,
 }
 
@@ -103,7 +102,6 @@ fn measure_session(iters: usize) -> SessionNumbers {
         speedup: full_s / swap_s,
         max_rel_err,
         gains_rebuilt: stats.gains_rebuilt / iters as u64,
-        gains_derived: stats.gains_derived / iters as u64,
         gains_reused: stats.gains_reused / iters as u64,
     }
 }
@@ -219,7 +217,7 @@ fn main() {
             "  \"bench\": \"session\",\n",
             "  \"fir25_session\": {{\"full_compile_ms\": {:.3}, ",
             "\"coefficient_swap_ms\": {:.3}, \"speedup\": {:.2}, ",
-            "\"gains_rebuilt\": {}, \"gains_derived\": {}, \"gains_reused\": {}, ",
+            "\"gains_rebuilt\": {}, \"gains_reused\": {}, ",
             "\"max_rel_err\": {:e}}},\n",
             "  \"fir25_cache\": {{\"miss_ms\": {:.3}, ",
             "\"shape_hit_ms\": {:.3}, \"speedup\": {:.2}}}\n",
@@ -229,7 +227,6 @@ fn main() {
         session.swap_ms,
         session.speedup,
         session.gains_rebuilt,
-        session.gains_derived,
         session.gains_reused,
         session.max_rel_err,
         cache.miss_ms,

@@ -26,7 +26,8 @@
 //! Lowering never reruns (the graph skeleton is cloned with constants
 //! swapped), range analysis re-evaluates only the downstream cones of
 //! the changed constants, and the NA model re-simulates impulse gains
-//! only for sources whose transfer path crosses a changed coefficient,
+//! only for sources whose transfer path crosses a changed coefficient
+//! (through one shared impulse analysis, the code a cold build runs),
 //! cloning every other gain from the donor model.  Stage-build counters
 //! ([`Session::stats`]) make the reuse observable and testable.
 
@@ -83,7 +84,6 @@ struct Counters {
     na_builds: AtomicU64,
     na_patches: AtomicU64,
     gains_rebuilt: AtomicU64,
-    gains_derived: AtomicU64,
     gains_reused: AtomicU64,
     view_builds: AtomicU64,
     lti_builds: AtomicU64,
@@ -104,8 +104,8 @@ pub struct SessionStats {
     pub na_patches: u64,
     /// Impulse analyses re-simulated across all patches.
     pub gains_rebuilt: u64,
-    /// Impulse responses derived from stored sequences by the consumer
-    /// recurrence (no simulation) across all patches.
+    /// Always 0: patches re-simulate every dirty source. Kept so readers
+    /// of the snapshot (the end-to-end benchmark) keep compiling.
     pub gains_derived: u64,
     /// Impulse analyses cloned from a donor model across all patches.
     pub gains_reused: u64,
@@ -207,7 +207,7 @@ impl Session {
             na_builds: c.na_builds.load(Ordering::Relaxed),
             na_patches: c.na_patches.load(Ordering::Relaxed),
             gains_rebuilt: c.gains_rebuilt.load(Ordering::Relaxed),
-            gains_derived: c.gains_derived.load(Ordering::Relaxed),
+            gains_derived: 0,
             gains_reused: c.gains_reused.load(Ordering::Relaxed),
             view_builds: c.view_builds.load(Ordering::Relaxed),
             lti_builds: c.lti_builds.load(Ordering::Relaxed),
@@ -635,9 +635,6 @@ impl Session {
                         .gains_rebuilt
                         .fetch_add(patch.rebuilt as u64, Ordering::Relaxed);
                     self.counters
-                        .gains_derived
-                        .fetch_add(patch.derived as u64, Ordering::Relaxed);
-                    self.counters
                         .gains_reused
                         .fetch_add(patch.reused as u64, Ordering::Relaxed);
                     let _ = session.na.set(Ok(Arc::new(model)));
@@ -762,7 +759,7 @@ impl Session {
         }
         match self.na.get() {
             Some(Ok(model)) => {
-                w.u8(1);
+                w.u8(NA_STAGE_TAG);
                 w.bytes(&model.to_wire());
             }
             _ => w.u8(0),
@@ -833,11 +830,13 @@ impl Session {
         };
         let na_model = match r.u8()? {
             0 => None,
-            1 => Some(NaModel::from_wire(
+            NA_STAGE_TAG => Some(NaModel::from_wire(
                 &r.bytes()?,
                 dfg.len(),
                 dfg.outputs().len(),
             )?),
+            // Tag 1 is the retired layout that also stored response
+            // sequences: schema damage, so the caller recompiles.
             t => return Err(WireError::new(format!("bad model tag {t}"))),
         };
         let vm_program = match r.u8()? {
@@ -867,6 +866,10 @@ impl Session {
         Ok(session)
     }
 }
+
+/// The export tag of a built NA stage in the current [`NaModel::to_wire`]
+/// layout.
+const NA_STAGE_TAG: u8 = 2;
 
 /// The sources whose impulse gains a coefficient swap can change: a
 /// source is dirty iff some path from it to an output crosses a
@@ -1065,13 +1068,16 @@ mod tests {
         assert_eq!(after.range_patches, 1, "{after:?}");
         assert_eq!(after.na_patches, 1, "{after:?}");
         assert!(after.gains_reused > 0, "{after:?}");
-        // The delay-chain sources upstream of the retuned tap are
-        // derived by the consumer recurrence, not re-simulated.
-        assert!(after.gains_derived > 0, "{after:?}");
-        assert!(
-            after.gains_rebuilt <= 1,
-            "only the changed constant itself may need a forward sim: {after:?}"
+        // Every source's gains are either re-simulated or cloned: the
+        // three upstream of the retuned tap (x, x1 and its constant) are
+        // re-simulated, the rest cloned.
+        assert_eq!(
+            after.gains_rebuilt + after.gains_reused,
+            swapped.dfg().len() as u64,
+            "{after:?}"
         );
+        assert_eq!(after.gains_rebuilt, 3, "{after:?}");
+        assert_eq!(after.gains_derived, 0, "{after:?}");
         // The stages really are present without further building.
         assert!(swapped.ranges.get().is_some());
         assert!(swapped.na.get().is_some());
@@ -1098,14 +1104,8 @@ mod tests {
         let b = cold.analyze(&req).unwrap();
         for ((n1, ra), (n2, rb)) in a.reports.iter().zip(&b.reports) {
             assert_eq!(n1, n2);
-            let tol = 1e-12 * rb.variance.abs().max(1e-300);
-            assert!(
-                (ra.variance - rb.variance).abs() <= tol,
-                "variance {} vs {}",
-                ra.variance,
-                rb.variance
-            );
-            assert!((ra.mean - rb.mean).abs() <= 1e-12 * rb.mean.abs().max(1e-30));
+            assert_eq!(ra.variance.to_bits(), rb.variance.to_bits());
+            assert_eq!(ra.mean.to_bits(), rb.mean.to_bits());
         }
     }
 

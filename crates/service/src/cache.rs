@@ -1079,6 +1079,121 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// The skeleton `Session::export_wire` wrote while the NA stage was
+    /// tag 1: the model carried a table of impulse-response sequences
+    /// between its gains and its coefficient sites. Ranges and bytecode
+    /// are left unbuilt (tag 0).
+    fn tag1_skeleton(session: &Session) -> Vec<u8> {
+        let dfg = session.dfg();
+        let ranges = session.node_ranges().unwrap();
+        let opts = sna_dfg::LtiOptions::default();
+        let mut m = WireWriter::new();
+        m.len(dfg.outputs().len());
+        for (name, _) in dfg.outputs() {
+            m.str(name);
+        }
+        let responses: Vec<_> = dfg
+            .nodes()
+            .map(|(id, _)| dfg.impulse_response(id, &opts).unwrap())
+            .collect();
+        m.len(responses.len());
+        for (g, _) in &responses {
+            m.u8(1);
+            m.u64(g.source.index() as u64);
+            m.len(g.per_output.len());
+            for og in &g.per_output {
+                m.f64(og.l1);
+                m.f64(og.l2_squared);
+                m.f64(og.dc);
+            }
+        }
+        m.len(responses.len());
+        for (_, seqs) in &responses {
+            m.u8(1);
+            m.len(seqs.len());
+            for seq in seqs {
+                m.len(seq.len());
+                for &v in seq {
+                    m.f64(v);
+                }
+            }
+        }
+        let sites = session.na_model().unwrap().coeff_sites().to_vec();
+        m.len(sites.len());
+        for cs in &sites {
+            let sna_dfg::Op::Const(c) = dfg.node(cs.const_node()).op() else {
+                panic!("coefficient sites name constants");
+            };
+            let args = dfg.node(cs.site()).args();
+            let other = if args[0] == cs.const_node() {
+                args[1]
+            } else {
+                args[0]
+            };
+            let r = ranges[other.index()];
+            m.u64(cs.const_node().index() as u64);
+            m.f64(c);
+            m.u64(cs.site().index() as u64);
+            m.u8(0); // a multiplier factor
+            m.f64(r.mid());
+            m.f64(r.rad());
+        }
+
+        let mut w = WireWriter::new();
+        w.bytes(&dfg.to_wire());
+        w.len(session.input_ranges().len());
+        for r in session.input_ranges() {
+            w.f64(r.lo());
+            w.f64(r.hi());
+        }
+        w.u8(0);
+        w.u8(1);
+        w.bytes(&m.finish());
+        w.u8(0);
+        w.finish()
+    }
+
+    #[test]
+    fn tag1_skeletons_are_discarded_and_recompiled() {
+        let dir = store_dir("tag1");
+        let fp = seed(&dir, SRC);
+        let (canon, shape, seeded) = load_skeleton(&Store::open(&dir).unwrap(), fp).unwrap();
+        let old = tag1_skeleton(&seeded);
+        assert!(Session::import_wire(&old).is_err());
+        {
+            let mut w = WireWriter::new();
+            w.str(&canon);
+            w.str(&shape);
+            w.bytes(&old);
+            Store::open(&dir)
+                .unwrap()
+                .put(SKEL_KIND, fp, &w.finish())
+                .unwrap();
+        }
+
+        let cache = cache_on(&dir);
+        let (entry, lookup) = cache.get_or_compile(SRC).unwrap();
+        assert_eq!(lookup, Lookup::Miss);
+        let store = cache.store().unwrap();
+        assert!(store.stats().corrupt >= 1);
+        assert!(store.get(SKEL_KIND, fp).is_none());
+
+        let req = sna_core::AnalysisRequest {
+            engine: sna_core::EngineKind::Na,
+            words: sna_core::WlChoice::Uniform(8),
+            ..sna_core::AnalysisRequest::default()
+        };
+        let (fresh, _) = CompileCache::new().get_or_compile(SRC).unwrap();
+        let a = entry.session.analyze(&req).unwrap();
+        let b = fresh.session.analyze(&req).unwrap();
+        for ((n1, ra), (n2, rb)) in a.reports.iter().zip(&b.reports) {
+            assert_eq!(n1, n2);
+            assert_eq!(ra.mean.to_bits(), rb.mean.to_bits());
+            assert_eq!(ra.variance.to_bits(), rb.variance.to_bits());
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn respill_overwrites_with_newly_built_stages() {
         let dir = store_dir("respill");
