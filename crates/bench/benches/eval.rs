@@ -15,7 +15,10 @@
 //! Besides the Criterion groups, `main` measures sustained samples/sec
 //! for both backends plus the VM's cold compile+bind time, asserts the
 //! ≥10× speedup the backend exists for, and writes `BENCH_eval.json`
-//! at the workspace root so CI tracks the numbers over time.
+//! at the workspace root so CI tracks the numbers over time.  The JSON
+//! names the lane-kernel tier that ran (`"isa"`: `avx512`, `avx2` or
+//! `portable`, the widest the host CPU reports), since the VM figure
+//! depends on it.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -56,6 +59,7 @@ impl Lcg {
 }
 
 struct Measured {
+    isa: &'static str,
     vm_samples_per_s: f64,
     scalar_samples_per_s: f64,
     compile_us: f64,
@@ -140,6 +144,7 @@ fn measure(design: &Design) -> Measured {
     let scalar_samples_per_s = scalar_steps as f64 / t0.elapsed().as_secs_f64();
 
     Measured {
+        isa: exe.isa().name(),
         vm_samples_per_s,
         scalar_samples_per_s,
         compile_us,
@@ -202,12 +207,12 @@ fn main() {
         concat!(
             "{{\n",
             "  \"bench\": \"eval\",\n",
-            "  \"fir25\": {{\"vm_samples_per_s\": {:.0}, ",
+            "  \"fir25\": {{\"isa\": \"{}\", \"vm_samples_per_s\": {:.0}, ",
             "\"scalar_samples_per_s\": {:.0}, \"speedup\": {:.2}, ",
             "\"compile_us\": {:.1}}}\n",
             "}}\n"
         ),
-        m.vm_samples_per_s, m.scalar_samples_per_s, speedup, m.compile_us,
+        m.isa, m.vm_samples_per_s, m.scalar_samples_per_s, speedup, m.compile_us,
     );
     let path = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_eval.json");
     std::fs::write(&path, &json).expect("write BENCH_eval.json");

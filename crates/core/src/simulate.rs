@@ -129,7 +129,7 @@ pub struct SimReport {
 pub(crate) fn vm_err(e: VmError, budget: &Budget) -> SnaError {
     match e {
         VmError::DivisionByZero { node } => SnaError::Dfg(DfgError::DivisionByZero { node }),
-        VmError::InputArity { expected, got } => {
+        VmError::InputArity { expected, got } | VmError::LaneCount { expected, got } => {
             SnaError::Dfg(DfgError::WrongInputCount { expected, got })
         }
         VmError::NoSamples => SnaError::Fixp(FixpError::NoSamples),

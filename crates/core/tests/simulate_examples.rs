@@ -14,11 +14,14 @@
 //!    different seeds (the flake check).
 //! 3. **Determinism**: the same seed produces bit-identical reports
 //!    whatever the worker count.
+//! 4. **Golden**: seeded reports match recorded bit patterns, so a
+//!    lane-kernel change that drifts by one ulp on any CPU tier fails
+//!    here even though every in-process comparison would agree.
 
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use sna_core::{Session, SimRequest};
+use sna_core::{Session, SimRequest, WlChoice};
 use sna_dfg::Simulator;
 use sna_fixp::{FixedSimulator, WlConfig};
 use sna_vm::{Executable, Program};
@@ -244,4 +247,61 @@ fn same_seed_is_bit_identical_across_worker_counts() {
             }
         }
     }
+}
+
+/// Word lengths each example is simulated at by the end-to-end
+/// benchmark's warm-mix workload (`rgb`'s `+128` constants need more
+/// than 8 bits).
+fn warm_mix_bits(example: &str) -> [u8; 2] {
+    if example == "rgb.sna" {
+        [12, 16]
+    } else {
+        [8, 12]
+    }
+}
+
+/// The `to_bits` of every output's mean, variance, power, min and max
+/// for every example × warm-mix word length × seed {1, 12345}, 4096
+/// paths on one worker, as recorded in `fixtures/simulate_golden.txt`.
+/// The fixture was taken before the lane kernels gained their
+/// clamp-before-round form and their AVX2/AVX-512 tiers; every tier
+/// must still reproduce it exactly.
+#[test]
+fn seeded_simulate_reports_match_the_golden_fixture() {
+    let golden = include_str!("fixtures/simulate_golden.txt");
+    let mut got = String::new();
+    for (name, source) in examples() {
+        let lowered = sna_lang::compile(&source).unwrap();
+        let session = Session::new(lowered.dfg, lowered.input_ranges).unwrap();
+        for bits in warm_mix_bits(&name) {
+            for seed in [1u64, 12345] {
+                let report = session
+                    .simulate(&SimRequest {
+                        words: WlChoice::Uniform(bits),
+                        paths: 4096,
+                        seed,
+                        workers: 1,
+                        include_pdf: false,
+                        ..Default::default()
+                    })
+                    .unwrap_or_else(|e| panic!("{name} @ {bits} bits: {e}"));
+                for out in &report.outputs {
+                    let e = &out.empirical;
+                    got.push_str(&format!(
+                        "{name} {bits} {seed} {} {:016x} {:016x} {:016x} {:016x} {:016x}\n",
+                        out.name,
+                        e.mean.to_bits(),
+                        e.variance.to_bits(),
+                        e.power.to_bits(),
+                        e.support.0.to_bits(),
+                        e.support.1.to_bits(),
+                    ));
+                }
+            }
+        }
+    }
+    for (line, (want, got)) in golden.lines().zip(got.lines()).enumerate() {
+        assert_eq!(got, want, "golden line {}", line + 1);
+    }
+    assert_eq!(got.lines().count(), golden.lines().count(), "line count");
 }

@@ -58,7 +58,7 @@ use crate::stats::{Counter, StatsRegistry};
 /// Thin `libc`-free FFI shim over the POSIX calls the reactor needs:
 /// `poll`, `pipe`, `fcntl` (to make the pipe nonblocking), raw-fd
 /// `read`/`write` (the self-pipe), `close`, and `signal`. This module is
-/// the only place in the workspace allowed to use `unsafe` — every
+/// the only place in this crate allowed to use `unsafe` — every
 /// wrapper is a safe function over one syscall, with the constants
 /// written for Linux (the deployment target; the BSD/macOS values that
 /// differ are cfg-gated).

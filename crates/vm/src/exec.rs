@@ -9,6 +9,16 @@
 //! instruction therefore runs as a tight loop over slices the compiler
 //! can auto-vectorize; there is no per-sample dispatch anywhere.
 //!
+//! # Lane-kernel tiers
+//!
+//! The step body ([`Executable::sweep`]) and every lane kernel are
+//! `#[inline(always)]`, and three wrappers compile that body at three
+//! vector widths: the target's baseline (SSE2 on x86-64), AVX2 and
+//! AVX-512.  [`Executable::new`] records the widest [`Isa`] the host
+//! reports and [`Executable::step`] calls it — the crate's one `unsafe`
+//! site.  Detection happens at run time rather than through a
+//! compile-time `target-cpu`, so one binary runs on every x86-64 CPU.
+//!
 //! # Bit-exactness contract
 //!
 //! The quantized bank mirrors `sna_fixp::FixedSimulator` bit-for-bit
@@ -59,40 +69,72 @@ struct LaneQuant {
 /// The baseline x86-64 target has no `roundpd` (that is SSE4.1), so
 /// `f64::round`/`f64::floor` lower to one libm *call per lane* — the
 /// magic-number forms below are pure add/sub/compare/bit ops that LLVM
-/// auto-vectorizes, and they are bit-identical to the std functions
-/// for every input (asserted exhaustively in the tests).
+/// auto-vectorizes at every tier's width, and they are bit-identical
+/// to the std functions for every input (asserted exhaustively in the
+/// tests).
 const MAGIC: f64 = 4_503_599_627_370_496.0;
 
 /// Round-half-away-from-zero, bit-identical to `f64::round`.
 ///
 /// `|x| ≥ 2⁵²` (and NaN) pass through — such values are already
-/// integral.  Below that, `t = (|x| + 2⁵²) − 2⁵²` is nearest-ties-even;
-/// the tie (`|x| − t == 0.5` — an exact subtraction, both operands
-/// share scale) is then bumped away from zero.
-#[inline]
+/// integral.  Below that, [`round_ties_away_small`] does the work.
+#[inline(always)]
 fn round_ties_away(x: f64) -> f64 {
-    let a = x.abs();
-    if a < MAGIC {
-        let t = (a + MAGIC) - MAGIC;
-        let t = t + if a - t == 0.5 { 1.0 } else { 0.0 };
-        t.copysign(x)
+    if x.abs() < MAGIC {
+        round_ties_away_small(x)
     } else {
         x
     }
 }
 
-/// Bit-identical to `f64::floor`, by sign-aware magic rounding and a
-/// `-1` select when the rounding went up.  The final `copysign`
-/// restores `-0.0` (the magic sum erases the sign of a negative zero);
-/// it is a no-op everywhere else since `floor` never changes sign.
-#[inline]
+/// [`round_ties_away`] for `|x| < 2⁵²` (never NaN): the `Saturate`
+/// arms clamp into the mantissa bounds (≤ 2⁴⁷) first, so the guard is
+/// dead there.  `t = (|x| + 2⁵²) − 2⁵²` is nearest-ties-even; the tie
+/// (`|x| − t == 0.5` — an exact subtraction, both operands share
+/// scale) is then bumped away from zero.
+#[inline(always)]
+fn round_ties_away_small(x: f64) -> f64 {
+    let a = x.abs();
+    let t = (a + MAGIC) - MAGIC;
+    let t = t + if a - t == 0.5 { 1.0 } else { 0.0 };
+    t.copysign(x)
+}
+
+/// Bit-identical to `f64::floor`; `|x| ≥ 2⁵²` and NaN pass through,
+/// [`floor_small`] handles the rest.
+#[inline(always)]
 fn floor_magic(x: f64) -> f64 {
     if x.abs() < MAGIC {
-        let s = MAGIC.copysign(x);
-        let t = (x + s) - s;
-        (t - if t > x { 1.0 } else { 0.0 }).copysign(x)
+        floor_small(x)
     } else {
         x
+    }
+}
+
+/// [`floor_magic`] for `|x| < 2⁵²` (never NaN), by sign-aware magic
+/// rounding and a `-1` select when the rounding went up.  The final
+/// `copysign` restores `-0.0` (the magic sum erases the sign of a
+/// negative zero); it is a no-op everywhere else since `floor` never
+/// changes sign.
+#[inline(always)]
+fn floor_small(x: f64) -> f64 {
+    let s = MAGIC.copysign(x);
+    let t = (x + s) - s;
+    (t - if t > x { 1.0 } else { 0.0 }).copysign(x)
+}
+
+/// Clamps a scaled value into `[min_m, max_m]` with two selects: in
+/// range `m` passes through unchanged, out of range the nearer bound
+/// wins, and NaN fails the first comparison and lands on `min_m` —
+/// the scalar overflow branch chain's outcomes, as vector compares and
+/// blends.
+#[inline(always)]
+fn clamp(m: f64, min_m: f64, max_m: f64) -> f64 {
+    let m = if m >= min_m { m } else { min_m };
+    if m <= max_m {
+        m
+    } else {
+        max_m
     }
 }
 
@@ -119,20 +161,21 @@ impl LaneQuant {
     /// `handle_overflow_f64` (including its treatment of non-finite
     /// scaled values).
     ///
-    /// The `Saturate` arms clamp with two selects (`if m >= min_m`,
-    /// `if m <= max_m`): in range `m` passes through unchanged, out of
-    /// range the nearer bound wins, and NaN fails the first comparison
-    /// and lands on `min_m` — exactly the scalar branch chain's
-    /// outcomes, but in a form LLVM turns into vectorized compares +
-    /// blends instead of branches.
+    /// The `Saturate` arms [`clamp`] *before* they round.  Rounding and
+    /// floor are monotone and map every integer to itself, and both
+    /// bounds are integers, so clamp-then-round equals the scalar
+    /// round-then-clamp on every real (and NaN lands on `min_m` either
+    /// way); a clamped value is below 2⁵², so the round needs no
+    /// pass-through guard.  The `Wrap` arms round first, as the scalar
+    /// path does.
     ///
     /// The trailing `+ 0.0` in every store normalizes `-0.0` to `+0.0`:
     /// the scalar quantizer round-trips through an `i64` mantissa, which
     /// erases the sign of zero, and bit-identity with it is the VM's
     /// contract. It is a no-op for every other value (IEEE-754
     /// `x + (+0.0) == x` whenever `x != -0.0`) and stays inside the
-    /// auto-vectorized lane loop.
-    #[inline]
+    /// vectorized lane loop.
+    #[inline(always)]
     fn requantize(&self, lanes: &mut [f64]) {
         let LaneQuant {
             res,
@@ -145,17 +188,13 @@ impl LaneQuant {
         match (self.rounding, self.overflow) {
             (Rounding::Nearest, Overflow::Saturate) => {
                 for x in lanes {
-                    let m = round_ties_away(*x * inv_res);
-                    let m = if m >= min_m { m } else { min_m };
-                    let m = if m <= max_m { m } else { max_m };
+                    let m = round_ties_away_small(clamp(*x * inv_res, min_m, max_m));
                     *x = m * res + 0.0;
                 }
             }
             (Rounding::Truncate, Overflow::Saturate) => {
                 for x in lanes {
-                    let m = floor_magic(*x * inv_res);
-                    let m = if m >= min_m { m } else { min_m };
-                    let m = if m <= max_m { m } else { max_m };
+                    let m = floor_small(clamp(*x * inv_res, min_m, max_m));
                     *x = m * res + 0.0;
                 }
             }
@@ -190,7 +229,7 @@ impl LaneQuant {
     /// the destination row per instruction, which is most of what the
     /// separate requantize pass cost (the arithmetic itself is one or
     /// two machine ops per lane).
-    #[inline]
+    #[inline(always)]
     fn map2_requant(&self, d: &mut [f64], x: &[f64], y: &[f64], f: impl Fn(f64, f64) -> f64) {
         let LaneQuant {
             res,
@@ -203,17 +242,13 @@ impl LaneQuant {
         match (self.rounding, self.overflow) {
             (Rounding::Nearest, Overflow::Saturate) => {
                 for ((d, &x), &y) in d.iter_mut().zip(x).zip(y) {
-                    let m = round_ties_away(f(x, y) * inv_res);
-                    let m = if m >= min_m { m } else { min_m };
-                    let m = if m <= max_m { m } else { max_m };
+                    let m = round_ties_away_small(clamp(f(x, y) * inv_res, min_m, max_m));
                     *d = m * res + 0.0;
                 }
             }
             (Rounding::Truncate, Overflow::Saturate) => {
                 for ((d, &x), &y) in d.iter_mut().zip(x).zip(y) {
-                    let m = floor_magic(f(x, y) * inv_res);
-                    let m = if m >= min_m { m } else { min_m };
-                    let m = if m <= max_m { m } else { max_m };
+                    let m = floor_small(clamp(f(x, y) * inv_res, min_m, max_m));
                     *d = m * res + 0.0;
                 }
             }
@@ -246,7 +281,7 @@ impl LaneQuant {
     /// inputs (`f` = identity) and negation.  Implemented on top of
     /// [`LaneQuant::map2_requant`] with `s` as both operands; the
     /// optimizer deletes the duplicate load.
-    #[inline]
+    #[inline(always)]
     fn map1_requant(&self, d: &mut [f64], s: &[f64], f: impl Fn(f64) -> f64) {
         self.map2_requant(d, s, s, |x, _| f(x));
     }
@@ -302,6 +337,8 @@ pub struct Executable {
     /// latch's state runs before that state is overwritten (see
     /// [`LatchStep`]).
     latch_plan: Vec<LatchStep>,
+    /// The lane-kernel tier [`Executable::step`] runs.
+    isa: Isa,
 }
 
 /// One scheduled latch update: `state ← requant?(src)`.
@@ -333,9 +370,14 @@ impl Executable {
     /// construction.
     #[must_use]
     pub fn new(program: Arc<Program>, dfg: &Dfg, config: &WlConfig) -> Executable {
-        let quants: Vec<LaneQuant> = (0..program.n_nodes)
+        let quants = (0..program.n_nodes)
             .map(|i| LaneQuant::of(config.quantizer(NodeId::from_index(i))))
             .collect();
+        Executable::bind(program, dfg, quants)
+    }
+
+    /// [`Executable::new`] from already-flattened per-node quantizers.
+    fn bind(program: Arc<Program>, dfg: &Dfg, quants: Vec<LaneQuant>) -> Executable {
         let consts = program
             .consts
             .iter()
@@ -354,7 +396,22 @@ impl Executable {
             consts,
             snap_srcs,
             latch_plan,
+            isa: Isa::detect(),
         }
+    }
+
+    /// This executable on tier `isa`, which the host must support.
+    #[cfg(test)]
+    fn with_isa(self, isa: Isa) -> Executable {
+        assert!(isa.supported(), "{isa:?} unsupported here");
+        Executable { isa, ..self }
+    }
+
+    /// The lane-kernel tier this executable's [`Executable::step`] runs
+    /// on: the widest one the host CPU reports.
+    #[must_use]
+    pub fn isa(&self) -> Isa {
+        self.isa
     }
 
     /// The compiled program this executable runs.
@@ -401,8 +458,10 @@ impl Executable {
     /// # Errors
     ///
     /// [`VmError::InputArity`] on an input count mismatch;
-    /// [`VmError::DivisionByZero`] when any lane divides by an exact or
-    /// quantized zero (matching `Simulator` / `FixedSimulator`).
+    /// [`VmError::LaneCount`] when an input row does not hold
+    /// `state.lanes()` values; [`VmError::DivisionByZero`] when any lane
+    /// divides by an exact or quantized zero (matching `Simulator` /
+    /// `FixedSimulator`).
     pub fn step(&self, state: &mut VmState, inputs: &[Vec<f64>]) -> Result<(), VmError> {
         if inputs.len() != self.program.n_inputs {
             return Err(VmError::InputArity {
@@ -410,8 +469,36 @@ impl Executable {
                 got: inputs.len(),
             });
         }
-        debug_assert!(inputs.iter().all(|lane| lane.len() == state.lanes));
+        if let Some(row) = inputs.iter().find(|row| row.len() != state.lanes) {
+            return Err(VmError::LaneCount {
+                expected: state.lanes,
+                got: row.len(),
+            });
+        }
+        let sweep: Sweep = match self.isa {
+            Isa::Portable => sweep_portable,
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx2 => sweep_avx2,
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx512 => sweep_avx512,
+            #[cfg(not(target_arch = "x86_64"))]
+            Isa::Avx2 | Isa::Avx512 => unreachable!("x86 tiers are only detected on x86_64"),
+        };
+        // SAFETY: `self.isa` comes from `Isa::detect` (or the test-only
+        // `with_isa`, which asserts `Isa::supported`), so the host
+        // supports every target feature the chosen wrapper enables.
+        #[allow(unsafe_code)]
+        unsafe {
+            sweep(self, state, inputs)
+        }
+    }
 
+    /// The body of [`Executable::step`] after its checks: the
+    /// instruction sweep, then the latch sweep.  Always inlined, so each
+    /// tier wrapper ([`sweep_portable`], `sweep_avx2`, `sweep_avx512`)
+    /// compiles its own copy of every lane loop at its vector width.
+    #[inline(always)]
+    fn sweep(&self, state: &mut VmState, inputs: &[Vec<f64>]) -> Result<(), VmError> {
         for inst in &self.program.insts {
             let Inst {
                 op,
@@ -535,6 +622,92 @@ impl Executable {
     }
 }
 
+/// A lane-kernel tier: the instruction set one copy of the step sweep
+/// is compiled for.
+///
+/// [`Executable::new`] picks the widest tier the host CPU reports at
+/// run time, so one binary runs everywhere and uses the vector width
+/// it finds.  Every tier runs the same IEEE-754 operations in the same
+/// order per lane (no fused multiply-add), so all of them produce the
+/// same bits.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Isa {
+    /// The compilation target's baseline (SSE2 on x86-64): two f64
+    /// lanes per vector.  The only tier off x86-64.
+    Portable,
+    /// AVX2: four f64 lanes per vector.
+    Avx2,
+    /// AVX-512 F/DQ/VL: eight f64 lanes per vector.
+    Avx512,
+}
+
+impl Isa {
+    /// The widest tier this host supports.
+    fn detect() -> Isa {
+        [Isa::Avx512, Isa::Avx2]
+            .into_iter()
+            .find(|isa| isa.supported())
+            .unwrap_or(Isa::Portable)
+    }
+
+    /// Whether the host CPU has every target feature this tier's
+    /// wrapper enables.
+    fn supported(self) -> bool {
+        match self {
+            Isa::Portable => true,
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx2 => is_x86_feature_detected!("avx2"),
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx512 => {
+                is_x86_feature_detected!("avx512f")
+                    && is_x86_feature_detected!("avx512dq")
+                    && is_x86_feature_detected!("avx512vl")
+            }
+            #[cfg(not(target_arch = "x86_64"))]
+            Isa::Avx2 | Isa::Avx512 => false,
+        }
+    }
+
+    /// Short name: `portable`, `avx2` or `avx512`.
+    #[must_use]
+    pub fn name(self) -> &'static str {
+        match self {
+            Isa::Portable => "portable",
+            Isa::Avx2 => "avx2",
+            Isa::Avx512 => "avx512",
+        }
+    }
+}
+
+/// One tier's compiled sweep.  `unsafe` because the x86 wrappers may
+/// only run on a CPU with their target features.
+type Sweep = unsafe fn(&Executable, &mut VmState, &[Vec<f64>]) -> Result<(), VmError>;
+
+/// [`Executable::sweep`] at the compilation target's baseline.
+fn sweep_portable(
+    exe: &Executable,
+    state: &mut VmState,
+    inputs: &[Vec<f64>],
+) -> Result<(), VmError> {
+    exe.sweep(state, inputs)
+}
+
+/// [`Executable::sweep`] compiled for AVX2.  Calling it is `unsafe`:
+/// the caller guarantees the CPU has AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn sweep_avx2(exe: &Executable, state: &mut VmState, inputs: &[Vec<f64>]) -> Result<(), VmError> {
+    exe.sweep(state, inputs)
+}
+
+/// [`Executable::sweep`] compiled for AVX-512 (F, DQ and VL).  Calling
+/// it is `unsafe`: the caller guarantees the CPU has all three.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512dq,avx512vl")]
+fn sweep_avx512(exe: &Executable, state: &mut VmState, inputs: &[Vec<f64>]) -> Result<(), VmError> {
+    exe.sweep(state, inputs)
+}
+
 /// Schedules the latch updates: a topological order over the
 /// "latch j reads latch i's state" relation (j must run before i
 /// overwrites it), with register cycles broken by snapshotting one
@@ -633,7 +806,7 @@ fn plan_latches(
 /// Splits one bank into `(&mut dst, &a, &b)`.  Sound because the
 /// compiler never allocates `dst` to an operand register (operands are
 /// recycled only *after* the destination is assigned).
-#[inline]
+#[inline(always)]
 fn split_dst(
     bank: &mut [Vec<f64>],
     dst: usize,
@@ -650,7 +823,7 @@ fn split_dst(
 
 /// The three reassociation-free binary kernels, one tight loop each so
 /// the optimizer vectorizes them without per-lane dispatch.
-#[inline]
+#[inline(always)]
 fn arith(op: OpCode, d: &mut [f64], x: &[f64], y: &[f64]) {
     match op {
         OpCode::Add => {
@@ -676,19 +849,15 @@ fn arith(op: OpCode, d: &mut [f64], x: &[f64], y: &[f64]) {
 mod tests {
     use super::*;
     use crate::program::Program;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
     use sna_dfg::{DfgBuilder, Simulator};
     use sna_fixp::FixedSimulator;
     use sna_interval::Interval;
 
-    /// The magic-number round/floor must be bit-identical to the std
-    /// functions for *every* input class: the requantize loops lean on
-    /// this to stay bit-exact against the scalar simulators.
-    #[test]
-    fn magic_round_and_floor_match_std_bitwise() {
-        fn round_ref(x: f64) -> f64 {
-            // f64::round is round-half-away-from-zero — the reference.
-            x.round()
-        }
+    /// Edge cases of the magic-number rounding: ties, ±0, the 2⁵²
+    /// boundary, the extremes and a dense sweep of small magnitudes.
+    fn magic_probes() -> Vec<f64> {
         let mut probes: Vec<f64> = vec![
             0.0,
             -0.0,
@@ -717,10 +886,19 @@ mod tests {
             probes.push(f64::from(i) / 7.0);
             probes.push(f64::from(i) * 1234.5678);
         }
-        for &p in &probes {
+        probes
+    }
+
+    /// The magic-number round/floor must be bit-identical to the std
+    /// functions for *every* input class: the requantize loops lean on
+    /// this to stay bit-exact against the scalar simulators.
+    #[test]
+    fn magic_round_and_floor_match_std_bitwise() {
+        for p in magic_probes() {
+            // f64::round is round-half-away-from-zero — the reference.
             assert_eq!(
                 round_ties_away(p).to_bits(),
-                round_ref(p).to_bits(),
+                p.round().to_bits(),
                 "round_ties_away({p:e})"
             );
             assert_eq!(
@@ -731,6 +909,109 @@ mod tests {
         }
         assert!(round_ties_away(f64::NAN).is_nan());
         assert!(floor_magic(f64::NAN).is_nan());
+    }
+
+    /// The `Saturate` requantization as it was written before the
+    /// clamp moved ahead of the rounding: round (with the 2⁵²
+    /// pass-through guard), then clamp.  Kept as the oracle for
+    /// [`saturate_clamp_before_round_matches_round_then_clamp`].
+    fn round_then_clamp(q: &LaneQuant, x: f64) -> f64 {
+        let m = match q.rounding {
+            Rounding::Nearest => round_ties_away(x * q.inv_res),
+            Rounding::Truncate => floor_magic(x * q.inv_res),
+        };
+        let m = if m >= q.min_m { m } else { q.min_m };
+        let m = if m <= q.max_m { m } else { q.max_m };
+        m * q.res + 0.0
+    }
+
+    /// An unsigned `bits`-wide format with `frac` fractional bits
+    /// (`min_m = 0`) — not a `Format` the scalar path can express, but
+    /// the lane kernels must get the clamp right for any integer
+    /// bounds.
+    fn unsigned_quant(bits: u32, frac: i32, rounding: Rounding, overflow: Overflow) -> LaneQuant {
+        let res = 2f64.powi(-frac);
+        let max_m = f64::from(2u32.pow(bits) - 1);
+        LaneQuant {
+            res,
+            inv_res: 1.0 / res,
+            min_m: 0.0,
+            max_m,
+            modulus: max_m + 1.0,
+            rounding,
+            overflow,
+        }
+    }
+
+    /// Clamp-then-round equals round-then-clamp on every probe class:
+    /// the magic-number edge cases, the values just outside (and on)
+    /// `min_m`/`max_m`, ±2⁶⁰, ±∞, NaN, ±0 and subnormals — each taken
+    /// both as a raw value and scaled by the resolution, through both
+    /// the in-place and the fused kernel.
+    #[test]
+    fn saturate_clamp_before_round_matches_round_then_clamp() {
+        use sna_fixp::Format;
+        let mut quants: Vec<LaneQuant> = Vec::new();
+        for rounding in [Rounding::Nearest, Rounding::Truncate] {
+            for (w, f) in [(4, 0), (8, 6), (12, 11), (27, 20), (48, 0)] {
+                let format = Format::new(w, f).unwrap();
+                quants.push(LaneQuant::of(&Quantizer::new(
+                    format,
+                    rounding,
+                    Overflow::Saturate,
+                )));
+            }
+            quants.push(unsigned_quant(8, 4, rounding, Overflow::Saturate));
+            quants.push(unsigned_quant(1, 0, rounding, Overflow::Saturate));
+        }
+        let subnormal = f64::from_bits(1);
+        let mut raw = magic_probes();
+        raw.extend([
+            2f64.powi(60),
+            -(2f64.powi(60)),
+            f64::NAN,
+            -f64::NAN,
+            subnormal,
+            -subnormal,
+            f64::MIN_POSITIVE / 2.0,
+            -f64::MIN_POSITIVE / 2.0,
+        ]);
+        for q in quants {
+            let mut probes = raw.clone();
+            for bound in [q.min_m, q.max_m] {
+                for delta in [
+                    -1.0,
+                    -0.5,
+                    -0.25,
+                    -f64::EPSILON,
+                    0.0,
+                    f64::EPSILON,
+                    0.25,
+                    0.5,
+                    1.0,
+                ] {
+                    probes.push(bound + delta);
+                }
+                probes.push(bound.next_down());
+                probes.push(bound.next_up());
+            }
+            let scaled: Vec<f64> = probes.iter().map(|&p| p * q.res).collect();
+            probes.extend(scaled);
+
+            let mut lanes = probes.clone();
+            q.requantize(&mut lanes);
+            let mut fused = vec![0.0; probes.len()];
+            q.map1_requant(&mut fused, &probes, |x| x);
+            for ((&x, &got), &got_fused) in probes.iter().zip(&lanes).zip(&fused) {
+                let want = round_then_clamp(&q, x);
+                assert_eq!(got.to_bits(), want.to_bits(), "requantize({x:e}) on {q:?}");
+                assert_eq!(
+                    got_fused.to_bits(),
+                    want.to_bits(),
+                    "map1_requant({x:e}) on {q:?}"
+                );
+            }
+        }
     }
 
     /// [`LaneQuant::requantize`] vs the scalar [`Quantizer::quantize`]
@@ -990,6 +1271,203 @@ mod tests {
             })
             .collect();
         lockstep_check(&dfg, &config, &traces, steps);
+    }
+
+    /// A per-node quantizer drawn over both roundings, both overflow
+    /// modes, and signed or (one time in four) unsigned bounds.
+    fn random_quant(rng: &mut StdRng) -> LaneQuant {
+        use sna_fixp::Format;
+        let rounding = if rng.gen_bool(0.5) {
+            Rounding::Nearest
+        } else {
+            Rounding::Truncate
+        };
+        let overflow = if rng.gen_bool(0.5) {
+            Overflow::Saturate
+        } else {
+            Overflow::Wrap
+        };
+        let w = rng.gen_range(3..16u8);
+        let f = rng.gen_range(0..w);
+        if rng.gen_bool(0.25) {
+            unsigned_quant(u32::from(w), i32::from(f), rounding, overflow)
+        } else {
+            LaneQuant::of(&Quantizer::new(
+                Format::new(w, f).unwrap(),
+                rounding,
+                overflow,
+            ))
+        }
+    }
+
+    /// A seeded random graph and per-node quantizers: every opcode over
+    /// randomly picked earlier nodes, delays and delay chains, a delay
+    /// self-loop (`s = delay s`), a latch cycle (`a = delay c; c =
+    /// delay a`) and a fed swap register.  Divisors are constants with
+    /// a fine signed quantizer, so no lane divides by zero.
+    fn random_graph(rng: &mut StdRng) -> (Dfg, Vec<LaneQuant>) {
+        let mut b = DfgBuilder::new();
+        let n_inputs = rng.gen_range(1..4usize);
+        let mut pool: Vec<NodeId> = (0..n_inputs).map(|i| b.input(format!("x{i}"))).collect();
+        let own = b.delay_placeholder();
+        b.bind_delay(own, own).unwrap();
+        let (ca, cc) = (b.delay_placeholder(), b.delay_placeholder());
+        b.bind_delay(ca, cc).unwrap();
+        b.bind_delay(cc, ca).unwrap();
+        let (sa, sc) = (b.delay_placeholder(), b.delay_placeholder());
+        b.bind_delay(sc, sa).unwrap();
+        pool.extend([own, ca, sa, sc]);
+        let mut divisors = Vec::new();
+        for _ in 0..rng.gen_range(12..28usize) {
+            let x = pool[rng.gen_range(0..pool.len())];
+            let y = pool[rng.gen_range(0..pool.len())];
+            let node = match rng.gen_range(0..7u32) {
+                0 => b.add(x, y),
+                1 => b.sub(x, y),
+                2 => b.mul(x, y),
+                3 => {
+                    let sign = if rng.gen_bool(0.5) { 1.0 } else { -1.0 };
+                    let k = b.constant(sign * rng.gen_range(0.5..2.0));
+                    divisors.push(k);
+                    b.div(x, k)
+                }
+                4 => b.neg(x),
+                5 => b.mul_const(rng.gen_range(-1.5..1.5), x),
+                _ => b.delay(x),
+            };
+            pool.push(node);
+        }
+        let last = *pool.last().unwrap();
+        let fed = b.mul_const(0.25, last);
+        b.bind_delay(sa, fed).unwrap();
+        b.output("last", last);
+        b.output("pick", pool[rng.gen_range(n_inputs..pool.len())]);
+        let dfg = b.build().unwrap();
+        let mut quants: Vec<LaneQuant> = (0..dfg.len()).map(|_| random_quant(rng)).collect();
+        let fine = Quantizer::new(
+            sna_fixp::Format::new(12, 8).unwrap(),
+            Rounding::Nearest,
+            Overflow::Saturate,
+        );
+        for k in divisors {
+            quants[k.index()] = LaneQuant::of(&fine);
+        }
+        (dfg, quants)
+    }
+
+    /// Every tier the host supports runs bit-identical to the portable
+    /// sweep: on seeded random graphs (every opcode, Nearest/Truncate ×
+    /// Saturate/Wrap, unsigned bounds, self-loops, latch cycles) at
+    /// lane counts that are not multiples of 8, both whole register
+    /// banks agree bit for bit after every step.
+    #[test]
+    fn every_tier_matches_the_portable_sweep_bitwise() {
+        let tiers: Vec<Isa> = [Isa::Portable, Isa::Avx2, Isa::Avx512]
+            .into_iter()
+            .filter(|isa| isa.supported())
+            .collect();
+        println!(
+            "lane-kernel tiers checked against portable: {:?}",
+            tiers.iter().map(|t| t.name()).collect::<Vec<_>>()
+        );
+        let mut ops_seen = Vec::new();
+        let mut modes_seen = Vec::new();
+        let mut unsigned_seen = false;
+        for seed in 0..40u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (dfg, quants) = random_graph(&mut rng);
+            for q in &quants {
+                if !modes_seen.contains(&(q.rounding, q.overflow)) {
+                    modes_seen.push((q.rounding, q.overflow));
+                }
+                unsigned_seen |= q.min_m == 0.0;
+            }
+            let program = Arc::new(Program::compile(&dfg));
+            for inst in &program.insts {
+                if !ops_seen.contains(&inst.op) {
+                    ops_seen.push(inst.op);
+                }
+            }
+            let lanes = [1, 37, 515][seed as usize % 3];
+            let portable = Executable::bind(Arc::clone(&program), &dfg, quants.clone())
+                .with_isa(Isa::Portable);
+            let wide: Vec<Executable> = tiers
+                .iter()
+                .map(|&isa| {
+                    Executable::bind(Arc::clone(&program), &dfg, quants.clone()).with_isa(isa)
+                })
+                .collect();
+            let mut want = portable.new_state(lanes);
+            let mut got: Vec<VmState> = wide.iter().map(|e| e.new_state(lanes)).collect();
+            for t in 0..12 {
+                let inputs: Vec<Vec<f64>> = (0..dfg.n_inputs())
+                    .map(|_| {
+                        (0..lanes)
+                            .map(|_| {
+                                let x: f64 = rng.gen_range(-3.0..3.0);
+                                // A quarter of the lanes sit on a 1/32 grid,
+                                // where the rounding ties are.
+                                if rng.gen_bool(0.25) {
+                                    (x * 32.0).round() / 32.0
+                                } else {
+                                    x
+                                }
+                            })
+                            .collect()
+                    })
+                    .collect();
+                portable.step(&mut want, &inputs).unwrap();
+                for ((exe, state), isa) in wide.iter().zip(&mut got).zip(&tiers) {
+                    exe.step(state, &inputs).unwrap();
+                    for (bank, w, g) in [
+                        ("exact", &want.exact, &state.exact),
+                        ("quant", &want.quant, &state.quant),
+                    ] {
+                        for (r, (w, g)) in w.iter().zip(g).enumerate() {
+                            for (lane, (&w, &g)) in w.iter().zip(g).enumerate() {
+                                assert!(
+                                    w.to_bits() == g.to_bits(),
+                                    "seed {seed} step {t}: {isa:?} {bank} r{r}[{lane}] = {g:e}, \
+                                     portable {w:e}"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(ops_seen.len(), 6, "opcodes covered: {ops_seen:?}");
+        assert_eq!(modes_seen.len(), 4, "modes covered: {modes_seen:?}");
+        assert!(unsigned_seen);
+    }
+
+    /// A row shorter or longer than the state's lane count is an error,
+    /// not a silently stale or ignored tail.
+    #[test]
+    fn input_rows_must_hold_one_value_per_lane() {
+        let mut b = DfgBuilder::new();
+        let x = b.input("x");
+        let y = b.input("y");
+        let s = b.add(x, y);
+        b.output("s", s);
+        let dfg = b.build().unwrap();
+        let ranges = vec![Interval::new(-1.0, 1.0).unwrap(); dfg.n_inputs()];
+        let config = WlConfig::from_ranges(&dfg, &ranges, 12).unwrap();
+        let exe = Executable::new(Arc::new(Program::compile(&dfg)), &dfg, &config);
+        let mut state = exe.new_state(8);
+        for bad in [7, 9] {
+            let inputs = vec![vec![0.5; 8], vec![0.5; bad]];
+            assert_eq!(
+                exe.step(&mut state, &inputs),
+                Err(VmError::LaneCount {
+                    expected: 8,
+                    got: bad
+                })
+            );
+        }
+        exe.step(&mut state, &[vec![0.5; 8], vec![0.25; 8]])
+            .unwrap();
+        assert_eq!(exe.quant_out(&state, 0), &[0.75; 8]);
     }
 
     #[test]

@@ -16,7 +16,10 @@
 //!   (delay feedback and constants handled via pinned registers);
 //! * [`Executable`] — the vectorized interpreter, bit-compatible with
 //!   the scalar `Simulator`/`FixedSimulator` pair (see the README for
-//!   the exactness argument and its documented caveats);
+//!   the exactness argument and its documented caveats). Its step
+//!   sweep is compiled once per [`Isa`] tier (baseline, AVX2,
+//!   AVX-512) and runs the widest one the host CPU reports; every tier
+//!   produces the same bits;
 //! * [`simulate`] — a deterministic chunked Monte-Carlo driver whose
 //!   output is independent of the worker count.
 //!
@@ -28,7 +31,11 @@
 //! See `crates/vm/README.md` for the bytecode format, SoA layout, and
 //! determinism scheme.
 
-#![forbid(unsafe_code)]
+// `deny` rather than `forbid`: `Executable::step`'s call into the
+// detected lane-kernel tier (a `#[target_feature]` function) is the one
+// place allowed, via a scoped `#[allow]`, to use unsafe. Everything
+// else in the crate remains unsafe-free.
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 mod exec;
@@ -38,7 +45,7 @@ mod replay;
 mod simulate;
 mod wire;
 
-pub use exec::{Executable, VmState};
+pub use exec::{Executable, Isa, VmState};
 pub use fanout::{default_workers, run_ordered, worker_count, MAX_WORKERS};
 pub use program::{Inst, OpCode, Program, Reg};
 pub use replay::{replay, ReplayOptions};
@@ -63,6 +70,13 @@ pub enum VmError {
         /// Inputs supplied.
         got: usize,
     },
+    /// An input row does not hold one value per lane of the state.
+    LaneCount {
+        /// Lanes of the state being stepped.
+        expected: usize,
+        /// Values in the offending input row.
+        got: usize,
+    },
     /// No sample paths requested, or every step fell inside the warmup.
     NoSamples,
     /// Building the empirical error histogram failed.
@@ -80,6 +94,9 @@ impl std::fmt::Display for VmError {
             }
             VmError::InputArity { expected, got } => {
                 write!(f, "expected {expected} inputs, got {got}")
+            }
+            VmError::LaneCount { expected, got } => {
+                write!(f, "expected {expected} lanes per input row, got {got}")
             }
             VmError::NoSamples => {
                 write!(f, "no samples to simulate (paths = 0 or steps <= warmup)")

@@ -3,9 +3,10 @@
 //! The compiler walks the graph's topological order once and emits one
 //! instruction per arithmetic node.  Register allocation is a linear
 //! scan with a free list: a node's register is recycled as soon as its
-//! last reader has executed, so the register file stays small (a 25-tap
-//! FIR with 75 nodes runs in ~5 working registers plus its pinned
-//! state).  Three classes of registers are *pinned* — never recycled:
+//! last reader has executed, so the register file stays small
+//! (`examples/fir.sna`, 94 nodes, compiles to 71 registers, 44 of them
+//! its constants and delay states).  Three classes of registers are
+//! *pinned* — never recycled:
 //!
 //! * constants — loaded once per reset, not once per step;
 //! * delay states — they carry values across steps;
