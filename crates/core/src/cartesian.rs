@@ -7,11 +7,31 @@
 //! probability into the output histogram.  Exponential in the number of
 //! inputs — exactly what the paper prescribes, and practical for the
 //! quadratic/table examples it evaluates.
+//!
+//! # One sweep
+//!
+//! One odometer walks the product, input 0 as its fastest digit, and
+//! evaluates each sub-box once for every output: each output deposits
+//! into its own accumulator.  A combinational graph is compiled once
+//! into a flat interval program over one reused slot buffer, on the
+//! first sub-box (after the combination check).  When digit `d` moves,
+//! only the instructions downstream of inputs `0..=d` re-run: ordered by
+//! the lowest input they read, those are a suffix of the one instruction
+//! list, so the program stays one instruction per node however many
+//! inputs there are.  Nodes fed by constants alone are evaluated at
+//! compile time, and a `range` override pins its node, cutting it off
+//! from its operands.  Each node is evaluated by
+//! [`Op::eval_interval`], the rule range analysis uses.
+//! When an output's interval and the sub-box mass are bitwise equal to
+//! the ones it deposited last, it replays a record of that deposit
+//! ([`MassAccumulator::replay`]) instead of computing it again — an
+//! override that hides the fast digits makes long runs of such boxes.
+//! Nothing is memoized.  Every mass is bit-identical to evaluating each
+//! sub-box from scratch and sweeping once per output: the same interval
+//! operations on the same operands, the same deposit arithmetic, in the
+//! same order per accumulator.
 
-use std::cell::RefCell;
-use std::collections::HashMap;
-
-use sna_dfg::{Dfg, RangeOptions};
+use sna_dfg::{Dfg, Op, RangeOptions};
 use sna_hist::{DepositPolicy, Grid, Histogram, MassAccumulator};
 use sna_interval::Interval;
 
@@ -142,6 +162,38 @@ impl CartesianEngine {
         f: impl Fn(&[Interval]) -> Interval,
         budget: &Budget,
     ) -> Result<NoiseReport, SnaError> {
+        let mut hists = self.sweep(inputs, 1, budget, |ranges, _, out| out[0] = f(ranges))?;
+        Ok(NoiseReport::from_histogram(
+            hists.pop().expect("one output, one histogram"),
+        ))
+    }
+
+    /// The Section-4 odometer: one pass over the product of the input
+    /// bins that builds the histograms of `n_out` outputs at once.
+    ///
+    /// `eval(ranges, stale, out)` writes the outputs' intervals over the
+    /// box `ranges` into `out`.  Only `ranges[..stale]` can differ from
+    /// the box of the previous call; the first call gets the full input
+    /// supports, with `stale == inputs.len()`.  Boxes of zero mass are
+    /// not evaluated.
+    ///
+    /// Each output gets a grid over its full-support interval.  A grid
+    /// failure is reported after the outputs before it are swept and
+    /// finished, the order an output-by-output sweep fails in.
+    ///
+    /// # Errors
+    ///
+    /// As [`CartesianEngine::analyze`].
+    fn sweep(
+        &self,
+        inputs: &[UncertainInput],
+        n_out: usize,
+        budget: &Budget,
+        mut eval: impl FnMut(&[Interval], usize, &mut [Interval]),
+    ) -> Result<Vec<Histogram>, SnaError> {
+        if n_out == 0 {
+            return Ok(Vec::new());
+        }
         let mut combos: u128 = 1;
         for i in inputs {
             combos = combos.saturating_mul(i.pdf.n_bins() as u128);
@@ -153,57 +205,221 @@ impl CartesianEngine {
             }));
         }
 
-        // Output grid from the full-range interval evaluation.
-        let full_ranges: Vec<Interval> = inputs
+        // Output grids from the full-range interval evaluation.
+        let n = inputs.len();
+        let mut ranges: Vec<Interval> = inputs
             .iter()
             .map(|i| {
                 let (lo, hi) = i.pdf.support();
                 Interval::new(lo, hi).expect("pdf support is valid")
             })
             .collect();
-        let full = f(&full_ranges);
-        let grid = Grid::over(full, self.out_bins).map_err(SnaError::Hist)?;
-        let mut acc = MassAccumulator::new(grid);
+        let mut out = vec![Interval::ZERO; n_out];
+        eval(&ranges, n, &mut out);
+        let mut sinks = Vec::with_capacity(n_out);
+        let mut grid_err = None;
+        for &full in &out {
+            match Grid::over(full, self.out_bins) {
+                Ok(grid) => sinks.push(Sink::new(grid)),
+                Err(e) => {
+                    grid_err = Some(SnaError::Hist(e));
+                    break;
+                }
+            }
+        }
+        if sinks.is_empty() {
+            return Err(grid_err.expect("a grid failed"));
+        }
 
         let limited = !budget.is_unlimited();
         let mut visited: usize = 0;
-        let mut idx = vec![0usize; inputs.len()];
-        let mut ranges = full_ranges.clone();
-        loop {
+        let mut idx = vec![0usize; n];
+        for (r, input) in ranges.iter_mut().zip(inputs) {
+            *r = input.pdf.grid().bin_interval(0);
+        }
+        let mut stale = n;
+        'boxes: loop {
             if limited && visited.is_multiple_of(BUDGET_STRIDE) {
                 budget.check()?;
             }
             visited += 1;
             let mut mass = 1.0;
-            for (k, input) in inputs.iter().enumerate() {
-                ranges[k] = input.pdf.grid().bin_interval(idx[k]);
-                mass *= input.pdf.prob(idx[k]);
+            for (input, &i) in inputs.iter().zip(&idx) {
+                mass *= input.pdf.prob(i);
             }
             if mass > 0.0 {
-                acc.deposit(f(&ranges), mass, self.deposit);
-            }
-            // Odometer.
-            let mut k = 0;
-            loop {
-                if k == idx.len() {
-                    let hist = acc.finish().map_err(SnaError::Hist)?;
-                    return Ok(NoiseReport::from_histogram(hist));
+                eval(&ranges, stale, &mut out);
+                stale = 0;
+                for (sink, &iv) in sinks.iter_mut().zip(&out) {
+                    sink.deposit(iv, mass, self.deposit);
                 }
-                idx[k] += 1;
-                if idx[k] < inputs[k].pdf.n_bins() {
+            }
+            // Odometer: digit `d` moves, the digits below it wrap to 0.
+            let mut d = 0;
+            loop {
+                if d == n {
+                    break 'boxes;
+                }
+                idx[d] += 1;
+                if idx[d] < inputs[d].pdf.n_bins() {
                     break;
                 }
-                idx[k] = 0;
-                k += 1;
+                idx[d] = 0;
+                d += 1;
             }
+            for (k, input) in inputs.iter().enumerate().take(d + 1) {
+                ranges[k] = input.pdf.grid().bin_interval(idx[k]);
+            }
+            stale = stale.max(d + 1);
+        }
+        let hists = sinks
+            .into_iter()
+            .map(|s| s.acc.finish().map_err(SnaError::Hist))
+            .collect::<Result<Vec<_>, _>>()?;
+        match grid_err {
+            Some(e) => Err(e),
+            None => Ok(hists),
+        }
+    }
+}
+
+/// One output's accumulator and its last deposit.  A box that repeats
+/// the last deposit's interval and mass bitwise records that deposit,
+/// and the boxes after it that repeat it too replay the record; a
+/// deposit that is never repeated is never recorded.
+struct Sink {
+    acc: MassAccumulator,
+    /// Bits of the last deposit's interval bounds and mass.
+    last: Option<[u64; 3]>,
+    /// The adds of the last deposit, when `recorded`.
+    adds: Vec<(usize, f64)>,
+    recorded: bool,
+}
+
+impl Sink {
+    fn new(grid: Grid) -> Self {
+        Sink {
+            acc: MassAccumulator::new(grid),
+            last: None,
+            adds: Vec::new(),
+            recorded: false,
+        }
+    }
+
+    fn deposit(&mut self, iv: Interval, mass: f64, policy: DepositPolicy) {
+        let key = [iv.lo().to_bits(), iv.hi().to_bits(), mass.to_bits()];
+        if self.last != Some(key) {
+            self.acc.deposit(iv, mass, policy);
+            self.last = Some(key);
+            self.recorded = false;
+        } else if self.recorded {
+            self.acc.replay(&self.adds);
+        } else {
+            self.acc.deposit_recorded(iv, mass, policy, &mut self.adds);
+            self.recorded = true;
+        }
+    }
+}
+
+/// A combinational graph compiled for repeated interval evaluation: one
+/// slot per node in a reused buffer, and the instructions to re-run per
+/// number of stale leading inputs.
+struct IntervalProgram {
+    slots: Vec<Interval>,
+    /// Every instruction, by descending lowest input read and in
+    /// topological order among equals: each instruction's operands read
+    /// the same or higher inputs, so they come before it.
+    instrs: Vec<Instr>,
+    /// `starts[s]`: the first instruction that reads one of the inputs
+    /// `0..s`, directly or through other instructions.  The suffix from
+    /// there is all of them.
+    starts: Vec<usize>,
+    /// The output nodes' slots.
+    outputs: Vec<usize>,
+}
+
+/// One node's evaluation: `op` over the slots `a` and `b` (unused
+/// operands are 0) into slot `dst`.
+#[derive(Clone, Copy)]
+struct Instr {
+    op: Op,
+    dst: usize,
+    a: usize,
+    b: usize,
+}
+
+impl Instr {
+    /// The node's interval, by the rule range analysis uses.
+    fn eval(&self, slots: &[Interval], ranges: &[Interval]) -> Interval {
+        self.op
+            .eval_interval(ranges, slots[self.a], slots[self.b], self.a == self.b)
+            .expect("sub-box of a checked input box evaluates")
+    }
+}
+
+impl IntervalProgram {
+    /// Compiles a combinational `dfg` whose interval evaluation succeeds
+    /// on some input box — constant-only nodes are evaluated here.
+    fn compile(dfg: &Dfg) -> Self {
+        let n = dfg.n_inputs();
+        let mut slots = vec![Interval::ZERO; dfg.len()];
+        // The lowest input index each node reads (`n`: none).
+        let mut lowest = vec![n; dfg.len()];
+        let mut instrs = Vec::new();
+        for &id in dfg.topo_order() {
+            let node = dfg.node(id);
+            let dst = id.index();
+            if let Some(r) = dfg.range_override(id) {
+                slots[dst] = r;
+                continue;
+            }
+            let args = node.args();
+            let instr = Instr {
+                op: node.op(),
+                dst,
+                a: args.first().map_or(0, |a| a.index()),
+                b: args.get(1).map_or(0, |b| b.index()),
+            };
+            lowest[dst] = match node.op() {
+                Op::Input(i) => i,
+                _ => args.iter().map(|a| lowest[a.index()]).min().unwrap_or(n),
+            };
+            if lowest[dst] == n {
+                slots[dst] = instr.eval(&slots, &[]);
+            } else {
+                instrs.push((lowest[dst], instr));
+            }
+        }
+        // A stable sort: topological order survives among equals.
+        instrs.sort_by_key(|&(low, _)| std::cmp::Reverse(low));
+        let starts = (0..=n)
+            .map(|s| instrs.partition_point(|&(low, _)| low >= s))
+            .collect();
+        IntervalProgram {
+            slots,
+            instrs: instrs.into_iter().map(|(_, instr)| instr).collect(),
+            starts,
+            outputs: dfg.outputs().iter().map(|(_, id)| id.index()).collect(),
+        }
+    }
+
+    /// Evaluates the box `ranges`, of which only `ranges[..stale]` differ
+    /// from the previous call's, and writes the outputs into `out`.
+    fn eval(&mut self, ranges: &[Interval], stale: usize, out: &mut [Interval]) {
+        for instr in &self.instrs[self.starts[stale]..] {
+            let v = instr.eval(&self.slots, ranges);
+            self.slots[instr.dst] = v;
+        }
+        for (o, &slot) in out.iter_mut().zip(&self.outputs) {
+            *o = self.slots[slot];
         }
     }
 }
 
 /// The Section-4 algorithm over a combinational graph's *value*
 /// uncertainty: every input uniform over its declared range with `bins`
-/// bins, each output's PDF swept over the inputs' Cartesian product.
-/// Word lengths play no part.
+/// bins, every output's PDF from one sweep over the inputs' Cartesian
+/// product.  Word lengths play no part.
 ///
 /// # Errors
 ///
@@ -240,47 +456,24 @@ pub(crate) fn value_pdfs(
     // success.
     dfg.output_ranges(input_ranges, &RangeOptions::default())?;
 
-    let engine = CartesianEngine::new(bins.max(2) * 2);
-    // The engine sweeps every input sub-box once *per analyzed output*,
-    // and each interval evaluation computes all outputs at once.
-    // Memoize the per-sub-box output vector (bounded) so multi-output
-    // datapaths pay for one sweep's worth of interval evaluations, not k.
-    const MEMO_CAP: usize = 1 << 20;
-    let multi_output = dfg.outputs().len() > 1;
-    let memo: RefCell<HashMap<Vec<u64>, Vec<Interval>>> = RefCell::new(HashMap::new());
-    let eval_outputs = |ranges: &[Interval]| -> Vec<Interval> {
-        let compute = || {
-            dfg.output_ranges(ranges, &RangeOptions::default())
-                .expect("sub-box of a checked input box evaluates")
-                .into_iter()
-                .map(|(_, iv)| iv)
-                .collect::<Vec<_>>()
-        };
-        if !multi_output {
-            return compute();
-        }
-        let key: Vec<u64> = ranges
-            .iter()
-            .flat_map(|r| [r.lo().to_bits(), r.hi().to_bits()])
-            .collect();
-        if let Some(cached) = memo.borrow().get(&key) {
-            return cached.clone();
-        }
-        let value = compute();
-        let mut memo = memo.borrow_mut();
-        if memo.len() < MEMO_CAP {
-            memo.insert(key, value.clone());
-        }
-        value
-    };
-    dfg.outputs()
+    // Compiled on the first box, after the sweep's combination check.
+    let mut program = None;
+    let hists = CartesianEngine::new(bins.max(2) * 2).sweep(
+        &inputs,
+        dfg.outputs().len(),
+        budget,
+        |ranges, stale, out| {
+            program
+                .get_or_insert_with(|| IntervalProgram::compile(dfg))
+                .eval(ranges, stale, out)
+        },
+    )?;
+    Ok(dfg
+        .outputs()
         .iter()
-        .enumerate()
-        .map(|(k, (name, _))| {
-            let report = engine.analyze(&inputs, |ranges| eval_outputs(ranges)[k], budget)?;
-            Ok((name.clone(), report))
-        })
-        .collect()
+        .zip(hists)
+        .map(|((name, _), h)| (name.clone(), NoiseReport::from_histogram(h)))
+        .collect())
 }
 
 #[cfg(test)]
@@ -398,6 +591,39 @@ mod tests {
             .unwrap();
         // x² smaller in expectation ⇒ smaller mean.
         assert!(report.mean < uniform_report.mean);
+    }
+
+    #[test]
+    fn a_wide_sum_compiles_to_one_instruction_per_node() {
+        // A left-folded sum: every running total reads input 0, so each
+        // is downstream of every digit, and is still stored once.
+        let n = 4096;
+        let mut b = sna_dfg::DfgBuilder::new();
+        let mut acc = b.input("v0");
+        for i in 1..n {
+            let v = b.input(format!("v{i}"));
+            acc = b.add(acc, v);
+        }
+        b.output("y", acc);
+        let dfg = b.build().unwrap();
+        let program = IntervalProgram::compile(&dfg);
+        assert_eq!(program.instrs.len(), dfg.len());
+        assert_eq!(program.starts.len(), n + 1);
+        assert_eq!(program.starts[0], dfg.len());
+        assert_eq!(program.starts[n], 0);
+        // Input 0 and the n - 1 running totals.
+        assert_eq!(dfg.len() - program.starts[1], n);
+
+        // One bin per input is one box; two per input fail the
+        // combination check before anything is compiled.
+        let ranges = vec![Interval::new(-1.0, 1.0).unwrap(); n];
+        let reports = value_pdfs(&dfg, &ranges, 1, &Budget::unlimited()).unwrap();
+        assert_eq!(reports[0].1.support, (-(n as f64), n as f64));
+        let err = value_pdfs(&dfg, &ranges, 2, &Budget::unlimited()).unwrap_err();
+        assert!(matches!(
+            err,
+            SnaError::Expr(sna_expr::ExprError::TooManyCombinations { .. })
+        ));
     }
 
     #[test]

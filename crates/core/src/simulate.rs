@@ -42,9 +42,10 @@ pub struct SimRequest {
     pub workers: usize,
     /// Bins of the empirical error histogram.
     pub bins: usize,
-    /// Whether the analytic prediction keeps its PDF (see
-    /// [`AnalysisRequest::include_pdf`]); its moments do not depend on
-    /// it.
+    /// Whether the reports keep their PDFs (see
+    /// [`AnalysisRequest::include_pdf`]): without it no empirical
+    /// histogram is built and the analytic prediction skips its PDF.
+    /// No moment depends on it.
     pub include_pdf: bool,
     /// Cooperative execution budget, checked before every simulation
     /// chunk. Defaults to unlimited; a budget that never fires leaves
@@ -92,8 +93,8 @@ impl Gap {
 pub struct SimOutput {
     /// Output name as declared.
     pub name: String,
-    /// Empirical error statistics (support = observed min/max, the
-    /// histogram attached).
+    /// Empirical error statistics (support = observed min/max; the
+    /// histogram attached when the request includes PDFs).
     pub empirical: NoiseReport,
     /// Collected error samples behind [`SimOutput::empirical`].
     pub samples: usize,
@@ -172,13 +173,15 @@ pub(crate) fn measured_vs_predicted(
         .into_iter()
         .enumerate()
         .map(|(k, s)| {
-            let mut empirical = NoiseReport::from_histogram(s.histogram);
-            // The histogram's moments are bin-resolution approximations;
-            // keep the exact sample statistics.
-            empirical.mean = s.mean;
-            empirical.variance = s.variance;
-            empirical.power = s.power;
-            empirical.support = (s.min, s.max);
+            // The exact sample statistics, not the histogram's
+            // bin-resolution moments.
+            let empirical = NoiseReport {
+                mean: s.mean,
+                variance: s.variance,
+                power: s.power,
+                support: (s.min, s.max),
+                histogram: s.histogram,
+            };
             let predicted = prediction.as_ref().map(|p| p.reports[k].1.clone());
             let mean_gap = predicted.as_ref().map(|p| Gap::between(s.mean, p.mean));
             let variance_gap = predicted
@@ -230,7 +233,7 @@ impl Session {
             steps,
             warmup,
             workers: req.workers,
-            bins: req.bins,
+            bins: req.include_pdf.then_some(req.bins),
         };
         let started = Instant::now();
         let stats = sna_vm::simulate(&exe, self.input_ranges(), &opts, &cancel_check(&req.budget))

@@ -52,9 +52,11 @@ pub struct TraceRequest {
     /// (the `replay` verb) reports measured numbers only and skips the
     /// engine pass entirely.
     pub predict: bool,
-    /// Whether the analytic prediction keeps its PDF (see
-    /// [`crate::AnalysisRequest::include_pdf`]); its moments do not
-    /// depend on it.
+    /// Whether the output reports keep their PDFs (see
+    /// [`crate::AnalysisRequest::include_pdf`]): without it no measured
+    /// error histogram is built and the analytic prediction skips its
+    /// PDF. No moment depends on it; the input fits keep their
+    /// histograms.
     pub include_pdf: bool,
     /// Cooperative execution budget, checked before every replay
     /// chunk. A budget that never fires leaves the report
@@ -196,7 +198,7 @@ impl Session {
             seg,
             warmup,
             workers: req.workers,
-            bins: req.bins,
+            bins: req.include_pdf.then_some(req.bins),
         };
         let started = Instant::now();
         let stats = sna_vm::replay(&exe, trace.columns(), &opts, &cancel_check(&req.budget))

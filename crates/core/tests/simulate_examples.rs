@@ -122,12 +122,14 @@ fn vm_lanes_are_bit_identical_to_the_scalar_simulators_on_every_example() {
 /// measures the same numbers) set the floor here:
 ///
 /// * **Variance** (relative): the NA/LTI source model injects
-///   independent uniform rounding noise per node.  Feedback filters
-///   (`biquad`, `fir`, `fir_taps`, `diffeq`) violate independence —
-///   requantization errors recirculate and correlate across taps — so
-///   the model *under*-predicts their variance by a design-dependent
-///   constant factor (the paper's own predicted-vs-actual tables show
-///   the same effect).
+///   independent uniform rounding noise per node.  The sequential
+///   designs violate independence: the feedback filters (`biquad`,
+///   `diffeq`) recirculate requantization errors, and the FIRs (`fir`,
+///   `fir_taps`) reuse each delayed sample, rounding error included, in
+///   every tap — either way the errors correlate — so the model
+///   *under*-predicts their variance by a design-dependent constant
+///   factor (the paper's own predicted-vs-actual tables show the same
+///   effect).
 /// * **Mean** (in units of the error std-dev): coefficient rounding
 ///   `δc` is a deterministic offset whose output contribution is
 ///   `δc·x`.  With non-zero-mean inputs (`rgb`: [70,100] pixels,

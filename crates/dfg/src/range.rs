@@ -11,7 +11,7 @@
 //! Range analysis determines the *integer* part of each node's fixed-point
 //! format; the SNA machinery determines the fractional part.
 
-use sna_interval::{AffineContext, AffineForm, Interval};
+use sna_interval::{AffineContext, AffineForm, Interval, IntervalError};
 
 use crate::{Dfg, DfgError, NodeId, Op};
 
@@ -33,7 +33,63 @@ impl Default for RangeOptions {
     }
 }
 
+impl Op {
+    /// The interval of a node applying this operator to operand
+    /// intervals `a` and `b` (those past its arity are ignored):
+    /// `input_ranges[i]` for `Input(i)`, the point for a constant, and
+    /// the operand for a delay.  `square` marks a multiplication of a
+    /// node by itself, evaluated as a dependent square.
+    ///
+    /// This is the one interval rule per operator that range analysis
+    /// and every interval re-evaluation of a graph share.
+    ///
+    /// # Errors
+    ///
+    /// [`IntervalError`] for a division by a range that contains zero.
+    pub fn eval_interval(
+        self,
+        input_ranges: &[Interval],
+        a: Interval,
+        b: Interval,
+        square: bool,
+    ) -> Result<Interval, IntervalError> {
+        Ok(match self {
+            Op::Input(i) => input_ranges[i],
+            Op::Const(c) => Interval::point(c),
+            Op::Add => a + b,
+            Op::Sub => a - b,
+            Op::Mul if square => a.sqr(),
+            Op::Mul => a * b,
+            Op::Div => a.checked_div(&b)?,
+            Op::Neg => -a,
+            Op::Delay => a,
+        })
+    }
+}
+
 impl Dfg {
+    /// Node `id`'s interval from its operands' entries in `ranges`, or
+    /// `None` for a delay, whose range is its widened state's.
+    fn node_interval(
+        &self,
+        id: NodeId,
+        ranges: &[Interval],
+        input_ranges: &[Interval],
+    ) -> Result<Option<Interval>, DfgError> {
+        let node = self.node(id);
+        if node.op() == Op::Delay {
+            return Ok(None);
+        }
+        let args = node.args();
+        let operand = |k: usize| args.get(k).map_or(Interval::ZERO, |a| ranges[a.index()]);
+        // Self-multiplication is a dependent square.
+        let square = args.len() == 2 && args[0] == args[1];
+        node.op()
+            .eval_interval(input_ranges, operand(0), operand(1), square)
+            .map(Some)
+            .map_err(|_| DfgError::RangeDivisionByZero { node: id })
+    }
+
     /// Computes per-node value ranges with interval arithmetic.
     ///
     /// Sequential graphs are handled by iterating to a fixpoint: delay
@@ -78,25 +134,8 @@ impl Dfg {
         };
         for it in 0..iterations {
             for &id in self.topo_order() {
-                let node = self.node(id);
-                let v = match node.op() {
-                    Op::Input(i) => input_ranges[i],
-                    Op::Const(c) => Interval::point(c),
-                    Op::Add => ranges[node.args()[0].index()] + ranges[node.args()[1].index()],
-                    Op::Sub => ranges[node.args()[0].index()] - ranges[node.args()[1].index()],
-                    Op::Mul => {
-                        // Self-multiplication is a dependent square.
-                        if node.args()[0] == node.args()[1] {
-                            ranges[node.args()[0].index()].sqr()
-                        } else {
-                            ranges[node.args()[0].index()] * ranges[node.args()[1].index()]
-                        }
-                    }
-                    Op::Div => ranges[node.args()[0].index()]
-                        .checked_div(&ranges[node.args()[1].index()])
-                        .map_err(|_| DfgError::RangeDivisionByZero { node: id })?,
-                    Op::Neg => -ranges[node.args()[0].index()],
-                    Op::Delay => continue,
+                let Some(v) = self.node_interval(id, &ranges, input_ranges)? else {
+                    continue;
                 };
                 ranges[id.index()] = self.range_override(id).unwrap_or(v);
             }
@@ -195,24 +234,8 @@ impl Dfg {
                 if !in_cone[id.index()] {
                     continue;
                 }
-                let node = self.node(id);
-                let v = match node.op() {
-                    Op::Input(i) => input_ranges[i],
-                    Op::Const(c) => Interval::point(c),
-                    Op::Add => ranges[node.args()[0].index()] + ranges[node.args()[1].index()],
-                    Op::Sub => ranges[node.args()[0].index()] - ranges[node.args()[1].index()],
-                    Op::Mul => {
-                        if node.args()[0] == node.args()[1] {
-                            ranges[node.args()[0].index()].sqr()
-                        } else {
-                            ranges[node.args()[0].index()] * ranges[node.args()[1].index()]
-                        }
-                    }
-                    Op::Div => ranges[node.args()[0].index()]
-                        .checked_div(&ranges[node.args()[1].index()])
-                        .map_err(|_| DfgError::RangeDivisionByZero { node: id })?,
-                    Op::Neg => -ranges[node.args()[0].index()],
-                    Op::Delay => continue,
+                let Some(v) = self.node_interval(id, &ranges, input_ranges)? else {
+                    continue;
                 };
                 ranges[id.index()] = self.range_override(id).unwrap_or(v);
             }

@@ -70,6 +70,23 @@ impl Grid {
         Grid::new(interval.lo(), interval.hi(), n)
     }
 
+    /// The grid [`Histogram::from_samples`](crate::Histogram::from_samples)
+    /// bins samples observed on `[lo, hi]` into: that range, widened to a
+    /// tiny symmetric support when `lo == hi`.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Grid::new`].
+    pub fn spanning_samples(mut lo: f64, mut hi: f64, n: usize) -> Result<Self, HistError> {
+        if lo == hi {
+            // Degenerate sample set: widen to a tiny symmetric support.
+            let pad = lo.abs().max(1.0) * 1e-12;
+            lo -= pad;
+            hi += pad;
+        }
+        Grid::new(lo, hi, n)
+    }
+
     /// The paper's standard symbol grid: `[-1, 1]` with the given bin count.
     ///
     /// # Errors

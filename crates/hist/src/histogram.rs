@@ -153,38 +153,21 @@ impl Histogram {
         bins: usize,
     ) -> Result<Self, HistError> {
         let samples: Vec<f64> = samples.into_iter().collect();
-        Histogram::from_sample_slices(&[&samples], bins)
-    }
-
-    /// [`Histogram::from_samples`] over samples stored in several slices,
-    /// read in slice order without copying them into one buffer.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Histogram::from_samples`].
-    pub fn from_sample_slices(slices: &[&[f64]], bins: usize) -> Result<Self, HistError> {
-        let samples = || slices.iter().flat_map(|s| s.iter());
-        if slices.iter().all(|s| s.is_empty()) {
+        if samples.is_empty() {
             return Err(HistError::NoSamples);
         }
         let mut lo = f64::INFINITY;
         let mut hi = f64::NEG_INFINITY;
-        for &s in samples() {
+        for &s in &samples {
             if !s.is_finite() {
                 return Err(HistError::NonFinite { value: s });
             }
             lo = lo.min(s);
             hi = hi.max(s);
         }
-        if lo == hi {
-            // Degenerate sample set: widen to a tiny symmetric support.
-            let pad = lo.abs().max(1.0) * 1e-12;
-            lo -= pad;
-            hi += pad;
-        }
-        let grid = Grid::new(lo, hi, bins)?;
+        let grid = Grid::spanning_samples(lo, hi, bins)?;
         let mut masses = vec![0.0; bins];
-        for &s in samples() {
+        for &s in &samples {
             masses[grid.bin_of(s)] += 1.0;
         }
         Histogram::from_masses(grid, masses)

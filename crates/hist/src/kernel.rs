@@ -77,6 +77,38 @@ impl MassAccumulator {
         }
     }
 
+    /// [`MassAccumulator::deposit`], recording into `adds` (cleared
+    /// first) every `(bin, amount)` it adds, in the order it adds them.
+    ///
+    /// [`MassAccumulator::replay`] of the record repeats the deposit
+    /// bit for bit without recomputing it: the Cartesian sweep's
+    /// shortcut when consecutive sub-boxes deposit the same interval
+    /// with the same mass.
+    pub fn deposit_recorded(
+        &mut self,
+        iv: Interval,
+        mass: f64,
+        policy: DepositPolicy,
+        adds: &mut Vec<(usize, f64)>,
+    ) {
+        adds.clear();
+        let record = |bin, amount| adds.push((bin, amount));
+        match policy {
+            DepositPolicy::Midpoint => self.point_with(iv.mid(), mass, record),
+            DepositPolicy::Uniform | DepositPolicy::Exact => self.uniform_with(iv, mass, record),
+        }
+    }
+
+    /// Adds every recorded `(bin, amount)` of a
+    /// [`MassAccumulator::deposit_recorded`] record, in order: the masses
+    /// end bit-identical to depositing the recorded interval and mass
+    /// again.
+    pub fn replay(&mut self, adds: &[(usize, f64)]) {
+        for &(bin, amount) in adds {
+            self.masses[bin] += amount;
+        }
+    }
+
     /// Normalizes the deposited masses into a histogram on the grid.
     ///
     /// # Errors
@@ -94,18 +126,31 @@ impl MassAccumulator {
 
     /// Adds `mass` to the bin containing `x`.
     pub(crate) fn point(&mut self, x: f64, mass: f64) {
-        self.masses[self.grid.bin_of(x)] += mass;
+        self.point_with(x, mass, |_, _| {});
+    }
+
+    /// [`MassAccumulator::point`], reporting the add to `record`.
+    fn point_with(&mut self, x: f64, mass: f64, mut record: impl FnMut(usize, f64)) {
+        let bin = self.grid.bin_of(x);
+        self.masses[bin] += mass;
+        record(bin, mass);
     }
 
     /// Spreads `mass` uniformly over `iv`.
     pub(crate) fn uniform(&mut self, iv: Interval, mass: f64) {
+        self.uniform_with(iv, mass, |_, _| {});
+    }
+
+    /// [`MassAccumulator::uniform`], reporting each `(bin, amount)` add to
+    /// `record` as it is made.
+    fn uniform_with(&mut self, iv: Interval, mass: f64, mut record: impl FnMut(usize, f64)) {
         if mass == 0.0 {
             return;
         }
         let (lo, hi) = (iv.lo(), iv.hi());
         let w = iv.width();
         if w == 0.0 {
-            self.point(iv.mid(), mass);
+            self.point_with(iv.mid(), mass, record);
             return;
         }
         let lo_bin = self.grid.bin_of(lo);
@@ -115,10 +160,14 @@ impl MassAccumulator {
         let above = (hi - self.hi).max(0.0).min(w);
         let last = self.masses.len() - 1;
         if below > 0.0 {
-            self.masses[0] += mass * below / w;
+            let amount = mass * below / w;
+            self.masses[0] += amount;
+            record(0, amount);
         }
         if above > 0.0 {
-            self.masses[last] += mass * above / w;
+            let amount = mass * above / w;
+            self.masses[last] += amount;
+            record(last, amount);
         }
         if lo_bin > hi_bin {
             return;
@@ -127,10 +176,12 @@ impl MassAccumulator {
             .iter_mut()
             .zip(&self.edge_lo[lo_bin..=hi_bin])
             .zip(&self.edge_hi[lo_bin..=hi_bin]);
-        for ((m, &elo), &ehi) in bins {
+        for (bin, ((m, &elo), &ehi)) in (lo_bin..).zip(bins) {
             let overlap = (ehi.min(hi) - elo.max(lo)).max(0.0);
             if overlap > 0.0 {
-                *m += mass * overlap / w;
+                let amount = mass * overlap / w;
+                *m += amount;
+                record(bin, amount);
             }
         }
     }
@@ -259,4 +310,48 @@ fn deposit_sqr_monotone(acc: &mut MassAccumulator, a: f64, b: f64, mass: f64) {
     }
     let cdf = move |v: f64| -> f64 { ((v.max(0.0).sqrt() - a) / (b - a)).clamp(0.0, 1.0) };
     acc.cdf(a * a, b * b, mass, cdf);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Bit patterns of the accumulated masses.
+    fn bits(acc: &MassAccumulator) -> Vec<u64> {
+        acc.masses.iter().map(|m| m.to_bits()).collect()
+    }
+
+    #[test]
+    fn replay_repeats_a_deposit_bit_for_bit() {
+        let grid = Grid::new(-1.0, 2.0, 7).unwrap();
+        let iv = |lo, hi| Interval::new(lo, hi).unwrap();
+        let cases = [
+            (iv(-0.3, 0.9), 0.37),
+            // Clamped below, above, and on both sides of the grid.
+            (iv(-1.7, -0.2), 0.11),
+            (iv(1.4, 3.1), 0.23),
+            (iv(-5.0, 5.0), 0.05),
+            // Zero width: a point deposit.
+            (Interval::point(0.4), 0.19),
+            (Interval::point(-3.0), 0.07),
+        ];
+        for policy in [DepositPolicy::Uniform, DepositPolicy::Midpoint] {
+            for &(case, mass) in &cases {
+                let mut fresh = MassAccumulator::new(grid);
+                let mut replayed = MassAccumulator::new(grid);
+                let mut adds = vec![(99, 9.0)];
+                // Earlier mass in the bins, so the adds round against it.
+                for acc in [&mut fresh, &mut replayed] {
+                    acc.deposit(iv(-0.9, 1.3), 0.3, DepositPolicy::Uniform);
+                }
+                fresh.deposit(case, mass, policy);
+                replayed.deposit_recorded(case, mass, policy, &mut adds);
+                assert_eq!(bits(&fresh), bits(&replayed), "{policy:?} {case:?}");
+                assert!(!adds.is_empty() && !adds.contains(&(99, 9.0)), "{case:?}");
+                fresh.deposit(case, mass, policy);
+                replayed.replay(&adds);
+                assert_eq!(bits(&fresh), bits(&replayed), "{policy:?} {case:?}");
+            }
+        }
+    }
 }

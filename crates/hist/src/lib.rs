@@ -47,6 +47,14 @@
 //! bins, both signs of the linear deposit, point-width operands, forced
 //! grids, every [`DepositPolicy`] and operand width ratios from 1e-6 to
 //! 1e6.
+//!
+//! A deposit can also be recorded and replayed:
+//! [`MassAccumulator::deposit_recorded`] deposits and lists every
+//! `(bin, amount)` add it made, in order, and
+//! [`MassAccumulator::replay`] re-applies such a list.  A replay leaves
+//! the masses bit-identical to depositing the same interval and mass
+//! again, without the overlap arithmetic; the Cartesian sweep replays
+//! whenever an output repeats its last deposit.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

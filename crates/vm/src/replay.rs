@@ -41,8 +41,9 @@ pub struct ReplayOptions {
     /// Worker threads; 0 means available hardware parallelism, and at
     /// most [`MAX_WORKERS`](crate::MAX_WORKERS) run.
     pub workers: usize,
-    /// Bins of the empirical per-output error histogram.
-    pub bins: usize,
+    /// Bins of the empirical per-output error histogram; `None` builds
+    /// no histogram.
+    pub bins: Option<usize>,
 }
 
 impl Default for ReplayOptions {
@@ -51,7 +52,7 @@ impl Default for ReplayOptions {
             seg: 512,
             warmup: 64,
             workers: 0,
-            bins: 64,
+            bins: Some(64),
         }
     }
 }
@@ -217,7 +218,7 @@ mod tests {
             seg: 1,
             warmup: 0,
             workers: 1,
-            bins: 32,
+            bins: Some(32),
         };
         let stats = replay(&exe, &cols, &opts, &|| false).unwrap();
         assert_eq!(stats[0].samples, 1000);
@@ -232,7 +233,7 @@ mod tests {
             seg: 16,
             warmup: 8,
             workers: 1,
-            bins: 32,
+            bins: Some(32),
         };
         let base = replay(&exe, &cols, &opts, &|| false).unwrap();
         assert_eq!(base[0].samples, 40_000);
@@ -260,7 +261,7 @@ mod tests {
                 seg: 3000,
                 warmup: 0,
                 workers: 1,
-                bins: 32,
+                bins: Some(32),
             },
             &|| false,
         )
@@ -273,7 +274,7 @@ mod tests {
                 seg: 64,
                 warmup: 2,
                 workers: 1,
-                bins: 32,
+                bins: Some(32),
             },
             &|| false,
         )
@@ -319,7 +320,7 @@ mod tests {
             seg: 1,
             warmup: 0,
             workers: 4,
-            bins: 32,
+            bins: Some(32),
         };
         for workers in [1, 4] {
             let opts = ReplayOptions { workers, ..opts };

@@ -15,7 +15,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sna_hist::Histogram;
+use sna_hist::{Grid, HistError, Histogram};
 use sna_interval::Interval;
 
 use crate::exec::Executable;
@@ -45,8 +45,9 @@ pub struct SimOptions {
     /// Worker threads; 0 means available hardware parallelism, and at
     /// most [`MAX_WORKERS`](crate::MAX_WORKERS) run.
     pub workers: usize,
-    /// Bins of the empirical per-output error histogram.
-    pub bins: usize,
+    /// Bins of the empirical per-output error histogram; `None` builds
+    /// no histogram.
+    pub bins: Option<usize>,
 }
 
 impl Default for SimOptions {
@@ -57,7 +58,7 @@ impl Default for SimOptions {
             steps: 64,
             warmup: 16,
             workers: 0,
-            bins: 64,
+            bins: Some(64),
         }
     }
 }
@@ -81,8 +82,8 @@ pub struct OutputStats {
     pub power: f64,
     /// Number of collected error samples.
     pub samples: usize,
-    /// Histogram of the observed errors.
-    pub histogram: Histogram,
+    /// Histogram of the observed errors, when bins were asked for.
+    pub histogram: Option<Histogram>,
 }
 
 /// One chunk's collected error samples, per output.
@@ -112,7 +113,8 @@ pub(crate) type ChunkSamples = Vec<Vec<f64>>;
 /// * [`VmError::NoSamples`] when `paths == 0` or `steps <= warmup`;
 /// * [`VmError::InputArity`] on a range/input count mismatch;
 /// * [`VmError::DivisionByZero`] propagated from any lane;
-/// * [`VmError::Histogram`] if collected errors are non-finite;
+/// * [`VmError::Histogram`] if collected errors are non-finite (with
+///   or without a histogram);
 /// * [`VmError::Cancelled`] when the check fires.
 pub fn simulate(
     exe: &Executable,
@@ -181,7 +183,7 @@ pub fn simulate(
 pub(crate) fn merge_stats(
     exe: &Executable,
     chunks: Vec<Result<ChunkSamples, VmError>>,
-    bins: usize,
+    bins: Option<usize>,
 ) -> Result<Vec<OutputStats>, VmError> {
     let chunks = chunks.into_iter().collect::<Result<Vec<_>, _>>()?;
     exe.output_names()
@@ -195,27 +197,52 @@ pub(crate) fn merge_stats(
 }
 
 /// One output's statistics over its samples, stored in `slices` and
-/// read in order.
-fn stats_of(name: &str, slices: &[&[f64]], bins: usize) -> Result<OutputStats, VmError> {
-    let samples = || slices.iter().flat_map(|s| s.iter());
+/// read in order, with their histogram when `bins` is given.
+///
+/// Two passes: the first sums the samples and their squares, tracks the
+/// extremes and stops at the first non-finite sample; the second sums
+/// the squared deviations from the mean and bins the samples.  Each sum
+/// adds in sample order from `-0.0`, as `Iterator::sum` does.
+fn stats_of(name: &str, slices: &[&[f64]], bins: Option<usize>) -> Result<OutputStats, VmError> {
+    let samples = || slices.iter().flat_map(|s| s.iter().copied());
     let count: usize = slices.iter().map(|s| s.len()).sum();
     if count == 0 {
         return Err(VmError::NoSamples);
     }
+    let (mut sum, mut squares) = (-0.0, -0.0);
+    let (mut min, mut max) = (f64::INFINITY, f64::NEG_INFINITY);
+    for e in samples() {
+        if !e.is_finite() {
+            return Err(HistError::NonFinite { value: e }.into());
+        }
+        sum += e;
+        squares += e * e;
+        min = min.min(e);
+        max = max.max(e);
+    }
     let n = count as f64;
-    let mean = samples().sum::<f64>() / n;
-    let variance = samples().map(|e| (e - mean) * (e - mean)).sum::<f64>() / n;
-    let power = samples().map(|e| e * e).sum::<f64>() / n;
-    let min = samples().copied().fold(f64::INFINITY, f64::min);
-    let max = samples().copied().fold(f64::NEG_INFINITY, f64::max);
-    let histogram = Histogram::from_sample_slices(slices, bins)?;
+    let mean = sum / n;
+    let mut binned = match bins {
+        Some(bins) => Some((Grid::spanning_samples(min, max, bins)?, vec![0.0; bins])),
+        None => None,
+    };
+    let mut deviations = -0.0;
+    for e in samples() {
+        deviations += (e - mean) * (e - mean);
+        if let Some((grid, masses)) = &mut binned {
+            masses[grid.bin_of(e)] += 1.0;
+        }
+    }
+    let histogram = binned
+        .map(|(grid, masses)| Histogram::from_masses(grid, masses))
+        .transpose()?;
     Ok(OutputStats {
         name: name.to_string(),
         mean,
-        variance,
+        variance: deviations / n,
         min,
         max,
-        power,
+        power: squares / n,
         samples: count,
         histogram,
     })
