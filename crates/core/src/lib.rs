@@ -83,7 +83,7 @@ pub use dfg_engine::{DfgEngine, EngineOptions, HistMemo, Uncertain, Value};
 pub use engine::{AnalysisReport, AnalysisRequest, EngineKind, ReportKind, WlChoice};
 pub use error::SnaError;
 pub use lti_engine::LtiEngine;
-pub use na::{CoeffKind, CoeffSite, GainPatch, NaModel};
+pub use na::{CoeffKind, CoeffSite, NaModel};
 pub use report::NoiseReport;
 pub use session::{PerSample, Session, SessionStats};
 pub use simulate::{Gap, SimOutput, SimReport, SimRequest};

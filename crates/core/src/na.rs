@@ -95,17 +95,6 @@ impl CoeffSite {
     }
 }
 
-/// Outcome counters of [`NaModel::patched`]: how each source's gains
-/// were obtained.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct GainPatch {
-    /// Sources whose gains were re-simulated through the shared
-    /// [`ImpulseAnalysis`].
-    pub rebuilt: usize,
-    /// Sources whose gains were cloned from the donor unchanged.
-    pub reused: usize,
-}
-
 /// Precomputed noise-transfer gains from every node of a linear
 /// datapath, plus the coefficient-site inventory.
 ///
@@ -158,70 +147,16 @@ impl NaModel {
         node_ranges: &[Interval],
         opts: &LtiOptions,
     ) -> Result<Self, SnaError> {
-        Self::assemble(dfg, node_ranges, opts, |_| None).map(|(model, _)| model)
-    }
-
-    /// Rebuilds the model for a coefficient-swapped copy of the graph it
-    /// was built from — the gain-level reuse behind
-    /// [`crate::Session::with_coefficients`].  Gains of clean sources
-    /// (`dirty[i]` false) are cloned; every dirty source is re-simulated
-    /// through one [`ImpulseAnalysis`] of `dfg`, the same code a cold
-    /// [`NaModel::build_with_ranges`] runs.  The coefficient-site
-    /// inventory is always rebuilt from `node_ranges`.
-    ///
-    /// `dfg` must have the same shape as the original graph (same nodes,
-    /// edges, outputs) with only `Const` values differing, and `dirty`
-    /// must cover every source whose transfer path crosses a changed
-    /// local coefficient (see `Session` for the sound over-approximation).
-    /// On graphs without additive constants (a zero baseline) the result
-    /// then equals a cold build bit for bit.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`NaModel::build_with_ranges`].
-    pub fn patched(
-        &self,
-        dfg: &Dfg,
-        node_ranges: &[Interval],
-        opts: &LtiOptions,
-        dirty: &[bool],
-    ) -> Result<(Self, GainPatch), SnaError> {
-        Self::assemble(dfg, node_ranges, opts, |i| {
-            (!dirty.get(i).copied().unwrap_or(true)).then(|| self.gains[i].clone())
-        })
-    }
-
-    /// A model whose gains come from `reuse(i)` where it has them and
-    /// from one shared [`ImpulseAnalysis`], built on first need,
-    /// everywhere else.
-    fn assemble(
-        dfg: &Dfg,
-        node_ranges: &[Interval],
-        opts: &LtiOptions,
-        reuse: impl Fn(usize) -> Option<ImpulseGains>,
-    ) -> Result<(Self, GainPatch), SnaError> {
-        let mut analysis = None;
-        let mut patch = GainPatch::default();
-        let mut gains = Vec::with_capacity(dfg.len());
-        for (id, _) in dfg.nodes() {
-            if let Some(g) = reuse(id.index()) {
-                patch.reused += 1;
-                gains.push(g);
-                continue;
-            }
-            if analysis.is_none() {
-                analysis = Some(ImpulseAnalysis::new(dfg, opts)?);
-            }
-            let analysis = analysis.as_mut().expect("just built");
-            gains.push(analysis.response(id)?.0);
-            patch.rebuilt += 1;
-        }
-        let model = NaModel {
+        let mut analysis = ImpulseAnalysis::new(dfg, opts)?;
+        let gains = dfg
+            .nodes()
+            .map(|(id, _)| analysis.response(id).map(|(g, _)| g))
+            .collect::<Result<_, _>>()?;
+        Ok(NaModel {
             gains,
             output_names: dfg.outputs().iter().map(|(n, _)| n.clone()).collect(),
             coeff_sites: Self::collect_coeff_sites(dfg, node_ranges),
-        };
-        Ok((model, patch))
+        })
     }
 
     /// Inventory of constant-coefficient interaction sites.
@@ -942,8 +877,8 @@ mod tests {
         let l1 = fresh.gains_from(x).unwrap().per_output[0].l1;
         assert!((l1 - (c6 + c16)).abs() <= 1e-12 * (c6 + c16), "l1 = {l1}");
 
-        // A shape-hit re-spin re-simulates the dirty sources through the
-        // same analysis, so it must agree bit for bit.
+        // A shape-hit re-spin builds its gains cold, so it must agree bit
+        // for bit.
         let donor = crate::Session::new(gapped_fir(0.5, 0.25).0, ranges).unwrap();
         donor.na_model().unwrap();
         let coeffs: Vec<f64> = donor
@@ -952,8 +887,8 @@ mod tests {
             .map(|&c| if c == 0.5 { c6 } else { c16 })
             .collect();
         let respun = donor.with_coefficients(&coeffs).unwrap();
-        assert!(respun.na_model_built(), "the re-spin patches the donor");
-        let patched = respun.na_model().unwrap();
-        assert!(patched.to_wire() == fresh.to_wire());
+        let rebuilt = respun.na_model().unwrap();
+        assert!(rebuilt.to_wire() == fresh.to_wire());
+        assert_eq!(respun.stats().na_builds, 2);
     }
 }

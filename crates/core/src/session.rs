@@ -1,5 +1,5 @@
 //! The [`Session`]: one compiled program, its whole artifact chain, and
-//! coefficient-level incremental recompilation.
+//! "same shape, new constants" re-spins.
 //!
 //! A session owns the compiled artifacts the engines and the optimizer
 //! share — graph, per-node ranges, the NA gain model, the per-sample
@@ -20,22 +20,20 @@
 //!     LtiEngine (per request)      histogram memo (shared, concurrent)
 //! ```
 //!
-//! [`Session::with_coefficients`] is the incremental-recompilation seam:
-//! a "same shape, new constants" update — the inner loop of design-space
-//! exploration — patches the built stages instead of rebuilding them.
-//! Lowering never reruns (the graph skeleton is cloned with constants
-//! swapped), range analysis re-evaluates only the downstream cones of
-//! the changed constants, and the NA model re-simulates impulse gains
-//! only for sources whose transfer path crosses a changed coefficient
-//! (through one shared impulse analysis, the code a cold build runs),
-//! cloning every other gain from the donor model.  Stage-build counters
-//! ([`Session::stats`]) make the reuse observable and testable.
+//! [`Session::with_coefficients`] serves a "same shape, new constants"
+//! update — the inner loop of design-space exploration. Lowering never
+//! reruns (the graph skeleton is cloned with constants swapped) and the
+//! shape-only VM program is shared; ranges and the NA gain model build
+//! cold, exactly as for a new session: a cold build costs about what a
+//! cone-limited patch of them would, and is exact by construction.
+//! Stage-build counters ([`Session::stats`]) make every build
+//! observable and testable.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
-use sna_dfg::{Dfg, DfgError, LtiOptions, NodeId, Op, RangeOptions};
+use sna_dfg::{Dfg, DfgError, LtiOptions, RangeOptions};
 use sna_fixp::WlConfig;
 use sna_interval::Interval;
 
@@ -44,24 +42,6 @@ use crate::{
     DfgEngine, EngineKind, EngineOptions, HistMemo, LtiEngine, NaModel, SimRequest, SnaError,
     SymbolicEngine, SymbolicOptions,
 };
-
-/// How the node-range stage was computed (needed to patch it the same
-/// way).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum RangeMethod {
-    /// Interval fixpoint ([`Dfg::ranges_interval`]).
-    Interval,
-    /// LTI impulse-based ranges ([`Dfg::ranges_lti`]) — the fallback for
-    /// linear feedback whose interval iteration diverges.
-    Lti,
-}
-
-/// The node-range stage: per-node value intervals plus provenance.
-#[derive(Debug)]
-struct RangeStage {
-    ranges: Arc<Vec<Interval>>,
-    method: RangeMethod,
-}
 
 /// The per-sample stage of a sequential graph: the combinational view
 /// with delay-state inputs appended, plus their value ranges.
@@ -75,16 +55,12 @@ pub struct PerSample {
 }
 
 /// Stage-build counters, shared across a session and every
-/// coefficient-swapped descendant (so tests can assert that a swap did
-/// *not* trigger full rebuilds).
+/// coefficient-swapped descendant (so tests can count the builds a
+/// family of sessions ran).
 #[derive(Debug, Default)]
 struct Counters {
     range_builds: AtomicU64,
-    range_patches: AtomicU64,
     na_builds: AtomicU64,
-    na_patches: AtomicU64,
-    gains_rebuilt: AtomicU64,
-    gains_reused: AtomicU64,
     view_builds: AtomicU64,
     lti_builds: AtomicU64,
     vm_compiles: AtomicU64,
@@ -95,19 +71,16 @@ struct Counters {
 pub struct SessionStats {
     /// Full range analyses run.
     pub range_builds: u64,
-    /// Cone-limited (or fallback) range re-evaluations from
-    /// [`Session::with_coefficients`].
-    pub range_patches: u64,
     /// Full NA gain-model builds (one impulse analysis per source).
     pub na_builds: u64,
-    /// Gain-model patches from [`Session::with_coefficients`].
-    pub na_patches: u64,
-    /// Impulse analyses re-simulated across all patches.
+    /// Always 0: gain models are never patched, only built cold, so no
+    /// gain is rebuilt, derived or reused piecemeal. The three `gains_*`
+    /// fields stay because the end-to-end benchmark (`e2e/`) reads them;
+    /// they go when it next changes.
     pub gains_rebuilt: u64,
-    /// Always 0: patches re-simulate every dirty source. Kept so readers
-    /// of the snapshot (the end-to-end benchmark) keep compiling.
+    /// Always 0; see [`SessionStats::gains_rebuilt`].
     pub gains_derived: u64,
-    /// Impulse analyses cloned from a donor model across all patches.
+    /// Always 0; see [`SessionStats::gains_rebuilt`].
     pub gains_reused: u64,
     /// Per-sample combinational views built.
     pub view_builds: u64,
@@ -130,7 +103,7 @@ pub struct Session {
     dfg: Arc<Dfg>,
     input_ranges: Arc<Vec<Interval>>,
     counters: Arc<Counters>,
-    ranges: OnceLock<Result<RangeStage, SnaError>>,
+    ranges: OnceLock<Result<Arc<Vec<Interval>>, SnaError>>,
     na: OnceLock<Result<Arc<NaModel>, SnaError>>,
     per_sample: OnceLock<Result<Arc<PerSample>, SnaError>>,
     hist_memo: Arc<HistMemo>,
@@ -203,12 +176,10 @@ impl Session {
         let c = &self.counters;
         SessionStats {
             range_builds: c.range_builds.load(Ordering::Relaxed),
-            range_patches: c.range_patches.load(Ordering::Relaxed),
             na_builds: c.na_builds.load(Ordering::Relaxed),
-            na_patches: c.na_patches.load(Ordering::Relaxed),
-            gains_rebuilt: c.gains_rebuilt.load(Ordering::Relaxed),
+            gains_rebuilt: 0,
             gains_derived: 0,
-            gains_reused: c.gains_reused.load(Ordering::Relaxed),
+            gains_reused: 0,
             view_builds: c.view_builds.load(Ordering::Relaxed),
             lti_builds: c.lti_builds.load(Ordering::Relaxed),
             vm_compiles: c.vm_compiles.load(Ordering::Relaxed),
@@ -219,34 +190,6 @@ impl Session {
     // Lazily built stages
     // ------------------------------------------------------------------
 
-    fn ranges_stage(&self) -> Result<(Arc<Vec<Interval>>, RangeMethod), SnaError> {
-        let stage = self.ranges.get_or_init(|| {
-            self.counters.range_builds.fetch_add(1, Ordering::Relaxed);
-            match self
-                .dfg
-                .ranges_interval(&self.input_ranges, &RangeOptions::default())
-            {
-                Ok(r) => Ok(RangeStage {
-                    ranges: Arc::new(r),
-                    method: RangeMethod::Interval,
-                }),
-                Err(DfgError::RangeDivergence { .. }) if self.dfg.is_linear() => self
-                    .dfg
-                    .ranges_lti(&self.input_ranges, &LtiOptions::default())
-                    .map(|r| RangeStage {
-                        ranges: Arc::new(r),
-                        method: RangeMethod::Lti,
-                    })
-                    .map_err(SnaError::Dfg),
-                Err(e) => Err(SnaError::Dfg(e)),
-            }
-        });
-        match stage {
-            Ok(s) => Ok((Arc::clone(&s.ranges), s.method)),
-            Err(e) => Err(e.clone()),
-        }
-    }
-
     /// Per-node value ranges (the mirror of
     /// [`Dfg::ranges_auto`] with the default options), built once and
     /// shared.
@@ -255,7 +198,19 @@ impl Session {
     ///
     /// Range-analysis failures, cached: repeated calls fail fast.
     pub fn node_ranges(&self) -> Result<Arc<Vec<Interval>>, SnaError> {
-        self.ranges_stage().map(|(r, _)| r)
+        self.ranges
+            .get_or_init(|| {
+                self.counters.range_builds.fetch_add(1, Ordering::Relaxed);
+                self.dfg
+                    .ranges_auto(
+                        &self.input_ranges,
+                        &RangeOptions::default(),
+                        &LtiOptions::default(),
+                    )
+                    .map(Arc::new)
+                    .map_err(SnaError::Dfg)
+            })
+            .clone()
     }
 
     /// The NA gain model, built once (per coefficient set) and shared.
@@ -271,7 +226,7 @@ impl Session {
                 // `NonlinearNode` diagnostic even when their range
                 // analysis would also fail.
                 self.dfg.require_linear()?;
-                let (ranges, _) = self.ranges_stage()?;
+                let ranges = self.node_ranges()?;
                 self.counters.na_builds.fetch_add(1, Ordering::Relaxed);
                 NaModel::build_with_ranges(&self.dfg, &ranges, &LtiOptions::default()).map(Arc::new)
             })
@@ -297,7 +252,7 @@ impl Session {
             .get_or_init(|| {
                 let mut ranges = (*self.input_ranges).clone();
                 if !self.dfg.is_combinational() {
-                    let (node_ranges, _) = self.ranges_stage()?;
+                    let node_ranges = self.node_ranges()?;
                     ranges.extend(
                         self.dfg
                             .delay_nodes()
@@ -547,177 +502,69 @@ impl Session {
     }
 
     // ------------------------------------------------------------------
-    // Coefficient-level incremental recompilation
+    // Coefficient swaps
     // ------------------------------------------------------------------
 
-    /// A new session for "the same shape with these constants", reusing
-    /// every artifact the swap cannot have invalidated.
+    /// A new session for "the same shape with these constants".
     ///
     /// `coeffs` replaces the graph's `Const` values in
     /// [`Dfg::const_nodes`] order (compare [`Session::coefficients`]).
     /// Lowering never reruns — the graph skeleton is cloned with the
-    /// values patched in.  If the donor's range stage is built, ranges
-    /// are re-evaluated only inside the union downstream cone of the
-    /// changed constants; if the donor's NA model is built, impulse
-    /// gains are re-simulated only for sources whose transfer path
-    /// crosses a changed local coefficient (a multiplier/divider whose
-    /// constant-driven operand changed value) and cloned otherwise.
-    /// Histogram state (the memo, the per-sample view) is value-dependent
-    /// and starts fresh.
+    /// values swapped in — and the shape-only VM program is shared.
+    /// Every value-dependent stage (ranges, the NA gain model, the
+    /// per-sample view, the histogram memo) starts unbuilt and builds
+    /// cold on first use, exactly as in [`Session::new`]. Identical
+    /// coefficients share every built stage instead.
     ///
     /// The returned session shares this session's stage counters, so
-    /// [`Session::stats`] observes what was skipped.
+    /// [`Session::stats`] counts the builds of the whole family.
     ///
     /// # Errors
     ///
     /// [`SnaError::WrongCoefficientCount`] for a mis-sized vector.
-    /// Patch failures (e.g. ranges diverging under the new constants)
-    /// are *not* errors here: the affected stage is left unbuilt and
-    /// reports its failure lazily, exactly like a cold session.
     pub fn with_coefficients(&self, coeffs: &[f64]) -> Result<Session, SnaError> {
-        let const_nodes = self.dfg.const_nodes();
-        if coeffs.len() != const_nodes.len() {
+        let old = self.dfg.const_values();
+        if coeffs.len() != old.len() {
             return Err(SnaError::WrongCoefficientCount {
-                expected: const_nodes.len(),
+                expected: old.len(),
                 got: coeffs.len(),
             });
         }
-        let old = self.dfg.const_values();
-        let changed: Vec<NodeId> = const_nodes
+        if old
             .iter()
-            .zip(old.iter().zip(coeffs))
-            .filter(|(_, (o, n))| o.to_bits() != n.to_bits())
-            .map(|(&id, _)| id)
-            .collect();
-        if changed.is_empty() {
-            // Identical coefficients: share everything, including built
-            // stages and the histogram memo.
+            .zip(coeffs)
+            .all(|(o, n)| o.to_bits() == n.to_bits())
+        {
             return Ok(self.shallow_clone());
         }
-        let dfg = Arc::new(
-            self.dfg
-                .with_const_values(coeffs)
-                .expect("slot count checked above"),
-        );
-        let session = Session {
-            dfg,
+        let dfg = self
+            .dfg
+            .with_const_values(coeffs)
+            .expect("slot count checked above");
+        Ok(Session {
+            dfg: Arc::new(dfg),
             input_ranges: Arc::clone(&self.input_ranges),
             counters: Arc::clone(&self.counters),
             ranges: OnceLock::new(),
             na: OnceLock::new(),
             per_sample: OnceLock::new(),
             hist_memo: Arc::new(HistMemo::new()),
-            vm: OnceLock::new(),
-        };
-        // The bytecode program is shape-only; the swap keeps it.
-        if let Some(program) = self.vm.get() {
-            let _ = session.vm.set(Arc::clone(program));
-        }
-
-        // Patch the range stage off the donor's, when it exists.
-        if let Some(Ok(base)) = self.ranges.get() {
-            if let Some(stage) = session.patched_ranges(base, &changed) {
-                self.counters.range_patches.fetch_add(1, Ordering::Relaxed);
-                let _ = session.ranges.set(Ok(stage));
-            }
-        }
-
-        // Patch the gain model off the donor's, when both it and the new
-        // range stage exist.
-        if let Some(Ok(donor)) = self.na.get() {
-            if let Some(Ok(stage)) = session.ranges.get() {
-                let dirty = dirty_gain_sources(&session.dfg, &changed);
-                if let Ok((model, patch)) =
-                    donor.patched(&session.dfg, &stage.ranges, &LtiOptions::default(), &dirty)
-                {
-                    self.counters.na_patches.fetch_add(1, Ordering::Relaxed);
-                    self.counters
-                        .gains_rebuilt
-                        .fetch_add(patch.rebuilt as u64, Ordering::Relaxed);
-                    self.counters
-                        .gains_reused
-                        .fetch_add(patch.reused as u64, Ordering::Relaxed);
-                    let _ = session.na.set(Ok(Arc::new(model)));
-                }
-            }
-        }
-        Ok(session)
-    }
-
-    /// Re-evaluates the donor's range stage under this session's
-    /// constants, mirroring how the donor computed it. `None` means the
-    /// patch failed; the stage stays unbuilt and rebuilds (and
-    /// re-reports its failure) lazily.
-    fn patched_ranges(&self, base: &RangeStage, changed: &[NodeId]) -> Option<RangeStage> {
-        match base.method {
-            RangeMethod::Interval => match self.dfg.ranges_interval_patched(
-                &self.input_ranges,
-                &RangeOptions::default(),
-                &base.ranges,
-                changed,
-            ) {
-                Ok(r) => Some(RangeStage {
-                    ranges: Arc::new(r),
-                    method: RangeMethod::Interval,
-                }),
-                // The swap may push a stable loop over the interval
-                // engine's divergence edge; mirror `ranges_auto`'s LTI
-                // fallback.
-                Err(DfgError::RangeDivergence { .. }) if self.dfg.is_linear() => self
-                    .dfg
-                    .ranges_lti(&self.input_ranges, &LtiOptions::default())
-                    .ok()
-                    .map(|r| RangeStage {
-                        ranges: Arc::new(r),
-                        method: RangeMethod::Lti,
-                    }),
-                Err(_) => None,
-            },
-            // Impulse-based ranges are global in the coefficients; the
-            // patch is a full (cheap relative to gains) re-run.
-            RangeMethod::Lti => self
-                .dfg
-                .ranges_lti(&self.input_ranges, &LtiOptions::default())
-                .ok()
-                .map(|r| RangeStage {
-                    ranges: Arc::new(r),
-                    method: RangeMethod::Lti,
-                }),
-        }
+            vm: self.vm.clone(),
+        })
     }
 
     /// A new handle onto the same compiled state (all stages shared).
     fn shallow_clone(&self) -> Session {
-        let clone = Session {
+        Session {
             dfg: Arc::clone(&self.dfg),
             input_ranges: Arc::clone(&self.input_ranges),
             counters: Arc::clone(&self.counters),
-            ranges: OnceLock::new(),
-            na: OnceLock::new(),
-            per_sample: OnceLock::new(),
+            ranges: self.ranges.clone(),
+            na: self.na.clone(),
+            per_sample: self.per_sample.clone(),
             hist_memo: Arc::clone(&self.hist_memo),
-            vm: OnceLock::new(),
-        };
-        if let Some(program) = self.vm.get() {
-            let _ = clone.vm.set(Arc::clone(program));
+            vm: self.vm.clone(),
         }
-        if let Some(stage) = self.ranges.get() {
-            let copied = match stage {
-                Ok(s) => Ok(RangeStage {
-                    ranges: Arc::clone(&s.ranges),
-                    method: s.method,
-                }),
-                Err(e) => Err(e.clone()),
-            };
-            let _ = clone.ranges.set(copied);
-        }
-        if let Some(model) = self.na.get() {
-            let _ = clone.na.set(model.clone());
-        }
-        if let Some(ps) = self.per_sample.get() {
-            let _ = clone.per_sample.set(ps.clone());
-        }
-        clone
     }
 
     // ------------------------------------------------------------------
@@ -726,9 +573,8 @@ impl Session {
 
     /// Encodes the session's compiled skeleton for the persistent
     /// artifact store: the graph, its input ranges, and every *built*
-    /// artifact stage — node ranges (with their provenance, so patching
-    /// behaves identically after a reload), the NA gain model, and the
-    /// VM bytecode. Stages that are unbuilt (or failed) are simply
+    /// artifact stage — node ranges, the NA gain model, and the VM
+    /// bytecode. Stages that are unbuilt (or failed) are simply
     /// omitted; an imported session rebuilds them lazily like a cold
     /// one.
     ///
@@ -744,13 +590,10 @@ impl Session {
             w.f64(r.hi());
         }
         match self.ranges.get() {
-            Some(Ok(stage)) => {
-                w.u8(match stage.method {
-                    RangeMethod::Interval => 1,
-                    RangeMethod::Lti => 2,
-                });
-                w.len(stage.ranges.len());
-                for r in stage.ranges.iter() {
+            Some(Ok(ranges)) => {
+                w.u8(1);
+                w.len(ranges.len());
+                for r in ranges.iter() {
                     w.f64(r.lo());
                     w.f64(r.hi());
                 }
@@ -802,9 +645,11 @@ impl Session {
             );
         }
 
-        let range_stage = match r.u8()? {
+        let node_ranges = match r.u8()? {
             0 => None,
-            tag @ (1 | 2) => {
+            // Older stores wrote tag 2 for ranges from the LTI fallback;
+            // only the values matter.
+            1 | 2 => {
                 let n = r.read_count(16)?;
                 if n != dfg.len() {
                     return Err(WireError::new("node range count mismatch"));
@@ -817,14 +662,7 @@ impl Session {
                             .map_err(|e| WireError::new(format!("node range: {e}")))?,
                     );
                 }
-                Some(RangeStage {
-                    ranges: Arc::new(ranges),
-                    method: if tag == 1 {
-                        RangeMethod::Interval
-                    } else {
-                        RangeMethod::Lti
-                    },
-                })
+                Some(ranges)
             }
             t => return Err(WireError::new(format!("bad range stage tag {t}"))),
         };
@@ -854,8 +692,8 @@ impl Session {
 
         let session = Session::new(dfg, input_ranges)
             .map_err(|e| WireError::new(format!("invalid session: {e}")))?;
-        if let Some(stage) = range_stage {
-            let _ = session.ranges.set(Ok(stage));
+        if let Some(ranges) = node_ranges {
+            let _ = session.ranges.set(Ok(Arc::new(ranges)));
         }
         if let Some(model) = na_model {
             let _ = session.na.set(Ok(Arc::new(model)));
@@ -870,32 +708,6 @@ impl Session {
 /// The export tag of a built NA stage in the current [`NaModel::to_wire`]
 /// layout.
 const NA_STAGE_TAG: u8 = 2;
-
-/// The sources whose impulse gains a coefficient swap can change: a
-/// source is dirty iff some path from it to an output crosses a
-/// multiplier/divider whose *constant-driven* operand changed value.
-///
-/// Sound over-approximation: `carriers` = constant-driven nodes inside
-/// the downstream cone of the changed constants (their zero-input values
-/// shifted); `sites` = `Mul`/`Div` nodes with a carrier operand (their
-/// local linear coefficient changed); dirty = everything strictly
-/// upstream of a site (the injection must *enter* the site — injections
-/// at or below a site's output never see its coefficient).
-fn dirty_gain_sources(dfg: &Dfg, changed: &[NodeId]) -> Vec<bool> {
-    let dep = dfg.signal_dependent_mask();
-    let down = dfg.downstream_mask(changed);
-    let sites: Vec<NodeId> = dfg
-        .nodes()
-        .filter(|(_, node)| matches!(node.op(), Op::Mul | Op::Div))
-        .filter(|(_, node)| {
-            node.args()
-                .iter()
-                .any(|a| down[a.index()] && !dep[a.index()])
-        })
-        .map(|(id, _)| id)
-        .collect();
-    dfg.upstream_of(&sites)
-}
 
 #[cfg(test)]
 mod tests {
@@ -1042,15 +854,16 @@ mod tests {
     }
 
     #[test]
-    fn with_coefficients_skips_lowering_and_full_range_reanalysis() {
+    fn with_coefficients_skips_lowering_and_builds_value_stages_cold() {
         let (g, r) = fir3();
-        let s = Session::new(g, r).unwrap();
+        let s = Session::new(g.clone(), r.clone()).unwrap();
         // Build the chain cold.
         s.na_model().unwrap();
+        let _ = s.vm_program();
         let before = s.stats();
         assert_eq!(
-            (before.range_builds, before.na_builds, before.range_patches),
-            (1, 1, 0)
+            (before.range_builds, before.na_builds, before.vm_compiles),
+            (1, 1, 1)
         );
 
         // Swap one coefficient (the middle tap).
@@ -1060,27 +873,31 @@ mod tests {
         let swapped = s.with_coefficients(&coeffs).unwrap();
         assert_eq!(swapped.coefficients(), vec![0.25, 0.4]);
 
+        // The shape-only VM program rides along; the value-dependent
+        // stages start unbuilt and build once, cold, on first use.
+        assert!(swapped.vm_program_built());
+        assert!(!swapped.na_model_built());
+        let model = swapped.na_model().unwrap();
         let after = swapped.stats();
-        // No new full builds: lowering is structurally impossible to
-        // re-run here, and range analysis + the gain model were patched.
-        assert_eq!(after.range_builds, 1, "{after:?}");
-        assert_eq!(after.na_builds, 1, "{after:?}");
-        assert_eq!(after.range_patches, 1, "{after:?}");
-        assert_eq!(after.na_patches, 1, "{after:?}");
-        assert!(after.gains_reused > 0, "{after:?}");
-        // Every source's gains are either re-simulated or cloned: the
-        // three upstream of the retuned tap (x, x1 and its constant) are
-        // re-simulated, the rest cloned.
         assert_eq!(
-            after.gains_rebuilt + after.gains_reused,
-            swapped.dfg().len() as u64,
+            (after.range_builds, after.na_builds, after.vm_compiles),
+            (2, 2, 1),
             "{after:?}"
         );
-        assert_eq!(after.gains_rebuilt, 3, "{after:?}");
-        assert_eq!(after.gains_derived, 0, "{after:?}");
-        // The stages really are present without further building.
-        assert!(swapped.ranges.get().is_some());
-        assert!(swapped.na.get().is_some());
+        assert_eq!(
+            (after.gains_rebuilt, after.gains_derived, after.gains_reused),
+            (0, 0, 0),
+            "{after:?}"
+        );
+
+        // Both stages equal a cold session's bit for bit.
+        let cold = Session::new(g.with_const_values(&coeffs).unwrap(), r).unwrap();
+        let (a, b) = (swapped.node_ranges().unwrap(), cold.node_ranges().unwrap());
+        for (ra, rb) in a.iter().zip(b.iter()) {
+            assert_eq!(ra.lo().to_bits(), rb.lo().to_bits());
+            assert_eq!(ra.hi().to_bits(), rb.hi().to_bits());
+        }
+        assert!(model.to_wire() == cold.na_model().unwrap().to_wire());
     }
 
     #[test]
@@ -1136,21 +953,6 @@ mod tests {
     }
 
     #[test]
-    fn dirty_sources_exclude_paths_below_the_changed_coefficient() {
-        let (g, _) = fir3();
-        // Change the middle-tap constant (node order: x=0, x1=1, x2=2,
-        // c_end=3, c_mid=4, t0=5, t1=6, t2=7, s=8, y=9).
-        let dirty = dirty_gain_sources(&g, &[NodeId::from_index(4)]);
-        // Upstream of the t1 multiplier: x, x1, and c_mid itself.
-        assert!(dirty[0] && dirty[1] && dirty[4]);
-        // The adder chain and the other taps' multipliers inject below
-        // the changed coefficient: clean.
-        assert!(!dirty[5] && !dirty[6] && !dirty[7] && !dirty[8] && !dirty[9]);
-        // The untouched end coefficient is clean too.
-        assert!(!dirty[3]);
-    }
-
-    #[test]
     fn additive_constant_swaps_invalidate_no_gains() {
         // y = 0.5·x + c: changing c shifts values but no transfer path
         // coefficient, so every gain is reusable.
@@ -1167,9 +969,13 @@ mod tests {
         // coefficients in id order: [0.5 (mul), 0.25 (additive)].
         coeffs[1] = 0.3;
         let swapped = s.with_coefficients(&coeffs).unwrap();
-        let stats = swapped.stats();
-        assert_eq!(stats.gains_rebuilt, 0, "{stats:?}");
-        assert!(stats.gains_reused > 0, "{stats:?}");
+        // The swapped model is built cold, and every gain equals the
+        // donor's bit for bit.
+        let (donor, model) = (s.na_model().unwrap(), swapped.na_model().unwrap());
+        for (id, _) in swapped.dfg().nodes() {
+            assert!(donor.gains_from(id) == model.gains_from(id), "node {id:?}");
+        }
+        assert_eq!(swapped.stats().na_builds, 2);
         // And the reports still track the new constant exactly.
         let req = AnalysisRequest {
             engine: EngineKind::Na,
@@ -1222,6 +1028,62 @@ mod tests {
         // Stages still build lazily, exactly like a cold session.
         warm.na_model().unwrap();
         assert_eq!(warm.stats().na_builds, 1);
+    }
+
+    #[test]
+    fn tag2_range_stages_from_older_stores_import_as_plain_ranges() {
+        // A resonator whose interval fixpoint diverges, so its ranges
+        // come from the LTI fallback: the case older stores tagged 2.
+        let mut b = DfgBuilder::new();
+        let x = b.input("x");
+        let y1 = b.delay_placeholder();
+        let y2 = b.delay(y1);
+        let t1 = b.mul_const(1.5, y1);
+        let t2 = b.mul_const(-0.7, y2);
+        let s = b.add(x, t1);
+        let y = b.add(s, t2);
+        b.bind_delay(y1, y).unwrap();
+        b.output("y", y);
+        let g = b.build().unwrap();
+        let r = vec![iv(-1.0, 1.0)];
+        assert!(matches!(
+            g.ranges_interval(&r, &RangeOptions::default()),
+            Err(DfgError::RangeDivergence { .. })
+        ));
+        let cold = Session::new(g.clone(), r.clone()).unwrap();
+        let ranges = cold.node_ranges().unwrap();
+
+        let mut w = sna_store::WireWriter::new();
+        w.bytes(&g.to_wire());
+        w.len(r.len());
+        for v in &r {
+            w.f64(v.lo());
+            w.f64(v.hi());
+        }
+        w.u8(2);
+        w.len(ranges.len());
+        for v in ranges.iter() {
+            w.f64(v.lo());
+            w.f64(v.hi());
+        }
+        w.u8(0);
+        w.u8(0);
+        let warm = Session::import_wire(&w.finish()).unwrap();
+
+        let req = AnalysisRequest {
+            engine: EngineKind::Na,
+            words: WlChoice::Uniform(12),
+            ..AnalysisRequest::default()
+        };
+        let (a, b) = (warm.analyze(&req).unwrap(), cold.analyze(&req).unwrap());
+        for ((n1, ra), (n2, rb)) in a.reports.iter().zip(&b.reports) {
+            assert_eq!(n1, n2);
+            assert_eq!(ra.mean.to_bits(), rb.mean.to_bits());
+            assert_eq!(ra.variance.to_bits(), rb.variance.to_bits());
+        }
+        assert_eq!(warm.stats().range_builds, 0);
+        // A re-export writes the one current tag, as the cold session does.
+        assert_eq!(warm.export_wire(), cold.export_wire());
     }
 
     #[test]

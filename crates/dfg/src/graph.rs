@@ -324,9 +324,7 @@ impl Dfg {
         cone
     }
 
-    /// The union downstream cone of several roots, as a per-node mask —
-    /// the region a multi-node change (e.g. a coefficient swap touching
-    /// several constants) must re-analyze.
+    /// The union downstream cone of several roots, as a per-node mask.
     ///
     /// Follows the same edges as [`Dfg::downstream_cone`], including the
     /// sequential edge into a delay.
@@ -358,40 +356,6 @@ impl Dfg {
         reachable
     }
 
-    /// The upstream closure of `targets`: every node from which some
-    /// target is reachable through at least one edge (delay edges
-    /// included).  The targets themselves are *not* marked unless they
-    /// feed another target — this is "who can influence a target's
-    /// operands", the invalidation set for gain reuse when a local
-    /// coefficient at a target changes.
-    pub fn upstream_of(&self, targets: &[NodeId]) -> Vec<bool> {
-        let n = self.nodes.len();
-        let mut is_target = vec![false; n];
-        for t in targets {
-            is_target[t.0] = true;
-        }
-        let mut reaches = vec![false; n];
-        // reaches[i] ⇔ some consumer j of i has reaches[j] or is a target.
-        loop {
-            let mut changed = false;
-            for (j, node) in self.nodes.iter().enumerate() {
-                if !(reaches[j] || is_target[j]) {
-                    continue;
-                }
-                for a in &node.args {
-                    if !reaches[a.0] {
-                        reaches[a.0] = true;
-                        changed = true;
-                    }
-                }
-            }
-            if !changed {
-                break;
-            }
-        }
-        reaches
-    }
-
     /// The ids of every `Const` node, in id order — the coefficient slots
     /// of [`Dfg::with_const_values`].
     pub fn const_nodes(&self) -> Vec<NodeId> {
@@ -415,7 +379,7 @@ impl Dfg {
 
     /// A copy of the graph with every `Const` value replaced, in
     /// [`Dfg::const_nodes`] order — the "same shape, new coefficients"
-    /// skeleton reuse behind incremental recompilation.  Everything
+    /// skeleton reuse behind coefficient swaps.  Everything
     /// structural (node ids, arguments, names, topological order, delay
     /// inventory, outputs) is preserved verbatim.
     ///
@@ -436,14 +400,14 @@ impl Dfg {
                 got: values.len(),
             });
         }
-        let mut patched = self.clone();
+        let mut swapped = self.clone();
         let mut next = values.iter();
-        for node in &mut patched.nodes {
+        for node in &mut swapped.nodes {
             if matches!(node.op, Op::Const(_)) {
                 node.op = Op::Const(*next.next().expect("counted above"));
             }
         }
-        Ok(patched)
+        Ok(swapped)
     }
 
     /// A canonical text rendering of the graph's *shape*: every node's
@@ -491,14 +455,6 @@ impl Dfg {
             }
         }
         out
-    }
-
-    /// Per-node signal dependence: `true` for nodes whose value depends
-    /// (transitively, through combinational edges or delays) on some
-    /// input.  The complement — constant-driven nodes — is exactly the
-    /// set whose values shift when only coefficients change.
-    pub fn signal_dependent_mask(&self) -> Vec<bool> {
-        crate::range::signal_dependent(self)
     }
 
     /// Validates that `id` belongs to this graph.
@@ -734,6 +690,21 @@ mod tests {
     }
 
     #[test]
+    fn with_const_values_keeps_range_overrides() {
+        let mut b = DfgBuilder::new();
+        let x = b.input("x");
+        let t = b.mul_const(0.5, x);
+        let y = b.add(x, t);
+        let pinned = Interval::new(-1.25, 1.25).unwrap();
+        b.override_range(y, pinned).unwrap();
+        b.output("y", y);
+        let g = b.build().unwrap();
+        let swapped = g.with_const_values(&[0.25]).unwrap();
+        assert_eq!(swapped.range_override(y), Some(pinned));
+        assert_eq!(swapped.shape_signature(), g.shape_signature());
+    }
+
+    #[test]
     fn downstream_mask_unions_roots() {
         let g = fir2();
         // Roots {c=2, x=0}: everything but nothing extra beyond the two
@@ -742,25 +713,6 @@ mod tests {
         let expect: Vec<usize> = vec![0, 1, 2, 3, 4];
         let got: Vec<usize> = (0..g.len()).filter(|&i| mask[i]).collect();
         assert_eq!(got, expect);
-    }
-
-    #[test]
-    fn upstream_of_marks_strict_influencers() {
-        let g = fir2();
-        // Node ids: x=0, xd=1 (delay), c=2, t=3 (mul), y=4 (add).
-        let up = g.upstream_of(&[NodeId(3)]);
-        // x (via the delay), the delay, and the constant can influence the
-        // mul's operands; the mul itself and the add cannot.
-        assert!(up[0] && up[1] && up[2]);
-        assert!(!up[3] && !up[4]);
-    }
-
-    #[test]
-    fn signal_dependent_mask_separates_constant_driven_nodes() {
-        let g = fir2();
-        let dep = g.signal_dependent_mask();
-        assert!(dep[0] && dep[1] && dep[3] && dep[4]);
-        assert!(!dep[2], "the constant is not signal dependent");
     }
 
     #[test]

@@ -178,101 +178,6 @@ impl Dfg {
         Ok(ranges)
     }
 
-    /// Re-runs interval range analysis only inside the union downstream
-    /// cone of `dirty_roots`, reusing `base` for every node outside it —
-    /// the incremental path behind coefficient-only recompiles.
-    ///
-    /// `base` must be the result of [`Dfg::ranges_interval`] on a graph
-    /// of identical shape (same nodes/edges); only values at and below
-    /// the dirty roots may have changed.  Nodes outside the cone keep
-    /// their `base` ranges (their inputs are untouched, so those ranges
-    /// are still the fixpoint values); in-cone delays restart from the
-    /// reset state `[0, 0]` and widen exactly as a from-scratch run
-    /// would, so on graphs whose fixpoint is reached exactly (any
-    /// combinational or feed-forward datapath) the result is
-    /// bit-identical to a full re-analysis.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Dfg::ranges_interval`].
-    pub fn ranges_interval_patched(
-        &self,
-        input_ranges: &[Interval],
-        opts: &RangeOptions,
-        base: &[Interval],
-        dirty_roots: &[NodeId],
-    ) -> Result<Vec<Interval>, DfgError> {
-        if input_ranges.len() != self.n_inputs() {
-            return Err(DfgError::WrongInputCount {
-                expected: self.n_inputs(),
-                got: input_ranges.len(),
-            });
-        }
-        if base.len() != self.len() {
-            return Err(DfgError::WrongInputCount {
-                expected: self.len(),
-                got: base.len(),
-            });
-        }
-        let in_cone = self.downstream_mask(dirty_roots);
-        let mut ranges = base.to_vec();
-        // In-cone delays restart from the reset state, mirroring scratch;
-        // overridden delays stay pinned at their declared range instead.
-        for &d in self.delay_nodes() {
-            if in_cone[d.index()] {
-                ranges[d.index()] = self.range_override(d).unwrap_or(Interval::ZERO);
-            }
-        }
-        let cone_has_delay = self.delay_nodes().iter().any(|d| in_cone[d.index()]);
-        let iterations = if cone_has_delay {
-            opts.max_iterations
-        } else {
-            1
-        };
-        for it in 0..iterations {
-            for &id in self.topo_order() {
-                if !in_cone[id.index()] {
-                    continue;
-                }
-                let Some(v) = self.node_interval(id, &ranges, input_ranges)? else {
-                    continue;
-                };
-                ranges[id.index()] = self.range_override(id).unwrap_or(v);
-            }
-            if ranges
-                .iter()
-                .any(|r| !r.lo().is_finite() || !r.hi().is_finite())
-            {
-                return Err(DfgError::RangeDivergence { iterations: it + 1 });
-            }
-            let mut changed = false;
-            for &d in self.delay_nodes() {
-                if !in_cone[d.index()] || self.range_override(d).is_some() {
-                    continue;
-                }
-                let src = self.node(d).args()[0];
-                let widened = ranges[d.index()].hull(&ranges[src.index()]);
-                if !widened.width().is_finite() {
-                    return Err(DfgError::RangeDivergence { iterations: it + 1 });
-                }
-                if widened != ranges[d.index()] {
-                    let grown = widened.width() - ranges[d.index()].width();
-                    if grown > opts.tolerance * (1.0 + widened.width()) {
-                        changed = true;
-                    }
-                    ranges[d.index()] = widened;
-                }
-            }
-            if !changed {
-                return Ok(ranges);
-            }
-            if it + 1 == iterations && cone_has_delay {
-                return Err(DfgError::RangeDivergence { iterations });
-            }
-        }
-        Ok(ranges)
-    }
-
     /// Computes per-node ranges with affine arithmetic (combinational
     /// graphs only); returns the affine form of every node.
     ///
@@ -478,77 +383,6 @@ mod tests {
     }
 
     #[test]
-    fn patched_ranges_match_scratch_on_feedforward_graphs() {
-        // A 3-tap FIR: feed-forward, so the fixpoint is reached exactly
-        // and the patched result must be bit-identical to scratch.
-        let mut b = DfgBuilder::new();
-        let x = b.input("x");
-        let x1 = b.delay(x);
-        let x2 = b.delay(x1);
-        let c0 = b.constant(0.25);
-        let c1 = b.constant(0.5);
-        let t0 = b.mul(c0, x);
-        let t1 = b.mul(c1, x1);
-        let t2 = b.mul(c0, x2);
-        let s = b.add(t0, t1);
-        let y = b.add(s, t2);
-        b.output("y", y);
-        let g = b.build().unwrap();
-        let inputs = [iv(-1.0, 1.0)];
-        let opts = RangeOptions::default();
-        let base = g.ranges_interval(&inputs, &opts).unwrap();
-
-        // Swap one coefficient and patch only its cone.
-        let swapped = g.with_const_values(&[0.3, 0.5]).unwrap();
-        let scratch = swapped.ranges_interval(&inputs, &opts).unwrap();
-        let patched = swapped
-            .ranges_interval_patched(&inputs, &opts, &base, &[c0])
-            .unwrap();
-        for (i, (s, p)) in scratch.iter().zip(&patched).enumerate() {
-            assert_eq!(s.lo().to_bits(), p.lo().to_bits(), "node {i} lo");
-            assert_eq!(s.hi().to_bits(), p.hi().to_bits(), "node {i} hi");
-        }
-        // Nodes outside the cone kept their base ranges untouched.
-        assert_eq!(patched[x1.index()], base[x1.index()]);
-    }
-
-    #[test]
-    fn patched_ranges_handle_feedback_cones() {
-        // y = x + k·y[n-1]: the constant's cone crosses the delay, so the
-        // patch re-runs the fixpoint over the loop.
-        let mk = |k: f64| {
-            let mut b = DfgBuilder::new();
-            let x = b.input("x");
-            let fb = b.delay_placeholder();
-            let t = b.mul_const(k, fb);
-            let y = b.add(x, t);
-            b.bind_delay(fb, y).unwrap();
-            b.output("y", y);
-            b.build().unwrap()
-        };
-        let g = mk(0.5);
-        let inputs = [iv(-1.0, 1.0)];
-        let opts = RangeOptions::default();
-        let base = g.ranges_interval(&inputs, &opts).unwrap();
-        let swapped = g.with_const_values(&[0.25]).unwrap();
-        let scratch = swapped.ranges_interval(&inputs, &opts).unwrap();
-        let root = swapped.const_nodes()[0];
-        let patched = swapped
-            .ranges_interval_patched(&inputs, &opts, &base, &[root])
-            .unwrap();
-        for (s, p) in scratch.iter().zip(&patched) {
-            assert!((s.lo() - p.lo()).abs() <= 1e-9 * (1.0 + s.width()));
-            assert!((s.hi() - p.hi()).abs() <= 1e-9 * (1.0 + s.width()));
-        }
-        // An unstable swap diverges through the patch path too.
-        let unstable = g.with_const_values(&[1.5]).unwrap();
-        assert!(matches!(
-            unstable.ranges_interval_patched(&inputs, &opts, &base, &[root]),
-            Err(DfgError::RangeDivergence { .. })
-        ));
-    }
-
-    #[test]
     fn affine_is_tighter_on_correlated_paths() {
         // y = x - x: IA gives [-2, 2], AA gives exactly 0.
         let mut b = DfgBuilder::new();
@@ -660,41 +494,6 @@ mod tests {
         let (_, yid) = g.outputs()[0].clone();
         // y = x + 1.5·[-2, 2] = [-4, 4].
         assert_eq!(r[yid.index()], iv(-4.0, 4.0));
-    }
-
-    #[test]
-    fn patched_ranges_respect_overrides_bit_for_bit() {
-        // A FIR tap with an overridden accumulator: patching a swapped
-        // coefficient must agree with scratch exactly.
-        let mk = |c: f64| {
-            let mut b = DfgBuilder::new();
-            let x = b.input("x");
-            let x1 = b.delay(x);
-            let t = b.mul_const(c, x1);
-            let y = b.add(x, t);
-            b.override_range(y, iv(-1.25, 1.25)).unwrap();
-            b.output("y", y);
-            (b.build().unwrap(), y)
-        };
-        let (g, _) = mk(0.5);
-        let inputs = [iv(-1.0, 1.0)];
-        let opts = RangeOptions::default();
-        let base = g.ranges_interval(&inputs, &opts).unwrap();
-        let swapped = g.with_const_values(&[0.25]).unwrap();
-        assert_eq!(
-            swapped.range_override(g.outputs()[0].1),
-            Some(iv(-1.25, 1.25)),
-            "with_const_values keeps overrides"
-        );
-        let scratch = swapped.ranges_interval(&inputs, &opts).unwrap();
-        let root = swapped.const_nodes()[0];
-        let patched = swapped
-            .ranges_interval_patched(&inputs, &opts, &base, &[root])
-            .unwrap();
-        for (i, (s, p)) in scratch.iter().zip(&patched).enumerate() {
-            assert_eq!(s.lo().to_bits(), p.lo().to_bits(), "node {i} lo");
-            assert_eq!(s.hi().to_bits(), p.hi().to_bits(), "node {i} hi");
-        }
     }
 
     #[test]

@@ -62,8 +62,7 @@
 //!
 //! `acc = a + b range [-1, 1];` *overrides range analysis* at the bound
 //! node: the range engines behind every analysis path — the interval
-//! fixpoint, its cone-limited incremental patch, the LTI L1 fallback,
-//! affine analysis, and the per-sample combinational view (where a
+//! fixpoint, the LTI L1 fallback, affine analysis, and the per-sample combinational view (where a
 //! delay's override becomes its state input's) — report the declared
 //! interval for `acc` instead of the computed one.  This is the escape
 //! hatch for designer knowledge interval arithmetic cannot see, and a

@@ -14,9 +14,9 @@
 //!   ([`Lowered::shape_key`]). A program that differs from a cached one
 //!   *only in coefficient values* — the inner loop of design-space
 //!   exploration — pays parse + lower, then maps onto the cached entry's
-//!   skeleton via [`Session::with_coefficients`]: range analysis re-runs
-//!   only in the changed constants' cones and unaffected impulse gains
-//!   are cloned instead of re-simulated.
+//!   skeleton via [`Session::with_coefficients`]: it shares the donor's
+//!   VM program and builds ranges and the gain model cold, so its
+//!   answers are a cold compile's bytes.
 //!
 //! All levels compare the full key text on lookup, so a hash collision
 //! can never hand one program another program's model.
@@ -100,8 +100,9 @@ pub enum Lookup {
     /// build.
     CanonHit,
     /// A new program whose graph *shape* matches a cached one (only
-    /// constant values differ): parse + lower ran, but ranges and gains
-    /// were patched off the cached skeleton instead of rebuilt.
+    /// constant values differ): parse + lower ran, the cached skeleton's
+    /// VM program is shared, and ranges and gains build cold on first
+    /// use.
     ShapeHit,
     /// Absent from memory but warm-loaded from the persistent artifact
     /// store (directly or through a shape pointer): parse + lower ran,
@@ -441,8 +442,8 @@ impl CompileCache {
         let shape_fingerprint = lowered.shape_fingerprint();
 
         // Shape tier: a cached program with the same const-masked shape
-        // absorbs this one as a coefficient swap — ranges and gains are
-        // patched off its skeleton instead of rebuilt. Serving a swap
+        // absorbs this one as a coefficient swap — its VM program is
+        // shared, ranges and gains build cold on first use. Serving a swap
         // *uses* the donor, so its recency is refreshed: a hot skeleton
         // under a parameter sweep outlives streams of one-off programs.
         let donor = {
@@ -458,12 +459,11 @@ impl CompileCache {
                     shape_fingerprint,
                 ));
                 let mut state = self.state.lock().expect("cache lock");
-                // Never evict on this path: a shape hit is cheap for the
-                // peer (the donor absorbed the expensive stages), so
-                // evicting here would let an attacker stream coefficient
-                // respins of one cached shape to push out every other
-                // client's fully compiled programs. Past a limit the
-                // variant is served but simply stays unregistered.
+                // Never evict on this path: evicting here would let an
+                // attacker stream coefficient respins of one cached shape
+                // to push out every other client's compiled programs.
+                // Past a limit the variant is served but simply stays
+                // unregistered.
                 let over_entries = state.slots.len() >= self.limits.max_entries;
                 let over_bytes = state.key_bytes.saturating_add(canon_len + source.len())
                     > self.limits.max_key_bytes;
@@ -473,8 +473,8 @@ impl CompileCache {
                     return Ok((entry, Lookup::ShapeHit));
                 }
                 if let Some(existing) = state.touch(&canon) {
-                    // A racer registered the identical program while we
-                    // patched; share its entry.
+                    // A racer registered the identical program meanwhile;
+                    // share its entry.
                     state.insert_source(source, &canon);
                     state.hits += 1;
                     return Ok((existing, Lookup::CanonHit));
@@ -541,8 +541,8 @@ impl CompileCache {
     /// Tries both persistent tiers for a warm skeleton: the canonical
     /// fingerprint first (exact program), then the shape pointer
     /// (coefficient respin of a stored skeleton).  Any failure — frame
-    /// damage, schema damage, key collision, patch failure — returns
-    /// `None` and the caller compiles from scratch.
+    /// damage, schema damage, key collision, coefficient-count mismatch
+    /// — returns `None` and the caller compiles from scratch.
     fn store_warm_load(
         &self,
         canon: &str,
@@ -736,8 +736,10 @@ mod tests {
         let base = "input x in [-1, 1];\nlet k = 0.5;\noutput y = k*x;\n";
         let (first, l0) = cache.get_or_compile(base).unwrap();
         assert_eq!(l0, Lookup::Miss);
-        // Warm the expensive stage so the swap has something to reuse.
+        // Build every stage of the donor; the swap shares only the VM
+        // program.
         first.session.na_model().unwrap();
+        let _ = first.session.vm_program();
 
         let swapped = "input x in [-1, 1];\nlet k = 0.25;\noutput y = k*x;\n";
         let (second, lookup) = cache.get_or_compile(swapped).unwrap();
@@ -745,8 +747,17 @@ mod tests {
         assert_eq!(second.shape_fingerprint, first.shape_fingerprint);
         assert_ne!(second.fingerprint, first.fingerprint);
         assert_eq!(second.session.coefficients(), vec![0.25]);
-        // The patched model is already in place — no rebuild on use.
-        assert!(second.session.na_model_built());
+        // The value-dependent stages build cold on first use and equal
+        // a cold compile's.
+        assert!(second.session.vm_program_built());
+        assert!(!second.session.na_model_built());
+        let (cold, _) = CompileCache::new().get_or_compile(swapped).unwrap();
+        assert!(
+            second.session.na_model().unwrap().to_wire()
+                == cold.session.na_model().unwrap().to_wire()
+        );
+        let family = second.session.stats();
+        assert_eq!((family.na_builds, family.vm_compiles), (2, 1), "{family:?}");
         let stats = cache.stats();
         assert_eq!(stats.shape_hits, 1, "{stats:?}");
         assert_eq!(stats.hits, 1, "{stats:?}");
@@ -1002,7 +1013,16 @@ mod tests {
         let (entry, lookup) = cache.get_or_compile(swapped).unwrap();
         assert_eq!(lookup, Lookup::StoreHit);
         assert_eq!(entry.session.coefficients(), vec![0.25]);
-        assert!(entry.session.na_model_built(), "patched gains ride along");
+        // The stored VM program rides along; the gains build cold.
+        assert!(entry.session.vm_program_built());
+        assert!(!entry.session.na_model_built());
+        let (cold, _) = CompileCache::new().get_or_compile(swapped).unwrap();
+        assert!(
+            entry.session.na_model().unwrap().to_wire()
+                == cold.session.na_model().unwrap().to_wire()
+        );
+        let stats = entry.session.stats();
+        assert_eq!((stats.na_builds, stats.vm_compiles), (1, 0), "{stats:?}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

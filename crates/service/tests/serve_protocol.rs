@@ -749,17 +749,18 @@ fn shape_hit_results_equal_a_cold_compile_on_cold_sweep_designs() {
                 );
             }
 
-            // The patched gain model itself: gains and coefficient sites.
+            // The shape hit's gain model itself: gains and coefficient
+            // sites.
             let (hit, _) = warm.get_or_compile(&respin).unwrap();
             let (fresh, _) = CompileCache::new().get_or_compile(&respin).unwrap();
             assert!(
                 hit.session.na_model().unwrap().to_wire()
                     == fresh.session.na_model().unwrap().to_wire(),
-                "{family} draw {draw}: patched model differs from a cold build"
+                "{family} draw {draw}: shape-hit model differs from a cold build"
             );
         }
         let stats = warm.get_or_compile(&donor).unwrap().0.session.stats();
-        assert_eq!(stats.na_builds, 1, "{family}: {stats:?}");
-        assert_eq!(stats.na_patches, 2, "{family}: {stats:?}");
+        // One cold build per distinct program: the donor and two re-spins.
+        assert_eq!(stats.na_builds, 3, "{family}: {stats:?}");
     }
 }

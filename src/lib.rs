@@ -61,8 +61,8 @@
 //!          report.engine.name(),
 //!          noise.support.0, noise.support.1, noise.std_dev());
 //!
-//! // Coefficient-level incremental recompilation: same shape, new
-//! // constants — lowering and unaffected gains are reused.
+//! // A coefficient swap: same shape, new constants — lowering is
+//! // reused, ranges and gains build cold on first use.
 //! let swapped = session.with_coefficients(&[0.25, 0.65])?;
 //! assert_eq!(swapped.coefficients(), vec![0.25, 0.65]);
 //! # Ok(())
