@@ -17,8 +17,10 @@
 //! * LTI analysis ([`Dfg::impulse_gains`]) computing per-source L1/L2/DC
 //!   gains to every output — the error-transfer machinery for linear
 //!   datapaths with feedback (the paper's Designs I–IV are all linear);
-//!   [`ImpulseAnalysis`] answers every source of one graph in one shared
-//!   pass.
+//!   [`Dfg::adjoint_gains`] answers every source at once with one
+//!   backwards pass per output when the zero-input run is stationary,
+//!   and [`ImpulseAnalysis`] answers them on any baseline in one shared
+//!   forward simulation.
 //!
 //! # Example
 //!

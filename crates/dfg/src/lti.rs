@@ -14,24 +14,35 @@
 //! response decays.  This works for feedback structures (IIR) without any
 //! transfer-function algebra and is exact for linear graphs.
 //!
-//! Two implementations measure the same thing:
+//! Three implementations measure the same thing:
 //!
 //! * [`Dfg::impulse_response`] is the dense reference: per source, an
 //!   injected [`Simulator`] runs in lockstep with a zero-input baseline
 //!   simulator, and every node is evaluated on every step.
-//! * [`ImpulseAnalysis`] answers every source of one graph and is what
-//!   gain models use.  It simulates the baseline once, evaluates per step
-//!   only the nodes with an argument off the baseline, and lets sources
-//!   whose impulse reaches the same single-register state share one
-//!   recorded continuation.  It performs the reference's IEEE operations
-//!   in the reference's order, so its gains and sequences are the
-//!   reference's bit for bit, errors included.
+//! * [`Dfg::adjoint_gains`] is what gain models use when the zero-input
+//!   run is *stationary and finite* (its values after step 1 equal those
+//!   after step 0 bit for bit, which holds whenever no constant reaches a
+//!   delay).  It runs the transposed graph backwards from each output
+//!   once: at lag `k` it holds every node's sensitivity μ_k of that output
+//!   to a perturbation `k` steps earlier, and each node's gains are sums
+//!   of its μ.  A pass ends when the carried state is exactly zero, or
+//!   when `settle_steps` lags in a row leave every node's μ below
+//!   `tolerance` times its own running ℓ1, so a node's first nonzero
+//!   value always keeps it going.  Its gains are the reference's up to
+//!   rounding and tail truncation.
+//! * [`ImpulseAnalysis`] answers every source of one graph on any
+//!   baseline.  It simulates the baseline once, evaluates per step only
+//!   the nodes with an argument off the baseline, and lets sources whose
+//!   impulse reaches the same single-register state share one recorded
+//!   continuation.  It performs the reference's IEEE operations in the
+//!   reference's order, so its gains and sequences are the reference's
+//!   bit for bit, errors included.
 
 use std::collections::HashMap;
 
 use sna_interval::Interval;
 
-use crate::range::first_nonlinear_node;
+use crate::range::{first_nonlinear_node, signal_dependent};
 use crate::{Dfg, DfgError, NodeId, Op, Simulator};
 
 /// Options for impulse-response gain extraction.
@@ -124,9 +135,9 @@ impl Dfg {
     /// incremental coefficient updates) can recombine them without
     /// re-simulating.
     ///
-    /// This is the dense reference [`ImpulseAnalysis::response`] is
-    /// checked against; callers that need many sources of one graph use
-    /// the analysis, which returns the same bits for less work.
+    /// This is the dense reference [`ImpulseAnalysis::response`] and
+    /// [`Dfg::adjoint_gains`] are checked against; callers that need many
+    /// sources of one graph use those, for less work.
     ///
     /// # Errors
     ///
@@ -202,6 +213,104 @@ impl Dfg {
             node: source,
             steps: opts.max_steps,
         })
+    }
+
+    /// Impulse-response gains from every node at once: one adjoint
+    /// (transposed) pass per output instead of one simulation per
+    /// source.  `Ok(None)` where only [`ImpulseAnalysis`] applies.
+    ///
+    /// A pass runs the graph backwards from a unit seed on its output.
+    /// At lag `k` it holds μ_k\[v\], the sensitivity of the output at the
+    /// current step to a perturbation of node `v` `k` steps earlier; each
+    /// delay carries its μ one lag back to its argument.  For a
+    /// combinational source μ_k\[v\] is the impulse response's `h[k]`;
+    /// an impulse at a delay lands one step later, so its response is
+    /// the same sequence shifted by one lag.  Either way a node's ℓ1,
+    /// ℓ2² and dc gains are sums of its μ over the lags.  Partial
+    /// derivatives come from the zero-input baseline row: a `Mul`'s
+    /// partials are its operands' baseline values, crossed.
+    ///
+    /// That needs a *stationary and finite* baseline: the zero-input
+    /// node values after step 1 equal those after step 0 bit for bit,
+    /// and are all finite.  It holds whenever no constant reaches a
+    /// delay.  Any other baseline answers `None`, and so does a pass
+    /// that meets a non-finite μ or runs into `opts.max_steps`: the
+    /// forward analysis then reports which source fails.
+    ///
+    /// A pass stops at the first of: the carried adjoint state is exactly
+    /// zero; `opts.settle_steps` consecutive lags are not *loud*;
+    /// `opts.max_steps` lags.  A lag is loud if some node's |μ_k\[v\]| is
+    /// at least `opts.tolerance` times that node's running ℓ1 toward the
+    /// output.  A node's first nonzero value is therefore always loud,
+    /// and neither a run of zero taps nor a loop longer than
+    /// `settle_steps` can end a pass early.
+    ///
+    /// The gains are [`Dfg::impulse_response`]'s up to rounding (sums of
+    /// the same path products, associated differently) and up to where
+    /// each method cuts a decaying tail.  A source for which a unit
+    /// impulse is no small perturbation (a constant-only node that
+    /// reaches a divisor, or both operands of a product in one step) is
+    /// answered by [`ImpulseAnalysis`] instead.
+    ///
+    /// # Errors
+    ///
+    /// [`DfgError::NonlinearNode`] if the graph is not linear.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use sna_dfg::{DfgBuilder, LtiOptions};
+    ///
+    /// # fn main() -> Result<(), sna_dfg::DfgError> {
+    /// // y = x + 0.5·x[n-3]
+    /// let mut b = DfgBuilder::new();
+    /// let x = b.input("x");
+    /// let line = b.delay_chain(x, 3);
+    /// let t = b.mul_const(0.5, line[2]);
+    /// let y = b.add(x, t);
+    /// b.output("y", y);
+    /// let dfg = b.build()?;
+    ///
+    /// let opts = LtiOptions::default();
+    /// let gains = dfg.adjoint_gains(&opts)?.expect("stationary baseline");
+    /// for (id, _) in dfg.nodes() {
+    ///     let (dense, _) = dfg.impulse_response(id, &opts)?;
+    ///     assert_eq!(gains[id.index()], dense);
+    /// }
+    /// # Ok(())
+    /// # }
+    /// ```
+    pub fn adjoint_gains(&self, opts: &LtiOptions) -> Result<Option<Vec<ImpulseGains>>, DfgError> {
+        self.require_linear()?;
+        let Some(adjoint) = Adjoint::new(self) else {
+            return Ok(None);
+        };
+        let n_out = self.outputs.len();
+        let mut gains: Vec<ImpulseGains> = (0..self.len())
+            .map(|i| ImpulseGains {
+                source: NodeId(i),
+                per_output: vec![OutputGain::default(); n_out],
+            })
+            .collect();
+        let mut pass = Pass::new(self.len());
+        for (k, (_, o)) in self.outputs.iter().enumerate() {
+            if !pass.run(&adjoint, o.0, opts) {
+                return Ok(None);
+            }
+            for (g, acc) in gains.iter_mut().zip(&pass.gains) {
+                g.per_output[k] = *acc;
+            }
+        }
+        if !adjoint.curved.is_empty() {
+            let mut forward = ImpulseAnalysis::new(self, opts)?;
+            for &s in &adjoint.curved {
+                match forward.response(s) {
+                    Ok((g, _)) => gains[s.0] = g,
+                    Err(_) => return Ok(None),
+                }
+            }
+        }
+        Ok(Some(gains))
     }
 
     /// The delay nodes no feedback cycle feeds.  An impulse inside one of
@@ -615,15 +724,15 @@ impl Plan {
     }
 }
 
-/// Per-node lists in one buffer.
+/// Per-node lists in one buffer, each in the order its edges were given.
 #[derive(Debug)]
-struct Csr {
+struct Csr<T = u32> {
     start: Vec<u32>,
-    items: Vec<u32>,
+    items: Vec<T>,
 }
 
-impl Csr {
-    fn new(n: usize, edges: &[(usize, u32)]) -> Csr {
+impl<T: Copy + Default> Csr<T> {
+    fn new(n: usize, edges: &[(usize, T)]) -> Csr<T> {
         let mut start = vec![0u32; n + 1];
         for &(from, _) in edges {
             start[from + 1] += 1;
@@ -632,7 +741,7 @@ impl Csr {
             start[i + 1] += start[i];
         }
         let mut fill = start.clone();
-        let mut items = vec![0u32; edges.len()];
+        let mut items = vec![T::default(); edges.len()];
         for &(from, item) in edges {
             items[fill[from] as usize] = item;
             fill[from] += 1;
@@ -640,7 +749,7 @@ impl Csr {
         Csr { start, items }
     }
 
-    fn of(&self, i: usize) -> &[u32] {
+    fn of(&self, i: usize) -> &[T] {
         &self.items[self.start[i] as usize..self.start[i + 1] as usize]
     }
 }
@@ -1000,6 +1109,241 @@ impl Run {
     }
 }
 
+/// One edge of the transposed graph: how μ flows from a combinational
+/// consumer back to one of its arguments.
+#[derive(Clone, Copy, Debug, Default)]
+struct Edge {
+    user: u32,
+    /// The partial derivative, or the divisor when `divide` is set (a
+    /// quotient's numerator, divided as the forward step divides).
+    factor: f64,
+    divide: bool,
+}
+
+/// The graph transposed around its zero-input baseline, for
+/// [`Dfg::adjoint_gains`].  Edges whose partial derivative is zero (a
+/// product's coefficient, when the signal it scales is zero on the
+/// baseline) carry nothing and are left out.
+#[derive(Debug)]
+struct Adjoint {
+    /// The nodes a pass visits each lag: combinational ones after all
+    /// their consumers, then the delays in id order.  A node no edge,
+    /// output or delay reaches stays at zero and is left out.
+    order: Vec<u32>,
+    /// Each node's index in `order`.
+    rank: Vec<u32>,
+    /// Per node: the combinational consumers μ flows in from, in id order.
+    users: Csr<Edge>,
+    /// The delays, and the argument each one latches.
+    delays: Vec<u32>,
+    latched: Vec<u32>,
+    /// Sources the forward analysis answers: constant-only nodes for
+    /// which a unit impulse is no small perturbation.
+    curved: Vec<NodeId>,
+}
+
+impl Adjoint {
+    /// `None` unless the zero-input baseline is stationary and finite.
+    fn new(dfg: &Dfg) -> Option<Adjoint> {
+        let n = dfg.len();
+        let mut base = vec![0.0; n];
+        for &id in &dfg.topo {
+            let node = &dfg.nodes[id.0];
+            let arg = |slot: usize| node.args.get(slot).map_or(0.0, |a| base[a.0]);
+            let v = eval(node.op, arg(0), arg(1), id.0).ok()?;
+            base[id.0] = v + 0.0;
+        }
+        // Step 1 reads each delay's argument from step 0, latched as the
+        // simulator latches it; the rows repeat iff every one is +0.0.
+        let latched: Vec<u32> = dfg
+            .delays
+            .iter()
+            .map(|d| dfg.nodes[d.0].args[0].0 as u32)
+            .collect();
+        let stationary = latched
+            .iter()
+            .all(|&a| (base[a as usize] + 0.0).to_bits() == 0);
+        if !stationary || base.iter().any(|v| !v.is_finite()) {
+            return None;
+        }
+        let mut reached = vec![false; n];
+        for &a in &latched {
+            reached[a as usize] = true;
+        }
+        for (_, o) in &dfg.outputs {
+            reached[o.0] = true;
+        }
+        let mut user_edges = Vec::new();
+        for (i, node) in dfg.nodes.iter().enumerate() {
+            let [a, b] = [0, 1].map(|slot| node.args.get(slot).map_or(0.0, |x| base[x.0]));
+            let partials = match node.op {
+                Op::Delay => continue,
+                Op::Sub => [(1.0, false), (-1.0, false)],
+                Op::Mul => [(b, false), (a, false)],
+                // Every source that reaches a divisor is curved: nothing
+                // flows back into it.
+                Op::Div => [(b, true), (0.0, false)],
+                Op::Neg => [(-1.0, false); 2],
+                _ => [(1.0, false); 2],
+            };
+            for (&x, (factor, divide)) in node.args.iter().zip(partials) {
+                if factor != 0.0 {
+                    reached[x.0] = true;
+                    let user = i as u32;
+                    user_edges.push((
+                        x.0,
+                        Edge {
+                            user,
+                            factor,
+                            divide,
+                        },
+                    ));
+                }
+            }
+        }
+        let users = Csr::new(n, &user_edges);
+        let curved = Self::curved(dfg, &base);
+        let order: Vec<u32> = dfg
+            .topo
+            .iter()
+            .rev()
+            .chain(&dfg.delays)
+            .filter(|id| reached[id.0])
+            .map(|id| id.0 as u32)
+            .collect();
+        let mut rank = vec![u32::MAX; n];
+        for (r, &v) in order.iter().enumerate() {
+            rank[v as usize] = r as u32;
+        }
+        Some(Adjoint {
+            order,
+            rank,
+            users,
+            delays: dfg.delays.iter().map(|d| d.0 as u32).collect(),
+            latched,
+            curved,
+        })
+    }
+
+    /// The sources whose forward response may be nonlinear in the unit
+    /// impulse.  Only a node no input reaches can meet a divisor or both
+    /// operands of a product, so every signal-dependent source is exact
+    /// up to rounding.  So is a constant whose consumers are all
+    /// signal-dependent products or sums, if it has one consumer or the
+    /// signals' baseline is zero (its impulse then dies at the product).
+    /// Everything else constant-only goes to the forward analysis.
+    fn curved(dfg: &Dfg, base: &[f64]) -> Vec<NodeId> {
+        let dep = signal_dependent(dfg);
+        let zero_signals = dep.iter().zip(base).all(|(&d, &v)| !d || v == 0.0);
+        let mut consumers = vec![0usize; dfg.len()];
+        let mut fit = vec![true; dfg.len()];
+        for (u, node) in dfg.nodes.iter().enumerate() {
+            for a in &node.args {
+                consumers[a.0] += 1;
+                fit[a.0] &= dep[u] && !matches!(node.op, Op::Div | Op::Delay);
+            }
+        }
+        (0..dfg.len())
+            .filter(|&i| {
+                let straight = matches!(dfg.nodes[i].op, Op::Const(_))
+                    && fit[i]
+                    && (consumers[i] <= 1 || zero_signals);
+                !dep[i] && !straight
+            })
+            .map(NodeId)
+            .collect()
+    }
+}
+
+/// Buffers of the adjoint passes, reused across outputs.
+struct Pass {
+    /// Each node's μ in the current lag.
+    mu: Vec<f64>,
+    /// The μ each node starts the current lag with: the unit seed on the
+    /// output at lag 0, then what the delays carry back.
+    seed: Vec<f64>,
+    /// Per node: the gains toward the current output.
+    gains: Vec<OutputGain>,
+}
+
+impl Pass {
+    fn new(n: usize) -> Pass {
+        Pass {
+            mu: vec![0.0; n],
+            seed: vec![0.0; n],
+            gains: vec![OutputGain::default(); n],
+        }
+    }
+
+    /// One pass backwards from `output`; leaves every node's gains toward
+    /// it in `gains`.  `false` when the pass met a non-finite value or
+    /// ran out of lags.
+    ///
+    /// Each lag sweeps `order` from the first seeded node on: everything
+    /// before it has no seed and only consumers before it, so its μ is
+    /// zero (a FIR's adder tree is idle after lag 0).
+    fn run(&mut self, adj: &Adjoint, output: usize, opts: &LtiOptions) -> bool {
+        let Pass { mu, seed, gains } = self;
+        gains.fill(OutputGain::default());
+        mu.fill(0.0);
+        seed.fill(0.0);
+        seed[output] = 1.0;
+        let mut start = adj.rank[output] as usize;
+        let mut quiet = 0;
+        for _ in 0..opts.max_steps {
+            let mut loud = false;
+            let mut finite = true;
+            for &v in &adj.order[start..] {
+                let i = v as usize;
+                let mut m = seed[i];
+                for e in adj.users.of(i) {
+                    let x = mu[e.user as usize];
+                    m += if e.divide { x / e.factor } else { x * e.factor };
+                }
+                mu[i] = m;
+                if m != 0.0 {
+                    let g = &mut gains[i];
+                    g.l1 += m.abs();
+                    g.l2_squared += m * m;
+                    g.dc += m;
+                    finite &= (g.l1 + g.l2_squared).is_finite();
+                    loud |= m.abs() >= opts.tolerance * g.l1;
+                }
+            }
+            if !finite {
+                return false;
+            }
+            seed[output] = 0.0;
+            for &a in &adj.latched {
+                seed[a as usize] = 0.0;
+            }
+            let mut next = adj.order.len();
+            for (&d, &a) in adj.delays.iter().zip(&adj.latched) {
+                let m = mu[d as usize];
+                if m != 0.0 {
+                    seed[a as usize] += m;
+                    next = next.min(adj.rank[a as usize] as usize);
+                }
+            }
+            if next == adj.order.len() {
+                return true;
+            }
+            // The nodes the next sweep skips must read as zero.
+            if next > start {
+                for &v in &adj.order[start..next] {
+                    mu[v as usize] = 0.0;
+                }
+            }
+            start = next;
+            quiet = if loud { 0 } else { quiet + 1 };
+            if quiet >= opts.settle_steps {
+                return true;
+            }
+        }
+        false
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1252,5 +1596,35 @@ mod tests {
         let (gains, seqs) = g.impulse_response(x, &opts).unwrap();
         assert_eq!(gains.per_output[0].l1, 4.0);
         assert_eq!(seqs[0].len(), 4 + opts.settle_steps);
+        // Four lags back from y, the comb's −1 and the integrator's +1
+        // cancel on `s`, so the adjoint pass carries nothing further.
+        let adjoint = g.adjoint_gains(&opts).unwrap().unwrap();
+        assert_eq!(adjoint[x.index()], gains);
+    }
+
+    #[test]
+    fn a_divisor_s_constants_take_the_forward_response() {
+        // q = (x + 0.5) / (a + b): a unit impulse at `a` or `b` is no small
+        // change of the divisor (0.5/3 − 0.5/2, not −0.5/2²), so those two
+        // sources keep the forward analysis's answer bit for bit.
+        let mut bld = DfgBuilder::new();
+        let x = bld.input("x");
+        let half = bld.constant(0.5);
+        let num = bld.add(x, half);
+        let (a, b) = (bld.constant(1.5), bld.constant(0.5));
+        let d = bld.add(a, b);
+        let q = bld.div(num, d);
+        bld.output("q", q);
+        let g = bld.build().unwrap();
+        let opts = LtiOptions::default();
+        let gains = g.adjoint_gains(&opts).unwrap().unwrap();
+        for id in [a, b, d] {
+            assert_eq!(gains[id.index()], g.impulse_gains(id, &opts).unwrap());
+        }
+        assert_eq!(gains[a.index()].per_output[0].dc, 0.5 / 3.0 - 0.5 / 2.0);
+        for id in [x, half, num] {
+            assert_eq!(gains[id.index()].per_output[0].l1, 0.5);
+        }
+        assert_eq!(gains[q.index()].per_output[0].l1, 1.0);
     }
 }

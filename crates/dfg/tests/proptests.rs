@@ -3,8 +3,9 @@
 //! Random linear datapaths are generated structurally; the invariants tie
 //! the analyses to the simulator: interval ranges enclose simulated
 //! values, LTI gains predict simulated responses, and the combinational
-//! view agrees with the sequential graph step by step, and the shared
-//! impulse analysis reproduces the dense per-source reference bit for bit.
+//! view agrees with the sequential graph step by step, the shared impulse
+//! analysis reproduces the dense per-source reference bit for bit, and the
+//! adjoint pass reproduces it up to rounding.
 
 use proptest::prelude::*;
 use sna_dfg::{Dfg, DfgBuilder, ImpulseAnalysis, LtiOptions, NodeId, RangeOptions, Simulator};
@@ -136,8 +137,122 @@ fn assert_matches_reference(g: &Dfg, opts: &LtiOptions) {
     }
 }
 
+/// `g` with every path product made positive: constants by magnitude,
+/// `Sub` as `Add`, `Neg` as a product with 1.  Its gains bound the sums
+/// both impulse methods round, with no cancellation left in them.
+fn without_cancellation(g: &Dfg) -> (Dfg, Vec<NodeId>) {
+    use sna_dfg::Op;
+    let mut b = DfgBuilder::new();
+    let mut map = vec![NodeId::from_index(0); g.len()];
+    for &d in g.delay_nodes() {
+        map[d.index()] = b.delay_placeholder();
+    }
+    for &id in g.topo_order() {
+        let node = g.node(id);
+        let arg = |k: usize| map[node.args()[k].index()];
+        map[id.index()] = match node.op() {
+            Op::Input(i) => b.input(g.input_names()[i].clone()),
+            Op::Const(c) => b.constant(c.abs()),
+            Op::Add | Op::Sub => b.add(arg(0), arg(1)),
+            Op::Mul => b.mul(arg(0), arg(1)),
+            Op::Neg => b.mul_const(1.0, arg(0)),
+            op => unreachable!("the generators make no {op:?}"),
+        };
+    }
+    for &d in g.delay_nodes() {
+        b.bind_delay(map[d.index()], map[g.node(d).args()[0].index()])
+            .expect("placeholder");
+    }
+    for (name, o) in g.outputs() {
+        b.output(name.clone(), map[o.index()]);
+    }
+    (b.build().expect("structurally valid"), map)
+}
+
+/// Asserts that the adjoint pass answers every node of `g` as accurately
+/// as the dense reference does.  Both are compared with a strict oracle,
+/// the dense reference at a tolerance of 1e-18.  Every adjoint gain must
+/// be within 1e-12 of the gains without cancellation, scaled by 1 + the
+/// largest baseline value (the dense run rounds each difference against
+/// the baseline), plus the worst relative error the dense reference itself
+/// makes on `g` (both cut slowly decaying tails).  Where the adjoint
+/// declines, the zero-input run must not be stationary and finite, or
+/// some source must fail.
+fn assert_adjoint_matches_reference(g: &Dfg, opts: &LtiOptions) {
+    let mut sim = Simulator::new(g);
+    let stationary = sim.step(&vec![0.0; g.n_inputs()]).is_ok()
+        && g.delay_nodes()
+            .iter()
+            .all(|d| sim.values()[d.index()].to_bits() == 0)
+        && sim.values().iter().all(|v| v.is_finite());
+    let Some(gains) = g.adjoint_gains(opts).expect("linear") else {
+        assert!(
+            !stationary
+                || g.nodes()
+                    .any(|(id, _)| g.impulse_response(id, opts).is_err()),
+            "the adjoint declined a stationary, finite baseline"
+        );
+        return;
+    };
+    assert!(stationary, "the adjoint ran on a moving baseline");
+    let strict_opts = LtiOptions {
+        tolerance: 1e-18,
+        ..*opts
+    };
+    let base = sim.values().iter().fold(0.0f64, |m, v| m.max(v.abs()));
+    let (abs, map) = without_cancellation(g);
+    let mut rows = Vec::new();
+    let mut dense_error = 0.0f64;
+    for (id, _) in g.nodes() {
+        let (dense, _) = g.impulse_response(id, opts).expect("the adjoint settled");
+        let (strict, _) = g.impulse_response(id, &strict_opts).expect("stable");
+        let (bound, _) = abs.impulse_response(map[id.index()], opts).expect("stable");
+        assert_eq!(gains[id.index()].source, id);
+        for ((d, s), m) in dense
+            .per_output
+            .iter()
+            .zip(&strict.per_output)
+            .zip(&bound.per_output)
+        {
+            for (x, y, scale) in [
+                (d.l1, s.l1, m.l1),
+                (d.l2_squared, s.l2_squared, m.l2_squared),
+            ] {
+                if scale > 0.0 {
+                    dense_error = dense_error.max((x - y).abs() / scale);
+                }
+            }
+        }
+        rows.push((id, strict, bound));
+    }
+    let tol = 1e-12 * (1.0 + base) + dense_error;
+    for (id, strict, bound) in rows {
+        let outputs = gains[id.index()].per_output.iter().zip(&strict.per_output);
+        for ((a, s), m) in outputs.zip(&bound.per_output) {
+            assert!(
+                (a.l1 - s.l1).abs() <= tol * m.l1
+                    && (a.l2_squared - s.l2_squared).abs() <= tol * m.l2_squared
+                    && (a.dc - s.dc).abs() <= tol * m.l1,
+                "gains from node {id}: adjoint {a:?}, strict {s:?}, bound {m:?}"
+            );
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn adjoint_gains_match_the_reference(steps in proptest::collection::vec(step_strategy(), 1..12)) {
+        assert_adjoint_matches_reference(&build(&steps), &LtiOptions::default());
+    }
+
+    #[test]
+    fn adjoint_gains_match_the_reference_with_loops_and_constants(
+        steps in proptest::collection::vec(loop_step_strategy(), 1..12))
+    {
+        assert_adjoint_matches_reference(&build_with_loops(&steps), &LtiOptions::default());
+    }
 
     #[test]
     fn interval_ranges_enclose_simulation(steps in proptest::collection::vec(step_strategy(), 1..12),

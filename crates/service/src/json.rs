@@ -141,6 +141,7 @@ impl Json {
     /// A human-readable description with a byte offset.
     pub fn parse(input: &str) -> Result<Json, String> {
         let mut p = Parser {
+            text: input,
             bytes: input.as_bytes(),
             pos: 0,
             depth: 0,
@@ -244,6 +245,8 @@ const MAX_DEPTH: usize = 128;
 /// Recursive-descent reader over the raw bytes (JSON's structural
 /// characters are all ASCII; string contents pass through as UTF-8).
 struct Parser<'a> {
+    /// The whole input; `bytes` is its UTF-8.
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     depth: usize,
@@ -418,12 +421,15 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar from the remaining input.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| format!("invalid UTF-8 at byte {}", self.pos))?;
-                    let c = rest.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run up to the next quote or backslash in one
+                    // slice: both are ASCII, so the run ends on a char
+                    // boundary of the input.
+                    let run = self.bytes[self.pos..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .map_or(self.bytes.len(), |n| self.pos + n);
+                    out.push_str(&self.text[self.pos..run]);
+                    self.pos = run;
                 }
                 None => return Err("unterminated string".to_string()),
             }
@@ -608,6 +614,24 @@ mod tests {
         // replaced, the pair still combines.
         let parsed = Json::parse(r#""\ud800\ud83d\ude00""#).unwrap();
         assert_eq!(parsed.as_str(), Some("\u{fffd}😀"));
+    }
+
+    #[test]
+    fn multi_byte_runs_interleave_with_escapes_and_surrogate_pairs() {
+        let parsed =
+            Json::parse(r#"{"s":"héllo\n日本語\ud83d\ude00€\\ß\"😀oké\u00e9\t","t":"Ωx"}"#)
+                .unwrap();
+        assert_eq!(
+            parsed.get("s").unwrap().as_str(),
+            Some("héllo\n日本語😀€\\ß\"😀okéé\t")
+        );
+        assert_eq!(parsed.get("t").unwrap().as_str(), Some("Ωx"));
+        // A run that reaches the end of the input is unterminated.
+        assert!(Json::parse("\"日本").unwrap_err().contains("unterminated"));
+        // Long runs of plain characters decode in one piece.
+        let long = "é".repeat(100_000);
+        let parsed = Json::parse(&format!("\"{long}\\n{long}\"")).unwrap();
+        assert_eq!(parsed.as_str().map(str::len), Some(4 * 100_000 + 1));
     }
 
     #[test]
