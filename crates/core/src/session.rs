@@ -20,11 +20,12 @@
 //!     LtiEngine (per request)      histogram memo (shared, concurrent)
 //! ```
 //!
-//! [`Session::with_coefficients`] serves a "same shape, new constants"
-//! update — the inner loop of design-space exploration. Lowering never
-//! reruns (the graph skeleton is cloned with constants swapped) and the
-//! shape-only VM program is shared; ranges and the NA gain model build
-//! cold, exactly as for a new session: a cold build costs about what a
+//! [`Session::adopt_graph`] serves a "same shape, new constants" update
+//! — the inner loop of design-space exploration: it takes a graph that
+//! differs only in constant values (a fresh lowering whose shape key
+//! matched, or [`Session::with_coefficients`]' swapped clone) and shares
+//! the shape-only VM program; ranges and the NA gain model build cold,
+//! exactly as for a new session: a cold build costs about what a
 //! cone-limited patch of them would, and is exact by construction.
 //! Stage-build counters ([`Session::stats`]) make every build
 //! observable and testable.
@@ -33,7 +34,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
-use sna_dfg::{Dfg, DfgError, LtiOptions, RangeOptions};
+use sna_dfg::{Dfg, DfgError, LtiOptions, Op, RangeOptions};
 use sna_fixp::WlConfig;
 use sna_interval::Interval;
 
@@ -508,40 +509,53 @@ impl Session {
     /// A new session for "the same shape with these constants".
     ///
     /// `coeffs` replaces the graph's `Const` values in
-    /// [`Dfg::const_nodes`] order (compare [`Session::coefficients`]).
-    /// Lowering never reruns — the graph skeleton is cloned with the
-    /// values swapped in — and the shape-only VM program is shared.
-    /// Every value-dependent stage (ranges, the NA gain model, the
-    /// per-sample view, the histogram memo) starts unbuilt and builds
-    /// cold on first use, exactly as in [`Session::new`]. Identical
-    /// coefficients share every built stage instead.
-    ///
-    /// The returned session shares this session's stage counters, so
-    /// [`Session::stats`] counts the builds of the whole family.
+    /// [`Dfg::const_nodes`] order (compare [`Session::coefficients`]);
+    /// the swapped graph is then adopted as in
+    /// [`Session::adopt_graph`].
     ///
     /// # Errors
     ///
     /// [`SnaError::WrongCoefficientCount`] for a mis-sized vector.
     pub fn with_coefficients(&self, coeffs: &[f64]) -> Result<Session, SnaError> {
-        let old = self.dfg.const_values();
-        if coeffs.len() != old.len() {
-            return Err(SnaError::WrongCoefficientCount {
-                expected: old.len(),
-                got: coeffs.len(),
-            });
-        }
-        if old
-            .iter()
-            .zip(coeffs)
-            .all(|(o, n)| o.to_bits() == n.to_bits())
-        {
-            return Ok(self.shallow_clone());
-        }
-        let dfg = self
+        let dfg = self.dfg.with_const_values(coeffs).map_err(|e| match e {
+            DfgError::WrongInputCount { expected, got } => {
+                SnaError::WrongCoefficientCount { expected, got }
+            }
+            other => SnaError::Dfg(other),
+        })?;
+        Ok(self.adopt_graph(dfg))
+    }
+
+    /// A new session over `dfg`, a graph of this session's shape: it
+    /// differs from [`Session::dfg`] at most in `Const` values, as two
+    /// lowerings with equal shape keys do. Lowering never reruns, and
+    /// the shape-only VM program and the input ranges are shared. Every
+    /// value-dependent stage (ranges, the NA gain model, the per-sample
+    /// view, the histogram memo) starts unbuilt and builds cold on first
+    /// use, exactly as in [`Session::new`]. A graph with bit-identical
+    /// constants shares every built stage instead.
+    ///
+    /// The returned session shares this session's stage counters, so
+    /// [`Session::stats`] counts the builds of the whole family.
+    #[must_use]
+    pub fn adopt_graph(&self, dfg: Dfg) -> Session {
+        debug_assert_eq!(
+            dfg.shape_signature(),
+            self.dfg.shape_signature(),
+            "adopt_graph needs a graph of the same shape"
+        );
+        let same_constants = self
             .dfg
-            .with_const_values(coeffs)
-            .expect("slot count checked above");
-        Ok(Session {
+            .nodes()
+            .zip(dfg.nodes())
+            .all(|((_, old), (_, new))| match (old.op(), new.op()) {
+                (Op::Const(o), Op::Const(n)) => o.to_bits() == n.to_bits(),
+                _ => true,
+            });
+        if same_constants {
+            return self.shallow_clone();
+        }
+        Session {
             dfg: Arc::new(dfg),
             input_ranges: Arc::clone(&self.input_ranges),
             counters: Arc::clone(&self.counters),
@@ -550,7 +564,7 @@ impl Session {
             per_sample: OnceLock::new(),
             hist_memo: Arc::new(HistMemo::new()),
             vm: self.vm.clone(),
-        })
+        }
     }
 
     /// A new handle onto the same compiled state (all stages shared).
@@ -937,6 +951,37 @@ mod tests {
         let (m1, m2) = (s.na_model().unwrap(), same.na_model().unwrap());
         assert!(Arc::ptr_eq(&m1, &m2));
         assert_eq!(s.stats().na_builds, 1);
+    }
+
+    #[test]
+    fn adopting_a_same_shape_graph_keeps_it_and_shares_the_vm_program() {
+        let (g, r) = fir3();
+        let s = Session::new(g.clone(), r.clone()).unwrap();
+        s.na_model().unwrap();
+        let program = s.vm_program();
+
+        // A separately built graph of the same shape (as a fresh
+        // lowering of a re-spun program would be) is adopted as is.
+        let respun = g.with_const_values(&[0.3, 0.45]).unwrap();
+        let adopted = s.adopt_graph(respun);
+        assert_eq!(adopted.coefficients(), vec![0.3, 0.45]);
+        assert!(Arc::ptr_eq(&program, &adopted.vm_program()));
+        assert!(Arc::ptr_eq(&s.input_ranges, &adopted.input_ranges));
+        assert!(!adopted.na_model_built());
+        let cold = Session::new(g.with_const_values(&[0.3, 0.45]).unwrap(), r).unwrap();
+        let model = adopted.na_model().unwrap();
+        assert!(model.to_wire() == cold.na_model().unwrap().to_wire());
+        // Counters are the family's: two NA builds, one VM compile.
+        let stats = s.stats();
+        assert_eq!((stats.na_builds, stats.vm_compiles), (2, 1), "{stats:?}");
+
+        // Bit-identical constants share every built stage.
+        let same = s.adopt_graph(g);
+        assert!(Arc::ptr_eq(&s.dfg, &same.dfg));
+        assert!(Arc::ptr_eq(
+            &s.na_model().unwrap(),
+            &same.na_model().unwrap()
+        ));
     }
 
     #[test]

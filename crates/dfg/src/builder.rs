@@ -1,6 +1,6 @@
 use sna_interval::Interval;
 
-use crate::graph::{combinational_topo, Node};
+use crate::graph::{combinational_topo, Args, Node};
 use crate::{Dfg, DfgError, NodeId, Op};
 
 /// Incremental builder for [`Dfg`]s — the only way to construct one.
@@ -43,12 +43,12 @@ impl DfgBuilder {
         Self::default()
     }
 
-    fn push(&mut self, op: Op, args: Vec<NodeId>) -> NodeId {
+    fn push(&mut self, op: Op, args: &[NodeId]) -> NodeId {
         debug_assert_eq!(op.arity(), args.len());
         let id = NodeId(self.nodes.len());
         self.nodes.push(Node {
             op,
-            args,
+            args: Args::from_slice(args),
             name: None,
         });
         id
@@ -59,39 +59,39 @@ impl DfgBuilder {
         let idx = self.input_names.len();
         let name = name.into();
         self.input_names.push(name.clone());
-        let id = self.push(Op::Input(idx), Vec::new());
+        let id = self.push(Op::Input(idx), &[]);
         self.nodes[id.0].name = Some(name);
         id
     }
 
     /// Declares a constant.
     pub fn constant(&mut self, value: f64) -> NodeId {
-        self.push(Op::Const(value), Vec::new())
+        self.push(Op::Const(value), &[])
     }
 
     /// Adds `a + b`.
     pub fn add(&mut self, a: NodeId, b: NodeId) -> NodeId {
-        self.push(Op::Add, vec![a, b])
+        self.push(Op::Add, &[a, b])
     }
 
     /// Adds `a - b`.
     pub fn sub(&mut self, a: NodeId, b: NodeId) -> NodeId {
-        self.push(Op::Sub, vec![a, b])
+        self.push(Op::Sub, &[a, b])
     }
 
     /// Adds `a * b`.
     pub fn mul(&mut self, a: NodeId, b: NodeId) -> NodeId {
-        self.push(Op::Mul, vec![a, b])
+        self.push(Op::Mul, &[a, b])
     }
 
     /// Adds `a / b`.
     pub fn div(&mut self, a: NodeId, b: NodeId) -> NodeId {
-        self.push(Op::Div, vec![a, b])
+        self.push(Op::Div, &[a, b])
     }
 
     /// Adds `-a`.
     pub fn neg(&mut self, a: NodeId) -> NodeId {
-        self.push(Op::Neg, vec![a])
+        self.push(Op::Neg, &[a])
     }
 
     /// Adds `k * a` for a scalar `k` (constant node plus multiply).
@@ -102,7 +102,7 @@ impl DfgBuilder {
 
     /// Adds a unit delay of an existing node.
     pub fn delay(&mut self, a: NodeId) -> NodeId {
-        self.push(Op::Delay, vec![a])
+        self.push(Op::Delay, &[a])
     }
 
     /// Adds a chain of `n` unit delays of `a`, returning all tap outputs
@@ -122,7 +122,7 @@ impl DfgBuilder {
         let id = NodeId(self.nodes.len());
         self.nodes.push(Node {
             op: Op::Delay,
-            args: Vec::new(),
+            args: Args::NONE,
             name: None,
         });
         self.pending_delays.push(id);

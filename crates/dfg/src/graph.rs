@@ -1,4 +1,5 @@
 use std::fmt;
+use std::ops::Deref;
 
 use sna_interval::Interval;
 
@@ -83,11 +84,71 @@ impl Op {
     }
 }
 
+/// A node's argument ids, stored inline: every operation takes at most
+/// two, so a node costs no heap allocation for them. Derefs to the
+/// used prefix.
+#[derive(Clone, Copy)]
+pub(crate) struct Args {
+    ids: [NodeId; 2],
+    len: u8,
+}
+
+impl Args {
+    /// No arguments.
+    pub(crate) const NONE: Args = Args {
+        ids: [NodeId(0); 2],
+        len: 0,
+    };
+
+    /// The arguments `ids`, in order.
+    ///
+    /// # Panics
+    ///
+    /// Panics on more than two ids.
+    pub(crate) fn from_slice(ids: &[NodeId]) -> Args {
+        let mut args = Args::NONE;
+        for &id in ids {
+            args.push(id);
+        }
+        args
+    }
+
+    /// Appends one argument.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the node already has two.
+    pub(crate) fn push(&mut self, id: NodeId) {
+        self.ids[usize::from(self.len)] = id;
+        self.len += 1;
+    }
+}
+
+impl Deref for Args {
+    type Target = [NodeId];
+
+    fn deref(&self) -> &[NodeId] {
+        &self.ids[..usize::from(self.len)]
+    }
+}
+
+impl PartialEq for Args {
+    fn eq(&self, other: &Args) -> bool {
+        **self == **other
+    }
+}
+
+impl fmt::Debug for Args {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
 /// A node: an operation plus its argument nodes and an optional name.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Node {
     pub(crate) op: Op,
-    pub(crate) args: Vec<NodeId>,
+    pub(crate) args: Args,
     pub(crate) name: Option<String>,
 }
 
@@ -281,7 +342,7 @@ impl Dfg {
             input_names.push(name.clone());
             nodes[d.0] = Node {
                 op: Op::Input(idx),
-                args: Vec::new(),
+                args: Args::NONE,
                 name: Some(name),
             };
         }
@@ -420,38 +481,50 @@ impl Dfg {
     /// the caller when they matter for the cached artifact.
     #[must_use]
     pub fn shape_signature(&self) -> String {
-        use std::fmt::Write;
-        let mut out = String::with_capacity(self.nodes.len() * 16);
+        // Built by hand rather than through `write!`: a cold cache lookup
+        // renders this for every request, and the formatting machinery
+        // cost more than the graph walk.
+        let mut out = String::with_capacity(self.nodes.len() * 24 + self.outputs.len() * 16);
         for (i, node) in self.nodes.iter().enumerate() {
-            let _ = write!(out, "n{i} ");
+            push_node_ref(&mut out, i);
+            out.push(' ');
             match node.op {
                 Op::Input(k) => {
-                    let _ = write!(out, "in{k}");
+                    out.push_str("in");
+                    push_decimal(&mut out, k);
                 }
                 Op::Const(_) => out.push_str("const#"), // value masked
                 _ => out.push_str(node.op.mnemonic()),
             }
-            for a in &node.args {
-                let _ = write!(out, " n{}", a.0);
+            for a in node.args.iter() {
+                out.push(' ');
+                push_node_ref(&mut out, a.0);
             }
             if let Some(name) = &node.name {
-                let _ = write!(out, " \"{name}\"");
+                out.push_str(" \"");
+                out.push_str(name);
+                out.push('"');
             }
             out.push('\n');
         }
         for (name, id) in &self.outputs {
-            let _ = writeln!(out, "out \"{name}\" n{}", id.0);
+            out.push_str("out \"");
+            out.push_str(name);
+            out.push_str("\" ");
+            push_node_ref(&mut out, id.0);
+            out.push('\n');
         }
         // Range overrides change every downstream analysis, so two
         // shapes that differ only in overrides must not alias.
         for (i, ov) in self.overrides.iter().enumerate() {
             if let Some(r) = ov {
-                let _ = writeln!(
-                    out,
-                    "override n{i} {:016x} {:016x}",
-                    r.lo().to_bits(),
-                    r.hi().to_bits()
-                );
+                out.push_str("override ");
+                push_node_ref(&mut out, i);
+                out.push(' ');
+                push_hex16(&mut out, r.lo().to_bits());
+                out.push(' ');
+                push_hex16(&mut out, r.hi().to_bits());
+                out.push('\n');
             }
         }
         out
@@ -471,26 +544,78 @@ impl Dfg {
     }
 }
 
+/// Appends `n<index>`, the node spelling of [`NodeId`]'s `Display`.
+fn push_node_ref(out: &mut String, index: usize) {
+    out.push('n');
+    push_decimal(out, index);
+}
+
+/// Appends `value` in decimal, exactly as `{}` formats it.
+fn push_decimal(out: &mut String, mut value: usize) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (value % 10) as u8;
+        value /= 10;
+        if value == 0 {
+            break;
+        }
+    }
+    for &d in &digits[at..] {
+        out.push(char::from(d));
+    }
+}
+
+/// Appends `bits` as 16 lowercase hex digits, exactly as `{:016x}`
+/// formats it.
+fn push_hex16(out: &mut String, bits: u64) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    for shift in (0..16).rev() {
+        out.push(char::from(HEX[((bits >> (shift * 4)) & 0xf) as usize]));
+    }
+}
+
 /// Kahn topological sort over the combinational edges (delay nodes are
 /// sources: their incoming edge is sequential, not combinational).
+///
+/// Successor lists live in one flat CSR array (`succ_start[i]..
+/// succ_start[i + 1]` indexes `succs`), filled in the same node order a
+/// per-node list would be, so the pop order — and the resulting
+/// topological order — is the same.
 pub(crate) fn combinational_topo(nodes: &[Node]) -> Result<Vec<NodeId>, DfgError> {
     let n = nodes.len();
     let mut indegree = vec![0usize; n];
-    let mut succs: Vec<Vec<usize>> = vec![Vec::new(); n];
+    let mut succ_start = vec![0usize; n + 1];
+    let combinational = |node: &Node| node.op != Op::Delay; // else a sequential edge
     for (i, node) in nodes.iter().enumerate() {
-        if node.op == Op::Delay {
-            continue; // sequential edge
+        if !combinational(node) {
+            continue;
         }
-        for a in &node.args {
-            succs[a.0].push(i);
+        for a in node.args.iter() {
+            succ_start[a.0 + 1] += 1;
             indegree[i] += 1;
+        }
+    }
+    for i in 0..n {
+        succ_start[i + 1] += succ_start[i];
+    }
+    let mut fill = succ_start[..n].to_vec();
+    let mut succs = vec![0usize; succ_start[n]];
+    for (i, node) in nodes.iter().enumerate() {
+        if !combinational(node) {
+            continue;
+        }
+        for a in node.args.iter() {
+            succs[fill[a.0]] = i;
+            fill[a.0] += 1;
         }
     }
     let mut queue: Vec<usize> = (0..n).filter(|&i| indegree[i] == 0).collect();
     let mut order = Vec::with_capacity(n);
     while let Some(i) = queue.pop() {
         order.push(NodeId(i));
-        for &s in &succs[i] {
+        for &s in &succs[succ_start[i]..succ_start[i + 1]] {
             indegree[s] -= 1;
             if indegree[s] == 0 {
                 queue.push(s);
@@ -505,10 +630,8 @@ pub(crate) fn combinational_topo(nodes: &[Node]) -> Result<Vec<NodeId>, DfgError
         return Err(DfgError::CombinationalCycle { node });
     }
     // Exclude delays from the evaluation order (their output is state).
-    Ok(order
-        .into_iter()
-        .filter(|id| nodes[id.0].op != Op::Delay)
-        .collect())
+    order.retain(|id| nodes[id.0].op != Op::Delay);
+    Ok(order)
 }
 
 #[cfg(test)]
@@ -713,6 +836,77 @@ mod tests {
         let expect: Vec<usize> = vec![0, 1, 2, 3, 4];
         let got: Vec<usize> = (0..g.len()).filter(|&i| mask[i]).collect();
         assert_eq!(got, expect);
+    }
+
+    #[test]
+    fn hand_written_digits_match_std_formatting() {
+        for v in [0usize, 7, 10, 99, 100, 12_345, usize::MAX] {
+            let mut out = String::new();
+            push_decimal(&mut out, v);
+            assert_eq!(out, format!("{v}"));
+        }
+        for bits in [
+            0u64,
+            1,
+            0xf,
+            0x3fe0_0000_0000_0000,
+            u64::MAX,
+            (-1.5f64).to_bits(),
+        ] {
+            let mut out = String::new();
+            push_hex16(&mut out, bits);
+            assert_eq!(out, format!("{bits:016x}"));
+        }
+    }
+
+    #[test]
+    fn combinational_topo_matches_per_node_successor_lists() {
+        // The per-node-list Kahn sort the CSR version replaced: same
+        // pop order, so the same topological order.
+        fn reference(nodes: &[Node]) -> Vec<NodeId> {
+            let n = nodes.len();
+            let mut indegree = vec![0usize; n];
+            let mut succs: Vec<Vec<usize>> = vec![Vec::new(); n];
+            for (i, node) in nodes.iter().enumerate() {
+                if node.op != Op::Delay {
+                    for a in node.args.iter() {
+                        succs[a.0].push(i);
+                        indegree[i] += 1;
+                    }
+                }
+            }
+            let mut queue: Vec<usize> = (0..n).filter(|&i| indegree[i] == 0).collect();
+            let mut order = Vec::new();
+            while let Some(i) = queue.pop() {
+                order.push(NodeId(i));
+                for &s in &succs[i] {
+                    indegree[s] -= 1;
+                    if indegree[s] == 0 {
+                        queue.push(s);
+                    }
+                }
+            }
+            order.retain(|id| nodes[id.0].op != Op::Delay);
+            order
+        }
+        // A diamond with a shared operand, a square, feedback and taps.
+        let mut b = DfgBuilder::new();
+        let x = b.input("x");
+        let u = b.input("u");
+        let fb = b.delay_placeholder();
+        let sq = b.mul(x, x);
+        let t = b.mul_const(0.5, fb);
+        let taps = b.delay_chain(u, 3);
+        let s1 = b.add(sq, t);
+        let s2 = b.sub(s1, taps[2]);
+        let n = b.neg(s2);
+        let y = b.add(n, x);
+        b.bind_delay(fb, y).unwrap();
+        b.output("y", y);
+        b.output("z", s1);
+        let g = b.build().unwrap();
+        assert_eq!(g.topo_order(), reference(&g.nodes).as_slice());
+        assert_eq!(fir2().topo_order(), reference(&fir2().nodes).as_slice());
     }
 
     #[test]

@@ -1238,7 +1238,7 @@ impl Adjoint {
         let mut consumers = vec![0usize; dfg.len()];
         let mut fit = vec![true; dfg.len()];
         for (u, node) in dfg.nodes.iter().enumerate() {
-            for a in &node.args {
+            for a in node.args.iter() {
                 consumers[a.0] += 1;
                 fit[a.0] &= dep[u] && !matches!(node.op, Op::Div | Op::Delay);
             }

@@ -19,7 +19,7 @@
 use sna_interval::Interval;
 use sna_store::{WireError, WireReader, WireWriter};
 
-use crate::graph::{combinational_topo, Dfg, Node, NodeId, Op};
+use crate::graph::{combinational_topo, Args, Dfg, Node, NodeId, Op};
 
 /// Per-node operation tags (stable across releases; append only).
 const TAG_INPUT: u8 = 0;
@@ -57,7 +57,7 @@ impl Dfg {
                 Op::Delay => w.u8(TAG_DELAY),
             }
             // Arity is determined by the op, so arguments need no count.
-            for a in &node.args {
+            for a in node.args.iter() {
                 w.u64(a.index() as u64);
             }
             match &node.name {
@@ -115,7 +115,7 @@ impl Dfg {
                 TAG_DELAY => Op::Delay,
                 t => return Err(WireError::new(format!("unknown op tag {t}"))),
             };
-            let mut args = Vec::with_capacity(op.arity());
+            let mut args = Args::NONE;
             for _ in 0..op.arity() {
                 args.push(node_ref(r.u64()?, n_nodes)?);
             }

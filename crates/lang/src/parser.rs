@@ -1,6 +1,6 @@
 use crate::ast::{BinaryOp, Expr, ExprKind, Ident, IndexKind, InputRange, Program, Stmt, UnaryOp};
 use crate::token::{lex, Token, TokenKind};
-use crate::Diagnostic;
+use crate::{Diagnostic, Span};
 
 /// Parses `.sna` source into a [`Program`].
 ///
@@ -61,12 +61,25 @@ impl Parser {
         &self.tokens[self.pos]
     }
 
-    fn advance(&mut self) -> Token {
-        let t = self.tokens[self.pos].clone();
+    /// Consumes the current token (never past the final `Eof`) and
+    /// returns its span. Consumed tokens are never read again.
+    fn advance(&mut self) -> Span {
+        let span = self.tokens[self.pos].span;
         if self.pos + 1 < self.tokens.len() {
             self.pos += 1;
         }
-        t
+        span
+    }
+
+    /// Consumes the current token, which the caller has just seen to be
+    /// an identifier, moving its name out instead of copying it.
+    fn take_ident(&mut self) -> Ident {
+        let TokenKind::Ident(name) = &mut self.tokens[self.pos].kind else {
+            unreachable!("take_ident is only called at an identifier");
+        };
+        let name = std::mem::take(name);
+        let span = self.advance();
+        Ident { name, span }
     }
 
     fn at(&self, kind: &TokenKind) -> bool {
@@ -88,7 +101,7 @@ impl Parser {
         Recover
     }
 
-    fn expect(&mut self, kind: &TokenKind, what: &str) -> PResult<Token> {
+    fn expect(&mut self, kind: &TokenKind, what: &str) -> PResult<Span> {
         if self.at(kind) {
             Ok(self.advance())
         } else {
@@ -98,13 +111,11 @@ impl Parser {
     }
 
     fn expect_ident(&mut self, what: &str) -> PResult<Ident> {
-        match self.peek().kind.clone() {
-            TokenKind::Ident(name) => {
-                let span = self.advance().span;
-                Ok(Ident { name, span })
-            }
-            other => Err(self.error_here(format!("expected {what}, found {}", other.describe()))),
+        if matches!(self.peek().kind, TokenKind::Ident(_)) {
+            return Ok(self.take_ident());
         }
+        let found = self.peek().kind.describe();
+        Err(self.error_here(format!("expected {what}, found {found}")))
     }
 
     /// Skips ahead to just past the next `;` (or to EOF) after an error.
@@ -161,7 +172,7 @@ impl Parser {
         Ok(InputRange {
             lo,
             hi,
-            span: open.span.to(close.span),
+            span: open.to(close),
         })
     }
 
@@ -182,7 +193,7 @@ impl Parser {
             let open = self.advance();
             let w = self.integer("the vector width", 1, MAX_VECTOR_WIDTH)?;
             let close = self.expect(&TokenKind::RBracket, "`]` to close the vector width")?;
-            Some((w, open.span.to(close.span)))
+            Some((w, open.to(close)))
         } else {
             None
         };
@@ -220,7 +231,7 @@ impl Parser {
         let negate = self.eat(&TokenKind::Minus);
         let value = match self.peek().kind {
             TokenKind::Number(v) => {
-                let end = self.advance().span;
+                let end = self.advance();
                 Some((if negate { -v } else { v }, start.to(end)))
             }
             _ => None,
@@ -365,7 +376,7 @@ impl Parser {
             TokenKind::Minus => {
                 let minus = self.advance();
                 let operand = self.unary()?;
-                let span = minus.span.to(operand.span);
+                let span = minus.to(operand.span);
                 // Fold `-literal` into the literal so negative
                 // coefficients lower to a single constant node.
                 if let ExprKind::Number(v) = operand.kind {
@@ -385,7 +396,7 @@ impl Parser {
             TokenKind::KwDelay => {
                 let kw = self.advance();
                 let operand = self.unary()?;
-                let span = kw.span.to(operand.span);
+                let span = kw.to(operand.span);
                 Ok(Expr {
                     kind: ExprKind::Unary {
                         op: UnaryOp::Delay,
@@ -401,16 +412,16 @@ impl Parser {
     /// `primary := NUMBER | IDENT index? | '(' expr ')'`
     /// `index   := '[' (INT | 'n' ('-' INT)?) ']'`
     fn primary(&mut self) -> PResult<Expr> {
-        match self.peek().kind.clone() {
+        match self.peek().kind {
             TokenKind::Number(v) => {
-                let span = self.advance().span;
+                let span = self.advance();
                 Ok(Expr {
                     kind: ExprKind::Number(v),
                     span,
                 })
             }
-            TokenKind::Ident(name) => {
-                let span = self.advance().span;
+            TokenKind::Ident(_) => {
+                let Ident { name, span } = self.take_ident();
                 if self.at(&TokenKind::LBracket) {
                     return self.index_suffix(name, span);
                 }
@@ -425,22 +436,22 @@ impl Parser {
                 let close = self.expect(&TokenKind::RParen, "`)` to close the parenthesis")?;
                 Ok(Expr {
                     kind: inner.kind,
-                    span: open.span.to(close.span),
+                    span: open.to(close),
                 })
             }
-            other => Err(self.error_here(format!(
-                "expected an expression, found {}",
-                other.describe()
-            ))),
+            _ => {
+                let found = self.peek().kind.describe();
+                Err(self.error_here(format!("expected an expression, found {found}")))
+            }
         }
     }
 
     /// The bracketed index after `base`: `[i]` (vector element) or
     /// `[n]` / `[n-k]` (tap-index sugar, current sample / `k` samples
     /// ago).
-    fn index_suffix(&mut self, base: String, base_span: crate::Span) -> PResult<Expr> {
+    fn index_suffix(&mut self, base: String, base_span: Span) -> PResult<Expr> {
         self.advance(); // `[`
-        let index = match self.peek().kind.clone() {
+        let index = match &self.peek().kind {
             // `x[n]` / `x[n-k]`: inside an index, `n` is the time index.
             TokenKind::Ident(n) if n == "n" => {
                 self.advance();
@@ -454,17 +465,17 @@ impl Parser {
                 IndexKind::Element(self.integer("the element index", 0, MAX_VECTOR_WIDTH - 1)?)
             }
             other => {
+                let found = other.describe();
                 return Err(self.error_here(format!(
                     "expected an element index (`{base}[2]`) or a tap index \
-                     (`{base}[n-1]`), found {}",
-                    other.describe()
-                )))
+                     (`{base}[n-1]`), found {found}"
+                )));
             }
         };
         let close = self.expect(&TokenKind::RBracket, "`]` to close the index")?;
         Ok(Expr {
             kind: ExprKind::Index { base, index },
-            span: base_span.to(close.span),
+            span: base_span.to(close),
         })
     }
 }

@@ -4,6 +4,12 @@
 //! program and re-parsing it must reproduce the same canonical form, and
 //! lowering both must produce structurally identical graphs with
 //! bit-identical simulation traces.
+//!
+//! A second invariant backs the compile cache's shape tier: when two
+//! programs that differ only in literal values lower to equal shape
+//! keys, the second program's graph *is* the first one's with the
+//! constants swapped, node for node — so a cached session may adopt the
+//! fresh lowering instead of cloning its own graph.
 
 use proptest::prelude::*;
 use sna_lang::{
@@ -285,6 +291,124 @@ fn trace_bits(dfg: &sna_dfg::Dfg, frames: &[Vec<f64>]) -> Vec<Result<Vec<u64>, S
     out
 }
 
+/// `program` with every literal (bare and `let`-bound) replaced by
+/// `perturb(literal)`.
+fn perturb_literals(program: &Program, perturb: &mut dyn FnMut(f64) -> f64) -> Program {
+    fn walk(e: &mut Expr, perturb: &mut dyn FnMut(f64) -> f64) {
+        match &mut e.kind {
+            ExprKind::Number(v) => *v = perturb(*v),
+            ExprKind::Unary { operand, .. } => walk(operand, perturb),
+            ExprKind::Binary { lhs, rhs, .. } => {
+                walk(lhs, perturb);
+                walk(rhs, perturb);
+            }
+            ExprKind::Var(_) | ExprKind::Index { .. } => {}
+        }
+    }
+    let mut out = program.clone();
+    for stmt in &mut out.stmts {
+        match stmt {
+            Stmt::Let { expr, .. }
+            | Stmt::Output {
+                expr: Some(expr), ..
+            } => walk(expr, perturb),
+            Stmt::ConstLet { value, .. } => *value = perturb(*value),
+            Stmt::Input { .. } | Stmt::Output { expr: None, .. } => {}
+        }
+    }
+    out
+}
+
+/// Every literal of `program`, in statement order.
+fn literals(program: &Program) -> Vec<f64> {
+    let mut seen = Vec::new();
+    perturb_literals(program, &mut |v| {
+        seen.push(v);
+        v
+    });
+    seen
+}
+
+/// Asserts that two graphs agree node for node — op (constants by bit
+/// pattern), arguments, names — and in topological order, delays,
+/// outputs, input names and range overrides.
+fn assert_same_graph(a: &sna_dfg::Dfg, b: &sna_dfg::Dfg, seed: u64) {
+    assert_eq!(a.len(), b.len(), "seed {seed}");
+    for ((id, na), (_, nb)) in a.nodes().zip(b.nodes()) {
+        let same_op = match (na.op(), nb.op()) {
+            (sna_dfg::Op::Const(x), sna_dfg::Op::Const(y)) => x.to_bits() == y.to_bits(),
+            (x, y) => x == y,
+        };
+        assert!(
+            same_op,
+            "seed {seed}: {id} is {:?} vs {:?}",
+            na.op(),
+            nb.op()
+        );
+        assert_eq!(na.args(), nb.args(), "seed {seed}: args of {id}");
+        assert_eq!(na.name(), nb.name(), "seed {seed}: name of {id}");
+        assert_eq!(
+            a.range_override(id),
+            b.range_override(id),
+            "seed {seed}: override of {id}"
+        );
+    }
+    assert_eq!(a.topo_order(), b.topo_order(), "seed {seed}");
+    assert_eq!(a.delay_nodes(), b.delay_nodes(), "seed {seed}");
+    assert_eq!(a.outputs(), b.outputs(), "seed {seed}");
+    assert_eq!(a.input_names(), b.input_names(), "seed {seed}");
+}
+
+/// Lowers a random program and a literal-perturbed copy; checks that
+/// their shape keys agree exactly when the literal pattern survives,
+/// and that an equal key means a constant swap (see the module docs).
+fn check_constant_swap(seed: u64) {
+    let base_program = random_program(seed);
+    let Ok(base) = lower(&base_program) else {
+        return; // a randomly degenerate program
+    };
+    // An affine map keeps the literal pattern (which literals are
+    // equal) unless it folds `0.0` and `-0.0` together; collapsing
+    // every literal onto one of two values usually breaks it, so
+    // both branches of the invariant are exercised.
+    let mut g = Gen::new(seed ^ 0x5eed);
+    let scale = [1.5, -2.0, 0.5, 3.0][g.below(4) as usize];
+    let shift = g.number() / 64.0;
+    let collapse = g.below(4) == 0;
+    let mut perturb = |v: f64| {
+        if collapse {
+            0.25 + g.below(2) as f64
+        } else {
+            v * scale + shift
+        }
+    };
+    let perturbed_program = perturb_literals(&base_program, &mut perturb);
+    let perturbed = lower(&perturbed_program)
+        .unwrap_or_else(|e| panic!("seed {seed}: literal change broke lowering: {e:?}"));
+
+    let same_pattern = {
+        let (old, new) = (literals(&base_program), literals(&perturbed_program));
+        old.len() == new.len()
+            && (0..old.len()).all(|i| {
+                (0..old.len()).all(|j| {
+                    (old[i].to_bits() == old[j].to_bits()) == (new[i].to_bits() == new[j].to_bits())
+                })
+            })
+    };
+    let same_key = base.shape_key() == perturbed.shape_key();
+    // Lowering dedups constants by value and nothing else depends
+    // on values, so the shape moves exactly when the pattern does.
+    assert_eq!(same_key, same_pattern, "seed {seed}");
+    if same_key {
+        let swapped = base
+            .dfg
+            .with_const_values(&perturbed.dfg.const_values())
+            .expect("equal shapes have equal constant counts");
+        assert_same_graph(&perturbed.dfg, &swapped, seed);
+        assert_eq!(perturbed.input_ranges, base.input_ranges, "seed {seed}");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -357,5 +481,10 @@ proptest! {
             prop_assert_eq!(consts.len(), 1);
             prop_assert_eq!(consts[0].to_bits(), v.to_bits());
         }
+    }
+
+    #[test]
+    fn equal_shape_keys_mean_the_graph_is_a_constant_swap(seed in 0u64..1_000_000_000) {
+        check_constant_swap(seed);
     }
 }

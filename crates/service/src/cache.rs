@@ -13,10 +13,14 @@
 //! * **shape** — the lowered graph with `Const` values masked
 //!   ([`Lowered::shape_key`]). A program that differs from a cached one
 //!   *only in coefficient values* — the inner loop of design-space
-//!   exploration — pays parse + lower, then maps onto the cached entry's
-//!   skeleton via [`Session::with_coefficients`]: it shares the donor's
-//!   VM program and builds ranges and the gain model cold, so its
-//!   answers are a cold compile's bytes.
+//!   exploration — pays parse + lower, then the cached entry adopts its
+//!   freshly lowered graph ([`Session::adopt_graph`]): the new session
+//!   shares the donor's VM program and builds ranges and the gain model
+//!   cold, so its answers are a cold compile's bytes.
+//!
+//! A lookup that gets past the source tier builds each key once: one
+//! parse and canonical rendering, and — past the canonical tier — one
+//! lowering and one shape key, whose hash is the shape fingerprint.
 //!
 //! All levels compare the full key text on lookup, so a hash collision
 //! can never hand one program another program's model.
@@ -65,8 +69,8 @@ pub struct CompiledEntry {
     pub session: Arc<Session>,
     /// Canonical fingerprint of the program this was compiled from.
     pub fingerprint: u64,
-    /// Coefficient-normalized shape fingerprint
-    /// ([`Lowered::shape_fingerprint`]).
+    /// Coefficient-normalized shape fingerprint: FNV-1a of
+    /// [`Lowered::shape_key`].
     pub shape_fingerprint: u64,
 }
 
@@ -75,13 +79,12 @@ impl CompiledEntry {
     /// uncached single-shot paths that still want lazy artifact sharing).
     #[must_use]
     pub fn new(lowered: Lowered, fingerprint: u64) -> Self {
-        let shape_fingerprint = lowered.shape_fingerprint();
-        let session = Session::new(lowered.dfg, lowered.input_ranges)
-            .expect("lowering guarantees input/range consistency");
-        Self::from_session(session, fingerprint, shape_fingerprint)
+        let shape_fingerprint = fnv1a_64(lowered.shape_key().as_bytes());
+        Self::from_session(cold_session(lowered), fingerprint, shape_fingerprint)
     }
 
-    /// Wraps a session produced by coefficient-level reuse.
+    /// Wraps a compiled session whose shape fingerprint the caller
+    /// already holds.
     fn from_session(session: Session, fingerprint: u64, shape_fingerprint: u64) -> Self {
         CompiledEntry {
             session: Arc::new(session),
@@ -89,6 +92,12 @@ impl CompiledEntry {
             shape_fingerprint,
         }
     }
+}
+
+/// A fresh session over a lowered program.
+fn cold_session(lowered: Lowered) -> Session {
+    Session::new(lowered.dfg, lowered.input_ranges)
+        .expect("lowering guarantees input/range consistency")
 }
 
 /// How a [`CompileCache::get_or_compile`] call was satisfied.
@@ -439,52 +448,51 @@ impl CompileCache {
         let lowered = sna_lang::lower(&program)?;
         let canon_len = canon.len();
         let shape_key = lowered.shape_key();
-        let shape_fingerprint = lowered.shape_fingerprint();
+        let shape_fingerprint = fnv1a_64(shape_key.as_bytes());
 
         // Shape tier: a cached program with the same const-masked shape
-        // absorbs this one as a coefficient swap — its VM program is
-        // shared, ranges and gains build cold on first use. Serving a swap
-        // *uses* the donor, so its recency is refreshed: a hot skeleton
-        // under a parameter sweep outlives streams of one-off programs.
+        // adopts this one's lowered graph — its VM program is shared,
+        // ranges and gains build cold on first use. Serving a swap *uses*
+        // the donor, so its recency is refreshed: a hot skeleton under a
+        // parameter sweep outlives streams of one-off programs.
         let donor = {
             let mut state = self.state.lock().expect("cache lock");
             let donor_canon = state.by_shape.get(shape_key.as_str()).cloned();
             donor_canon.and_then(|c| state.touch(&c))
         };
         if let Some(donor) = donor {
-            if let Ok(session) = donor.session.with_coefficients(&lowered.dfg.const_values()) {
-                let entry = Arc::new(CompiledEntry::from_session(
-                    session,
-                    fingerprint,
-                    shape_fingerprint,
-                ));
-                let mut state = self.state.lock().expect("cache lock");
-                // Never evict on this path: evicting here would let an
-                // attacker stream coefficient respins of one cached shape
-                // to push out every other client's compiled programs.
-                // Past a limit the variant is served but simply stays
-                // unregistered.
-                let over_entries = state.slots.len() >= self.limits.max_entries;
-                let over_bytes = state.key_bytes.saturating_add(canon_len + source.len())
-                    > self.limits.max_key_bytes;
-                if over_entries || over_bytes {
-                    state.hits += 1;
-                    state.shape_hits += 1;
-                    return Ok((entry, Lookup::ShapeHit));
-                }
-                if let Some(existing) = state.touch(&canon) {
-                    // A racer registered the identical program meanwhile;
-                    // share its entry.
-                    state.insert_source(source, &canon);
-                    state.hits += 1;
-                    return Ok((existing, Lookup::CanonHit));
-                }
-                state.insert_slot(Arc::from(canon.as_str()), entry.clone());
-                state.insert_source(source, &canon);
+            let session = donor.session.adopt_graph(lowered.dfg);
+            let entry = Arc::new(CompiledEntry::from_session(
+                session,
+                fingerprint,
+                shape_fingerprint,
+            ));
+            let mut state = self.state.lock().expect("cache lock");
+            // Never evict on this path: evicting here would let an
+            // attacker stream coefficient respins of one cached shape
+            // to push out every other client's compiled programs.
+            // Past a limit the variant is served but simply stays
+            // unregistered.
+            let over_entries = state.slots.len() >= self.limits.max_entries;
+            let over_bytes = state.key_bytes.saturating_add(canon_len + source.len())
+                > self.limits.max_key_bytes;
+            if over_entries || over_bytes {
                 state.hits += 1;
                 state.shape_hits += 1;
                 return Ok((entry, Lookup::ShapeHit));
             }
+            if let Some(existing) = state.touch(&canon) {
+                // A racer registered the identical program meanwhile;
+                // share its entry.
+                state.insert_source(source, &canon);
+                state.hits += 1;
+                return Ok((existing, Lookup::CanonHit));
+            }
+            state.insert_slot(Arc::from(canon.as_str()), entry.clone());
+            state.insert_source(source, &canon);
+            state.hits += 1;
+            state.shape_hits += 1;
+            return Ok((entry, Lookup::ShapeHit));
         }
 
         // Persistent tier: a previous process may have spilled this
@@ -513,7 +521,11 @@ impl CompileCache {
             return Ok((entry, Lookup::StoreHit));
         }
 
-        let entry = Arc::new(CompiledEntry::new(lowered, fingerprint));
+        let entry = Arc::new(CompiledEntry::from_session(
+            cold_session(lowered),
+            fingerprint,
+            shape_fingerprint,
+        ));
         let mut state = self.state.lock().expect("cache lock");
         // A racing thread may have inserted the same program meanwhile;
         // the first insert wins (so every caller shares one allocation)
