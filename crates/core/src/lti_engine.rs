@@ -89,7 +89,7 @@ impl LtiEngine {
                 .model
                 .gains_from(src.node)
                 .expect("shaped sources refer to analyzed nodes");
-            for (pdf, &og) in pdfs.iter_mut().zip(g.per_output.iter()) {
+            for (pdf, &og) in pdfs.iter_mut().zip(g) {
                 if og.l1 == 0.0 {
                     continue; // source does not reach this output
                 }

@@ -10,7 +10,9 @@
 //! The build runs one adjoint pass per output ([`Dfg::adjoint_gains`])
 //! when the zero-input run is stationary and finite (no constant reaches
 //! a delay), and one shared forward impulse analysis ([`ImpulseAnalysis`])
-//! otherwise.
+//! otherwise.  Either way the gains land in one node-major
+//! `nodes × outputs` matrix ([`NaModel::gains_from`] returns a row): one
+//! allocation however large the graph.
 //! That asymmetry is what makes noise-constrained word-length search
 //! practical.
 //!
@@ -25,9 +27,7 @@
 //!   mean `ec·mid(x)` and half-width `|ec|·rad(x)` injected at the
 //!   multiplier's site.
 
-use sna_dfg::{
-    Dfg, ImpulseAnalysis, ImpulseGains, LtiOptions, NodeId, Op, OutputGain, RangeOptions,
-};
+use sna_dfg::{Dfg, ImpulseAnalysis, LtiOptions, NodeId, Op, OutputGain, RangeOptions};
 use sna_fixp::WlConfig;
 use sna_interval::Interval;
 
@@ -120,9 +120,11 @@ impl CoeffSite {
 /// the aggregates are kept.
 #[derive(Clone, Debug)]
 pub struct NaModel {
-    /// `gains[i]` = impulse gains from node `i` (every node is a
-    /// potential source).
-    gains: Vec<ImpulseGains>,
+    /// Node-major `nodes × outputs` matrix: entry `i * n_outputs + k` is
+    /// the gain from node `i` (every node is a potential source) toward
+    /// output `k`.  Graphs declare at least one output, so rows are
+    /// never empty.
+    gains: Vec<OutputGain>,
     output_names: Vec<String>,
     coeff_sites: Vec<CoeffSite>,
 }
@@ -163,9 +165,11 @@ impl NaModel {
             Some(gains) => gains,
             None => {
                 let mut analysis = ImpulseAnalysis::new(dfg, opts)?;
-                dfg.nodes()
-                    .map(|(id, _)| analysis.response(id).map(|(g, _)| g))
-                    .collect::<Result<_, _>>()?
+                let mut gains = Vec::with_capacity(dfg.len() * dfg.outputs().len());
+                for (id, _) in dfg.nodes() {
+                    gains.extend_from_slice(&analysis.response(id)?.0.per_output);
+                }
+                gains
             }
         };
         Ok(NaModel {
@@ -226,9 +230,12 @@ impl NaModel {
         self.output_names.len()
     }
 
-    /// The gains from one node; `None` for a node outside the graph.
-    pub fn gains_from(&self, node: NodeId) -> Option<&ImpulseGains> {
-        self.gains.get(node.index())
+    /// The gains from one node, one per output; `None` for a node
+    /// outside the graph.
+    pub fn gains_from(&self, node: NodeId) -> Option<&[OutputGain]> {
+        let n = self.n_outputs();
+        let start = node.index().checked_mul(n)?;
+        self.gains.get(start..start.checked_add(n)?)
     }
 
     /// The constant-coefficient interaction sites, in inventory order —
@@ -286,9 +293,8 @@ impl NaModel {
         let mut lo = vec![0.0; n_out];
         let mut hi = vec![0.0; n_out];
         for src in self.shaped_sources(dfg, config) {
-            let g = &self.gains[src.node.index()];
-            for k in 0..n_out {
-                let og = g.per_output[k];
+            let gains = self.gains_from(src.node).expect("sources are graph nodes");
+            for (k, &og) in gains.iter().enumerate() {
                 // Per-tap extremal split: P = Σ max(h,0), N = Σ min(h,0).
                 let p = 0.5 * (og.l1 + og.dc);
                 let n = 0.5 * (og.dc - og.l1);
@@ -301,9 +307,9 @@ impl NaModel {
             }
         }
         for (node, offset) in self.deterministic_offsets(dfg, config) {
-            let g = &self.gains[node.index()];
-            for k in 0..n_out {
-                let contrib = offset * g.per_output[k].dc;
+            let gains = self.gains_from(node).expect("constants are graph nodes");
+            for (k, og) in gains.iter().enumerate() {
+                let contrib = offset * og.dc;
                 mean[k] += contrib;
                 lo[k] += contrib;
                 hi[k] += contrib;
@@ -348,13 +354,11 @@ impl NaModel {
         for name in &self.output_names {
             w.str(name);
         }
-        w.len(self.gains.len());
-        for g in &self.gains {
-            for og in &g.per_output {
-                w.f64(og.l1);
-                w.f64(og.l2_squared);
-                w.f64(og.dc);
-            }
+        w.len(self.gains.len() / self.n_outputs());
+        for og in &self.gains {
+            w.f64(og.l1);
+            w.f64(og.l2_squared);
+            w.f64(og.dc);
         }
         w.len(self.coeff_sites.len());
         for cs in &self.coeff_sites {
@@ -397,7 +401,7 @@ impl NaModel {
         };
         let mut r = WireReader::new(bytes);
         let count = r.read_count(8)?;
-        if count != n_outputs {
+        if count != n_outputs || count == 0 {
             return Err(WireError::new(format!(
                 "model names {count} output(s), graph declares {n_outputs}"
             )));
@@ -413,19 +417,12 @@ impl NaModel {
                 "model covers {count} node(s), graph has {n_nodes}"
             )));
         }
-        let mut gains = Vec::with_capacity(count);
-        for i in 0..count {
-            let mut per_output = Vec::with_capacity(n_outputs);
-            for _ in 0..n_outputs {
-                per_output.push(OutputGain {
-                    l1: r.f64()?,
-                    l2_squared: r.f64()?,
-                    dc: r.f64()?,
-                });
-            }
-            gains.push(ImpulseGains {
-                source: NodeId::from_index(i),
-                per_output,
+        let mut gains = Vec::with_capacity(count * n_outputs);
+        for _ in 0..count * n_outputs {
+            gains.push(OutputGain {
+                l1: r.f64()?,
+                l2_squared: r.f64()?,
+                dc: r.f64()?,
             });
         }
         let count = r.read_count(34)?;
@@ -460,7 +457,7 @@ impl NaModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sna_dfg::DfgBuilder;
+    use sna_dfg::{DfgBuilder, ImpulseGains};
     use sna_fixp::{monte_carlo_error, MonteCarloOptions};
 
     fn iv(lo: f64, hi: f64) -> Interval {
@@ -695,7 +692,7 @@ mod tests {
         b.output("y", y);
         let g = b.build().unwrap();
         let model = NaModel::build(&g, &[iv(-1.0, 1.0)], &LtiOptions::default()).unwrap();
-        assert_eq!(model.gains_from(x).unwrap().per_output[0].l1, 4.0);
+        assert_eq!(model.gains_from(x).unwrap()[0].l1, 4.0);
     }
 
     /// The oracle: one dense [`Dfg::impulse_response`] per node.
@@ -705,10 +702,10 @@ mod tests {
         opts: &LtiOptions,
     ) -> Result<NaModel, SnaError> {
         dfg.require_linear()?;
-        let gains = dfg
-            .nodes()
-            .map(|(id, _)| dfg.impulse_response(id, opts).map(|(g, _)| g))
-            .collect::<Result<_, _>>()?;
+        let mut gains = Vec::new();
+        for (id, _) in dfg.nodes() {
+            gains.extend(dfg.impulse_response(id, opts)?.0.per_output);
+        }
         Ok(NaModel {
             gains,
             output_names: dfg.outputs().iter().map(|(n, _)| n.clone()).collect(),
@@ -897,8 +894,8 @@ mod tests {
                 continue;
             }
             for (id, _) in dfg.nodes() {
-                let got = &model.gains_from(id).unwrap().per_output;
-                let want = &reference.gains_from(id).unwrap().per_output;
+                let got = model.gains_from(id).unwrap();
+                let want = reference.gains_from(id).unwrap();
                 for (g, w) in got.iter().zip(want) {
                     assert!(
                         close(g.l1, w.l1, 1e-12 * w.l1)
@@ -929,7 +926,7 @@ mod tests {
             .unwrap();
         let opts = LtiOptions::default();
         let model = NaModel::build(dfg, &lowered.input_ranges, &opts).unwrap();
-        let g = model.gains_from(x).unwrap().per_output[0];
+        let g = model.gains_from(x).unwrap()[0];
         assert!(close(g.l1, 2.0, 1e-11), "l1 = {}", g.l1);
         assert!(
             close(g.l2_squared, 4.0 / 3.0, 1e-11),
@@ -948,8 +945,8 @@ mod tests {
             .unwrap();
         let reference = reference_build(dfg, &ranges, &covering).unwrap();
         for (id, _) in dfg.nodes() {
-            let got = model.gains_from(id).unwrap().per_output[0];
-            let want = reference.gains_from(id).unwrap().per_output[0];
+            let got = model.gains_from(id).unwrap()[0];
+            let want = reference.gains_from(id).unwrap()[0];
             assert!(
                 close(got.l1, want.l1, 1e-11 * want.l1)
                     && close(got.l2_squared, want.l2_squared, 1e-11 * want.l2_squared)
@@ -1016,7 +1013,7 @@ mod tests {
         let (g, x) = gapped_fir(c6, c16);
         let ranges = vec![iv(-1.0, 1.0)];
         let fresh = NaModel::build(&g, &ranges, &LtiOptions::default()).unwrap();
-        let l1 = fresh.gains_from(x).unwrap().per_output[0].l1;
+        let l1 = fresh.gains_from(x).unwrap()[0].l1;
         assert!((l1 - (c6 + c16)).abs() <= 1e-12 * (c6 + c16), "l1 = {l1}");
 
         // A shape-hit re-spin builds its gains cold, so it must agree bit

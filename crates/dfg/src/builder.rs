@@ -1,6 +1,6 @@
 use sna_interval::Interval;
 
-use crate::graph::{combinational_topo, Args, Node};
+use crate::graph::{combinational_topo, Args, NameSpan, Node};
 use crate::{Dfg, DfgError, NodeId, Op};
 
 /// Incremental builder for [`Dfg`]s — the only way to construct one.
@@ -29,6 +29,8 @@ use crate::{Dfg, DfgError, NodeId, Op};
 #[derive(Debug, Default)]
 pub struct DfgBuilder {
     nodes: Vec<Node>,
+    /// The graph's name arena (see [`Dfg::node_name`]).
+    names: String,
     outputs: Vec<(String, NodeId)>,
     input_names: Vec<String>,
     /// Delay nodes created via `delay_placeholder` that still need binding.
@@ -58,9 +60,9 @@ impl DfgBuilder {
     pub fn input(&mut self, name: impl Into<String>) -> NodeId {
         let idx = self.input_names.len();
         let name = name.into();
-        self.input_names.push(name.clone());
         let id = self.push(Op::Input(idx), &[]);
-        self.nodes[id.0].name = Some(name);
+        self.nodes[id.0].name = Some(NameSpan::push(&mut self.names, &name));
+        self.input_names.push(name);
         id
     }
 
@@ -152,16 +154,18 @@ impl DfgBuilder {
         Ok(())
     }
 
-    /// Names a node (shows up in DOT exports and diagnostics).
+    /// Names a node (shows up in DOT exports and diagnostics).  The
+    /// text is copied into the graph's name arena; naming a node again
+    /// replaces its name.
     ///
     /// # Errors
     ///
     /// Returns [`DfgError::UnknownNode`] for a foreign id.
-    pub fn name(&mut self, node: NodeId, name: impl Into<String>) -> Result<(), DfgError> {
+    pub fn name(&mut self, node: NodeId, name: impl AsRef<str>) -> Result<(), DfgError> {
         if node.0 >= self.nodes.len() {
             return Err(DfgError::UnknownNode { node });
         }
-        self.nodes[node.0].name = Some(name.into());
+        self.nodes[node.0].name = Some(NameSpan::push(&mut self.names, name.as_ref()));
         Ok(())
     }
 
@@ -242,6 +246,7 @@ impl DfgBuilder {
         }
         Ok(Dfg {
             nodes: self.nodes,
+            names: self.names,
             outputs: self.outputs,
             input_names: self.input_names,
             topo,
@@ -360,6 +365,6 @@ mod tests {
         assert!(b.name(NodeId(9), "nope").is_err());
         b.output("y", y);
         let g = b.build().unwrap();
-        assert_eq!(g.node(y).name(), Some("minus_x"));
+        assert_eq!(g.node_name(y), Some("minus_x"));
     }
 }

@@ -13,9 +13,9 @@ impl Dfg {
         let mut out = String::from("digraph dfg {\n  rankdir=LR;\n");
         for (id, node) in self.nodes() {
             let label = match node.op() {
-                Op::Input(i) => format!("{} (in{})", node.name().unwrap_or("input"), i),
+                Op::Input(i) => format!("{} (in{})", self.node_name(id).unwrap_or("input"), i),
                 Op::Const(c) => format!("{c}"),
-                op => match node.name() {
+                op => match self.node_name(id) {
                     Some(n) => format!("{} [{}]", op.mnemonic(), n),
                     None => op.mnemonic().to_string(),
                 },

@@ -144,12 +144,13 @@ impl fmt::Debug for Args {
     }
 }
 
-/// A node: an operation plus its argument nodes and an optional name.
+/// A node: an operation plus its argument nodes. Its optional name
+/// lives in the graph's name arena ([`Dfg::node_name`]).
 #[derive(Clone, Debug, PartialEq)]
 pub struct Node {
     pub(crate) op: Op,
     pub(crate) args: Args,
-    pub(crate) name: Option<String>,
+    pub(crate) name: Option<NameSpan>,
 }
 
 impl Node {
@@ -162,10 +163,29 @@ impl Node {
     pub fn args(&self) -> &[NodeId] {
         &self.args
     }
+}
 
-    /// The node's optional name.
-    pub fn name(&self) -> Option<&str> {
-        self.name.as_deref()
+/// Where a node's name sits in its graph's name arena.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct NameSpan {
+    start: usize,
+    end: usize,
+}
+
+impl NameSpan {
+    /// Appends `name` to `arena` and returns its span there.
+    pub(crate) fn push(arena: &mut String, name: &str) -> NameSpan {
+        let start = arena.len();
+        arena.push_str(name);
+        NameSpan {
+            start,
+            end: arena.len(),
+        }
+    }
+
+    /// The name this span covers in `arena`.
+    pub(crate) fn of(self, arena: &str) -> &str {
+        &arena[self.start..self.end]
     }
 }
 
@@ -208,6 +228,9 @@ impl OpCounts {
 #[derive(Clone, Debug)]
 pub struct Dfg {
     pub(crate) nodes: Vec<Node>,
+    /// Every node name, back to back: one allocation however many nodes
+    /// are named ([`Node`] holds its span).
+    pub(crate) names: String,
     pub(crate) outputs: Vec<(String, NodeId)>,
     pub(crate) input_names: Vec<String>,
     /// Topological order for combinational evaluation: delays excluded
@@ -240,6 +263,15 @@ impl Dfg {
     /// Panics if `id` is out of range.
     pub fn node(&self, id: NodeId) -> &Node {
         &self.nodes[id.0]
+    }
+
+    /// The optional name of node `id`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is out of range.
+    pub fn node_name(&self, id: NodeId) -> Option<&str> {
+        self.nodes[id.0].name.map(|span| span.of(&self.names))
     }
 
     /// Iterates over `(id, node)` pairs in id order.
@@ -332,24 +364,26 @@ impl Dfg {
     /// `"<delay name or node id>.state"`, in delay id order.
     pub fn combinational_view(&self) -> Dfg {
         let mut nodes = self.nodes.clone();
+        let mut names = self.names.clone();
         let mut input_names = self.input_names.clone();
         for &d in &self.delays {
             let idx = input_names.len();
-            let name = match &self.nodes[d.0].name {
+            let name = match self.node_name(d) {
                 Some(n) => format!("{n}.state"),
                 None => format!("{d}.state"),
             };
-            input_names.push(name.clone());
             nodes[d.0] = Node {
                 op: Op::Input(idx),
                 args: Args::NONE,
-                name: Some(name),
+                name: Some(NameSpan::push(&mut names, &name)),
             };
+            input_names.push(name);
         }
         // All nodes are now combinational; recompute the topological order.
         let topo = combinational_topo(&nodes).expect("delay-free graph cannot have cycles");
         Dfg {
             nodes,
+            names,
             outputs: self.outputs.clone(),
             input_names,
             topo,
@@ -500,9 +534,9 @@ impl Dfg {
                 out.push(' ');
                 push_node_ref(&mut out, a.0);
             }
-            if let Some(name) = &node.name {
+            if let Some(span) = node.name {
                 out.push_str(" \"");
-                out.push_str(name);
+                out.push_str(span.of(&self.names));
                 out.push('"');
             }
             out.push('\n');

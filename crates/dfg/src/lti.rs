@@ -29,7 +29,11 @@
 //!   when `settle_steps` lags in a row leave every node's μ below
 //!   `tolerance` times its own running ℓ1, so a node's first nonzero
 //!   value always keeps it going.  Its gains are the reference's up to
-//!   rounding and tail truncation.
+//!   rounding and tail truncation.  It answers one node-major
+//!   `nodes × outputs` matrix of [`OutputGain`]s, and each lag visits the
+//!   argument-free nodes (inputs, constants) last among the combinational
+//!   ones, so the carry into a FIR's input does not revisit its idle tap
+//!   multipliers.
 //! * [`ImpulseAnalysis`] answers every source of one graph on any
 //!   baseline.  It simulates the baseline once, evaluates per step only
 //!   the nodes with an argument off the baseline, and lets sources whose
@@ -219,6 +223,11 @@ impl Dfg {
     /// (transposed) pass per output instead of one simulation per
     /// source.  `Ok(None)` where only [`ImpulseAnalysis`] applies.
     ///
+    /// The gains come back as one node-major matrix: node `i`'s gain
+    /// toward output `k` is entry `i * outputs + k`, so row `i` is the
+    /// `per_output` of [`Dfg::impulse_response`] from node `i`.  Each
+    /// pass writes its output's column in place.
+    ///
     /// A pass runs the graph backwards from a unit seed on its output.
     /// At lag `k` it holds μ_k\[v\], the sensitivity of the output at the
     /// current step to a perturbation of node `v` `k` steps earlier; each
@@ -273,39 +282,32 @@ impl Dfg {
     ///
     /// let opts = LtiOptions::default();
     /// let gains = dfg.adjoint_gains(&opts)?.expect("stationary baseline");
-    /// for (id, _) in dfg.nodes() {
+    /// let rows = gains.chunks_exact(dfg.outputs().len());
+    /// for ((id, _), row) in dfg.nodes().zip(rows) {
     ///     let (dense, _) = dfg.impulse_response(id, &opts)?;
-    ///     assert_eq!(gains[id.index()], dense);
+    ///     assert_eq!(row, dense.per_output);
     /// }
     /// # Ok(())
     /// # }
     /// ```
-    pub fn adjoint_gains(&self, opts: &LtiOptions) -> Result<Option<Vec<ImpulseGains>>, DfgError> {
+    pub fn adjoint_gains(&self, opts: &LtiOptions) -> Result<Option<Vec<OutputGain>>, DfgError> {
         self.require_linear()?;
         let Some(adjoint) = Adjoint::new(self) else {
             return Ok(None);
         };
         let n_out = self.outputs.len();
-        let mut gains: Vec<ImpulseGains> = (0..self.len())
-            .map(|i| ImpulseGains {
-                source: NodeId(i),
-                per_output: vec![OutputGain::default(); n_out],
-            })
-            .collect();
+        let mut gains = vec![OutputGain::default(); self.len() * n_out];
         let mut pass = Pass::new(self.len());
         for (k, (_, o)) in self.outputs.iter().enumerate() {
-            if !pass.run(&adjoint, o.0, opts) {
+            if !pass.run(&adjoint, o.0, opts, &mut gains[k..], n_out) {
                 return Ok(None);
-            }
-            for (g, acc) in gains.iter_mut().zip(&pass.gains) {
-                g.per_output[k] = *acc;
             }
         }
         if !adjoint.curved.is_empty() {
             let mut forward = ImpulseAnalysis::new(self, opts)?;
             for &s in &adjoint.curved {
                 match forward.response(s) {
-                    Ok((g, _)) => gains[s.0] = g,
+                    Ok((g, _)) => gains[s.0 * n_out..][..n_out].copy_from_slice(&g.per_output),
                     Err(_) => return Ok(None),
                 }
             }
@@ -1127,8 +1129,17 @@ struct Edge {
 #[derive(Debug)]
 struct Adjoint {
     /// The nodes a pass visits each lag: combinational ones after all
-    /// their consumers, then the delays in id order.  A node no edge,
-    /// output or delay reaches stays at zero and is left out.
+    /// their consumers, argument-free ones (inputs, constants) last among
+    /// them, then the delays in id order.  A node no edge, output or
+    /// delay reaches stays at zero and is left out.
+    ///
+    /// Putting the leaves last is what keeps later lags short: a delay
+    /// that carries μ into an input starts the next sweep at that input,
+    /// just before the delays, instead of wherever the input falls in the
+    /// topological order (a FIR's input would otherwise sit before its
+    /// tap multipliers, which every lag would revisit at zero).  Any
+    /// order in which each node follows its consumers gives the same
+    /// bits: a node's μ sums its consumers' in CSR order.
     order: Vec<u32>,
     /// Each node's index in `order`.
     rank: Vec<u32>,
@@ -1203,10 +1214,13 @@ impl Adjoint {
         }
         let users = Csr::new(n, &user_edges);
         let curved = Self::curved(dfg, &base);
+        let leaf = |id: &&NodeId| dfg.nodes[id.0].args.is_empty();
         let order: Vec<u32> = dfg
             .topo
             .iter()
             .rev()
+            .filter(|id| !leaf(id))
+            .chain(dfg.topo.iter().rev().filter(leaf))
             .chain(&dfg.delays)
             .filter(|id| reached[id.0])
             .map(|id| id.0 as u32)
@@ -1262,8 +1276,6 @@ struct Pass {
     /// The μ each node starts the current lag with: the unit seed on the
     /// output at lag 0, then what the delays carry back.
     seed: Vec<f64>,
-    /// Per node: the gains toward the current output.
-    gains: Vec<OutputGain>,
 }
 
 impl Pass {
@@ -1271,20 +1283,25 @@ impl Pass {
         Pass {
             mu: vec![0.0; n],
             seed: vec![0.0; n],
-            gains: vec![OutputGain::default(); n],
         }
     }
 
-    /// One pass backwards from `output`; leaves every node's gains toward
-    /// it in `gains`.  `false` when the pass met a non-finite value or
-    /// ran out of lags.
+    /// One pass backwards from `output`; accumulates node `i`'s gains
+    /// toward it into `gains[i * stride]`, which must start at zero.
+    /// `false` when the pass met a non-finite value or ran out of lags.
     ///
     /// Each lag sweeps `order` from the first seeded node on: everything
     /// before it has no seed and only consumers before it, so its μ is
     /// zero (a FIR's adder tree is idle after lag 0).
-    fn run(&mut self, adj: &Adjoint, output: usize, opts: &LtiOptions) -> bool {
-        let Pass { mu, seed, gains } = self;
-        gains.fill(OutputGain::default());
+    fn run(
+        &mut self,
+        adj: &Adjoint,
+        output: usize,
+        opts: &LtiOptions,
+        gains: &mut [OutputGain],
+        stride: usize,
+    ) -> bool {
+        let Pass { mu, seed } = self;
         mu.fill(0.0);
         seed.fill(0.0);
         seed[output] = 1.0;
@@ -1302,7 +1319,7 @@ impl Pass {
                 }
                 mu[i] = m;
                 if m != 0.0 {
-                    let g = &mut gains[i];
+                    let g = &mut gains[i * stride];
                     g.l1 += m.abs();
                     g.l2_squared += m * m;
                     g.dc += m;
@@ -1599,7 +1616,31 @@ mod tests {
         // Four lags back from y, the comb's −1 and the integrator's +1
         // cancel on `s`, so the adjoint pass carries nothing further.
         let adjoint = g.adjoint_gains(&opts).unwrap().unwrap();
-        assert_eq!(adjoint[x.index()], gains);
+        // One output: the matrix has one gain per node.
+        assert_eq!(adjoint[x.index()], gains.per_output[0]);
+    }
+
+    #[test]
+    fn the_adjoint_visits_inputs_after_every_operator_and_before_the_delays() {
+        // y = 0.5·x + 0.25·x[n-2]: the carry down the delay line reaches
+        // x once per lag, and the sweep that starts there must not
+        // revisit the multipliers.
+        let mut b = DfgBuilder::new();
+        let x = b.input("x");
+        let line = b.delay_chain(x, 2);
+        let t0 = b.mul_const(0.5, x);
+        let t2 = b.mul_const(0.25, line[1]);
+        let y = b.add(t0, t2);
+        b.output("y", y);
+        let g = b.build().unwrap();
+        let adj = Adjoint::new(&g).unwrap();
+        let rank = |id: NodeId| adj.rank[id.0];
+        for op in [t0, t2, y] {
+            assert!(rank(op) < rank(x), "{op} after the input");
+        }
+        for d in line {
+            assert!(rank(x) < rank(d), "{d} before the input");
+        }
     }
 
     #[test]
@@ -1617,14 +1658,18 @@ mod tests {
         bld.output("q", q);
         let g = bld.build().unwrap();
         let opts = LtiOptions::default();
+        // One output: the matrix has one gain per node.
         let gains = g.adjoint_gains(&opts).unwrap().unwrap();
         for id in [a, b, d] {
-            assert_eq!(gains[id.index()], g.impulse_gains(id, &opts).unwrap());
+            assert_eq!(
+                gains[id.index()],
+                g.impulse_gains(id, &opts).unwrap().per_output[0]
+            );
         }
-        assert_eq!(gains[a.index()].per_output[0].dc, 0.5 / 3.0 - 0.5 / 2.0);
+        assert_eq!(gains[a.index()].dc, 0.5 / 3.0 - 0.5 / 2.0);
         for id in [x, half, num] {
-            assert_eq!(gains[id.index()].per_output[0].l1, 0.5);
+            assert_eq!(gains[id.index()].l1, 0.5);
         }
-        assert_eq!(gains[q.index()].per_output[0].l1, 1.0);
+        assert_eq!(gains[q.index()].l1, 1.0);
     }
 }

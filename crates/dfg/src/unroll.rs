@@ -73,7 +73,7 @@ impl Dfg {
                     Op::Neg => b.neg(ids[node.args()[0].index()]),
                     Op::Delay => unreachable!("delays handled above"),
                 };
-                if let Some(name) = node.name() {
+                if let Some(name) = self.node_name(id) {
                     let _ = b.name(new_id, format!("{name}@{t}"));
                 }
                 // Each step's copy of an overridden combinational node

@@ -19,7 +19,7 @@
 use sna_interval::Interval;
 use sna_store::{WireError, WireReader, WireWriter};
 
-use crate::graph::{combinational_topo, Args, Dfg, Node, NodeId, Op};
+use crate::graph::{combinational_topo, Args, Dfg, NameSpan, Node, NodeId, Op};
 
 /// Per-node operation tags (stable across releases; append only).
 const TAG_INPUT: u8 = 0;
@@ -60,10 +60,10 @@ impl Dfg {
             for a in node.args.iter() {
                 w.u64(a.index() as u64);
             }
-            match &node.name {
-                Some(name) => {
+            match node.name {
+                Some(span) => {
                     w.u8(1);
-                    w.str(name);
+                    w.str(span.of(&self.names));
                 }
                 None => w.u8(0),
             }
@@ -103,6 +103,7 @@ impl Dfg {
         let mut r = WireReader::new(bytes);
         let n_nodes = r.read_count(2)?;
         let mut nodes = Vec::with_capacity(n_nodes);
+        let mut names = String::new();
         for _ in 0..n_nodes {
             let op = match r.u8()? {
                 TAG_INPUT => Op::Input(usize::try_from(r.u64()?).map_err(wide)?),
@@ -121,7 +122,7 @@ impl Dfg {
             }
             let name = match r.u8()? {
                 0 => None,
-                1 => Some(r.str()?),
+                1 => Some(NameSpan::push(&mut names, &r.str()?)),
                 f => return Err(WireError::new(format!("bad name flag {f}"))),
             };
             nodes.push(Node { op, args, name });
@@ -182,6 +183,7 @@ impl Dfg {
             .collect();
         Ok(Dfg {
             nodes,
+            names,
             outputs,
             input_names,
             topo,

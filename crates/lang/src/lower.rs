@@ -1,9 +1,10 @@
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 use sna_dfg::{Dfg, DfgBuilder, NodeId};
 use sna_interval::Interval;
 
-use crate::ast::{BinaryOp, Expr, ExprKind, IndexKind, InputRange, Program, Stmt, UnaryOp};
+use crate::ast::{BinaryOp, Expr, ExprKind, Ident, IndexKind, InputRange, Program, Stmt, UnaryOp};
 use crate::{Diagnostic, Span};
 
 /// Total delay nodes tap-index sugar may create in one program. Each
@@ -86,22 +87,18 @@ pub fn compile(source: &str) -> Result<Lowered, Vec<Diagnostic>> {
 }
 
 #[derive(Default)]
-struct Lowering {
+struct Lowering<'p> {
     builder: DfgBuilder,
-    env: HashMap<String, NodeId>,
-    /// Definition site of each name (for duplicate-definition notes).
-    def_spans: HashMap<String, Span>,
+    /// Every name the program mentions, keyed by its text in the
+    /// [`Program`]: what it is bound to and its tap chain, found with one
+    /// lookup. (The map keeps the std keyed hasher: names come from
+    /// untrusted sources.)
+    names: HashMap<&'p str, Name>,
     /// One `Const` node per distinct literal value (keyed by bit pattern,
     /// so `-0.0` and `0.0` stay distinct): repeated coefficients — ubiquitous
     /// in symmetric filters — share a node instead of multiplying the
     /// constant count.
     consts: HashMap<u64, NodeId>,
-    /// Vector input banks: name → element nodes (`x[0]` … `x[w-1]`).
-    vectors: HashMap<String, Vec<NodeId>>,
-    /// The shared delay chain of each tapped source: `taps[s][k-1]` is
-    /// `s[n-k]`. All tap references of one source share one chain, so
-    /// `x[n-3]` after `x[n-1]` adds two delays, not three.
-    taps: HashMap<String, Vec<NodeId>>,
     /// Delay nodes created by tap sugar so far (bounded by
     /// [`MAX_SUGAR_DELAYS`]).
     sugar_delays: usize,
@@ -109,32 +106,59 @@ struct Lowering {
     /// Forward references created by `delay name` or a tap of a
     /// not-yet-defined source: placeholder node plus the name and span to
     /// resolve once all statements are lowered.
-    pending: Vec<(String, NodeId, Span)>,
-    outputs: Vec<String>,
+    pending: Vec<(&'p str, NodeId, Span)>,
+    outputs: Vec<&'p str>,
     errors: Vec<Diagnostic>,
 }
 
-impl Lowering {
-    fn run(mut self, program: &Program) -> Result<Lowered, Vec<Diagnostic>> {
+/// Everything one name stands for.
+#[derive(Default)]
+struct Name {
+    binding: Binding,
+    /// The shared delay chain of the name as a tapped source: `taps[k-1]`
+    /// is `name[n-k]`. All tap references of one source share one chain,
+    /// so `x[n-3]` after `x[n-1]` adds two delays, not three.
+    taps: Vec<NodeId>,
+}
+
+/// What a name is defined as; each name is defined at most once.
+#[derive(Default)]
+enum Binding {
+    /// Not (yet) defined: only referenced, through `delay` or a tap.
+    #[default]
+    Undefined,
+    /// A scalar: an input or a statement's node.
+    Scalar(NodeId),
+    /// A vector input bank: element nodes `x[0]` … `x[w-1]`.
+    Bank(Vec<NodeId>),
+}
+
+/// The diagnostic for a second definition of `name`.
+fn defined_twice(name: &Ident) -> Diagnostic {
+    Diagnostic::new(format!("`{}` is defined twice", name.name), name.span)
+}
+
+impl<'p> Lowering<'p> {
+    fn run(mut self, program: &'p Program) -> Result<Lowered, Vec<Diagnostic>> {
         for stmt in &program.stmts {
             self.stmt(stmt);
         }
         // Bind the feedback placeholders now that every name is defined.
         for (name, placeholder, span) in std::mem::take(&mut self.pending) {
-            match self.env.get(&name) {
-                Some(&source) => {
+            match self.names.get(name).map(|n| &n.binding) {
+                Some(&Binding::Scalar(source)) => {
                     self.builder
                         .bind_delay(placeholder, source)
                         .expect("placeholder ids are valid and bound once");
                 }
-                None if self.vectors.contains_key(&name) => self.errors.push(Diagnostic::new(
+                Some(Binding::Bank(_)) => self.errors.push(Diagnostic::new(
                     format!(
                         "`{name}` is a vector input bank — bind an element to a name \
                          (`e = {name}[0];`) before delaying or tapping it"
                     ),
                     span,
                 )),
-                None => self.errors.push(Diagnostic::new(
+                _ => self.errors.push(Diagnostic::new(
                     format!("undefined name `{name}` (referenced through `delay` or a tap index)"),
                     span,
                 )),
@@ -161,72 +185,61 @@ impl Lowering {
         }
     }
 
-    /// Records the definition site of `name`, reporting a duplicate.
-    /// Returns `false` (without recording) when the name already exists.
-    fn claim(&mut self, name: &crate::ast::Ident) -> bool {
-        if self.def_spans.contains_key(&name.name) {
-            self.errors.push(Diagnostic::new(
-                format!("`{}` is defined twice", name.name),
-                name.span,
-            ));
-            return false;
-        }
-        self.def_spans.insert(name.name.clone(), name.span);
-        true
-    }
-
-    fn define(&mut self, name: &crate::ast::Ident, node: NodeId) {
-        if self.claim(name) {
-            self.env.insert(name.name.clone(), node);
+    /// Binds `name` to the scalar `node`, reporting a duplicate (the
+    /// first definition stays).
+    fn define(&mut self, name: &'p Ident, node: NodeId) {
+        let entry = self.names.entry(&name.name).or_default();
+        match entry.binding {
+            Binding::Undefined => entry.binding = Binding::Scalar(node),
+            _ => self.errors.push(defined_twice(name)),
         }
     }
 
-    /// The `Const` node for `value`, creating it on first use.
-    fn const_node(&mut self, value: f64) -> NodeId {
-        *self
-            .consts
-            .entry(value.to_bits())
-            .or_insert_with(|| self.builder.constant(value))
+    /// The `Const` node for `value`, creating it on first use; whether
+    /// this call created it.
+    fn const_node(&mut self, value: f64) -> (NodeId, bool) {
+        match self.consts.entry(value.to_bits()) {
+            Entry::Occupied(e) => (*e.get(), false),
+            Entry::Vacant(e) => (*e.insert(self.builder.constant(value)), true),
+        }
     }
 
-    /// Whether lowering `expr` reuses an existing node instead of creating
-    /// one — a plain alias of a name, a literal whose `Const` node
-    /// already exists, or an index reference (vector elements and tap
-    /// chains are shared infrastructure). Such statements must not
-    /// (re)name the shared node, and cannot carry a `range` override.
-    fn reuses_node(&self, expr: &Expr) -> bool {
+    /// Lowers the expression a statement binds, and whether that created
+    /// the node — not so for a plain alias of a name, a literal whose
+    /// `Const` node already exists, or an index reference (vector
+    /// elements and tap chains are shared infrastructure). Such
+    /// statements must not (re)name the shared node, and cannot carry a
+    /// `range` override.
+    fn bound_node(&mut self, expr: &'p Expr) -> (NodeId, bool) {
         match &expr.kind {
-            ExprKind::Var(_) | ExprKind::Index { .. } => true,
-            ExprKind::Number(v) => self.consts.contains_key(&v.to_bits()),
-            _ => false,
+            ExprKind::Number(v) => self.const_node(*v),
+            ExprKind::Var(_) | ExprKind::Index { .. } => (self.expr(expr), false),
+            _ => (self.expr(expr), true),
         }
     }
 
     /// Resolves a scalar name reference, with recovery.
     fn resolve_var(&mut self, name: &str, span: Span) -> NodeId {
-        if let Some(&node) = self.env.get(name) {
-            return node;
-        }
-        if self.vectors.contains_key(name) {
-            self.errors.push(Diagnostic::new(
+        match self.names.get(name).map(|n| &n.binding) {
+            Some(&Binding::Scalar(node)) => return node,
+            Some(Binding::Bank(_)) => self.errors.push(Diagnostic::new(
                 format!("`{name}` is a vector input bank — reference an element like `{name}[0]`"),
                 span,
-            ));
-        } else {
-            self.errors.push(Diagnostic::new(
+            )),
+            _ => self.errors.push(Diagnostic::new(
                 format!(
                     "undefined name `{name}` (only `delay {name}` or a tap index like \
                      `{name}[n-1]` may refer to a name defined later)"
                 ),
                 span,
-            ));
+            )),
         }
         // Recovery placeholder so lowering can continue.
         self.builder.constant(0.0)
     }
 
     /// Grows the shared delay chain of `base` to at least `k` taps, so a
-    /// later `base[n-k]` resolves to `taps[base][k-1]`.
+    /// later `base[n-k]` resolves to its `k`-th tap.
     ///
     /// Chains are *hoisted*: every statement's tap references are
     /// collected before its expression is lowered, in reference order,
@@ -234,9 +247,18 @@ impl Lowering {
     /// hand-written `x1 = delay x; x2 = delay x1; …` preamble would —
     /// the invariant the differential (sugared vs. desugared) test suite
     /// pins byte-for-byte.
-    fn ensure_taps(&mut self, base: &str, k: usize, span: Span) {
-        if self.vectors.contains_key(base) {
-            self.errors.push(Diagnostic::new(
+    fn ensure_taps(&mut self, base: &'p str, k: usize, span: Span) {
+        let Lowering {
+            builder,
+            names,
+            sugar_delays,
+            pending,
+            errors,
+            ..
+        } = self;
+        let name = names.entry(base).or_default();
+        if let Binding::Bank(_) = name.binding {
+            errors.push(Diagnostic::new(
                 format!(
                     "`{base}` is a vector input bank — bind an element to a name \
                      (`e = {base}[0];`) before tapping it"
@@ -245,9 +267,9 @@ impl Lowering {
             ));
             return;
         }
-        let have = self.taps.get(base).map_or(0, Vec::len);
-        if k > have && self.sugar_delays + (k - have) > MAX_SUGAR_DELAYS {
-            self.errors.push(Diagnostic::new(
+        let have = name.taps.len();
+        if k > have && *sugar_delays + (k - have) > MAX_SUGAR_DELAYS {
+            errors.push(Diagnostic::new(
                 format!(
                     "tap indices would create more than {MAX_SUGAR_DELAYS} delay nodes \
                      in total"
@@ -256,41 +278,27 @@ impl Lowering {
             ));
             return;
         }
-        if k <= have {
-            return;
-        }
-        let mut prev = self.taps.get(base).and_then(|chain| chain.last().copied());
-        let mut grown = Vec::with_capacity(k - have);
         for _ in have..k {
-            let node = match prev {
-                Some(prev) => self.builder.delay(prev),
-                None => match self.env.get(base) {
-                    Some(&src) => self.builder.delay(src),
-                    None => {
-                        // Tap of a name defined later: the feedback form,
-                        // rooted at a placeholder bound after all
-                        // statements (exactly like `delay name`).
-                        let placeholder = self.builder.delay_placeholder();
-                        self.pending.push((base.to_string(), placeholder, span));
-                        placeholder
-                    }
-                },
+            let node = match (name.taps.last(), &name.binding) {
+                (Some(&prev), _) => builder.delay(prev),
+                (None, &Binding::Scalar(src)) => builder.delay(src),
+                (None, _) => {
+                    // Tap of a name defined later: the feedback form,
+                    // rooted at a placeholder bound after all
+                    // statements (exactly like `delay name`).
+                    let placeholder = builder.delay_placeholder();
+                    pending.push((base, placeholder, span));
+                    placeholder
+                }
             };
-            grown.push(node);
-            prev = Some(node);
-        }
-        self.sugar_delays += grown.len();
-        match self.taps.get_mut(base) {
-            Some(chain) => chain.extend(grown),
-            None => {
-                self.taps.insert(base.to_string(), grown);
-            }
+            name.taps.push(node);
+            *sugar_delays += 1;
         }
     }
 
     /// Pre-pass over a statement's expression: create/extend the delay
     /// chains its tap references need (see [`Lowering::ensure_taps`]).
-    fn hoist_taps(&mut self, expr: &Expr) {
+    fn hoist_taps(&mut self, expr: &'p Expr) {
         match &expr.kind {
             ExprKind::Index {
                 base,
@@ -353,7 +361,7 @@ impl Lowering {
         }
     }
 
-    fn stmt(&mut self, stmt: &Stmt) {
+    fn stmt(&mut self, stmt: &'p Stmt) {
         match stmt {
             Stmt::Input { name, width, range } => {
                 let interval = match range {
@@ -382,18 +390,27 @@ impl Lowering {
                         self.define(name, node);
                     }
                     Some((w, _)) => {
-                        if !self.claim(name) {
+                        let Lowering {
+                            builder,
+                            names,
+                            input_ranges,
+                            errors,
+                            ..
+                        } = self;
+                        let entry = names.entry(&name.name).or_default();
+                        if !matches!(entry.binding, Binding::Undefined) {
+                            errors.push(defined_twice(name));
                             return;
                         }
                         // A bank of `w` inputs named `name[0]` …
                         // `name[w-1]`, all with the declared range.
                         let bank: Vec<NodeId> = (0..*w)
                             .map(|i| {
-                                self.input_ranges.push(interval);
-                                self.builder.input(format!("{}[{i}]", name.name))
+                                input_ranges.push(interval);
+                                builder.input(format!("{}[{i}]", name.name))
                             })
                             .collect();
-                        self.vectors.insert(name.name.clone(), bank);
+                        entry.binding = Binding::Bank(bank);
                     }
                 }
             }
@@ -402,10 +419,9 @@ impl Lowering {
                 // Name the node when this statement created it (pure
                 // aliases `a = b;`, re-bound literals and index
                 // references must not rename the shared node).
-                let fresh = !self.reuses_node(expr);
-                let node = self.expr(expr);
+                let (node, fresh) = self.bound_node(expr);
                 if fresh {
-                    let _ = self.builder.name(node, name.name.clone());
+                    let _ = self.builder.name(node, &name.name);
                 }
                 if let Some(clause) = range {
                     self.apply_range_clause(&name.name, node, expr, fresh, clause);
@@ -416,10 +432,9 @@ impl Lowering {
                 // Same dedup as a bare literal: the first binding of a
                 // value creates (and names) the shared `Const` node,
                 // later re-binds must not rename it.
-                let fresh = !self.consts.contains_key(&value.to_bits());
-                let node = self.const_node(*value);
+                let (node, fresh) = self.const_node(*value);
                 if fresh {
-                    let _ = self.builder.name(node, name.name.clone());
+                    let _ = self.builder.name(node, &name.name);
                 }
                 self.define(name, node);
             }
@@ -427,10 +442,9 @@ impl Lowering {
                 let node = match expr {
                     Some(e) => {
                         self.hoist_taps(e);
-                        let fresh = !self.reuses_node(e);
-                        let node = self.expr(e);
+                        let (node, fresh) = self.bound_node(e);
                         if fresh {
-                            let _ = self.builder.name(node, name.name.clone());
+                            let _ = self.builder.name(node, &name.name);
                         }
                         if let Some(clause) = range {
                             self.apply_range_clause(&name.name, node, e, fresh, clause);
@@ -438,9 +452,9 @@ impl Lowering {
                         self.define(name, node);
                         node
                     }
-                    None => match self.env.get(&name.name) {
-                        Some(&node) => node,
-                        None => {
+                    None => match self.names.get(name.name.as_str()).map(|n| &n.binding) {
+                        Some(&Binding::Scalar(node)) => node,
+                        _ => {
                             self.errors.push(Diagnostic::new(
                                 format!("undefined name `{}`", name.name),
                                 name.span,
@@ -449,27 +463,27 @@ impl Lowering {
                         }
                     },
                 };
-                if self.outputs.contains(&name.name) {
+                if self.outputs.contains(&name.name.as_str()) {
                     self.errors.push(Diagnostic::new(
                         format!("output `{}` is declared twice", name.name),
                         name.span,
                     ));
                     return;
                 }
-                self.outputs.push(name.name.clone());
+                self.outputs.push(&name.name);
                 self.builder.output(name.name.clone(), node);
             }
         }
     }
 
-    fn expr(&mut self, expr: &Expr) -> NodeId {
+    fn expr(&mut self, expr: &'p Expr) -> NodeId {
         match &expr.kind {
-            ExprKind::Number(v) => self.const_node(*v),
+            ExprKind::Number(v) => self.const_node(*v).0,
             ExprKind::Var(name) => self.resolve_var(name, expr.span),
             ExprKind::Index { base, index } => match index {
-                IndexKind::Element(i) => match self.vectors.get(base) {
-                    Some(bank) if *i < bank.len() => bank[*i],
-                    Some(bank) => {
+                IndexKind::Element(i) => match self.names.get(base.as_str()).map(|n| &n.binding) {
+                    Some(Binding::Bank(bank)) if *i < bank.len() => bank[*i],
+                    Some(Binding::Bank(bank)) => {
                         let w = bank.len();
                         self.errors.push(Diagnostic::new(
                             format!(
@@ -480,7 +494,7 @@ impl Lowering {
                         ));
                         self.builder.constant(0.0)
                     }
-                    None => {
+                    _ => {
                         self.errors.push(Diagnostic::new(
                             format!("`{base}` is not a vector input bank"),
                             expr.span,
@@ -490,7 +504,11 @@ impl Lowering {
                 },
                 // `x[n]` is the current sample: a plain reference.
                 IndexKind::Tap(0) => self.resolve_var(base, expr.span),
-                IndexKind::Tap(k) => match self.taps.get(base).and_then(|c| c.get(*k - 1)) {
+                IndexKind::Tap(k) => match self
+                    .names
+                    .get(base.as_str())
+                    .and_then(|n| n.taps.get(*k - 1))
+                {
                     Some(&tap) => tap,
                     // The hoisting pre-pass already diagnosed why the
                     // chain is missing (vector bank, cap exceeded);
@@ -508,9 +526,10 @@ impl Lowering {
                     // feedback form: create a placeholder bound after all
                     // statements.
                     if let ExprKind::Var(name) = &operand.kind {
-                        if !self.env.contains_key(name) {
+                        let bound = self.names.get(name.as_str()).map(|n| &n.binding);
+                        if !matches!(bound, Some(Binding::Scalar(_))) {
                             let placeholder = self.builder.delay_placeholder();
-                            self.pending.push((name.clone(), placeholder, operand.span));
+                            self.pending.push((name, placeholder, operand.span));
                             return placeholder;
                         }
                     }
@@ -738,12 +757,16 @@ mod tests {
         );
         let c = l.dfg.op_counts();
         assert_eq!(c.consts, 1, "the let and the literal share one node");
-        let (id, node) = l
+        let (id, _) = l
             .dfg
             .nodes()
             .find(|(_, n)| matches!(n.op(), Op::Const(_)))
             .unwrap();
-        assert_eq!(node.name(), Some("k"), "the let names the shared node");
+        assert_eq!(
+            l.dfg.node_name(id),
+            Some("k"),
+            "the let names the shared node"
+        );
         assert!(matches!(l.dfg.node(id).op(), Op::Const(v) if v == 0.65328125));
         let y = 0.65328125 * 2.0 + 0.65328125;
         assert_eq!(l.dfg.evaluate(&[2.0]).unwrap(), vec![y]);
@@ -919,7 +942,7 @@ mod tests {
             .nodes()
             .find(|(_, n)| matches!(n.op(), Op::Delay))
             .unwrap();
-        assert_eq!(tap1.1.name(), None);
+        assert_eq!(l.dfg.node_name(tap1.0), None);
     }
 
     #[test]
@@ -932,7 +955,7 @@ mod tests {
         let acc = l
             .dfg
             .nodes()
-            .find(|(_, n)| n.name() == Some("acc"))
+            .find(|&(id, _)| l.dfg.node_name(id) == Some("acc"))
             .unwrap()
             .0;
         assert_eq!(
@@ -946,7 +969,11 @@ mod tests {
         assert_eq!(ranges[acc.index()], Interval::new(-0.5, 0.5).unwrap());
         // Output form too.
         let l = compile_ok("input x;\noutput y = x * x range [0, 1];\n");
-        let (yid, _) = l.dfg.nodes().find(|(_, n)| n.name() == Some("y")).unwrap();
+        let (yid, _) = l
+            .dfg
+            .nodes()
+            .find(|&(id, _)| l.dfg.node_name(id) == Some("y"))
+            .unwrap();
         assert_eq!(
             l.dfg.range_override(yid),
             Some(Interval::new(0.0, 1.0).unwrap())
@@ -1005,7 +1032,11 @@ mod tests {
             .dfg
             .ranges_interval(&l.input_ranges, &sna_dfg::RangeOptions::default())
             .unwrap();
-        let (yid, _) = l.dfg.nodes().find(|(_, n)| n.name() == Some("y")).unwrap();
+        let (yid, _) = l
+            .dfg
+            .nodes()
+            .find(|&(id, _)| l.dfg.node_name(id) == Some("y"))
+            .unwrap();
         assert_eq!(ranges[yid.index()], Interval::new(-0.5, 0.5).unwrap());
     }
 

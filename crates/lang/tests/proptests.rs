@@ -346,7 +346,11 @@ fn assert_same_graph(a: &sna_dfg::Dfg, b: &sna_dfg::Dfg, seed: u64) {
             nb.op()
         );
         assert_eq!(na.args(), nb.args(), "seed {seed}: args of {id}");
-        assert_eq!(na.name(), nb.name(), "seed {seed}: name of {id}");
+        assert_eq!(
+            a.node_name(id),
+            b.node_name(id),
+            "seed {seed}: name of {id}"
+        );
         assert_eq!(
             a.range_override(id),
             b.range_override(id),

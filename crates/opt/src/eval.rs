@@ -367,16 +367,15 @@ impl<'a> NaEval<'a> {
                 // Deterministic rounding offset through the DC gains.
                 let offset = q.quantize(c) - c;
                 if offset != 0.0 {
-                    for k in 0..self.n_out {
-                        self.contrib_mean[base + k] += offset * gains.per_output[k].dc;
+                    for (k, og) in gains.iter().enumerate() {
+                        self.contrib_mean[base + k] += offset * og.dc;
                     }
                 }
             }
             _ => {
                 if self.introduces_noise(i) {
                     let src = NoiseSource::for_quantizer(id, &q);
-                    for k in 0..self.n_out {
-                        let og = gains.per_output[k];
+                    for (k, og) in gains.iter().enumerate() {
                         self.contrib_mean[base + k] += src.offset * og.dc;
                         self.contrib_var[base + k] += src.variance() * og.l2_squared;
                     }
@@ -396,8 +395,7 @@ impl<'a> NaEval<'a> {
                 .model
                 .gains_from(cs.site())
                 .expect("coefficient sites refer to analyzed nodes");
-            for k in 0..self.n_out {
-                let og = site_gains.per_output[k];
+            for (k, og) in site_gains.iter().enumerate() {
                 self.contrib_mean[base + k] += src.offset * og.dc;
                 self.contrib_var[base + k] += src.variance() * og.l2_squared;
             }

@@ -45,8 +45,9 @@
 //! program recompiles from scratch — corruption can never panic, poison
 //! the in-memory cache, or resurrect a stale artifact.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use sna_core::Session;
 use sna_lang::{fnv1a_64, Diagnostic, Lowered};
@@ -198,48 +199,69 @@ impl Default for CacheLimits {
     }
 }
 
-/// One cached program plus its recency and the reverse index needed to
-/// evict it cleanly.
+/// One cached program plus its place in the recency list and the
+/// reverse index needed to evict it cleanly.
 ///
-/// Key texts are `Arc<str>` shared between the maps and these reverse
-/// indices, so each distinct text (an up-to-1-MiB source line, say) is
-/// stored once however many structures point at it — the accounted
-/// `key_bytes` track real memory, not a fraction of it.
+/// A source text is `Arc<str>` shared between `State::by_source` and
+/// the slot's reverse index, so each distinct text (an up-to-1-MiB
+/// source line, say) is stored once however many structures point at
+/// it — the accounted `key_bytes` track real memory, not a fraction of
+/// it.  The same sharing means evicting a slot under the lock only drops
+/// reference counts: the texts and the entry are freed with the slot
+/// itself, after the lock is released.
 struct Slot {
     entry: Arc<CompiledEntry>,
+    /// The canonical rendering, filed in `State::by_canon` under
+    /// `entry.fingerprint`.
+    canon: String,
     /// Raw-source spellings registered for this entry (keys of
     /// `State::by_source` to drop on eviction; shared allocations).
     aliases: Vec<Arc<str>>,
     /// The shape key this entry donates its skeleton under, when it is
-    /// the registered donor (key of `State::by_shape` to drop on
-    /// eviction; shared allocation).
-    shape_key: Option<Arc<str>>,
-    /// Logical timestamp of the last lookup that returned this entry.
-    last_used: u64,
+    /// the registered donor (filed in `State::by_shape` under
+    /// `entry.shape_fingerprint`).
+    shape_key: Option<String>,
+    /// The next less recently used slot, toward [`State::oldest`].
+    older: Option<usize>,
+    /// The next more recently used slot, toward [`State::newest`].
+    newer: Option<usize>,
 }
 
+/// The maps, slots and counters behind the cache's lock.
+///
+/// Canonical renderings and shape keys are filed under their FNV-1a
+/// fingerprints, which every lookup past the source tier computes
+/// before it takes the lock; the slot keeps the full text, and a lookup
+/// only matches when the text is equal. Two texts with one fingerprint
+/// therefore never share an entry: the later one is served uncached
+/// (and, for a shape, donates nothing), as the store treats such a
+/// collision. The lock therefore never hashes a multi-kilobyte key
+/// except the raw source text, the fast path's key.
 #[derive(Default)]
 struct State {
-    /// Raw source text → canonical key of its entry. Full-text keys
-    /// (not bare hashes): the map's own hashing gives the fast path,
-    /// and key equality makes a hash collision between two different
-    /// programs impossible — which matters once untrusted TCP clients
-    /// share the cache.
-    by_source: HashMap<Arc<str>, Arc<str>>,
-    /// Canonical rendering → the compiled slot, same full-text
-    /// reasoning. The one map that owns entries; all other maps point
-    /// into it.
-    slots: HashMap<Arc<str>, Slot>,
-    /// Const-masked shape rendering ([`Lowered::shape_key`]) → canonical
-    /// key of the skeleton donor for coefficient swaps (the first entry
-    /// compiled with each shape, replaced when it is evicted).
-    by_shape: HashMap<Arc<str>, Arc<str>>,
-    /// Total bytes across all maps' keys, compared against
-    /// [`CacheLimits::max_key_bytes`].
+    /// Raw source text → slot of its entry. Full-text keys (not bare
+    /// hashes): the map's own hashing gives the fast path, and key
+    /// equality makes a hash collision between two different programs
+    /// impossible — which matters once untrusted TCP clients share the
+    /// cache.
+    by_source: HashMap<Arc<str>, usize>,
+    /// Canonical fingerprint → slot. One key per live slot.
+    by_canon: HashMap<u64, usize>,
+    /// Shape fingerprint (of [`Lowered::shape_key`]) → slot of the
+    /// skeleton donor for coefficient swaps (the first entry compiled
+    /// with each shape, replaced when it is evicted).
+    by_shape: HashMap<u64, usize>,
+    /// The slots, indexed by the maps; `None` marks a free index.
+    slots: Vec<Option<Slot>>,
+    /// Free indices of `slots`, reused before the vector grows.
+    free: Vec<usize>,
+    /// The least recently used live slot: the next eviction victim.
+    oldest: Option<usize>,
+    /// The most recently used live slot.
+    newest: Option<usize>,
+    /// Total bytes across all key texts (sources, canonical renderings,
+    /// shape keys), compared against [`CacheLimits::max_key_bytes`].
     key_bytes: usize,
-    /// Logical clock for LRU recency (bumped on every lookup that
-    /// touches an entry).
-    tick: u64,
     hits: u64,
     shape_hits: u64,
     misses: u64,
@@ -247,105 +269,162 @@ struct State {
 }
 
 impl State {
-    /// Marks the slot under `canon` as just-used and returns its entry.
-    fn touch(&mut self, canon: &str) -> Option<Arc<CompiledEntry>> {
-        self.tick += 1;
-        let tick = self.tick;
-        self.slots.get_mut(canon).map(|slot| {
-            slot.last_used = tick;
-            slot.entry.clone()
-        })
+    fn slot(&self, i: usize) -> &Slot {
+        self.slots[i].as_ref().expect("maps point at live slots")
     }
 
-    /// Evicts least-recently-used entries until one more compiled
-    /// program with `incoming` key bytes fits the limits. Only the
-    /// full-compile path calls this — the caller has just paid a lower,
-    /// so a peer cannot trigger evictions with cheap requests.
-    fn make_room(&mut self, limits: &CacheLimits, incoming: usize) {
-        while !self.slots.is_empty()
-            && (self.slots.len() >= limits.max_entries
-                || self.key_bytes.saturating_add(incoming) > limits.max_key_bytes)
-        {
-            let coldest = self
-                .slots
-                .iter()
-                .min_by_key(|(_, slot)| slot.last_used)
-                .map(|(canon, _)| canon.clone())
-                .expect("non-empty");
-            self.evict(&coldest);
+    fn slot_mut(&mut self, i: usize) -> &mut Slot {
+        self.slots[i].as_mut().expect("maps point at live slots")
+    }
+
+    /// Takes slot `i` out of the recency list.
+    fn unlink(&mut self, i: usize) {
+        let (older, newer) = {
+            let slot = self.slot(i);
+            (slot.older, slot.newer)
+        };
+        match older {
+            Some(o) => self.slot_mut(o).newer = newer,
+            None => self.oldest = newer,
+        }
+        match newer {
+            Some(n) => self.slot_mut(n).older = older,
+            None => self.newest = older,
         }
     }
 
-    /// Removes one entry and every key pointing at it.
-    fn evict(&mut self, canon: &str) {
-        let Some(slot) = self.slots.remove(canon) else {
-            return;
-        };
-        self.key_bytes = self.key_bytes.saturating_sub(canon.len());
+    /// Puts slot `i` at the most recently used end of the list.
+    fn link_newest(&mut self, i: usize) {
+        let prev = self.newest;
+        let slot = self.slot_mut(i);
+        slot.older = prev;
+        slot.newer = None;
+        match prev {
+            Some(p) => self.slot_mut(p).newer = Some(i),
+            None => self.oldest = Some(i),
+        }
+        self.newest = Some(i);
+    }
+
+    /// Marks slot `i` as just used and returns its entry.
+    fn touch(&mut self, i: usize) -> Arc<CompiledEntry> {
+        if self.newest != Some(i) {
+            self.unlink(i);
+            self.link_newest(i);
+        }
+        self.slot(i).entry.clone()
+    }
+
+    /// The slot holding the program `canon` (with canonical fingerprint
+    /// `fingerprint`), marked as just used.
+    fn touch_canon(
+        &mut self,
+        fingerprint: u64,
+        canon: &str,
+    ) -> Option<(usize, Arc<CompiledEntry>)> {
+        let i = *self.by_canon.get(&fingerprint)?;
+        (self.slot(i).canon == canon).then(|| (i, self.touch(i)))
+    }
+
+    /// The donor slot of shape `shape_key` (with fingerprint
+    /// `fingerprint`), marked as just used.
+    fn touch_shape(&mut self, fingerprint: u64, shape_key: &str) -> Option<Arc<CompiledEntry>> {
+        let i = *self.by_shape.get(&fingerprint)?;
+        (self.slot(i).shape_key.as_deref() == Some(shape_key)).then(|| self.touch(i))
+    }
+
+    /// Evicts least-recently-used entries until one more compiled
+    /// program with `incoming` key bytes fits the limits, and returns
+    /// them: the caller drops them once the lock is released, so freeing
+    /// a session never stalls other lookups. Only the full-compile path
+    /// calls this — the caller has just paid a lower, so a peer cannot
+    /// trigger evictions with cheap requests.
+    #[must_use]
+    fn make_room(&mut self, limits: &CacheLimits, incoming: usize) -> Vec<Slot> {
+        let mut evicted = Vec::new();
+        while let Some(oldest) = self.oldest {
+            if self.by_canon.len() < limits.max_entries
+                && self.key_bytes.saturating_add(incoming) <= limits.max_key_bytes
+            {
+                break;
+            }
+            evicted.push(self.evict(oldest));
+        }
+        evicted
+    }
+
+    /// Removes slot `i` and every key pointing at it.
+    fn evict(&mut self, i: usize) -> Slot {
+        self.unlink(i);
+        let slot = self.slots[i].take().expect("maps point at live slots");
+        self.free.push(i);
+        self.by_canon.remove(&slot.entry.fingerprint);
+        self.key_bytes = self.key_bytes.saturating_sub(slot.canon.len());
         for alias in &slot.aliases {
             self.by_source.remove(alias);
             self.key_bytes = self.key_bytes.saturating_sub(alias.len());
         }
         if let Some(shape_key) = &slot.shape_key {
-            self.by_shape.remove(shape_key);
+            self.by_shape.remove(&slot.entry.shape_fingerprint);
             self.key_bytes = self.key_bytes.saturating_sub(shape_key.len());
         }
         self.evictions += 1;
+        slot
     }
 
-    /// Registers `source` as an alias of the slot under `canon`, with
-    /// byte accounting (a racing thread may have inserted the same key
-    /// already). The source text is allocated once and shared between
-    /// the alias map and the slot's reverse index.
-    fn insert_source(&mut self, source: &str, canon: &str) {
-        if self.by_source.contains_key(source) {
-            return;
+    /// Registers `source` as an alias of slot `i`, with byte accounting
+    /// (a racing thread may have inserted the same key already). The
+    /// text is shared between the alias map and the slot's reverse
+    /// index.
+    fn insert_source(&mut self, source: Arc<str>, i: usize) {
+        if let Entry::Vacant(vacant) = self.by_source.entry(Arc::clone(&source)) {
+            vacant.insert(i);
+            self.key_bytes += source.len();
+            self.slot_mut(i).aliases.push(source);
         }
-        let Some((canon_arc, _)) = self.slots.get_key_value(canon) else {
-            return;
-        };
-        let canon_arc = Arc::clone(canon_arc);
-        let source_arc: Arc<str> = Arc::from(source);
-        self.key_bytes += source.len();
-        self.by_source.insert(Arc::clone(&source_arc), canon_arc);
-        self.slots
-            .get_mut(canon)
-            .expect("resolved above")
-            .aliases
-            .push(source_arc);
     }
 
-    /// Inserts a freshly compiled slot under `canon` (which must be
-    /// vacant), with byte accounting.
-    fn insert_slot(&mut self, canon: Arc<str>, entry: Arc<CompiledEntry>) {
-        self.tick += 1;
+    /// Files a freshly compiled entry for the program `canon` as the
+    /// most recently used slot, with byte accounting; returns its index.
+    /// `None` when another program already holds its fingerprint: the
+    /// entry then stays unfiled.
+    fn insert_slot(&mut self, canon: String, entry: Arc<CompiledEntry>) -> Option<usize> {
+        let Entry::Vacant(vacant) = self.by_canon.entry(entry.fingerprint) else {
+            return None;
+        };
+        let i = self.free.pop().unwrap_or(self.slots.len());
+        vacant.insert(i);
         self.key_bytes += canon.len();
         let slot = Slot {
             entry,
+            canon,
             aliases: Vec::new(),
             shape_key: None,
-            last_used: self.tick,
+            older: None,
+            newer: None,
         };
-        let prev = self.slots.insert(canon, slot);
-        debug_assert!(prev.is_none(), "insert_slot requires a vacant key");
+        if i == self.slots.len() {
+            self.slots.push(Some(slot));
+        } else {
+            self.slots[i] = Some(slot);
+        }
+        self.link_newest(i);
+        Some(i)
     }
 
-    /// Registers the slot under `canon` as the donor for `shape_key`
-    /// (first occupant wins) while it fits the byte budget.
-    fn register_shape(&mut self, shape_key: &str, canon: &str, limits: &CacheLimits) {
-        if self.by_shape.contains_key(shape_key)
-            || self.key_bytes.saturating_add(shape_key.len()) > limits.max_key_bytes
-        {
+    /// Registers slot `i` as the donor for its shape, `shape_key`
+    /// (first occupant of the fingerprint wins), while it fits the byte
+    /// budget.
+    fn register_shape(&mut self, shape_key: String, i: usize, limits: &CacheLimits) {
+        if self.key_bytes.saturating_add(shape_key.len()) > limits.max_key_bytes {
             return;
         }
-        let Some((canon_arc, _)) = self.slots.get_key_value(canon) else {
-            return;
-        };
-        let canon_arc = Arc::clone(canon_arc);
-        let shape_arc: Arc<str> = Arc::from(shape_key);
-        self.key_bytes += shape_key.len();
-        self.slots.get_mut(canon).expect("resolved above").shape_key = Some(Arc::clone(&shape_arc));
-        self.by_shape.insert(shape_arc, canon_arc);
+        let fingerprint = self.slot(i).entry.shape_fingerprint;
+        if let Entry::Vacant(vacant) = self.by_shape.entry(fingerprint) {
+            vacant.insert(i);
+            self.key_bytes += shape_key.len();
+            self.slot_mut(i).shape_key = Some(shape_key);
+        }
     }
 }
 
@@ -358,7 +437,12 @@ impl State {
 /// model building.
 ///
 /// Growth is bounded by [`CacheLimits`] (see there for the policy); the
-/// defaults suit a long-running server on untrusted input.
+/// defaults suit a long-running server on untrusted input. Recency is a
+/// linked list through the cached slots, so picking the
+/// least-recently-used victim takes O(1) whatever the cache's size, and
+/// evicted entries are freed after the lock is released: a miss holds
+/// the lock for a few map and list updates, never for freeing a
+/// session.
 #[derive(Default)]
 pub struct CompileCache {
     state: Mutex<State>,
@@ -399,6 +483,10 @@ impl CompileCache {
         self.store.as_deref()
     }
 
+    fn lock(&self) -> MutexGuard<'_, State> {
+        self.state.lock().expect("cache lock")
+    }
+
     /// The compiled entry for `source`, compiling it if unseen.
     ///
     /// # Errors
@@ -411,24 +499,27 @@ impl CompileCache {
         source: &str,
     ) -> Result<(Arc<CompiledEntry>, Lookup), Vec<Diagnostic>> {
         {
-            let mut state = self.state.lock().expect("cache lock");
-            if let Some(canon) = state.by_source.get(source).cloned() {
+            let mut state = self.lock();
+            if let Some(&slot) = state.by_source.get(source) {
                 // Aliases always point at live slots (eviction removes
-                // them together), so the touch cannot miss.
-                let entry = state.touch(&canon).expect("aliases track live slots");
+                // them together).
+                let entry = state.touch(slot);
                 state.hits += 1;
                 return Ok((entry, Lookup::SourceHit));
             }
         }
 
         // Parse outside the lock; the canonical rendering may still
-        // alias an entry compiled from a different spelling.
+        // alias an entry compiled from a different spelling. Key texts
+        // are hashed and copied here too, so the lock covers only map
+        // and list updates.
         let program = sna_lang::parse(source)?;
         let canon = program.to_string();
         let fingerprint = fnv1a_64(canon.as_bytes());
+        let source_key: Arc<str> = Arc::from(source);
         {
-            let mut state = self.state.lock().expect("cache lock");
-            if let Some(entry) = state.touch(&canon) {
+            let mut state = self.lock();
+            if let Some((slot, entry)) = state.touch_canon(fingerprint, &canon) {
                 // Record the spelling as an alias only while it fits the
                 // byte budget. Never evict on this path: hit requests
                 // are cheap for the peer, so evicting here would let an
@@ -438,7 +529,7 @@ impl CompileCache {
                 // stays unrecorded and keeps resolving through its
                 // canonical form (one parse per request).
                 if state.key_bytes.saturating_add(source.len()) <= self.limits.max_key_bytes {
-                    state.insert_source(source, &canon);
+                    state.insert_source(source_key, slot);
                 }
                 state.hits += 1;
                 return Ok((entry, Lookup::CanonHit));
@@ -446,7 +537,7 @@ impl CompileCache {
         }
 
         let lowered = sna_lang::lower(&program)?;
-        let canon_len = canon.len();
+        let incoming = canon.len() + source.len();
         let shape_key = lowered.shape_key();
         let shape_fingerprint = fnv1a_64(shape_key.as_bytes());
 
@@ -455,11 +546,7 @@ impl CompileCache {
         // ranges and gains build cold on first use. Serving a swap *uses*
         // the donor, so its recency is refreshed: a hot skeleton under a
         // parameter sweep outlives streams of one-off programs.
-        let donor = {
-            let mut state = self.state.lock().expect("cache lock");
-            let donor_canon = state.by_shape.get(shape_key.as_str()).cloned();
-            donor_canon.and_then(|c| state.touch(&c))
-        };
+        let donor = self.lock().touch_shape(shape_fingerprint, &shape_key);
         if let Some(donor) = donor {
             let session = donor.session.adopt_graph(lowered.dfg);
             let entry = Arc::new(CompiledEntry::from_session(
@@ -467,87 +554,82 @@ impl CompileCache {
                 fingerprint,
                 shape_fingerprint,
             ));
-            let mut state = self.state.lock().expect("cache lock");
+            let mut state = self.lock();
+            state.hits += 1;
             // Never evict on this path: evicting here would let an
             // attacker stream coefficient respins of one cached shape
             // to push out every other client's compiled programs.
             // Past a limit the variant is served but simply stays
             // unregistered.
-            let over_entries = state.slots.len() >= self.limits.max_entries;
-            let over_bytes = state.key_bytes.saturating_add(canon_len + source.len())
-                > self.limits.max_key_bytes;
-            if over_entries || over_bytes {
-                state.hits += 1;
+            if state.by_canon.len() >= self.limits.max_entries
+                || state.key_bytes.saturating_add(incoming) > self.limits.max_key_bytes
+            {
                 state.shape_hits += 1;
                 return Ok((entry, Lookup::ShapeHit));
             }
-            if let Some(existing) = state.touch(&canon) {
+            if let Some((slot, existing)) = state.touch_canon(fingerprint, &canon) {
                 // A racer registered the identical program meanwhile;
                 // share its entry.
-                state.insert_source(source, &canon);
-                state.hits += 1;
+                state.insert_source(source_key, slot);
                 return Ok((existing, Lookup::CanonHit));
             }
-            state.insert_slot(Arc::from(canon.as_str()), entry.clone());
-            state.insert_source(source, &canon);
-            state.hits += 1;
+            if let Some(slot) = state.insert_slot(canon, entry.clone()) {
+                state.insert_source(source_key, slot);
+            }
             state.shape_hits += 1;
             return Ok((entry, Lookup::ShapeHit));
         }
 
         // Persistent tier: a previous process may have spilled this
         // program's (or its shape's) compiled skeleton to disk.
-        if let Some(session) =
-            self.store_warm_load(&canon, fingerprint, &shape_key, shape_fingerprint, &lowered)
-        {
-            let entry = Arc::new(CompiledEntry::from_session(
-                session,
-                fingerprint,
-                shape_fingerprint,
-            ));
-            let mut state = self.state.lock().expect("cache lock");
-            if let Some(existing) = state.touch(&canon) {
-                state.insert_source(source, &canon);
-                state.hits += 1;
-                return Ok((existing, Lookup::CanonHit));
-            }
-            // A warm load takes a full slot, exactly like a compile
-            // would have (the peer paid a compile for it once).
-            state.make_room(&self.limits, canon_len + source.len());
-            state.insert_slot(Arc::from(canon.as_str()), entry.clone());
-            state.insert_source(source, &canon);
-            state.register_shape(&shape_key, &canon, &self.limits);
-            state.hits += 1;
-            return Ok((entry, Lookup::StoreHit));
-        }
-
+        let (session, lookup) = match self.store_warm_load(
+            &canon,
+            fingerprint,
+            &shape_key,
+            shape_fingerprint,
+            &lowered,
+        ) {
+            Some(session) => (session, Lookup::StoreHit),
+            None => (cold_session(lowered), Lookup::Miss),
+        };
         let entry = Arc::new(CompiledEntry::from_session(
-            cold_session(lowered),
+            session,
             fingerprint,
             shape_fingerprint,
         ));
-        let mut state = self.state.lock().expect("cache lock");
+        let mut state = self.lock();
         // A racing thread may have inserted the same program meanwhile;
         // the first insert wins (so every caller shares one allocation)
         // and counts as the one miss — the losers found an entry, which
         // is a hit however the work raced. This is a hit path, so the
         // alias registers only within the byte budget (same guard as
         // the canon-hit path — no eviction, no cap overshoot).
-        if let Some(existing) = state.touch(&canon) {
+        if let Some((slot, existing)) = state.touch_canon(fingerprint, &canon) {
             if state.key_bytes.saturating_add(source.len()) <= self.limits.max_key_bytes {
-                state.insert_source(source, &canon);
+                state.insert_source(source_key, slot);
             }
             state.hits += 1;
+            // This call's own compile (`entry`) is freed after the unlock.
+            drop(state);
             return Ok((existing, Lookup::CanonHit));
         }
-        state.make_room(&self.limits, canon_len + source.len());
-        state.insert_slot(Arc::from(canon.as_str()), entry.clone());
-        state.insert_source(source, &canon);
-        // Register the new shape's skeleton donor (first occupant wins)
-        // while it fits the byte budget.
-        state.register_shape(&shape_key, &canon, &self.limits);
-        state.misses += 1;
-        Ok((entry, Lookup::Miss))
+        // A warm load takes a full slot, exactly like a compile would
+        // have (the peer paid a compile for it once).
+        let evicted = state.make_room(&self.limits, incoming);
+        if let Some(slot) = state.insert_slot(canon, entry.clone()) {
+            state.insert_source(source_key, slot);
+            // Register the new shape's skeleton donor (first occupant
+            // wins) while it fits the byte budget.
+            state.register_shape(shape_key, slot, &self.limits);
+        }
+        match lookup {
+            Lookup::Miss => state.misses += 1,
+            _ => state.hits += 1,
+        }
+        // Free the evicted sessions without holding up other lookups.
+        drop(state);
+        drop(evicted);
+        Ok((entry, lookup))
     }
 
     /// Tries both persistent tiers for a warm skeleton: the canonical
@@ -602,21 +684,27 @@ impl CompileCache {
             return 0;
         };
         // Snapshot under the lock, write outside it.
-        type SpillRow = (Arc<str>, Option<Arc<str>>, Arc<CompiledEntry>);
+        type SpillRow = (String, Option<String>, Arc<CompiledEntry>);
         let snapshot: Vec<SpillRow> = {
-            let state = self.state.lock().expect("cache lock");
+            let state = self.lock();
             state
                 .slots
                 .iter()
-                .map(|(canon, slot)| (canon.clone(), slot.shape_key.clone(), slot.entry.clone()))
+                .flatten()
+                .map(|slot| {
+                    (
+                        slot.canon.clone(),
+                        slot.shape_key.clone(),
+                        slot.entry.clone(),
+                    )
+                })
                 .collect()
         };
         let mut written = 0;
         for (canon, shape_key, entry) in snapshot {
-            let shape_text = shape_key.as_deref().map(str::to_owned).unwrap_or_default();
             let mut w = WireWriter::new();
             w.str(&canon);
-            w.str(&shape_text);
+            w.str(shape_key.as_deref().unwrap_or_default());
             w.bytes(&entry.session.export_wire());
             if store.put(SKEL_KIND, entry.fingerprint, &w.finish()).is_ok() {
                 written += 1;
@@ -639,12 +727,12 @@ impl CompileCache {
     /// Current counters.
     #[must_use]
     pub fn stats(&self) -> CacheStats {
-        let state = self.state.lock().expect("cache lock");
+        let state = self.lock();
         CacheStats {
             hits: state.hits,
             shape_hits: state.shape_hits,
             misses: state.misses,
-            entries: state.slots.len(),
+            entries: state.by_canon.len(),
             evictions: state.evictions,
         }
     }
@@ -956,6 +1044,199 @@ mod tests {
             cache.get_or_compile(&spellings[199]).unwrap().1,
             Lookup::CanonHit
         );
+    }
+
+    /// The eviction policy as a scan: each slot carries the tick of its
+    /// last use and the victim is the minimum, the way the cache picked
+    /// it before it kept a recency list. Mirrors `get_or_compile`
+    /// without a store.
+    #[derive(Default)]
+    struct ScanModel {
+        /// Source → canonical text.
+        by_source: HashMap<String, String>,
+        /// Canonical text → (last use, aliases, donated shape key).
+        slots: HashMap<String, (u64, Vec<String>, Option<String>)>,
+        /// Shape key → canonical text of its donor.
+        by_shape: HashMap<String, String>,
+        key_bytes: usize,
+        tick: u64,
+        stats: CacheStats,
+    }
+
+    impl ScanModel {
+        fn touch(&mut self, canon: &str) -> bool {
+            self.tick += 1;
+            let tick = self.tick;
+            self.slots.get_mut(canon).map(|s| s.0 = tick).is_some()
+        }
+
+        fn alias(&mut self, source: &str, canon: &str) {
+            if !self.by_source.contains_key(source) {
+                self.key_bytes += source.len();
+                self.by_source.insert(source.into(), canon.into());
+                self.slots.get_mut(canon).unwrap().1.push(source.into());
+            }
+        }
+
+        fn insert(&mut self, source: &str, canon: &str) {
+            self.tick += 1;
+            self.key_bytes += canon.len();
+            self.slots
+                .insert(canon.into(), (self.tick, Vec::new(), None));
+            self.alias(source, canon);
+        }
+
+        fn lookup(&mut self, source: &str, limits: &CacheLimits) -> Lookup {
+            let fits =
+                |bytes: usize, extra: usize| bytes.saturating_add(extra) <= limits.max_key_bytes;
+            if let Some(canon) = self.by_source.get(source).cloned() {
+                assert!(self.touch(&canon));
+                self.stats.hits += 1;
+                return Lookup::SourceHit;
+            }
+            let program = sna_lang::parse(source).unwrap();
+            let canon = program.to_string();
+            if self.touch(&canon) {
+                if fits(self.key_bytes, source.len()) {
+                    self.alias(source, &canon);
+                }
+                self.stats.hits += 1;
+                return Lookup::CanonHit;
+            }
+            let shape = sna_lang::lower(&program).unwrap().shape_key();
+            if let Some(donor) = self.by_shape.get(&shape).cloned() {
+                assert!(self.touch(&donor));
+                self.stats.hits += 1;
+                self.stats.shape_hits += 1;
+                if self.slots.len() < limits.max_entries
+                    && fits(self.key_bytes, canon.len() + source.len())
+                {
+                    self.insert(source, &canon);
+                }
+                return Lookup::ShapeHit;
+            }
+            while !self.slots.is_empty()
+                && (self.slots.len() >= limits.max_entries
+                    || !fits(self.key_bytes, canon.len() + source.len()))
+            {
+                let victim = self
+                    .slots
+                    .iter()
+                    .min_by_key(|(_, slot)| slot.0)
+                    .map(|(canon, _)| canon.clone())
+                    .unwrap();
+                let (_, aliases, shape) = self.slots.remove(&victim).unwrap();
+                self.key_bytes -= victim.len();
+                for alias in aliases {
+                    self.by_source.remove(&alias);
+                    self.key_bytes -= alias.len();
+                }
+                if let Some(shape) = shape {
+                    self.by_shape.remove(&shape);
+                    self.key_bytes -= shape.len();
+                }
+                self.stats.evictions += 1;
+            }
+            self.insert(source, &canon);
+            if !self.by_shape.contains_key(&shape) && fits(self.key_bytes, shape.len()) {
+                self.key_bytes += shape.len();
+                self.slots.get_mut(&canon).unwrap().2 = Some(shape.clone());
+                self.by_shape.insert(shape, canon);
+            }
+            self.stats.misses += 1;
+            Lookup::Miss
+        }
+    }
+
+    /// A splitmix64 stream: the test's only source of randomness.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            ((z ^ (z >> 31)) % n as u64) as usize
+        }
+    }
+
+    #[test]
+    fn recency_list_evicts_what_the_scan_would() {
+        for seed in 0..24u64 {
+            let mut rng = Rng(seed);
+            let limits = CacheLimits {
+                max_entries: 4 + rng.below(5),
+                // Every third sequence also runs into the key-byte cap.
+                max_key_bytes: if seed % 3 == 0 { 1500 } else { 64 << 20 },
+            };
+            let cache = CompileCache::with_limits(limits);
+            let mut model = ScanModel::default();
+            let mut shapes = 0;
+            let mut sent: Vec<String> = Vec::new();
+            for call in 0..300 {
+                let source = match rng.below(8) {
+                    // A fresh shape.
+                    0 | 1 => {
+                        shapes += 1;
+                        program(shapes)
+                    }
+                    // A respin of one of the latest shapes.
+                    2..=4 if shapes > 0 => {
+                        let c = (1 + rng.below(32)) as f64 / 64.0;
+                        let terms = " + x".repeat(shapes - rng.below(shapes.min(6)));
+                        format!("input x in [-1, 1];\ny = {c}*x{terms};\noutput y;\n")
+                    }
+                    // A new spelling of something sent lately.
+                    5 if !sent.is_empty() => {
+                        let earlier = &sent[sent.len() - 1 - rng.below(sent.len().min(12))];
+                        format!("# spelling {call}\n{earlier}")
+                    }
+                    // An exact repeat of something sent lately.
+                    _ if !sent.is_empty() => {
+                        sent[sent.len() - 1 - rng.below(sent.len().min(12))].clone()
+                    }
+                    _ => program(0),
+                };
+                let want = model.lookup(&source, &limits);
+                let (_, got) = cache.get_or_compile(&source).unwrap();
+                assert_eq!(got, want, "seed {seed}, call {call}: {source:?}");
+                assert_eq!(
+                    cache.stats(),
+                    CacheStats {
+                        entries: model.slots.len(),
+                        ..model.stats
+                    },
+                    "seed {seed}, call {call}"
+                );
+                sent.push(source);
+            }
+            assert!(model.stats.evictions > 0, "seed {seed} never evicted");
+        }
+    }
+
+    #[test]
+    fn make_room_hands_the_evicted_entries_back_alive() {
+        let limits = CacheLimits {
+            max_entries: 2,
+            ..CacheLimits::default()
+        };
+        let mut state = State::default();
+        let compiled = |i: usize| {
+            let lowered = sna_lang::compile(&program(i)).unwrap();
+            Arc::new(CompiledEntry::new(lowered, i as u64))
+        };
+        let a = state.insert_slot("a".into(), compiled(1)).unwrap();
+        state.insert_slot("b".into(), compiled(2)).unwrap();
+        state.touch(a);
+        let evicted = state.make_room(&limits, 1);
+        // "b" was the least recently used; the state no longer holds it,
+        // so the returned slot owns the last reference to its entry.
+        assert_eq!(evicted.len(), 1);
+        assert_eq!(evicted[0].canon, "b");
+        assert_eq!(Arc::strong_count(&evicted[0].entry), 1);
+        assert_eq!((state.by_canon.len(), state.evictions), (1, 1));
+        assert_eq!((state.oldest, state.newest), (Some(a), Some(a)));
     }
 
     #[test]
