@@ -7,9 +7,10 @@
 //! declares the five POSIX calls the reactor needs and nothing else).
 //! Request *execution* never runs on the reactor thread: complete lines
 //! are handed to a [`WorkerPool`] and the responses come back through a
-//! completion queue plus a self-pipe wakeup, so a slow `optimize` only
-//! occupies a worker while the reactor keeps accepting, reading and
-//! flushing everyone else.
+//! completion queue plus a self-pipe wakeup (one per batch: a worker
+//! writes the pipe only when its push finds the queue empty), so a slow
+//! `optimize` only occupies a worker while the reactor keeps accepting,
+//! reading and flushing everyone else.
 //!
 //! What the reactor owns and enforces:
 //!
@@ -41,7 +42,8 @@
 //! the `stats` verb can report the transport's behaviour next to the
 //! per-verb latency histograms.
 
-use std::collections::{BTreeMap, HashMap};
+use std::borrow::Cow;
+use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
@@ -388,55 +390,74 @@ struct Job {
     line: String,
 }
 
-/// Finished responses coming back from the workers:
-/// `(connection token, request seq, response bytes)`.
-type CompletionQueue = Arc<Mutex<Vec<(u64, u64, Vec<u8>)>>>;
+/// A finished response coming back from a worker:
+/// `(connection token, request seq, response line)`.
+type Completion = (u64, u64, Vec<u8>);
+
+/// Where workers queue completions for the reactor.
+type CompletionQueue = Arc<Mutex<Vec<Completion>>>;
 
 /// Guarantees exactly one completion per submitted job, panic or not.
 ///
 /// The reactor decrements `conn.inflight` once per completion; a job
 /// whose handler panicked without one would leak that slot forever — the
 /// connection could never drain and the peer would hang waiting for a
-/// response that was silently dropped. The guard is armed with a
-/// pre-built `internal error` line *before* any fallible work; the happy
-/// path replaces it via [`complete`](CompletionGuard::complete), and the
-/// unwind path (`Drop` during a panic, after `catch_unwind` in the pool
-/// re-enters it) delivers the fallback and counts the crash.
+/// response that was silently dropped. The guard is armed *before* any
+/// fallible work; the happy path disarms it via
+/// [`complete`](CompletionGuard::complete), and the unwind path (`Drop`
+/// during a panic, after `catch_unwind` in the pool re-enters it)
+/// renders the `internal error` line from the borrowed request line,
+/// delivers it and counts the crash. Only a panic pays for that line.
 struct CompletionGuard<'a> {
-    completions: &'a CompletionQueue,
+    completions: &'a Mutex<Vec<Completion>>,
     wake: &'a Wake,
     stats: &'a StatsRegistry,
     token: u64,
     seq: u64,
-    fallback: Option<Vec<u8>>,
+    line: &'a str,
+    armed: bool,
 }
 
 impl CompletionGuard<'_> {
     /// Delivers the real response and disarms the fallback.
     fn complete(mut self, bytes: Vec<u8>) {
-        self.fallback = None;
-        self.completions
-            .lock()
-            .expect("completion queue lock")
-            .push((self.token, self.seq, bytes));
-        self.wake.notify();
+        self.armed = false;
+        self.deliver(bytes);
+    }
+
+    /// Queues one completion and wakes the reactor only when the push
+    /// found the queue empty. The reactor drains the self-pipe before it
+    /// empties the whole queue under this lock, so whoever pushed onto a
+    /// non-empty queue is covered by the wakeup of the push that made it
+    /// non-empty, and no wakeup is lost.
+    fn deliver(&self, bytes: Vec<u8>) {
+        // Fallible locking: `Drop` runs this while unwinding, and a panic
+        // there would abort the process. A poisoned queue means the
+        // reactor side is already gone; dropping the response is fine.
+        let Ok(mut queue) = self.completions.lock() else {
+            return;
+        };
+        let was_empty = queue.is_empty();
+        queue.push((self.token, self.seq, bytes));
+        drop(queue);
+        if was_empty {
+            self.wake.notify();
+        }
     }
 }
 
 impl Drop for CompletionGuard<'_> {
     fn drop(&mut self) {
-        let Some(fallback) = self.fallback.take() else {
+        if !self.armed {
             return; // completed normally
-        };
+        }
         self.stats.bump(Counter::Panics);
         self.stats.bump(Counter::Errors);
-        // Fallible locking: this Drop runs while unwinding, and a panic
-        // here would abort the process. A poisoned queue means the
-        // reactor side is already gone; dropping the response is fine.
-        if let Ok(mut queue) = self.completions.lock() {
-            queue.push((self.token, self.seq, fallback));
-        }
-        self.wake.notify();
+        let fallback = error_line(
+            Some(self.line),
+            "internal error: request execution panicked",
+        );
+        self.deliver(fallback.into_bytes());
     }
 }
 
@@ -445,13 +466,19 @@ struct Conn {
     stream: TcpStream,
     /// Bytes read but not yet consumed as complete lines.
     read_buf: Vec<u8>,
+    /// Length of the front of `read_buf` already searched for a newline
+    /// without finding one (a partial line is scanned once, not once per
+    /// read).
+    scanned: usize,
     /// Serialized responses queued for the socket; `written` bytes of
     /// the front are already sent.
     write_buf: Vec<u8>,
     written: usize,
     /// Completed responses waiting for their turn (responses go out in
-    /// request order even when workers finish out of order).
-    pending_out: BTreeMap<u64, Vec<u8>>,
+    /// request order even when workers finish out of order): slot `i`
+    /// holds the response to request `next_flush + i`. The last slot is
+    /// always filled, so the ring is empty exactly when nothing waits.
+    pending_out: VecDeque<Option<Vec<u8>>>,
     /// Next sequence number to assign / to flush.
     next_seq: u64,
     next_flush: u64,
@@ -471,9 +498,10 @@ impl Conn {
         Conn {
             stream,
             read_buf: Vec::new(),
+            scanned: 0,
             write_buf: Vec::new(),
             written: 0,
-            pending_out: BTreeMap::new(),
+            pending_out: VecDeque::new(),
             next_seq: 0,
             next_flush: 0,
             inflight: 0,
@@ -497,7 +525,17 @@ impl Conn {
     fn push_direct(&mut self, line: String) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.pending_out.insert(seq, line.into_bytes());
+        self.stash(seq, line.into_bytes());
+    }
+
+    /// Files the response to request `seq` until every earlier one has
+    /// gone out.
+    fn stash(&mut self, seq: u64, bytes: Vec<u8>) {
+        let slot = usize::try_from(seq - self.next_flush).expect("pipeline depth fits usize");
+        if slot >= self.pending_out.len() {
+            self.pending_out.resize_with(slot + 1, || None);
+        }
+        self.pending_out[slot] = Some(bytes);
     }
 }
 
@@ -530,7 +568,8 @@ fn read_socket(conn: &mut Conn, now: Instant) {
 /// Consumes complete lines from the read buffer: submits them to the
 /// workers (normal operation) or refuses them inline (draining). Stops
 /// at the pipeline cap so a pipelining flood cannot queue unbounded
-/// work.
+/// work. Each line is framed by [`proto::request_line`] and copied once
+/// into its job; the consumed prefix leaves the buffer in one drain.
 fn extract_lines(
     conn: &mut Conn,
     token: u64,
@@ -539,45 +578,47 @@ fn extract_lines(
     cfg: &ServerConfig,
     draining: bool,
 ) {
-    loop {
-        if !draining && conn.inflight >= cfg.max_pipeline {
-            break;
-        }
-        let Some(pos) = conn.read_buf.iter().position(|&b| b == b'\n') else {
+    // `read_buf[start..from]` holds no newline: `start` is the first
+    // byte of the next line, `from` where the search resumes.
+    let mut start = 0;
+    let mut from = conn.scanned;
+    while draining || conn.inflight < cfg.max_pipeline {
+        let Some(offset) = conn.read_buf[from..].iter().position(|&b| b == b'\n') else {
+            from = conn.read_buf.len();
             break;
         };
-        let raw: Vec<u8> = conn.read_buf.drain(..=pos).collect();
-        let text = String::from_utf8_lossy(&raw);
-        let line = text.trim();
-        if line.is_empty() {
+        let end = from + offset + 1;
+        let line = proto::request_line(&conn.read_buf[start..end]).map(Cow::into_owned);
+        start = end;
+        from = end;
+        let Some(line) = line else {
             continue;
-        }
+        };
         if draining {
             stats.bump(Counter::Requests);
             stats.bump(Counter::Errors);
-            conn.push_direct(error_line(Some(line), "server draining"));
+            conn.push_direct(error_line(Some(&line), "server draining"));
         } else {
             let seq = conn.next_seq;
             conn.next_seq += 1;
             conn.inflight += 1;
-            pool.submit(Job {
-                token,
-                seq,
-                line: line.to_string(),
-            });
+            pool.submit(Job { token, seq, line });
         }
     }
+    conn.read_buf.drain(..start);
+    conn.scanned = from - start;
     // A full line buffer with no newline anywhere is one over-long
     // request: answer once, flush, hang up (same behaviour as the
     // stdio transport).
     if conn.read_buf.len() as u64 >= proto::MAX_LINE_BYTES
-        && !conn.read_buf.contains(&b'\n')
+        && !conn.read_buf[conn.scanned..].contains(&b'\n')
         && !conn.read_closed
     {
         stats.bump(Counter::Requests);
         stats.bump(Counter::Errors);
         conn.push_direct(oversize_error_line());
         conn.read_buf.clear();
+        conn.scanned = 0;
         conn.read_closed = true;
     }
 }
@@ -592,8 +633,9 @@ fn flush_conn(conn: &mut Conn, now: Instant, fault: Option<&FaultPlan>) {
     if conn.dead {
         return; // a dead (or injected-reset) connection delivers nothing
     }
-    while let Some(bytes) = conn.pending_out.remove(&conn.next_flush) {
-        conn.write_buf.extend_from_slice(&bytes);
+    while let Some(Some(bytes)) = conn.pending_out.front() {
+        conn.write_buf.extend_from_slice(bytes);
+        conn.pending_out.pop_front();
         conn.next_flush += 1;
     }
     let mut short_write = false;
@@ -758,13 +800,8 @@ fn run_reactor(
                 stats: &stats,
                 token: job.token,
                 seq: job.seq,
-                fallback: Some(
-                    error_line(
-                        Some(&job.line),
-                        "internal error: request execution panicked",
-                    )
-                    .into_bytes(),
-                ),
+                line: &job.line,
+                armed: true,
             };
             let mut limits = limits;
             match fault.as_deref().map_or(JobFault::None, FaultPlan::next_job) {
@@ -784,9 +821,10 @@ fn run_reactor(
                 limits,
                 peer: Peer::Untrusted,
             };
-            let mut bytes = handler.handle(&job.line).to_compact().into_bytes();
-            bytes.push(b'\n');
-            guard.complete(bytes);
+            let mut response = String::new();
+            handler.handle(&job.line).write_compact(&mut response);
+            response.push('\n');
+            guard.complete(response.into_bytes());
         })
     };
 
@@ -794,11 +832,16 @@ fn run_reactor(
     let mut next_token = 0u64;
     let mut draining = false;
     let mut drain_deadline: Option<Instant> = None;
+    // Scratch reused by every poll round.
+    let mut pfds: Vec<sys::PollFd> = Vec::new();
+    let mut tokens: Vec<u64> = Vec::new();
+    let mut completed: Vec<Completion> = Vec::new();
+    let mut to_close: Vec<(u64, Option<Counter>)> = Vec::new();
 
     loop {
         // 1. Build the poll set: self-pipe, listener (while accepting),
         //    then every connection in a stable order.
-        let mut pfds = Vec::with_capacity(2 + conns.len());
+        pfds.clear();
         pfds.push(sys::PollFd {
             fd: wake.read_fd,
             events: sys::POLLIN,
@@ -813,7 +856,8 @@ fn run_reactor(
             });
         }
         let conn_base = pfds.len();
-        let tokens: Vec<u64> = conns.keys().copied().collect();
+        tokens.clear();
+        tokens.extend(conns.keys().copied());
         for &token in &tokens {
             let conn = &conns[&token];
             let mut events = 0i16;
@@ -845,9 +889,16 @@ fn run_reactor(
             draining = true;
             drain_deadline = Some(now + cfg.drain_timeout);
         }
-        for (token, seq, bytes) in completions.lock().expect("completion queue lock").drain(..) {
+        // The whole batch in one swap under the lock (after the pipe
+        // drain: see `CompletionGuard::deliver`); both vectors keep their
+        // capacity for the next round.
+        std::mem::swap(
+            &mut *completions.lock().expect("completion queue lock"),
+            &mut completed,
+        );
+        for (token, seq, bytes) in completed.drain(..) {
             if let Some(conn) = conns.get_mut(&token) {
-                conn.pending_out.insert(seq, bytes);
+                conn.stash(seq, bytes);
                 conn.inflight -= 1;
             }
             // A completion for a connection that died mid-request is
@@ -894,7 +945,6 @@ fn run_reactor(
 
         // 8. Closures: dead sockets, finished EOF peers, idle evictions,
         //    and quiescent connections during a drain.
-        let mut to_close: Vec<(u64, Option<Counter>)> = Vec::new();
         for (&token, conn) in &conns {
             if conn.dead || (conn.read_closed && conn.quiescent()) {
                 to_close.push((token, None));
@@ -907,7 +957,7 @@ fn run_reactor(
                 to_close.push((token, Some(Counter::TimedOut)));
             }
         }
-        for (token, reason) in to_close {
+        for (token, reason) in to_close.drain(..) {
             conns.remove(&token);
             if let Some(reason) = reason {
                 stats.bump(reason);

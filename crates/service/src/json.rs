@@ -94,19 +94,19 @@ impl Json {
         out
     }
 
-    fn write_compact(&self, out: &mut String) {
+    /// Appends the [`to_compact`](Self::to_compact) form to `out`, so a
+    /// caller can frame the line (its `\n`) in the same buffer.
+    pub fn write_compact(&self, out: &mut String) {
         use fmt::Write as _;
         match self {
             Json::Null => out.push_str("null"),
-            Json::Bool(b) => {
-                let _ = write!(out, "{b}");
-            }
+            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             Json::Num(v) if !v.is_finite() => out.push_str("null"),
             Json::Num(v) => {
                 let _ = write!(out, "{v}");
             }
             Json::Str(s) => {
-                let _ = write!(out, "{}", Escaped(s));
+                let _ = write_escaped(out, s);
             }
             Json::Arr(items) => {
                 out.push('[');
@@ -124,7 +124,7 @@ impl Json {
                     if k > 0 {
                         out.push(',');
                     }
-                    let _ = write!(out, "{}", Escaped(key));
+                    let _ = write_escaped(out, key);
                     out.push(':');
                     value.write_compact(out);
                 }
@@ -161,7 +161,7 @@ impl Json {
             Json::Bool(b) => write!(f, "{b}"),
             Json::Num(v) if !v.is_finite() => f.write_str("null"),
             Json::Num(v) => write!(f, "{v}"),
-            Json::Str(s) => write!(f, "{}", Escaped(s)),
+            Json::Str(s) => write_escaped(f, s),
             Json::Arr(items) if items.is_empty() => f.write_str("[]"),
             Json::Arr(items) => {
                 // Scalar-only arrays print on one line.
@@ -194,7 +194,7 @@ impl Json {
                 f.write_str("{\n")?;
                 for (k, (key, value)) in fields.iter().enumerate() {
                     write!(f, "{}", "  ".repeat(indent + 1))?;
-                    write!(f, "{}", Escaped(key))?;
+                    write_escaped(f, key)?;
                     f.write_str(": ")?;
                     value.write(f, indent + 1)?;
                     if k + 1 < fields.len() {
@@ -208,25 +208,31 @@ impl Json {
     }
 }
 
-/// A string in its escaped, quoted JSON form.
-struct Escaped<'a>(&'a str);
-
-impl fmt::Display for Escaped<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("\"")?;
-        for c in self.0.chars() {
-            match c {
-                '"' => f.write_str("\\\"")?,
-                '\\' => f.write_str("\\\\")?,
-                '\n' => f.write_str("\\n")?,
-                '\r' => f.write_str("\\r")?,
-                '\t' => f.write_str("\\t")?,
-                c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-                c => write!(f, "{c}")?,
-            }
+/// Writes `s` in its escaped, quoted JSON form. Each run of bytes that
+/// needs no escape goes out in one `write_str`; only `"`, `\` and the
+/// bytes below 0x20 are escaped (`\n`, `\r`, `\t` by name, the rest as
+/// `\u00XX`). Every escaped byte is ASCII, so a run never ends inside a
+/// multi-byte UTF-8 sequence.
+fn write_escaped<W: fmt::Write>(out: &mut W, s: &str) -> fmt::Result {
+    out.write_str("\"")?;
+    let mut run = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        if b != b'"' && b != b'\\' && b >= 0x20 {
+            continue;
         }
-        f.write_str("\"")
+        out.write_str(&s[run..i])?;
+        match b {
+            b'"' => out.write_str("\\\"")?,
+            b'\\' => out.write_str("\\\\")?,
+            b'\n' => out.write_str("\\n")?,
+            b'\r' => out.write_str("\\r")?,
+            b'\t' => out.write_str("\\t")?,
+            _ => write!(out, "\\u{b:04x}")?,
+        }
+        run = i + 1;
     }
+    out.write_str(&s[run..])?;
+    out.write_str("\"")
 }
 
 impl fmt::Display for Json {

@@ -19,6 +19,7 @@
 //! level). The `stats` verb serializes the whole registry alongside the
 //! compile-cache counters.
 
+use std::borrow::Cow;
 use std::io::{self, BufRead, Write};
 use std::time::{Duration, Instant};
 
@@ -375,9 +376,11 @@ impl Handler<'_> {
 
     /// Serves the line protocol until EOF: one compact JSON response per
     /// request line, flushed immediately so pipes and sockets see answers
-    /// without buffering delays. Empty lines are ignored; bytes that are
-    /// not UTF-8 decode lossily and answer as a malformed request. This
-    /// is the stdin/stdout transport behind `sna serve`.
+    /// without buffering delays. Lines are framed exactly as the TCP
+    /// transport frames them: only the terminator is stripped, blank
+    /// lines get no answer, and bytes that are not UTF-8 decode lossily
+    /// (answering as a malformed request). This is the stdin/stdout
+    /// transport behind `sna serve`.
     ///
     /// # Errors
     ///
@@ -390,6 +393,7 @@ impl Handler<'_> {
     ) -> io::Result<ServeReport> {
         let mut report = ServeReport::default();
         let mut buf = Vec::new();
+        let mut out = String::new();
         loop {
             buf.clear();
             // Cap each line read: without the bound a newline-less stream
@@ -409,17 +413,18 @@ impl Handler<'_> {
                 writer.flush()?;
                 break;
             }
-            let text = String::from_utf8_lossy(&buf);
-            if text.trim().is_empty() {
+            let Some(line) = request_line(&buf) else {
                 continue;
-            }
-            let response = self.handle(text.trim_end_matches(['\n', '\r']));
+            };
+            let response = self.handle(&line);
             report.requests += 1;
             if response.get("ok").and_then(Json::as_bool) != Some(true) {
                 report.errors += 1;
             }
-            writer.write_all(response.to_compact().as_bytes())?;
-            writer.write_all(b"\n")?;
+            out.clear();
+            response.write_compact(&mut out);
+            out.push('\n');
+            writer.write_all(out.as_bytes())?;
             writer.flush()?;
         }
         Ok(report)
@@ -554,6 +559,21 @@ fn usize_field(doc: &Json, key: &str, default: usize) -> Result<usize, String> {
 /// the bound exists so a peer streaming bytes with no newline cannot
 /// grow the line buffer until the process is OOM-killed.
 pub const MAX_LINE_BYTES: u64 = 1 << 20;
+
+/// The request text of one raw line, framed the same way by both
+/// transports: the line terminator (trailing `\n` and `\r` bytes) is
+/// stripped and nothing else, so the byte offset of a parse error
+/// indexes the line the client sent; bytes that are not UTF-8 decode
+/// lossily (and answer as a malformed request); a line that is empty or
+/// only whitespace is `None` and gets no answer.
+pub(crate) fn request_line(raw: &[u8]) -> Option<Cow<'_, str>> {
+    let end = raw
+        .iter()
+        .rposition(|&b| b != b'\n' && b != b'\r')
+        .map_or(0, |last| last + 1);
+    let text = String::from_utf8_lossy(&raw[..end]);
+    (!text.trim().is_empty()).then_some(text)
+}
 
 /// An error response as one wire line, for the answers the event loop
 /// gives without running a handler: `server at capacity` (before the

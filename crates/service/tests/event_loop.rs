@@ -1,6 +1,7 @@
 //! Transport-level tests for the `poll(2)` event loop behind
 //! `sna serve --listen`: concurrency, slow-client backpressure,
-//! graceful drain, idle-timeout eviction, and capacity rejection —
+//! graceful drain, idle-timeout eviction, capacity rejection, and
+//! completion wakeups under pipelined bursts —
 //! each reconciled against the [`StatsRegistry`] lifecycle counters.
 //!
 //! Every test binds `127.0.0.1:0`; sandboxes that forbid binding skip
@@ -380,4 +381,69 @@ fn a_never_reading_client_cannot_block_other_peers() {
     let _ = slow.set_read_timeout(Some(Duration::from_millis(200)));
     let mut sink = [0u8; 16 * 1024];
     while matches!(slow.read(&mut sink), Ok(n) if n > 0) {}
+}
+
+#[test]
+fn coalesced_wakeups_lose_no_completion_under_a_pipelined_burst() {
+    // Four workers finishing tiny requests as fast as they can, four
+    // connections each writing 512 pipelined requests in one burst, then
+    // a tail of one-at-a-time round trips (each completion alone on the
+    // queue): a completion whose wakeup went missing would leave its
+    // response (and every later one on that connection) stuck until the
+    // deadline.
+    const CONNS: usize = 4;
+    const BURST: usize = 512;
+    const TAIL: usize = 32;
+    let config = ServerConfig {
+        workers: 4,
+        ..ServerConfig::default()
+    };
+    let Some((handle, stats)) = start(config) else {
+        return;
+    };
+    let addr = handle.local_addr();
+    let clients: Vec<_> = (0..CONNS)
+        .map(|conn| {
+            std::thread::spawn(move || {
+                let request = |i: usize| {
+                    format!(
+                        r#"{{"id": {i}, "cmd": "analyze", "source": "{SRC}", "engine": "na", "bits": 8, "pdf": false}}"#
+                    )
+                };
+                let mut stream = TcpStream::connect(addr).unwrap();
+                stream
+                    .set_read_timeout(Some(Duration::from_secs(30)))
+                    .unwrap();
+                let mut reader = BufReader::new(stream.try_clone().unwrap());
+                let expect = |reader: &mut BufReader<TcpStream>, i: usize| {
+                    let resp = read_json(reader);
+                    assert_eq!(resp.get("ok").and_then(Json::as_bool), Some(true), "{resp}");
+                    assert_eq!(
+                        resp.get("id").and_then(Json::as_f64),
+                        Some(i as f64),
+                        "connection {conn}: response out of order"
+                    );
+                };
+                let burst: String = (0..BURST).map(|i| request(i) + "\n").collect();
+                stream.write_all(burst.as_bytes()).unwrap();
+                stream.flush().unwrap();
+                for i in 0..BURST {
+                    expect(&mut reader, i);
+                }
+                for i in BURST..BURST + TAIL {
+                    send_line(&mut stream, &request(i));
+                    expect(&mut reader, i);
+                }
+            })
+        })
+        .collect();
+    for client in clients {
+        client.join().unwrap();
+    }
+    handle.shutdown_and_join().unwrap();
+    let total = (CONNS * (BURST + TAIL)) as u64;
+    assert_eq!(stats.get(Counter::Requests), total);
+    assert_eq!(stats.get(Counter::Errors), 0);
+    assert_eq!(stats.in_flight(), 0);
+    assert_eq!(stats.engine("na").unwrap().snapshot().count, total);
 }

@@ -247,6 +247,89 @@ fn non_utf8_lines_answer_as_malformed_and_the_server_keeps_serving() {
     assert_eq!(responses[2].get("id").and_then(Json::as_f64), Some(2.0));
 }
 
+/// The response text with every `"elapsed_us":N` removed (the only
+/// field that differs between two runs of the same request).
+fn strip_elapsed(text: &str) -> String {
+    const KEY: &str = "\"elapsed_us\":";
+    let mut out = String::with_capacity(text.len());
+    let mut rest = text;
+    while let Some(at) = rest.find(KEY) {
+        out.push_str(&rest[..at]);
+        rest = rest[at + KEY.len()..].trim_start_matches(|c: char| c.is_ascii_digit());
+        rest = rest.strip_prefix(',').unwrap_or(rest);
+    }
+    out.push_str(rest);
+    out
+}
+
+#[test]
+fn both_transports_frame_a_line_the_same_way() {
+    // Surrounding whitespace stays part of the request (only the line
+    // terminator is stripped), so error offsets index the line as sent;
+    // blank lines get no answer on either transport.
+    let lines: [&[u8]; 12] = [
+        b"   nonsense  ",
+        b"\tnull\r",
+        b"",
+        b" \t ",
+        b"\xff\xfe",
+        b"  {\"id\":3,\"cmd\":\"parse\",\"source\":\"input x;\\noutput y = x;\\n\"}  \r",
+        "\u{3000}{\"id\":4,\"cmd\":\"parse\"}".as_bytes(),
+        br#"{"id":5,"cmd":"parse","source":"input x;\ny = \"\t\u0001;\noutput y;\n"} "#,
+        b"[1, 2",
+        b"\r\r",
+        "\u{3000}".as_bytes(),
+        br#"{"id":"last","cmd":"parse","source":"input x;\noutput y = x;\n"}"#,
+    ];
+    let mut input = Vec::new();
+    for line in lines {
+        input.extend_from_slice(line);
+        input.push(b'\n');
+    }
+
+    let cache = CompileCache::new();
+    let mut stdio = Vec::new();
+    let report = serve(Cursor::new(input.clone()), &mut stdio, &cache);
+    assert_eq!(report.requests, 8);
+    let stdio = String::from_utf8(stdio).unwrap();
+    assert!(
+        stdio
+            .lines()
+            .next()
+            .unwrap()
+            .contains("invalid literal at byte 3"),
+        "{stdio}"
+    );
+    assert!(stdio.contains(r#"{"id":3,"ok":true"#), "{stdio}");
+    assert!(stdio.contains(r#"{"id":"last","ok":true"#), "{stdio}");
+
+    let listener = match std::net::TcpListener::bind("127.0.0.1:0") {
+        Ok(l) => l,
+        Err(e) => {
+            eprintln!("skipping the TCP half (bind failed: {e})");
+            return;
+        }
+    };
+    let handle = spawn_server(
+        listener,
+        Arc::new(CompileCache::new()),
+        Arc::new(StatsRegistry::new()),
+        ServerConfig::default(),
+    )
+    .unwrap();
+    let mut stream = std::net::TcpStream::connect(handle.local_addr()).unwrap();
+    stream.write_all(&input).unwrap();
+    stream.flush().unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut tcp = String::new();
+    for _ in 0..report.requests {
+        assert!(reader.read_line(&mut tcp).unwrap() > 0, "server hung up");
+    }
+    drop((stream, reader));
+    handle.shutdown_and_join().unwrap();
+    assert_eq!(strip_elapsed(&tcp), strip_elapsed(&stdio));
+}
+
 #[test]
 fn exhaustive_radius_255_answers_the_cap_error_and_the_server_keeps_serving() {
     let lines = vec![
