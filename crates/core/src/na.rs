@@ -7,12 +7,12 @@
 //! only on the datapath's constant coefficients — not on word lengths — so
 //! [`NaModel::build`] measures them once for every source and
 //! [`NaModel::evaluate`] is `O(#sources)` per word-length configuration.
-//! The build runs one adjoint pass per output ([`Dfg::adjoint_gains`])
-//! when the zero-input run is stationary and finite (no constant reaches
-//! a delay), and one shared forward impulse analysis ([`ImpulseAnalysis`])
-//! otherwise.  Either way the gains land in one node-major
-//! `nodes × outputs` matrix ([`NaModel::gains_from`] returns a row): one
-//! allocation however large the graph.
+//! The build runs one adjoint pass per output ([`Dfg::adjoint_gains`]),
+//! and where the adjoint declines (a signal scaled by a moving constant
+//! after a delay, a non-finite zero-input run, a pass that fails) one
+//! dense [`Dfg::impulse_response`] per source.  Either way the gains land
+//! in one node-major `nodes × outputs` matrix ([`NaModel::gains_from`]
+//! returns a row): one allocation however large the graph.
 //! That asymmetry is what makes noise-constrained word-length search
 //! practical.
 //!
@@ -27,7 +27,7 @@
 //!   mean `ec·mid(x)` and half-width `|ec|·rad(x)` injected at the
 //!   multiplier's site.
 
-use sna_dfg::{Dfg, ImpulseAnalysis, LtiOptions, NodeId, Op, OutputGain, RangeOptions};
+use sna_dfg::{Dfg, LtiOptions, NodeId, Op, OutputGain, RangeOptions};
 use sna_fixp::WlConfig;
 use sna_interval::Interval;
 
@@ -101,23 +101,25 @@ impl CoeffSite {
 /// Precomputed noise-transfer gains from every node of a linear
 /// datapath, plus the coefficient-site inventory.
 ///
-/// Where the zero-input run is *stationary and finite* — its node values
-/// after step 1 equal those after step 0 bit for bit and are finite, as
-/// in every graph where no constant reaches a delay — the gains come from
-/// [`Dfg::adjoint_gains`]: one backwards pass per output yields every
-/// source's response at once.  A pass stops when its carried state is
-/// exactly zero, or after `settle_steps` lags in which no node's
+/// The gains come from [`Dfg::adjoint_gains`]: one backwards pass per
+/// output yields every source's response at once.  Its partials are read
+/// from the zero-input run's step 0.  A constant that reaches a delay
+/// makes that run move, which the adjoint takes as long as every moving
+/// value it reads scales a node no delay reaches: a FIR over `x + c`
+/// does, a signal scaled by a decaying constant after a delay does not
+/// (that system is time-varying).  A pass stops when its carried state
+/// is exactly zero, or after `settle_steps` lags in which no node's
 /// sensitivity reaches `tolerance` times its own running ℓ1 (so runs of
 /// zero taps and loops longer than `settle_steps` are followed to the
 /// end), or at `max_steps`.  The gains then equal one dense
 /// [`Dfg::impulse_response`] per source up to rounding and tail
 /// truncation (within 1e-12 relative on every shipped example).
 ///
-/// Any other baseline, and any pass that fails, goes through one
-/// [`ImpulseAnalysis`]: bit for bit the dense reference, errors included,
-/// so an unstable or non-finite design reports the same error either way.
-/// The dense reference stays the oracle the tests compare against.  Only
-/// the aggregates are kept.
+/// Any graph the adjoint declines, and any pass that fails, goes through
+/// one dense [`Dfg::impulse_response`] per source, errors included, so an
+/// unstable or non-finite design reports the same error either way.  The
+/// dense reference stays the oracle the tests compare against.  Only the
+/// aggregates are kept.
 #[derive(Clone, Debug)]
 pub struct NaModel {
     /// Node-major `nodes × outputs` matrix: entry `i * n_outputs + k` is
@@ -164,10 +166,9 @@ impl NaModel {
         let gains = match dfg.adjoint_gains(opts)? {
             Some(gains) => gains,
             None => {
-                let mut analysis = ImpulseAnalysis::new(dfg, opts)?;
                 let mut gains = Vec::with_capacity(dfg.len() * dfg.outputs().len());
                 for (id, _) in dfg.nodes() {
-                    gains.extend_from_slice(&analysis.response(id)?.0.per_output);
+                    gains.extend_from_slice(&dfg.impulse_response(id, opts)?.0.per_output);
                 }
                 gains
             }
@@ -457,7 +458,7 @@ impl NaModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sna_dfg::{DfgBuilder, ImpulseGains};
+    use sna_dfg::DfgBuilder;
     use sna_fixp::{monte_carlo_error, MonteCarloOptions};
 
     fn iv(lo: f64, hi: f64) -> Interval {
@@ -803,49 +804,6 @@ mod tests {
         sna_lang::compile(source).unwrap_or_else(|e| panic!("{name}: {e:?}"))
     }
 
-    #[test]
-    fn shared_analysis_matches_impulse_response_bit_for_bit() {
-        let mut designs = examples();
-        designs.extend(cold_sweep_designs());
-        // Its output difference is `inf − inf`: no source ever settles.
-        designs.push((
-            "overflowing constant".into(),
-            "input x;\nlet c = 1e308;\noutput y = c*10 + x[n-2];\n".into(),
-        ));
-        let opts = LtiOptions::default();
-        for (name, source) in designs {
-            let dfg = lower(&name, &source).dfg;
-            let mut analysis = ImpulseAnalysis::new(&dfg, &opts);
-            for (id, _) in dfg.nodes() {
-                let dense = dfg.impulse_response(id, &opts);
-                let shared = match &mut analysis {
-                    Ok(a) => a.response(id),
-                    Err(e) => Err(e.clone()),
-                };
-                match (dense, shared) {
-                    (Ok((dg, ds)), Ok((sg, ss))) => {
-                        let bits = |g: &ImpulseGains| -> Vec<[u64; 3]> {
-                            g.per_output
-                                .iter()
-                                .map(|o| [o.l1.to_bits(), o.l2_squared.to_bits(), o.dc.to_bits()])
-                                .collect()
-                        };
-                        assert_eq!(dg.source, sg.source);
-                        assert_eq!(bits(&dg), bits(&sg), "{name}: gains from {id}");
-                        let bits = |seqs: &[Vec<f64>]| -> Vec<Vec<u64>> {
-                            seqs.iter()
-                                .map(|s| s.iter().map(|v| v.to_bits()).collect())
-                                .collect()
-                        };
-                        assert_eq!(bits(&ds), bits(&ss), "{name}: sequences from {id}");
-                    }
-                    (Err(d), Err(s)) => assert_eq!(d, s, "{name}: error from {id}"),
-                    (d, s) => panic!("{name}, node {id}: reference {d:?}, shared {s:?}"),
-                }
-            }
-        }
-    }
-
     /// Whether `got` is within `tol` of `want` (exactly equal for 0).
     fn close(got: f64, want: f64, tol: f64) -> bool {
         (got - want).abs() <= tol
@@ -893,17 +851,108 @@ mod tests {
                 assert!(model.to_wire() == reference.to_wire(), "{name}");
                 continue;
             }
-            for (id, _) in dfg.nodes() {
-                let got = model.gains_from(id).unwrap();
-                let want = reference.gains_from(id).unwrap();
-                for (g, w) in got.iter().zip(want) {
-                    assert!(
-                        close(g.l1, w.l1, 1e-12 * w.l1)
-                            && close(g.l2_squared, w.l2_squared, 1e-12 * w.l2_squared)
-                            && close(g.dc, w.dc, 1e-12 * w.l1),
-                        "{name}: gains from {id}: adjoint {g:?}, dense {w:?}"
-                    );
+            assert_gains_close(name, dfg, &model, &reference);
+        }
+    }
+
+    /// Asserts that every gain of `got` is within 1e-12 of `want`'s,
+    /// relative to its ℓ1 (ℓ2² for the variance gain).
+    fn assert_gains_close(name: &str, dfg: &Dfg, got: &NaModel, want: &NaModel) {
+        for (id, _) in dfg.nodes() {
+            let got = got.gains_from(id).unwrap();
+            let want = want.gains_from(id).unwrap();
+            for (g, w) in got.iter().zip(want) {
+                assert!(
+                    close(g.l1, w.l1, 1e-12 * w.l1)
+                        && close(g.l2_squared, w.l2_squared, 1e-12 * w.l2_squared)
+                        && close(g.dc, w.dc, 1e-12 * w.l1),
+                    "{name}: gains from {id}: adjoint {g:?}, dense {w:?}"
+                );
+            }
+        }
+    }
+
+    /// Designs whose zero-input run moves: a constant reaches a delay.
+    /// The first two obey rule R (`lti.rs`), the third scales a delayed
+    /// signal by a moving constant.
+    fn moving_baseline_designs() -> Vec<(String, String)> {
+        let taps = |n: usize| -> String {
+            (0..n)
+                .map(|i| format!("{:.6}*u[n-{i}]", 0.01 + 0.003 * i as f64))
+                .collect::<Vec<_>>()
+                .join(" + ")
+        };
+        vec![
+            (
+                "dc-offset fir".into(),
+                format!(
+                    "input x in [-1, 1];\nu = x + 0.25;\noutput y = {};\n",
+                    taps(64)
+                ),
+            ),
+            (
+                "recurrence beside a fir".into(),
+                format!(
+                    "input x in [-1, 1];\nu = x;\nk = 0.5 + 0.5*k[n-1];\noutput y = {} + k;\n",
+                    taps(32)
+                ),
+            ),
+            (
+                "signal scaled by a recurrence".into(),
+                "input x in [-1, 1];\nk = 0.5 + 0.5*k[n-1];\noutput y = k*x[n-1] + 0.25*x;\n"
+                    .into(),
+            ),
+        ]
+    }
+
+    #[test]
+    fn build_matches_the_dense_reference_on_every_design() {
+        let mut designs: Vec<(String, Dfg)> = examples()
+            .into_iter()
+            .chain(cold_sweep_designs())
+            .chain(moving_baseline_designs())
+            .chain([
+                // Not finite on the baseline: `1e308·10` overflows.
+                (
+                    "overflowing constant".into(),
+                    "input x;\nlet c = 1e308;\noutput y = c*10 + x[n-2];\n".into(),
+                ),
+                // The integrator's state holds 1 forever after an impulse.
+                (
+                    "held integrator and comb".into(),
+                    "input x;\ns = x + s[n-1];\noutput y = s - s[n-4];\n".into(),
+                ),
+            ])
+            .map(|(name, source)| {
+                let dfg = lower(&name, &source).dfg;
+                (name, dfg)
+            })
+            .collect();
+        designs.push(("gapped fir 6/16".into(), gapped_fir(0.204, 0.915).0));
+        let opts = LtiOptions::default();
+        for (name, dfg) in &designs {
+            let adjoint = dfg.adjoint_gains(&opts).map(|g| g.is_some());
+            match name.as_str() {
+                "dc-offset fir" | "recurrence beside a fir" => {
+                    assert_eq!(adjoint, Ok(true), "{name}")
                 }
+                "signal scaled by a recurrence" | "overflowing constant" => {
+                    assert_eq!(adjoint, Ok(false), "{name}")
+                }
+                _ => {}
+            }
+            // Both sides collect their coefficient sites alike.
+            let ranges = vec![iv(-1.0, 1.0); dfg.len()];
+            match (
+                NaModel::build_with_ranges(dfg, &ranges, &opts),
+                reference_build(dfg, &ranges, &opts),
+            ) {
+                (Ok(got), Ok(want)) if adjoint == Ok(true) => {
+                    assert_gains_close(name, dfg, &got, &want)
+                }
+                (Ok(got), Ok(want)) => assert!(got.to_wire() == want.to_wire(), "{name}"),
+                (Err(got), Err(want)) => assert_eq!(got, want, "{name}"),
+                (got, want) => panic!("{name}: build {got:?}, reference {want:?}"),
             }
         }
     }

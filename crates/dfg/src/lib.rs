@@ -18,9 +18,8 @@
 //!   gains to every output — the error-transfer machinery for linear
 //!   datapaths with feedback (the paper's Designs I–IV are all linear);
 //!   [`Dfg::adjoint_gains`] answers every source at once with one
-//!   backwards pass per output when the zero-input run is stationary,
-//!   and [`ImpulseAnalysis`] answers them on any baseline in one shared
-//!   forward simulation.
+//!   backwards pass per output, and [`Dfg::impulse_response`], the dense
+//!   reference, answers the graphs and sources the adjoint cannot.
 //!
 //! # Example
 //!
@@ -65,5 +64,5 @@ pub use builder::DfgBuilder;
 pub use error::DfgError;
 pub use eval::Simulator;
 pub use graph::{Dfg, Node, NodeId, Op, OpCounts};
-pub use lti::{ImpulseAnalysis, ImpulseGains, LtiOptions, OutputGain};
+pub use lti::{ImpulseGains, LtiOptions, OutputGain};
 pub use range::RangeOptions;

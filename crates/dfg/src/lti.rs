@@ -14,35 +14,35 @@
 //! response decays.  This works for feedback structures (IIR) without any
 //! transfer-function algebra and is exact for linear graphs.
 //!
-//! Three implementations measure the same thing:
+//! Two implementations measure the same thing:
 //!
 //! * [`Dfg::impulse_response`] is the dense reference: per source, an
 //!   injected [`Simulator`] runs in lockstep with a zero-input baseline
 //!   simulator, and every node is evaluated on every step.
-//! * [`Dfg::adjoint_gains`] is what gain models use when the zero-input
-//!   run is *stationary and finite* (its values after step 1 equal those
-//!   after step 0 bit for bit, which holds whenever no constant reaches a
-//!   delay).  It runs the transposed graph backwards from each output
-//!   once: at lag `k` it holds every node's sensitivity μ_k of that output
-//!   to a perturbation `k` steps earlier, and each node's gains are sums
-//!   of its μ.  A pass ends when the carried state is exactly zero, or
-//!   when `settle_steps` lags in a row leave every node's μ below
-//!   `tolerance` times its own running ℓ1, so a node's first nonzero
-//!   value always keeps it going.  Its gains are the reference's up to
-//!   rounding and tail truncation.  It answers one node-major
-//!   `nodes × outputs` matrix of [`OutputGain`]s, and each lag visits the
-//!   argument-free nodes (inputs, constants) last among the combinational
-//!   ones, so the carry into a FIR's input does not revisit its idle tap
-//!   multipliers.
-//! * [`ImpulseAnalysis`] answers every source of one graph on any
-//!   baseline.  It simulates the baseline once, evaluates per step only
-//!   the nodes with an argument off the baseline, and lets sources whose
-//!   impulse reaches the same single-register state share one recorded
-//!   continuation.  It performs the reference's IEEE operations in the
-//!   reference's order, so its gains and sequences are the reference's
-//!   bit for bit, errors included.
-
-use std::collections::HashMap;
+//! * [`Dfg::adjoint_gains`] is what gain models use.  It runs the
+//!   transposed graph backwards from each output once: at lag `k` it holds
+//!   every node's sensitivity μ_k of that output to a perturbation `k`
+//!   steps earlier, and each node's gains are sums of its μ.  A pass ends
+//!   when the carried state is exactly zero, or when `settle_steps` lags
+//!   in a row leave every node's μ below `tolerance` times its own running
+//!   ℓ1, so a node's first nonzero value always keeps it going.  Its gains
+//!   are the reference's up to rounding and tail truncation.  It answers
+//!   one node-major `nodes × outputs` matrix of [`OutputGain`]s, and each
+//!   lag visits the argument-free nodes (inputs, constants) last among the
+//!   combinational ones, so the carry into a FIR's input does not revisit
+//!   its idle tap multipliers.
+//!
+//! The adjoint reads its partial derivatives from the zero-input run's
+//! step-0 row, which must be finite.  That row holds for every step
+//! unless some delay latches a nonzero value at step 0 (a constant
+//! reaches it): then the nodes downstream of that delay *move*.  A partial
+//! may read a moving node only on an edge into a node that no delay
+//! reaches, because the reference perturbs such a node only at step 0
+//! (rule R).  A FIR over `x + 0.25` obeys it: its moving taps are read
+//! only by the partials into their constant coefficients.  A signal
+//! scaled by a moving constant after a delay does not: that system is
+//! time-varying.  Where the rule fails, or a pass does, the dense
+//! reference answers every source.
 
 use sna_interval::Interval;
 
@@ -139,9 +139,10 @@ impl Dfg {
     /// incremental coefficient updates) can recombine them without
     /// re-simulating.
     ///
-    /// This is the dense reference [`ImpulseAnalysis::response`] and
-    /// [`Dfg::adjoint_gains`] are checked against; callers that need many
-    /// sources of one graph use those, for less work.
+    /// This is the dense reference [`Dfg::adjoint_gains`] is checked
+    /// against, and what answers the sources the adjoint cannot; callers
+    /// that need many sources of one graph use the adjoint first, for
+    /// less work.
     ///
     /// # Errors
     ///
@@ -221,7 +222,8 @@ impl Dfg {
 
     /// Impulse-response gains from every node at once: one adjoint
     /// (transposed) pass per output instead of one simulation per
-    /// source.  `Ok(None)` where only [`ImpulseAnalysis`] applies.
+    /// source.  `Ok(None)` where the dense reference answers instead: one
+    /// [`Dfg::impulse_response`] per source.
     ///
     /// The gains come back as one node-major matrix: node `i`'s gain
     /// toward output `k` is entry `i * outputs + k`, so row `i` is the
@@ -236,15 +238,18 @@ impl Dfg {
     /// an impulse at a delay lands one step later, so its response is
     /// the same sequence shifted by one lag.  Either way a node's ℓ1,
     /// ℓ2² and dc gains are sums of its μ over the lags.  Partial
-    /// derivatives come from the zero-input baseline row: a `Mul`'s
-    /// partials are its operands' baseline values, crossed.
+    /// derivatives come from the zero-input run's step-0 row: a `Mul`'s
+    /// partials are its operands' values there, crossed.
     ///
-    /// That needs a *stationary and finite* baseline: the zero-input
-    /// node values after step 1 equal those after step 0 bit for bit,
-    /// and are all finite.  It holds whenever no constant reaches a
-    /// delay.  Any other baseline answers `None`, and so does a pass
-    /// that meets a non-finite μ or runs into `opts.max_steps`: the
-    /// forward analysis then reports which source fails.
+    /// That row must be finite, and a partial may read a node whose
+    /// zero-input value moves (some delay upstream latches a nonzero
+    /// value at step 0) only on an edge into a node that no delay
+    /// reaches: the reference perturbs such a node only at step 0, when
+    /// the row is exact.  Every other partial reads a value the
+    /// zero-input run holds forever.  A graph that breaks this answers
+    /// `None`, and so does a pass that meets a non-finite μ or runs into
+    /// `opts.max_steps`: the dense reference then answers every source,
+    /// and reports which one fails.
     ///
     /// A pass stops at the first of: the carried adjoint state is exactly
     /// zero; `opts.settle_steps` consecutive lags are not *loud*;
@@ -259,7 +264,8 @@ impl Dfg {
     /// each method cuts a decaying tail.  A source for which a unit
     /// impulse is no small perturbation (a constant-only node that
     /// reaches a divisor, or both operands of a product in one step) is
-    /// answered by [`ImpulseAnalysis`] instead.
+    /// answered by [`Dfg::impulse_response`] instead; if that fails, so
+    /// does the whole matrix (`None`).
     ///
     /// # Errors
     ///
@@ -303,13 +309,10 @@ impl Dfg {
                 return Ok(None);
             }
         }
-        if !adjoint.curved.is_empty() {
-            let mut forward = ImpulseAnalysis::new(self, opts)?;
-            for &s in &adjoint.curved {
-                match forward.response(s) {
-                    Ok((g, _)) => gains[s.0 * n_out..][..n_out].copy_from_slice(&g.per_output),
-                    Err(_) => return Ok(None),
-                }
+        for &s in &adjoint.curved {
+            match self.impulse_response(s, opts) {
+                Ok((g, _)) => gains[s.0 * n_out..][..n_out].copy_from_slice(&g.per_output),
+                Err(_) => return Ok(None),
             }
         }
         Ok(Some(gains))
@@ -500,235 +503,9 @@ impl Dfg {
     }
 }
 
-/// Floats of baseline rows one analysis keeps.  A baseline that has not
-/// repeated by then (a slowly converging graph with additive constants)
-/// sends the sources that outrun it to the dense reference.
-const BASELINE_FLOATS: usize = 1 << 20;
-
-/// Floats of recorded continuations one analysis keeps; past it, sources
-/// simulate instead of recording.
-const MEMO_FLOATS: usize = 1 << 20;
-
-/// Impulse responses from every source of one linear graph.
-///
-/// Built once per graph, [`ImpulseAnalysis::response`] answers any source
-/// with exactly what [`Dfg::impulse_response`] returns — the same gains,
-/// sequences and errors, bit for bit — because it performs the same IEEE
-/// operations in the same order.  Three things make it cheaper:
-///
-/// * **One shared baseline.**  The zero-input run is simulated once.  Its
-///   rows are kept until its delay state repeats bit for bit, which a
-///   graph without additive constants does at step 0.
-/// * **Event-driven steps.**  A step evaluates, in topological order,
-///   only the nodes with an argument whose bits differ from the baseline;
-///   every other value is read from the baseline row.
-/// * **A single-register memo.**  Once the baseline repeats, a state with
-///   exactly one delay off the baseline (an impulse in transit down a
-///   delay line) keys a recorded continuation: per step, the output
-///   differences and the feed-forward drift, plus the state the record
-///   ends in.  A source that reaches a recorded state replays it through
-///   its own settle rule and simulates only past its end.
-///
-/// # Example
-///
-/// ```
-/// use sna_dfg::{DfgBuilder, ImpulseAnalysis, LtiOptions};
-///
-/// # fn main() -> Result<(), sna_dfg::DfgError> {
-/// let mut b = DfgBuilder::new();
-/// let x = b.input("x");
-/// let line = b.delay_chain(x, 3);
-/// let t = b.mul_const(0.5, line[2]);
-/// let y = b.add(x, t);
-/// b.output("y", y);
-/// let dfg = b.build()?;
-///
-/// let opts = LtiOptions::default();
-/// let mut analysis = ImpulseAnalysis::new(&dfg, &opts)?;
-/// for (id, _) in dfg.nodes() {
-///     assert_eq!(analysis.response(id)?, dfg.impulse_response(id, &opts)?);
-/// }
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug)]
-pub struct ImpulseAnalysis<'a> {
-    dfg: &'a Dfg,
-    opts: LtiOptions,
-    plan: Plan,
-    baseline: Baseline,
-    bufs: StepBuffers,
-    memo: Memo,
-}
-
-impl<'a> ImpulseAnalysis<'a> {
-    /// Prepares the analysis of `dfg`; nothing is simulated yet.
-    ///
-    /// # Errors
-    ///
-    /// [`DfgError::NonlinearNode`] if the graph is not linear.
-    pub fn new(dfg: &'a Dfg, opts: &LtiOptions) -> Result<Self, DfgError> {
-        dfg.require_linear()?;
-        let plan = Plan::new(dfg);
-        Ok(ImpulseAnalysis {
-            dfg,
-            opts: *opts,
-            baseline: Baseline {
-                n: dfg.len(),
-                ..Baseline::default()
-            },
-            bufs: StepBuffers::new(&plan),
-            memo: Memo::default(),
-            plan,
-        })
-    }
-
-    /// The impulse response from `source`: the gains and per-output
-    /// sequences [`Dfg::impulse_response`] returns, bit for bit.
-    ///
-    /// # Errors
-    ///
-    /// Those of [`Dfg::impulse_response`] (linearity was checked by
-    /// [`ImpulseAnalysis::new`]).
-    #[allow(clippy::type_complexity)]
-    pub fn response(&mut self, source: NodeId) -> Result<(ImpulseGains, Vec<Vec<f64>>), DfgError> {
-        let dfg = self.dfg;
-        dfg.check_node(source)?;
-        let opts = self.opts;
-        let ImpulseAnalysis {
-            plan,
-            baseline,
-            bufs,
-            memo,
-            ..
-        } = self;
-        let n_out = plan.outputs.len();
-        let mut run = Run {
-            gains: vec![OutputGain::default(); n_out],
-            seqs: vec![Vec::new(); n_out],
-            quiet: 0,
-        };
-        let inject = source.0 as u32;
-        bufs.state.clear();
-        let mut recording = None;
-        let mut t = 0;
-        while t < opts.max_steps {
-            if baseline.repeats_at(t) && bufs.state.len() == 1 {
-                if let Some(&(r, from)) = memo.index.get(&key(bufs.state[0])) {
-                    recording = None;
-                    let rec = &memo.records[r];
-                    for (i, &drift) in rec.drift.iter().enumerate().skip(from) {
-                        if run.settles(&rec.h[i * n_out..(i + 1) * n_out], drift, &opts) {
-                            return Ok(run.finish(source));
-                        }
-                        t += 1;
-                        if t == opts.max_steps {
-                            break;
-                        }
-                    }
-                    bufs.state.clone_from(&rec.end);
-                    continue;
-                }
-                if recording.is_none() {
-                    recording = memo.open();
-                }
-            }
-            if !baseline.ensure(plan, t + 1) {
-                return dfg.impulse_response(source, &opts);
-            }
-            let drift = bufs.step(
-                plan,
-                baseline.row(t),
-                baseline.row(t + 1),
-                baseline.nonfinite(t + 1),
-                (t == 0).then_some(inject),
-            )?;
-            if let Some(r) = recording {
-                recording = memo.record(r, &bufs.state, &bufs.h, drift, &bufs.next);
-            }
-            std::mem::swap(&mut bufs.state, &mut bufs.next);
-            if run.settles(&bufs.h, drift, &opts) || (plan.combinational && t == 0) {
-                return Ok(run.finish(source));
-            }
-            t += 1;
-        }
-        Err(DfgError::UnstableImpulse {
-            node: source,
-            steps: opts.max_steps,
-        })
-    }
-}
-
-/// The graph, flattened for stepping: node ids are `u32` indices and
-/// consumers are listed per node.
-#[derive(Debug)]
-struct Plan {
-    /// The combinational evaluation order.
-    topo: Vec<u32>,
-    /// Each node's position in `topo` (`NOT_COMB` for delays).
-    pos: Vec<u32>,
-    ops: Vec<Op>,
-    /// Each node's arguments, padded with node 0.
-    args: Vec<[u32; 2]>,
-    /// Per node: the `topo` positions of its combinational consumers.
-    comb_users: Csr,
-    /// Per node: the delays that latch it.
-    delay_users: Csr,
-    /// Whether each node is a feed-forward delay (see
-    /// [`Dfg::feed_forward_delays`]).
-    feed_forward: Vec<bool>,
-    delays: Vec<u32>,
-    outputs: Vec<u32>,
-    combinational: bool,
-}
-
-/// Marks a node that is not in the combinational order.
-const NOT_COMB: u32 = u32::MAX;
-
-impl Plan {
-    fn new(dfg: &Dfg) -> Plan {
-        let n = dfg.len();
-        let mut pos = vec![NOT_COMB; n];
-        for (p, id) in dfg.topo_order().iter().enumerate() {
-            pos[id.0] = p as u32;
-        }
-        let mut comb_edges = Vec::new();
-        let mut delay_edges = Vec::new();
-        let mut args = Vec::with_capacity(n);
-        for (i, node) in dfg.nodes.iter().enumerate() {
-            let mut pair = [0u32; 2];
-            for (slot, a) in node.args.iter().enumerate() {
-                pair[slot] = a.0 as u32;
-                if node.op == Op::Delay {
-                    delay_edges.push((a.0, i as u32));
-                } else {
-                    comb_edges.push((a.0, pos[i]));
-                }
-            }
-            args.push(pair);
-        }
-        let mut feed_forward = vec![false; n];
-        for d in dfg.feed_forward_delays() {
-            feed_forward[d.0] = true;
-        }
-        Plan {
-            topo: dfg.topo.iter().map(|id| id.0 as u32).collect(),
-            pos,
-            ops: dfg.nodes.iter().map(|node| node.op).collect(),
-            args,
-            comb_users: Csr::new(n, &comb_edges),
-            delay_users: Csr::new(n, &delay_edges),
-            feed_forward,
-            delays: dfg.delays.iter().map(|d| d.0 as u32).collect(),
-            outputs: dfg.outputs.iter().map(|(_, id)| id.0 as u32).collect(),
-            combinational: dfg.is_combinational(),
-        }
-    }
-}
-
 /// Per-node lists in one buffer, each in the order its edges were given.
 #[derive(Debug)]
-struct Csr<T = u32> {
+struct Csr<T> {
     start: Vec<u32>,
     items: Vec<T>,
 }
@@ -775,342 +552,6 @@ fn eval(op: Op, a: f64, b: f64, id: usize) -> Result<f64, DfgError> {
     })
 }
 
-/// The zero-input run, one row of node values per step: row `t` holds the
-/// values step `t` computes and, for delays, the state step `t` reads.
-#[derive(Debug, Default)]
-struct Baseline {
-    /// Nodes per row.
-    n: usize,
-    rows: Vec<f64>,
-    /// Per row: whether a feed-forward delay's state is not finite.
-    nonfinite: Vec<bool>,
-    /// The last row repeats forever.
-    repeats: bool,
-    /// No further row can be kept: a step divided by zero, or the rows
-    /// reached [`BASELINE_FLOATS`].
-    stuck: bool,
-}
-
-impl Baseline {
-    fn index(&self, t: usize) -> usize {
-        if self.repeats {
-            t.min(self.nonfinite.len() - 1)
-        } else {
-            t
-        }
-    }
-
-    fn row(&self, t: usize) -> &[f64] {
-        let i = self.index(t);
-        &self.rows[i * self.n..(i + 1) * self.n]
-    }
-
-    fn nonfinite(&self, t: usize) -> bool {
-        self.nonfinite[self.index(t)]
-    }
-
-    /// Whether every step from `t` on sees the same baseline row.
-    fn repeats_at(&self, t: usize) -> bool {
-        self.repeats && t + 1 >= self.nonfinite.len()
-    }
-
-    /// Makes row `t` available; `false` when the baseline cannot get
-    /// there.
-    fn ensure(&mut self, plan: &Plan, t: usize) -> bool {
-        while !self.repeats && self.nonfinite.len() <= t {
-            if self.stuck || self.rows.len() + self.n > BASELINE_FLOATS {
-                return false;
-            }
-            self.extend(plan);
-        }
-        true
-    }
-
-    fn extend(&mut self, plan: &Plan) {
-        let (n, k) = (self.n, self.nonfinite.len());
-        self.rows.resize((k + 1) * n, 0.0);
-        let (done, row) = self.rows.split_at_mut(k * n);
-        if k > 0 {
-            let prev = &done[(k - 1) * n..];
-            for &d in &plan.delays {
-                let d = d as usize;
-                row[d] = prev[plan.args[d][0] as usize] + 0.0;
-            }
-            if plan
-                .delays
-                .iter()
-                .all(|&d| row[d as usize].to_bits() == prev[d as usize].to_bits())
-            {
-                self.rows.truncate(k * n);
-                self.repeats = true;
-                return;
-            }
-        }
-        for &id in &plan.topo {
-            let id = id as usize;
-            let [a, b] = plan.args[id];
-            match eval(plan.ops[id], row[a as usize], row[b as usize], id) {
-                Ok(v) => row[id] = v + 0.0,
-                Err(_) => {
-                    self.rows.truncate(k * n);
-                    self.stuck = true;
-                    return;
-                }
-            }
-        }
-        let nonfinite = plan
-            .delays
-            .iter()
-            .any(|&d| plan.feed_forward[d as usize] && !row[d as usize].is_finite());
-        self.nonfinite.push(nonfinite);
-    }
-}
-
-/// Buffers of the event-driven step, reused across steps and sources.
-#[derive(Debug)]
-struct StepBuffers {
-    /// Values of the nodes off the baseline in the current step.
-    val: Vec<f64>,
-    /// `stamp[i] == now`: node `i` is off the baseline in this step.
-    stamp: Vec<u32>,
-    now: u32,
-    /// Marked `topo` positions: the nodes left to evaluate.
-    marks: Vec<u64>,
-    /// Delays whose argument is off the baseline.
-    latch: Vec<u32>,
-    /// The delays off the baseline before the step, in id order.
-    state: Vec<(u32, f64)>,
-    /// The same after the step.
-    next: Vec<(u32, f64)>,
-    /// The step's output differences.
-    h: Vec<f64>,
-}
-
-impl StepBuffers {
-    fn new(plan: &Plan) -> StepBuffers {
-        let n = plan.ops.len();
-        StepBuffers {
-            val: vec![0.0; n],
-            stamp: vec![0; n],
-            now: 0,
-            marks: vec![0; plan.topo.len() / 64 + 1],
-            latch: Vec::new(),
-            state: Vec::new(),
-            next: Vec::new(),
-            h: vec![0.0; plan.outputs.len()],
-        }
-    }
-
-    /// One step from `state` over baseline rows `cur` (this step) and
-    /// `after` (the next one), with the unit impulse on `inject`.  Fills
-    /// `h` and `next` and returns the feed-forward drift.
-    fn step(
-        &mut self,
-        plan: &Plan,
-        cur: &[f64],
-        after: &[f64],
-        nonfinite: bool,
-        inject: Option<u32>,
-    ) -> Result<f64, DfgError> {
-        self.now = self.now.wrapping_add(1);
-        if self.now == 0 {
-            self.stamp.fill(0);
-            self.now = 1;
-        }
-        let now = self.now;
-        let StepBuffers {
-            val,
-            stamp,
-            marks,
-            latch,
-            state,
-            next,
-            h,
-            ..
-        } = self;
-        let value = |val: &[f64], stamp: &[u32], i: u32| {
-            let i = i as usize;
-            if stamp[i] == now {
-                val[i]
-            } else {
-                cur[i]
-            }
-        };
-        let mut top = 0;
-        let mark = |marks: &mut [u64], top: &mut usize, p: u32| {
-            let w = (p >> 6) as usize;
-            marks[w] |= 1 << (p & 63);
-            *top = (*top).max(w);
-        };
-        for &(d, v) in state.iter() {
-            val[d as usize] = v;
-            stamp[d as usize] = now;
-            for &p in plan.comb_users.of(d as usize) {
-                mark(marks, &mut top, p);
-            }
-            latch.extend_from_slice(plan.delay_users.of(d as usize));
-        }
-        if let Some(s) = inject {
-            if plan.pos[s as usize] != NOT_COMB {
-                mark(marks, &mut top, plan.pos[s as usize]);
-            }
-        }
-        let mut w = 0;
-        while w <= top {
-            while marks[w] != 0 {
-                let bit = marks[w].trailing_zeros() as usize;
-                marks[w] &= marks[w] - 1;
-                let id = plan.topo[(w << 6) | bit];
-                let i = id as usize;
-                let [a, b] = plan.args[i];
-                let v = match eval(plan.ops[i], value(val, stamp, a), value(val, stamp, b), i) {
-                    Ok(v) => v + if inject == Some(id) { 1.0 } else { 0.0 },
-                    Err(e) => {
-                        marks.fill(0);
-                        latch.clear();
-                        return Err(e);
-                    }
-                };
-                if v.to_bits() != cur[i].to_bits() {
-                    val[i] = v;
-                    stamp[i] = now;
-                    for &p in plan.comb_users.of(i) {
-                        mark(marks, &mut top, p);
-                    }
-                    latch.extend_from_slice(plan.delay_users.of(i));
-                }
-            }
-            w += 1;
-        }
-        for (h, &o) in h.iter_mut().zip(&plan.outputs) {
-            *h = value(val, stamp, o) - cur[o as usize];
-        }
-        if let Some(s) = inject {
-            if plan.pos[s as usize] == NOT_COMB && stamp[plan.args[s as usize][0] as usize] != now {
-                latch.push(s);
-            }
-        }
-        next.clear();
-        for &d in latch.iter() {
-            let v = value(val, stamp, plan.args[d as usize][0])
-                + if inject == Some(d) { 1.0 } else { 0.0 };
-            if v.to_bits() != after[d as usize].to_bits() {
-                next.push((d, v));
-            }
-        }
-        latch.clear();
-        next.sort_unstable_by_key(|&(d, _)| d);
-        // The reference sums `|a − b|` over every feed-forward delay in id
-        // order.  A delay on the baseline adds +0.0, unless its baseline
-        // state is not finite: then that term is infinite or NaN whether
-        // or not the state moved, and so is the drift, which can never
-        // pass the settle test.
-        if nonfinite {
-            return Ok(f64::NAN);
-        }
-        Ok(next
-            .iter()
-            .filter(|&&(d, _)| plan.feed_forward[d as usize])
-            .map(|&(d, v)| (v - after[d as usize]).abs())
-            .sum())
-    }
-}
-
-/// The memo key of a single-register state: the delay and its bits.
-fn key((d, v): (u32, f64)) -> (u32, u64) {
-    (d, v.to_bits())
-}
-
-/// Recorded continuations and the single-register states that enter them.
-#[derive(Debug, Default)]
-struct Memo {
-    /// State → (record, step index).
-    index: HashMap<(u32, u64), (usize, usize)>,
-    records: Vec<Record>,
-    floats: usize,
-}
-
-/// One source's steps from a single-register state on.
-#[derive(Debug, Default)]
-struct Record {
-    /// Output differences, step-major.
-    h: Vec<f64>,
-    drift: Vec<f64>,
-    /// The state after the last recorded step.
-    end: Vec<(u32, f64)>,
-}
-
-impl Memo {
-    /// Starts a record, unless the memo is full.
-    fn open(&mut self) -> Option<usize> {
-        (self.floats < MEMO_FLOATS).then(|| {
-            self.records.push(Record::default());
-            self.records.len() - 1
-        })
-    }
-
-    /// Appends the step from `state` to `next` to record `r`; keeps
-    /// recording while the memo has room.
-    fn record(
-        &mut self,
-        r: usize,
-        state: &[(u32, f64)],
-        h: &[f64],
-        drift: f64,
-        next: &[(u32, f64)],
-    ) -> Option<usize> {
-        let rec = &mut self.records[r];
-        if let [single] = state {
-            self.index.insert(key(*single), (r, rec.drift.len()));
-        }
-        rec.h.extend_from_slice(h);
-        rec.drift.push(drift);
-        rec.end.clear();
-        rec.end.extend_from_slice(next);
-        self.floats += h.len() + 1;
-        (self.floats < MEMO_FLOATS).then_some(r)
-    }
-}
-
-/// One source's accumulators and the reference's settle rule.
-struct Run {
-    gains: Vec<OutputGain>,
-    seqs: Vec<Vec<f64>>,
-    quiet: usize,
-}
-
-impl Run {
-    /// Adds one step's output differences; whether the response settled.
-    fn settles(&mut self, h: &[f64], drift: f64, opts: &LtiOptions) -> bool {
-        let mut increment = 0.0;
-        for ((g, seq), &h) in self.gains.iter_mut().zip(&mut self.seqs).zip(h) {
-            g.l1 += h.abs();
-            g.l2_squared += h * h;
-            g.dc += h;
-            seq.push(h);
-            increment += h.abs();
-        }
-        let scale: f64 = self.gains.iter().map(|g| g.l1).sum::<f64>().max(1e-300);
-        if increment / scale < opts.tolerance {
-            self.quiet += 1;
-            self.quiet >= opts.settle_steps && drift / scale < opts.tolerance
-        } else {
-            self.quiet = 0;
-            false
-        }
-    }
-
-    fn finish(self, source: NodeId) -> (ImpulseGains, Vec<Vec<f64>>) {
-        (
-            ImpulseGains {
-                source,
-                per_output: self.gains,
-            },
-            self.seqs,
-        )
-    }
-}
-
 /// One edge of the transposed graph: how μ flows from a combinational
 /// consumer back to one of its arguments.
 #[derive(Clone, Copy, Debug, Default)]
@@ -1148,13 +589,15 @@ struct Adjoint {
     /// The delays, and the argument each one latches.
     delays: Vec<u32>,
     latched: Vec<u32>,
-    /// Sources the forward analysis answers: constant-only nodes for
-    /// which a unit impulse is no small perturbation.
+    /// Sources [`Dfg::impulse_response`] answers: constant-only nodes
+    /// for which a unit impulse is no small perturbation.  The passes'
+    /// values in their rows are overwritten.
     curved: Vec<NodeId>,
 }
 
 impl Adjoint {
-    /// `None` unless the zero-input baseline is stationary and finite.
+    /// `None` unless the zero-input run's step-0 row is finite and every
+    /// partial obeys rule R (see the module doc).
     fn new(dfg: &Dfg) -> Option<Adjoint> {
         let n = dfg.len();
         let mut base = vec![0.0; n];
@@ -1164,19 +607,33 @@ impl Adjoint {
             let v = eval(node.op, arg(0), arg(1), id.0).ok()?;
             base[id.0] = v + 0.0;
         }
+        if base.iter().any(|v| !v.is_finite()) {
+            return None;
+        }
         // Step 1 reads each delay's argument from step 0, latched as the
-        // simulator latches it; the rows repeat iff every one is +0.0.
+        // simulator latches it: a delay that latches anything but +0.0
+        // moves, and so does everything downstream of it.  On a stationary
+        // run both masks stay empty.
         let latched: Vec<u32> = dfg
             .delays
             .iter()
             .map(|d| dfg.nodes[d.0].args[0].0 as u32)
             .collect();
-        let stationary = latched
+        let movers: Vec<NodeId> = dfg
+            .delays
             .iter()
-            .all(|&a| (base[a as usize] + 0.0).to_bits() == 0);
-        if !stationary || base.iter().any(|v| !v.is_finite()) {
-            return None;
-        }
+            .zip(&latched)
+            .filter(|&(_, &a)| (base[a as usize] + 0.0).to_bits() != 0)
+            .map(|(&d, _)| d)
+            .collect();
+        let (moving, delayed) = if movers.is_empty() {
+            (Vec::new(), Vec::new())
+        } else {
+            (
+                dfg.downstream_mask(&movers),
+                dfg.downstream_mask(&dfg.delays),
+            )
+        };
         let mut reached = vec![false; n];
         for &a in &latched {
             reached[a as usize] = true;
@@ -1197,7 +654,16 @@ impl Adjoint {
                 Op::Neg => [(-1.0, false); 2],
                 _ => [(1.0, false); 2],
             };
-            for (&x, (factor, divide)) in node.args.iter().zip(partials) {
+            // The operand a partial reads, if it reads one.
+            let reads = |slot: usize| match node.op {
+                Op::Mul => Some(node.args[1 - slot]),
+                Op::Div if slot == 0 => Some(node.args[1]),
+                _ => None,
+            };
+            for (slot, (&x, (factor, divide))) in node.args.iter().zip(partials).enumerate() {
+                if !delayed.is_empty() && delayed[x.0] && reads(slot).is_some_and(|r| moving[r.0]) {
+                    return None;
+                }
                 if factor != 0.0 {
                     reached[x.0] = true;
                     let user = i as u32;
@@ -1245,7 +711,7 @@ impl Adjoint {
     /// up to rounding.  So is a constant whose consumers are all
     /// signal-dependent products or sums, if it has one consumer or the
     /// signals' baseline is zero (its impulse then dies at the product).
-    /// Everything else constant-only goes to the forward analysis.
+    /// Everything else constant-only goes to the dense reference.
     fn curved(dfg: &Dfg, base: &[f64]) -> Vec<NodeId> {
         let dep = signal_dependent(dfg);
         let zero_signals = dep.iter().zip(base).all(|(&d, &v)| !d || v == 0.0);
@@ -1647,7 +1113,7 @@ mod tests {
     fn a_divisor_s_constants_take_the_forward_response() {
         // q = (x + 0.5) / (a + b): a unit impulse at `a` or `b` is no small
         // change of the divisor (0.5/3 − 0.5/2, not −0.5/2²), so those two
-        // sources keep the forward analysis's answer bit for bit.
+        // sources keep the dense reference's answer bit for bit.
         let mut bld = DfgBuilder::new();
         let x = bld.input("x");
         let half = bld.constant(0.5);
