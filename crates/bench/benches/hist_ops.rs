@@ -18,6 +18,17 @@ fn bench_binary_ops(c: &mut Criterion) {
             bench.iter(|| std::hint::black_box(a.mul(&b).unwrap()))
         });
     }
+    // A uniform addend (a noise symbol) deposits one trapezoid per lhs
+    // bin; `add_exact` above, with a non-uniform addend, is the per-pair
+    // loop.
+    for &(lhs_bins, rhs_bins) in &[(64usize, 64usize), (128, 32)] {
+        let a = Histogram::triangular(-1.0, 1.0, lhs_bins).unwrap();
+        let b = Histogram::uniform(0.0, 1.0, rhs_bins).unwrap();
+        let id = BenchmarkId::new("add_exact_uniform_addend", format!("{lhs_bins}x{rhs_bins}"));
+        group.bench_with_input(id, &lhs_bins, |bench, _| {
+            bench.iter(|| std::hint::black_box(a.add(&b).unwrap()))
+        });
+    }
     group.finish();
 }
 

@@ -17,7 +17,7 @@
 //! | [`EngineKind`] | engine | inputs | cost | produces |
 //! |---|---|---|---|---|
 //! | `Na` | [`NaModel`] | linear (incl. feedback) DFG | gains once, then `O(#sources)` | exact moments, no PDF |
-//! | `Lti` | [`LtiEngine`] | linear (incl. feedback) DFG | gains once, then `O(#sources · bins²)` | moments exact, PDF by CLT + convolution |
+//! | `Lti` | [`LtiEngine`] | linear (incl. feedback) DFG | gains once, then `O(#sources · bins²)` (a uniform contribution: `bins` deposits) | moments exact, PDF by CLT + convolution |
 //! | `Dfg` | [`DfgEngine`] | combinational [`sna_dfg::Dfg`] (or a per-sample view) | per-op `O(bins²)` | value + error histograms per node |
 //! | `Symbolic` | [`SymbolicEngine`] | combinational polynomial DFG (or a per-sample view) | term growth bounded | Eq.(1) polynomials; exact moments |
 //! | `Cartesian` | [`CartesianEngine`] | combinational DFG or closed-form expression | `bins^#inputs` | exact Section-4 value PDF |

@@ -66,7 +66,10 @@ impl LtiEngine {
     /// Analyzes output noise under `config`: exact moments + shaped PDF.
     ///
     /// Shaping and convolving one (source, output) contribution costs
-    /// `O(bins²)`; `budget` is checked before each such step.
+    /// `O(bins²)` for a truncated-Gaussian contribution, which convolves
+    /// bin pair by bin pair; a uniform one (single tap, or a degenerate
+    /// spike) takes one trapezoid deposit per accumulated bin.  `budget`
+    /// is checked before each such step.
     ///
     /// # Errors
     ///

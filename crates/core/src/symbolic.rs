@@ -268,6 +268,10 @@ impl SymbolicEngine {
 
     /// Builds the output PDF by term-wise histogram evaluation and
     /// convolution.  Returns `None` for a deterministic (constant) error.
+    ///
+    /// A degree-1 term is a scaled uniform symbol, so its exact sum
+    /// deposits one trapezoid per accumulated bin; product and power
+    /// terms are not uniform and convolve bin pair by bin pair.
     fn convolve_pdf(
         &self,
         poly: &Poly,

@@ -7,7 +7,12 @@
 //! IEEE operations, in the same order, that the per-pair formulation
 //! (`grid.bin_interval(i)`, `grid.bin_of(x)`, …) performs, so the masses
 //! are bit-identical to it; `tests/kernel_oracle.rs` checks that against
-//! a verbatim copy of the per-pair formulation.
+//! a verbatim copy of the per-pair formulation.  The one exception is
+//! the exact sum or difference with a uniform addend (all probabilities
+//! equal), which deposits one trapezoid per bin of the other operand
+//! instead of one per bin pair: the oracle keeps that loop verbatim too,
+//! and checks it against the per-pair sum to within `1e-12` of the peak
+//! mass.
 
 use sna_interval::Interval;
 

@@ -48,6 +48,16 @@
 //! grids, every [`DepositPolicy`] and operand width ratios from 1e-6 to
 //! 1e6.
 //!
+//! One case leaves the per-pair formulation on purpose: an exact sum or
+//! difference whose addend is uniform (all probabilities equal — every
+//! noise symbol) deposits one trapezoid per bin of the other operand,
+//! the bin convolved with the addend's whole support, instead of one per
+//! bin pair.  That is the same exact model, `n_a` deposits instead of
+//! `n_a · n_b`; only rounding differs.  The oracle keeps this loop
+//! verbatim as well, compares it bit for bit on uniform addends, and
+//! checks it against the per-pair sum to within `1e-12` of the peak mass.
+//! Every other addend takes the per-pair loop, bit for bit.
+//!
 //! A deposit can also be recorded and replayed:
 //! [`MassAccumulator::deposit_recorded`] deposits and lists every
 //! `(bin, amount)` add it made, in order, and

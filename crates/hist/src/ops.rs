@@ -229,6 +229,13 @@ impl Histogram {
 
     /// `self + sign·rhs` with the exact trapezoidal deposit for each bin
     /// pair (the true distribution of the sum of two uniform densities).
+    ///
+    /// An `rhs` whose probabilities are all equal is one uniform density
+    /// on its support, so each `self` bin deposits a single trapezoid of
+    /// the bin convolved with that whole support: `n_a` deposits instead
+    /// of `n_a · n_b`.  The `n_b` equal-mass trapezoids of the per-pair
+    /// loop sum to exactly that trapezoid, so only rounding differs.  Every
+    /// other `rhs` takes the per-pair loop.
     fn linear_exact(
         &self,
         rhs: &Histogram,
@@ -246,9 +253,19 @@ impl Histogram {
                 Grid::over(sup, bins)?
             }
         };
+        let mut acc = MassAccumulator::new(grid);
+        let first = rhs.probs()[0];
+        if rhs.probs().iter().all(|&pb| pb == first) {
+            let trapezoid = Trapezoid::new(self.grid().bin_width(), rhs_support.width());
+            for (ia, pa) in self.bins() {
+                if pa != 0.0 {
+                    trapezoid.deposit(&mut acc, ia.lo() + rhs_support.lo(), pa);
+                }
+            }
+            return acc.finish();
+        }
         let trapezoid = Trapezoid::new(self.grid().bin_width(), rhs.grid().bin_width());
         let rhs_lo: Vec<f64> = rhs.bins().map(|(ib, _)| ib.scale(sign).lo()).collect();
-        let mut acc = MassAccumulator::new(grid);
         for (ia, pa) in self.bins() {
             if pa == 0.0 {
                 continue;

@@ -5,6 +5,13 @@
 //! `Grid::bin_interval`, finds bins through `Grid::bin_of` and deposits
 //! through per-call CDF closures.  The kernels must produce the same grid
 //! and the same bits in every mass.
+//!
+//! The exact sum or difference with an equal-probability addend deposits
+//! one trapezoid per bin of the other operand instead of one per bin
+//! pair.  `reference::per_bin_linear` keeps that loop in the same
+//! per-call style and is the bit-for-bit oracle on such addends;
+//! `reference::per_pair_linear` stays the oracle on every other addend,
+//! and the two are cross-checked against each other to within rounding.
 
 use proptest::prelude::*;
 use sna_hist::{DepositPolicy, Grid, HistError, Histogram, OpOptions};
@@ -108,6 +115,20 @@ mod reference {
         sign: f64,
         opts: &OpOptions,
     ) -> Result<Histogram, HistError> {
+        if rhs.probs().iter().all(|&p| p == rhs.probs()[0]) {
+            per_bin_linear(lhs, rhs, sign, opts)
+        } else {
+            per_pair_linear(lhs, rhs, sign, opts)
+        }
+    }
+
+    /// `lhs + sign·rhs` with one trapezoid per bin pair.
+    pub fn per_pair_linear(
+        lhs: &Histogram,
+        rhs: &Histogram,
+        sign: f64,
+        opts: &OpOptions,
+    ) -> Result<Histogram, HistError> {
         let rhs_support = rhs.grid().support().scale(sign);
         let grid = match opts.grid {
             Some(g) => g,
@@ -135,6 +156,38 @@ mod reference {
                 let lo = ia.lo() + ib.lo();
                 deposit_trapezoid(&grid, &mut masses, lo, w1, w2, mass);
             }
+        }
+        Histogram::from_masses(grid, masses)
+    }
+
+    /// `lhs + sign·rhs` for an `rhs` read as one uniform density on its
+    /// support: one trapezoid per `lhs` bin.
+    pub fn per_bin_linear(
+        lhs: &Histogram,
+        rhs: &Histogram,
+        sign: f64,
+        opts: &OpOptions,
+    ) -> Result<Histogram, HistError> {
+        let rhs_support = rhs.grid().support().scale(sign);
+        let grid = match opts.grid {
+            Some(g) => g,
+            None => {
+                let sup = lhs.grid().support() + rhs_support;
+                let bins = opts
+                    .out_bins
+                    .unwrap_or_else(|| lhs.n_bins().max(rhs.n_bins()));
+                Grid::over(sup, bins)?
+            }
+        };
+        let w1 = lhs.grid().bin_width();
+        let w2 = rhs_support.width();
+        let mut masses = vec![0.0; grid.n_bins()];
+        for (ia, pa) in lhs.bins() {
+            if pa == 0.0 {
+                continue;
+            }
+            let lo = ia.lo() + rhs_support.lo();
+            deposit_trapezoid(&grid, &mut masses, lo, w1, w2, pa);
         }
         Histogram::from_masses(grid, masses)
     }
@@ -350,6 +403,83 @@ fn assert_same(what: &str, got: Result<Histogram, HistError>, want: Result<Histo
     }
 }
 
+/// Largest `|Δmass|` allowed between the one-trapezoid-per-bin and the
+/// per-pair sums, relative to the peak mass: the two are the same exact
+/// model and differ only by rounding.
+const UNIFORM_ADDEND_TOLERANCE: f64 = 1e-12;
+
+/// Asserts that the per-bin sum has the per-pair sum's grid, bit for bit,
+/// and every mass within [`UNIFORM_ADDEND_TOLERANCE`] of the peak mass
+/// (or the same error).  Returns the largest `|Δmass| / peak` seen.
+fn assert_close(
+    what: &str,
+    per_bin: Result<Histogram, HistError>,
+    per_pair: Result<Histogram, HistError>,
+) -> f64 {
+    match (per_bin, per_pair) {
+        (Ok(g), Ok(w)) => {
+            assert_eq!(g.n_bins(), w.n_bins(), "{what}: bin count");
+            assert_eq!(
+                g.grid().lo().to_bits(),
+                w.grid().lo().to_bits(),
+                "{what}: grid lo"
+            );
+            assert_eq!(
+                g.grid().bin_width().to_bits(),
+                w.grid().bin_width().to_bits(),
+                "{what}: bin width"
+            );
+            let peak = w.probs().iter().fold(0.0f64, |a, &p| a.max(p));
+            let worst = g
+                .probs()
+                .iter()
+                .zip(w.probs())
+                .fold(0.0f64, |a, (x, y)| a.max((x - y).abs()))
+                / peak;
+            assert!(
+                worst <= UNIFORM_ADDEND_TOLERANCE,
+                "{what}: |Δmass| {worst:e} × peak {peak:e}"
+            );
+            worst
+        }
+        (Err(g), Err(w)) => {
+            assert_eq!(format!("{g:?}"), format!("{w:?}"), "{what}");
+            0.0
+        }
+        (g, w) => panic!("{what}: per-bin {g:?} vs per-pair {w:?}"),
+    }
+}
+
+/// Checks `lhs ± rhs` for an equal-probability `rhs` under `opts`: the
+/// kernel bit for bit against the per-bin reference, and that reference
+/// against the per-pair sum.  Returns the largest `|Δmass| / peak`.
+fn check_uniform_addend(what: &str, lhs: &Histogram, rhs: &Histogram, opts: &OpOptions) -> f64 {
+    let mut worst = 0.0f64;
+    let ops: [(&str, f64, BinaryOp); 2] = [
+        ("add", 1.0, Histogram::add_with),
+        ("sub", -1.0, Histogram::sub_with),
+    ];
+    for (name, sign, kernel) in ops {
+        let what = format!("{what}: {name}");
+        let per_bin = reference::per_bin_linear(lhs, rhs, sign, opts);
+        assert_same(&what, kernel(lhs, rhs, opts), per_bin.clone());
+        let per_pair = reference::per_pair_linear(lhs, rhs, sign, opts);
+        worst = worst.max(assert_close(&what, per_bin, per_pair));
+    }
+    worst
+}
+
+/// Equal-probability operands: `Histogram::uniform` with 1–128 bins over
+/// supports spanning seven decades.
+fn uniform_operand() -> impl Strategy<Value = Histogram> {
+    (1usize..129, -3i32..4, -5.0..5.0f64, 1.0..10.0f64).prop_map(
+        |(bins, decade, offset, mantissa)| {
+            let lo = offset * 10f64.powi(decade);
+            Histogram::uniform(lo, lo + mantissa * 10f64.powi(decade), bins).unwrap()
+        },
+    )
+}
+
 /// Operands with 1–128 bins, about a quarter of them empty, supports
 /// spanning seven decades (so operand bin-width ratios run past 1e-6 and
 /// 1e6), plus a dyadic family whose partial results land exactly on
@@ -457,6 +587,23 @@ proptest! {
     }
 
     #[test]
+    fn uniform_addends_match_the_per_pair_sum(
+        a in operand(),
+        u in uniform_operand(),
+        out_bins in 0usize..129,
+        cut in (-0.25..0.45f64, -0.25..0.45f64),
+    ) {
+        let opts = options(1, out_bins);
+        for (name, lhs) in [("operand ± uniform", &a), ("uniform ± uniform", &u)] {
+            check_uniform_addend(name, lhs, &u, &opts);
+            let natural = reference::per_pair_linear(lhs, &u, 1.0, &opts);
+            if let Some(forced) = forced(&natural, cut, opts) {
+                check_uniform_addend(&format!("{name} on a forced grid"), lhs, &u, &forced);
+            }
+        }
+    }
+
+    #[test]
     fn unary_kernels_match_the_per_pair_loops(
         h in operand(),
         policy in 0usize..3,
@@ -538,4 +685,50 @@ fn width_ratio_sweep_matches() {
             }
         }
     }
+}
+
+/// Uniform addends at the edges of the per-bin deposit: 1-bin operands,
+/// point-width operands (the trapezoid's `m == 0` branch, and on a forced
+/// grid its `total <= 0` point branch) and LTI's degenerate-contribution
+/// ε-spike on either side of a sum.
+#[test]
+fn uniform_addend_edge_cases_match_the_per_pair_sum() {
+    let point = Histogram::uniform(0.0, 5e-324, 2).unwrap();
+    let one_bin = Histogram::uniform(-0.3, 0.7, 1).unwrap();
+    let spread = Histogram::triangular(-1.0, 3.0, 24).unwrap();
+    let noise = Histogram::uniform(-2f64.powi(-13), 2f64.powi(-13), 64).unwrap();
+    let shaped = Histogram::gaussian(0.25, 1e-3, 64).unwrap();
+    // `shape_contribution`'s spike around a mean.  Both sums round the
+    // deposit location, so they differ by about ulp(location) / output
+    // bin width: beside noise of width 2^-12 the spike sits at a rounding
+    // offset of that scale, as in the engines (a spike at 0.25 there
+    // differs by 1.1e-12 × peak).
+    let spike = |mean: f64| {
+        let eps = 1e-18 + mean.abs() * 1e-15;
+        Histogram::uniform(mean - eps, mean + eps, 64).unwrap()
+    };
+    let pairs = [
+        ("1-bin ± 1-bin", &one_bin, &one_bin),
+        ("spread ± 1-bin", &spread, &one_bin),
+        ("1-bin ± noise", &one_bin, &noise),
+        ("spread ± point", &spread, &point),
+        ("point ± noise", &point, &noise),
+        ("point ± point", &point, &point),
+        ("shaped ± spike", &shaped, &spike(0.25)),
+        ("shaped ± spike at 0", &shaped, &spike(0.0)),
+        ("spike ± noise", &spike(-2f64.powi(-13)), &noise),
+        ("noise ± spike", &noise, &spike(-2f64.powi(-13))),
+        ("spike ± spike", &spike(0.0), &spike(0.0)),
+    ];
+    let forced_grid = OpOptions::default()
+        .with_deposit(DepositPolicy::Exact)
+        .with_grid(Grid::new(-0.5, 0.5, 16).unwrap());
+    let mut worst = 0.0f64;
+    for (name, lhs, rhs) in pairs {
+        for out_bins in [0, 1, 7, 64] {
+            worst = worst.max(check_uniform_addend(name, lhs, rhs, &options(1, out_bins)));
+        }
+        worst = worst.max(check_uniform_addend(name, lhs, rhs, &forced_grid));
+    }
+    println!("largest |Δmass| / peak on the edge cases: {worst:e}");
 }

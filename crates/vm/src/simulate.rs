@@ -143,7 +143,9 @@ pub fn simulate(
         let mut state = exe.new_state(lanes);
         let mut inputs: Vec<Vec<f64>> = vec![vec![0.0; lanes]; input_ranges.len()];
         let collected = opts.steps - opts.warmup;
-        let mut samples: ChunkSamples = vec![Vec::with_capacity(lanes * collected); n_out];
+        let mut samples: ChunkSamples = (0..n_out)
+            .map(|_| Vec::with_capacity(lanes * collected))
+            .collect();
         for step in 0..opts.steps {
             for (lane_values, r) in inputs.iter_mut().zip(input_ranges) {
                 if r.is_point() {
