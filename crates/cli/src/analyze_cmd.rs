@@ -18,13 +18,13 @@ use sna_core::NoiseReport;
 use sna_service::exec::{self, AnalyzeEngine, AnalyzeParams};
 
 use crate::common::{
-    collect_files, json_doc, open_store, parse_format, parse_jobs, report_human, run_batch,
-    unknown_flag, Args, CliError, Format,
+    collect_files, json_doc, parse_format, parse_jobs, report_human, run_batch, unknown_flag, Args,
+    CliError, Format,
 };
 
 const USAGE: &str = "sna analyze <file>.sna... [--manifest list.txt] [--jobs N] \
                      [--engine auto|na|dfg|lti|symbolic|cartesian] \
-                     [--bits N] [--bins N] [--store-dir DIR] [--format human|json]";
+                     [--bits N] [--bins N] [--format human|json]";
 
 /// Runs the subcommand.
 pub fn run(argv: &[String]) -> Result<String, CliError> {
@@ -35,7 +35,6 @@ pub fn run(argv: &[String]) -> Result<String, CliError> {
     let mut bins: usize = 64;
     let mut jobs: usize = sna_vm::default_workers();
     let mut manifest: Option<String> = None;
-    let mut store_dir: Option<String> = None;
     while let Some(flag) = args.next_flag() {
         match flag {
             "format" => format = parse_format(args.value("format")?)?,
@@ -46,32 +45,22 @@ pub fn run(argv: &[String]) -> Result<String, CliError> {
             "bins" => bins = args.parse_value("bins")?,
             "jobs" => jobs = parse_jobs(&mut args)?,
             "manifest" => manifest = Some(args.value("manifest")?.to_string()),
-            "store-dir" => store_dir = Some(args.value("store-dir")?.to_string()),
             other => return Err(unknown_flag(other, USAGE)),
         }
     }
     let (files, batch) = collect_files(args.files(), manifest.as_deref(), USAGE)?;
     let params = AnalyzeParams { engine, bits, bins };
-    let store = store_dir.as_deref().map(open_store).transpose()?;
-    run_batch(
-        "analyze",
-        files,
-        batch,
-        jobs,
-        format,
-        store,
-        |path, entry| {
-            let report = exec::analyze_report(entry, &params).map_err(CliError::Failed)?;
-            Ok(match format {
-                Format::Human => human(path, &params, &report.reports),
-                Format::Json => json_doc(
-                    "analyze",
-                    path,
-                    exec::analyze_result(&report, &params, true),
-                ),
-            })
-        },
-    )
+    run_batch("analyze", files, batch, jobs, format, |path, entry| {
+        let report = exec::analyze_report(entry, &params).map_err(CliError::Failed)?;
+        Ok(match format {
+            Format::Human => human(path, &params, &report.reports),
+            Format::Json => json_doc(
+                "analyze",
+                path,
+                exec::analyze_result(&report, &params, true),
+            ),
+        })
+    })
 }
 
 /// One file's terminal output. The header names the *requested* engine

@@ -211,7 +211,7 @@ pub fn parse_format(raw: &str) -> Result<Format, CliError> {
 }
 
 /// Opens (creating if absent) the persistent artifact store behind
-/// `--store-dir`, shared by every subcommand that accepts the flag.
+/// `--store-dir` (Pareto checkpoints, fitted trace ranges).
 pub fn open_store(dir: &str) -> Result<Arc<Store>, CliError> {
     Store::open(dir)
         .map(Arc::new)
@@ -315,30 +315,18 @@ fn backoff_sleep(path: &str, attempt: u32) {
 /// [`BATCH_ATTEMPTS`] times with exponential backoff and deterministic
 /// per-path jitter before counting as errors; the summary's `retries`
 /// field reports how many retry attempts the whole batch spent.
-///
-/// With `store` set the cache warm-loads compiled skeletons from (and
-/// spills back to) the persistent artifact store, and the batch summary
-/// gains store hit/miss/write counts. Callers that write their own
-/// artifacts (e.g. `trace`'s fitted ranges) must pass the *same* handle
-/// they write through: each handle persists its own in-memory index on
-/// `put`, so a second handle on the directory would clobber the other's
-/// entries.
 pub fn run_batch<F>(
     command: &str,
     files: Vec<String>,
     batch: bool,
     jobs: usize,
     format: Format,
-    store: Option<Arc<Store>>,
     per_file: F,
 ) -> Result<String, CliError>
 where
     F: Fn(&str, &Arc<CompiledEntry>) -> Result<String, CliError> + Sync,
 {
-    let cache = match store {
-        Some(store) => CompileCache::new().with_store(store),
-        None => CompileCache::new(),
-    };
+    let cache = CompileCache::new();
     let started = Instant::now();
     let n_files = files.len();
     let fault = parse_batch_fault();
@@ -369,11 +357,6 @@ where
             let elapsed_ms = job_started.elapsed().as_secs_f64() * 1e3;
             (path, result, elapsed_ms)
         });
-    // Spill-through at the quiet point: stages built during this run
-    // (lazily, per verb) reach the store before the process exits.
-    if cache.store().is_some() {
-        cache.spill();
-    }
     if !batch {
         let (_, result, _) = outcomes.into_iter().next().expect("one file");
         return result;
@@ -416,20 +399,13 @@ where
     }
     let job_ms: f64 = outcomes.iter().map(|(_, _, ms)| ms).sum();
     let retries = retries.load(Ordering::Relaxed);
-    let store_stats = cache.store().map(|s| s.stats());
     match format {
         Format::Human => {
-            let store_part = store_stats.as_ref().map_or(String::new(), |s| {
-                format!(
-                    "store {} hit(s) / {} miss(es) / {} write(s) · ",
-                    s.hits, s.misses, s.writes
-                )
-            });
             out.push_str(&format!(
                 "batch: {n_files} file(s) · {ok} ok · {errors} err · {retries} retried · \
                  {jobs} job(s) · \
                  cache {} hit(s) / {} miss(es) · \
-                 {store_part}{total_ms:.1} ms wall ({job_ms:.1} ms in jobs)\n",
+                 {total_ms:.1} ms wall ({job_ms:.1} ms in jobs)\n",
                 stats.hits, stats.misses
             ));
         }
@@ -453,13 +429,6 @@ where
                     Json::int(usize::try_from(stats.misses).unwrap_or(usize::MAX)),
                 ),
             ];
-            if let Some(s) = &store_stats {
-                let as_int = |v: u64| Json::int(usize::try_from(v).unwrap_or(usize::MAX));
-                fields.push(("store_hits".into(), as_int(s.hits)));
-                fields.push(("store_misses".into(), as_int(s.misses)));
-                fields.push(("store_writes".into(), as_int(s.writes)));
-                fields.push(("store_corrupt".into(), as_int(s.corrupt)));
-            }
             fields.push(("total_ms".into(), Json::Num(total_ms)));
             fields.push(("job_ms".into(), Json::Num(job_ms)));
             let summary = Json::Obj(vec![("summary".into(), Json::Obj(fields))]);

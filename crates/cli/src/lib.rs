@@ -16,7 +16,7 @@
 //!                         [--ref-bits W] [--budget X] [--start W]
 //!                         [--radius R] [--format human|json]
 //!                         [--pareto [--points N] [--checkpoint-every K]
-//!                          [--w-lo W] [--w-hi W]]
+//!                          [--w-lo W] [--w-hi W] [--store-dir DIR]]
 //! sna simulate <file>.sna... [--manifest list.txt] [--jobs N]
 //!                         [--bits N] [--bins N] [--paths N] [--seed N]
 //!                         [--steps N] [--warmup N] [--workers N]
@@ -26,7 +26,7 @@
 //!                         [--manifest list.txt] [--jobs N] [--bits N]
 //!                         [--bins N] [--warmup N] [--workers N]
 //!                         [--store-dir DIR] [--format human|json]
-//! sna serve    [--listen addr:port] [--max-conns N] [--store-dir DIR]
+//! sna serve    [--listen addr:port] [--max-conns N]
 //! sna store    <ls|gc|verify> --store-dir DIR [--budget BYTES] [--repair]
 //! ```
 //!
@@ -50,13 +50,11 @@
 //! `serve` keeps that cache alive across requests — the line-oriented
 //! JSON protocol is documented in `crates/service/README.md`.
 //!
-//! `--store-dir DIR` (on `analyze`, `simulate`, `optimize`, and `serve`)
-//! backs the compile cache with the persistent content-addressed
-//! artifact store from `crates/store`: compiled models are warm-loaded
-//! across process restarts and spilled back at quiet points, and
-//! `optimize --pareto` checkpoints its sweep there so an interrupted
-//! exploration resumes bit-identically. `sna store` inspects and
-//! maintains such a directory.
+//! `--store-dir DIR` names a persistent content-addressed artifact store
+//! (`crates/store`): `optimize --pareto` checkpoints its sweep there so
+//! an interrupted exploration resumes bit-identically, and `trace`
+//! keeps its fitted input ranges there. `sna store` inspects and
+//! maintains such a directory. Compiled models live in memory only.
 //!
 //! All commands exit 0 on success, 1 on analysis/compile failures (with
 //! caret-style diagnostics on stderr), and 2 on usage errors. A batch
@@ -104,7 +102,7 @@ const USAGE: &str = "usage: sna <parse|analyze|simulate|optimize|synth|trace|ser
                      \x20 serve     long-running line-oriented JSON server (stdin/stdout or\n\
                      \x20           --listen addr:port) with compiled-model caching\n\
                      \x20 store     ls/gc/verify a persistent artifact store (--store-dir on\n\
-                     \x20           analyze/simulate/optimize/serve warm-starts from it)\n\
+                     \x20           optimize --pareto and trace writes to it)\n\
                      \n\
                      run `sna <command>` with no arguments for command-specific usage";
 

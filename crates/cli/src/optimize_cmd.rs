@@ -31,8 +31,9 @@ use crate::Json;
 const USAGE: &str = "sna optimize <file>.sna... [--manifest list.txt] [--jobs N] \
                      [--method greedy|waterfill|anneal|group-greedy|exhaustive|uniform|all] \
                      [--ref-bits W] [--budget X] [--start W] [--radius R] \
-                     [--restarts N] [--threads N] [--store-dir DIR] [--format human|json]\n\
-                     \x20      --pareto [--points N] [--checkpoint-every K] [--w-lo W] [--w-hi W]";
+                     [--restarts N] [--threads N] [--format human|json]\n\
+                     \x20      --pareto [--points N] [--checkpoint-every K] [--w-lo W] [--w-hi W] \
+                     [--store-dir DIR]";
 
 /// Runs the subcommand.
 pub fn run(argv: &[String]) -> Result<String, CliError> {
@@ -89,25 +90,22 @@ pub fn run(argv: &[String]) -> Result<String, CliError> {
             "--points/--checkpoint-every/--w-lo/--w-hi only apply with --pareto\nusage: {USAGE}"
         )));
     }
+    if store_dir.is_some() {
+        return Err(CliError::Usage(format!(
+            "--store-dir only applies with --pareto (it holds the sweep's checkpoints)\n\
+             usage: {USAGE}"
+        )));
+    }
     exec::validate_method(&params.method)
         .map_err(|e| CliError::Usage(format!("{e}\nusage: {USAGE}")))?;
     let (files, batch) = collect_files(args.files(), manifest.as_deref(), USAGE)?;
-    let store = store_dir.as_deref().map(open_store).transpose()?;
-    run_batch(
-        "optimize",
-        files,
-        batch,
-        jobs,
-        format,
-        store,
-        |path, entry| {
-            let out = exec::optimize(&entry.session, &params).map_err(CliError::Failed)?;
-            Ok(match format {
-                Format::Human => human(path, &out),
-                Format::Json => json_doc("optimize", path, exec::optimize_result(&out)),
-            })
-        },
-    )
+    run_batch("optimize", files, batch, jobs, format, |path, entry| {
+        let out = exec::optimize(&entry.session, &params).map_err(CliError::Failed)?;
+        Ok(match format {
+            Format::Human => human(path, &out),
+            Format::Json => json_doc("optimize", path, exec::optimize_result(&out)),
+        })
+    })
 }
 
 /// The `--pareto` mode: one file, one resumable sweep.
@@ -125,26 +123,14 @@ fn run_pareto(
     }
     let path = args.file(USAGE)?;
     let store = store_dir.map(open_store).transpose()?;
-    // The compile goes through a store-backed cache so a warm store also
-    // skips the model build, not just the sweep prefix.
-    let cache = match &store {
-        Some(s) => CompileCache::new().with_store(s.clone()),
-        None => CompileCache::new(),
-    };
-    let entry = crate::common::load_cached(&cache, path)?;
+    let entry = crate::common::load_cached(&CompileCache::new(), path)?;
     let outcome = pareto_explore(
         &entry.session,
         SynthesisConstraints::default(),
         spec,
         store.as_deref(),
-    );
-    // Spill before propagating a sweep failure: the compiled skeleton is
-    // valid whatever the sweep did, and losing it would make the retry
-    // recompile from scratch instead of warm-loading.
-    if store.is_some() {
-        cache.spill();
-    }
-    let outcome = outcome.map_err(|e| CliError::failed(format!("pareto sweep failed: {e}")))?;
+    )
+    .map_err(|e| CliError::failed(format!("pareto sweep failed: {e}")))?;
     Ok(match format {
         Format::Human => pareto_human(path, spec, &outcome),
         Format::Json => pareto_json(path, spec, &outcome).to_string(),

@@ -18,11 +18,11 @@ use sna_service::{
     CompileCache, Counter, ExecLimits, FaultPlan, Handler, Peer, ServerConfig, StatsRegistry,
 };
 
-use crate::common::{open_store, unknown_flag, Args, CliError};
+use crate::common::{unknown_flag, Args, CliError};
 
 const USAGE: &str = "sna serve [--listen addr:port] [--max-conns N] [--idle-timeout SECS] \
                      [--drain-timeout SECS] [--write-buf-cap BYTES] [--workers N] \
-                     [--request-timeout MS] [--store-dir DIR] [--fault-plan SPEC]";
+                     [--request-timeout MS] [--fault-plan SPEC]";
 
 /// Runs the subcommand. Returns when stdin reaches EOF (stdio mode) or
 /// the server finishes draining after SIGTERM (TCP mode).
@@ -30,7 +30,6 @@ pub fn run(argv: &[String]) -> Result<String, CliError> {
     let mut args = Args::new(argv);
     let mut listen: Option<String> = None;
     let mut config = ServerConfig::default();
-    let mut store_dir: Option<String> = None;
     let mut tcp_flag_seen: Option<&'static str> = None;
     while let Some(flag) = args.next_flag() {
         match flag {
@@ -57,7 +56,6 @@ pub fn run(argv: &[String]) -> Result<String, CliError> {
             }
             // Applies to both transports, so it never trips the
             // `--listen`-only guard below.
-            "store-dir" => store_dir = Some(args.value("store-dir")?.to_string()),
             "request-timeout" => {
                 let ms: u64 = args.parse_value("request-timeout")?;
                 if ms == 0 {
@@ -91,15 +89,9 @@ pub fn run(argv: &[String]) -> Result<String, CliError> {
         }
     }
 
-    let store = store_dir.as_deref().map(open_store).transpose()?;
-    let new_cache = || match &store {
-        Some(s) => CompileCache::new().with_store(Arc::clone(s)),
-        None => CompileCache::new(),
-    };
-
     match listen {
         None => {
-            let cache = new_cache();
+            let cache = CompileCache::new();
             let handler = Handler {
                 cache: &cache,
                 stats: &StatsRegistry::new(),
@@ -115,19 +107,15 @@ pub fn run(argv: &[String]) -> Result<String, CliError> {
             let cache_stats = cache.stats();
             // The protocol owns stdout; the sign-off goes to stderr.
             eprintln!(
-                "served {} request(s), {} error(s) · cache {} hit(s) / {} miss(es){}",
-                report.requests,
-                report.errors,
-                cache_stats.hits,
-                cache_stats.misses,
-                store_signoff(&cache)
+                "served {} request(s), {} error(s) · cache {} hit(s) / {} miss(es)",
+                report.requests, report.errors, cache_stats.hits, cache_stats.misses,
             );
             Ok(String::new())
         }
         Some(addr) => {
             let listener = std::net::TcpListener::bind(&addr)
                 .map_err(|e| CliError::failed(format!("cannot listen on `{addr}`: {e}")))?;
-            let cache = Arc::new(new_cache());
+            let cache = Arc::new(CompileCache::new());
             let stats = Arc::new(StatsRegistry::new());
             let handle =
                 sna_service::spawn_server(listener, Arc::clone(&cache), Arc::clone(&stats), config)
@@ -146,7 +134,7 @@ pub fn run(argv: &[String]) -> Result<String, CliError> {
                 "sna serve: drained · {} request(s), {} error(s) \
                  ({} timeout(s) / {} cancelled / {} panic(s)) · \
                  conns {} accepted / {} rejected / {} timed out / {} drained · \
-                 cache {} hit(s) / {} miss(es){}",
+                 cache {} hit(s) / {} miss(es)",
                 stats.get(Counter::Requests),
                 stats.get(Counter::Errors),
                 stats.get(Counter::Timeouts),
@@ -158,24 +146,8 @@ pub fn run(argv: &[String]) -> Result<String, CliError> {
                 stats.get(Counter::Drained),
                 cache_stats.hits,
                 cache_stats.misses,
-                store_signoff(&cache)
             );
             Ok(String::new())
         }
     }
-}
-
-/// Spills the cache to its store (the drain is the quiet point — every
-/// lazily built stage is final now) and renders the store counters for
-/// the sign-off line. Empty without `--store-dir`.
-fn store_signoff(cache: &CompileCache) -> String {
-    let Some(store) = cache.store() else {
-        return String::new();
-    };
-    cache.spill();
-    let s = store.stats();
-    format!(
-        " · store {} hit(s) / {} miss(es) / {} write(s) / {} corrupt",
-        s.hits, s.misses, s.writes, s.corrupt
-    )
 }

@@ -18,13 +18,13 @@ use sna_core::SimReport;
 use sna_service::exec::{self, SimulateParams};
 
 use crate::common::{
-    collect_files, json_doc, open_store, outputs_human, parse_format, parse_jobs, run_batch,
-    unknown_flag, Args, CliError, Format,
+    collect_files, json_doc, outputs_human, parse_format, parse_jobs, run_batch, unknown_flag,
+    Args, CliError, Format,
 };
 
 const USAGE: &str = "sna simulate <file>.sna... [--manifest list.txt] [--jobs N] \
                      [--bits N] [--bins N] [--paths N] [--seed N] [--steps N] \
-                     [--warmup N] [--workers N] [--store-dir DIR] [--format human|json]";
+                     [--warmup N] [--workers N] [--format human|json]";
 
 /// Runs the subcommand.
 pub fn run(argv: &[String]) -> Result<String, CliError> {
@@ -33,7 +33,6 @@ pub fn run(argv: &[String]) -> Result<String, CliError> {
     let mut params = SimulateParams::default();
     let mut jobs: usize = sna_vm::default_workers();
     let mut manifest: Option<String> = None;
-    let mut store_dir: Option<String> = None;
     while let Some(flag) = args.next_flag() {
         match flag {
             "format" => format = parse_format(args.value("format")?)?,
@@ -46,31 +45,21 @@ pub fn run(argv: &[String]) -> Result<String, CliError> {
             "workers" => params.workers = args.parse_value("workers")?,
             "jobs" => jobs = parse_jobs(&mut args)?,
             "manifest" => manifest = Some(args.value("manifest")?.to_string()),
-            "store-dir" => store_dir = Some(args.value("store-dir")?.to_string()),
             other => return Err(unknown_flag(other, USAGE)),
         }
     }
     let (files, batch) = collect_files(args.files(), manifest.as_deref(), USAGE)?;
-    let store = store_dir.as_deref().map(open_store).transpose()?;
-    run_batch(
-        "simulate",
-        files,
-        batch,
-        jobs,
-        format,
-        store,
-        |path, entry| {
-            let report = exec::simulate(entry, &params).map_err(CliError::Failed)?;
-            Ok(match format {
-                Format::Human => human(path, &params, &report),
-                Format::Json => json_doc(
-                    "simulate",
-                    path,
-                    exec::simulate_result(&report, &params, true),
-                ),
-            })
-        },
-    )
+    run_batch("simulate", files, batch, jobs, format, |path, entry| {
+        let report = exec::simulate(entry, &params).map_err(CliError::Failed)?;
+        Ok(match format {
+            Format::Human => human(path, &params, &report),
+            Format::Json => json_doc(
+                "simulate",
+                path,
+                exec::simulate_result(&report, &params, true),
+            ),
+        })
+    })
 }
 
 /// One file's terminal output.

@@ -15,8 +15,7 @@
 //! that map onto VM lanes, so the numbers are bit-identical whatever
 //! `--workers` says. With `--store-dir` the fitted input ranges are
 //! spilled to the artifact store as `tracefit` objects (keyed by
-//! program fingerprint × trace content), alongside the compile cache's
-//! usual skeleton spill.
+//! program fingerprint × trace content).
 
 use sna_core::TraceReport;
 use sna_service::exec::{self, TraceParams};
@@ -80,45 +79,35 @@ pub fn run(argv: &[String]) -> Result<String, CliError> {
     let csv = std::fs::read_to_string(&trace_path)
         .map_err(|e| CliError::failed(format!("cannot read `{trace_path}`: {e}")))?;
     let (files, batch) = collect_files(file_args, manifest.as_deref(), USAGE)?;
-    // The fitted-range spill target: the SAME handle the batch's compile
-    // cache spills through — a second handle on the directory would
-    // clobber the index entries the other one wrote.
+    // One handle for every file: each handle persists its own index on
+    // `put`, so a second one on the directory would clobber its entries.
     let fit_store = store_dir.as_deref().map(open_store).transpose()?;
     let csv_key = fnv1a_64(csv.as_bytes());
-    run_batch(
-        "trace",
-        files,
-        batch,
-        jobs,
-        format,
-        fit_store.clone(),
-        |path, entry| {
-            let budget = sna_core::Budget::unlimited();
-            let trace = exec::ingest_trace(&csv, &entry.session, &TraceLimits::default(), &budget)
-                .map_err(CliError::Failed)?;
-            let fit =
-                exec::trace_fit(&entry.session, &trace, params.bins).map_err(CliError::Failed)?;
-            if let Some(store) = &fit_store {
-                spill_fit(store, entry.fingerprint ^ csv_key, &fit);
-            }
-            if mode == "fit" {
-                return Ok(match format {
-                    Format::Human => fit_human(path, &trace, params.bins, &fit),
-                    Format::Json => json_doc(
-                        "trace",
-                        path,
-                        exec::trace_fit_result(&trace, params.bins, &fit, true),
-                    ),
-                });
-            }
-            let report = exec::trace_report(entry, &trace, &params, &budget, true)
-                .map_err(CliError::Failed)?;
-            Ok(match format {
-                Format::Human => human(path, mode, &params, &report),
-                Format::Json => json_doc("trace", path, exec::trace_result(&report, &params, true)),
-            })
-        },
-    )
+    run_batch("trace", files, batch, jobs, format, |path, entry| {
+        let budget = sna_core::Budget::unlimited();
+        let trace = exec::ingest_trace(&csv, &entry.session, &TraceLimits::default(), &budget)
+            .map_err(CliError::Failed)?;
+        let fit = exec::trace_fit(&entry.session, &trace, params.bins).map_err(CliError::Failed)?;
+        if let Some(store) = &fit_store {
+            spill_fit(store, entry.fingerprint ^ csv_key, &fit);
+        }
+        if mode == "fit" {
+            return Ok(match format {
+                Format::Human => fit_human(path, &trace, params.bins, &fit),
+                Format::Json => json_doc(
+                    "trace",
+                    path,
+                    exec::trace_fit_result(&trace, params.bins, &fit, true),
+                ),
+            });
+        }
+        let report =
+            exec::trace_report(entry, &trace, &params, &budget, true).map_err(CliError::Failed)?;
+        Ok(match format {
+            Format::Human => human(path, mode, &params, &report),
+            Format::Json => json_doc("trace", path, exec::trace_result(&report, &params, true)),
+        })
+    })
 }
 
 /// Writes the fitted ranges/moments to the artifact store, keyed by

@@ -1,6 +1,7 @@
 //! In-process integration tests for the persistent-store surface of the
-//! CLI: `--store-dir` on the batch subcommands, the `sna store`
-//! maintenance verbs, and the resumable `optimize --pareto` sweep.
+//! CLI: the `sna store` maintenance verbs, the resumable `optimize
+//! --pareto` sweep that writes checkpoints there, and the commands that
+//! do not take `--store-dir`.
 
 use std::path::PathBuf;
 
@@ -26,65 +27,30 @@ fn store_dir(tag: &str) -> String {
 
 const FIR: &str = "input x in [-1, 1];\noutput y = 0.5*x + 0.25*delay x;\n";
 
-#[test]
-fn batch_store_dir_persists_across_runs() {
-    let file = temp_program("warm", FIR);
-    let dir = store_dir("warm");
-    let cold = run(&argv(&[
-        "analyze",
-        &file,
-        &file,
+/// Fills `dir` with the checkpoints of a finished Pareto sweep of `file`.
+fn checkpoint_into(file: &str, dir: &str) {
+    run(&argv(&[
+        "optimize",
+        file,
+        "--pareto",
+        "--points",
+        "2",
+        "--checkpoint-every",
+        "2",
         "--store-dir",
-        &dir,
-        "--jobs",
-        "1",
+        dir,
     ]))
     .unwrap();
-    // First run: nothing stored yet, but the spill writes the skeleton.
-    assert!(cold.contains("store 0 hit(s)"), "{cold}");
-    let warm = run(&argv(&[
-        "analyze",
-        &file,
-        &file,
-        "--store-dir",
-        &dir,
-        "--jobs",
-        "1",
-    ]))
-    .unwrap();
-    // Second process-equivalent run: the first lookup is a store hit.
-    assert!(warm.contains("store 1 hit(s)"), "{warm}");
-
-    let json = run(&argv(&[
-        "analyze",
-        &file,
-        &file,
-        "--store-dir",
-        &dir,
-        "--jobs",
-        "1",
-        "--format",
-        "json",
-    ]))
-    .unwrap();
-    let summary = json.lines().last().unwrap();
-    assert!(summary.contains("\"store_hits\":1"), "{summary}");
-    assert!(summary.contains("\"store_corrupt\":0"), "{summary}");
-
-    // Without the flag the summary shape is unchanged.
-    let plain = run(&argv(&["analyze", &file, &file, "--jobs", "1"])).unwrap();
-    let summary = plain.lines().rfind(|l| l.starts_with("batch:")).unwrap();
-    assert!(!summary.contains("store"), "{summary}");
 }
 
 #[test]
 fn store_verbs_list_collect_and_verify() {
     let file = temp_program("verbs", FIR);
     let dir = store_dir("verbs");
-    run(&argv(&["analyze", &file, &file, "--store-dir", &dir])).unwrap();
+    checkpoint_into(&file, &dir);
 
     let ls = run(&argv(&["store", "ls", "--store-dir", &dir])).unwrap();
-    assert!(ls.contains("skel"), "{ls}");
+    assert!(ls.contains("pareto-ckpt"), "{ls}");
     assert!(ls.contains("byte(s) in"), "{ls}");
     let ls_json = run(&argv(&[
         "store",
@@ -95,7 +61,7 @@ fn store_verbs_list_collect_and_verify() {
         "json",
     ]))
     .unwrap();
-    assert!(ls_json.contains("\"kind\": \"skel\""), "{ls_json}");
+    assert!(ls_json.contains("\"kind\": \"pareto-ckpt\""), "{ls_json}");
 
     let verify = run(&argv(&["store", "verify", "--store-dir", &dir])).unwrap();
     assert!(verify.contains("0 corrupt"), "{verify}");
@@ -127,7 +93,7 @@ fn store_verbs_list_collect_and_verify() {
 fn store_verify_reports_and_repairs_corruption() {
     let file = temp_program("corrupt", FIR);
     let dir = store_dir("corrupt");
-    run(&argv(&["analyze", &file, &file, "--store-dir", &dir])).unwrap();
+    checkpoint_into(&file, &dir);
 
     // Truncate one object on disk.
     let objects: Vec<PathBuf> = walk(&PathBuf::from(&dir))
@@ -169,6 +135,28 @@ fn store_usage_errors() {
             Err(CliError::Usage(_)) => {}
             other => panic!("{bad:?}: unexpected {other:?}"),
         }
+    }
+}
+
+/// Compiled models are not stored: `--store-dir` is an unknown flag to
+/// `analyze`, `simulate` and `serve`, and `optimize` takes it only for
+/// the sweep's checkpoints.
+#[test]
+fn store_dir_is_refused_where_nothing_is_stored() {
+    let file = temp_program("refused", FIR);
+    for cmd in ["analyze", "simulate"] {
+        match run(&argv(&[cmd, &file, "--store-dir", "/tmp/x"])) {
+            Err(CliError::Usage(m)) => assert!(m.contains("unknown flag `--store-dir`"), "{m}"),
+            other => panic!("{cmd}: unexpected {other:?}"),
+        }
+    }
+    match run(&argv(&["serve", "--store-dir", "/tmp/x"])) {
+        Err(CliError::Usage(m)) => assert!(m.contains("unknown flag `--store-dir`"), "{m}"),
+        other => panic!("serve: unexpected {other:?}"),
+    }
+    match run(&argv(&["optimize", &file, "--store-dir", "/tmp/x"])) {
+        Err(CliError::Usage(m)) => assert!(m.contains("only applies with --pareto"), "{m}"),
+        other => panic!("optimize: unexpected {other:?}"),
     }
 }
 
@@ -226,67 +214,6 @@ fn pareto_resumes_from_the_store_checkpoint() {
     assert!(second.contains("\"evaluated\": 0"), "{second}");
     let frontier = |s: &str| s.split("\"frontier\"").nth(1).unwrap().to_string();
     assert_eq!(frontier(&first), frontier(&second));
-}
-
-#[test]
-fn failed_batch_still_spills_to_the_store() {
-    // A mixed manifest: one good file, one with a compile diagnostic.
-    let good = temp_program("mixed-good", FIR);
-    let bad = temp_program("mixed-bad", "input x;\ny = ;\noutput y;\n");
-    let manifest_path = std::env::temp_dir().join(format!(
-        "sna-store-cli-mixed-manifest-{}.txt",
-        std::process::id()
-    ));
-    std::fs::write(&manifest_path, format!("{good}\n{bad}\n")).unwrap();
-    let manifest = manifest_path.to_string_lossy().into_owned();
-    let dir = store_dir("mixed");
-    let args = |d: &str| {
-        argv(&[
-            "analyze",
-            "--manifest",
-            &manifest,
-            "--store-dir",
-            d,
-            "--jobs",
-            "1",
-        ])
-    };
-    // Cold run: the bad file fails the batch, but the good file's
-    // skeleton must still reach the store on the failure path.
-    let cold = match run(&args(&dir)) {
-        Err(e @ CliError::BatchFailed(_)) => e.stdout_output().unwrap().to_string(),
-        other => panic!("unexpected {other:?}"),
-    };
-    assert!(cold.contains("store 0 hit(s)"), "{cold}");
-    assert!(cold.contains("2 write(s)"), "{cold}");
-    // Warm run: the good file warm-loads from the store.
-    let warm = match run(&args(&dir)) {
-        Err(e @ CliError::BatchFailed(_)) => e.stdout_output().unwrap().to_string(),
-        other => panic!("unexpected {other:?}"),
-    };
-    assert!(warm.contains("store 1 hit(s)"), "{warm}");
-}
-
-#[test]
-fn failed_pareto_sweep_still_spills_the_skeleton() {
-    let file = temp_program("pareto-spill", FIR);
-    let dir = store_dir("pareto-spill");
-    // An invalid sweep spec fails *after* the compile; the skeleton must
-    // still be spilled so the corrected rerun warm-loads it.
-    match run(&argv(&[
-        "optimize",
-        &file,
-        "--pareto",
-        "--points",
-        "0",
-        "--store-dir",
-        &dir,
-    ])) {
-        Err(CliError::Failed(m)) => assert!(m.contains("pareto sweep failed"), "{m}"),
-        other => panic!("unexpected {other:?}"),
-    }
-    let ls = run(&argv(&["store", "ls", "--store-dir", &dir])).unwrap();
-    assert!(ls.contains("skel"), "{ls}");
 }
 
 #[test]

@@ -194,8 +194,7 @@ fn trace_replay_skips_the_prediction() {
     assert!(human.contains("measured numbers only"), "{human}");
 }
 
-/// `--store-dir` spills the fitted ranges as `tracefit` objects next to
-/// the compile cache's skeleton.
+/// `--store-dir` spills the fitted ranges as `tracefit` objects.
 #[test]
 fn trace_store_dir_spills_fitted_ranges() {
     let csv = temp_trace("spill", 512, 0.8);
@@ -214,7 +213,7 @@ fn trace_store_dir_spills_fitted_ranges() {
     .unwrap();
     let ls = run(&argv(&["store", "ls", "--store-dir", &dir])).unwrap();
     assert!(ls.contains("tracefit"), "{ls}");
-    assert!(ls.contains("skel"), "{ls}");
+    assert!(!ls.contains("skel"), "{ls}");
 }
 
 #[test]

@@ -245,6 +245,34 @@ impl NaModel {
         &self.coeff_sites
     }
 
+    /// Whether `other` is this model bit for bit: the same output names,
+    /// every node's gains and every coefficient site, each `f64` compared
+    /// by its bit pattern. A coefficient respin's cold rebuild and a
+    /// fresh build of the same program must agree this way.
+    #[must_use]
+    pub fn bit_identical(&self, other: &NaModel) -> bool {
+        let gain_bits = |g: &OutputGain| [g.l1, g.l2_squared, g.dc].map(f64::to_bits);
+        let site_bits = |c: &CoeffSite| {
+            (
+                c.const_node,
+                c.site,
+                c.kind,
+                [c.constant, c.other_mid, c.other_rad].map(f64::to_bits),
+            )
+        };
+        self.output_names == other.output_names
+            && self
+                .gains
+                .iter()
+                .map(gain_bits)
+                .eq(other.gains.iter().map(gain_bits))
+            && self
+                .coeff_sites
+                .iter()
+                .map(site_bits)
+                .eq(other.coeff_sites.iter().map(site_bits))
+    }
+
     /// All *random* bounded sources under `config`, each attached to the
     /// node whose gains it propagates through: the precision-losing
     /// quantization sites plus the coefficient pseudo-sources.
@@ -335,123 +363,6 @@ impl NaModel {
             .iter()
             .map(|(_, r)| r.power)
             .sum()
-    }
-}
-
-// ----------------------------------------------------------------------
-// Artifact-store serialization
-// ----------------------------------------------------------------------
-
-impl NaModel {
-    /// Encodes the model for the persistent artifact store (see
-    /// `sna_store::wire` for the encoding rules). Gains and coefficient
-    /// sites travel as exact `f64` bit patterns, so a loaded model
-    /// evaluates **bit-identically** to the one that was stored.
-    #[must_use]
-    pub fn to_wire(&self) -> Vec<u8> {
-        use sna_store::WireWriter;
-        let mut w = WireWriter::new();
-        w.len(self.output_names.len());
-        for name in &self.output_names {
-            w.str(name);
-        }
-        w.len(self.gains.len() / self.n_outputs());
-        for og in &self.gains {
-            w.f64(og.l1);
-            w.f64(og.l2_squared);
-            w.f64(og.dc);
-        }
-        w.len(self.coeff_sites.len());
-        for cs in &self.coeff_sites {
-            w.u64(cs.const_node.index() as u64);
-            w.f64(cs.constant);
-            w.u64(cs.site.index() as u64);
-            w.u8(match cs.kind {
-                CoeffKind::MulFactor => 0,
-                CoeffKind::DivDenominator => 1,
-            });
-            w.f64(cs.other_mid);
-            w.f64(cs.other_rad);
-        }
-        w.finish()
-    }
-
-    /// Decodes a model written by [`NaModel::to_wire`], validating every
-    /// node reference against the graph it will be attached to
-    /// (`n_nodes` nodes, `n_outputs` declared outputs).
-    ///
-    /// # Errors
-    ///
-    /// `sna_store::WireError` on any malformed, truncated or
-    /// out-of-bounds input — never panics.
-    pub fn from_wire(
-        bytes: &[u8],
-        n_nodes: usize,
-        n_outputs: usize,
-    ) -> Result<NaModel, sna_store::WireError> {
-        use sna_store::{WireError, WireReader};
-        let node = |raw: u64| -> Result<NodeId, WireError> {
-            let i = usize::try_from(raw).unwrap_or(usize::MAX);
-            if i < n_nodes {
-                Ok(NodeId::from_index(i))
-            } else {
-                Err(WireError::new(format!(
-                    "node reference {raw} out of range ({n_nodes})"
-                )))
-            }
-        };
-        let mut r = WireReader::new(bytes);
-        let count = r.read_count(8)?;
-        if count != n_outputs || count == 0 {
-            return Err(WireError::new(format!(
-                "model names {count} output(s), graph declares {n_outputs}"
-            )));
-        }
-        let mut output_names = Vec::with_capacity(count);
-        for _ in 0..count {
-            output_names.push(r.str()?);
-        }
-        // One (l1, l2², dc) triple per output per node.
-        let count = r.read_count(24 * n_outputs)?;
-        if count != n_nodes {
-            return Err(WireError::new(format!(
-                "model covers {count} node(s), graph has {n_nodes}"
-            )));
-        }
-        let mut gains = Vec::with_capacity(count * n_outputs);
-        for _ in 0..count * n_outputs {
-            gains.push(OutputGain {
-                l1: r.f64()?,
-                l2_squared: r.f64()?,
-                dc: r.f64()?,
-            });
-        }
-        let count = r.read_count(34)?;
-        let mut coeff_sites = Vec::with_capacity(count);
-        for _ in 0..count {
-            let const_node = node(r.u64()?)?;
-            let constant = r.f64()?;
-            let site = node(r.u64()?)?;
-            let kind = match r.u8()? {
-                0 => CoeffKind::MulFactor,
-                1 => CoeffKind::DivDenominator,
-                k => return Err(WireError::new(format!("bad coeff kind {k}"))),
-            };
-            coeff_sites.push(CoeffSite {
-                const_node,
-                constant,
-                site,
-                kind,
-                other_mid: r.f64()?,
-                other_rad: r.f64()?,
-            });
-        }
-        r.expect_end()?;
-        Ok(NaModel {
-            gains,
-            output_names,
-            coeff_sites,
-        })
     }
 }
 
@@ -628,56 +539,6 @@ mod tests {
     }
 
     #[test]
-    fn wire_round_trip_evaluates_bit_identically() {
-        let mut b = DfgBuilder::new();
-        let x = b.input("x");
-        let fb = b.delay_placeholder();
-        let t = b.mul_const(0.5, fb);
-        let y = b.add(x, t);
-        b.bind_delay(fb, y).unwrap();
-        let scaled = b.mul_const(0.3, y);
-        b.output("y", scaled);
-        let g = b.build().unwrap();
-        let ranges = [iv(-1.0, 1.0)];
-        let model = NaModel::build(&g, &ranges, &LtiOptions::default()).unwrap();
-        let bytes = model.to_wire();
-        let decoded = NaModel::from_wire(&bytes, g.len(), g.outputs().len()).unwrap();
-        assert_eq!(decoded.to_wire(), bytes);
-        let cfg = WlConfig::from_ranges(&g, &ranges, 9).unwrap();
-        let a = &model.evaluate(&g, &cfg)[0].1;
-        let b = &decoded.evaluate(&g, &cfg)[0].1;
-        assert_eq!(a.mean.to_bits(), b.mean.to_bits());
-        assert_eq!(a.variance.to_bits(), b.variance.to_bits());
-        assert_eq!(a.support.0.to_bits(), b.support.0.to_bits());
-    }
-
-    #[test]
-    fn wire_rejects_damage_and_wrong_shape() {
-        let mut b = DfgBuilder::new();
-        let x = b.input("x");
-        let t = b.mul_const(0.25, x);
-        b.output("y", t);
-        let g = b.build().unwrap();
-        let model = NaModel::build(&g, &[iv(-1.0, 1.0)], &LtiOptions::default()).unwrap();
-        let good = model.to_wire();
-        // A different node count must be rejected outright.
-        assert!(NaModel::from_wire(&good, g.len() + 1, g.outputs().len()).is_err());
-        assert!(NaModel::from_wire(&good, g.len(), g.outputs().len() + 1).is_err());
-        for cut in 0..good.len() {
-            assert!(
-                NaModel::from_wire(&good[..cut], g.len(), g.outputs().len()).is_err(),
-                "cut at {cut}"
-            );
-        }
-        for i in 0..good.len() {
-            let mut bad = good.clone();
-            bad[i] ^= 0x5A;
-            // may err, must not panic
-            let _ = NaModel::from_wire(&bad, g.len(), g.outputs().len());
-        }
-    }
-
-    #[test]
     fn pinned_integrator_comb_builds_with_full_gains() {
         // y = s − s[n-4] with s = x + s[n-1] range [-8, 8]: the override
         // lets range analysis converge, and the integrator's state never
@@ -848,7 +709,7 @@ mod tests {
             let model = NaModel::build_with_ranges(dfg, &ranges, &opts).unwrap();
             let reference = reference_build(dfg, &ranges, &opts).unwrap();
             if exact.contains(&name.as_str()) {
-                assert!(model.to_wire() == reference.to_wire(), "{name}");
+                assert!(model.bit_identical(&reference), "{name}");
                 continue;
             }
             assert_gains_close(name, dfg, &model, &reference);
@@ -950,7 +811,7 @@ mod tests {
                 (Ok(got), Ok(want)) if adjoint == Ok(true) => {
                     assert_gains_close(name, dfg, &got, &want)
                 }
-                (Ok(got), Ok(want)) => assert!(got.to_wire() == want.to_wire(), "{name}"),
+                (Ok(got), Ok(want)) => assert!(got.bit_identical(&want), "{name}"),
                 (Err(got), Err(want)) => assert_eq!(got, want, "{name}"),
                 (got, want) => panic!("{name}: build {got:?}, reference {want:?}"),
             }
@@ -1076,7 +937,7 @@ mod tests {
             .collect();
         let respun = donor.with_coefficients(&coeffs).unwrap();
         let rebuilt = respun.na_model().unwrap();
-        assert!(rebuilt.to_wire() == fresh.to_wire());
+        assert!(rebuilt.bit_identical(&fresh));
         assert_eq!(respun.stats().na_builds, 2);
     }
 }

@@ -580,148 +580,7 @@ impl Session {
             vm: self.vm.clone(),
         }
     }
-
-    // ------------------------------------------------------------------
-    // Artifact-store serialization
-    // ------------------------------------------------------------------
-
-    /// Encodes the session's compiled skeleton for the persistent
-    /// artifact store: the graph, its input ranges, and every *built*
-    /// artifact stage — node ranges, the NA gain model, and the VM
-    /// bytecode. Stages that are unbuilt (or failed) are simply
-    /// omitted; an imported session rebuilds them lazily like a cold
-    /// one.
-    ///
-    /// All floats travel as exact bit patterns: an imported session
-    /// answers every request **bit-identically** to the exported one.
-    #[must_use]
-    pub fn export_wire(&self) -> Vec<u8> {
-        let mut w = sna_store::WireWriter::new();
-        w.bytes(&self.dfg.to_wire());
-        w.len(self.input_ranges.len());
-        for r in self.input_ranges.iter() {
-            w.f64(r.lo());
-            w.f64(r.hi());
-        }
-        match self.ranges.get() {
-            Some(Ok(ranges)) => {
-                w.u8(1);
-                w.len(ranges.len());
-                for r in ranges.iter() {
-                    w.f64(r.lo());
-                    w.f64(r.hi());
-                }
-            }
-            _ => w.u8(0),
-        }
-        match self.na.get() {
-            Some(Ok(model)) => {
-                w.u8(NA_STAGE_TAG);
-                w.bytes(&model.to_wire());
-            }
-            _ => w.u8(0),
-        }
-        match self.vm.get() {
-            Some(program) => {
-                w.u8(1);
-                w.bytes(&program.to_wire());
-            }
-            None => w.u8(0),
-        }
-        w.finish()
-    }
-
-    /// Decodes a skeleton written by [`Session::export_wire`],
-    /// **pre-seeding** the stored stages so that later requests rebuild
-    /// nothing: the stage-build counters ([`Session::stats`]) of an
-    /// imported session stay at zero for every stage the export
-    /// carried.
-    ///
-    /// # Errors
-    ///
-    /// `sna_store::WireError` on any malformed, truncated or
-    /// inconsistent input (stage shapes are validated against the
-    /// decoded graph) — never panics, so a corrupt store object always
-    /// degrades to a clean recompile in the caller.
-    pub fn import_wire(bytes: &[u8]) -> Result<Session, sna_store::WireError> {
-        use sna_store::{WireError, WireReader};
-        let mut r = WireReader::new(bytes);
-        let dfg = Dfg::from_wire(&r.bytes()?)?;
-        let n_inputs = r.read_count(16)?;
-        if n_inputs != dfg.n_inputs() {
-            return Err(WireError::new("input range count mismatch"));
-        }
-        let mut input_ranges = Vec::with_capacity(n_inputs);
-        for _ in 0..n_inputs {
-            let (lo, hi) = (r.f64()?, r.f64()?);
-            input_ranges.push(
-                Interval::new(lo, hi).map_err(|e| WireError::new(format!("input range: {e}")))?,
-            );
-        }
-
-        let node_ranges = match r.u8()? {
-            0 => None,
-            // Older stores wrote tag 2 for ranges from the LTI fallback;
-            // only the values matter.
-            1 | 2 => {
-                let n = r.read_count(16)?;
-                if n != dfg.len() {
-                    return Err(WireError::new("node range count mismatch"));
-                }
-                let mut ranges = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let (lo, hi) = (r.f64()?, r.f64()?);
-                    ranges.push(
-                        Interval::new(lo, hi)
-                            .map_err(|e| WireError::new(format!("node range: {e}")))?,
-                    );
-                }
-                Some(ranges)
-            }
-            t => return Err(WireError::new(format!("bad range stage tag {t}"))),
-        };
-        let na_model = match r.u8()? {
-            0 => None,
-            NA_STAGE_TAG => Some(NaModel::from_wire(
-                &r.bytes()?,
-                dfg.len(),
-                dfg.outputs().len(),
-            )?),
-            // Tag 1 is the retired layout that also stored response
-            // sequences: schema damage, so the caller recompiles.
-            t => return Err(WireError::new(format!("bad model tag {t}"))),
-        };
-        let vm_program = match r.u8()? {
-            0 => None,
-            1 => {
-                let program = sna_vm::Program::from_wire(&r.bytes()?)?;
-                if program.n_inputs() != dfg.n_inputs() {
-                    return Err(WireError::new("program input count mismatch"));
-                }
-                Some(program)
-            }
-            t => return Err(WireError::new(format!("bad program tag {t}"))),
-        };
-        r.expect_end()?;
-
-        let session = Session::new(dfg, input_ranges)
-            .map_err(|e| WireError::new(format!("invalid session: {e}")))?;
-        if let Some(ranges) = node_ranges {
-            let _ = session.ranges.set(Ok(Arc::new(ranges)));
-        }
-        if let Some(model) = na_model {
-            let _ = session.na.set(Ok(Arc::new(model)));
-        }
-        if let Some(program) = vm_program {
-            let _ = session.vm.set(Arc::new(program));
-        }
-        Ok(session)
-    }
 }
-
-/// The export tag of a built NA stage in the current [`NaModel::to_wire`]
-/// layout.
-const NA_STAGE_TAG: u8 = 2;
 
 #[cfg(test)]
 mod tests {
@@ -911,7 +770,7 @@ mod tests {
             assert_eq!(ra.lo().to_bits(), rb.lo().to_bits());
             assert_eq!(ra.hi().to_bits(), rb.hi().to_bits());
         }
-        assert!(model.to_wire() == cold.na_model().unwrap().to_wire());
+        assert!(model.bit_identical(&cold.na_model().unwrap()));
     }
 
     #[test]
@@ -970,7 +829,7 @@ mod tests {
         assert!(!adopted.na_model_built());
         let cold = Session::new(g.with_const_values(&[0.3, 0.45]).unwrap(), r).unwrap();
         let model = adopted.na_model().unwrap();
-        assert!(model.to_wire() == cold.na_model().unwrap().to_wire());
+        assert!(model.bit_identical(&cold.na_model().unwrap()));
         // Counters are the family's: two NA builds, one VM compile.
         let stats = s.stats();
         assert_eq!((stats.na_builds, stats.vm_compiles), (2, 1), "{stats:?}");
@@ -1032,142 +891,5 @@ mod tests {
         let cold = Session::new(swapped.dfg().clone(), swapped.input_ranges().to_vec()).unwrap();
         let b = cold.analyze(&req).unwrap();
         assert_eq!(a.reports[0].1.mean.to_bits(), b.reports[0].1.mean.to_bits());
-    }
-
-    #[test]
-    fn export_import_round_trip_rebuilds_nothing() {
-        let (g, r) = fir3();
-        let s = Session::new(g, r).unwrap();
-        let req = AnalysisRequest {
-            engine: EngineKind::Na,
-            words: WlChoice::Uniform(10),
-            bins: 64,
-            ..AnalysisRequest::default()
-        };
-        let cold = s.analyze(&req).unwrap();
-        let _ = s.vm_program(); // force the bytecode stage too
-        let bytes = s.export_wire();
-
-        let warm = Session::import_wire(&bytes).unwrap();
-        let again = warm.analyze(&req).unwrap();
-        let stats = warm.stats();
-        assert_eq!(stats.range_builds, 0, "{stats:?}");
-        assert_eq!(stats.na_builds, 0, "{stats:?}");
-        assert_eq!(stats.vm_compiles, 0, "{stats:?}");
-        assert!(warm.vm_program_built());
-        for ((n1, r1), (n2, r2)) in cold.reports.iter().zip(again.reports.iter()) {
-            assert_eq!(n1, n2);
-            assert_eq!(r1.mean.to_bits(), r2.mean.to_bits());
-            assert_eq!(r1.variance.to_bits(), r2.variance.to_bits());
-        }
-        // The export is a fixpoint: re-export is byte-identical.
-        assert_eq!(warm.export_wire(), bytes);
-    }
-
-    #[test]
-    fn export_of_unbuilt_session_imports_as_cold() {
-        let (g, r) = fir3();
-        let s = Session::new(g, r).unwrap();
-        let warm = Session::import_wire(&s.export_wire()).unwrap();
-        assert!(!warm.vm_program_built());
-        // Stages still build lazily, exactly like a cold session.
-        warm.na_model().unwrap();
-        assert_eq!(warm.stats().na_builds, 1);
-    }
-
-    #[test]
-    fn tag2_range_stages_from_older_stores_import_as_plain_ranges() {
-        // A resonator whose interval fixpoint diverges, so its ranges
-        // come from the LTI fallback: the case older stores tagged 2.
-        let mut b = DfgBuilder::new();
-        let x = b.input("x");
-        let y1 = b.delay_placeholder();
-        let y2 = b.delay(y1);
-        let t1 = b.mul_const(1.5, y1);
-        let t2 = b.mul_const(-0.7, y2);
-        let s = b.add(x, t1);
-        let y = b.add(s, t2);
-        b.bind_delay(y1, y).unwrap();
-        b.output("y", y);
-        let g = b.build().unwrap();
-        let r = vec![iv(-1.0, 1.0)];
-        assert!(matches!(
-            g.ranges_interval(&r, &RangeOptions::default()),
-            Err(DfgError::RangeDivergence { .. })
-        ));
-        let cold = Session::new(g.clone(), r.clone()).unwrap();
-        let ranges = cold.node_ranges().unwrap();
-
-        let mut w = sna_store::WireWriter::new();
-        w.bytes(&g.to_wire());
-        w.len(r.len());
-        for v in &r {
-            w.f64(v.lo());
-            w.f64(v.hi());
-        }
-        w.u8(2);
-        w.len(ranges.len());
-        for v in ranges.iter() {
-            w.f64(v.lo());
-            w.f64(v.hi());
-        }
-        w.u8(0);
-        w.u8(0);
-        let warm = Session::import_wire(&w.finish()).unwrap();
-
-        let req = AnalysisRequest {
-            engine: EngineKind::Na,
-            words: WlChoice::Uniform(12),
-            ..AnalysisRequest::default()
-        };
-        let (a, b) = (warm.analyze(&req).unwrap(), cold.analyze(&req).unwrap());
-        for ((n1, ra), (n2, rb)) in a.reports.iter().zip(&b.reports) {
-            assert_eq!(n1, n2);
-            assert_eq!(ra.mean.to_bits(), rb.mean.to_bits());
-            assert_eq!(ra.variance.to_bits(), rb.variance.to_bits());
-        }
-        assert_eq!(warm.stats().range_builds, 0);
-        // A re-export writes the one current tag, as the cold session does.
-        assert_eq!(warm.export_wire(), cold.export_wire());
-    }
-
-    #[test]
-    fn import_rejects_damage_without_panicking() {
-        let (g, r) = fir3();
-        let s = Session::new(g, r).unwrap();
-        s.na_model().unwrap();
-        let _ = s.vm_program();
-        let good = s.export_wire();
-        for cut in 0..good.len() {
-            assert!(Session::import_wire(&good[..cut]).is_err(), "cut at {cut}");
-        }
-        for i in 0..good.len() {
-            let mut bad = good.clone();
-            bad[i] ^= 0x5A;
-            let _ = Session::import_wire(&bad); // may err, must not panic
-        }
-    }
-
-    #[test]
-    fn import_rejects_cross_graph_stage_shapes() {
-        // Splice the range stage of a smaller graph into a bigger one's
-        // export: the node-count check must catch it.
-        let (g, r) = fir3();
-        let s = Session::new(g, r).unwrap();
-        s.node_ranges().unwrap();
-        let mut w = sna_store::WireWriter::new();
-        w.bytes(&s.dfg().to_wire());
-        w.len(1);
-        w.f64(-1.0);
-        w.f64(1.0);
-        w.u8(1); // claims an interval range stage...
-        w.len(2); // ...with the wrong node count
-        for _ in 0..2 {
-            w.f64(0.0);
-            w.f64(1.0);
-        }
-        w.u8(0);
-        w.u8(0);
-        assert!(Session::import_wire(&w.finish()).is_err());
     }
 }

@@ -47,7 +47,10 @@ fn large_model_patch_matches_a_from_scratch_compile() {
 
     let cold = Session::new(g.with_const_values(&coeffs).unwrap(), r).unwrap();
     assert!(
-        swapped.na_model().unwrap().to_wire() == cold.na_model().unwrap().to_wire(),
+        swapped
+            .na_model()
+            .unwrap()
+            .bit_identical(&cold.na_model().unwrap()),
         "the swapped model's gains and coefficient sites differ from a cold build"
     );
     let stats = swapped.stats();

@@ -86,7 +86,7 @@ proptest! {
         .unwrap();
 
         prop_assert!(
-            swapped.na_model().unwrap().to_wire() == cold.na_model().unwrap().to_wire()
+            swapped.na_model().unwrap().bit_identical(&cold.na_model().unwrap())
         );
         for bits in [8u8, 12, 20] {
             let a = swapped.analyze(&na_request(bits)).unwrap();

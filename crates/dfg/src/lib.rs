@@ -58,7 +58,6 @@ mod graph;
 mod lti;
 mod range;
 mod unroll;
-mod wire;
 
 pub use builder::DfgBuilder;
 pub use error::DfgError;

@@ -483,6 +483,10 @@ impl Dfg {
     /// interval fixpoint where it converges, the LTI L1 bound as a fallback
     /// for linear graphs whose fixpoint diverges.
     ///
+    /// The fixpoint stops early where its divergence is proven
+    /// ([`Dfg::ranges_interval_certified`]), so a stable high-order
+    /// recurrence reaches the fallback without running into overflow.
+    ///
     /// # Errors
     ///
     /// Failures of the fallback are propagated; nonlinear graphs whose
@@ -493,7 +497,7 @@ impl Dfg {
         ropts: &crate::RangeOptions,
         lopts: &LtiOptions,
     ) -> Result<Vec<Interval>, DfgError> {
-        match self.ranges_interval(input_ranges, ropts) {
+        match self.ranges_interval_certified(input_ranges, ropts) {
             Ok(r) => Ok(r),
             Err(DfgError::RangeDivergence { .. }) if self.is_linear() => {
                 self.ranges_lti(input_ranges, lopts)

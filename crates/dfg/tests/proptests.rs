@@ -6,10 +6,13 @@
 //! view agrees with the sequential graph step by step, and the shared
 //! impulse analysis ([`Dfg::adjoint_gains`], every source of a graph at
 //! once) reproduces the dense per-source reference up to rounding, or
-//! declines only where the reference must answer instead.
+//! declines only where the reference must answer instead. Range
+//! analysis with its divergence proof ([`Dfg::ranges_auto`]) answers
+//! exactly what running the interval fixpoint to the end would, on
+//! high-order recurrences, stable or not, with pinned states.
 
 use proptest::prelude::*;
-use sna_dfg::{Dfg, DfgBuilder, LtiOptions, NodeId, Op, RangeOptions, Simulator};
+use sna_dfg::{Dfg, DfgBuilder, DfgError, LtiOptions, NodeId, Op, RangeOptions, Simulator};
 use sna_interval::Interval;
 
 /// Recipe for one node of a random linear datapath.
@@ -689,4 +692,273 @@ fn an_exact_cancellation_on_a_moving_baseline_has_zero_gain() {
         Plain(Step::SubPrev),
         AddConst(0.3957044365173261),
     ]));
+}
+
+/// A direct-form recurrence `y[n] = Σ bₖ·x[n−k] + Σ aₖ·y[n−k] + c`, its
+/// feedback polynomial given by its poles.
+#[derive(Clone, Debug)]
+struct Recurrence {
+    /// `(radius, angle)`: a real pole at angle 0, else a conjugate pair.
+    poles: Vec<(f64, f64)>,
+    /// Feed-forward taps `bₖ`.
+    taps: Vec<f64>,
+    /// The additive constant `c`.
+    offset: f64,
+    /// A `range` override `[-bound, bound]` on `y` (lag 0) or on its
+    /// state `y[n−lag]`, which pins that delay.
+    pin: Option<(usize, f64)>,
+    /// The input range's half width.
+    input: f64,
+}
+
+fn recurrence_strategy() -> impl Strategy<Value = Recurrence> {
+    let pole = (0.2..1.25f64, prop_oneof![Just(0.0), 0.1..3.0f64]);
+    (
+        proptest::collection::vec(pole, 1..7),
+        proptest::collection::vec(-1.0..1.0f64, 1..4),
+        prop_oneof![Just(0.0), -1.0..1.0f64],
+        prop_oneof![Just(None), (0usize..4, 0.5..50.0f64).prop_map(Some)],
+        0.1..2.0f64,
+    )
+        .prop_map(|(poles, taps, offset, pin, input)| Recurrence {
+            poles,
+            taps,
+            offset,
+            pin,
+            input,
+        })
+}
+
+impl Recurrence {
+    /// The feedback coefficients `a₁…a_p`: `1 − Σ aₖ z⁻ᵏ` is the product
+    /// of the poles' factors.
+    fn feedback(&self) -> Vec<f64> {
+        let mut poly = vec![1.0];
+        for &(r, angle) in &self.poles {
+            let factor = if angle == 0.0 {
+                vec![1.0, -r]
+            } else {
+                vec![1.0, -2.0 * r * angle.cos(), r * r]
+            };
+            let mut next = vec![0.0; poly.len() + factor.len() - 1];
+            for (i, p) in poly.iter().enumerate() {
+                for (j, f) in factor.iter().enumerate() {
+                    next[i + j] += p * f;
+                }
+            }
+            poly = next;
+        }
+        poly[1..].iter().map(|c| -c).collect()
+    }
+
+    fn build(&self) -> Dfg {
+        let mut b = DfgBuilder::new();
+        let x = b.input("x");
+        let feedback = self.feedback();
+        let y1 = b.delay_placeholder();
+        let mut states = vec![y1];
+        for _ in 1..feedback.len() {
+            let last = *states.last().expect("nonempty");
+            states.push(b.delay(last));
+        }
+        let mut xs = vec![x];
+        for _ in 1..self.taps.len() {
+            let last = *xs.last().expect("nonempty");
+            xs.push(b.delay(last));
+        }
+        let mut terms: Vec<NodeId> = self
+            .taps
+            .iter()
+            .zip(&xs)
+            .map(|(&t, &xk)| b.mul_const(t, xk))
+            .collect();
+        terms.extend(
+            feedback
+                .iter()
+                .zip(&states)
+                .map(|(&a, &yk)| b.mul_const(a, yk)),
+        );
+        if self.offset != 0.0 {
+            terms.push(b.constant(self.offset));
+        }
+        let y = terms[1..].iter().fold(terms[0], |acc, &t| b.add(acc, t));
+        b.bind_delay(y1, y).expect("placeholder");
+        if let Some((lag, bound)) = self.pin {
+            let node = if lag == 0 {
+                y
+            } else {
+                states[(lag - 1) % states.len()]
+            };
+            let range = Interval::new(-bound, bound).expect("ordered");
+            b.override_range(node, range).expect("overridable");
+        }
+        b.output("y", y);
+        b.build().expect("structurally valid")
+    }
+
+    fn input_ranges(&self) -> Vec<Interval> {
+        vec![Interval::new(-self.input, self.input).expect("ordered")]
+    }
+}
+
+/// Range analysis as it ran before the divergence proof: the interval
+/// fixpoint to the end, then the LTI bound on linear graphs it diverged
+/// on.
+fn reference_ranges(g: &Dfg, input: &[Interval]) -> Result<Vec<Interval>, DfgError> {
+    match g.ranges_interval(input, &RangeOptions::default()) {
+        Err(DfgError::RangeDivergence { .. }) if g.is_linear() => {
+            g.ranges_lti(input, &LtiOptions::default())
+        }
+        other => other,
+    }
+}
+
+/// Ranges as bit patterns, so that equality is bit for bit.
+fn bits(ranges: &Result<Vec<Interval>, DfgError>) -> Result<Vec<(u64, u64)>, DfgError> {
+    ranges.clone().map(|r| {
+        r.iter()
+            .map(|i| (i.lo().to_bits(), i.hi().to_bits()))
+            .collect()
+    })
+}
+
+/// Asserts that [`Dfg::ranges_auto`] answers what [`reference_ranges`]
+/// does, bit for bit, errors included. `ranges_lti` panics on some
+/// unstable recurrences (an L1 gain overflows to infinity, e.g.
+/// `y = 0.5·x + 1.2·y[n−1]`); there both must panic.
+fn assert_auto_matches_reference(g: &Dfg, input: &[Interval]) {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    let auto = catch_unwind(AssertUnwindSafe(|| {
+        bits(&g.ranges_auto(input, &RangeOptions::default(), &LtiOptions::default()))
+    }));
+    let reference = catch_unwind(AssertUnwindSafe(|| bits(&reference_ranges(g, input))));
+    match (auto, reference) {
+        (Ok(auto), Ok(reference)) => assert_eq!(auto, reference),
+        (Err(_), Err(_)) => {}
+        (auto, reference) => panic!("ranges_auto {auto:?}, reference {reference:?}"),
+    }
+}
+
+/// Whether the divergence proof cut the interval fixpoint short. Checks
+/// on the way that it changed nothing else.
+fn certificate_fires(g: &Dfg, input: &[Interval]) -> bool {
+    let opts = RangeOptions::default();
+    let full = g.ranges_interval(input, &opts);
+    let certified = g.ranges_interval_certified(input, &opts);
+    match (&full, &certified) {
+        (
+            Err(DfgError::RangeDivergence { iterations: ran }),
+            Err(DfgError::RangeDivergence { iterations: cut }),
+        ) => {
+            assert!(cut <= ran, "the proof ran longer than the fixpoint");
+            cut < ran
+        }
+        _ => {
+            assert_eq!(bits(&full), bits(&certified), "the proof changed an answer");
+            false
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn ranges_auto_matches_the_full_fixpoint_on_recurrences(rec in recurrence_strategy()) {
+        let g = rec.build();
+        let input = rec.input_ranges();
+        certificate_fires(&g, &input);
+        assert_auto_matches_reference(&g, &input);
+    }
+
+    #[test]
+    fn ranges_auto_matches_the_full_fixpoint_with_loops_and_constants(
+        steps in proptest::collection::vec(loop_step_strategy(), 1..12))
+    {
+        let g = build_with_loops(&steps);
+        let input = [Interval::UNIT];
+        certificate_fires(&g, &input);
+        assert_auto_matches_reference(&g, &input);
+    }
+}
+
+/// `y = x + k·y[n−1]`, optionally with its state pinned to `[-2, 2]`.
+fn one_pole(k: f64, pinned: bool) -> Dfg {
+    let mut b = DfgBuilder::new();
+    let x = b.input("x");
+    let fb = b.delay_placeholder();
+    let t = b.mul_const(k, fb);
+    let y = b.add(x, t);
+    b.bind_delay(fb, y).expect("placeholder");
+    if pinned {
+        let range = Interval::new(-2.0, 2.0).expect("ordered");
+        b.override_range(fb, range).expect("overridable");
+    }
+    b.output("y", y);
+    b.build().expect("structurally valid")
+}
+
+#[test]
+fn the_divergence_proof_fires_on_unstable_feedback() {
+    // The graph of `unstable_feedback_diverges`: the fixpoint overflows
+    // after hundreds of passes, the proof holds after three.
+    let g = one_pole(1.5, false);
+    assert!(certificate_fires(&g, &[Interval::UNIT]));
+    assert_eq!(
+        g.ranges_interval_certified(&[Interval::UNIT], &RangeOptions::default()),
+        Err(DfgError::RangeDivergence { iterations: 3 })
+    );
+}
+
+#[test]
+fn the_divergence_proof_stays_quiet_where_the_fixpoint_converges() {
+    let input = [Interval::UNIT];
+    // `overridden_delay_pins_divergent_feedback`: the pinned state
+    // converges however large the loop gain.
+    assert!(!certificate_fires(&one_pole(1.5, true), &input));
+
+    // A 25-tap FIR: converges before the proof is tried.
+    let mut b = DfgBuilder::new();
+    let x = b.input("x");
+    let line = b.delay_chain(x, 24);
+    let y = line
+        .iter()
+        .enumerate()
+        .fold(b.mul_const(0.04, x), |acc, (k, &xk)| {
+            let t = b.mul_const(0.04 * (k as f64 + 2.0).recip(), xk);
+            b.add(acc, t)
+        });
+    b.output("y", y);
+    assert!(!certificate_fires(&b.build().expect("valid"), &input));
+
+    // A biquad with Σ|aₖ| < 1 and a cascade of slow one-pole loops: the
+    // fixpoint runs far past `n_delays + 2` passes, so the proof is tried
+    // and must fail.
+    let mut b = DfgBuilder::new();
+    let x = b.input("x");
+    let y1 = b.delay_placeholder();
+    let y2 = b.delay(y1);
+    let t1 = b.mul_const(0.6, y1);
+    let t2 = b.mul_const(-0.35, y2);
+    let s = b.add(t1, t2);
+    let y = b.add(x, s);
+    b.bind_delay(y1, y).expect("placeholder");
+    b.output("y", y);
+    assert!(!certificate_fires(&b.build().expect("valid"), &input));
+
+    let mut b = DfgBuilder::new();
+    let mut last = b.input("x");
+    for k in [0.9, -0.95, 0.99] {
+        let fb = b.delay_placeholder();
+        let t = b.mul_const(k, fb);
+        let n = b.add(last, t);
+        b.bind_delay(fb, n).expect("placeholder");
+        last = n;
+    }
+    b.output("y", last);
+    let cascade = b.build().expect("valid");
+    assert!(cascade
+        .ranges_interval(&input, &RangeOptions::default())
+        .is_ok());
+    assert!(!certificate_fires(&cascade, &input));
 }

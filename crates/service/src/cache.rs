@@ -29,21 +29,10 @@
 //! memo — behind an `Arc`; every stage is `Send + Sync`, so a worker
 //! pool or one thread per connection can share them freely.
 //!
-//! # Persistent tier
-//!
-//! With [`CompileCache::with_store`] the cache gains a disk-backed
-//! fourth tier below the in-memory ones: compiled skeletons
-//! ([`Session::export_wire`]) are spilled to a [`sna_store::Store`] by
-//! [`CompileCache::spill`] (servers call it on graceful drain, batches
-//! at the end) and warm-loaded on a later process's miss — `"skel"`
-//! objects keyed by the canonical fingerprint, plus small `"shape"`
-//! pointer objects keyed by the shape fingerprint so coefficient
-//! respins of a stored skeleton also warm-load.  Every stored payload
-//! embeds the full key text it was derived from, so a fingerprint
-//! collision reads as a plain miss; any frame- or schema-level damage
-//! is discarded (counted in [`sna_store::StoreStats::corrupt`]) and the
-//! program recompiles from scratch — corruption can never panic, poison
-//! the in-memory cache, or resurrect a stale artifact.
+//! The cache lives in memory only. A restarted process compiles each
+//! program again on its first request, which costs less than a
+//! millisecond on every shipped example (range analysis included), so
+//! there is no disk tier to warm it from.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -51,15 +40,6 @@ use std::sync::{Arc, Mutex, MutexGuard};
 
 use sna_core::Session;
 use sna_lang::{fnv1a_64, Diagnostic, Lowered};
-use sna_store::{Store, WireReader, WireWriter};
-
-/// Store object kind holding serialized compiled skeletons, keyed by
-/// the canonical fingerprint.
-pub const SKEL_KIND: &str = "skel";
-
-/// Store object kind holding shape → skeleton pointers, keyed by the
-/// shape fingerprint.
-pub const SHAPE_PTR_KIND: &str = "shape";
 
 /// One compiled program: the shared [`Session`] holding its artifact
 /// chain, plus the cache's identifying fingerprints.
@@ -114,10 +94,6 @@ pub enum Lookup {
     /// VM program is shared, and ranges and gains build cold on first
     /// use.
     ShapeHit,
-    /// Absent from memory but warm-loaded from the persistent artifact
-    /// store (directly or through a shape pointer): parse + lower ran,
-    /// but every stage the stored skeleton carried was reused.
-    StoreHit,
     /// Fully compiled on this call.
     Miss,
 }
@@ -130,14 +106,13 @@ impl Lookup {
     }
 
     /// Protocol wire word: `"hit"` / `"canon-hit"` / `"shape-hit"` /
-    /// `"store-hit"` / `"miss"`.
+    /// `"miss"`.
     #[must_use]
     pub fn as_str(self) -> &'static str {
         match self {
             Lookup::SourceHit => "hit",
             Lookup::CanonHit => "canon-hit",
             Lookup::ShapeHit => "shape-hit",
-            Lookup::StoreHit => "store-hit",
             Lookup::Miss => "miss",
         }
     }
@@ -234,9 +209,8 @@ struct Slot {
 /// before it takes the lock; the slot keeps the full text, and a lookup
 /// only matches when the text is equal. Two texts with one fingerprint
 /// therefore never share an entry: the later one is served uncached
-/// (and, for a shape, donates nothing), as the store treats such a
-/// collision. The lock therefore never hashes a multi-kilobyte key
-/// except the raw source text, the fast path's key.
+/// (and, for a shape, donates nothing). The lock therefore never hashes
+/// a multi-kilobyte key except the raw source text, the fast path's key.
 #[derive(Default)]
 struct State {
     /// Raw source text → slot of its entry. Full-text keys (not bare
@@ -447,7 +421,6 @@ impl State {
 pub struct CompileCache {
     state: Mutex<State>,
     limits: CacheLimits,
-    store: Option<Arc<Store>>,
 }
 
 impl CompileCache {
@@ -463,24 +436,7 @@ impl CompileCache {
         CompileCache {
             state: Mutex::default(),
             limits,
-            store: None,
         }
-    }
-
-    /// Attaches a persistent artifact store: misses warm-load stored
-    /// skeletons and [`CompileCache::spill`] writes compiled entries
-    /// back.
-    #[must_use]
-    pub fn with_store(mut self, store: Arc<Store>) -> Self {
-        self.store = Some(store);
-        self
-    }
-
-    /// The attached artifact store, if any (for stats reporting and
-    /// maintenance verbs).
-    #[must_use]
-    pub fn store(&self) -> Option<&Store> {
-        self.store.as_deref()
     }
 
     fn lock(&self) -> MutexGuard<'_, State> {
@@ -580,20 +536,8 @@ impl CompileCache {
             return Ok((entry, Lookup::ShapeHit));
         }
 
-        // Persistent tier: a previous process may have spilled this
-        // program's (or its shape's) compiled skeleton to disk.
-        let (session, lookup) = match self.store_warm_load(
-            &canon,
-            fingerprint,
-            &shape_key,
-            shape_fingerprint,
-            &lowered,
-        ) {
-            Some(session) => (session, Lookup::StoreHit),
-            None => (cold_session(lowered), Lookup::Miss),
-        };
         let entry = Arc::new(CompiledEntry::from_session(
-            session,
+            cold_session(lowered),
             fingerprint,
             shape_fingerprint,
         ));
@@ -613,8 +557,6 @@ impl CompileCache {
             drop(state);
             return Ok((existing, Lookup::CanonHit));
         }
-        // A warm load takes a full slot, exactly like a compile would
-        // have (the peer paid a compile for it once).
         let evicted = state.make_room(&self.limits, incoming);
         if let Some(slot) = state.insert_slot(canon, entry.clone()) {
             state.insert_source(source_key, slot);
@@ -622,106 +564,11 @@ impl CompileCache {
             // wins) while it fits the byte budget.
             state.register_shape(shape_key, slot, &self.limits);
         }
-        match lookup {
-            Lookup::Miss => state.misses += 1,
-            _ => state.hits += 1,
-        }
+        state.misses += 1;
         // Free the evicted sessions without holding up other lookups.
         drop(state);
         drop(evicted);
-        Ok((entry, lookup))
-    }
-
-    /// Tries both persistent tiers for a warm skeleton: the canonical
-    /// fingerprint first (exact program), then the shape pointer
-    /// (coefficient respin of a stored skeleton).  Any failure — frame
-    /// damage, schema damage, key collision, coefficient-count mismatch
-    /// — returns `None` and the caller compiles from scratch.
-    fn store_warm_load(
-        &self,
-        canon: &str,
-        fingerprint: u64,
-        shape_key: &str,
-        shape_fingerprint: u64,
-        lowered: &Lowered,
-    ) -> Option<Session> {
-        let store = self.store.as_deref()?;
-        if let Some((stored_canon, _, session)) = load_skeleton(store, fingerprint) {
-            if stored_canon == canon {
-                return Some(session);
-            }
-            // Fingerprint collision with a different program: a miss,
-            // not corruption. Fall through to the shape tier.
-        }
-        let pointer = store.get(SHAPE_PTR_KIND, shape_fingerprint)?;
-        let (stored_shape, skel_fp) = match decode_shape_pointer(&pointer) {
-            Ok(decoded) => decoded,
-            Err(_) => {
-                store.discard(SHAPE_PTR_KIND, shape_fingerprint);
-                return None;
-            }
-        };
-        if stored_shape != shape_key {
-            return None; // shape-fingerprint collision: plain miss
-        }
-        let (_, skel_shape, session) = load_skeleton(store, skel_fp)?;
-        if skel_shape != shape_key {
-            return None; // the pointer's donor was replaced by another shape
-        }
-        session.with_coefficients(&lowered.dfg.const_values()).ok()
-    }
-
-    /// Writes every resident entry's current skeleton (and each shape
-    /// donor's pointer) to the attached store; returns the number of
-    /// objects written.  Stages built since the last spill ride along —
-    /// callers invoke this at quiet points (server drain, end of a
-    /// batch), so a later process warm-loads fully built sessions.
-    ///
-    /// A cache without a store (or one hitting I/O errors) spills
-    /// nothing; failures are reflected in the return count only.
-    pub fn spill(&self) -> usize {
-        let Some(store) = self.store.as_deref() else {
-            return 0;
-        };
-        // Snapshot under the lock, write outside it.
-        type SpillRow = (String, Option<String>, Arc<CompiledEntry>);
-        let snapshot: Vec<SpillRow> = {
-            let state = self.lock();
-            state
-                .slots
-                .iter()
-                .flatten()
-                .map(|slot| {
-                    (
-                        slot.canon.clone(),
-                        slot.shape_key.clone(),
-                        slot.entry.clone(),
-                    )
-                })
-                .collect()
-        };
-        let mut written = 0;
-        for (canon, shape_key, entry) in snapshot {
-            let mut w = WireWriter::new();
-            w.str(&canon);
-            w.str(shape_key.as_deref().unwrap_or_default());
-            w.bytes(&entry.session.export_wire());
-            if store.put(SKEL_KIND, entry.fingerprint, &w.finish()).is_ok() {
-                written += 1;
-            }
-            if let Some(shape) = shape_key {
-                let mut w = WireWriter::new();
-                w.str(&shape);
-                w.u64(entry.fingerprint);
-                if store
-                    .put(SHAPE_PTR_KIND, entry.shape_fingerprint, &w.finish())
-                    .is_ok()
-                {
-                    written += 1;
-                }
-            }
-        }
-        written
+        Ok((entry, Lookup::Miss))
     }
 
     /// Current counters.
@@ -736,38 +583,6 @@ impl CompileCache {
             evictions: state.evictions,
         }
     }
-}
-
-/// Loads and decodes a `"skel"` object: `(canonical text, shape key,
-/// imported session)`.  Schema damage discards the object (the store
-/// already counted and dropped frame-level damage in `get`).
-fn load_skeleton(store: &Store, key: u64) -> Option<(String, String, Session)> {
-    let payload = store.get(SKEL_KIND, key)?;
-    let decode = || -> Result<(String, String, Session), sna_store::WireError> {
-        let mut r = WireReader::new(&payload);
-        let canon = r.str()?;
-        let shape = r.str()?;
-        let session = Session::import_wire(&r.bytes()?)?;
-        r.expect_end()?;
-        Ok((canon, shape, session))
-    };
-    match decode() {
-        Ok(decoded) => Some(decoded),
-        Err(_) => {
-            store.discard(SKEL_KIND, key);
-            None
-        }
-    }
-}
-
-/// Decodes a `"shape"` pointer object: `(shape key text, skeleton
-/// fingerprint)`.
-fn decode_shape_pointer(payload: &[u8]) -> Result<(String, u64), sna_store::WireError> {
-    let mut r = WireReader::new(payload);
-    let shape = r.str()?;
-    let skel_fp = r.u64()?;
-    r.expect_end()?;
-    Ok((shape, skel_fp))
 }
 
 #[cfg(test)]
@@ -852,10 +667,11 @@ mod tests {
         assert!(second.session.vm_program_built());
         assert!(!second.session.na_model_built());
         let (cold, _) = CompileCache::new().get_or_compile(swapped).unwrap();
-        assert!(
-            second.session.na_model().unwrap().to_wire()
-                == cold.session.na_model().unwrap().to_wire()
-        );
+        assert!(second
+            .session
+            .na_model()
+            .unwrap()
+            .bit_identical(&cold.session.na_model().unwrap()));
         let family = second.session.stats();
         assert_eq!((family.na_builds, family.vm_compiles), (2, 1), "{family:?}");
         let stats = cache.stats();
@@ -1048,8 +864,7 @@ mod tests {
 
     /// The eviction policy as a scan: each slot carries the tick of its
     /// last use and the victim is the minimum, the way the cache picked
-    /// it before it kept a recency list. Mirrors `get_or_compile`
-    /// without a store.
+    /// it before it kept a recency list. Mirrors `get_or_compile`.
     #[derive(Default)]
     struct ScanModel {
         /// Source → canonical text.
@@ -1245,293 +1060,5 @@ mod tests {
         assert!(cache.get_or_compile("input x;\ny = ;\n").is_err());
         assert_eq!(cache.stats().entries, 0);
         assert_eq!(cache.stats().misses, 0);
-    }
-
-    // ------------------------------------------------------------------
-    // Persistent tier
-    // ------------------------------------------------------------------
-
-    fn store_dir(name: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!("sna-cache-{name}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
-    }
-
-    fn cache_on(dir: &std::path::Path) -> CompileCache {
-        CompileCache::new().with_store(Arc::new(Store::open(dir).unwrap()))
-    }
-
-    /// Compile `source`, force every stage, spill — the state a drained
-    /// server leaves behind. Returns the canonical fingerprint.
-    fn seed(dir: &std::path::Path, source: &str) -> u64 {
-        let cache = cache_on(dir);
-        let (entry, lookup) = cache.get_or_compile(source).unwrap();
-        assert_eq!(lookup, Lookup::Miss);
-        entry.session.node_ranges().unwrap();
-        entry.session.na_model().unwrap();
-        let _ = entry.session.vm_program();
-        assert!(cache.spill() >= 1);
-        entry.fingerprint
-    }
-
-    #[test]
-    fn warm_load_reuses_every_stored_stage() {
-        let dir = store_dir("warm");
-        seed(&dir, SRC);
-
-        let cache = cache_on(&dir);
-        let (entry, lookup) = cache.get_or_compile(SRC).unwrap();
-        assert_eq!(lookup, Lookup::StoreHit);
-        assert!(entry.session.na_model_built());
-        assert!(entry.session.vm_program_built());
-        let stats = entry.session.stats();
-        assert_eq!(stats.range_builds, 0, "{stats:?}");
-        assert_eq!(stats.na_builds, 0, "{stats:?}");
-        assert_eq!(stats.vm_compiles, 0, "{stats:?}");
-        assert!(cache.store().unwrap().stats().hits >= 1);
-
-        // Now resident: the next lookup is a plain memory hit.
-        assert_eq!(cache.get_or_compile(SRC).unwrap().1, Lookup::SourceHit);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn coefficient_respins_warm_load_through_the_shape_pointer() {
-        let dir = store_dir("shape-ptr");
-        let base = "input x in [-1, 1];\nlet k = 0.5;\noutput y = k*x;\n";
-        seed(&dir, base);
-
-        let swapped = "input x in [-1, 1];\nlet k = 0.25;\noutput y = k*x;\n";
-        let cache = cache_on(&dir);
-        let (entry, lookup) = cache.get_or_compile(swapped).unwrap();
-        assert_eq!(lookup, Lookup::StoreHit);
-        assert_eq!(entry.session.coefficients(), vec![0.25]);
-        // The stored VM program rides along; the gains build cold.
-        assert!(entry.session.vm_program_built());
-        assert!(!entry.session.na_model_built());
-        let (cold, _) = CompileCache::new().get_or_compile(swapped).unwrap();
-        assert!(
-            entry.session.na_model().unwrap().to_wire()
-                == cold.session.na_model().unwrap().to_wire()
-        );
-        let stats = entry.session.stats();
-        assert_eq!((stats.na_builds, stats.vm_compiles), (1, 0), "{stats:?}");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn frame_level_corruption_recompiles_cleanly() {
-        use std::io::{Read, Seek, SeekFrom, Write};
-        // Three damage modes against the stored skeleton: truncation,
-        // a payload bit-flip, and a format-version bump. Every one must
-        // come back as a clean recompile with the corruption counted —
-        // never a panic, never a stale artifact.
-        for (mode, damage) in [("truncate", 0u8), ("bitflip", 1u8), ("version", 2u8)] {
-            let dir = store_dir(&format!("corrupt-{mode}"));
-            let fp = seed(&dir, SRC);
-            let path = Store::open(&dir).unwrap().object_path(SKEL_KIND, fp);
-            let mut f = std::fs::OpenOptions::new()
-                .read(true)
-                .write(true)
-                .open(&path)
-                .unwrap();
-            match damage {
-                0 => {
-                    let len = f.metadata().unwrap().len();
-                    f.set_len(len / 2).unwrap();
-                }
-                1 => {
-                    let len = f.metadata().unwrap().len();
-                    f.seek(SeekFrom::Start(len - 3)).unwrap();
-                    let mut b = [0u8; 1];
-                    f.read_exact(&mut b).unwrap();
-                    f.seek(SeekFrom::Start(len - 3)).unwrap();
-                    f.write_all(&[b[0] ^ 0x40]).unwrap();
-                }
-                _ => {
-                    // Bytes 4..8 hold the little-endian format version.
-                    f.seek(SeekFrom::Start(4)).unwrap();
-                    f.write_all(&[0xFF, 0xFF, 0xFF, 0xFF]).unwrap();
-                }
-            }
-            drop(f);
-
-            let cache = cache_on(&dir);
-            let (entry, lookup) = cache.get_or_compile(SRC).unwrap();
-            assert_eq!(lookup, Lookup::Miss, "{mode}: must recompile");
-            assert!(entry.session.dfg().is_linear());
-            assert!(
-                cache.store().unwrap().stats().corrupt >= 1,
-                "{mode}: corruption must be counted"
-            );
-            // And the recompiled entry serves correctly from memory.
-            assert_eq!(cache.get_or_compile(SRC).unwrap().1, Lookup::SourceHit);
-            let _ = std::fs::remove_dir_all(&dir);
-        }
-    }
-
-    #[test]
-    fn schema_level_corruption_is_discarded_not_trusted() {
-        let dir = store_dir("schema");
-        let fp = seed(&dir, SRC);
-        {
-            // A frame that passes magic/version/CRC but whose payload is
-            // not a skeleton.
-            let store = Store::open(&dir).unwrap();
-            store
-                .put(SKEL_KIND, fp, b"perfectly valid garbage")
-                .unwrap();
-        }
-        let cache = cache_on(&dir);
-        let (_, lookup) = cache.get_or_compile(SRC).unwrap();
-        assert_eq!(lookup, Lookup::Miss);
-        let store = cache.store().unwrap();
-        assert!(store.stats().corrupt >= 1);
-        // The poisoned object was dropped from the store entirely.
-        assert!(store.get(SKEL_KIND, fp).is_none());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    /// The skeleton `Session::export_wire` wrote while the NA stage was
-    /// tag 1: the model carried a table of impulse-response sequences
-    /// between its gains and its coefficient sites. Ranges and bytecode
-    /// are left unbuilt (tag 0).
-    fn tag1_skeleton(session: &Session) -> Vec<u8> {
-        let dfg = session.dfg();
-        let ranges = session.node_ranges().unwrap();
-        let opts = sna_dfg::LtiOptions::default();
-        let mut m = WireWriter::new();
-        m.len(dfg.outputs().len());
-        for (name, _) in dfg.outputs() {
-            m.str(name);
-        }
-        let responses: Vec<_> = dfg
-            .nodes()
-            .map(|(id, _)| dfg.impulse_response(id, &opts).unwrap())
-            .collect();
-        m.len(responses.len());
-        for (g, _) in &responses {
-            m.u8(1);
-            m.u64(g.source.index() as u64);
-            m.len(g.per_output.len());
-            for og in &g.per_output {
-                m.f64(og.l1);
-                m.f64(og.l2_squared);
-                m.f64(og.dc);
-            }
-        }
-        m.len(responses.len());
-        for (_, seqs) in &responses {
-            m.u8(1);
-            m.len(seqs.len());
-            for seq in seqs {
-                m.len(seq.len());
-                for &v in seq {
-                    m.f64(v);
-                }
-            }
-        }
-        let sites = session.na_model().unwrap().coeff_sites().to_vec();
-        m.len(sites.len());
-        for cs in &sites {
-            let sna_dfg::Op::Const(c) = dfg.node(cs.const_node()).op() else {
-                panic!("coefficient sites name constants");
-            };
-            let args = dfg.node(cs.site()).args();
-            let other = if args[0] == cs.const_node() {
-                args[1]
-            } else {
-                args[0]
-            };
-            let r = ranges[other.index()];
-            m.u64(cs.const_node().index() as u64);
-            m.f64(c);
-            m.u64(cs.site().index() as u64);
-            m.u8(0); // a multiplier factor
-            m.f64(r.mid());
-            m.f64(r.rad());
-        }
-
-        let mut w = WireWriter::new();
-        w.bytes(&dfg.to_wire());
-        w.len(session.input_ranges().len());
-        for r in session.input_ranges() {
-            w.f64(r.lo());
-            w.f64(r.hi());
-        }
-        w.u8(0);
-        w.u8(1);
-        w.bytes(&m.finish());
-        w.u8(0);
-        w.finish()
-    }
-
-    #[test]
-    fn tag1_skeletons_are_discarded_and_recompiled() {
-        let dir = store_dir("tag1");
-        let fp = seed(&dir, SRC);
-        let (canon, shape, seeded) = load_skeleton(&Store::open(&dir).unwrap(), fp).unwrap();
-        let old = tag1_skeleton(&seeded);
-        assert!(Session::import_wire(&old).is_err());
-        {
-            let mut w = WireWriter::new();
-            w.str(&canon);
-            w.str(&shape);
-            w.bytes(&old);
-            Store::open(&dir)
-                .unwrap()
-                .put(SKEL_KIND, fp, &w.finish())
-                .unwrap();
-        }
-
-        let cache = cache_on(&dir);
-        let (entry, lookup) = cache.get_or_compile(SRC).unwrap();
-        assert_eq!(lookup, Lookup::Miss);
-        let store = cache.store().unwrap();
-        assert!(store.stats().corrupt >= 1);
-        assert!(store.get(SKEL_KIND, fp).is_none());
-
-        let req = sna_core::AnalysisRequest {
-            engine: sna_core::EngineKind::Na,
-            words: sna_core::WlChoice::Uniform(8),
-            ..sna_core::AnalysisRequest::default()
-        };
-        let (fresh, _) = CompileCache::new().get_or_compile(SRC).unwrap();
-        let a = entry.session.analyze(&req).unwrap();
-        let b = fresh.session.analyze(&req).unwrap();
-        for ((n1, ra), (n2, rb)) in a.reports.iter().zip(&b.reports) {
-            assert_eq!(n1, n2);
-            assert_eq!(ra.mean.to_bits(), rb.mean.to_bits());
-            assert_eq!(ra.variance.to_bits(), rb.variance.to_bits());
-        }
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn respill_overwrites_with_newly_built_stages() {
-        let dir = store_dir("respill");
-        // First spill with no stages forced: a later warm load imports
-        // a cold skeleton and builds lazily.
-        {
-            let cache = cache_on(&dir);
-            cache.get_or_compile(SRC).unwrap();
-            assert!(cache.spill() >= 1);
-        }
-        {
-            let cache = cache_on(&dir);
-            let (entry, lookup) = cache.get_or_compile(SRC).unwrap();
-            assert_eq!(lookup, Lookup::StoreHit);
-            assert!(!entry.session.na_model_built());
-            entry.session.na_model().unwrap();
-            assert_eq!(entry.session.stats().na_builds, 1);
-            assert!(cache.spill() >= 1);
-        }
-        // The respill carried the built model.
-        let cache = cache_on(&dir);
-        let (entry, lookup) = cache.get_or_compile(SRC).unwrap();
-        assert_eq!(lookup, Lookup::StoreHit);
-        assert!(entry.session.na_model_built());
-        assert_eq!(entry.session.stats().na_builds, 0);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

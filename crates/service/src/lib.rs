@@ -51,9 +51,7 @@ mod pool;
 mod proto;
 mod stats;
 
-pub use cache::{
-    CacheLimits, CacheStats, CompileCache, CompiledEntry, Lookup, SHAPE_PTR_KIND, SKEL_KIND,
-};
+pub use cache::{CacheLimits, CacheStats, CompileCache, CompiledEntry, Lookup};
 pub use event_loop::{spawn_server, ServerConfig, ServerHandle};
 pub use fault::{FaultPlan, IoFault, JobFault};
 pub use json::Json;

@@ -339,7 +339,7 @@ impl Handler<'_> {
         })
     }
 
-    /// The `stats` result: the compile-cache (and store) counters, with
+    /// The `stats` result: the compile-cache counters, with
     /// the registry's counters and histograms merged in beside them.
     fn stats_result(&self) -> Json {
         let as_int = |v: u64| Json::int(usize::try_from(v).unwrap_or(usize::MAX));
@@ -354,20 +354,6 @@ impl Handler<'_> {
                 ("evictions".into(), as_int(s.evictions)),
             ]),
         )];
-        if let Some(store) = self.cache.store() {
-            let s = store.stats();
-            fields.push((
-                "store".into(),
-                Json::Obj(vec![
-                    ("hits".into(), as_int(s.hits)),
-                    ("misses".into(), as_int(s.misses)),
-                    ("writes".into(), as_int(s.writes)),
-                    ("corrupt".into(), as_int(s.corrupt)),
-                    ("objects".into(), Json::int(store.ls().len())),
-                    ("bytes".into(), as_int(store.total_bytes())),
-                ]),
-            ));
-        }
         if let Json::Obj(registry_fields) = self.stats.to_json() {
             fields.extend(registry_fields);
         }

@@ -837,8 +837,10 @@ fn shape_hit_results_equal_a_cold_compile_on_cold_sweep_designs() {
             let (hit, _) = warm.get_or_compile(&respin).unwrap();
             let (fresh, _) = CompileCache::new().get_or_compile(&respin).unwrap();
             assert!(
-                hit.session.na_model().unwrap().to_wire()
-                    == fresh.session.na_model().unwrap().to_wire(),
+                hit.session
+                    .na_model()
+                    .unwrap()
+                    .bit_identical(&fresh.session.na_model().unwrap()),
                 "{family} draw {draw}: shape-hit model differs from a cold build"
             );
         }

@@ -1,11 +1,9 @@
 //! Disk-backed, content-addressed artifact store.
 //!
-//! The in-memory `CompileCache` and the optimizer both forget
-//! everything at process exit: a warm `sna serve` reboot recompiles
-//! every session and a killed sweep restarts from zero. This crate is
-//! the durable tier underneath them — a directory of versioned,
-//! CRC-framed objects keyed by the compile pipeline's existing
-//! fingerprints:
+//! The optimizer's Pareto sweep and the trace fitter keep results that
+//! cost real time to recompute: a killed sweep would restart from zero.
+//! This crate is where they persist — a directory of versioned,
+//! CRC-framed objects keyed by 64-bit hashes of what produced them:
 //!
 //! ```text
 //! <store-dir>/
@@ -13,10 +11,11 @@
 //!   objects/<kind>/<key>.obj   # key rendered as 16 lowercase hex digits
 //! ```
 //!
-//! Object **kinds** partition the key space (`skel` compiled skeletons
-//! keyed by canonical fingerprint, `shape` donor aliases keyed by shape
-//! fingerprint, `ckpt` search checkpoints keyed by sweep spec hash —
-//! the store itself is payload-agnostic and just moves bytes).
+//! Object **kinds** partition the key space (`pareto-ckpt` sweep
+//! checkpoints keyed by the sweep spec hash, `tracefit` fitted input
+//! ranges keyed by program fingerprint ⊕ trace hash — the store itself
+//! is payload-agnostic and just moves bytes). Compiled models are not
+//! stored: a cold compile is cheaper than a load.
 //!
 //! Every object is framed as
 //!
@@ -28,7 +27,7 @@
 //! and every failure mode degrades the same way: a load that fails the
 //! magic/version/length/CRC check (or any I/O error past "file not
 //! found") counts as **corrupt**, deletes the object, and returns
-//! `None` — the caller recompiles, the store never panics and never
+//! `None` — the caller recomputes, the store never panics and never
 //! serves a stale or damaged artifact. Writes are atomic
 //! (unique tmp file + `rename`), so a crash mid-write leaves either the
 //! old object or none, never a torn frame under a live key.
@@ -39,11 +38,10 @@
 //! advisory — if it is missing or damaged it is rebuilt by scanning the
 //! objects directory (ticks reset, nothing is lost).
 //!
-//! Serialization of the artifacts themselves lives with their owning
-//! crates (`Dfg` in `sna-dfg`, `NaModel`/`Session` in `sna-core`, VM
-//! programs in `sna-vm`, checkpoints in `sna-opt`), all built on the
-//! shared [`wire`] primitives so the whole on-disk format follows one
-//! set of encoding rules.
+//! Serialization of the artifacts themselves lives with their owners
+//! (checkpoints in `sna-opt`, fitted ranges in the `sna trace` command),
+//! both built on the shared [`wire`] primitives so the whole on-disk
+//! format follows one set of encoding rules.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -63,7 +61,7 @@ use std::sync::Mutex;
 pub const MAGIC: [u8; 4] = *b"SNAS";
 
 /// The on-disk frame format version. Bumping it invalidates every
-/// existing object (they all degrade to clean recompiles).
+/// existing object (they all degrade to a clean recompute).
 pub const FORMAT_VERSION: u32 = 1;
 
 /// Frame header bytes: magic + version + payload length + CRC.
@@ -595,11 +593,11 @@ mod tests {
     #[test]
     fn put_get_round_trips_and_counts() {
         let (dir, store) = temp_store("roundtrip");
-        assert_eq!(store.get("skel", 7), None);
-        store.put("skel", 7, b"hello artifact").unwrap();
-        assert_eq!(store.get("skel", 7).unwrap(), b"hello artifact");
-        store.put("skel", 7, b"replaced").unwrap();
-        assert_eq!(store.get("skel", 7).unwrap(), b"replaced");
+        assert_eq!(store.get("tracefit", 7), None);
+        store.put("tracefit", 7, b"hello artifact").unwrap();
+        assert_eq!(store.get("tracefit", 7).unwrap(), b"hello artifact");
+        store.put("tracefit", 7, b"replaced").unwrap();
+        assert_eq!(store.get("tracefit", 7).unwrap(), b"replaced");
         let s = store.stats();
         assert_eq!((s.hits, s.misses, s.writes, s.corrupt), (2, 1, 2, 0));
         let _ = fs::remove_dir_all(dir);
@@ -608,11 +606,11 @@ mod tests {
     #[test]
     fn survives_reopen_via_the_index() {
         let (dir, store) = temp_store("reopen");
-        store.put("skel", 1, b"one").unwrap();
+        store.put("tracefit", 1, b"one").unwrap();
         store.put("ckpt", 2, b"two").unwrap();
         drop(store);
         let store = Store::open(&dir).unwrap();
-        assert_eq!(store.get("skel", 1).unwrap(), b"one");
+        assert_eq!(store.get("tracefit", 1).unwrap(), b"one");
         assert_eq!(store.get("ckpt", 2).unwrap(), b"two");
         assert_eq!(store.ls().len(), 2);
         let _ = fs::remove_dir_all(dir);
@@ -621,11 +619,11 @@ mod tests {
     #[test]
     fn damaged_index_is_rebuilt_by_scanning() {
         let (dir, store) = temp_store("index-rebuild");
-        store.put("skel", 0xABCD, b"payload").unwrap();
+        store.put("tracefit", 0xABCD, b"payload").unwrap();
         drop(store);
         fs::write(dir.join("index"), "not an index at all").unwrap();
         let store = Store::open(&dir).unwrap();
-        assert_eq!(store.get("skel", 0xABCD).unwrap(), b"payload");
+        assert_eq!(store.get("tracefit", 0xABCD).unwrap(), b"payload");
         let _ = fs::remove_dir_all(dir);
     }
 
@@ -634,8 +632,8 @@ mod tests {
         let (dir, store) = temp_store("corruption");
         for (i, damage) in [0usize, 1, 2].into_iter().enumerate() {
             let key = 100 + i as u64;
-            store.put("skel", key, b"precious bytes").unwrap();
-            let path = store.object_path("skel", key);
+            store.put("tracefit", key, b"precious bytes").unwrap();
+            let path = store.object_path("tracefit", key);
             let mut bytes = fs::read(&path).unwrap();
             match damage {
                 // Truncate mid-payload.
@@ -649,10 +647,10 @@ mod tests {
                 _ => bytes[4] = bytes[4].wrapping_add(1),
             }
             fs::write(&path, &bytes).unwrap();
-            assert_eq!(store.get("skel", key), None, "damage mode {damage}");
+            assert_eq!(store.get("tracefit", key), None, "damage mode {damage}");
             // The object is gone; the next load is a plain miss.
             assert!(!path.exists());
-            assert_eq!(store.get("skel", key), None);
+            assert_eq!(store.get("tracefit", key), None);
         }
         let s = store.stats();
         assert_eq!(s.corrupt, 3);
@@ -663,12 +661,12 @@ mod tests {
     #[test]
     fn bad_magic_is_corrupt() {
         let (dir, store) = temp_store("magic");
-        store.put("skel", 5, b"x").unwrap();
-        let path = store.object_path("skel", 5);
+        store.put("tracefit", 5, b"x").unwrap();
+        let path = store.object_path("tracefit", 5);
         let mut bytes = fs::read(&path).unwrap();
         bytes[0] = b'X';
         fs::write(&path, &bytes).unwrap();
-        assert_eq!(store.get("skel", 5), None);
+        assert_eq!(store.get("tracefit", 5), None);
         assert_eq!(store.stats().corrupt, 1);
         let _ = fs::remove_dir_all(dir);
     }
@@ -678,11 +676,11 @@ mod tests {
         let (dir, store) = temp_store("gc");
         let payload = vec![0u8; 100];
         for key in 0..5u64 {
-            store.put("skel", key, &payload).unwrap();
+            store.put("tracefit", key, &payload).unwrap();
         }
         // Touch 0 and 3 so they are the most recent.
-        assert!(store.get("skel", 0).is_some());
-        assert!(store.get("skel", 3).is_some());
+        assert!(store.get("tracefit", 0).is_some());
+        assert!(store.get("tracefit", 3).is_some());
         let per_object = 100 + HEADER_BYTES as u64;
         let report = store.gc(2 * per_object).unwrap();
         assert_eq!(report.removed, 3);
@@ -700,9 +698,9 @@ mod tests {
     #[test]
     fn verify_reports_and_optionally_repairs() {
         let (dir, store) = temp_store("verify");
-        store.put("skel", 1, b"good").unwrap();
-        store.put("skel", 2, b"bad").unwrap();
-        let path = store.object_path("skel", 2);
+        store.put("tracefit", 1, b"good").unwrap();
+        store.put("tracefit", 2, b"bad").unwrap();
+        let path = store.object_path("tracefit", 2);
         let mut bytes = fs::read(&path).unwrap();
         let n = bytes.len();
         bytes[n - 1] ^= 1;
@@ -742,8 +740,8 @@ mod tests {
                 s.spawn(move || {
                     for i in 0..25u64 {
                         let key = t * 100 + i;
-                        store.put("skel", key, &key.to_le_bytes()).unwrap();
-                        assert_eq!(store.get("skel", key).unwrap(), key.to_le_bytes());
+                        store.put("tracefit", key, &key.to_le_bytes()).unwrap();
+                        assert_eq!(store.get("tracefit", key).unwrap(), key.to_le_bytes());
                     }
                 });
             }

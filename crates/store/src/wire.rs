@@ -1,10 +1,9 @@
 //! The hand-rolled binary framing shared by every serialized artifact.
 //!
-//! The workspace has no serde; every crate that persists an artifact
-//! (the DFG skeleton in `sna-dfg`, the gain model in `sna-core`, the VM
-//! bytecode in `sna-vm`, search checkpoints in `sna-opt`) encodes it
-//! with these primitives so the on-disk format has exactly one set of
-//! rules:
+//! The workspace has no serde; both persisted artifacts (Pareto sweep
+//! checkpoints in `sna-opt`, fitted trace ranges in `sna trace`) are
+//! encoded with these primitives so the on-disk format has exactly one
+//! set of rules:
 //!
 //! * all integers are **little-endian**, fixed width (`u8`/`u32`/`u64`);
 //! * lengths and counts are `u64` (bounded on read — see

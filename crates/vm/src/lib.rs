@@ -43,7 +43,6 @@ mod fanout;
 mod program;
 mod replay;
 mod simulate;
-mod wire;
 
 pub use exec::{Executable, Isa, VmState};
 pub use fanout::{default_workers, run_ordered, worker_count, MAX_WORKERS};
