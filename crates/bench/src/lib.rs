@@ -16,12 +16,15 @@
 use std::fmt::Write as _;
 
 use sna_core::{Budget, CartesianEngine, NoiseReport, Session, UncertainInput};
-use sna_designs::{quadratic_reference, rgb_to_ycrcb, Design};
+use sna_designs::{rgb_to_ycrcb, Design};
 use sna_fixp::WlConfig;
 use sna_hist::{DepositPolicy, Histogram};
 use sna_hls::SynthesisConstraints;
-use sna_interval::{AffineContext, Interval};
+use sna_interval::Interval;
 use sna_opt::Optimizer;
+
+mod affine;
+mod monte_carlo;
 
 /// Convenience error type for the harness.
 pub type Error = Box<dyn std::error::Error>;
@@ -80,13 +83,7 @@ pub fn table1(sna_granularity: usize) -> Result<Table1, Error> {
     let c = Interval::new(6.0, 7.0)?;
     let ia = a * x.sqr() + b * x + c;
 
-    let ctx = AffineContext::new();
-    let xa = ctx.from_interval(x);
-    let fa = ctx.from_interval(a);
-    let fb = ctx.from_interval(b);
-    let fc = ctx.from_interval(c);
-    let x2 = xa.mul(&xa.clone(), &ctx);
-    let y = fa.mul(&x2, &ctx) + fb.mul(&xa, &ctx) + fc;
+    let (aa_center, aa_radius) = affine::quadratic(x, a, b, c)?;
 
     let report = CartesianEngine::new(256).analyze(
         &quadratic_inputs(sna_granularity)?,
@@ -95,8 +92,8 @@ pub fn table1(sna_granularity: usize) -> Result<Table1, Error> {
     )?;
     Ok(Table1 {
         ia,
-        aa_center: y.center(),
-        aa_radius: y.radius(),
+        aa_center,
+        aa_radius,
         sna: Interval::new(report.support.0, report.support.1)?,
         sna_granularity,
     })
@@ -140,7 +137,7 @@ pub struct Table2 {
 ///
 /// # Errors
 ///
-/// Propagates engine failures.
+/// Propagates engine failures; zero `samples` is an error.
 pub fn table2(granularities: &[usize], samples: usize) -> Result<Table2, Error> {
     const CENTRE: f64 = 6.5;
     let mut rows = Vec::new();
@@ -164,36 +161,9 @@ pub fn table2(granularities: &[usize], samples: usize) -> Result<Table2, Error> 
         });
     }
 
-    // Monte-Carlo ground truth with a splitmix-style deterministic stream.
-    let mut state: u64 = 0x9E37_79B9_7F4A_7C15;
-    let mut next = move || {
-        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z = z ^ (z >> 31);
-        z as f64 / u64::MAX as f64
-    };
-    let mut mean = 0.0;
-    let mut m2 = 0.0;
-    let mut lo = f64::INFINITY;
-    let mut hi = f64::NEG_INFINITY;
-    for n in 1..=samples.max(1) {
-        let x = -1.0 + 2.0 * next();
-        let a = 9.0 + next();
-        let b = -6.0 + 2.0 * next();
-        let c = 6.0 + next();
-        let y = quadratic_reference(x, a, b, c) - CENTRE;
-        let delta = y - mean;
-        mean += delta / n as f64;
-        m2 += delta * (y - mean);
-        lo = lo.min(y);
-        hi = hi.max(y);
-    }
-    let variance = m2 / samples.max(1) as f64;
     Ok(Table2 {
         rows,
-        actual: (mean, variance, lo, hi),
+        actual: monte_carlo::quadratic_actuals(samples, CENTRE)?,
     })
 }
 

@@ -211,7 +211,7 @@ pub fn parse_format(raw: &str) -> Result<Format, CliError> {
 }
 
 /// Opens (creating if absent) the persistent artifact store behind
-/// `--store-dir` (Pareto checkpoints, fitted trace ranges).
+/// `--store-dir` (Pareto checkpoints).
 pub fn open_store(dir: &str) -> Result<Arc<Store>, CliError> {
     Store::open(dir)
         .map(Arc::new)

@@ -25,7 +25,7 @@
 //! sna trace    <fit|replay|report> <file>.sna... --trace data.csv
 //!                         [--manifest list.txt] [--jobs N] [--bits N]
 //!                         [--bins N] [--warmup N] [--workers N]
-//!                         [--store-dir DIR] [--format human|json]
+//!                         [--format human|json]
 //! sna serve    [--listen addr:port] [--max-conns N]
 //! sna store    <ls|gc|verify> --store-dir DIR [--budget BYTES] [--repair]
 //! ```
@@ -52,9 +52,9 @@
 //!
 //! `--store-dir DIR` names a persistent content-addressed artifact store
 //! (`crates/store`): `optimize --pareto` checkpoints its sweep there so
-//! an interrupted exploration resumes bit-identically, and `trace`
-//! keeps its fitted input ranges there. `sna store` inspects and
-//! maintains such a directory. Compiled models live in memory only.
+//! an interrupted exploration resumes bit-identically. `sna store`
+//! inspects and maintains such a directory. Compiled models and fitted
+//! trace ranges live in memory only.
 //!
 //! All commands exit 0 on success, 1 on analysis/compile failures (with
 //! caret-style diagnostics on stderr), and 2 on usage errors. A batch
@@ -102,7 +102,7 @@ const USAGE: &str = "usage: sna <parse|analyze|simulate|optimize|synth|trace|ser
                      \x20 serve     long-running line-oriented JSON server (stdin/stdout or\n\
                      \x20           --listen addr:port) with compiled-model caching\n\
                      \x20 store     ls/gc/verify a persistent artifact store (--store-dir on\n\
-                     \x20           optimize --pareto and trace writes to it)\n\
+                     \x20           optimize --pareto writes to it)\n\
                      \n\
                      run `sna <command>` with no arguments for command-specific usage";
 

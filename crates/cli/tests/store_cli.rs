@@ -160,6 +160,28 @@ fn store_dir_is_refused_where_nothing_is_stored() {
     }
 }
 
+/// Fitted trace ranges are not stored either: `trace --store-dir` is an
+/// unknown flag, refused before the CSV is read.
+#[test]
+fn trace_store_dir_is_refused() {
+    let file = temp_program("trace-refused", FIR);
+    for mode in ["fit", "replay", "report"] {
+        let args = [
+            "trace",
+            mode,
+            &file,
+            "--trace",
+            "missing.csv",
+            "--store-dir",
+            "/tmp/x",
+        ];
+        match run(&argv(&args)) {
+            Err(CliError::Usage(m)) => assert!(m.contains("unknown flag `--store-dir`"), "{m}"),
+            other => panic!("trace {mode}: unexpected {other:?}"),
+        }
+    }
+}
+
 #[test]
 fn pareto_sweep_reports_a_frontier() {
     let file = temp_program("pareto", FIR);

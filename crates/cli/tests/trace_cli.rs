@@ -194,28 +194,6 @@ fn trace_replay_skips_the_prediction() {
     assert!(human.contains("measured numbers only"), "{human}");
 }
 
-/// `--store-dir` spills the fitted ranges as `tracefit` objects.
-#[test]
-fn trace_store_dir_spills_fitted_ranges() {
-    let csv = temp_trace("spill", 512, 0.8);
-    let dir = std::env::temp_dir().join(format!("sna-trace-cli-store-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let dir = dir.to_string_lossy().into_owned();
-    run(&argv(&[
-        "trace",
-        "fit",
-        &example("fir.sna"),
-        "--trace",
-        &csv,
-        "--store-dir",
-        &dir,
-    ]))
-    .unwrap();
-    let ls = run(&argv(&["store", "ls", "--store-dir", &dir])).unwrap();
-    assert!(ls.contains("tracefit"), "{ls}");
-    assert!(!ls.contains("skel"), "{ls}");
-}
-
 #[test]
 fn trace_usage_errors() {
     let csv = temp_trace("usage", 4, 0.8);

@@ -499,8 +499,9 @@ impl DfgEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::simulate::tests::measure;
     use sna_dfg::DfgBuilder;
-    use sna_fixp::{monte_carlo_error, Format, MonteCarloOptions, Overflow, Rounding};
+    use sna_fixp::{Format, Overflow, Rounding};
 
     fn iv(lo: f64, hi: f64) -> Interval {
         Interval::new(lo, hi).unwrap()
@@ -527,16 +528,7 @@ mod tests {
             .analyze(&g, &cfg, &ranges, &Budget::unlimited())
             .unwrap()[0]
             .1;
-        let measured = &monte_carlo_error(
-            &g,
-            &cfg,
-            &ranges,
-            &MonteCarloOptions {
-                samples: 60_000,
-                ..Default::default()
-            },
-        )
-        .unwrap()[0];
+        let measured = &measure(&g, &cfg, &ranges, 60_000, 1, 0)[0];
         assert!(
             (predicted.mean - measured.mean).abs() < 3.0 * measured.variance.sqrt() / 50.0,
             "mean: predicted {} measured {}",

@@ -61,6 +61,10 @@ pub enum SnaError {
     DeadlineExceeded,
     /// The request was cancelled via its budget's cancel flag.
     Cancelled,
+    /// A simulation or trace replay had no error sample to collect (a
+    /// trace replay of a design without inputs). Renders with the text
+    /// clients have always seen for it.
+    NoSamples,
 }
 
 impl fmt::Display for SnaError {
@@ -97,6 +101,12 @@ impl fmt::Display for SnaError {
             }
             SnaError::DeadlineExceeded => write!(f, "deadline exceeded"),
             SnaError::Cancelled => write!(f, "request cancelled"),
+            SnaError::NoSamples => {
+                write!(
+                    f,
+                    "fixed-point error: monte-carlo requires at least one sample"
+                )
+            }
         }
     }
 }

@@ -172,8 +172,9 @@ fn shape_contribution(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::simulate::tests::measure;
     use sna_dfg::DfgBuilder;
-    use sna_fixp::{monte_carlo_error, MonteCarloOptions, WlConfig};
+    use sna_fixp::WlConfig;
 
     fn iv(lo: f64, hi: f64) -> Interval {
         Interval::new(lo, hi).unwrap()
@@ -197,18 +198,7 @@ mod tests {
         let cfg = WlConfig::from_ranges(&g, &ranges, 12).unwrap();
         let engine = LtiEngine::build(&g, &ranges, &LtiOptions::default(), 128).unwrap();
         let predicted = &engine.analyze(&g, &cfg, &Budget::unlimited()).unwrap()[0].1;
-        let measured = &monte_carlo_error(
-            &g,
-            &cfg,
-            &ranges,
-            &MonteCarloOptions {
-                samples: 60_000,
-                steps: 96,
-                warmup: 32,
-                ..Default::default()
-            },
-        )
-        .unwrap()[0];
+        let measured = &measure(&g, &cfg, &ranges, 60_000, 96, 32)[0];
         let ratio = predicted.variance / measured.variance;
         assert!(
             ratio > 0.5 && ratio < 2.0,

@@ -369,8 +369,8 @@ impl NaModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::simulate::tests::measure;
     use sna_dfg::DfgBuilder;
-    use sna_fixp::{monte_carlo_error, MonteCarloOptions};
 
     fn iv(lo: f64, hi: f64) -> Interval {
         Interval::new(lo, hi).unwrap()
@@ -390,16 +390,7 @@ mod tests {
         let cfg = WlConfig::from_ranges(&g, &ranges, 10).unwrap();
         let model = NaModel::build(&g, &ranges, &LtiOptions::default()).unwrap();
         let predicted = &model.evaluate(&g, &cfg)[0].1;
-        let measured = &monte_carlo_error(
-            &g,
-            &cfg,
-            &ranges,
-            &MonteCarloOptions {
-                samples: 50_000,
-                ..Default::default()
-            },
-        )
-        .unwrap()[0];
+        let measured = &measure(&g, &cfg, &ranges, 50_000, 1, 0)[0];
         let ratio = predicted.variance / measured.variance;
         assert!(ratio > 0.5 && ratio < 2.0, "variance ratio {ratio}");
         assert!(
@@ -428,16 +419,7 @@ mod tests {
         let cfg = WlConfig::from_ranges(&g, &ranges, 6).unwrap();
         let model = NaModel::build(&g, &ranges, &LtiOptions::default()).unwrap();
         let predicted = &model.evaluate(&g, &cfg)[0].1;
-        let measured = &monte_carlo_error(
-            &g,
-            &cfg,
-            &ranges,
-            &MonteCarloOptions {
-                samples: 40_000,
-                ..Default::default()
-            },
-        )
-        .unwrap()[0];
+        let measured = &measure(&g, &cfg, &ranges, 40_000, 1, 0)[0];
         assert!(predicted.support.0 <= measured.min);
         assert!(predicted.support.1 >= measured.max);
         let ratio = predicted.variance / measured.variance;
@@ -512,16 +494,7 @@ mod tests {
             "expected the +0.0125 constant bias, got {}",
             predicted.mean
         );
-        let measured = &monte_carlo_error(
-            &g,
-            &cfg,
-            &ranges,
-            &MonteCarloOptions {
-                samples: 20_000,
-                ..Default::default()
-            },
-        )
-        .unwrap()[0];
+        let measured = &measure(&g, &cfg, &ranges, 20_000, 1, 0)[0];
         assert!((predicted.mean - measured.mean).abs() < 0.02);
     }
 

@@ -16,7 +16,6 @@
 use std::time::{Duration, Instant};
 
 use sna_dfg::DfgError;
-use sna_fixp::FixpError;
 use sna_vm::{Executable, OutputStats, SimOptions, VmError};
 
 use crate::engine::{AnalysisRequest, WlChoice};
@@ -133,7 +132,7 @@ pub(crate) fn vm_err(e: VmError, budget: &Budget) -> SnaError {
         VmError::InputArity { expected, got } | VmError::LaneCount { expected, got } => {
             SnaError::Dfg(DfgError::WrongInputCount { expected, got })
         }
-        VmError::NoSamples => SnaError::Fixp(FixpError::NoSamples),
+        VmError::NoSamples => SnaError::NoSamples,
         VmError::Histogram(e) => SnaError::Hist(e),
         VmError::Cancelled => budget.overrun_error(),
     }
@@ -261,10 +260,35 @@ impl Session {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use sna_dfg::DfgBuilder;
+    use sna_dfg::{Dfg, DfgBuilder};
+    use sna_fixp::WlConfig;
     use sna_interval::Interval;
+    use std::sync::Arc;
+
+    /// Bit-true error statistics of `dfg` under `config`: `samples` error
+    /// samples per output from the VM, inputs drawn uniformly from
+    /// `ranges`. Sequential designs run `paths = samples ⌈/⌉ (steps −
+    /// warmup)` paths of `steps` steps and collect after `warmup`.
+    pub(crate) fn measure(
+        dfg: &Dfg,
+        config: &WlConfig,
+        ranges: &[Interval],
+        samples: usize,
+        steps: usize,
+        warmup: usize,
+    ) -> Vec<OutputStats> {
+        let exe = Executable::new(Arc::new(sna_vm::Program::compile(dfg)), dfg, config);
+        let opts = SimOptions {
+            paths: samples.div_ceil(steps - warmup),
+            steps,
+            warmup,
+            bins: None,
+            ..SimOptions::default()
+        };
+        sna_vm::simulate(&exe, ranges, &opts, &|| false).unwrap()
+    }
 
     fn iv(lo: f64, hi: f64) -> Interval {
         Interval::new(lo, hi).unwrap()

@@ -327,8 +327,9 @@ impl SymbolicEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::simulate::tests::measure;
     use sna_dfg::DfgBuilder;
-    use sna_fixp::{monte_carlo_error, MonteCarloOptions, Rounding};
+    use sna_fixp::Rounding;
 
     fn iv(lo: f64, hi: f64) -> Interval {
         Interval::new(lo, hi).unwrap()
@@ -370,16 +371,7 @@ mod tests {
             .analyze(&g, &cfg, &ranges, &Budget::unlimited())
             .unwrap();
         let predicted = &res.reports[0].1;
-        let measured = &monte_carlo_error(
-            &g,
-            &cfg,
-            &ranges,
-            &MonteCarloOptions {
-                samples: 60_000,
-                ..Default::default()
-            },
-        )
-        .unwrap()[0];
+        let measured = &measure(&g, &cfg, &ranges, 60_000, 1, 0)[0];
         let ratio = predicted.variance / measured.variance;
         assert!(ratio > 0.5 && ratio < 2.0, "variance ratio {ratio}");
         assert!(predicted.support.0 <= measured.min);
@@ -413,16 +405,7 @@ mod tests {
             .analyze(&g, &cfg, &ranges, &Budget::unlimited())
             .unwrap();
         let predicted = &res.reports[0].1;
-        let measured = &monte_carlo_error(
-            &g,
-            &cfg,
-            &ranges,
-            &MonteCarloOptions {
-                samples: 30_000,
-                ..Default::default()
-            },
-        )
-        .unwrap()[0];
+        let measured = &measure(&g, &cfg, &ranges, 30_000, 1, 0)[0];
         assert!(predicted.support.0 <= measured.min + 1e-12);
         assert!(predicted.support.1 >= measured.max - 1e-12);
     }

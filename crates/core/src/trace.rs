@@ -4,7 +4,7 @@
 //! [`Session::trace`] is the telemetry counterpart of
 //! [`Session::simulate`]: instead of drawing Monte-Carlo samples from
 //! the *declared* input ranges, it fits per-input ranges and
-//! fixed-bin histograms from a recorded [`Trace`], feeds the fitted
+//! moments from a recorded [`Trace`], feeds the fitted
 //! ranges into the normal engine stack in place of the declarations
 //! (so word-length scaling and the analytic prediction both reflect
 //! the measured signal), replays the recorded rows through the VM's
@@ -18,7 +18,7 @@
 
 use std::time::{Duration, Instant};
 
-use sna_hist::Histogram;
+use sna_hist::Grid;
 use sna_interval::Interval;
 use sna_trace::Trace;
 use sna_vm::{Executable, ReplayOptions};
@@ -36,7 +36,7 @@ const SEQ_SEG_ROWS: usize = 512;
 pub struct TraceRequest {
     /// Word lengths of the replayed configuration.
     pub words: WlChoice,
-    /// Bins of the fitted input histograms and the empirical error
+    /// Bins of the fitted input grids and the empirical error
     /// histograms.
     pub bins: usize,
     /// Overlap rows replayed before each segment of a sequential
@@ -55,8 +55,7 @@ pub struct TraceRequest {
     /// Whether the output reports keep their PDFs (see
     /// [`crate::AnalysisRequest::include_pdf`]): without it no measured
     /// error histogram is built and the analytic prediction skips its
-    /// PDF. No moment depends on it; the input fits keep their
-    /// histograms.
+    /// PDF. No moment depends on it; the input fits keep their grids.
     pub include_pdf: bool,
     /// Cooperative execution budget, checked before every replay
     /// chunk. A budget that never fires leaves the report
@@ -92,8 +91,10 @@ pub struct TraceInputFit {
     /// Fitted range: the measured `[min, max]`, replacing the declared
     /// range everywhere downstream.
     pub range: Interval,
-    /// Fixed-bin histogram of the measured samples.
-    pub histogram: Histogram,
+    /// The fixed-bin grid a histogram of the measured samples would
+    /// use: the fitted range in `bins` bins (widened slightly when the
+    /// range is a point).
+    pub grid: Grid,
 }
 
 /// The full trace-analysis report.
@@ -119,14 +120,15 @@ pub struct TraceReport {
 }
 
 impl Session {
-    /// Fits per-input ranges and fixed-bin histograms from a recorded
-    /// trace, without replaying anything — the `sna trace fit` verb.
+    /// Fits per-input ranges, moments and histogram grids from a
+    /// recorded trace, without replaying anything — the `sna trace fit`
+    /// verb.
     ///
     /// # Errors
     ///
     /// [`SnaError::WrongInputCount`] / [`SnaError::InvalidInput`] when
     /// the trace's columns do not line up with the design's inputs,
-    /// and histogram failures on degenerate data.
+    /// and grid failures (`bins == 0`).
     pub fn fit_trace(&self, trace: &Trace, bins: usize) -> Result<Vec<TraceInputFit>, SnaError> {
         let names = self.dfg().input_names();
         if trace.names().len() != names.len() {
@@ -144,23 +146,21 @@ impl Session {
         trace
             .stats()
             .iter()
-            .zip(trace.columns())
             .zip(names)
-            .map(|((stats, column), name)| {
+            .map(|(stats, name)| {
                 let range = Interval::new(stats.min(), stats.max()).map_err(|e| {
                     SnaError::InvalidInput {
                         name: name.clone(),
                         message: format!("fitted range is degenerate: {e}"),
                     }
                 })?;
-                let histogram = Histogram::from_samples(column.iter().copied(), bins)?;
                 Ok(TraceInputFit {
                     name: name.clone(),
                     samples: stats.count() as usize,
                     mean: stats.mean(),
                     variance: stats.variance(),
                     range,
-                    histogram,
+                    grid: Grid::spanning_samples(range.lo(), range.hi(), bins)?,
                 })
             })
             .collect()

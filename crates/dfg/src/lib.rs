@@ -1,8 +1,8 @@
 //! Dataflow-graph (DFG) substrate for symbolic noise analysis and
 //! high-level synthesis.
 //!
-//! Every analysis in this reproduction of the DAC'08 SNA paper — interval /
-//! affine range analysis, histogram noise propagation, bit-true fixed-point
+//! Every analysis in this reproduction of the DAC'08 SNA paper — interval
+//! range analysis, histogram noise propagation, bit-true fixed-point
 //! simulation, scheduling and binding — operates on the same graph
 //! representation built here:
 //!
@@ -12,8 +12,8 @@
 //! * [`DfgBuilder`] — the only way to construct a [`Dfg`]; delays may be
 //!   forward-declared and bound later to express feedback;
 //! * [`Simulator`] — cycle-accurate `f64` reference simulation;
-//! * range analysis (interval and affine, with fixpoint iteration across
-//!   delays) in the [`Dfg::ranges_interval`] family;
+//! * interval range analysis (with fixpoint iteration across delays) in
+//!   the [`Dfg::ranges_interval`] family;
 //! * LTI analysis ([`Dfg::impulse_gains`]) computing per-source L1/L2/DC
 //!   gains to every output — the error-transfer machinery for linear
 //!   datapaths with feedback (the paper's Designs I–IV are all linear);

@@ -117,7 +117,8 @@ impl Dfg {
     /// * [`DfgError::NonlinearNode`] if the graph is not linear;
     /// * [`DfgError::UnknownNode`] for a foreign id;
     /// * [`DfgError::UnstableImpulse`] when the response does not decay
-    ///   within `opts.max_steps` (unstable feedback);
+    ///   within `opts.max_steps` or its gains overflow (unstable
+    ///   feedback);
     /// * simulation errors ([`DfgError::DivisionByZero`]) are propagated.
     pub fn impulse_gains(
         &self,
@@ -179,7 +180,12 @@ impl Dfg {
                 seqs[k].push(h);
                 increment += h.abs();
             }
-            let scale: f64 = gains.iter().map(|g| g.l1).sum::<f64>().max(1e-300);
+            let total: f64 = gains.iter().map(|g| g.l1).sum();
+            if !total.is_finite() {
+                // The response overflowed: it grows without bound.
+                break;
+            }
+            let scale = total.max(1e-300);
             if increment / scale < opts.tolerance {
                 quiet += 1;
                 // Quiet outputs can hide an impulse still travelling down
@@ -247,9 +253,10 @@ impl Dfg {
     /// reaches: the reference perturbs such a node only at step 0, when
     /// the row is exact.  Every other partial reads a value the
     /// zero-input run holds forever.  A graph that breaks this answers
-    /// `None`, and so does a pass that meets a non-finite μ or runs into
-    /// `opts.max_steps`: the dense reference then answers every source,
-    /// and reports which one fails.
+    /// `None`, and so does a pass that runs into `opts.max_steps`: the
+    /// dense reference then answers every source, and reports which one
+    /// fails.  A pass whose gains overflow fails at once: some response
+    /// grows without bound, as the dense reference would find too.
     ///
     /// A pass stops at the first of: the carried adjoint state is exactly
     /// zero; `opts.settle_steps` consecutive lags are not *loud*;
@@ -269,7 +276,8 @@ impl Dfg {
     ///
     /// # Errors
     ///
-    /// [`DfgError::NonlinearNode`] if the graph is not linear.
+    /// * [`DfgError::NonlinearNode`] if the graph is not linear;
+    /// * [`DfgError::UnstableImpulse`] when a pass's gains overflow.
     ///
     /// # Example
     ///
@@ -305,7 +313,7 @@ impl Dfg {
         let mut gains = vec![OutputGain::default(); self.len() * n_out];
         let mut pass = Pass::new(self.len());
         for (k, (_, o)) in self.outputs.iter().enumerate() {
-            if !pass.run(&adjoint, o.0, opts, &mut gains[k..], n_out) {
+            if !pass.run(&adjoint, o.0, opts, &mut gains[k..], n_out)? {
                 return Ok(None);
             }
         }
@@ -378,7 +386,11 @@ impl Dfg {
                 *acc += h;
                 increment += h;
             }
-            let scale: f64 = l1.iter().sum::<f64>().max(1e-300);
+            let total: f64 = l1.iter().sum();
+            if !total.is_finite() {
+                break;
+            }
+            let scale = total.max(1e-300);
             if increment / scale < opts.tolerance {
                 quiet += 1;
                 if quiet >= opts.settle_steps {
@@ -410,7 +422,8 @@ impl Dfg {
     ///
     /// * [`DfgError::NonlinearNode`] for nonlinear graphs;
     /// * [`DfgError::WrongInputCount`] for mis-sized ranges;
-    /// * [`DfgError::UnstableImpulse`] when a response fails to decay.
+    /// * [`DfgError::UnstableImpulse`] when a response fails to decay or a
+    ///   bound overflows.
     pub fn ranges_lti(
         &self,
         input_ranges: &[Interval],
@@ -468,15 +481,19 @@ impl Dfg {
                 }
             }
         }
-        Ok(center
+        center
             .iter()
             .zip(rad.iter())
             .enumerate()
-            .map(|(i, (&c, &r))| {
-                self.range_override(NodeId(i))
-                    .unwrap_or_else(|| Interval::centered(c, r))
+            .map(|(i, (&c, &r))| match self.range_override(NodeId(i)) {
+                Some(range) => Ok(range),
+                // A bound past f64: the loop's gain is unbounded in practice.
+                None => Interval::new(c - r, c + r).map_err(|_| DfgError::UnstableImpulse {
+                    node: NodeId(i),
+                    steps: opts.max_steps,
+                }),
             })
-            .collect())
+            .collect()
     }
 
     /// Range analysis that works on any graph this crate supports: the
@@ -758,7 +775,8 @@ impl Pass {
 
     /// One pass backwards from `output`; accumulates node `i`'s gains
     /// toward it into `gains[i * stride]`, which must start at zero.
-    /// `false` when the pass met a non-finite value or ran out of lags.
+    /// `false` when the pass ran out of lags; an `UnstableImpulse` error
+    /// from the first node whose gains overflowed.
     ///
     /// Each lag sweeps `order` from the first seeded node on: everything
     /// before it has no seed and only consumers before it, so its μ is
@@ -770,7 +788,7 @@ impl Pass {
         opts: &LtiOptions,
         gains: &mut [OutputGain],
         stride: usize,
-    ) -> bool {
+    ) -> Result<bool, DfgError> {
         let Pass { mu, seed } = self;
         mu.fill(0.0);
         seed.fill(0.0);
@@ -798,7 +816,14 @@ impl Pass {
                 }
             }
             if !finite {
-                return false;
+                let overflowed = adj.order[start..].iter().map(|&v| v as usize).find(|&i| {
+                    let g = &gains[i * stride];
+                    !(g.l1 + g.l2_squared).is_finite()
+                });
+                return Err(DfgError::UnstableImpulse {
+                    node: NodeId(overflowed.unwrap_or(output)),
+                    steps: opts.max_steps,
+                });
             }
             seed[output] = 0.0;
             for &a in &adj.latched {
@@ -813,7 +838,7 @@ impl Pass {
                 }
             }
             if next == adj.order.len() {
-                return true;
+                return Ok(true);
             }
             // The nodes the next sweep skips must read as zero.
             if next > start {
@@ -824,10 +849,10 @@ impl Pass {
             start = next;
             quiet = if loud { 0 } else { quiet + 1 };
             if quiet >= opts.settle_steps {
-                return true;
+                return Ok(true);
             }
         }
-        false
+        Ok(false)
     }
 }
 
@@ -913,6 +938,38 @@ mod tests {
             g.impulse_gains(y, &opts),
             Err(DfgError::UnstableImpulse { .. })
         ));
+    }
+
+    #[test]
+    fn a_response_that_overflows_is_unstable_not_infinite() {
+        // y = 0.5·x + 1.2·y[n-1]: the response passes f64::MAX after
+        // ~3900 steps, and an infinite running sum must not read as quiet.
+        for pinned in [false, true] {
+            let mut b = DfgBuilder::new();
+            let x = b.input("x");
+            let fb = b.delay_placeholder();
+            let t = b.mul_const(1.2, fb);
+            let h = b.mul_const(0.5, x);
+            let y = b.add(h, t);
+            b.bind_delay(fb, y).unwrap();
+            b.output("y", y);
+            if pinned {
+                b.override_range(y, Interval::new(-8.0, 8.0).unwrap())
+                    .unwrap();
+            }
+            let g = b.build().unwrap();
+            let opts = LtiOptions::default();
+            let unstable = |r: Result<(), DfgError>| {
+                assert!(
+                    matches!(r, Err(DfgError::UnstableImpulse { .. })),
+                    "pinned {pinned}: {r:?}"
+                );
+            };
+            unstable(g.impulse_response(x, &opts).map(drop));
+            unstable(g.node_impulse_l1(x, &opts).map(drop));
+            unstable(g.adjoint_gains(&opts).map(drop));
+            unstable(g.ranges_lti(&[Interval::UNIT], &opts).map(drop));
+        }
     }
 
     #[test]

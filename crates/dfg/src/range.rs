@@ -1,12 +1,10 @@
 //! Range analysis: per-node value bounds given input ranges.
 //!
-//! Two engines are provided, matching the paper's "second category" of
-//! error-analysis methods (Section 3):
-//!
-//! * **Interval analysis** ([`Dfg::ranges_interval`]) — fast, dependency
-//!   blind; handles feedback by fixpoint iteration across delay states.
-//! * **Affine analysis** ([`Dfg::ranges_affine`]) — first-order correlation
-//!   aware, combinational graphs only (feedback would need unrolling).
+//! Interval analysis ([`Dfg::ranges_interval`]), the paper's "second
+//! category" of error-analysis methods (Section 3), is fast and
+//! dependency blind; it handles feedback by fixpoint iteration across
+//! delay states. Linear graphs whose fixpoint diverges fall back to the
+//! LTI bound ([`Dfg::ranges_lti`]); [`Dfg::ranges_auto`] picks.
 //!
 //! Range analysis determines the *integer* part of each node's fixed-point
 //! format; the SNA machinery determines the fractional part.
@@ -42,7 +40,7 @@
 //! unpinned state and `M·v < (1+ε)·v`, which bounds `ρ(M)` below `1+ε`,
 //! so a slowly converging loop pays about one width pass for it.
 
-use sna_interval::{AffineContext, AffineForm, Interval, IntervalError};
+use sna_interval::{Interval, IntervalError};
 
 use crate::{Dfg, DfgError, NodeId, Op};
 
@@ -369,67 +367,6 @@ impl Dfg {
         false
     }
 
-    /// Computes per-node ranges with affine arithmetic (combinational
-    /// graphs only); returns the affine form of every node.
-    ///
-    /// A node carrying a [range override](Dfg::range_override) is
-    /// replaced by a fresh independent form over the declared interval
-    /// (correlations through it are deliberately cut — the override is
-    /// the designer's bound, not a derived one).
-    ///
-    /// # Errors
-    ///
-    /// * [`DfgError::NonlinearNode`] if the graph contains delays (use
-    ///   [`Dfg::combinational_view`] first);
-    /// * [`DfgError::WrongInputCount`] / [`DfgError::RangeDivisionByZero`]
-    ///   as for the interval engine.
-    pub fn ranges_affine(&self, input_ranges: &[Interval]) -> Result<Vec<AffineForm>, DfgError> {
-        if !self.is_combinational() {
-            return Err(DfgError::NonlinearNode {
-                node: self.delay_nodes()[0],
-            });
-        }
-        if input_ranges.len() != self.n_inputs() {
-            return Err(DfgError::WrongInputCount {
-                expected: self.n_inputs(),
-                got: input_ranges.len(),
-            });
-        }
-        let ctx = AffineContext::new();
-        let inputs: Vec<AffineForm> = input_ranges.iter().map(|&r| ctx.from_interval(r)).collect();
-        let mut forms = vec![AffineForm::constant(0.0); self.len()];
-        for &id in self.topo_order() {
-            let node = self.node(id);
-            let v = match node.op() {
-                Op::Input(i) => inputs[i].clone(),
-                Op::Const(c) => AffineForm::constant(c),
-                Op::Add => {
-                    forms[node.args()[0].index()].clone() + forms[node.args()[1].index()].clone()
-                }
-                Op::Sub => {
-                    forms[node.args()[0].index()].clone() - forms[node.args()[1].index()].clone()
-                }
-                Op::Mul => {
-                    if node.args()[0] == node.args()[1] {
-                        forms[node.args()[0].index()].sqr(&ctx)
-                    } else {
-                        forms[node.args()[0].index()].mul(&forms[node.args()[1].index()], &ctx)
-                    }
-                }
-                Op::Div => forms[node.args()[0].index()]
-                    .div(&forms[node.args()[1].index()], &ctx)
-                    .map_err(|_| DfgError::RangeDivisionByZero { node: id })?,
-                Op::Neg => -forms[node.args()[0].index()].clone(),
-                Op::Delay => unreachable!("combinational graph"),
-            };
-            forms[id.index()] = match self.range_override(id) {
-                Some(r) => ctx.from_interval(r),
-                None => v,
-            };
-        }
-        Ok(forms)
-    }
-
     /// Convenience: the interval range of each declared output.
     ///
     /// # Errors
@@ -574,39 +511,6 @@ mod tests {
     }
 
     #[test]
-    fn affine_is_tighter_on_correlated_paths() {
-        // y = x - x: IA gives [-2, 2], AA gives exactly 0.
-        let mut b = DfgBuilder::new();
-        let x = b.input("x");
-        let y = b.sub(x, x);
-        b.output("y", y);
-        let g = b.build().unwrap();
-        let ia = g
-            .ranges_interval(&[iv(-1.0, 1.0)], &RangeOptions::default())
-            .unwrap();
-        assert_eq!(ia[y.index()], iv(-2.0, 2.0));
-        let aa = g.ranges_affine(&[iv(-1.0, 1.0)]).unwrap();
-        assert_eq!(aa[y.index()].to_interval(), iv(0.0, 0.0));
-    }
-
-    #[test]
-    fn affine_rejects_sequential_graphs() {
-        let mut b = DfgBuilder::new();
-        let x = b.input("x");
-        let d = b.delay(x);
-        let y = b.add(x, d);
-        b.output("y", y);
-        let g = b.build().unwrap();
-        assert!(matches!(
-            g.ranges_affine(&[iv(-1.0, 1.0)]),
-            Err(DfgError::NonlinearNode { .. })
-        ));
-        // The combinational view is accepted.
-        let cv = g.combinational_view();
-        assert!(cv.ranges_affine(&[iv(-1.0, 1.0), iv(-1.0, 1.0)]).is_ok());
-    }
-
-    #[test]
     fn linearity_detection() {
         // Linear: constant multiplies only.
         let mut b = DfgBuilder::new();
@@ -653,9 +557,6 @@ mod tests {
             .unwrap();
         assert_eq!(r[s.index()], iv(-1.0, 1.0));
         assert_eq!(r[y.index()], iv(-2.0, 2.0));
-        // Affine analysis respects it too (as a fresh independent form).
-        let aa = g.ranges_affine(&[iv(-1.0, 1.0)]).unwrap();
-        assert_eq!(aa[s.index()].to_interval(), iv(-1.0, 1.0));
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! Time-unrolling: convert a sequential graph into a combinational one
 //! computing `steps` consecutive iterations.
 //!
-//! Unrolling lets the purely combinational analyses (affine ranges, the
-//! symbolic polynomial engine) reason about sequential designs over a
-//! finite horizon — e.g. the transient error growth of an IIR filter in
-//! its first `n` samples.
+//! Unrolling lets the purely combinational analyses (the symbolic
+//! polynomial engine, the Cartesian sweep) reason about sequential
+//! designs over a finite horizon — e.g. the transient error growth of an
+//! IIR filter in its first `n` samples.
 
 use crate::{Dfg, DfgBuilder, DfgError, NodeId, Op};
 
@@ -249,15 +249,17 @@ mod tests {
     }
 
     #[test]
-    fn unrolled_graph_supports_affine_ranges() {
+    fn unrolled_graph_supports_interval_ranges() {
         // The whole point: combinational-only analyses now apply.
         let g = one_pole();
         let u = g.unroll(3).unwrap();
         let ranges = vec![sna_interval::Interval::UNIT; 3];
-        let forms = u.ranges_affine(&ranges).unwrap();
+        let r = u
+            .ranges_interval(&ranges, &crate::RangeOptions::default())
+            .unwrap();
         // y@2 = x2 + 0.5(x1 + 0.5 x0): range ±1.75.
         let (_, yid) = u.outputs()[2].clone();
-        let iv = forms[yid.index()].to_interval();
+        let iv = r[yid.index()];
         assert!((iv.hi() - 1.75).abs() < 1e-9, "{iv}");
     }
 }

@@ -32,8 +32,6 @@ pub enum FixpError {
     Dfg(DfgError),
     /// An underlying histogram operation failed.
     Hist(HistError),
-    /// The Monte-Carlo driver was asked for zero samples.
-    NoSamples,
 }
 
 impl fmt::Display for FixpError {
@@ -52,7 +50,6 @@ impl fmt::Display for FixpError {
             FixpError::DivisionByZero => write!(f, "fixed-point division by zero"),
             FixpError::Dfg(e) => write!(f, "graph error: {e}"),
             FixpError::Hist(e) => write!(f, "histogram error: {e}"),
-            FixpError::NoSamples => write!(f, "monte-carlo requires at least one sample"),
         }
     }
 }

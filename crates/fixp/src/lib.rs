@@ -1,5 +1,4 @@
-//! Fixed-point arithmetic substrate: formats, bit-true simulation and
-//! Monte-Carlo error measurement.
+//! Fixed-point arithmetic substrate: formats and bit-true simulation.
 //!
 //! The SNA paper optimizes the *word length* of every functional unit in a
 //! datapath.  This crate supplies the ground truth that any such analysis
@@ -14,10 +13,12 @@
 //! * [`WlConfig`] — a per-node format assignment for a
 //!   [`sna_dfg::Dfg`], the object the word-length optimizer mutates;
 //! * [`FixedSimulator`] — bit-true, cycle-accurate simulation of a DFG
-//!   under a [`WlConfig`];
-//! * [`monte_carlo_error`] — empirical output-error statistics (mean,
-//!   variance, bounds, histogram) versus the `f64` reference, the
-//!   "Actual Values" row of the paper's Table 2.
+//!   under a [`WlConfig`], the scalar reference the `sna-vm` lane
+//!   kernels are checked against step for step.
+//!
+//! Empirical output-error statistics (the "Actual Values" row of the
+//! paper's Table 2) come from the vectorized Monte-Carlo driver in
+//! `sna-vm`, which runs the same arithmetic on many sample paths at once.
 //!
 //! # Example
 //!
@@ -40,11 +41,9 @@
 mod error;
 mod format;
 mod fx;
-mod monte_carlo;
 mod sim;
 
 pub use error::FixpError;
 pub use format::{Format, Overflow, Quantizer, Rounding, MAX_WORD_LENGTH};
 pub use fx::Fx;
-pub use monte_carlo::{monte_carlo_error, MonteCarloOptions, OutputErrorStats};
 pub use sim::{FixedSimulator, WlConfig};

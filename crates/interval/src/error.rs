@@ -1,8 +1,7 @@
 use std::error::Error;
 use std::fmt;
 
-/// Errors produced by interval and affine arithmetic constructors and
-/// operations.
+/// Errors produced by interval arithmetic constructors and operations.
 #[derive(Clone, Debug, PartialEq)]
 pub enum IntervalError {
     /// The bounds were not ordered (`lo > hi`).

@@ -1,18 +1,18 @@
-//! Interval and affine arithmetic kernels.
+//! Interval arithmetic kernels.
 //!
-//! This crate provides the two classical *range analysis* baselines that the
-//! Symbolic Noise Analysis (SNA) method is compared against in the DAC'08
-//! paper, and at the same time the low-level kernels SNA itself is built on:
+//! [`Interval`] — closed intervals `[lo, hi]` with the usual arithmetic
+//! (IA) — is the classical *range analysis* baseline that the Symbolic
+//! Noise Analysis (SNA) method is compared against in the DAC'08 paper,
+//! and at the same time the low-level kernel SNA itself is built on.
+//! Interval arithmetic is *dependency-blind*: `x - x` evaluates to
+//! `[lo-hi, hi-lo]` rather than `0`.  Dedicated dependent operations
+//! ([`Interval::sqr`], [`Interval::powi`]) avoid the blow-up for the common
+//! self-multiplication case.
 //!
-//! * [`Interval`] — closed intervals `[lo, hi]` with the usual arithmetic
-//!   (IA).  Interval arithmetic is *dependency-blind*: `x - x` evaluates to
-//!   `[lo-hi, hi-lo]` rather than `0`.  Dedicated dependent operations
-//!   ([`Interval::sqr`], [`Interval::powi`]) avoid the blow-up for the common
-//!   self-multiplication case.
-//! * [`AffineForm`] — affine arithmetic (AA).  A value is `c0 + Σ ci·εi` with
-//!   `εi ∈ [-1, 1]`; first-order correlations between quantities are tracked
-//!   exactly, non-linear operations introduce fresh symbols via an
-//!   [`AffineContext`].
+//! Affine arithmetic (AA), the paper's other baseline, is the degree-1
+//! case of the noise-symbol polynomials in `sna-expr`: one symbol
+//! `εi ∈ [-1, 1]` per uncertainty, correlations tracked through shared
+//! symbols.
 //!
 //! # Example
 //!
@@ -36,10 +36,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod affine;
 mod error;
 mod interval;
 
-pub use affine::{AffineContext, AffineForm};
 pub use error::IntervalError;
 pub use interval::Interval;

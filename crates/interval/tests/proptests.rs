@@ -1,11 +1,11 @@
-//! Property-based tests for interval and affine arithmetic.
+//! Property-based tests for interval arithmetic.
 //!
-//! The fundamental soundness property of both IA and AA is *inclusion
-//! isotonicity*: for any points chosen inside the operand ranges, the result
-//! of the real operation lies inside the computed range.
+//! The fundamental soundness property of IA is *inclusion isotonicity*:
+//! for any points chosen inside the operand ranges, the result of the real
+//! operation lies inside the computed range.
 
 use proptest::prelude::*;
-use sna_interval::{AffineContext, Interval};
+use sna_interval::Interval;
 
 const BOUND: f64 = 1e6;
 
@@ -68,55 +68,5 @@ proptest! {
         prop_assert_eq!(parts.len(), n);
         let total: f64 = parts.iter().map(|p| p.width()).sum();
         prop_assert!((total - a.width()).abs() <= 1e-9 * (1.0 + a.width()));
-    }
-
-    #[test]
-    fn affine_add_matches_interval_semantics(
-        a in interval_strategy(), b in interval_strategy(),
-        ta in 0.0..1.0f64, tb in 0.0..1.0f64)
-    {
-        let ctx = AffineContext::new();
-        let fa = ctx.from_interval(a);
-        let fb = ctx.from_interval(b);
-        let sum = fa + fb;
-        let (x, y) = (point_in(&a, ta), point_in(&b, tb));
-        let r = sum.to_interval();
-        let tol = 1e-6 * (1.0 + r.mag());
-        prop_assert!(r.lo() - tol <= x + y && x + y <= r.hi() + tol);
-    }
-
-    #[test]
-    fn affine_mul_encloses_product(
-        a in interval_strategy(), b in interval_strategy(),
-        ta in 0.0..1.0f64, tb in 0.0..1.0f64)
-    {
-        let ctx = AffineContext::new();
-        let fa = ctx.from_interval(a);
-        let fb = ctx.from_interval(b);
-        let prod = fa.mul(&fb, &ctx);
-        let (x, y) = (point_in(&a, ta), point_in(&b, tb));
-        let r = prod.to_interval();
-        let tol = 1e-5 * (1.0 + r.mag());
-        prop_assert!(r.lo() - tol <= x * y && x * y <= r.hi() + tol);
-    }
-
-    #[test]
-    fn affine_self_subtraction_is_zero(a in interval_strategy()) {
-        let ctx = AffineContext::new();
-        let fa = ctx.from_interval(a);
-        let z = fa.clone() - fa;
-        prop_assert_eq!(z.radius(), 0.0);
-        prop_assert_eq!(z.center(), 0.0);
-    }
-
-    #[test]
-    fn affine_sqr_encloses_square(a in interval_strategy(), t in 0.0..1.0f64) {
-        let ctx = AffineContext::new();
-        let fa = ctx.from_interval(a);
-        let sq = fa.sqr(&ctx);
-        let x = point_in(&a, t);
-        let r = sq.to_interval();
-        let tol = 1e-5 * (1.0 + r.mag());
-        prop_assert!(r.lo() - tol <= x * x && x * x <= r.hi() + tol);
     }
 }

@@ -16,8 +16,8 @@
 //! [`compile`] turns that source into a [`Lowered`] — a validated
 //! [`sna_dfg::Dfg`] plus per-input ranges — ready for every analysis
 //! entry point in the workspace (`Session`, `Optimizer`,
-//! `synthesize`, `monte_carlo_error`). The `sna` CLI (crate `sna-cli`)
-//! wraps exactly this pipeline.
+//! `synthesize`). The `sna` CLI (crate `sna-cli`) wraps exactly this
+//! pipeline.
 //!
 //! # Grammar
 //!
@@ -62,9 +62,9 @@
 //!
 //! `acc = a + b range [-1, 1];` *overrides range analysis* at the bound
 //! node: the range engines behind every analysis path — the interval
-//! fixpoint, the LTI L1 fallback, affine analysis, and the per-sample combinational view (where a
-//! delay's override becomes its state input's) — report the declared
-//! interval for `acc` instead of the computed one.  This is the escape
+//! fixpoint, the LTI L1 fallback, and the per-sample combinational view
+//! (where a delay's override becomes its state input's) — report the
+//! declared interval for `acc` instead of the computed one.  This is the escape
 //! hatch for designer knowledge interval arithmetic cannot see, and a
 //! way to bound feedback state that would otherwise diverge.  (The one
 //! exception is the standalone `Dfg::unroll` transient view, which

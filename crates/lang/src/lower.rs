@@ -20,7 +20,7 @@ pub const MAX_PROGRAM_INPUTS: usize = 16_384;
 
 /// The product of lowering: a validated graph plus per-input ranges, in
 /// input-declaration order — exactly the pair every analysis entry point
-/// (`Session`, `Optimizer`, `synthesize`, `monte_carlo_error`) takes.
+/// (`Session`, `Optimizer`, `synthesize`) takes.
 #[derive(Clone, Debug)]
 pub struct Lowered {
     /// The validated dataflow graph.

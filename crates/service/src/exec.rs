@@ -349,7 +349,7 @@ pub const MAX_TRACE_ROWS: usize = 1 << 20;
 pub struct TraceParams {
     /// Uniform word length of the replayed configuration.
     pub bits: u8,
-    /// Bins of the fitted input and empirical error histograms.
+    /// Bins of the fitted input grids and the empirical error histograms.
     pub bins: usize,
     /// Segment warmup rows; `None` = 0 combinational / 64 sequential.
     pub warmup: Option<usize>,
@@ -407,8 +407,8 @@ pub fn ingest_trace(
     })
 }
 
-/// Fits per-input ranges and histograms from an ingested trace — the
-/// `fit` verb, no replay.
+/// Fits per-input ranges, moments and histogram grids from an ingested
+/// trace — the `fit` verb, no replay.
 ///
 /// # Errors
 ///
@@ -487,13 +487,12 @@ fn trace_fit_json(fit: &[TraceInputFit], include_pdf: bool) -> Json {
                     ("range".into(), Json::pair(f.range.lo(), f.range.hi())),
                 ];
                 if include_pdf {
-                    let h = &f.histogram;
                     fields.push((
                         "histogram".into(),
                         Json::Obj(vec![
-                            ("bins".into(), Json::int(h.n_bins())),
-                            ("lo".into(), Json::Num(h.grid().lo())),
-                            ("hi".into(), Json::Num(h.grid().hi())),
+                            ("bins".into(), Json::int(f.grid.n_bins())),
+                            ("lo".into(), Json::Num(f.grid.lo())),
+                            ("hi".into(), Json::Num(f.grid.hi())),
                         ]),
                     ));
                 }

@@ -43,6 +43,40 @@ fn run_session(lines: &[String]) -> (Vec<Json>, ServeReport) {
 }
 
 #[test]
+fn unstable_loops_answer_structured_errors_and_serving_continues() {
+    // The unpinned loop overflows its LTI range bound, the pinned one
+    // its NA gains: both must answer errors, and serving goes on.
+    let unstable = r"input x in [-1, 1];\ny = 0.5*x + 1.2*y[n-1];\noutput y;\n";
+    let pinned = r"input x in [-1, 1];\ny = 0.5*x + 1.2*y[n-1] range [-8, 8];\noutput y;\n";
+    let mut lines = Vec::new();
+    for engine in ["auto", "na", "lti"] {
+        for source in [unstable, pinned] {
+            lines.push(format!(
+                r#"{{"cmd": "analyze", "source": "{source}", "engine": "{engine}", "pdf": false}}"#
+            ));
+        }
+    }
+    lines.push(format!(
+        r#"{{"id": 9, "cmd": "analyze", "source": "{SRC}", "pdf": false}}"#
+    ));
+    let (responses, report) = run_session(&lines);
+    assert_eq!(responses.len(), lines.len());
+    assert_eq!(report.errors, (lines.len() - 1) as u64);
+    let (last, failed) = responses.split_last().unwrap();
+    for resp in failed {
+        assert_eq!(
+            resp.get("ok").and_then(Json::as_bool),
+            Some(false),
+            "{resp}"
+        );
+        let error = resp.get("error").and_then(Json::as_str).unwrap();
+        assert!(error.contains("did not decay"), "{error}");
+    }
+    assert_eq!(last.get("ok").and_then(Json::as_bool), Some(true), "{last}");
+    assert_eq!(last.get("id").and_then(Json::as_f64), Some(9.0));
+}
+
+#[test]
 fn full_round_trip_covers_every_verb_and_reports_cache_transitions() {
     let lines = vec![
         format!(r#"{{"id": 1, "cmd": "parse", "source": "{SRC}"}}"#),
@@ -310,11 +344,16 @@ fn both_transports_frame_a_line_the_same_way() {
             return;
         }
     };
+    // One worker answers the burst in order, so request 3 compiles and
+    // `last` hits, as on stdio; two workers may run them at once.
     let handle = spawn_server(
         listener,
         Arc::new(CompileCache::new()),
         Arc::new(StatsRegistry::new()),
-        ServerConfig::default(),
+        ServerConfig {
+            workers: 1,
+            ..ServerConfig::default()
+        },
     )
     .unwrap();
     let mut stream = std::net::TcpStream::connect(handle.local_addr()).unwrap();

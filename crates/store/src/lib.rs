@@ -1,9 +1,9 @@
 //! Disk-backed, content-addressed artifact store.
 //!
-//! The optimizer's Pareto sweep and the trace fitter keep results that
-//! cost real time to recompute: a killed sweep would restart from zero.
-//! This crate is where they persist — a directory of versioned,
-//! CRC-framed objects keyed by 64-bit hashes of what produced them:
+//! The optimizer's Pareto sweep keeps results that cost real time to
+//! recompute: a killed sweep would restart from zero. This crate is
+//! where its checkpoints persist — a directory of versioned, CRC-framed
+//! objects keyed by 64-bit hashes of what produced them:
 //!
 //! ```text
 //! <store-dir>/
@@ -12,10 +12,10 @@
 //! ```
 //!
 //! Object **kinds** partition the key space (`pareto-ckpt` sweep
-//! checkpoints keyed by the sweep spec hash, `tracefit` fitted input
-//! ranges keyed by program fingerprint ⊕ trace hash — the store itself
-//! is payload-agnostic and just moves bytes). Compiled models are not
-//! stored: a cold compile is cheaper than a load.
+//! checkpoints keyed by the sweep spec hash, the only kind written
+//! today — the store itself is payload-agnostic and just moves bytes).
+//! Compiled models and fitted trace ranges are not stored: recomputing
+//! them is cheaper than a load.
 //!
 //! Every object is framed as
 //!
@@ -39,9 +39,8 @@
 //! objects directory (ticks reset, nothing is lost).
 //!
 //! Serialization of the artifacts themselves lives with their owners
-//! (checkpoints in `sna-opt`, fitted ranges in the `sna trace` command),
-//! both built on the shared [`wire`] primitives so the whole on-disk
-//! format follows one set of encoding rules.
+//! (checkpoints in `sna-opt`), built on the shared [`wire`] primitives
+//! so the whole on-disk format follows one set of encoding rules.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -593,11 +592,11 @@ mod tests {
     #[test]
     fn put_get_round_trips_and_counts() {
         let (dir, store) = temp_store("roundtrip");
-        assert_eq!(store.get("tracefit", 7), None);
-        store.put("tracefit", 7, b"hello artifact").unwrap();
-        assert_eq!(store.get("tracefit", 7).unwrap(), b"hello artifact");
-        store.put("tracefit", 7, b"replaced").unwrap();
-        assert_eq!(store.get("tracefit", 7).unwrap(), b"replaced");
+        assert_eq!(store.get("pareto-ckpt", 7), None);
+        store.put("pareto-ckpt", 7, b"hello artifact").unwrap();
+        assert_eq!(store.get("pareto-ckpt", 7).unwrap(), b"hello artifact");
+        store.put("pareto-ckpt", 7, b"replaced").unwrap();
+        assert_eq!(store.get("pareto-ckpt", 7).unwrap(), b"replaced");
         let s = store.stats();
         assert_eq!((s.hits, s.misses, s.writes, s.corrupt), (2, 1, 2, 0));
         let _ = fs::remove_dir_all(dir);
@@ -606,11 +605,11 @@ mod tests {
     #[test]
     fn survives_reopen_via_the_index() {
         let (dir, store) = temp_store("reopen");
-        store.put("tracefit", 1, b"one").unwrap();
+        store.put("pareto-ckpt", 1, b"one").unwrap();
         store.put("ckpt", 2, b"two").unwrap();
         drop(store);
         let store = Store::open(&dir).unwrap();
-        assert_eq!(store.get("tracefit", 1).unwrap(), b"one");
+        assert_eq!(store.get("pareto-ckpt", 1).unwrap(), b"one");
         assert_eq!(store.get("ckpt", 2).unwrap(), b"two");
         assert_eq!(store.ls().len(), 2);
         let _ = fs::remove_dir_all(dir);
@@ -619,11 +618,11 @@ mod tests {
     #[test]
     fn damaged_index_is_rebuilt_by_scanning() {
         let (dir, store) = temp_store("index-rebuild");
-        store.put("tracefit", 0xABCD, b"payload").unwrap();
+        store.put("pareto-ckpt", 0xABCD, b"payload").unwrap();
         drop(store);
         fs::write(dir.join("index"), "not an index at all").unwrap();
         let store = Store::open(&dir).unwrap();
-        assert_eq!(store.get("tracefit", 0xABCD).unwrap(), b"payload");
+        assert_eq!(store.get("pareto-ckpt", 0xABCD).unwrap(), b"payload");
         let _ = fs::remove_dir_all(dir);
     }
 
@@ -632,8 +631,8 @@ mod tests {
         let (dir, store) = temp_store("corruption");
         for (i, damage) in [0usize, 1, 2].into_iter().enumerate() {
             let key = 100 + i as u64;
-            store.put("tracefit", key, b"precious bytes").unwrap();
-            let path = store.object_path("tracefit", key);
+            store.put("pareto-ckpt", key, b"precious bytes").unwrap();
+            let path = store.object_path("pareto-ckpt", key);
             let mut bytes = fs::read(&path).unwrap();
             match damage {
                 // Truncate mid-payload.
@@ -647,10 +646,10 @@ mod tests {
                 _ => bytes[4] = bytes[4].wrapping_add(1),
             }
             fs::write(&path, &bytes).unwrap();
-            assert_eq!(store.get("tracefit", key), None, "damage mode {damage}");
+            assert_eq!(store.get("pareto-ckpt", key), None, "damage mode {damage}");
             // The object is gone; the next load is a plain miss.
             assert!(!path.exists());
-            assert_eq!(store.get("tracefit", key), None);
+            assert_eq!(store.get("pareto-ckpt", key), None);
         }
         let s = store.stats();
         assert_eq!(s.corrupt, 3);
@@ -661,12 +660,12 @@ mod tests {
     #[test]
     fn bad_magic_is_corrupt() {
         let (dir, store) = temp_store("magic");
-        store.put("tracefit", 5, b"x").unwrap();
-        let path = store.object_path("tracefit", 5);
+        store.put("pareto-ckpt", 5, b"x").unwrap();
+        let path = store.object_path("pareto-ckpt", 5);
         let mut bytes = fs::read(&path).unwrap();
         bytes[0] = b'X';
         fs::write(&path, &bytes).unwrap();
-        assert_eq!(store.get("tracefit", 5), None);
+        assert_eq!(store.get("pareto-ckpt", 5), None);
         assert_eq!(store.stats().corrupt, 1);
         let _ = fs::remove_dir_all(dir);
     }
@@ -676,11 +675,11 @@ mod tests {
         let (dir, store) = temp_store("gc");
         let payload = vec![0u8; 100];
         for key in 0..5u64 {
-            store.put("tracefit", key, &payload).unwrap();
+            store.put("pareto-ckpt", key, &payload).unwrap();
         }
         // Touch 0 and 3 so they are the most recent.
-        assert!(store.get("tracefit", 0).is_some());
-        assert!(store.get("tracefit", 3).is_some());
+        assert!(store.get("pareto-ckpt", 0).is_some());
+        assert!(store.get("pareto-ckpt", 3).is_some());
         let per_object = 100 + HEADER_BYTES as u64;
         let report = store.gc(2 * per_object).unwrap();
         assert_eq!(report.removed, 3);
@@ -698,9 +697,9 @@ mod tests {
     #[test]
     fn verify_reports_and_optionally_repairs() {
         let (dir, store) = temp_store("verify");
-        store.put("tracefit", 1, b"good").unwrap();
-        store.put("tracefit", 2, b"bad").unwrap();
-        let path = store.object_path("tracefit", 2);
+        store.put("pareto-ckpt", 1, b"good").unwrap();
+        store.put("pareto-ckpt", 2, b"bad").unwrap();
+        let path = store.object_path("pareto-ckpt", 2);
         let mut bytes = fs::read(&path).unwrap();
         let n = bytes.len();
         bytes[n - 1] ^= 1;
@@ -740,8 +739,8 @@ mod tests {
                 s.spawn(move || {
                     for i in 0..25u64 {
                         let key = t * 100 + i;
-                        store.put("tracefit", key, &key.to_le_bytes()).unwrap();
-                        assert_eq!(store.get("tracefit", key).unwrap(), key.to_le_bytes());
+                        store.put("pareto-ckpt", key, &key.to_le_bytes()).unwrap();
+                        assert_eq!(store.get("pareto-ckpt", key).unwrap(), key.to_le_bytes());
                     }
                 });
             }

@@ -63,9 +63,8 @@ impl Default for SimOptions {
     }
 }
 
-/// Empirical error statistics of one output (error = quantized − exact,
-/// matching `sna_fixp::OutputErrorStats` conventions: population
-/// variance, `power = E[e²]`).
+/// Empirical error statistics of one output (error = quantized − exact;
+/// population variance, `power = E[e²]`).
 #[derive(Clone, Debug)]
 pub struct OutputStats {
     /// Output name as declared on the graph.
@@ -93,7 +92,7 @@ pub(crate) type ChunkSamples = Vec<Vec<f64>>;
 /// empirical error statistics.
 ///
 /// `input_ranges[j]` is the range input `j` is drawn from (uniformly;
-/// point ranges pin the input, mirroring `sna_fixp::monte_carlo_error`).
+/// point ranges pin the input).
 /// Each path runs `opts.steps` steps with fresh draws every step and
 /// collects `quantized − exact` per output from step `opts.warmup`
 /// onward.
@@ -254,8 +253,8 @@ fn stats_of(name: &str, slices: &[&[f64]], bins: Option<usize>) -> Result<Output
 mod tests {
     use super::*;
     use crate::program::Program;
-    use sna_dfg::DfgBuilder;
-    use sna_fixp::WlConfig;
+    use sna_dfg::{Dfg, DfgBuilder};
+    use sna_fixp::{Format, Overflow, Rounding, WlConfig};
     use std::sync::Arc;
 
     fn toy_exe() -> (Executable, Vec<Interval>) {
@@ -270,6 +269,105 @@ mod tests {
         let config = WlConfig::from_ranges(&dfg, &ranges, 10).unwrap();
         let exe = Executable::new(Arc::new(Program::compile(&dfg)), &dfg, &config);
         (exe, ranges)
+    }
+
+    /// `paths` one-step paths of a combinational `dfg` under `config`,
+    /// inputs on `[-1, 1]`.
+    fn measure(dfg: &Dfg, config: &WlConfig, paths: usize) -> Vec<OutputStats> {
+        let exe = Executable::new(Arc::new(Program::compile(dfg)), dfg, config);
+        let ranges = vec![Interval::UNIT; dfg.n_inputs()];
+        let opts = SimOptions {
+            paths,
+            steps: 1,
+            warmup: 0,
+            ..SimOptions::default()
+        };
+        simulate(&exe, &ranges, &opts, &|| false).unwrap()
+    }
+
+    /// `y = x + 0`: the input quantization is the only error source.
+    fn pass_through() -> Dfg {
+        let mut b = DfgBuilder::new();
+        let x = b.input("x");
+        let zero = b.constant(0.0);
+        let y = b.add(x, zero);
+        b.output("y", y);
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn rounding_error_statistics_match_theory() {
+        // y = x quantized to Q1.6: error ~ U[-q/2, q/2], var = q²/12.
+        let g = pass_through();
+        let fmt = Format::new(8, 6).unwrap();
+        let cfg = WlConfig::uniform(&g, fmt, Rounding::Nearest, Overflow::Saturate);
+        let s = &measure(&g, &cfg, 40_000)[0];
+        let q = fmt.resolution();
+        assert!(s.mean.abs() < q / 10.0, "mean {}", s.mean);
+        let expected_var = q * q / 12.0;
+        assert!(
+            (s.variance - expected_var).abs() < 0.15 * expected_var,
+            "variance {} vs {expected_var}",
+            s.variance
+        );
+        assert!(s.min >= -q / 2.0 - 1e-12 && s.max <= q / 2.0 + 1e-12);
+    }
+
+    #[test]
+    fn truncation_biases_mean_negative() {
+        let g = pass_through();
+        let fmt = Format::new(8, 6).unwrap();
+        let cfg = WlConfig::uniform(&g, fmt, Rounding::Truncate, Overflow::Saturate);
+        let s = &measure(&g, &cfg, 20_000)[0];
+        // Truncation error mean ≈ -q/2.
+        let q = fmt.resolution();
+        assert!((s.mean + q / 2.0).abs() < q / 8.0, "mean {}", s.mean);
+    }
+
+    #[test]
+    fn error_grows_as_word_length_shrinks() {
+        let mut b = DfgBuilder::new();
+        let x = b.input("x");
+        let t = b.mul_const(0.9, x);
+        let y = b.add(t, x);
+        b.output("y", y);
+        let g = b.build().unwrap();
+        let powers: Vec<f64> = [16u8, 12, 8]
+            .iter()
+            .map(|&w| {
+                let cfg = WlConfig::from_ranges(&g, &[Interval::UNIT], w).unwrap();
+                measure(&g, &cfg, 5_000)[0].power
+            })
+            .collect();
+        assert!(powers[0] < powers[1] && powers[1] < powers[2]);
+        // At least two orders of magnitude across 8 bits.
+        assert!(powers[2] / powers[0] > 100.0);
+    }
+
+    #[test]
+    fn sequential_errors_are_collected_after_warmup() {
+        // One-pole IIR: errors accumulate through feedback.
+        let mut b = DfgBuilder::new();
+        let x = b.input("x");
+        let fb = b.delay_placeholder();
+        let t = b.mul_const(0.5, fb);
+        let y = b.add(x, t);
+        b.bind_delay(fb, y).unwrap();
+        b.output("y", y);
+        let g = b.build().unwrap();
+        let cfg = WlConfig::from_ranges(&g, &[Interval::UNIT], 12).unwrap();
+        let exe = Executable::new(Arc::new(Program::compile(&g)), &g, &cfg);
+        let opts = SimOptions {
+            paths: 125,
+            steps: 48,
+            warmup: 16,
+            ..SimOptions::default()
+        };
+        let stats = simulate(&exe, &[Interval::UNIT], &opts, &|| false).unwrap();
+        assert_eq!(stats[0].samples, 125 * 32);
+        assert!(stats[0].variance > 0.0);
+        let again = simulate(&exe, &[Interval::UNIT], &opts, &|| false).unwrap();
+        assert_eq!(stats[0].variance.to_bits(), again[0].variance.to_bits());
     }
 
     #[test]

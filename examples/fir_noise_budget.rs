@@ -5,10 +5,10 @@
 //!
 //! Run with: `cargo run --release --example fir_noise_budget`
 
-use sna::core::{NaModel, Session};
+use sna::core::{NaModel, Session, SimRequest, WlChoice};
 use sna::designs::fir;
 use sna::dfg::LtiOptions;
-use sna::fixp::{monte_carlo_error, MonteCarloOptions, WlConfig};
+use sna::fixp::WlConfig;
 use sna::hls::SynthesisConstraints;
 use sna::opt::Optimizer;
 
@@ -37,26 +37,24 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let (w, cfg, predicted) = chosen.expect("24 bits always meets 50 dB here");
     println!("\nsmallest uniform W meeting the target: {w}");
 
-    // Validate against bit-true simulation.
-    let measured = monte_carlo_error(
-        &design.dfg,
-        &cfg,
-        &design.input_ranges,
-        &MonteCarloOptions {
-            samples: 30_000,
-            steps: 64,
-            warmup: 16,
-            ..Default::default()
-        },
-    )?;
-    let measured_power = measured[0].power;
+    // Validate against bit-true simulation: 30 000 error samples, each
+    // path collecting 48 of its 64 steps.
+    let session = Session::new(design.dfg.clone(), design.input_ranges.clone())?;
+    let measured = session.simulate(&SimRequest {
+        words: WlChoice::Config(cfg),
+        paths: 30_000usize.div_ceil(64 - 16),
+        steps: Some(64),
+        warmup: Some(16),
+        include_pdf: false,
+        ..SimRequest::default()
+    })?;
+    let measured_power = measured.outputs[0].empirical.power;
     println!(
         "predicted noise power {predicted:.3e}, measured {measured_power:.3e} (ratio {:.2})",
         predicted / measured_power
     );
 
     // Recover cost with mixed word lengths at the same noise budget.
-    let session = Session::new(design.dfg.clone(), design.input_ranges.clone())?;
     let opt = Optimizer::new(&session, SynthesisConstraints::default())?;
     let fixed = opt.uniform(w)?;
     let tuned = opt.waterfill(fixed.noise_power)?;

@@ -4,7 +4,8 @@
 //! Run with: `cargo run --release --example quadratic_bounds`
 
 use sna::core::{Budget, CartesianEngine, UncertainInput};
-use sna::interval::{AffineContext, Interval};
+use sna::expr::{Poly, SymbolTable};
+use sna::interval::Interval;
 
 fn quadratic(v: &[Interval]) -> Interval {
     // y = a·x² + b·x + c with v = [x, a, b, c].
@@ -31,19 +32,32 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let ia = a * x.sqr() + b * x + c;
     println!("IA : y ∈ {ia}");
 
-    // Affine arithmetic (Table 1, AA row): x² as an uncorrelated product.
-    let ctx = AffineContext::new();
-    let xa = ctx.from_interval(x);
-    let aa_a = ctx.from_interval(a);
-    let aa_b = ctx.from_interval(b);
-    let aa_c = ctx.from_interval(c);
-    let x2 = xa.mul(&xa.clone(), &ctx);
-    let y = aa_a.mul(&x2, &ctx) + aa_b.mul(&xa, &ctx) + aa_c;
+    // Affine arithmetic (Table 1, AA row): one noise symbol ε ∈ [-1, 1]
+    // per input; the constant term is the centre, and every other
+    // monomial of the polynomial counts its |coefficient| to the radius.
+    let mut symbols = SymbolTable::new();
+    let mut affine = |name: &str, v: Interval| -> Result<Poly, Box<dyn std::error::Error>> {
+        Ok(Poly::affine(
+            v.mid(),
+            [(symbols.add_uniform(name, 2)?, v.rad())],
+        ))
+    };
+    let (px, pa, pb, pc) = (
+        affine("x", x)?,
+        affine("a", a)?,
+        affine("b", b)?,
+        affine("c", c)?,
+    );
+    let y = pa.mul(&px.sqr()).add(&pb.mul(&px)).add(&pc);
+    let center = y.constant_term();
+    let radius: f64 = y
+        .terms()
+        .filter(|(m, _)| !m.is_one())
+        .map(|(_, k)| k.abs())
+        .sum();
     println!(
-        "AA : y = {:.1} ± {:.1}  ⇒  y ∈ {}",
-        y.center(),
-        y.radius(),
-        y.to_interval()
+        "AA : y = {center:.1} ± {radius:.1}  ⇒  y ∈ {}",
+        Interval::new(center - radius, center + radius)?
     );
 
     // SNA at increasing granularity (Table 2).

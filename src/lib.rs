@@ -11,11 +11,11 @@
 //!
 //! | module | contents |
 //! |---|---|
-//! | [`interval`] | interval + affine arithmetic (the IA/AA baselines) |
+//! | [`interval`] | interval arithmetic (the IA baseline) |
 //! | [`hist`] | histogram PDFs and Berleant-style histogram arithmetic |
 //! | [`expr`] | noise symbols, multivariate polynomials, rational forms |
 //! | [`dfg`] | dataflow graphs, simulation, range/LTI analysis |
-//! | [`fixp`] | fixed-point formats, bit-true simulation, Monte Carlo |
+//! | [`fixp`] | fixed-point formats, bit-true scalar simulation |
 //! | [`core`] | the SNA engines + classical NA baseline |
 //! | [`hls`] | technology models, scheduling, binding, cost reports |
 //! | [`designs`] | the paper's six case-study datapaths |

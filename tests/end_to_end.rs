@@ -2,9 +2,9 @@
 //! construction through noise analysis, bit-true validation, synthesis
 //! and word-length optimization.
 
-use sna::core::{AnalysisRequest, EngineKind, NoiseReport, Session, WlChoice};
+use sna::core::{AnalysisRequest, EngineKind, NoiseReport, Session, SimRequest, WlChoice};
 use sna::designs::{fir, rgb_to_ycrcb, Design};
-use sna::fixp::{monte_carlo_error, MonteCarloOptions, WlConfig};
+use sna::fixp::WlConfig;
 use sna::hls::{synthesize, SynthesisConstraints};
 use sna::interval::Interval;
 use sna::opt::Optimizer;
@@ -26,6 +26,33 @@ fn analyze(
     session.analyze(&req).unwrap().reports
 }
 
+/// Bit-true error statistics of `design` under `cfg`, per output:
+/// `samples` error samples from the VM simulator, collected after
+/// `warmup` of every path's `steps` steps.
+fn measure(
+    design: &Design,
+    cfg: &WlConfig,
+    samples: usize,
+    steps: usize,
+    warmup: usize,
+) -> Vec<(String, NoiseReport)> {
+    let session = Session::new(design.dfg.clone(), design.input_ranges.clone()).unwrap();
+    let req = SimRequest {
+        words: WlChoice::Config(cfg.clone()),
+        paths: samples.div_ceil(steps - warmup),
+        steps: Some(steps),
+        warmup: Some(warmup),
+        include_pdf: false,
+        ..SimRequest::default()
+    };
+    let report = session.simulate(&req).unwrap();
+    report
+        .outputs
+        .into_iter()
+        .map(|o| (o.name, o.empirical))
+        .collect()
+}
+
 /// Every analysis engine's prediction must be consistent with bit-true
 /// Monte-Carlo simulation on a real design (the RGB converter).
 #[test]
@@ -33,26 +60,17 @@ fn sna_prediction_covers_bit_true_simulation_on_rgb() {
     let design = rgb_to_ycrcb();
     let cfg = WlConfig::from_ranges(&design.dfg, &design.input_ranges, 10).unwrap();
     let predicted = analyze(&design, &cfg, EngineKind::Auto, 96);
-    let measured = monte_carlo_error(
-        &design.dfg,
-        &cfg,
-        &design.input_ranges,
-        &MonteCarloOptions {
-            samples: 30_000,
-            ..Default::default()
-        },
-    )
-    .unwrap();
-    for ((name, p), m) in predicted.iter().zip(measured.iter()) {
-        assert_eq!(name, &m.name);
+    let measured = measure(&design, &cfg, 30_000, 1, 0);
+    for ((name, p), (m_name, m)) in predicted.iter().zip(measured.iter()) {
+        assert_eq!(name, m_name);
         // Guaranteed bounds enclose every observed error.
         assert!(
-            p.support.0 <= m.min && p.support.1 >= m.max,
+            p.support.0 <= m.support.0 && p.support.1 >= m.support.1,
             "{name}: predicted [{}, {}] vs observed [{}, {}]",
             p.support.0,
             p.support.1,
-            m.min,
-            m.max
+            m.support.0,
+            m.support.1
         );
         // Variance agrees within a factor of two.
         let ratio = p.variance / m.variance;
@@ -176,27 +194,16 @@ fn design1_bounds_hold_in_simulation() {
     let design = sna::designs::diff_eq18();
     let cfg = WlConfig::from_ranges(&design.dfg, &design.input_ranges, 14).unwrap();
     let predicted = analyze(&design, &cfg, EngineKind::Lti, 64);
-    let measured = monte_carlo_error(
-        &design.dfg,
-        &cfg,
-        &design.input_ranges,
-        &MonteCarloOptions {
-            samples: 8_000,
-            steps: 200,
-            warmup: 60,
-            ..Default::default()
-        },
-    )
-    .unwrap();
+    let measured = measure(&design, &cfg, 8_000, 200, 60);
     let p = &predicted[0].1;
-    let m = &measured[0];
+    let m = &measured[0].1;
     assert!(
-        p.support.0 <= m.min && p.support.1 >= m.max,
+        p.support.0 <= m.support.0 && p.support.1 >= m.support.1,
         "bounds [{}, {}] vs observed [{}, {}]",
         p.support.0,
         p.support.1,
-        m.min,
-        m.max
+        m.support.0,
+        m.support.1
     );
     let ratio = p.variance / m.variance;
     assert!(ratio > 0.5 && ratio < 3.0, "variance ratio {ratio}");
