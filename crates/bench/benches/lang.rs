@@ -7,8 +7,8 @@
 //! scaling behaviour.
 //!
 //! The `front_end` group times, stage by stage, what a compile-cache
-//! lookup past the source tier runs — parse, canonical text, lower,
-//! shape key — on the two design families of the end-to-end
+//! miss past the source tier runs — parse, canonical text, lower, and
+//! the three plus the canonical hash as one `lookup` — on the two design families of the end-to-end
 //! benchmark's cold sweep: a 64-tap sparse FIR and a 16×8×2 mat-vec
 //! bank. It is a per-layer probe with no floor and no JSON output; run
 //! `cargo bench -p sna-bench --bench lang` and read its `front_end/`
@@ -109,7 +109,6 @@ fn bench_front_end(c: &mut Criterion) {
         ("matvec16x8x2", matvec_bank(16, 8, 2)),
     ] {
         let program = sna_lang::parse(&source).expect("generated source parses");
-        let lowered = sna_lang::lower(&program).expect("generated source lowers");
         group.bench_function(format!("{design}/parse"), |b| {
             b.iter(|| std::hint::black_box(sna_lang::parse(&source).unwrap()))
         });
@@ -119,16 +118,13 @@ fn bench_front_end(c: &mut Criterion) {
         group.bench_function(format!("{design}/lower"), |b| {
             b.iter(|| std::hint::black_box(sna_lang::lower(&program).unwrap()))
         });
-        group.bench_function(format!("{design}/shape_key"), |b| {
-            b.iter(|| std::hint::black_box(sna_lang::fnv1a_64(lowered.shape_key().as_bytes())))
-        });
         group.bench_function(format!("{design}/lookup"), |b| {
             b.iter(|| {
                 let program = sna_lang::parse(&source).unwrap();
                 let canon = program.to_string();
+                let fingerprint = sna_lang::fnv1a_64(canon.as_bytes());
                 let lowered = sna_lang::lower(&program).unwrap();
-                let key = lowered.shape_key();
-                std::hint::black_box((canon, sna_lang::fnv1a_64(key.as_bytes()), lowered))
+                std::hint::black_box((canon, fingerprint, lowered))
             })
         });
     }

@@ -34,14 +34,6 @@ pub enum SnaError {
         /// Provided number.
         got: usize,
     },
-    /// A coefficient vector does not match the graph's constant slots
-    /// (see [`crate::Session::with_coefficients`]).
-    WrongCoefficientCount {
-        /// Number of `Const` nodes in the graph.
-        expected: usize,
-        /// Provided number of coefficients.
-        got: usize,
-    },
     /// The selected engine handles combinational datapaths only.
     CombinationalOnly {
         /// The engine's wire/CLI name.
@@ -82,12 +74,6 @@ impl fmt::Display for SnaError {
             }
             SnaError::WrongInputCount { expected, got } => {
                 write!(f, "expected {expected} uncertain inputs, got {got}")
-            }
-            SnaError::WrongCoefficientCount { expected, got } => {
-                write!(
-                    f,
-                    "the graph has {expected} constant slot(s), got {got} coefficient(s)"
-                )
             }
             SnaError::CombinationalOnly { engine } => {
                 write!(

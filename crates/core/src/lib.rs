@@ -26,7 +26,7 @@
 //! `EngineKind::Auto` picks LTI for linear graphs and the DFG engine for
 //! nonlinear combinational ones.
 //!
-//! The shared noise-source model ([`NoiseSource`], [`noise_sources`])
+//! The shared noise-source model ([`NoiseSource`], [`loses_precision`])
 //! lives here too.
 //!
 //! # Example
@@ -87,6 +87,6 @@ pub use na::{CoeffKind, CoeffSite, NaModel};
 pub use report::NoiseReport;
 pub use session::{PerSample, Session, SessionStats};
 pub use simulate::{Gap, SimOutput, SimReport, SimRequest};
-pub use sources::{noise_sources, IntroducesNoise, NoiseSource};
+pub use sources::{loses_precision, IntroducesNoise, NoiseSource};
 pub use symbolic::{SymbolicEngine, SymbolicOptions, SymbolicResult};
 pub use trace::{TraceInputFit, TraceReport, TraceRequest};

@@ -1,5 +1,4 @@
-//! The [`Session`]: one compiled program, its whole artifact chain, and
-//! "same shape, new constants" re-spins.
+//! The [`Session`]: one compiled program and its whole artifact chain.
 //!
 //! A session owns the compiled artifacts the engines and the optimizer
 //! share — graph, per-node ranges, the NA gain model, the per-sample
@@ -20,21 +19,16 @@
 //!     LtiEngine (per request)      histogram memo (shared, concurrent)
 //! ```
 //!
-//! [`Session::adopt_graph`] serves a "same shape, new constants" update
-//! — the inner loop of design-space exploration: it takes a graph that
-//! differs only in constant values (a fresh lowering whose shape key
-//! matched, or [`Session::with_coefficients`]' swapped clone) and shares
-//! the shape-only VM program; ranges and the NA gain model build cold,
-//! exactly as for a new session: a cold build costs about what a
-//! cone-limited patch of them would, and is exact by construction.
-//! Stage-build counters ([`Session::stats`]) make every build
-//! observable and testable.
+//! A program with new constant values is a new session: every stage
+//! builds cold, which costs about what a cone-limited patch of them
+//! would and is exact by construction. Stage-build counters
+//! ([`Session::stats`]) make every build observable and testable.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
-use sna_dfg::{Dfg, DfgError, LtiOptions, Op, RangeOptions};
+use sna_dfg::{Dfg, DfgError, LtiOptions, RangeOptions};
 use sna_fixp::WlConfig;
 use sna_interval::Interval;
 
@@ -55,9 +49,7 @@ pub struct PerSample {
     pub ranges: Vec<Interval>,
 }
 
-/// Stage-build counters, shared across a session and every
-/// coefficient-swapped descendant (so tests can count the builds a
-/// family of sessions ran).
+/// Stage-build counters of one session.
 #[derive(Debug, Default)]
 struct Counters {
     range_builds: AtomicU64,
@@ -67,7 +59,7 @@ struct Counters {
     vm_compiles: AtomicU64,
 }
 
-/// A snapshot of a session family's stage-build counters.
+/// A snapshot of a session's stage-build counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SessionStats {
     /// Full range analyses run.
@@ -88,8 +80,7 @@ pub struct SessionStats {
     /// LTI engines constructed (one per [`Session::lti_engine`] call; a
     /// construction wraps the shared gain model and costs no analysis).
     pub lti_builds: u64,
-    /// VM bytecode programs compiled (shape-level: shared across
-    /// coefficient swaps).
+    /// VM bytecode programs compiled.
     pub vm_compiles: u64,
 }
 
@@ -101,16 +92,15 @@ pub struct SessionStats {
 /// rebuilding them.
 #[derive(Debug)]
 pub struct Session {
-    dfg: Arc<Dfg>,
-    input_ranges: Arc<Vec<Interval>>,
-    counters: Arc<Counters>,
+    dfg: Dfg,
+    input_ranges: Vec<Interval>,
+    counters: Counters,
     ranges: OnceLock<Result<Arc<Vec<Interval>>, SnaError>>,
     na: OnceLock<Result<Arc<NaModel>, SnaError>>,
     per_sample: OnceLock<Result<Arc<PerSample>, SnaError>>,
     hist_memo: Arc<HistMemo>,
-    /// The lowered bytecode program (see `sna_vm`). Shape-only — no
-    /// constant values or quantizers baked in — so coefficient swaps
-    /// share it.
+    /// The lowered bytecode program (see `sna_vm`). Shape-only: constant
+    /// values and quantizers bind per request.
     vm: OnceLock<Arc<sna_vm::Program>>,
 }
 
@@ -131,9 +121,9 @@ impl Session {
             }));
         }
         Ok(Session {
-            dfg: Arc::new(dfg),
-            input_ranges: Arc::new(input_ranges),
-            counters: Arc::new(Counters::default()),
+            dfg,
+            input_ranges,
+            counters: Counters::default(),
             ranges: OnceLock::new(),
             na: OnceLock::new(),
             per_sample: OnceLock::new(),
@@ -154,14 +144,6 @@ impl Session {
         &self.input_ranges
     }
 
-    /// The graph's coefficient vector: every `Const` value in
-    /// [`Dfg::const_nodes`] order — the argument shape
-    /// [`Session::with_coefficients`] expects back.
-    #[must_use]
-    pub fn coefficients(&self) -> Vec<f64> {
-        self.dfg.const_values()
-    }
-
     /// The session-owned concurrent histogram memo, shared with every
     /// evaluator derived from this session (see
     /// [`HistMemo`]).
@@ -170,8 +152,7 @@ impl Session {
         &self.hist_memo
     }
 
-    /// A snapshot of the stage-build counters of this session *family*
-    /// (counters are shared with coefficient-swapped descendants).
+    /// A snapshot of this session's stage-build counters.
     #[must_use]
     pub fn stats(&self) -> SessionStats {
         let c = &self.counters;
@@ -214,7 +195,7 @@ impl Session {
             .clone()
     }
 
-    /// The NA gain model, built once (per coefficient set) and shared.
+    /// The NA gain model, built once and shared.
     ///
     /// # Errors
     ///
@@ -251,7 +232,7 @@ impl Session {
     pub fn per_sample(&self) -> Result<Arc<PerSample>, SnaError> {
         self.per_sample
             .get_or_init(|| {
-                let mut ranges = (*self.input_ranges).clone();
+                let mut ranges = self.input_ranges.clone();
                 if !self.dfg.is_combinational() {
                     let node_ranges = self.node_ranges()?;
                     ranges.extend(
@@ -305,9 +286,8 @@ impl Session {
     }
 
     /// The lowered bytecode program of this graph's shape, compiled
-    /// once and shared (including across [`Session::with_coefficients`]
-    /// descendants — the program stores node ids, not values, so a
-    /// coefficient swap cannot invalidate it).
+    /// once and shared. It stores node ids, not values: constants and
+    /// quantizers bind per request.
     #[must_use]
     pub fn vm_program(&self) -> Arc<sna_vm::Program> {
         Arc::clone(self.vm.get_or_init(|| {
@@ -501,85 +481,6 @@ impl Session {
         let (ps, config) = self.per_sample_config(words)?;
         run(&ps.view, &config, &ps.ranges)
     }
-
-    // ------------------------------------------------------------------
-    // Coefficient swaps
-    // ------------------------------------------------------------------
-
-    /// A new session for "the same shape with these constants".
-    ///
-    /// `coeffs` replaces the graph's `Const` values in
-    /// [`Dfg::const_nodes`] order (compare [`Session::coefficients`]);
-    /// the swapped graph is then adopted as in
-    /// [`Session::adopt_graph`].
-    ///
-    /// # Errors
-    ///
-    /// [`SnaError::WrongCoefficientCount`] for a mis-sized vector.
-    pub fn with_coefficients(&self, coeffs: &[f64]) -> Result<Session, SnaError> {
-        let dfg = self.dfg.with_const_values(coeffs).map_err(|e| match e {
-            DfgError::WrongInputCount { expected, got } => {
-                SnaError::WrongCoefficientCount { expected, got }
-            }
-            other => SnaError::Dfg(other),
-        })?;
-        Ok(self.adopt_graph(dfg))
-    }
-
-    /// A new session over `dfg`, a graph of this session's shape: it
-    /// differs from [`Session::dfg`] at most in `Const` values, as two
-    /// lowerings with equal shape keys do. Lowering never reruns, and
-    /// the shape-only VM program and the input ranges are shared. Every
-    /// value-dependent stage (ranges, the NA gain model, the per-sample
-    /// view, the histogram memo) starts unbuilt and builds cold on first
-    /// use, exactly as in [`Session::new`]. A graph with bit-identical
-    /// constants shares every built stage instead.
-    ///
-    /// The returned session shares this session's stage counters, so
-    /// [`Session::stats`] counts the builds of the whole family.
-    #[must_use]
-    pub fn adopt_graph(&self, dfg: Dfg) -> Session {
-        debug_assert_eq!(
-            dfg.shape_signature(),
-            self.dfg.shape_signature(),
-            "adopt_graph needs a graph of the same shape"
-        );
-        let same_constants = self
-            .dfg
-            .nodes()
-            .zip(dfg.nodes())
-            .all(|((_, old), (_, new))| match (old.op(), new.op()) {
-                (Op::Const(o), Op::Const(n)) => o.to_bits() == n.to_bits(),
-                _ => true,
-            });
-        if same_constants {
-            return self.shallow_clone();
-        }
-        Session {
-            dfg: Arc::new(dfg),
-            input_ranges: Arc::clone(&self.input_ranges),
-            counters: Arc::clone(&self.counters),
-            ranges: OnceLock::new(),
-            na: OnceLock::new(),
-            per_sample: OnceLock::new(),
-            hist_memo: Arc::new(HistMemo::new()),
-            vm: self.vm.clone(),
-        }
-    }
-
-    /// A new handle onto the same compiled state (all stages shared).
-    fn shallow_clone(&self) -> Session {
-        Session {
-            dfg: Arc::clone(&self.dfg),
-            input_ranges: Arc::clone(&self.input_ranges),
-            counters: Arc::clone(&self.counters),
-            ranges: self.ranges.clone(),
-            na: self.na.clone(),
-            per_sample: self.per_sample.clone(),
-            hist_memo: Arc::clone(&self.hist_memo),
-            vm: self.vm.clone(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -726,64 +627,35 @@ mod tests {
         assert_eq!(s.resolve_engine(EngineKind::Auto).unwrap(), EngineKind::Dfg);
     }
 
-    #[test]
-    fn with_coefficients_skips_lowering_and_builds_value_stages_cold() {
-        let (g, r) = fir3();
-        let s = Session::new(g.clone(), r.clone()).unwrap();
-        // Build the chain cold.
-        s.na_model().unwrap();
-        let _ = s.vm_program();
-        let before = s.stats();
-        assert_eq!(
-            (before.range_builds, before.na_builds, before.vm_compiles),
-            (1, 1, 1)
-        );
-
-        // Swap one coefficient (the middle tap).
-        let mut coeffs = s.coefficients();
-        assert_eq!(coeffs, vec![0.25, 0.5]);
-        coeffs[1] = 0.4;
-        let swapped = s.with_coefficients(&coeffs).unwrap();
-        assert_eq!(swapped.coefficients(), vec![0.25, 0.4]);
-
-        // The shape-only VM program rides along; the value-dependent
-        // stages start unbuilt and build once, cold, on first use.
-        assert!(swapped.vm_program_built());
-        assert!(!swapped.na_model_built());
-        let model = swapped.na_model().unwrap();
-        let after = swapped.stats();
-        assert_eq!(
-            (after.range_builds, after.na_builds, after.vm_compiles),
-            (2, 2, 1),
-            "{after:?}"
-        );
-        assert_eq!(
-            (after.gains_rebuilt, after.gains_derived, after.gains_reused),
-            (0, 0, 0),
-            "{after:?}"
-        );
-
-        // Both stages equal a cold session's bit for bit.
-        let cold = Session::new(g.with_const_values(&coeffs).unwrap(), r).unwrap();
-        let (a, b) = (swapped.node_ranges().unwrap(), cold.node_ranges().unwrap());
-        for (ra, rb) in a.iter().zip(b.iter()) {
-            assert_eq!(ra.lo().to_bits(), rb.lo().to_bits());
-            assert_eq!(ra.hi().to_bits(), rb.hi().to_bits());
-        }
-        assert!(model.bit_identical(&cold.na_model().unwrap()));
+    /// `fir3` built from scratch with the given end and middle taps.
+    fn fir3_with(end: f64, mid: f64) -> Dfg {
+        let mut b = DfgBuilder::new();
+        let x = b.input("x");
+        let x1 = b.delay(x);
+        let x2 = b.delay(x1);
+        let c_end = b.constant(end);
+        let c_mid = b.constant(mid);
+        let t0 = b.mul(c_end, x);
+        let t1 = b.mul(c_mid, x1);
+        let t2 = b.mul(c_end, x2);
+        let s = b.add(t0, t1);
+        let y = b.add(s, t2);
+        b.output("y", y);
+        b.build().unwrap()
     }
 
     #[test]
     fn coefficient_swap_matches_a_cold_session() {
+        // A graph respun through `Dfg::with_const_values` analyzes like
+        // the same design built from scratch with the new taps.
         let (g, r) = fir3();
-        let s = Session::new(g.clone(), r.clone()).unwrap();
-        s.na_model().unwrap();
-        let mut coeffs = s.coefficients();
-        coeffs[0] = 0.3;
-        coeffs[1] = 0.45;
-        let swapped = s.with_coefficients(&coeffs).unwrap();
-
-        let cold = Session::new(g.with_const_values(&coeffs).unwrap(), r).unwrap();
+        assert_eq!(g.const_values(), vec![0.25, 0.5]);
+        let swapped = Session::new(g.with_const_values(&[0.3, 0.45]).unwrap(), r.clone()).unwrap();
+        let cold = Session::new(fir3_with(0.3, 0.45), r).unwrap();
+        assert!(swapped
+            .na_model()
+            .unwrap()
+            .bit_identical(&cold.na_model().unwrap()));
         let req = AnalysisRequest {
             engine: EngineKind::Na,
             words: WlChoice::Uniform(12),
@@ -800,87 +672,32 @@ mod tests {
     }
 
     #[test]
-    fn identical_coefficients_share_everything() {
-        let (g, r) = fir3();
-        let s = Session::new(g, r).unwrap();
-        s.na_model().unwrap();
-        let same = s.with_coefficients(&s.coefficients()).unwrap();
-        assert!(Arc::ptr_eq(&s.dfg, &same.dfg));
-        assert!(Arc::ptr_eq(s.hist_memo(), same.hist_memo()));
-        let (m1, m2) = (s.na_model().unwrap(), same.na_model().unwrap());
-        assert!(Arc::ptr_eq(&m1, &m2));
-        assert_eq!(s.stats().na_builds, 1);
-    }
-
-    #[test]
-    fn adopting_a_same_shape_graph_keeps_it_and_shares_the_vm_program() {
-        let (g, r) = fir3();
-        let s = Session::new(g.clone(), r.clone()).unwrap();
-        s.na_model().unwrap();
-        let program = s.vm_program();
-
-        // A separately built graph of the same shape (as a fresh
-        // lowering of a re-spun program would be) is adopted as is.
-        let respun = g.with_const_values(&[0.3, 0.45]).unwrap();
-        let adopted = s.adopt_graph(respun);
-        assert_eq!(adopted.coefficients(), vec![0.3, 0.45]);
-        assert!(Arc::ptr_eq(&program, &adopted.vm_program()));
-        assert!(Arc::ptr_eq(&s.input_ranges, &adopted.input_ranges));
-        assert!(!adopted.na_model_built());
-        let cold = Session::new(g.with_const_values(&[0.3, 0.45]).unwrap(), r).unwrap();
-        let model = adopted.na_model().unwrap();
-        assert!(model.bit_identical(&cold.na_model().unwrap()));
-        // Counters are the family's: two NA builds, one VM compile.
-        let stats = s.stats();
-        assert_eq!((stats.na_builds, stats.vm_compiles), (2, 1), "{stats:?}");
-
-        // Bit-identical constants share every built stage.
-        let same = s.adopt_graph(g);
-        assert!(Arc::ptr_eq(&s.dfg, &same.dfg));
-        assert!(Arc::ptr_eq(
-            &s.na_model().unwrap(),
-            &same.na_model().unwrap()
-        ));
-    }
-
-    #[test]
-    fn wrong_coefficient_count_is_reported() {
-        let (g, r) = fir3();
-        let s = Session::new(g, r).unwrap();
-        assert!(matches!(
-            s.with_coefficients(&[0.1]),
-            Err(SnaError::WrongCoefficientCount {
-                expected: 2,
-                got: 1
-            })
-        ));
-    }
-
-    #[test]
     fn additive_constant_swaps_invalidate_no_gains() {
         // y = 0.5·x + c: changing c shifts values but no transfer path
-        // coefficient, so every gain is reusable.
-        let mut b = DfgBuilder::new();
-        let x = b.input("x");
-        let t = b.mul_const(0.5, x);
-        let c = b.constant(0.25);
-        let y = b.add(t, c);
-        b.output("y", y);
-        let g = b.build().unwrap();
-        let s = Session::new(g, vec![iv(-1.0, 1.0)]).unwrap();
-        s.na_model().unwrap();
-        let mut coeffs = s.coefficients();
+        // coefficient, so every gain stays the same.
+        let offset = |c: f64| {
+            let mut b = DfgBuilder::new();
+            let x = b.input("x");
+            let t = b.mul_const(0.5, x);
+            let c = b.constant(c);
+            let y = b.add(t, c);
+            b.output("y", y);
+            b.build().unwrap()
+        };
+        let g = offset(0.25);
         // coefficients in id order: [0.5 (mul), 0.25 (additive)].
-        coeffs[1] = 0.3;
-        let swapped = s.with_coefficients(&coeffs).unwrap();
-        // The swapped model is built cold, and every gain equals the
-        // donor's bit for bit.
+        assert_eq!(g.const_values(), vec![0.5, 0.25]);
+        let s = Session::new(g.clone(), vec![iv(-1.0, 1.0)]).unwrap();
+        let swapped = Session::new(
+            g.with_const_values(&[0.5, 0.3]).unwrap(),
+            vec![iv(-1.0, 1.0)],
+        )
+        .unwrap();
         let (donor, model) = (s.na_model().unwrap(), swapped.na_model().unwrap());
         for (id, _) in swapped.dfg().nodes() {
             assert!(donor.gains_from(id) == model.gains_from(id), "node {id:?}");
         }
-        assert_eq!(swapped.stats().na_builds, 2);
-        // And the reports still track the new constant exactly.
+        // And the reports track the new constant exactly.
         let req = AnalysisRequest {
             engine: EngineKind::Na,
             words: WlChoice::Uniform(6),
@@ -888,7 +705,7 @@ mod tests {
             ..AnalysisRequest::default()
         };
         let a = swapped.analyze(&req).unwrap();
-        let cold = Session::new(swapped.dfg().clone(), swapped.input_ranges().to_vec()).unwrap();
+        let cold = Session::new(offset(0.3), vec![iv(-1.0, 1.0)]).unwrap();
         let b = cold.analyze(&req).unwrap();
         assert_eq!(a.reports[0].1.mean.to_bits(), b.reports[0].1.mean.to_bits());
     }

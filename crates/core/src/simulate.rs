@@ -207,8 +207,7 @@ impl Session {
     /// graphs, where simulation is the only source of truth).
     ///
     /// The program compiles lazily on first use and is cached on the
-    /// session — including across [`Session::with_coefficients`]
-    /// descendants, since the bytecode is shape-only.
+    /// session.
     ///
     /// # Errors
     ///
@@ -351,7 +350,7 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn simulation_is_deterministic_and_cached_across_coefficient_swaps() {
+    fn simulation_is_deterministic_and_compiles_its_program_once() {
         let session = linear_session();
         let req = SimRequest {
             paths: 4_000,
@@ -365,9 +364,12 @@ pub(crate) mod tests {
         );
         assert_eq!(session.stats().vm_compiles, 1);
 
-        // A coefficient swap keeps the compiled program (shape-only).
-        let swapped = session.with_coefficients(&[0.25, 0.5]).unwrap();
-        assert!(swapped.vm_program_built());
+        // The same design with other coefficients is another session.
+        let swapped = Session::new(
+            session.dfg().with_const_values(&[0.25, 0.5]).unwrap(),
+            session.input_ranges().to_vec(),
+        )
+        .unwrap();
         let c = swapped.simulate(&req).unwrap();
         assert_eq!(session.stats().vm_compiles, 1, "program was recompiled");
         assert_ne!(

@@ -57,46 +57,45 @@ impl NoiseSource {
     }
 }
 
+/// The precision-loss rule, written once for every engine and the
+/// optimizer's evaluator: whether a node with operation `op` and `frac`
+/// fractional bits drops bits of its operation's exact result, given its
+/// arguments' fractional bits (`arg_frac(k)` for argument `k`).  Such a
+/// node rounds, and so introduces a noise source.
+pub fn loses_precision(op: Op, frac: u8, arg_frac: impl Fn(usize) -> u8) -> bool {
+    let frac = u16::from(frac);
+    let arg = |k: usize| u16::from(arg_frac(k));
+    match op {
+        // External inputs arrive with unbounded precision.
+        Op::Input(_) => true,
+        // Constant rounding is a deterministic offset, not a random
+        // source; it is handled separately by the engines.
+        Op::Const(_) => false,
+        Op::Add | Op::Sub => frac < arg(0).max(arg(1)),
+        // A multiply by an exactly-representable power of two is exact
+        // when no fractional bits are dropped; the general rule treats
+        // the full product width as required.
+        Op::Mul => frac < arg(0) + arg(1),
+        // Quotients are generically non-terminating.
+        Op::Div => true,
+        Op::Neg | Op::Delay => frac < arg(0),
+    }
+}
+
 /// Whether a node's format loses precision relative to the exact result of
 /// its operation (and therefore introduces rounding noise).
 pub trait IntroducesNoise {
-    /// Evaluates the precision-loss rule for `node` under `config`.
+    /// Evaluates [`loses_precision`] for `node` under `config`.
     fn introduces_noise(&self, node: NodeId, config: &WlConfig) -> bool;
 }
 
 impl IntroducesNoise for Dfg {
     fn introduces_noise(&self, node: NodeId, config: &WlConfig) -> bool {
         let n = self.node(node);
-        let f = config.format(node).frac_bits();
-        let arg_frac = |k: usize| config.format(n.args()[k]).frac_bits();
-        match n.op() {
-            // External inputs arrive with unbounded precision.
-            Op::Input(_) => true,
-            // Constant rounding is a deterministic offset, not a random
-            // source; it is handled separately by the engines.
-            Op::Const(_) => false,
-            Op::Add | Op::Sub => f < arg_frac(0).max(arg_frac(1)),
-            Op::Mul => {
-                // A multiply by an exactly-representable power of two is
-                // exact when no fractional bits are dropped; the general
-                // rule below treats the full product width as required.
-                f < arg_frac(0) + arg_frac(1)
-            }
-            // Quotients are generically non-terminating.
-            Op::Div => true,
-            Op::Neg => f < arg_frac(0),
-            Op::Delay => f < arg_frac(0),
-        }
+        loses_precision(n.op(), config.format(node).frac_bits(), |k| {
+            config.format(n.args()[k]).frac_bits()
+        })
     }
-}
-
-/// Collects every active noise source of `dfg` under `config`, in node-id
-/// order.
-pub fn noise_sources(dfg: &Dfg, config: &WlConfig) -> Vec<NoiseSource> {
-    dfg.nodes()
-        .filter(|&(id, _)| dfg.introduces_noise(id, config))
-        .map(|(id, _)| NoiseSource::for_quantizer(id, config.quantizer(id)))
-        .collect()
 }
 
 #[cfg(test)]
@@ -107,6 +106,13 @@ mod tests {
 
     fn iv(lo: f64, hi: f64) -> Interval {
         Interval::new(lo, hi).unwrap()
+    }
+
+    /// How many nodes of `g` introduce noise under `cfg`.
+    fn sources(g: &Dfg, cfg: &WlConfig) -> usize {
+        g.nodes()
+            .filter(|&(id, _)| g.introduces_noise(id, cfg))
+            .count()
     }
 
     #[test]
@@ -146,8 +152,7 @@ mod tests {
         assert!(!g.introduces_noise(y, &cfg));
         // Inputs always introduce noise.
         assert!(g.introduces_noise(x1, &cfg));
-        let sources = noise_sources(&g, &cfg);
-        assert_eq!(sources.len(), 2); // the two inputs only
+        assert_eq!(sources(&g, &cfg), 2); // the two inputs only
     }
 
     #[test]
@@ -197,8 +202,7 @@ mod tests {
         let fmt = Format::new(8, 6).unwrap();
         let cfg = WlConfig::uniform(&g, fmt, Rounding::Nearest, Overflow::Saturate);
         assert!(!g.introduces_noise(c, &cfg));
-        let sources = noise_sources(&g, &cfg);
         // input + multiplier.
-        assert_eq!(sources.len(), 2);
+        assert_eq!(sources(&g, &cfg), 2);
     }
 }

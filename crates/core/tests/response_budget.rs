@@ -1,7 +1,7 @@
 //! Regression coverage for large models and for the execution budget.
 //!
 //! * A coefficient swap of a model with many (source × output) pairs
-//!   through `Session::with_coefficients` ends up bit-identical to a
+//!   through `Dfg::with_const_values` ends up bit-identical to a
 //!   from-scratch compile.
 //! * The cooperative execution [`Budget`]: every histogram engine's one
 //!   entry point stops at its own checkpoints. The engines are called
@@ -19,13 +19,13 @@ use sna_fixp::WlConfig;
 use sna_interval::Interval;
 
 /// A tapped delay line with many (source × output) pairs: a 160-deep
-/// chain feeding 32 scaled outputs.
-fn oversized() -> (sna_dfg::Dfg, Vec<Interval>) {
+/// chain feeding 32 outputs, output `k` scaled by `coeffs[k]`.
+fn oversized(coeffs: &[f64]) -> (sna_dfg::Dfg, Vec<Interval>) {
     let mut b = DfgBuilder::new();
     let x = b.input("x");
     let taps = b.delay_chain(x, 160);
-    for k in 0..32 {
-        let c = b.constant(0.015625 + k as f64 * 0.001953125);
+    for (k, &coeff) in coeffs.iter().enumerate() {
+        let c = b.constant(coeff);
         let m = b.mul(c, taps[5 * k + 4]);
         b.output(format!("o{k}"), m);
     }
@@ -34,29 +34,23 @@ fn oversized() -> (sna_dfg::Dfg, Vec<Interval>) {
 
 #[test]
 fn large_model_patch_matches_a_from_scratch_compile() {
-    let (g, r) = oversized();
-    let s = Session::new(g.clone(), r.clone()).unwrap();
-    s.na_model().unwrap();
+    let mut coeffs: Vec<f64> = (0..32).map(|k| 0.015625 + k as f64 * 0.001953125).collect();
+    let (g, r) = oversized(&coeffs);
+    assert_eq!(g.const_values(), coeffs);
 
     // Retune coefficients at both ends of the chain.
-    let mut coeffs = s.coefficients();
-    let last = coeffs.len() - 1;
     coeffs[0] *= 1.5;
-    coeffs[last] *= 0.5;
-    let swapped = s.with_coefficients(&coeffs).unwrap();
+    coeffs[31] *= 0.5;
+    let swapped = Session::new(g.with_const_values(&coeffs).unwrap(), r).unwrap();
 
-    let cold = Session::new(g.with_const_values(&coeffs).unwrap(), r).unwrap();
+    let (g, r) = oversized(&coeffs);
+    let cold = Session::new(g, r).unwrap();
     assert!(
         swapped
             .na_model()
             .unwrap()
             .bit_identical(&cold.na_model().unwrap()),
         "the swapped model's gains and coefficient sites differ from a cold build"
-    );
-    let stats = swapped.stats();
-    assert_eq!(
-        stats.na_builds, 2,
-        "one cold build per coefficient set: {stats:?}"
     );
     let req = AnalysisRequest {
         engine: EngineKind::Na,

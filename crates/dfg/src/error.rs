@@ -63,10 +63,15 @@ pub enum DfgError {
     },
     /// An impulse response failed to decay (unstable feedback).
     UnstableImpulse {
-        /// The injection node.
+        /// The injection node, or for an overflowed bound the node it
+        /// belongs to.
         node: NodeId,
-        /// Steps simulated before giving up.
-        steps: usize,
+        /// Steps simulated before giving up: the whole step budget, or
+        /// with `overflowed` the step the gain stopped being finite at.
+        /// `None` where no step count is known.
+        steps: Option<usize>,
+        /// The gain overflowed `f64`: the response grows without bound.
+        overflowed: bool,
     },
 }
 
@@ -100,10 +105,21 @@ impl fmt::Display for DfgError {
             DfgError::NonlinearNode { node } => {
                 write!(f, "node {node} is nonlinear in the signal path")
             }
-            DfgError::UnstableImpulse { node, steps } => write!(
-                f,
-                "impulse response from node {node} did not decay within {steps} steps"
-            ),
+            DfgError::UnstableImpulse {
+                node,
+                steps,
+                overflowed,
+            } => {
+                write!(f, "impulse response from node {node} did not decay")?;
+                match (overflowed, steps) {
+                    (false, Some(steps)) => write!(f, " within {steps} steps"),
+                    (false, None) => Ok(()),
+                    (true, Some(steps)) => {
+                        write!(f, ": its gain overflowed f64 after {steps} steps")
+                    }
+                    (true, None) => write!(f, ": its gain overflowed f64"),
+                }
+            }
         }
     }
 }

@@ -473,9 +473,8 @@ impl Dfg {
     }
 
     /// A copy of the graph with every `Const` value replaced, in
-    /// [`Dfg::const_nodes`] order — the "same shape, new coefficients"
-    /// skeleton reuse behind coefficient swaps.  Everything
-    /// structural (node ids, arguments, names, topological order, delay
+    /// [`Dfg::const_nodes`] order: "the same shape, new coefficients".
+    /// Everything structural (node ids, arguments, names, topological order, delay
     /// inventory, outputs) is preserved verbatim.
     ///
     /// # Errors
@@ -508,16 +507,15 @@ impl Dfg {
     /// A canonical text rendering of the graph's *shape*: every node's
     /// operation (with `Const` **values masked out**), arguments and
     /// name, plus the declared outputs.  Two graphs share a signature
-    /// exactly when one is [`Dfg::with_const_values`] of the other — the
-    /// key of coefficient-level skeleton caches.
+    /// exactly when one is [`Dfg::with_const_values`] of the other.  It
+    /// is the shape part of an `opt` sweep checkpoint's identity.
     ///
     /// Input ranges are not part of the graph and must be appended by
-    /// the caller when they matter for the cached artifact.
+    /// the caller when they matter for the keyed artifact.
     #[must_use]
     pub fn shape_signature(&self) -> String {
-        // Built by hand rather than through `write!`: a cold cache lookup
-        // renders this for every request, and the formatting machinery
-        // cost more than the graph walk.
+        // Built by hand rather than through `write!`: the formatting
+        // machinery cost more than the graph walk.
         let mut out = String::with_capacity(self.nodes.len() * 24 + self.outputs.len() * 16);
         for (i, node) in self.nodes.iter().enumerate() {
             push_node_ref(&mut out, i);

@@ -183,7 +183,7 @@ impl Dfg {
             let total: f64 = gains.iter().map(|g| g.l1).sum();
             if !total.is_finite() {
                 // The response overflowed: it grows without bound.
-                break;
+                return Err(overflowed(source, step));
             }
             let scale = total.max(1e-300);
             if increment / scale < opts.tolerance {
@@ -222,7 +222,8 @@ impl Dfg {
         }
         Err(DfgError::UnstableImpulse {
             node: source,
-            steps: opts.max_steps,
+            steps: Some(opts.max_steps),
+            overflowed: false,
         })
     }
 
@@ -374,7 +375,7 @@ impl Dfg {
         sim.inject(source, 1.0)?;
         let mut l1 = vec![0.0; self.len()];
         let mut quiet = 0usize;
-        for _ in 0..opts.max_steps {
+        for step in 0..opts.max_steps {
             sim.step(&zeros)?;
             baseline.step(&zeros)?;
             let mut increment = 0.0;
@@ -388,7 +389,7 @@ impl Dfg {
             }
             let total: f64 = l1.iter().sum();
             if !total.is_finite() {
-                break;
+                return Err(overflowed(source, step));
             }
             let scale = total.max(1e-300);
             if increment / scale < opts.tolerance {
@@ -402,7 +403,8 @@ impl Dfg {
         }
         Err(DfgError::UnstableImpulse {
             node: source,
-            steps: opts.max_steps,
+            steps: Some(opts.max_steps),
+            overflowed: false,
         })
     }
 
@@ -442,7 +444,7 @@ impl Dfg {
         let mut center = vec![0.0; self.len()];
         let mut quiet = 0usize;
         let mut settled = false;
-        for _ in 0..opts.max_steps {
+        for step in 0..opts.max_steps {
             sim.step(&mids)?;
             let mut delta = 0.0;
             let mut scale = 0.0;
@@ -450,6 +452,9 @@ impl Dfg {
                 delta += (v - *c).abs();
                 scale += v.abs();
                 *c = v;
+            }
+            if !scale.is_finite() {
+                return Err(overflowed(NodeId(0), step));
             }
             if delta <= opts.tolerance * (1.0 + scale) {
                 quiet += 1;
@@ -464,7 +469,8 @@ impl Dfg {
         if !settled {
             return Err(DfgError::UnstableImpulse {
                 node: NodeId(0),
-                steps: opts.max_steps,
+                steps: Some(opts.max_steps),
+                overflowed: false,
             });
         }
         // Radii from per-input L1 gains.
@@ -490,7 +496,8 @@ impl Dfg {
                 // A bound past f64: the loop's gain is unbounded in practice.
                 None => Interval::new(c - r, c + r).map_err(|_| DfgError::UnstableImpulse {
                     node: NodeId(i),
-                    steps: opts.max_steps,
+                    steps: None,
+                    overflowed: true,
                 }),
             })
             .collect()
@@ -551,6 +558,16 @@ impl<T: Copy + Default> Csr<T> {
 
     fn of(&self, i: usize) -> &[T] {
         &self.items[self.start[i] as usize..self.start[i + 1] as usize]
+    }
+}
+
+/// The error for a response from `node` whose gain stopped being finite
+/// at step `step` (counted from 0).
+fn overflowed(node: NodeId, step: usize) -> DfgError {
+    DfgError::UnstableImpulse {
+        node,
+        steps: Some(step + 1),
+        overflowed: true,
     }
 }
 
@@ -795,7 +812,7 @@ impl Pass {
         seed[output] = 1.0;
         let mut start = adj.rank[output] as usize;
         let mut quiet = 0;
-        for _ in 0..opts.max_steps {
+        for lag in 0..opts.max_steps {
             let mut loud = false;
             let mut finite = true;
             for &v in &adj.order[start..] {
@@ -816,14 +833,11 @@ impl Pass {
                 }
             }
             if !finite {
-                let overflowed = adj.order[start..].iter().map(|&v| v as usize).find(|&i| {
+                let culprit = adj.order[start..].iter().map(|&v| v as usize).find(|&i| {
                     let g = &gains[i * stride];
                     !(g.l1 + g.l2_squared).is_finite()
                 });
-                return Err(DfgError::UnstableImpulse {
-                    node: NodeId(overflowed.unwrap_or(output)),
-                    steps: opts.max_steps,
-                });
+                return Err(overflowed(NodeId(culprit.unwrap_or(output)), lag));
             }
             seed[output] = 0.0;
             for &a in &adj.latched {
@@ -959,17 +973,38 @@ mod tests {
             }
             let g = b.build().unwrap();
             let opts = LtiOptions::default();
+            // The error names the step the gain overflowed at, well
+            // inside the step budget, not the budget itself.
             let unstable = |r: Result<(), DfgError>| {
-                assert!(
-                    matches!(r, Err(DfgError::UnstableImpulse { .. })),
-                    "pinned {pinned}: {r:?}"
-                );
+                let Err(
+                    e @ DfgError::UnstableImpulse {
+                        steps: Some(steps),
+                        overflowed: true,
+                        ..
+                    },
+                ) = r
+                else {
+                    panic!("pinned {pinned}: {r:?}");
+                };
+                assert!(steps < opts.max_steps, "pinned {pinned}: {e}");
+                let wording = format!("did not decay: its gain overflowed f64 after {steps} steps");
+                assert!(e.to_string().ends_with(&wording), "pinned {pinned}: {e}");
             };
             unstable(g.impulse_response(x, &opts).map(drop));
             unstable(g.node_impulse_l1(x, &opts).map(drop));
             unstable(g.adjoint_gains(&opts).map(drop));
             unstable(g.ranges_lti(&[Interval::UNIT], &opts).map(drop));
         }
+        // An overflowed bound has no step count to report.
+        let bound = DfgError::UnstableImpulse {
+            node: NodeId(1),
+            steps: None,
+            overflowed: true,
+        };
+        assert_eq!(
+            bound.to_string(),
+            "impulse response from node n1 did not decay: its gain overflowed f64"
+        );
     }
 
     #[test]

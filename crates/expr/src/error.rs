@@ -14,8 +14,6 @@ pub enum ExprError {
         /// The configured budget.
         budget: u128,
     },
-    /// Division by a polynomial whose range contains zero.
-    DivisionByZero,
     /// A referenced symbol does not exist in the table.
     UnknownSymbol {
         /// The raw index of the missing symbol.
@@ -32,9 +30,6 @@ impl fmt::Display for ExprError {
                 f,
                 "cartesian evaluation requires {required} bin combinations, budget is {budget}"
             ),
-            ExprError::DivisionByZero => {
-                write!(f, "division by a polynomial whose range contains zero")
-            }
             ExprError::UnknownSymbol { index } => {
                 write!(f, "unknown symbol index {index}")
             }

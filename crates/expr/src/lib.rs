@@ -15,9 +15,10 @@
 //!   with cached raw moments `E[εᵏ]`;
 //! * [`Poly`] — sparse multivariate polynomials over the symbols, with exact
 //!   moment computation (mean/variance under symbol independence), interval
-//!   range evaluation, and Cartesian histogram evaluation;
-//! * [`RationalFn`] — quotients of polynomials, closed under the four
-//!   arithmetic operations, for datapaths containing division.
+//!   range evaluation, and Cartesian histogram evaluation.
+//!
+//! Quotients by a signal-dependent polynomial are not represented: the
+//! symbolic engine answers `UnsupportedOp` for such a divisor.
 //!
 //! # Example
 //!
@@ -42,12 +43,10 @@ mod error;
 mod eval;
 mod monomial;
 mod poly;
-mod rational;
 mod symbol;
 
 pub use error::ExprError;
 pub use eval::HistEvalOptions;
 pub use monomial::Monomial;
 pub use poly::Poly;
-pub use rational::RationalFn;
 pub use symbol::{SymbolId, SymbolInfo, SymbolTable};

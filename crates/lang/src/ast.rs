@@ -141,7 +141,7 @@ pub enum Stmt {
     /// `let name = number;` — a *named constant binding*.  Semantically a
     /// plain binding to a literal, but syntactically marked: the one
     /// obvious mutation site of a coefficient-swept design (see
-    /// `Session::with_coefficients` in `sna-core`).  Lowers to the same
+    /// `Dfg::with_const_values` in `sna-dfg`).  Lowers to the same
     /// deduped `Const` node a bare literal would.
     ConstLet {
         /// The bound name.

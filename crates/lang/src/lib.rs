@@ -48,8 +48,8 @@
 //! `let k = 0.70710678;` is a *named constant binding*: semantically the
 //! same as `k = 0.70710678;` (it lowers to the shared, deduped `Const`
 //! node), but it marks the one obvious mutation site of a
-//! coefficient-swept design — the values `Session::with_coefficients`
-//! swaps without recompiling.
+//! coefficient-swept design — the values `Dfg::const_values` lists and
+//! `Dfg::with_const_values` replaces.
 //!
 //! `input v[8] in [-1, 1];` declares a *vector input bank*: eight
 //! inputs addressable as `v[0]` … `v[7]`, each with the declared range.

@@ -29,38 +29,6 @@ pub struct Lowered {
     pub input_ranges: Vec<Interval>,
 }
 
-impl Lowered {
-    /// The full-text *shape key* of the compiled program: the graph's
-    /// canonical shape rendering with every `Const` **value masked out**
-    /// ([`Dfg::shape_signature`]) plus the declared input ranges.
-    ///
-    /// Two programs share a shape key exactly when they lower to graphs
-    /// that differ only in constant values — the precondition for
-    /// handing one's graph to the other's cached skeleton
-    /// (`Session::adopt_graph`) instead of recompiling.  (Constant
-    /// *dedup* is value-keyed, so programs that merge literals
-    /// differently get different keys — the alias is sound by
-    /// construction.)
-    ///
-    /// The key is an exact byte format: the compile cache's persistent
-    /// tier stores shape pointers under its FNV-1a hash, so
-    /// `tests/golden_front_end.rs` freezes it.
-    #[must_use]
-    pub fn shape_key(&self) -> String {
-        use std::fmt::Write;
-        let mut key = self.dfg.shape_signature();
-        for r in &self.input_ranges {
-            let _ = writeln!(
-                key,
-                "range {:016x} {:016x}",
-                r.lo().to_bits(),
-                r.hi().to_bits()
-            );
-        }
-        key
-    }
-}
-
 /// Lowers a parsed program onto [`DfgBuilder`].
 ///
 /// Names resolve in statement order; a name may only be referenced
@@ -812,10 +780,15 @@ mod tests {
         let reshaped = compile_ok("input x;\nlet k = 0.25;\noutput y = k*x + x;\n");
         let renamed = compile_ok("input x;\nlet q = 0.25;\noutput y = q*x;\n");
         let reranged = compile_ok("input x in [-2, 2];\nlet k = 0.25;\noutput y = k*x;\n");
-        assert_eq!(base.shape_key(), swapped.shape_key());
-        assert_ne!(base.shape_key(), reshaped.shape_key());
-        assert_ne!(base.shape_key(), renamed.shape_key());
-        assert_ne!(base.shape_key(), reranged.shape_key());
+        // The graph's shape signature (the shape part of a sweep
+        // checkpoint's identity) masks constant values only.
+        let shape = |l: &Lowered| l.dfg.shape_signature();
+        assert_eq!(shape(&base), shape(&swapped));
+        assert_ne!(shape(&base), shape(&reshaped));
+        assert_ne!(shape(&base), shape(&renamed));
+        // Input ranges live beside the graph, not in its signature.
+        assert_eq!(shape(&base), shape(&reranged));
+        assert_ne!(base.input_ranges, reranged.input_ranges);
         // The coefficient vectors map slot for slot.
         assert_eq!(base.dfg.const_values(), vec![0.25]);
         assert_eq!(swapped.dfg.const_values(), vec![0.75]);
@@ -1046,12 +1019,13 @@ mod tests {
         let bounded = compile_ok("input x;\nlet k = 0.5;\ny = k*x + x range [-1, 1];\noutput y;\n");
         let rebounded =
             compile_ok("input x;\nlet k = 0.5;\ny = k*x + x range [-2, 2];\noutput y;\n");
-        assert_ne!(plain.shape_key(), bounded.shape_key());
-        assert_ne!(bounded.shape_key(), rebounded.shape_key());
+        let shape = |l: &Lowered| l.dfg.shape_signature();
+        assert_ne!(shape(&plain), shape(&bounded));
+        assert_ne!(shape(&bounded), shape(&rebounded));
         // Same overrides, different coefficients: still one shape.
         let swapped =
             compile_ok("input x;\nlet k = 0.25;\ny = k*x + x range [-1, 1];\noutput y;\n");
-        assert_eq!(bounded.shape_key(), swapped.shape_key());
+        assert_eq!(shape(&bounded), shape(&swapped));
     }
 
     #[test]

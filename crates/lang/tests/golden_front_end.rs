@@ -1,109 +1,11 @@
-//! Frozen front-end outputs that other processes depend on byte for
-//! byte.
+//! Frozen front-end output: the rendered parser diagnostics.
 //!
-//! * **Shape keys.** The compile cache's persistent tier stores `shape`
-//!   pointer objects under `fnv1a_64(shape_key())`; a rendering change
-//!   would orphan every stored pointer. The hashes below pin the key of
-//!   every shipped example plus programs that exercise taps, range
-//!   overrides, vector banks and three-digit node ids.
-//! * **Parser diagnostics.** `tests/fixtures/parser_diagnostics.txt`
-//!   holds the rendered diagnostics ([`render_all`]) of one malformed
-//!   source per error path of the lexer and parser; a rewrite of either
-//!   must reproduce them exactly.
+//! `tests/fixtures/parser_diagnostics.txt` holds the rendered
+//! diagnostics ([`render_all`]) of one malformed source per error path
+//! of the lexer and parser; a rewrite of either must reproduce them
+//! exactly.
 
-use sna_lang::{compile, fnv1a_64, parse, render_all};
-
-/// Taps (shared chain, feedback through `delay`), a `range` override, a
-/// named constant and a vector bank in one program.
-const MIXED: &str = "input x in [-2, 2];\n\
-                     input v[3] in [-0.5, 0.5];\n\
-                     let k = 0.25;\n\
-                     acc = k*x + 0.5*x[n-2] + v[1] range [-3, 3];\n\
-                     fb = delay y;\n\
-                     y = acc - 0.125*fb + v[0]*v[2];\n\
-                     output y;\n\
-                     output z = x[n-1] * v[2];\n";
-
-/// A 150-tap FIR through tap sugar: node ids past 100.
-fn wide_fir() -> String {
-    let mut s = String::from("input x in [-1, 1];\noutput y = 0.01*x");
-    for k in 1..150 {
-        s.push_str(&format!(" + {}*x[n-{k}]", 0.001 * k as f64));
-    }
-    s.push_str(";\n");
-    s
-}
-
-fn shape_hash(source: &str) -> u64 {
-    let lowered = compile(source).unwrap_or_else(|e| panic!("{e:?}"));
-    fnv1a_64(lowered.shape_key().as_bytes())
-}
-
-#[test]
-fn shape_keys_of_the_examples_are_frozen() {
-    let golden: &[(&str, u64)] = &[
-        ("biquad.sna", 0xb117_3ff9_dd2e_2cdd),
-        ("diffeq.sna", 0xb2e4_cf68_16a1_b353),
-        ("fir.sna", 0xe2e0_ae33_880d_ed06),
-        ("fir_taps.sna", 0x374e_7621_793e_9c1a),
-        ("quadratic.sna", 0x05bb_ebf2_4321_8677),
-        ("rgb.sna", 0xd194_20f3_4f9d_cd5e),
-        ("vec_dot.sna", 0x7a5a_08ef_689f_ab42),
-    ];
-    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples");
-    let mut shipped: Vec<String> = std::fs::read_dir(dir)
-        .expect("examples directory")
-        .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
-        .filter(|name| name.ends_with(".sna"))
-        .collect();
-    shipped.sort();
-    let frozen: Vec<&str> = golden.iter().map(|(name, _)| *name).collect();
-    assert_eq!(shipped, frozen, "every shipped example needs a frozen key");
-    for (name, hash) in golden {
-        let source = std::fs::read_to_string(format!("{dir}/{name}")).expect("example");
-        assert_eq!(shape_hash(&source), *hash, "{name}");
-    }
-}
-
-#[test]
-fn shape_keys_with_taps_overrides_and_banks_are_frozen() {
-    assert_eq!(shape_hash(MIXED), 0x8aaf_75cc_dcec_e0e3);
-    assert_eq!(shape_hash(&wide_fir()), 0xefcd_84dc_616e_451d);
-}
-
-#[test]
-fn the_mixed_shape_key_reads_as_documented() {
-    let key = compile(MIXED).unwrap().shape_key();
-    let expected = "\
-n0 in0 \"x\"
-n1 in1 \"v[0]\"
-n2 in2 \"v[1]\"
-n3 in3 \"v[2]\"
-n4 const# \"k\"
-n5 z⁻¹ n0
-n6 z⁻¹ n5
-n7 mul n4 n0
-n8 const#
-n9 mul n8 n6
-n10 add n7 n9
-n11 add n10 n2 \"acc\"
-n12 z⁻¹ n17 \"fb\"
-n13 const#
-n14 mul n13 n12
-n15 sub n11 n14
-n16 mul n1 n3
-n17 add n15 n16 \"y\"
-n18 mul n5 n3 \"z\"
-out \"y\" n17
-out \"z\" n18
-override n11 c008000000000000 4008000000000000
-range c000000000000000 4000000000000000
-range bfe0000000000000 3fe0000000000000
-range bfe0000000000000 3fe0000000000000
-range bfe0000000000000 3fe0000000000000
-";
-    assert_eq!(key, expected);
-}
+use sna_lang::{parse, render_all};
 
 /// One malformed source per diagnostic path, named for the path.
 const CASES: &[(&str, &str)] = &[

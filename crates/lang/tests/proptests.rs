@@ -5,11 +5,10 @@
 //! lowering both must produce structurally identical graphs with
 //! bit-identical simulation traces.
 //!
-//! A second invariant backs the compile cache's shape tier: when two
-//! programs that differ only in literal values lower to equal shape
-//! keys, the second program's graph *is* the first one's with the
-//! constants swapped, node for node — so a cached session may adopt the
-//! fresh lowering instead of cloning its own graph.
+//! A second invariant backs `Dfg::shape_signature`, the shape part of a
+//! sweep checkpoint's identity: when two programs that differ only in
+//! literal values lower to graphs with equal signatures, the second
+//! graph *is* the first one's with the constants swapped, node for node.
 
 use proptest::prelude::*;
 use sna_lang::{
@@ -364,8 +363,9 @@ fn assert_same_graph(a: &sna_dfg::Dfg, b: &sna_dfg::Dfg, seed: u64) {
 }
 
 /// Lowers a random program and a literal-perturbed copy; checks that
-/// their shape keys agree exactly when the literal pattern survives,
-/// and that an equal key means a constant swap (see the module docs).
+/// their shape signatures agree exactly when the literal pattern
+/// survives, and that an equal signature means a constant swap (see the
+/// module docs).
 fn check_constant_swap(seed: u64) {
     let base_program = random_program(seed);
     let Ok(base) = lower(&base_program) else {
@@ -399,7 +399,7 @@ fn check_constant_swap(seed: u64) {
                 })
             })
     };
-    let same_key = base.shape_key() == perturbed.shape_key();
+    let same_key = base.dfg.shape_signature() == perturbed.dfg.shape_signature();
     // Lowering dedups constants by value and nothing else depends
     // on values, so the shape moves exactly when the pattern does.
     assert_eq!(same_key, same_pattern, "seed {seed}");

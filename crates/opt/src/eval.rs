@@ -41,7 +41,8 @@
 use std::sync::{Arc, OnceLock};
 
 use sna_core::{
-    CoeffSite, DfgEngine, EngineOptions, HistMemo, NaModel, NoiseSource, Session, Uncertain, Value,
+    loses_precision, CoeffSite, DfgEngine, EngineOptions, HistMemo, NaModel, NoiseSource, Session,
+    Uncertain, Value,
 };
 use sna_dfg::{Dfg, NodeId, Op};
 use sna_fixp::{Format, Overflow, Quantizer, Rounding, WlConfig};
@@ -330,23 +331,14 @@ impl<'a> NaEval<'a> {
         ev
     }
 
-    /// The precision-loss rule of [`sna_core::noise_sources`], read off the
-    /// quantizer table instead of a materialized `WlConfig`.
+    /// [`sna_core::loses_precision`] for node `i`, read off the quantizer
+    /// table instead of a materialized `WlConfig`.
     fn introduces_noise(&self, i: usize) -> bool {
         let node = self.dfg.node(NodeId::from_index(i));
-        let f = self.table.frac_bits(i, self.w[i]);
-        let arg_frac = |k: usize| {
+        loses_precision(node.op(), self.table.frac_bits(i, self.w[i]), |k| {
             let a = node.args()[k].index();
             self.table.frac_bits(a, self.w[a])
-        };
-        match node.op() {
-            Op::Input(_) => true,
-            Op::Const(_) => false,
-            Op::Add | Op::Sub => f < arg_frac(0).max(arg_frac(1)),
-            Op::Mul => f < arg_frac(0) + arg_frac(1),
-            Op::Div => true,
-            Op::Neg | Op::Delay => f < arg_frac(0),
-        }
+        })
     }
 
     /// Recomputes node `i`'s rows of `contrib_mean` / `contrib_var` from

@@ -2,7 +2,7 @@
 //! re-lexes, re-lowers, and rebuilds the model" into "the first request
 //! pays, every repeat goes straight to evaluation".
 //!
-//! Three key levels:
+//! Two key levels:
 //!
 //! * **source text** — the raw bytes, hashed by the map. The fast path: a
 //!   repeat of the identical text hits without parsing anything.
@@ -10,19 +10,13 @@
 //!   FNV-1a hash is the entry's reported fingerprint). Sources that
 //!   differ only in whitespace or comments share one entry; the second
 //!   spelling pays one parse, then aliases the existing compiled model.
-//! * **shape** — the lowered graph with `Const` values masked
-//!   ([`Lowered::shape_key`]). A program that differs from a cached one
-//!   *only in coefficient values* — the inner loop of design-space
-//!   exploration — pays parse + lower, then the cached entry adopts its
-//!   freshly lowered graph ([`Session::adopt_graph`]): the new session
-//!   shares the donor's VM program and builds ranges and the gain model
-//!   cold, so its answers are a cold compile's bytes.
 //!
-//! A lookup that gets past the source tier builds each key once: one
-//! parse and canonical rendering, and — past the canonical tier — one
-//! lowering and one shape key, whose hash is the shape fingerprint.
+//! Anything else is a miss. A program that differs from a cached one only
+//! in coefficient values — the inner loop of design-space exploration —
+//! compiles cold: with ranges and gains built cold anyway, sharing the
+//! cached design's stages would save only its VM compile.
 //!
-//! All levels compare the full key text on lookup, so a hash collision
+//! Both levels compare the full key text on lookup, so a hash collision
 //! can never hand one program another program's model.
 //!
 //! Entries hold a [`Session`] — graph, ranges, gain model, histogram
@@ -50,8 +44,8 @@ pub struct CompiledEntry {
     pub session: Arc<Session>,
     /// Canonical fingerprint of the program this was compiled from.
     pub fingerprint: u64,
-    /// Coefficient-normalized shape fingerprint: FNV-1a of
-    /// [`Lowered::shape_key`].
+    /// Always 0: the cache has no shape tier any more. Kept because the
+    /// end-to-end benchmark (`e2e/`) reads it; goes when it next changes.
     pub shape_fingerprint: u64,
 }
 
@@ -60,25 +54,14 @@ impl CompiledEntry {
     /// uncached single-shot paths that still want lazy artifact sharing).
     #[must_use]
     pub fn new(lowered: Lowered, fingerprint: u64) -> Self {
-        let shape_fingerprint = fnv1a_64(lowered.shape_key().as_bytes());
-        Self::from_session(cold_session(lowered), fingerprint, shape_fingerprint)
-    }
-
-    /// Wraps a compiled session whose shape fingerprint the caller
-    /// already holds.
-    fn from_session(session: Session, fingerprint: u64, shape_fingerprint: u64) -> Self {
+        let session = Session::new(lowered.dfg, lowered.input_ranges)
+            .expect("lowering guarantees input/range consistency");
         CompiledEntry {
             session: Arc::new(session),
             fingerprint,
-            shape_fingerprint,
+            shape_fingerprint: 0,
         }
     }
-}
-
-/// A fresh session over a lowered program.
-fn cold_session(lowered: Lowered) -> Session {
-    Session::new(lowered.dfg, lowered.input_ranges)
-        .expect("lowering guarantees input/range consistency")
 }
 
 /// How a [`CompileCache::get_or_compile`] call was satisfied.
@@ -89,10 +72,9 @@ pub enum Lookup {
     /// New spelling of a known program; one parse, no lowering or model
     /// build.
     CanonHit,
-    /// A new program whose graph *shape* matches a cached one (only
-    /// constant values differ): parse + lower ran, the cached skeleton's
-    /// VM program is shared, and ranges and gains build cold on first
-    /// use.
+    /// Never returned: the cache has no shape tier any more. Kept because
+    /// the end-to-end benchmark (`e2e/`) reads it; goes when it next
+    /// changes.
     ShapeHit,
     /// Fully compiled on this call.
     Miss,
@@ -105,8 +87,7 @@ impl Lookup {
         !matches!(self, Lookup::Miss)
     }
 
-    /// Protocol wire word: `"hit"` / `"canon-hit"` / `"shape-hit"` /
-    /// `"miss"`.
+    /// Protocol wire word: `"hit"` / `"canon-hit"` / `"miss"`.
     #[must_use]
     pub fn as_str(self) -> &'static str {
         match self {
@@ -121,10 +102,10 @@ impl Lookup {
 /// Cache counters, as reported in batch summaries and `stats` requests.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Lookups answered from the cache (any key level, shape included).
+    /// Lookups answered from the cache (either key level).
     pub hits: u64,
-    /// The subset of `hits` answered through the shape tier (coefficient
-    /// swap onto a cached skeleton).
+    /// Always 0: the cache has no shape tier any more. Kept because the
+    /// end-to-end benchmark (`e2e/`) reads it; goes when it next changes.
     pub shape_hits: u64,
     /// Lookups that compiled from scratch.
     pub misses: u64,
@@ -143,23 +124,22 @@ pub struct CacheStats {
 /// until the server is OOM-killed. When inserting a *newly compiled*
 /// program would push the cache past either limit, **least-recently-used
 /// entries are evicted one at a time** until it fits (each counted in
-/// [`CacheStats::evictions`]). Every hit — source, canonical, or shape
-/// tier — refreshes its entry's recency, so a hot working set (a busy
-/// server's steady traffic, a sweep's shape donor) survives a stream of
-/// one-off programs instead of being wiped by a whole-cache sweep.
-/// In-flight `Arc`s keep evicted entries alive regardless.
+/// [`CacheStats::evictions`]). Every hit — source or canonical tier —
+/// refreshes its entry's recency, so a hot working set (a busy server's
+/// steady traffic) survives a stream of one-off programs instead of
+/// being wiped by a whole-cache sweep. In-flight `Arc`s keep evicted
+/// entries alive regardless.
 ///
 /// Only the full-compile (miss) path evicts. Hit-path alias
-/// registration (a new spelling of a cached program) and shape-tier
-/// variant registration never do: past a cap the spelling/variant
-/// simply stays unrecorded, so cheap hit traffic cannot evict other
-/// clients' entries.
+/// registration (a new spelling of a cached program) never does: past a
+/// cap the spelling simply stays unrecorded, so cheap hit traffic cannot
+/// evict other clients' entries.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CacheLimits {
     /// Maximum distinct compiled programs held at once.
     pub max_entries: usize,
-    /// Maximum total bytes across all key texts (raw sources, canonical
-    /// renderings, shape keys). Bounds the alias map, which can grow
+    /// Maximum total bytes across all key texts (raw sources and
+    /// canonical renderings). Bounds the alias map, which can grow
     /// without adding entries — every whitespace respelling of one
     /// program is a new up-to-1-MiB source key.
     pub max_key_bytes: usize,
@@ -192,10 +172,6 @@ struct Slot {
     /// Raw-source spellings registered for this entry (keys of
     /// `State::by_source` to drop on eviction; shared allocations).
     aliases: Vec<Arc<str>>,
-    /// The shape key this entry donates its skeleton under, when it is
-    /// the registered donor (filed in `State::by_shape` under
-    /// `entry.shape_fingerprint`).
-    shape_key: Option<String>,
     /// The next less recently used slot, toward [`State::oldest`].
     older: Option<usize>,
     /// The next more recently used slot, toward [`State::newest`].
@@ -204,13 +180,13 @@ struct Slot {
 
 /// The maps, slots and counters behind the cache's lock.
 ///
-/// Canonical renderings and shape keys are filed under their FNV-1a
-/// fingerprints, which every lookup past the source tier computes
-/// before it takes the lock; the slot keeps the full text, and a lookup
-/// only matches when the text is equal. Two texts with one fingerprint
-/// therefore never share an entry: the later one is served uncached
-/// (and, for a shape, donates nothing). The lock therefore never hashes
-/// a multi-kilobyte key except the raw source text, the fast path's key.
+/// Canonical renderings are filed under their FNV-1a fingerprints, which
+/// every lookup past the source tier computes before it takes the lock;
+/// the slot keeps the full text, and a lookup only matches when the text
+/// is equal. Two texts with one fingerprint therefore never share an
+/// entry: the later one is served uncached. The lock therefore never
+/// hashes a multi-kilobyte key except the raw source text, the fast
+/// path's key.
 #[derive(Default)]
 struct State {
     /// Raw source text → slot of its entry. Full-text keys (not bare
@@ -221,10 +197,6 @@ struct State {
     by_source: HashMap<Arc<str>, usize>,
     /// Canonical fingerprint → slot. One key per live slot.
     by_canon: HashMap<u64, usize>,
-    /// Shape fingerprint (of [`Lowered::shape_key`]) → slot of the
-    /// skeleton donor for coefficient swaps (the first entry compiled
-    /// with each shape, replaced when it is evicted).
-    by_shape: HashMap<u64, usize>,
     /// The slots, indexed by the maps; `None` marks a free index.
     slots: Vec<Option<Slot>>,
     /// Free indices of `slots`, reused before the vector grows.
@@ -233,11 +205,10 @@ struct State {
     oldest: Option<usize>,
     /// The most recently used live slot.
     newest: Option<usize>,
-    /// Total bytes across all key texts (sources, canonical renderings,
-    /// shape keys), compared against [`CacheLimits::max_key_bytes`].
+    /// Total bytes across all key texts (sources and canonical
+    /// renderings), compared against [`CacheLimits::max_key_bytes`].
     key_bytes: usize,
     hits: u64,
-    shape_hits: u64,
     misses: u64,
     evictions: u64,
 }
@@ -300,13 +271,6 @@ impl State {
         (self.slot(i).canon == canon).then(|| (i, self.touch(i)))
     }
 
-    /// The donor slot of shape `shape_key` (with fingerprint
-    /// `fingerprint`), marked as just used.
-    fn touch_shape(&mut self, fingerprint: u64, shape_key: &str) -> Option<Arc<CompiledEntry>> {
-        let i = *self.by_shape.get(&fingerprint)?;
-        (self.slot(i).shape_key.as_deref() == Some(shape_key)).then(|| self.touch(i))
-    }
-
     /// Evicts least-recently-used entries until one more compiled
     /// program with `incoming` key bytes fits the limits, and returns
     /// them: the caller drops them once the lock is released, so freeing
@@ -337,10 +301,6 @@ impl State {
         for alias in &slot.aliases {
             self.by_source.remove(alias);
             self.key_bytes = self.key_bytes.saturating_sub(alias.len());
-        }
-        if let Some(shape_key) = &slot.shape_key {
-            self.by_shape.remove(&slot.entry.shape_fingerprint);
-            self.key_bytes = self.key_bytes.saturating_sub(shape_key.len());
         }
         self.evictions += 1;
         slot
@@ -373,7 +333,6 @@ impl State {
             entry,
             canon,
             aliases: Vec::new(),
-            shape_key: None,
             older: None,
             newer: None,
         };
@@ -384,21 +343,6 @@ impl State {
         }
         self.link_newest(i);
         Some(i)
-    }
-
-    /// Registers slot `i` as the donor for its shape, `shape_key`
-    /// (first occupant of the fingerprint wins), while it fits the byte
-    /// budget.
-    fn register_shape(&mut self, shape_key: String, i: usize, limits: &CacheLimits) {
-        if self.key_bytes.saturating_add(shape_key.len()) > limits.max_key_bytes {
-            return;
-        }
-        let fingerprint = self.slot(i).entry.shape_fingerprint;
-        if let Entry::Vacant(vacant) = self.by_shape.entry(fingerprint) {
-            vacant.insert(i);
-            self.key_bytes += shape_key.len();
-            self.slot_mut(i).shape_key = Some(shape_key);
-        }
     }
 }
 
@@ -493,54 +437,7 @@ impl CompileCache {
         }
 
         let lowered = sna_lang::lower(&program)?;
-        let incoming = canon.len() + source.len();
-        let shape_key = lowered.shape_key();
-        let shape_fingerprint = fnv1a_64(shape_key.as_bytes());
-
-        // Shape tier: a cached program with the same const-masked shape
-        // adopts this one's lowered graph — its VM program is shared,
-        // ranges and gains build cold on first use. Serving a swap *uses*
-        // the donor, so its recency is refreshed: a hot skeleton under a
-        // parameter sweep outlives streams of one-off programs.
-        let donor = self.lock().touch_shape(shape_fingerprint, &shape_key);
-        if let Some(donor) = donor {
-            let session = donor.session.adopt_graph(lowered.dfg);
-            let entry = Arc::new(CompiledEntry::from_session(
-                session,
-                fingerprint,
-                shape_fingerprint,
-            ));
-            let mut state = self.lock();
-            state.hits += 1;
-            // Never evict on this path: evicting here would let an
-            // attacker stream coefficient respins of one cached shape
-            // to push out every other client's compiled programs.
-            // Past a limit the variant is served but simply stays
-            // unregistered.
-            if state.by_canon.len() >= self.limits.max_entries
-                || state.key_bytes.saturating_add(incoming) > self.limits.max_key_bytes
-            {
-                state.shape_hits += 1;
-                return Ok((entry, Lookup::ShapeHit));
-            }
-            if let Some((slot, existing)) = state.touch_canon(fingerprint, &canon) {
-                // A racer registered the identical program meanwhile;
-                // share its entry.
-                state.insert_source(source_key, slot);
-                return Ok((existing, Lookup::CanonHit));
-            }
-            if let Some(slot) = state.insert_slot(canon, entry.clone()) {
-                state.insert_source(source_key, slot);
-            }
-            state.shape_hits += 1;
-            return Ok((entry, Lookup::ShapeHit));
-        }
-
-        let entry = Arc::new(CompiledEntry::from_session(
-            cold_session(lowered),
-            fingerprint,
-            shape_fingerprint,
-        ));
+        let entry = Arc::new(CompiledEntry::new(lowered, fingerprint));
         let mut state = self.lock();
         // A racing thread may have inserted the same program meanwhile;
         // the first insert wins (so every caller shares one allocation)
@@ -557,12 +454,9 @@ impl CompileCache {
             drop(state);
             return Ok((existing, Lookup::CanonHit));
         }
-        let evicted = state.make_room(&self.limits, incoming);
+        let evicted = state.make_room(&self.limits, canon.len() + source.len());
         if let Some(slot) = state.insert_slot(canon, entry.clone()) {
             state.insert_source(source_key, slot);
-            // Register the new shape's skeleton donor (first occupant
-            // wins) while it fits the byte budget.
-            state.register_shape(shape_key, slot, &self.limits);
         }
         state.misses += 1;
         // Free the evicted sessions without holding up other lookups.
@@ -577,7 +471,7 @@ impl CompileCache {
         let state = self.lock();
         CacheStats {
             hits: state.hits,
-            shape_hits: state.shape_hits,
+            shape_hits: 0,
             misses: state.misses,
             entries: state.by_canon.len(),
             evictions: state.evictions,
@@ -645,102 +539,7 @@ mod tests {
         assert!(entry.session.dfg().is_combinational());
     }
 
-    #[test]
-    fn coefficient_swaps_hit_the_shape_tier() {
-        let cache = CompileCache::new();
-        let base = "input x in [-1, 1];\nlet k = 0.5;\noutput y = k*x;\n";
-        let (first, l0) = cache.get_or_compile(base).unwrap();
-        assert_eq!(l0, Lookup::Miss);
-        // Build every stage of the donor; the swap shares only the VM
-        // program.
-        first.session.na_model().unwrap();
-        let _ = first.session.vm_program();
-
-        let swapped = "input x in [-1, 1];\nlet k = 0.25;\noutput y = k*x;\n";
-        let (second, lookup) = cache.get_or_compile(swapped).unwrap();
-        assert_eq!(lookup, Lookup::ShapeHit);
-        assert_eq!(second.shape_fingerprint, first.shape_fingerprint);
-        assert_ne!(second.fingerprint, first.fingerprint);
-        assert_eq!(second.session.coefficients(), vec![0.25]);
-        // The value-dependent stages build cold on first use and equal
-        // a cold compile's.
-        assert!(second.session.vm_program_built());
-        assert!(!second.session.na_model_built());
-        let (cold, _) = CompileCache::new().get_or_compile(swapped).unwrap();
-        assert!(second
-            .session
-            .na_model()
-            .unwrap()
-            .bit_identical(&cold.session.na_model().unwrap()));
-        let family = second.session.stats();
-        assert_eq!((family.na_builds, family.vm_compiles), (2, 1), "{family:?}");
-        let stats = cache.stats();
-        assert_eq!(stats.shape_hits, 1, "{stats:?}");
-        assert_eq!(stats.hits, 1, "{stats:?}");
-        assert_eq!(stats.misses, 1, "{stats:?}");
-        assert_eq!(stats.entries, 2, "{stats:?}");
-
-        // The swapped spelling is now cached in its own right.
-        let (_, l2) = cache.get_or_compile(swapped).unwrap();
-        assert_eq!(l2, Lookup::SourceHit);
-
-        // A genuinely different shape misses.
-        let reshaped = "input x in [-1, 1];\nlet k = 0.5;\noutput y = k*x + x;\n";
-        assert_eq!(cache.get_or_compile(reshaped).unwrap().1, Lookup::Miss);
-    }
-
-    #[test]
-    fn shape_hit_analyses_match_a_cold_compile() {
-        let base = "input x in [-1, 1];\n\
-                    x1 = delay x;\n\
-                    x2 = delay x1;\n\
-                    let a = 0.25;\n\
-                    let b = 0.5;\n\
-                    y = a*x + b*x1 + a*x2;\n\
-                    output y;\n";
-        let swapped = base.replace("0.25", "0.3").replace("0.5", "0.45");
-
-        let warm = CompileCache::new();
-        let (e0, _) = warm.get_or_compile(base).unwrap();
-        e0.session.na_model().unwrap();
-        let (via_shape, lookup) = warm.get_or_compile(&swapped).unwrap();
-        assert_eq!(lookup, Lookup::ShapeHit);
-
-        let cold = CompileCache::new();
-        let (scratch, _) = cold.get_or_compile(&swapped).unwrap();
-
-        let cfg_a = via_shape
-            .session
-            .wl_config(&sna_core::WlChoice::Uniform(12))
-            .unwrap();
-        let cfg_b = scratch
-            .session
-            .wl_config(&sna_core::WlChoice::Uniform(12))
-            .unwrap();
-        let a = via_shape
-            .session
-            .na_model()
-            .unwrap()
-            .evaluate(via_shape.session.dfg(), &cfg_a);
-        let b = scratch
-            .session
-            .na_model()
-            .unwrap()
-            .evaluate(scratch.session.dfg(), &cfg_b);
-        for ((n1, ra), (n2, rb)) in a.iter().zip(&b) {
-            assert_eq!(n1, n2);
-            let tol = 1e-12 * rb.variance.abs().max(1e-300);
-            assert!(
-                (ra.variance - rb.variance).abs() <= tol,
-                "variance {} vs {}",
-                ra.variance,
-                rb.variance
-            );
-        }
-    }
-
-    /// A *structurally* distinct single-output program per index (the
-    /// shapes differ, so none of these can shape-alias another).
+    /// A *structurally* distinct single-output program per index.
     fn program(i: usize) -> String {
         format!(
             "input x in [-1, 1];\ny = 0.5*x{};\noutput y;\n",
@@ -799,31 +598,36 @@ mod tests {
     }
 
     #[test]
-    fn shape_donors_are_refreshed_by_swaps_and_cleaned_up_on_eviction() {
+    fn respins_at_the_cap_evict_like_misses_and_repeat_as_source_hits() {
         let cache = CompileCache::with_limits(CacheLimits {
             max_entries: 4,
             ..CacheLimits::default()
         });
-        let base = "input x in [-1, 1];\nlet k = 0.5;\noutput y = k*x;\n";
-        let (donor, _) = cache.get_or_compile(base).unwrap();
-        donor.session.na_model().unwrap();
-        // Keep the donor hot through its shape tier only (coefficient
-        // respins), while distinct programs churn the rest of the cache.
-        for i in 1..=20 {
-            let swapped = format!("input x in [-1, 1];\nlet k = 0.{i}1;\noutput y = k*x;\n");
-            let (_, lookup) = cache.get_or_compile(&swapped).unwrap();
-            assert!(lookup.is_hit(), "iteration {i}: {lookup:?}");
+        let respin = |k: usize| format!("input x in [-1, 1];\nlet k = 0.{k}1;\noutput y = k*x;\n");
+        let base = respin(0);
+        cache.get_or_compile(&base).unwrap();
+        for i in 1..=3 {
             cache.get_or_compile(&program(i)).unwrap();
         }
-        // The donor was touched by every swap: still resident.
-        assert!(cache.get_or_compile(base).unwrap().1.is_hit());
-
-        // Push the donor out for real (no more touches) and verify the
-        // shape tier was cleaned up: the next swap is a full compile.
-        for i in 21..=40 {
-            cache.get_or_compile(&program(i)).unwrap();
+        assert_eq!(cache.stats().entries, 4);
+        // At the cap, a coefficient respin of a cached design is an
+        // ordinary miss: it evicts the least recently used entry.
+        let (first, lookup) = cache.get_or_compile(&respin(1)).unwrap();
+        assert_eq!(lookup, Lookup::Miss);
+        let stats = cache.stats();
+        assert_eq!((stats.entries, stats.evictions), (4, 1), "{stats:?}");
+        assert_eq!(cache.get_or_compile(&base).unwrap().1, Lookup::Miss);
+        // Its exact repeat is a source hit on the same entry.
+        let (again, lookup) = cache.get_or_compile(&respin(1)).unwrap();
+        assert_eq!(lookup, Lookup::SourceHit);
+        assert!(Arc::ptr_eq(&first, &again));
+        // A stream of respins keeps the cache at its cap.
+        for k in 2..=20 {
+            assert_eq!(cache.get_or_compile(&respin(k)).unwrap().1, Lookup::Miss);
+            assert!(cache.stats().entries <= 4);
         }
-        assert_eq!(cache.get_or_compile(base).unwrap().1, Lookup::Miss);
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.shape_hits), (1, 0), "{stats:?}");
     }
 
     #[test]
@@ -869,10 +673,8 @@ mod tests {
     struct ScanModel {
         /// Source → canonical text.
         by_source: HashMap<String, String>,
-        /// Canonical text → (last use, aliases, donated shape key).
-        slots: HashMap<String, (u64, Vec<String>, Option<String>)>,
-        /// Shape key → canonical text of its donor.
-        by_shape: HashMap<String, String>,
+        /// Canonical text → (last use, aliases).
+        slots: HashMap<String, (u64, Vec<String>)>,
         key_bytes: usize,
         tick: u64,
         stats: CacheStats,
@@ -896,8 +698,7 @@ mod tests {
         fn insert(&mut self, source: &str, canon: &str) {
             self.tick += 1;
             self.key_bytes += canon.len();
-            self.slots
-                .insert(canon.into(), (self.tick, Vec::new(), None));
+            self.slots.insert(canon.into(), (self.tick, Vec::new()));
             self.alias(source, canon);
         }
 
@@ -918,18 +719,6 @@ mod tests {
                 self.stats.hits += 1;
                 return Lookup::CanonHit;
             }
-            let shape = sna_lang::lower(&program).unwrap().shape_key();
-            if let Some(donor) = self.by_shape.get(&shape).cloned() {
-                assert!(self.touch(&donor));
-                self.stats.hits += 1;
-                self.stats.shape_hits += 1;
-                if self.slots.len() < limits.max_entries
-                    && fits(self.key_bytes, canon.len() + source.len())
-                {
-                    self.insert(source, &canon);
-                }
-                return Lookup::ShapeHit;
-            }
             while !self.slots.is_empty()
                 && (self.slots.len() >= limits.max_entries
                     || !fits(self.key_bytes, canon.len() + source.len()))
@@ -940,24 +729,15 @@ mod tests {
                     .min_by_key(|(_, slot)| slot.0)
                     .map(|(canon, _)| canon.clone())
                     .unwrap();
-                let (_, aliases, shape) = self.slots.remove(&victim).unwrap();
+                let (_, aliases) = self.slots.remove(&victim).unwrap();
                 self.key_bytes -= victim.len();
                 for alias in aliases {
                     self.by_source.remove(&alias);
                     self.key_bytes -= alias.len();
                 }
-                if let Some(shape) = shape {
-                    self.by_shape.remove(&shape);
-                    self.key_bytes -= shape.len();
-                }
                 self.stats.evictions += 1;
             }
             self.insert(source, &canon);
-            if !self.by_shape.contains_key(&shape) && fits(self.key_bytes, shape.len()) {
-                self.key_bytes += shape.len();
-                self.slots.get_mut(&canon).unwrap().2 = Some(shape.clone());
-                self.by_shape.insert(shape, canon);
-            }
             self.stats.misses += 1;
             Lookup::Miss
         }

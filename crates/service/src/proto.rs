@@ -348,7 +348,6 @@ impl Handler<'_> {
             "cache".to_string(),
             Json::Obj(vec![
                 ("hits".into(), as_int(s.hits)),
-                ("shape_hits".into(), as_int(s.shape_hits)),
                 ("misses".into(), as_int(s.misses)),
                 ("entries".into(), Json::int(s.entries)),
                 ("evictions".into(), as_int(s.evictions)),

@@ -7,12 +7,10 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use sna_service::{CacheLimits, CompileCache, CompiledEntry, Lookup};
+use sna_service::{CompileCache, CompiledEntry, Lookup};
 
 /// A family of *structurally* distinct one-pole filters (`k` extra
-/// feed-forward taps) — none of them can shape-alias another, so every
-/// first compile is a deterministic miss. Coefficient-only families go
-/// through the shape tier instead (tested separately below).
+/// feed-forward taps): every first compile is a deterministic miss.
 fn source(k: usize) -> String {
     format!(
         "input x in [-1, 1];\nt = delay y;\ny = 0.3*x + 0.5*t{};\noutput y;\n",
@@ -70,104 +68,6 @@ fn n_threads_on_same_and_distinct_sources_share_entries_and_balance_counters() {
     assert_eq!(stats.entries, DISTINCT);
     assert_eq!(stats.hits + stats.misses, (THREADS * ITERS) as u64);
     assert_eq!(stats.misses, DISTINCT as u64);
-}
-
-#[test]
-fn concurrent_coefficient_swaps_ride_the_shape_tier() {
-    // One warm skeleton, then many threads requesting coefficient-only
-    // variants: every variant must come back consistent, and none may
-    // charge a full-compile miss (the donor absorbs them all).
-    let cache = CompileCache::new();
-    let base = "input x in [-1, 1];\nlet k = 0.5;\noutput y = k*x;\n";
-    let (donor, _) = cache.get_or_compile(base).unwrap();
-    donor.session.na_model().unwrap();
-
-    let variant = |k: usize| format!("input x in [-1, 1];\nlet k = 0.5{k};\noutput y = k*x;\n");
-    let donor_shape = donor.shape_fingerprint;
-    std::thread::scope(|scope| {
-        for t in 0..8 {
-            let cache = &cache;
-            let variant = &variant;
-            scope.spawn(move || {
-                for i in 0..20 {
-                    let (entry, lookup) = cache.get_or_compile(&variant((t + i) % 4 + 1)).unwrap();
-                    assert!(lookup.is_hit(), "coefficient variants never fully compile");
-                    assert_eq!(entry.shape_fingerprint, donor_shape);
-                    assert!(entry.session.na_model_built() || entry.session.na_model().is_ok());
-                }
-            });
-        }
-    });
-    let stats = cache.stats();
-    assert_eq!(stats.misses, 1, "{stats:?}");
-    assert!(stats.shape_hits >= 4, "{stats:?}");
-    assert_eq!(stats.entries, 5, "{stats:?}");
-}
-
-#[test]
-fn hot_shape_tier_entries_survive_concurrent_eviction_pressure() {
-    // LRU hammer: a bounded cache under concurrent streams of one-off
-    // programs (pure eviction pressure), while the main thread keeps one
-    // shape-tier skeleton hot through coefficient respins. After every
-    // round the donor must still be resident: each swap refreshes its
-    // recency, and at most 64 distinct programs land between touches —
-    // under the 128-entry cap, so a true LRU can never pick the donor.
-    const ROUNDS: usize = 8;
-    const THREADS: usize = 4;
-    const PER_THREAD: usize = 16;
-
-    let cache = CompileCache::with_limits(CacheLimits {
-        max_entries: 128,
-        ..CacheLimits::default()
-    });
-    let base = "input x in [-1, 1];\nlet k = 0.5;\noutput y = k*x;\n";
-    let (donor, _) = cache.get_or_compile(base).unwrap();
-    donor.session.na_model().unwrap();
-    let donor_shape = donor.shape_fingerprint;
-
-    for round in 0..ROUNDS {
-        // Pressure: THREADS × PER_THREAD distinct programs, all misses.
-        std::thread::scope(|scope| {
-            for t in 0..THREADS {
-                let cache = &cache;
-                scope.spawn(move || {
-                    for i in 0..PER_THREAD {
-                        let k = 1 + round * THREADS * PER_THREAD + t * PER_THREAD + i;
-                        cache.get_or_compile(&source(k)).unwrap();
-                    }
-                });
-            }
-            // The hot path, concurrent with the pressure: coefficient
-            // respins of the donor's shape.
-            for i in 0..PER_THREAD {
-                let swapped = format!(
-                    "input x in [-1, 1];\nlet k = 0.5{}{i};\noutput y = k*x;\n",
-                    round + 1
-                );
-                let (entry, lookup) = cache.get_or_compile(&swapped).unwrap();
-                assert!(lookup.is_hit(), "round {round}: swap was {lookup:?}");
-                assert_eq!(entry.shape_fingerprint, donor_shape);
-            }
-        });
-        // The donor survived the round's churn.
-        let (entry, lookup) = cache.get_or_compile(base).unwrap();
-        assert!(
-            lookup.is_hit(),
-            "round {round}: the hot shape donor was evicted ({lookup:?})"
-        );
-        assert!(
-            Arc::ptr_eq(&entry, &donor),
-            "round {round}: the donor was recompiled, not retained"
-        );
-    }
-
-    let stats = cache.stats();
-    assert!(stats.entries <= 128, "{stats:?}");
-    assert!(
-        stats.evictions > 0,
-        "the pressure must actually overflow the cap: {stats:?}"
-    );
-    assert!(stats.shape_hits >= ROUNDS as u64, "{stats:?}");
 }
 
 #[test]

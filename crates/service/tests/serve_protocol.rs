@@ -752,139 +752,3 @@ fn pdf_false_renders_the_pdf_true_result_from_moments_on_every_example() {
         }
     }
 }
-
-/// A design of the end-to-end benchmark's cold-sweep kind, with the
-/// coefficients of `draw`: a FIR whose taps skip at most one delay, a
-/// biquad cascade with `range` overrides, or a two-layer matrix-vector
-/// bank. None has an additive constant, and every draw of a family has
-/// the same shape.
-fn cold_sweep_design(family: &str, draw: u32) -> String {
-    let coeff = |i: usize, scale: f64| {
-        let k = (i as u32 * 37 + draw * 101) % 89;
-        let sign = if (i as u32 + draw).is_multiple_of(3) {
-            -1.0
-        } else {
-            1.0
-        };
-        sign * (0.2 + f64::from(k) / 111.0) * scale
-    };
-    let mut out = String::new();
-    match family {
-        "fir" => {
-            out.push_str("input x in [-1, 1];\n");
-            let terms: Vec<String> = (0..12)
-                .map(|i| {
-                    out.push_str(&format!("let c{i} = {:.6};\n", coeff(i, 0.2)));
-                    format!("c{i}*x[n-{}]", i + i / 3)
-                })
-                .collect();
-            out.push_str(&format!("output y = {};\n", terms.join(" + ")));
-        }
-        "biquad" => {
-            out.push_str("input x in [-0.5, 0.5];\n");
-            let mut src = "x".to_string();
-            for s in 0..2 {
-                let radius = 0.3 + 0.1 * f64::from((draw + s) % 5);
-                let angle = 0.4 + 0.5 * f64::from((draw * 3 + s) % 4);
-                let (a1, a2) = (2.0 * radius * angle.cos(), -radius * radius);
-                let b = |k: usize| coeff(3 * s as usize + k, 0.3).abs();
-                out.push_str(&format!(
-                    "acc{s} = {:.6}*{src} + {:.6}*{src}[n-1] + {:.6}*{src}[n-2] \
-                     + {a1:.6}*y{s}[n-1] + {a2:.6}*y{s}[n-2] range [-3, 3];\ny{s} = acc{s};\n",
-                    b(0),
-                    b(1),
-                    b(2)
-                ));
-                src = format!("y{s}");
-            }
-            out.push_str(&format!("output out = {src};\n"));
-        }
-        _ => {
-            out.push_str("input v[4] in [-1, 1];\n");
-            let mut prev: Vec<String> = (0..4).map(|i| format!("v[{i}]")).collect();
-            for l in 0..2 {
-                let names: Vec<String> = (0..3).map(|j| format!("h{l}_{j}")).collect();
-                for (j, name) in names.iter().enumerate() {
-                    let terms: Vec<String> = (0..prev.len())
-                        .filter(|i| !(i + j + l).is_multiple_of(3))
-                        .map(|i| format!("{:.6}*{}", coeff(10 * l + 4 * j + i, 0.5), prev[i]))
-                        .collect();
-                    out.push_str(&format!("{name} = {};\n", terms.join(" + ")));
-                }
-                prev = names;
-            }
-            for (j, name) in prev.iter().enumerate() {
-                out.push_str(&format!("output o{j} = {name};\n"));
-            }
-        }
-    }
-    out
-}
-
-#[test]
-fn shape_hit_results_equal_a_cold_compile_on_cold_sweep_designs() {
-    let request = |source: &str, engine: &str, bits: usize, pdf: bool| {
-        Json::Obj(vec![
-            ("cmd".into(), Json::str("analyze")),
-            ("source".into(), Json::str(source)),
-            ("engine".into(), Json::str(engine)),
-            ("bits".into(), Json::int(bits)),
-            ("pdf".into(), Json::Bool(pdf)),
-        ])
-        .to_compact()
-    };
-    let answer = |lines: &[String], cache: &CompileCache| -> Vec<Json> {
-        let mut output = Vec::new();
-        let report = serve(Cursor::new(lines.join("\n") + "\n"), &mut output, cache);
-        assert_eq!(report.errors, 0);
-        String::from_utf8(output)
-            .unwrap()
-            .lines()
-            .map(|line| Json::parse(line).unwrap())
-            .collect()
-    };
-    for family in ["fir", "biquad", "matvec"] {
-        let warm = CompileCache::new();
-        let donor = cold_sweep_design(family, 0);
-        let first = answer(&[request(&donor, "na", 12, false)], &warm);
-        assert_eq!(first[0].get("cache").and_then(Json::as_str), Some("miss"));
-        for draw in 1..=2 {
-            let respin = cold_sweep_design(family, draw);
-            assert_ne!(respin, donor);
-            let lines = [
-                request(&respin, "na", 12, false),
-                request(&respin, "na", 16, false),
-                request(&respin, "auto", 10, true),
-            ];
-            let swapped = answer(&lines, &warm);
-            assert_eq!(
-                swapped[0].get("cache").and_then(Json::as_str),
-                Some("shape-hit"),
-                "{family} draw {draw}"
-            );
-            for (line, got) in lines.iter().zip(&swapped) {
-                let cold = answer(std::slice::from_ref(line), &CompileCache::new());
-                assert_eq!(
-                    without_elapsed(got.get("result").unwrap()).to_compact(),
-                    without_elapsed(cold[0].get("result").unwrap()).to_compact(),
-                    "{family} draw {draw}: {line}"
-                );
-            }
-
-            // The shape hit's gain model itself: gains and coefficient
-            // sites.
-            let (hit, _) = warm.get_or_compile(&respin).unwrap();
-            let (fresh, _) = CompileCache::new().get_or_compile(&respin).unwrap();
-            assert!(
-                hit.session
-                    .na_model()
-                    .unwrap()
-                    .bit_identical(&fresh.session.na_model().unwrap()),
-                "{family} draw {draw}: shape-hit model differs from a cold build"
-            );
-        }
-        let stats = warm.get_or_compile(&donor).unwrap().0.session.stats();
-        // One cold build per distinct program: the donor and two re-spins.
-        assert_eq!(stats.na_builds, 3, "{family}: {stats:?}");
-    }
-}

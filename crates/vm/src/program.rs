@@ -63,10 +63,8 @@ pub struct Inst {
 /// A compiled, register-allocated program for one graph *shape*.
 ///
 /// Constant values and per-node quantizers are intentionally absent —
-/// they are bound per run by `Executable` — so a `Program` can be
-/// cached on a session and shared across coefficient swaps
-/// (`Session::with_coefficients`) exactly like the other shape-level
-/// artifacts.
+/// they are bound per run by `Executable` — so one `Program` cached on a
+/// session serves every word-length configuration of its graph.
 #[derive(Clone, Debug)]
 pub struct Program {
     /// The instruction sweep, in topological order.

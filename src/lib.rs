@@ -13,7 +13,7 @@
 //! |---|---|
 //! | [`interval`] | interval arithmetic (the IA baseline) |
 //! | [`hist`] | histogram PDFs and Berleant-style histogram arithmetic |
-//! | [`expr`] | noise symbols, multivariate polynomials, rational forms |
+//! | [`expr`] | noise symbols, multivariate polynomials |
 //! | [`dfg`] | dataflow graphs, simulation, range/LTI analysis |
 //! | [`fixp`] | fixed-point formats, bit-true scalar simulation |
 //! | [`core`] | the SNA engines + classical NA baseline |
@@ -61,10 +61,11 @@
 //!          report.engine.name(),
 //!          noise.support.0, noise.support.1, noise.std_dev());
 //!
-//! // A coefficient swap: same shape, new constants — lowering is
-//! // reused, ranges and gains build cold on first use.
-//! let swapped = session.with_coefficients(&[0.25, 0.65])?;
-//! assert_eq!(swapped.coefficients(), vec![0.25, 0.65]);
+//! // A coefficient respin: the same graph with new constants is a new
+//! // session, whose stages build cold on first use.
+//! let respun = session.dfg().with_const_values(&[0.25, 0.65])?;
+//! let respun = Session::new(respun, session.input_ranges().to_vec())?;
+//! assert_eq!(respun.dfg().const_values(), vec![0.25, 0.65]);
 //! # Ok(())
 //! # }
 //! ```
